@@ -145,7 +145,7 @@ func runPeak(dbAddr string, withCache bool) (*peakResult, error) {
 	}
 	return &peakResult{
 		mean:           res.Latency.Mean(),
-		backendQueries: b.Metrics().Counter("completed").Value(),
+		backendQueries: b.Metrics().Histogram("backend_rtt").Count(),
 		hitRatio:       b.CacheStats().HitRatio(),
 	}, nil
 }

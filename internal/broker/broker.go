@@ -142,31 +142,28 @@ type Broker struct {
 	do     cluster.Do // the backend access path (pool or replica set)
 	policy *qos.ThresholdPolicy
 	reg    *metrics.Registry
+	m      instruments     // handles into reg, resolved once in New
 	tracer *trace.Recorder // nil unless WithTracer
 
 	// optional machinery
 	pool     *backend.Pool
 	replicas *loadbalance.ReplicaSet
 	results  *cache.Cache
-	cacheTTL time.Duration
 	batcher  *cluster.Batcher
 	tracker  *txn.Tracker
 	txnTTL   time.Duration
-	idem     *txn.IdemTable
 	contract map[qos.Class]*qos.Contract
+
+	// The two uses of the single-flight table; a nil table disables the stage.
+	idem    *txn.IdemTable // keyed mutations (WithIdempotency): outcomes remembered
+	flights *txn.IdemTable // identical reads (WithCoalescing): outcomes only shared
 
 	// workload analytics (WithHotKeys) and per-class SLOs (WithSLO)
 	hotkeys *sketch.Tracker
 	sloEng  *slo.Engine
 
-	// single-flight query coalescing (WithCoalescing)
-	coalesce *coalescer
-
 	// fleet event timeline (WithFleetEvents); nil-safe, may stay nil
 	events *fleet.Log
-
-	hotFrac   float64
-	hotNotify func(LoadReport)
 
 	// fault tolerance (WithResilience)
 	resCfg     *resilience.Config
@@ -183,91 +180,48 @@ type Broker struct {
 
 	mu          sync.Mutex
 	outstanding int
-	hot         bool
 	closed      bool
 	draining    bool
 
 	wg       sync.WaitGroup
 	stopOnce sync.Once
 
-	prefetch *prefetcher
+	prefetch *prefetcher // built by WithPrefetch, started by New
 
-	// deferred option payloads, consumed by New once all options are known
-	clusteringCfg  *clusteringConfig
-	adaptiveDegree *cluster.AdaptiveConfig
-	prefetchCfg    *prefetchConfig
-	shareOverrides map[qos.Class]float64
-	cacheCfg       *cacheConfig
-	hotkeysCfg     *sketch.Config
-	sloCfg         *slo.Config
-}
-
-type job struct {
-	ctx     context.Context
-	req     *Request
-	class   qos.Class
-	key     string // cache key, reused for hot-key attribution
-	resp    chan *Response
-	started time.Time
-	tr      *trace.Active // nil when tracing is off
-	ticket  *txn.Ticket   // nil unless the job owns an idempotency slot
+	// option payloads that New can only act on once every option is known
+	combiner    cluster.Combiner // nil unless WithClustering
+	degree      int
+	batcherOpts []cluster.BatcherOption // WithClustering's wait, WithAdaptiveDegree
+	cacheCap    int                     // 0 unless WithCache
+	cacheTTL    time.Duration
+	sloCfg      *slo.Config
 }
 
 // Option configures a Broker.
-type Option interface {
-	apply(*Broker) error
-}
-
-type optionFunc func(*Broker) error
-
-func (f optionFunc) apply(b *Broker) error { return f(b) }
+type Option func(*Broker) error
 
 // WithThreshold sets the outstanding-request threshold and QoS class count
 // (defaults: 20 and 3, the paper's values).
 func WithThreshold(threshold, classes int) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		if threshold <= 0 || classes <= 0 {
 			return errors.New("broker: threshold and classes must be positive")
 		}
 		b.policy = qos.NewThresholdPolicy(threshold, classes)
 		return nil
-	})
-}
-
-// WithClassShares overrides the admission share of individual QoS classes
-// (values in (0, 1], applied to the threshold). Classes not present keep
-// the default share (Classes-c+1)/Classes. Order-independent with respect
-// to WithThreshold.
-func WithClassShares(shares map[qos.Class]float64) Option {
-	return optionFunc(func(b *Broker) error {
-		for c, s := range shares {
-			if !c.Valid() {
-				return fmt.Errorf("broker: invalid class %d in shares", int(c))
-			}
-			if s <= 0 || s > 1 {
-				return fmt.Errorf("broker: share %g for %v outside (0, 1]", s, c)
-			}
-		}
-		if b.shareOverrides == nil {
-			b.shareOverrides = make(map[qos.Class]float64, len(shares))
-		}
-		for c, s := range shares {
-			b.shareOverrides[c] = s
-		}
-		return nil
-	})
+	}
 }
 
 // WithWorkers sets the number of worker goroutines, i.e. concurrent
 // persistent backend sessions (default 4).
 func WithWorkers(n int) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		if n <= 0 {
 			return errors.New("broker: workers must be positive")
 		}
 		b.workers = n
 		return nil
-	})
+	}
 }
 
 // WithCache enables result caching with the given capacity and TTL (ttl ≤ 0
@@ -275,13 +229,13 @@ func WithWorkers(n int) Option {
 // options are known, so WithHotKeys can attach its access hook regardless of
 // option order.
 func WithCache(capacity int, ttl time.Duration) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		if capacity <= 0 {
 			return errors.New("broker: cache capacity must be positive")
 		}
-		b.cacheCfg = &cacheConfig{capacity: capacity, ttl: ttl}
+		b.cacheCap, b.cacheTTL = capacity, ttl
 		return nil
-	})
+	}
 }
 
 // WithHotKeys enables workload analytics (paper §III hot-spot detection):
@@ -291,10 +245,10 @@ func WithCache(capacity int, ttl time.Duration) Option {
 // HotKeySnapshot (the obs /hotz page) and the hotkey_* gauges. A zero cfg
 // selects the sketch defaults (top-64 keys, ~150 KiB).
 func WithHotKeys(cfg sketch.Config) Option {
-	return optionFunc(func(b *Broker) error {
-		b.hotkeysCfg = &cfg
+	return func(b *Broker) error {
+		b.hotkeys = sketch.NewTracker(cfg)
 		return nil
-	})
+	}
 }
 
 // WithSLO attaches a per-class SLO engine (package slo): every request's
@@ -304,25 +258,28 @@ func WithHotKeys(cfg sketch.Config) Option {
 // evaluated state is surfaced via SLOStatus (the obs /sloz page) and, when
 // cfg.Metrics is nil, slo_* gauges in the broker's registry.
 func WithSLO(cfg slo.Config) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		b.sloCfg = &cfg
 		return nil
-	})
+	}
 }
 
 // WithClustering enables request clustering with the given combiner and
 // degree (maximum batch size).
 func WithClustering(combiner cluster.Combiner, degree int, maxWait time.Duration) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		if combiner == nil {
 			return errors.New("broker: nil combiner")
 		}
 		if degree < 1 {
 			return errors.New("broker: clustering degree must be ≥ 1")
 		}
-		b.clusteringCfg = &clusteringConfig{combiner: combiner, degree: degree, maxWait: maxWait}
+		b.combiner, b.degree = combiner, degree
+		if maxWait > 0 {
+			b.batcherOpts = append(b.batcherOpts, cluster.WithMaxWait(maxWait))
+		}
 		return nil
-	})
+	}
 }
 
 // WithAdaptiveDegree makes the clustering batcher self-tuning: the degree
@@ -332,19 +289,19 @@ func WithClustering(combiner cluster.Combiner, degree int, maxWait time.Duration
 // combined with WithClustering; the live degree is exported as the
 // "cluster_degree_current" gauge.
 func WithAdaptiveDegree(cfg cluster.AdaptiveConfig) Option {
-	return optionFunc(func(b *Broker) error {
-		b.adaptiveDegree = &cfg
+	return func(b *Broker) error {
+		b.batcherOpts = append(b.batcherOpts, cluster.WithAdaptiveDegree(cfg))
 		return nil
-	})
+	}
 }
 
 // WithTransactions enables transaction tracking and step-based priority
 // escalation.
 func WithTransactions() Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		b.tracker = txn.NewTracker()
 		return nil
-	})
+	}
 }
 
 // WithSharedTransactions enables transaction escalation against a tracker
@@ -354,13 +311,13 @@ func WithTransactions() Option {
 // servers are properly protected" — a shared tracker lets a step observed
 // at one broker escalate the transaction's later accesses at every broker.
 func WithSharedTransactions(tracker *txn.Tracker) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		if tracker == nil {
 			return errors.New("broker: nil shared tracker")
 		}
 		b.tracker = tracker
 		return nil
-	})
+	}
 }
 
 // WithTransactionTTL bounds how long an idle transaction may stay active:
@@ -370,13 +327,13 @@ func WithSharedTransactions(tracker *txn.Tracker) Option {
 // WithSharedTransactions. Without a TTL the active table would grow without
 // bound as clients crash between steps.
 func WithTransactionTTL(d time.Duration) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		if d <= 0 {
 			return errors.New("broker: transaction TTL must be positive")
 		}
 		b.txnTTL = d
 		return nil
-	})
+	}
 }
 
 // WithIdempotency attaches a broker-side idempotency table: a request
@@ -387,10 +344,10 @@ func WithTransactionTTL(d time.Duration) Option {
 // selects txn.DefaultIdemCapacity; ttl ≤ 0 keeps outcomes until evicted by
 // capacity.
 func WithIdempotency(capacity int, ttl time.Duration) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		b.idem = txn.NewIdemTable(capacity, ttl)
 		return nil
-	})
+	}
 }
 
 // WithSharedIdempotency uses an idempotency table shared with other brokers.
@@ -399,19 +356,19 @@ func WithIdempotency(capacity int, ttl time.Duration) Option {
 // another member already executed answers from the shared table instead of
 // re-executing.
 func WithSharedIdempotency(table *txn.IdemTable) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		if table == nil {
 			return errors.New("broker: nil shared idempotency table")
 		}
 		b.idem = table
 		return nil
-	})
+	}
 }
 
 // WithContract rate-limits one QoS class (the loosely coupled contract
 // model): requests beyond the contract are dropped even under light load.
 func WithContract(class qos.Class, rate float64, burst int) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		if !class.Valid() {
 			return errors.New("broker: invalid contract class")
 		}
@@ -420,32 +377,15 @@ func WithContract(class qos.Class, rate float64, burst int) Option {
 		}
 		b.contract[class] = qos.NewContract(rate, burst)
 		return nil
-	})
-}
-
-// WithHotSpotNotify registers a callback invoked (outside broker locks) when
-// the broker enters or leaves the hot state: outstanding ≥ frac × threshold.
-// frac defaults to 0.9 when ≤ 0.
-func WithHotSpotNotify(frac float64, notify func(LoadReport)) Option {
-	return optionFunc(func(b *Broker) error {
-		if notify == nil {
-			return errors.New("broker: nil hot-spot callback")
-		}
-		if frac <= 0 {
-			frac = 0.9
-		}
-		b.hotFrac = frac
-		b.hotNotify = notify
-		return nil
-	})
+	}
 }
 
 // WithMetrics directs broker counters into reg.
 func WithMetrics(reg *metrics.Registry) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		b.reg = reg
 		return nil
-	})
+	}
 }
 
 // WithCoalescing enables single-flight query coalescing ahead of the result
@@ -458,10 +398,10 @@ func WithMetrics(reg *metrics.Registry) Option {
 // served this way increment coalesced_total and carry a "coalesce" trace
 // stage; CoalesceStats and the obs /hotz page expose the accounting.
 func WithCoalescing() Option {
-	return optionFunc(func(b *Broker) error {
-		b.coalesce = newCoalescer()
+	return func(b *Broker) error {
+		b.flights = txn.NewIdemTable(0, 0)
 		return nil
-	})
+	}
 }
 
 // WithFleetEvents publishes the broker's operational transitions — AIMD
@@ -469,10 +409,10 @@ func WithCoalescing() Option {
 // start/stop — into the fleet event timeline l (surfaced on /eventz). A
 // single log is typically shared by every broker in the process.
 func WithFleetEvents(l *fleet.Log) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		b.events = l
 		return nil
-	})
+	}
 }
 
 // WithTracer records one trace per handled request into rec, annotating the
@@ -480,26 +420,26 @@ func WithFleetEvents(l *fleet.Log) Option {
 // recorder is typically shared by every broker in the process so /tracez can
 // show the whole request path.
 func WithTracer(rec *trace.Recorder) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		if rec == nil {
 			return errors.New("broker: nil trace recorder")
 		}
 		b.tracer = rec
 		return nil
-	})
+	}
 }
 
 // WithReplicas routes backend accesses across replicated connectors under a
 // load-balancing policy instead of a single connector.
 func WithReplicas(policy loadbalance.Policy, poolCapacity int, connectors ...backend.Connector) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		rs, err := loadbalance.NewReplicaSet(policy, poolCapacity, connectors...)
 		if err != nil {
 			return err
 		}
 		b.replicas = rs
 		return nil
-	})
+	}
 }
 
 // WithResilience wraps the backend access path in the fault-tolerance layer:
@@ -511,10 +451,10 @@ func WithReplicas(policy loadbalance.Policy, poolCapacity int, connectors ...bac
 // answered from stale cache state at qos.FidelityLow — the paper's immediate
 // low-fidelity message — instead of an error.
 func WithResilience(cfg resilience.Config) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		b.resCfg = &cfg
 		return nil
-	})
+	}
 }
 
 // WithAdaptiveLimit replaces the static admission threshold with an AIMD
@@ -526,10 +466,10 @@ func WithResilience(cfg resilience.Config) Option {
 // Zero-valued cfg fields default sensibly: Initial and Max default to the
 // static threshold, so the limiter can only tighten the operator's guess.
 func WithAdaptiveLimit(cfg overload.Config) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		b.limitCfg = &cfg
 		return nil
-	})
+	}
 }
 
 // WithSojournBudget enables CoDel-style queue eviction: a queued request of
@@ -537,62 +477,52 @@ func WithAdaptiveLimit(cfg overload.Config) Option {
 // low-priority requests are answered early with the paper's low-fidelity
 // message instead of rotting in queue. base ≤ 0 disables eviction.
 func WithSojournBudget(base time.Duration) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		b.sojournBase = base
 		return nil
-	})
+	}
 }
 
 // WithPrefetch registers a periodic prefetcher: every interval, while the
 // broker is below lowWater outstanding requests, each payload produced by
 // source is fetched from the backend and cached (requires WithCache).
 func WithPrefetch(interval time.Duration, lowWater int, source func() [][]byte) Option {
-	return optionFunc(func(b *Broker) error {
+	return func(b *Broker) error {
 		if interval <= 0 {
 			return errors.New("broker: prefetch interval must be positive")
 		}
 		if source == nil {
 			return errors.New("broker: nil prefetch source")
 		}
-		b.prefetchCfg = &prefetchConfig{interval: interval, lowWater: lowWater, source: source}
+		b.prefetch = &prefetcher{b: b, interval: interval, lowWater: lowWater, source: source,
+			stopped: make(chan struct{}), done: make(chan struct{})}
 		return nil
-	})
-}
-
-// deferred configs applied in New after all options are known.
-type clusteringConfig struct {
-	combiner cluster.Combiner
-	degree   int
-	maxWait  time.Duration
-}
-
-type cacheConfig struct {
-	capacity int
-	ttl      time.Duration
-}
-
-type prefetchConfig struct {
-	interval time.Duration
-	lowWater int
-	source   func() [][]byte
+	}
 }
 
 // New creates a broker for one backend service. The connector is ignored
 // when WithReplicas is given (pass nil in that case).
-func New(connector backend.Connector, opts ...Option) (*Broker, error) {
+func New(connector backend.Connector, opts ...Option) (_ *Broker, err error) {
 	b := &Broker{
 		policy:  qos.NewThresholdPolicy(20, 3), // the paper's defaults
 		reg:     metrics.NewRegistry(),
 		workers: 4,
 	}
+	// A failed New owns nothing but the backend sessions opened so far.
+	defer func() {
+		if err != nil {
+			b.closeBackend()
+		}
+	}()
 	for _, o := range opts {
-		if err := o.apply(b); err != nil {
+		if err := o(b); err != nil {
 			return nil, err
 		}
 	}
-	if b.shareOverrides != nil {
-		b.policy.Shares = b.shareOverrides
+	if b.prefetch != nil && b.cacheCap == 0 {
+		return nil, errors.New("broker: WithPrefetch requires WithCache")
 	}
+	b.m = newInstruments(b)
 	if b.txnTTL > 0 {
 		if b.tracker == nil {
 			return nil, errors.New("broker: WithTransactionTTL requires WithTransactions")
@@ -602,10 +532,6 @@ func New(connector backend.Connector, opts ...Option) (*Broker, error) {
 		b.tracker.OnAbandon(func(txn.State) { abandoned.Inc() })
 	}
 
-	// Analytics before the cache: the cache's access hook feeds the tracker.
-	if b.hotkeysCfg != nil {
-		b.hotkeys = sketch.NewTracker(*b.hotkeysCfg)
-	}
 	if b.sloCfg != nil {
 		cfg := *b.sloCfg
 		if cfg.Metrics == nil {
@@ -613,13 +539,13 @@ func New(connector backend.Connector, opts ...Option) (*Broker, error) {
 		}
 		b.sloEng = slo.New(cfg)
 	}
-	if b.cacheCfg != nil {
-		copts := []cache.Option{cache.WithDefaultTTL(b.cacheCfg.ttl)}
+	if b.cacheCap > 0 {
+		copts := []cache.Option{cache.WithDefaultTTL(b.cacheTTL)}
 		if b.hotkeys != nil {
+			// The cache's access hook feeds the hot-key tracker.
 			copts = append(copts, cache.WithAccessHook(b.hotkeys.RecordAccess))
 		}
-		b.results = cache.New(b.cacheCfg.capacity, copts...)
-		b.cacheTTL = b.cacheCfg.ttl
+		b.results = cache.New(b.cacheCap, copts...)
 	}
 
 	switch {
@@ -651,7 +577,6 @@ func New(connector backend.Connector, opts ...Option) (*Broker, error) {
 		}
 		limiter, err := overload.NewLimiter(cfg)
 		if err != nil {
-			b.releasePools()
 			return nil, err
 		}
 		b.limiter = limiter
@@ -663,11 +588,7 @@ func New(connector backend.Connector, opts ...Option) (*Broker, error) {
 			// A downward move is a multiplicative AIMD cut — a congestion
 			// signal worth a timeline entry; additive raises are routine.
 			if n < prev {
-				b.events.Publish(fleet.Event{
-					Kind:    fleet.KindLimitCut,
-					Service: b.name,
-					Detail:  fmt.Sprintf("admission limit cut %d -> %d", prev, n),
-				})
+				b.publish(fleet.KindLimitCut, "", fmt.Sprintf("admission limit cut %d -> %d", prev, n))
 			}
 			prev = n
 		})
@@ -686,46 +607,26 @@ func New(connector backend.Connector, opts ...Option) (*Broker, error) {
 						b.reg.Counter("breaker_opens_total").Inc()
 						// An opening breaker means a replica is failing:
 						// that is a congestion signal for admission too.
-						if b.limiter != nil {
-							b.limiter.Overload()
-						}
-						b.events.Publish(fleet.Event{
-							Kind:    fleet.KindBreakerOpen,
-							Service: b.name,
-							Member:  name,
-							Detail:  fmt.Sprintf("backend replica %d breaker opened (%s -> %s)", replica, from, to),
-						})
+						b.congested()
+						b.publish(fleet.KindBreakerOpen, name,
+							fmt.Sprintf("backend replica %d breaker opened (%s -> %s)", replica, from, to))
 					}
 					if from == resilience.StateHalfOpen && to == resilience.StateClosed {
-						b.events.Publish(fleet.Event{
-							Kind:    fleet.KindBreakerClose,
-							Service: b.name,
-							Member:  name,
-							Detail:  fmt.Sprintf("backend replica %d probe succeeded, breaker closed", replica),
-						})
+						b.publish(fleet.KindBreakerClose, name,
+							fmt.Sprintf("backend replica %d probe succeeded, breaker closed", replica))
 					}
 				})
 		}
 	}
 
-	if b.adaptiveDegree != nil && b.clusteringCfg == nil {
-		b.releasePools()
-		return nil, errors.New("broker: WithAdaptiveDegree requires WithClustering")
-	}
-	if b.clusteringCfg != nil {
-		opts := []cluster.BatcherOption{cluster.WithMetrics(b.reg)}
-		if b.clusteringCfg.maxWait > 0 {
-			opts = append(opts, cluster.WithMaxWait(b.clusteringCfg.maxWait))
-		}
-		if b.adaptiveDegree != nil {
-			opts = append(opts, cluster.WithAdaptiveDegree(*b.adaptiveDegree))
-		}
-		batcher, err := cluster.NewBatcher(b.do, b.clusteringCfg.combiner, b.clusteringCfg.degree, opts...)
+	if b.combiner != nil {
+		b.batcher, err = cluster.NewBatcher(b.do, b.combiner, b.degree, append(b.batcherOpts, cluster.WithMetrics(b.reg))...)
 		if err != nil {
-			b.releasePools()
 			return nil, err
 		}
-		b.batcher = batcher
+		b.m.clusterTime = b.reg.Histogram("cluster_time")
+	} else if len(b.batcherOpts) > 0 { // WithClustering refuses a nil combiner
+		return nil, errors.New("broker: WithAdaptiveDegree requires WithClustering")
 	}
 
 	// Queue capacity = the largest effective threshold: admission control
@@ -733,12 +634,11 @@ func New(connector backend.Connector, opts ...Option) (*Broker, error) {
 	// overflow.
 	capacity := b.policy.Threshold
 	if b.limiter != nil {
-		if s := b.limiter.Snapshot(); s.Max > capacity {
-			capacity = s.Max
-		}
+		capacity = max(capacity, b.limiter.Snapshot().Max)
 	}
 	b.queue = qos.NewQueue[*job](capacity)
 	if b.sojournBase > 0 {
+		b.m.sojournEvictions, b.m.queueSojourn = b.reg.Counter("sojourn_evictions"), b.reg.Histogram("queue_sojourn")
 		b.queue.SetSojourn(b.sojournBudget, b.evictExpired)
 	}
 	for i := 0; i < b.workers; i++ {
@@ -746,12 +646,8 @@ func New(connector backend.Connector, opts ...Option) (*Broker, error) {
 		go b.worker()
 	}
 
-	if b.prefetchCfg != nil {
-		if b.results == nil {
-			b.Close()
-			return nil, errors.New("broker: WithPrefetch requires WithCache")
-		}
-		b.prefetch = newPrefetcher(b, *b.prefetchCfg)
+	if b.prefetch != nil {
+		go b.prefetch.run()
 	}
 	return b, nil
 }
@@ -765,16 +661,8 @@ func (b *Broker) Name() string { return b.name }
 // maintained.
 func (b *Broker) Metrics() *metrics.Registry { return b.reg }
 
-// Tracer returns the broker's trace recorder (nil unless WithTracer). The
-// gateway uses it to collect finished traces for span export.
-func (b *Broker) Tracer() *trace.Recorder { return b.tracer }
-
 // Tracker returns the transaction tracker (nil unless WithTransactions).
 func (b *Broker) Tracker() *txn.Tracker { return b.tracker }
-
-// Idempotency returns the idempotency table (nil unless WithIdempotency or
-// WithSharedIdempotency). brokerd uses it to attach the journal hook.
-func (b *Broker) Idempotency() *txn.IdemTable { return b.idem }
 
 // IdemStats returns the idempotency table's accounting; ok is false when the
 // broker runs without an idempotency table. The obs /txnz page renders these.
@@ -828,15 +716,21 @@ func (b *Broker) ClusterDegree() int {
 // admission at the front end tracks measured capacity, not the static flag.
 func (b *Broker) Load() LoadReport {
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	outstanding := b.outstanding
+	b.mu.Unlock()
+	threshold := b.effectiveThreshold()
 	return LoadReport{
 		Service:     b.name,
-		Outstanding: b.outstanding,
-		Threshold:   b.effectiveThreshold(),
+		Outstanding: outstanding,
+		Threshold:   threshold,
 		QueueLen:    b.queue.Len(),
-		Hot:         b.hot,
+		Hot:         float64(outstanding) >= hotFraction*float64(threshold),
 	}
 }
+
+// hotFraction of the effective threshold outstanding marks the broker a hot
+// spot in its load reports (paper §III hot-spot detection).
+const hotFraction = 0.9
 
 // effectiveThreshold returns the admission threshold currently in force:
 // the adaptive limiter's value when configured, else the static policy's.
@@ -855,9 +749,6 @@ func (b *Broker) LimitSnapshot() (overload.Snapshot, bool) {
 	}
 	return b.limiter.Snapshot(), true
 }
-
-// HotKeys returns the workload-analytics tracker (nil unless WithHotKeys).
-func (b *Broker) HotKeys() *sketch.Tracker { return b.hotkeys }
 
 // HotKeySnapshot returns the merged hot-key view; ok is false unless
 // WithHotKeys is configured. Each call also refreshes the hotkey_* gauges,
@@ -878,16 +769,22 @@ func (b *Broker) HotKeySnapshot() (sketch.Snapshot, bool) {
 // false unless WithCoalescing is configured. Each call also refreshes the
 // coalesce_inflight gauge for periodic scrapers.
 func (b *Broker) CoalesceStats() (CoalesceStats, bool) {
-	if b.coalesce == nil {
+	if b.flights == nil {
 		return CoalesceStats{}, false
 	}
-	st := b.coalesce.stats()
-	b.reg.Gauge("coalesce_inflight").Set(int64(st.Inflight))
-	return st, true
+	st := b.flights.Stats()
+	b.reg.Gauge("coalesce_inflight").Set(int64(st.Size))
+	return CoalesceStats{Flights: st.Flights, Coalesced: st.Coalesced, Shared: st.Shared, Inflight: st.Size}, true
 }
 
-// SLO returns the per-class SLO engine (nil unless WithSLO).
-func (b *Broker) SLO() *slo.Engine { return b.sloEng }
+// CoalesceStats is the coalescing stage's point-in-time accounting for
+// /hotz, metrics, and the throughput experiment.
+type CoalesceStats struct {
+	Flights   int64 // backend-bound first executions
+	Coalesced int64 // duplicate requests that waited on a flight
+	Shared    int64 // waiters answered from the owner's response
+	Inflight  int   // currently open flights
+}
 
 // SLOStatus evaluates and returns the per-class SLO state; ok is false
 // unless WithSLO is configured. Evaluation (burn rates, alert transitions,
@@ -900,13 +797,6 @@ func (b *Broker) SLOStatus() (slo.Status, bool) {
 	return b.sloEng.Status(), true
 }
 
-// sloRecord registers a request's final disposition with the SLO engine.
-func (b *Broker) sloRecord(class qos.Class, latency time.Duration, ok bool) {
-	if b.sloEng != nil {
-		b.sloEng.Record(class, latency, ok)
-	}
-}
-
 // sloStage attributes stage time to a class's SLO window.
 func (b *Broker) sloStage(class qos.Class, stage trace.Stage, d time.Duration) {
 	if b.sloEng != nil {
@@ -914,522 +804,10 @@ func (b *Broker) sloStage(class qos.Class, stage trace.Stage, d time.Duration) {
 	}
 }
 
-// ErrBrokerClosed is returned by Handle after Close.
-var ErrBrokerClosed = errors.New("broker: closed")
-
-// Handle processes one request through the full broker pipeline and blocks
-// until the response is ready (which, for dropped requests, is immediate).
-func (b *Broker) Handle(ctx context.Context, req *Request) *Response {
-	if req == nil {
-		return &Response{Status: StatusError, Err: errors.New("broker: nil request")}
-	}
-	started := time.Now()
-	class := req.Class
-	if !class.Valid() {
-		class = qos.Class(b.policy.Classes) // default to lowest priority
-	}
-
-	// Transaction escalation: later steps gain priority (paper §III).
-	if b.tracker != nil && req.TxnID != "" {
-		if _, err := b.tracker.Observe(req.TxnID, max(req.TxnStep, 1)); err != nil {
-			return &Response{Status: StatusError, Err: err}
-		}
-		class = txn.EscalatedClass(class, req.TxnStep)
-	}
-
-	// One trace per request when a recorder is attached. The active trace
-	// is annotated here (cache, drop decision) and by the worker goroutine
-	// (queue wait, backend access); whoever produces the final disposition
-	// finishes it.
-	var tr *trace.Active
-	if b.tracer != nil {
-		tr = b.tracer.Start(req.TraceID, b.name, int(class))
-	}
-
-	b.reg.Counter("requests").Inc()
-	b.reg.Counter(fmt.Sprintf("requests_class_%d", class)).Inc()
-
-	// Idempotency: a keyed access that already executed is answered with its
-	// recorded first outcome; one that is executing right now is coalesced
-	// behind the first execution. Only the caller holding the owner ticket
-	// proceeds into the pipeline, and the worker records or releases the
-	// slot once the disposition is known.
-	var ticket *txn.Ticket
-	idemKeyed := b.idem != nil && req.TxnID != "" && req.IdemKey != ""
-	if idemKeyed {
-		ikey := txn.IdemKey(req.TxnID, req.TxnStep, req.IdemKey)
-		for {
-			out, hit, tk := b.idem.Acquire(ikey)
-			if hit {
-				b.reg.Counter("idem_hits").Inc()
-				tr.SetStatus("ok")
-				tr.SetNote("idempotent replay")
-				tr.Finish()
-				b.sloRecord(class, time.Since(started), true)
-				return &Response{Status: Status(out.Status), Fidelity: out.Fidelity, Payload: out.Payload}
-			}
-			if tk.Owner() {
-				ticket = tk
-				break
-			}
-			// Duplicate of an in-flight first execution: wait for its
-			// outcome rather than racing it to the backend.
-			b.reg.Counter("idem_coalesced").Inc()
-			out, ok, err := tk.Await(ctx)
-			if err != nil {
-				tr.SetStatus("error")
-				tr.Finish()
-				return &Response{Status: StatusError, Err: err}
-			}
-			if ok {
-				tr.SetStatus("ok")
-				tr.SetNote("idempotent coalesce")
-				tr.Finish()
-				b.sloRecord(class, time.Since(started), true)
-				return &Response{Status: Status(out.Status), Fidelity: out.Fidelity, Payload: out.Payload}
-			}
-			// The first execution released without recording (shed or
-			// failed before the effect): re-acquire and run for real.
-		}
-	}
-
-	// Cache: a fresh hit is served immediately without consuming backend
-	// capacity (paper §III, "Caching of query results"). The cache's access
-	// hook is what feeds the hot-key tracker, so key frequency is measured
-	// at the cache: shed/drop fallback lookups count as extra accesses.
-	// Idempotency-keyed accesses are mutations and never served from cache.
-	key := cacheKey(req.Payload)
-	if b.hotkeys != nil && (b.results == nil || req.NoCache) {
-		b.hotkeys.RecordAccess(key, false)
-	}
-	if b.results != nil && !req.NoCache && !idemKeyed {
-		lookup := tr.StartSpan(trace.StageCache)
-		body, ok := b.results.Get(key)
-		if ok {
-			d := lookup.EndNote("hit")
-			b.sloStage(class, trace.StageCache, d)
-			b.reg.Counter("cache_hits").Inc()
-			tr.SetStatus("ok")
-			tr.Finish()
-			elapsed := time.Since(started)
-			if b.hotkeys != nil {
-				b.hotkeys.RecordLatency(key, elapsed)
-			}
-			b.sloRecord(class, elapsed, true)
-			return &Response{Status: StatusOK, Fidelity: qos.FidelityCached, Payload: body}
-		}
-		b.sloStage(class, trace.StageCache, lookup.EndNote("miss"))
-	}
-
-	// Single-flight coalescing (WithCoalescing): a cache miss for a query
-	// that is already executing waits for the first execution's answer
-	// instead of spending its own backend trip. Only idempotent cacheable
-	// reads coalesce — NoCache opts out and idempotency-keyed mutations are
-	// coalesced by the idem table above. An owner's flight is settled on
-	// every return path below; a flight that closes without a shareable
-	// answer sends its waiters back through acquire to run for real.
-	var flight *coalFlight
-	if b.coalesce != nil && !req.NoCache && !idemKeyed {
-		for {
-			f, owner := b.coalesce.acquire(key)
-			if owner {
-				flight = f
-				b.reg.Counter("coalesce_flights_total").Inc()
-				break
-			}
-			b.reg.Counter("coalesced_total").Inc()
-			sp := tr.StartSpan(trace.StageCoalesce)
-			shared, ok, err := f.await(ctx)
-			d := sp.EndNote("waited")
-			b.sloStage(class, trace.StageCoalesce, d)
-			if err != nil {
-				tr.SetStatus("error")
-				tr.Finish()
-				return &Response{Status: StatusError, Err: err}
-			}
-			if ok {
-				tr.SetStatus("ok")
-				tr.SetNote("coalesced")
-				tr.Finish()
-				elapsed := time.Since(started)
-				if b.hotkeys != nil {
-					b.hotkeys.RecordLatency(key, elapsed)
-				}
-				b.sloRecord(class, elapsed, true)
-				return &Response{Status: shared.Status, Fidelity: shared.Fidelity, Payload: shared.Payload}
-			}
-			// The first execution finished without a shareable answer (shed,
-			// errored, or abandoned): re-acquire and run for real.
-		}
-	}
-
-	// Contract enforcement (loosely coupled services).
-	if c := b.contract[req.Class]; c != nil && !c.Allow() {
-		return settleFlight(flight, resolveIdem(ticket, b.drop(req, class, key, "contract exceeded", tr, started)))
-	}
-
-	// Admission control: the binary forward/drop rule, evaluated at the
-	// effective (possibly adaptive) threshold.
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		tr.SetStatus("error")
-		tr.Finish()
-		return settleFlight(flight, resolveIdem(ticket, &Response{Status: StatusError, Err: ErrBrokerClosed}))
-	}
-	if b.draining {
-		b.mu.Unlock()
-		return settleFlight(flight, resolveIdem(ticket, b.shed(req, class, key, "draining", tr, started)))
-	}
-	if !b.policy.AdmitAt(class, b.outstanding, b.effectiveThreshold()) {
-		b.mu.Unlock()
-		return settleFlight(flight, resolveIdem(ticket, b.shed(req, class, key, "threshold exceeded", tr, started)))
-	}
-	b.outstanding++
-	outstanding := b.outstanding
-	hotChanged, report := b.updateHotLocked()
-	b.mu.Unlock()
-	b.reg.Gauge("outstanding").Set(int64(outstanding))
-	if hotChanged && b.hotNotify != nil {
-		b.hotNotify(report)
-	}
-
-	j := &job{ctx: ctx, req: req, class: class, key: key, resp: make(chan *Response, 1), started: time.Now(), tr: tr, ticket: ticket}
-	if err := b.queue.Push(class, j); err != nil {
-		b.finishJob()
-		tr.SetStatus("error")
-		tr.Finish()
-		return settleFlight(flight, resolveIdem(ticket, &Response{Status: StatusError, Err: err}))
-	}
-	b.reg.Gauge("queue_len").Set(int64(b.queue.Len()))
-
-	select {
-	case resp := <-j.resp:
-		return settleFlight(flight, resp)
-	case <-ctx.Done():
-		// The worker will still run the job (resp is buffered), finish its
-		// trace, and resolve its idempotency ticket — if the effect executes
-		// after the caller gave up, the outcome is still recorded so the
-		// caller's retry replays it instead of re-executing. The coalesce
-		// flight settles unshared: waiters must not inherit this caller's
-		// deadline error, and their retry will hit the cache the worker warms.
-		return settleFlight(flight, &Response{Status: StatusError, Err: ctx.Err()})
-	}
-}
-
-// settleFlight closes an owned coalesce flight against its final
-// disposition. Only a successful response is shared with waiters; any other
-// outcome settles unshared so waiters re-execute rather than inherit a
-// failure that may have been specific to the owner.
-func settleFlight(f *coalFlight, resp *Response) *Response {
-	if f == nil {
-		return resp
-	}
-	if resp.Status == StatusOK {
-		f.settle(resp)
-	} else {
-		f.settle(nil)
-	}
-	return resp
-}
-
-// resolveIdem settles a job's owned idempotency slot against its final
-// disposition: a full-fidelity success is the effect's recorded outcome;
-// anything else — shed, dropped, stale-served, errored — released the slot
-// without executing, so a retry is allowed to run for real.
-func resolveIdem(ticket *txn.Ticket, resp *Response) *Response {
-	if ticket == nil {
-		return resp
-	}
-	if resp.Status == StatusOK && resp.Fidelity == qos.FidelityFull {
-		ticket.Complete(txn.Outcome{Status: int(resp.Status), Fidelity: resp.Fidelity, Payload: resp.Payload})
-	} else {
-		ticket.Cancel()
-	}
-	return resp
-}
-
-// drop produces the immediate low-fidelity response for a shed request:
-// a (possibly stale) cached result when available, else the busy message.
-func (b *Broker) drop(req *Request, class qos.Class, key, reason string, tr *trace.Active, started time.Time) *Response {
-	b.reg.Counter("dropped").Inc()
-	b.reg.Counter(fmt.Sprintf("dropped_class_%d", class)).Inc()
-	tr.SetStatus("dropped")
-	tr.SetNote(reason)
-	defer tr.Finish()
-	b.sloRecord(class, time.Since(started), false)
-	if b.results != nil && !req.NoCache && req.IdemKey == "" {
-		if body, ok := b.results.Get(key); ok {
-			b.reg.Counter("degraded_replies").Inc()
-			return &Response{Status: StatusDropped, Fidelity: qos.FidelityDegraded, Payload: body}
-		}
-	}
-	b.reg.Counter("busy_replies").Inc()
-	return &Response{
-		Status:   StatusDropped,
-		Fidelity: qos.FidelityBusy,
-		Payload:  []byte(BusyMessage + " (" + reason + ")"),
-	}
-}
-
-// shed produces the immediate low-fidelity response for a request refused
-// by overload control: like drop, but with StatusShed and a retry-after
-// hint so well-behaved clients back off instead of hammering an overloaded
-// broker.
-func (b *Broker) shed(req *Request, class qos.Class, key, reason string, tr *trace.Active, started time.Time) *Response {
-	b.reg.Counter("shed_total").Inc()
-	b.reg.Counter(fmt.Sprintf("shed_class_%d", class)).Inc()
-	tr.SetStatus("shed")
-	tr.SetNote(reason)
-	defer tr.Finish()
-	b.sloRecord(class, time.Since(started), false)
-	hint := b.retryAfterHint()
-	if b.results != nil && !req.NoCache && req.IdemKey == "" {
-		if body, ok := b.results.Get(key); ok {
-			b.reg.Counter("degraded_replies").Inc()
-			return &Response{Status: StatusShed, Fidelity: qos.FidelityDegraded, Payload: body, RetryAfter: hint}
-		}
-	}
-	b.reg.Counter("busy_replies").Inc()
-	return &Response{
-		Status:     StatusShed,
-		Fidelity:   qos.FidelityBusy,
-		Payload:    []byte(BusyMessage + " (" + reason + ")"),
-		RetryAfter: hint,
-	}
-}
-
-// retryAfterHint scales a base backoff by queue pressure: the fuller the
-// queue relative to the effective threshold, the longer shed clients are
-// told to wait before retrying.
-func (b *Broker) retryAfterHint() time.Duration {
-	const (
-		base    = 100 * time.Millisecond
-		maxHint = 2 * time.Second
-	)
-	limit := b.effectiveThreshold()
-	if limit < 1 {
-		limit = 1
-	}
-	hint := base * time.Duration(1+b.queue.Len()/limit)
-	if hint > maxHint {
-		hint = maxHint
-	}
-	return hint
-}
-
-// sojournBudget is the per-class queue-wait budget: with k classes, class c
-// may wait base × (k-c+1), so the lowest class is shed first — the paper's
-// priority order applied to time in queue, not just admission.
-func (b *Broker) sojournBudget(c qos.Class) time.Duration {
-	k := int(c)
-	if k < 1 {
-		k = 1
-	}
-	if k > b.policy.Classes {
-		k = b.policy.Classes
-	}
-	return b.sojournBase * time.Duration(b.policy.Classes-k+1)
-}
-
-// evictExpired answers a job whose queue wait exceeded its class budget. It
-// runs outside the queue lock (from whichever Push/Pop noticed the expiry),
-// counts the eviction, feeds the limiter a congestion signal, and sheds the
-// request with a retry-after hint.
-func (b *Broker) evictExpired(j *job, _ qos.Class, wait time.Duration) {
-	b.reg.Counter("sojourn_evictions").Inc()
-	b.reg.Histogram("queue_sojourn").ObserveTrace(wait, uint64(j.tr.ID()))
-	if b.limiter != nil {
-		b.limiter.Overload()
-	}
-	j.tr.Span(trace.StageQueue, j.started, time.Now(), "sojourn evicted")
-	b.sloStage(j.class, trace.StageQueue, wait)
-	b.finishJob()
-	j.resp <- resolveIdem(j.ticket, b.shed(j.req, j.class, j.key, "sojourn budget exceeded", j.tr, j.started))
-}
-
-// worker pops jobs in priority order and executes them on the backend.
-func (b *Broker) worker() {
-	defer b.wg.Done()
-	for {
-		j, _, err := b.queue.Pop()
-		if err != nil {
-			return // queue closed
-		}
-		popped := time.Now()
-		wait := popped.Sub(j.started)
-		j.tr.Span(trace.StageQueue, j.started, popped, "")
-		b.sloStage(j.class, trace.StageQueue, wait)
-		b.reg.Histogram("queue_wait").ObserveTrace(wait, uint64(j.tr.ID()))
-		b.reg.Histogram(fmt.Sprintf("queue_wait_class_%d", j.class)).ObserveTrace(wait, uint64(j.tr.ID()))
-		b.reg.Gauge("queue_len").Set(int64(b.queue.Len()))
-		// A request whose context died during the queue wait must not
-		// consume backend capacity: its caller is gone.
-		if err := j.ctx.Err(); err != nil {
-			b.reg.Counter("expired_in_queue").Inc()
-			// A deadline missed while queued is a congestion signal: the
-			// broker accepted more than it could serve in time.
-			if b.limiter != nil {
-				b.limiter.Overload()
-			}
-			b.finishJob()
-			resp := resolveIdem(j.ticket, &Response{Status: StatusError, Err: err})
-			b.observeCompletion(j, resp)
-			j.tr.SetStatus("error")
-			j.tr.SetNote("expired in queue")
-			j.tr.Finish()
-			j.resp <- resp
-			continue
-		}
-		resp := resolveIdem(j.ticket, b.execute(j))
-		if b.limiter != nil {
-			// Backend access time (retries and clustering wait included) is
-			// the limiter's congestion signal; a stale-cache serve
-			// (FidelityLow) means the backend failed, so it counts against
-			// the limit even though the client got an answer.
-			healthy := resp.Status == StatusOK && resp.Fidelity == qos.FidelityFull
-			b.limiter.Observe(time.Since(popped), healthy)
-		}
-		b.finishJob()
-		b.observeCompletion(j, resp)
-		switch resp.Status {
-		case StatusOK:
-			j.tr.SetStatus("ok")
-		case StatusDropped:
-			j.tr.SetStatus("dropped")
-		case StatusShed:
-			j.tr.SetStatus("shed")
-		default:
-			j.tr.SetStatus("error")
-		}
-		j.tr.Finish()
-		j.resp <- resp
-	}
-}
-
-// execute performs the backend access for one job (through the clustering
-// batcher when enabled), retrying under the resilience policy and degrading
-// to a stale cached result when the backend stays unreachable.
-func (b *Broker) execute(j *job) *Response {
-	attemptOnce := func(ctx context.Context) ([]byte, error) {
-		var (
-			body []byte
-			err  error
-		)
-		if b.batcher != nil {
-			// The cluster span covers both waiting for batch companions
-			// and the combined backend access — the paper's "clustering
-			// delay".
-			span := j.tr.StartSpan(trace.StageCluster)
-			body, err = b.batcher.Submit(ctx, j.req.Payload)
-			d := span.EndNote("batched access")
-			b.sloStage(j.class, trace.StageCluster, d)
-			b.reg.Histogram("cluster_time").ObserveTrace(d, uint64(j.tr.ID()))
-		} else {
-			span := j.tr.StartSpan(trace.StageBackend)
-			body, err = b.do(ctx, j.req.Payload)
-			d := span.End()
-			b.sloStage(j.class, trace.StageBackend, d)
-			b.reg.Histogram("backend_rtt").ObserveTrace(d, uint64(j.tr.ID()))
-		}
-		return body, err
-	}
-
-	var (
-		body []byte
-		err  error
-	)
-	if b.retryer != nil {
-		var attempts int
-		body, attempts, err = b.retryer.Do(j.ctx, attemptOnce,
-			func(attempt int, waited time.Duration, cause error) {
-				now := time.Now()
-				j.tr.Span(trace.StageRetry, now.Add(-waited), now,
-					fmt.Sprintf("attempt %d after: %v", attempt, cause))
-				b.sloStage(j.class, trace.StageRetry, waited)
-			})
-		if attempts > 1 {
-			b.reg.Counter("retries_total").Add(int64(attempts - 1))
-		}
-	} else {
-		body, err = attemptOnce(j.ctx)
-	}
-
-	if err != nil {
-		b.reg.Counter("backend_errors").Inc()
-		b.reg.Counter(fmt.Sprintf("errors_class_%d", j.class)).Inc()
-		// Degradation ladder's last usable rung: answer with the best
-		// data the broker still holds, at low fidelity, before erroring.
-		// Never for idempotency-keyed mutations — stale data is not an
-		// executed effect.
-		if b.serveStale && b.results != nil && !j.req.NoCache && j.req.IdemKey == "" {
-			if stale, ok := b.results.GetStale(cacheKey(j.req.Payload)); ok {
-				b.reg.Counter("degraded_total").Inc()
-				j.tr.SetNote("stale cache after backend failure: " + err.Error())
-				return &Response{Status: StatusOK, Fidelity: qos.FidelityLow, Payload: stale}
-			}
-		}
-		return &Response{Status: StatusError, Err: err}
-	}
-	if b.results != nil && !j.req.NoCache && j.req.IdemKey == "" {
-		b.results.Put(cacheKey(j.req.Payload), body)
-	}
-	return &Response{Status: StatusOK, Fidelity: qos.FidelityFull, Payload: body}
-}
-
-// finishJob decrements outstanding and re-evaluates the hot state.
-func (b *Broker) finishJob() {
-	b.mu.Lock()
-	b.outstanding--
-	outstanding := b.outstanding
-	hotChanged, report := b.updateHotLocked()
-	b.mu.Unlock()
-	b.reg.Gauge("outstanding").Set(int64(outstanding))
-	if hotChanged && b.hotNotify != nil {
-		b.hotNotify(report)
-	}
-}
-
-func (b *Broker) observeCompletion(j *job, resp *Response) {
-	elapsed := time.Since(j.started)
-	b.reg.Histogram("processing_time").ObserveTrace(elapsed, uint64(j.tr.ID()))
-	b.reg.Histogram(fmt.Sprintf("processing_time_class_%d", j.class)).ObserveTrace(elapsed, uint64(j.tr.ID()))
-	if b.hotkeys != nil {
-		b.hotkeys.RecordLatency(j.key, elapsed)
-	}
-	// For the SLO's availability objective a request counts as served only
-	// when it produced a full or cached result: stale/degraded answers and
-	// errors burn the class's budget.
-	ok := resp.Status == StatusOK &&
-		(resp.Fidelity == qos.FidelityFull || resp.Fidelity == qos.FidelityCached)
-	b.sloRecord(j.class, elapsed, ok)
-	if resp.Status == StatusOK {
-		b.reg.Counter("completed").Inc()
-		b.reg.Counter(fmt.Sprintf("completed_class_%d", j.class)).Inc()
-	}
-}
-
-// updateHotLocked recomputes the hot flag; caller holds b.mu. Returns
-// whether the flag flipped plus the report to publish. The flag is always
-// maintained (Load reports carry it); the callback is optional.
-func (b *Broker) updateHotLocked() (bool, LoadReport) {
-	frac := b.hotFrac
-	if frac <= 0 {
-		frac = 0.9
-	}
-	threshold := b.effectiveThreshold()
-	hot := float64(b.outstanding) >= frac*float64(threshold)
-	if hot == b.hot {
-		return false, LoadReport{}
-	}
-	b.hot = hot
-	return true, LoadReport{
-		Service:     b.name,
-		Outstanding: b.outstanding,
-		Threshold:   threshold,
-		QueueLen:    b.queue.Len(),
-		Hot:         hot,
-	}
+// publish puts one of the broker's operational transitions on the fleet
+// event timeline (a nil log drops it); member names a backend replica.
+func (b *Broker) publish(kind fleet.Kind, member, detail string) {
+	b.events.Publish(fleet.Event{Kind: kind, Service: b.name, Member: member, Detail: detail})
 }
 
 // Drain puts the broker into drain mode and waits for accepted work to
@@ -1442,29 +820,17 @@ func (b *Broker) Drain(ctx context.Context) error {
 	b.mu.Lock()
 	b.draining = true
 	b.mu.Unlock()
-	b.events.Publish(fleet.Event{
-		Kind: fleet.KindDrainStart, Service: b.name,
-		Detail: "drain started: shedding new requests, finishing accepted work",
-	})
+	b.publish(fleet.KindDrainStart, "", "drain started: shedding new requests, finishing accepted work")
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		b.mu.Lock()
-		idle := b.outstanding == 0
-		b.mu.Unlock()
-		if idle {
-			b.events.Publish(fleet.Event{
-				Kind: fleet.KindDrainStop, Service: b.name,
-				Detail: "drain finished: no work outstanding",
-			})
+		if b.Load().Outstanding == 0 {
+			b.publish(fleet.KindDrainStop, "", "drain finished: no work outstanding")
 			return nil
 		}
 		select {
 		case <-ctx.Done():
-			b.events.Publish(fleet.Event{
-				Kind: fleet.KindDrainStop, Service: b.name,
-				Detail: "drain deadline passed with work still outstanding",
-			})
+			b.publish(fleet.KindDrainStop, "", "drain deadline passed with work still outstanding")
 			return ctx.Err()
 		case <-tick.C:
 		}
@@ -1487,24 +853,18 @@ func (b *Broker) Close() error {
 		if b.batcher != nil {
 			b.batcher.Close()
 		}
-		switch {
-		case b.pool != nil:
-			err = b.pool.Close()
-		case b.replicas != nil:
-			err = b.replicas.Close()
-		}
+		err = b.closeBackend()
 	})
 	return err
 }
 
-func (b *Broker) releasePools() {
-	if b.pool != nil {
-		b.pool.Close()
+// closeBackend releases the backend sessions: the pool's or the replicas'.
+func (b *Broker) closeBackend() error {
+	switch {
+	case b.pool != nil:
+		return b.pool.Close()
+	case b.replicas != nil:
+		return b.replicas.Close()
 	}
-	if b.replicas != nil {
-		b.replicas.Close()
-	}
+	return nil
 }
-
-// cacheKey derives the result-cache key for a payload.
-func cacheKey(payload []byte) string { return string(payload) }

@@ -267,7 +267,8 @@ func TestDroppedRequestDegradedReply(t *testing.T) {
 	// when the fresh-hit check is skipped: exercise drop() directly.
 	b := newBroker(t, echoConnector("cgi"), WithCache(4, 0))
 	b.results.Put("key", []byte("stale result"))
-	resp := b.drop(&Request{Payload: []byte("key")}, qos.Class3, "key", "test", nil, time.Now())
+	r := &flow{req: &Request{Payload: []byte("key")}, class: qos.Class3, key: "key", shareable: true}
+	resp := b.refuse(r, StatusDropped, "test")
 	if resp.Status != StatusDropped || resp.Fidelity != qos.FidelityDegraded {
 		t.Fatalf("resp = %+v, want dropped/degraded", resp)
 	}
@@ -370,17 +371,11 @@ func TestContractSheddingUnderLightLoad(t *testing.T) {
 	}
 }
 
-func TestHotSpotNotification(t *testing.T) {
-	var mu sync.Mutex
-	var reports []LoadReport
-	b := newBroker(t, slowConnector("cgi", 100*time.Millisecond),
-		WithThreshold(4, 1), WithWorkers(4),
-		WithHotSpotNotify(0.5, func(r LoadReport) {
-			mu.Lock()
-			reports = append(reports, r)
-			mu.Unlock()
-		}))
-
+// The hot flag of a load report is outstanding ≥ 0.9 × threshold, evaluated
+// when the report is taken.
+func TestLoadReportHotUnderLoad(t *testing.T) {
+	g := newGateConnector()
+	b := newBroker(t, g.connector(), WithThreshold(3, 1), WithWorkers(3))
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -388,19 +383,15 @@ func TestHotSpotNotification(t *testing.T) {
 			defer wg.Done()
 			b.Handle(context.Background(), &Request{Payload: []byte(fmt.Sprintf("q%d", i)), Class: qos.Class1})
 		}(i)
+		<-g.started
 	}
+	if r := b.Load(); !r.Hot || r.Outstanding != 3 {
+		t.Fatalf("report under load = %+v, want hot with 3 outstanding", r)
+	}
+	close(g.release)
 	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(reports) < 2 {
-		t.Fatalf("reports = %+v, want hot transition and recovery", reports)
-	}
-	if !reports[0].Hot {
-		t.Fatalf("first report = %+v, want hot", reports[0])
-	}
-	if reports[len(reports)-1].Hot {
-		t.Fatalf("last report = %+v, want cool", reports[len(reports)-1])
+	if r := b.Load(); r.Hot || r.Outstanding != 0 {
+		t.Fatalf("report at rest = %+v, want cool", r)
 	}
 }
 
@@ -516,9 +507,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(echoConnector("x"), WithPrefetch(time.Second, 1, func() [][]byte { return nil })); err == nil {
 		t.Fatal("prefetch without cache accepted")
-	}
-	if _, err := New(echoConnector("x"), WithHotSpotNotify(0.5, nil)); err == nil {
-		t.Fatal("nil hot-spot callback accepted")
 	}
 	if _, err := New(echoConnector("x"), WithReplicas(&loadbalance.RoundRobin{}, 1, echoConnector("r"))); err == nil {
 		t.Fatal("connector plus replicas accepted")
@@ -702,56 +690,4 @@ func TestPrefetchSkipsUnderLoad(t *testing.T) {
 		t.Fatal("prefetch_skipped = 0; skip path never taken")
 	}
 	<-done
-}
-
-func TestWithClassShares(t *testing.T) {
-	// Give class 3 a tiny share so it sheds while class 2 does not, in
-	// either option order relative to WithThreshold.
-	for _, order := range [][]Option{
-		{WithThreshold(10, 3), WithClassShares(map[qos.Class]float64{qos.Class3: 0.1})},
-		{WithClassShares(map[qos.Class]float64{qos.Class3: 0.1}), WithThreshold(10, 3)},
-	} {
-		opts := append(order, WithWorkers(1))
-		b, err := New(slowConnector("cgi", 150*time.Millisecond), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b.Handle(context.Background(), &Request{Payload: []byte("fill"), Class: qos.Class1})
-		}()
-		time.Sleep(30 * time.Millisecond) // outstanding = 1 ≥ 10×0.1
-
-		if resp := b.Handle(context.Background(), &Request{Payload: []byte("x"), Class: qos.Class3}); resp.Status != StatusShed {
-			t.Errorf("class-3 resp = %+v, want shed (share 0.1)", resp)
-		}
-		done := make(chan *Response, 1)
-		go func() {
-			done <- b.Handle(context.Background(), &Request{Payload: []byte("y"), Class: qos.Class2})
-		}()
-		select {
-		case resp := <-done:
-			if resp.Status != StatusOK {
-				t.Errorf("class-2 resp = %+v, want ok (default share)", resp)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("class-2 request never completed")
-		}
-		wg.Wait()
-		b.Close()
-	}
-}
-
-func TestWithClassSharesValidation(t *testing.T) {
-	if _, err := New(echoConnector("x"), WithClassShares(map[qos.Class]float64{qos.Class1: 0})); err == nil {
-		t.Fatal("zero share accepted")
-	}
-	if _, err := New(echoConnector("x"), WithClassShares(map[qos.Class]float64{qos.Class1: 1.5})); err == nil {
-		t.Fatal("share > 1 accepted")
-	}
-	if _, err := New(echoConnector("x"), WithClassShares(map[qos.Class]float64{qos.Class(0): 0.5})); err == nil {
-		t.Fatal("invalid class accepted")
-	}
 }

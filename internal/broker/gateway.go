@@ -7,6 +7,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"servicebroker/internal/qos"
@@ -20,33 +21,24 @@ import (
 // several per-service brokers; requests route on the message's Service
 // field.
 type Gateway struct {
-	mu       sync.Mutex
-	brokers  map[string]*Broker
+	brokers  map[string]*Broker // fixed at construction
 	server   *wire.Server
-	identity string
+	identity atomic.Value // string; see SetIdentity
 }
 
 // NewGateway starts a gateway on addr ("127.0.0.1:0" for ephemeral) serving
 // the given brokers, keyed by service name. Close stops the UDP server but
 // not the brokers (their owner closes them).
 func NewGateway(addr string, brokers map[string]*Broker) (*Gateway, error) {
-	if len(brokers) == 0 {
-		return nil, errors.New("broker: gateway needs at least one broker")
-	}
-	g := &Gateway{brokers: make(map[string]*Broker, len(brokers))}
-	for name, b := range brokers {
-		if b == nil {
-			return nil, fmt.Errorf("broker: nil broker for service %q", name)
-		}
-		g.brokers[name] = b
-	}
-	srv, err := wire.NewServer(addr, g.handle)
+	pc, err := net.ListenPacket("udp", addr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("broker: gateway listen %s: %w", addr, err)
 	}
-	g.server = srv
-	g.identity = srv.Addr().String()
-	return g, nil
+	g, err := NewGatewayConn(pc, brokers)
+	if err != nil {
+		pc.Close()
+	}
+	return g, err
 }
 
 // NewGatewayConn starts a gateway on an already-bound PacketConn. The chaos
@@ -56,7 +48,10 @@ func NewGatewayConn(pc net.PacketConn, brokers map[string]*Broker) (*Gateway, er
 	if len(brokers) == 0 {
 		return nil, errors.New("broker: gateway needs at least one broker")
 	}
+	// Every field handle reads is set before the server exists: it answers
+	// from the moment it is started.
 	g := &Gateway{brokers: make(map[string]*Broker, len(brokers))}
+	g.identity.Store(pc.LocalAddr().String())
 	for name, b := range brokers {
 		if b == nil {
 			return nil, fmt.Errorf("broker: nil broker for service %q", name)
@@ -68,7 +63,6 @@ func NewGatewayConn(pc net.PacketConn, brokers map[string]*Broker) (*Gateway, er
 		return nil, err
 	}
 	g.server = srv
-	g.identity = srv.Addr().String()
 	return g, nil
 }
 
@@ -78,26 +72,16 @@ func NewGatewayConn(pc net.PacketConn, brokers map[string]*Broker) (*Gateway, er
 // stitched traces line up with /poolz and /fleetz rows; override it only
 // when the advertised address differs from the bound one (NAT, 0.0.0.0
 // binds).
-func (g *Gateway) SetIdentity(id string) {
-	g.mu.Lock()
-	g.identity = id
-	g.mu.Unlock()
-}
+func (g *Gateway) SetIdentity(id string) { g.identity.Store(id) }
 
 // Identity reports the identity stamped on responses.
-func (g *Gateway) Identity() string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.identity
-}
+func (g *Gateway) Identity() string { return g.identity.Load().(string) }
 
 // Addr returns the gateway's UDP address.
 func (g *Gateway) Addr() net.Addr { return g.server.Addr() }
 
 // Services lists the hosted service names, sorted.
 func (g *Gateway) Services() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	names := make([]string, 0, len(g.brokers))
 	for n := range g.brokers {
 		names = append(names, n)
@@ -115,9 +99,7 @@ func (g *Gateway) IOStats() wire.IOStats { return g.server.IOStats() }
 
 // handle converts one wire request into a broker call.
 func (g *Gateway) handle(ctx context.Context, _ net.Addr, m *wire.Message) *wire.Message {
-	g.mu.Lock()
 	b, ok := g.brokers[m.Service]
-	g.mu.Unlock()
 	if !ok {
 		return &wire.Message{
 			Status:  wire.StatusError,
@@ -159,7 +141,7 @@ func (g *Gateway) handle(ctx context.Context, _ net.Addr, m *wire.Message) *wire
 	// Best-effort — a trace still in flight (context cancellation) or aged
 	// out of the export buffer simply ships no spans.
 	if m.TraceID != 0 && m.Flags&wire.FlagSpanExport != 0 {
-		if t, ok := b.Tracer().TakeExport(trace.ID(m.TraceID)); ok {
+		if t, ok := b.tracer.TakeExport(trace.ID(m.TraceID)); ok {
 			out.Spans = exportSpans(t.Spans)
 		}
 	}

@@ -50,6 +50,24 @@ func TestGatewayRoutesByService(t *testing.T) {
 	}
 }
 
+// TestGatewayIdentity: a traced request is answered with the gateway's
+// identity, its listen address unless SetIdentity overrides it (NAT, 0.0.0.0).
+func TestGatewayIdentity(t *testing.T) {
+	g, cli := startGateway(t)
+	for _, want := range []string{g.Addr().String(), "broker-7.example:7100"} {
+		if want != g.Identity() {
+			g.SetIdentity(want)
+		}
+		resp, err := cli.Do(context.Background(), "db", &Request{Payload: []byte("q"), TraceID: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Broker != want {
+			t.Fatalf("response stamped %q, want %q", resp.Broker, want)
+		}
+	}
+}
+
 func TestGatewayUnknownService(t *testing.T) {
 	_, cli := startGateway(t)
 	resp, err := cli.Do(context.Background(), "ghost", &Request{Payload: []byte("q")})

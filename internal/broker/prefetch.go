@@ -9,26 +9,17 @@ import (
 // periods (paper §III: brokers "prefetch the next possible queries in idle
 // periods", e.g. a news site's refreshed headlines).
 type prefetcher struct {
-	b       *Broker
-	cfg     prefetchConfig
-	stopped chan struct{}
-	done    chan struct{}
-}
-
-func newPrefetcher(b *Broker, cfg prefetchConfig) *prefetcher {
-	p := &prefetcher{
-		b:       b,
-		cfg:     cfg,
-		stopped: make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	go p.run()
-	return p
+	b        *Broker
+	interval time.Duration
+	lowWater int
+	source   func() [][]byte
+	stopped  chan struct{}
+	done     chan struct{}
 }
 
 func (p *prefetcher) run() {
 	defer close(p.done)
-	ticker := time.NewTicker(p.cfg.interval)
+	ticker := time.NewTicker(p.interval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -43,26 +34,26 @@ func (p *prefetcher) run() {
 // tick performs one prefetch round if the broker is idle enough.
 func (p *prefetcher) tick() {
 	p.b.mu.Lock()
-	idle := p.b.outstanding < p.cfg.lowWater && !p.b.closed
+	idle := p.b.outstanding < p.lowWater && !p.b.closed
 	p.b.mu.Unlock()
 	if !idle {
 		p.b.reg.Counter("prefetch_skipped").Inc()
 		return
 	}
-	for _, payload := range p.cfg.source() {
+	for _, payload := range p.source() {
 		select {
 		case <-p.stopped:
 			return
 		default:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.cfg.interval)
+		ctx, cancel := context.WithTimeout(context.Background(), p.interval)
 		body, err := p.b.do(ctx, payload)
 		cancel()
 		if err != nil {
 			p.b.reg.Counter("prefetch_errors").Inc()
 			continue
 		}
-		p.b.results.Put(cacheKey(payload), body)
+		p.b.results.Put(string(payload), body)
 		p.b.reg.Counter("prefetched").Inc()
 	}
 }

@@ -132,10 +132,10 @@ func RunCacheAblation(ctx context.Context, queryCost time.Duration, requests, ho
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		// "completed" counts worker-executed jobs only — cache hits return
-		// before reaching the backend — so it is exactly the backend query
-		// count.
-		return res.Latency.Mean(), b.Metrics().Counter("completed").Value(),
+		// "backend_rtt" times every backend access — cache hits return
+		// before reaching the backend — so its count is exactly the backend
+		// query count.
+		return res.Latency.Mean(), b.Metrics().Histogram("backend_rtt").Count(),
 			b.CacheStats().HitRatio(), nil
 	}
 

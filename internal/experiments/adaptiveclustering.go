@@ -163,8 +163,12 @@ type AdaptiveClusteringPhase struct {
 	WorstDegree    int     `json:"worst_static_degree"`
 	WorstMeanMs    float64 `json:"worst_static_mean_ms"`
 	AdaptiveMeanMs float64 `json:"adaptive_mean_ms"`
-	// AdaptiveDegreeEnd is the controller's position when the phase ended.
-	AdaptiveDegreeEnd int `json:"adaptive_degree_end"`
+	// AdaptiveDegreeEnd is the controller's position when the phase ended;
+	// AdaptiveDegreeMean is its mean position over the phase's steady-state
+	// completions — where the walk spent the phase, not where it happened to
+	// stand at the last instant.
+	AdaptiveDegreeEnd  int     `json:"adaptive_degree_end"`
+	AdaptiveDegreeMean float64 `json:"adaptive_degree_mean"`
 	// AdaptiveVsBest is adaptive mean / best static mean — the acceptance
 	// criterion wants ≤ 1.15 in both phases.
 	AdaptiveVsBest float64 `json:"adaptive_vs_best"`
@@ -187,16 +191,25 @@ type AdaptiveClusteringResult struct {
 }
 
 // latencySample is one client-observed completion, stamped with its offset
-// from scenario start so it can be assigned to a phase.
+// from scenario start so it can be assigned to a phase, and with the
+// clustering degree in force when it completed.
 type latencySample struct {
-	at  time.Duration
-	lat time.Duration
+	at     time.Duration
+	lat    time.Duration
+	degree int
+}
+
+// phaseRun is one scenario's outcome in one capacity phase: the steady-state
+// mean latency and clustering degree, and the degree when the phase ended.
+type phaseRun struct {
+	mean    time.Duration
+	degMean float64
+	degEnd  int
 }
 
 // runAdaptiveClusteringScenario drives one mode (static degree or adaptive)
-// through both capacity phases and returns per-phase steady-state means and
-// the clustering degree observed at each phase end.
-func runAdaptiveClusteringScenario(ctx context.Context, cfg AdaptiveClusteringConfig, degree int, adaptive bool) (meanA, meanB time.Duration, degA, degB int, err error) {
+// through both capacity phases and returns each phase's outcome.
+func runAdaptiveClusteringScenario(ctx context.Context, cfg AdaptiveClusteringConfig, degree int, adaptive bool) (a, b phaseRun, err error) {
 	gate := newCapacityGate(cfg.SlotsA)
 	connector := &backend.FuncConnector{
 		ServiceName: "dbscript",
@@ -227,7 +240,7 @@ func runAdaptiveClusteringScenario(ctx context.Context, cfg AdaptiveClusteringCo
 	}
 	brk, err := broker.New(connector, opts...)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return a, b, err
 	}
 	defer brk.Close()
 
@@ -253,7 +266,7 @@ func runAdaptiveClusteringScenario(ctx context.Context, cfg AdaptiveClusteringCo
 					continue // ctx cancellation at scenario end
 				}
 				mu.Lock()
-				samples = append(samples, latencySample{at: t0.Sub(start), lat: time.Since(t0)})
+				samples = append(samples, latencySample{at: t0.Sub(start), lat: time.Since(t0), degree: brk.ClusterDegree()})
 				mu.Unlock()
 			}
 		}()
@@ -270,39 +283,39 @@ func runAdaptiveClusteringScenario(ctx context.Context, cfg AdaptiveClusteringCo
 	if err := sleepOrCancel(cfg.PhaseLen); err != nil {
 		stop()
 		wg.Wait()
-		return 0, 0, 0, 0, err
+		return a, b, err
 	}
-	degA = brk.ClusterDegree()
+	a.degEnd = brk.ClusterDegree()
 	gate.setCapacity(cfg.SlotsB)
 	if err := sleepOrCancel(cfg.PhaseLen); err != nil {
 		stop()
 		wg.Wait()
-		return 0, 0, 0, 0, err
+		return a, b, err
 	}
-	degB = brk.ClusterDegree()
+	b.degEnd = brk.ClusterDegree()
 	stop()
 	wg.Wait()
 
-	phaseMean := func(from, to time.Duration) time.Duration {
+	steady := func(p *phaseRun, from, to time.Duration) {
 		var sum time.Duration
-		var n int
+		var degrees, n int
 		for _, s := range samples {
 			if s.at >= from && s.at < to {
 				sum += s.lat
+				degrees += s.degree
 				n++
 			}
 		}
-		if n == 0 {
-			return 0
+		if n > 0 {
+			p.mean, p.degMean = sum/time.Duration(n), float64(degrees)/float64(n)
 		}
-		return sum / time.Duration(n)
 	}
-	meanA = phaseMean(cfg.Settle, cfg.PhaseLen)
-	meanB = phaseMean(cfg.PhaseLen+cfg.Settle, 2*cfg.PhaseLen)
-	if meanA == 0 || meanB == 0 {
-		return 0, 0, 0, 0, fmt.Errorf("experiments: no steady-state samples (degree %d, adaptive %v)", degree, adaptive)
+	steady(&a, cfg.Settle, cfg.PhaseLen)
+	steady(&b, cfg.PhaseLen+cfg.Settle, 2*cfg.PhaseLen)
+	if a.mean == 0 || b.mean == 0 {
+		return a, b, fmt.Errorf("experiments: no steady-state samples (degree %d, adaptive %v)", degree, adaptive)
 	}
-	return meanA, meanB, degA, degB, nil
+	return a, b, nil
 }
 
 // RunAdaptiveClustering runs the fig7a ablation: every static degree plus
@@ -329,16 +342,16 @@ func RunAdaptiveClustering(ctx context.Context, cfg AdaptiveClusteringConfig) (*
 	}
 	extremes := [2]phaseExtremes{}
 	for _, degree := range cfg.Degrees {
-		meanA, meanB, _, _, err := runAdaptiveClusteringScenario(ctx, cfg, degree, false)
+		a, b, err := runAdaptiveClusteringScenario(ctx, cfg, degree, false)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: static degree %d: %w", degree, err)
 		}
 		res.Static = append(res.Static, AdaptiveClusteringStatic{
 			Degree:       degree,
-			PhaseAMeanMs: ms(meanA),
-			PhaseBMeanMs: ms(meanB),
+			PhaseAMeanMs: ms(a.mean),
+			PhaseBMeanMs: ms(b.mean),
 		})
-		for i, mean := range []time.Duration{meanA, meanB} {
+		for i, mean := range []time.Duration{a.mean, b.mean} {
 			e := &extremes[i]
 			if e.bestDeg == 0 || mean < e.bestMean {
 				e.bestDeg, e.bestMean = degree, mean
@@ -349,28 +362,29 @@ func RunAdaptiveClustering(ctx context.Context, cfg AdaptiveClusteringConfig) (*
 		}
 	}
 
-	adaptA, adaptB, degA, degB, err := runAdaptiveClusteringScenario(ctx, cfg, cfg.StartDegree, true)
+	adaptA, adaptB, err := runAdaptiveClusteringScenario(ctx, cfg, cfg.StartDegree, true)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: adaptive: %w", err)
 	}
 
-	mkPhase := func(slots int, e phaseExtremes, adaptMean time.Duration, degEnd int) AdaptiveClusteringPhase {
+	mkPhase := func(slots int, e phaseExtremes, adapt phaseRun) AdaptiveClusteringPhase {
 		p := AdaptiveClusteringPhase{
-			Slots:             slots,
-			BestDegree:        e.bestDeg,
-			BestMeanMs:        ms(e.bestMean),
-			WorstDegree:       e.worstDeg,
-			WorstMeanMs:       ms(e.worstMean),
-			AdaptiveMeanMs:    ms(adaptMean),
-			AdaptiveDegreeEnd: degEnd,
+			Slots:              slots,
+			BestDegree:         e.bestDeg,
+			BestMeanMs:         ms(e.bestMean),
+			WorstDegree:        e.worstDeg,
+			WorstMeanMs:        ms(e.worstMean),
+			AdaptiveMeanMs:     ms(adapt.mean),
+			AdaptiveDegreeEnd:  adapt.degEnd,
+			AdaptiveDegreeMean: adapt.degMean,
 		}
 		if e.bestMean > 0 {
-			p.AdaptiveVsBest = float64(adaptMean) / float64(e.bestMean)
+			p.AdaptiveVsBest = float64(adapt.mean) / float64(e.bestMean)
 			p.WorstVsBest = float64(e.worstMean) / float64(e.bestMean)
 		}
 		return p
 	}
-	res.PhaseA = mkPhase(cfg.SlotsA, extremes[0], adaptA, degA)
-	res.PhaseB = mkPhase(cfg.SlotsB, extremes[1], adaptB, degB)
+	res.PhaseA = mkPhase(cfg.SlotsA, extremes[0], adaptA)
+	res.PhaseB = mkPhase(cfg.SlotsB, extremes[1], adaptB)
 	return res, nil
 }

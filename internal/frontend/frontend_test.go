@@ -196,18 +196,6 @@ func TestListenerIgnoresGarbage(t *testing.T) {
 	}
 }
 
-func TestParseReport(t *testing.T) {
-	r, err := parseReport("LOAD db 3 20 1 hot")
-	if err != nil || r.Service != "db" || r.Outstanding != 3 || !r.Hot {
-		t.Fatalf("parse = %+v, %v", r, err)
-	}
-	for _, bad := range []string{"", "LOAD db 3 20 1", "NOPE db 3 20 1 hot", "LOAD db a b c hot"} {
-		if _, err := parseReport(bad); err == nil {
-			t.Errorf("parseReport(%q) succeeded", bad)
-		}
-	}
-}
-
 func TestReporterPushesLoad(t *testing.T) {
 	_, b := testStack(t, 0)
 	l, err := NewListener("127.0.0.1:0")

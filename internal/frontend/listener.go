@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -13,27 +11,10 @@ import (
 	"servicebroker/internal/registry"
 )
 
-// Load-report datagrams are single text lines:
-//
-//	LOAD <service> <outstanding> <threshold> <queuelen> <hot|cool>
-//
-// A plain-text format keeps the listener thread cheap — the paper notes the
-// centralized model's scalability hinges on how little work per update the
-// listener does.
-
-// formatReport serializes one report into its datagram line. It is the
-// inverse of parseReport; the fuzz target checks the round trip.
-func formatReport(r broker.LoadReport) string {
-	state := "cool"
-	if r.Hot {
-		state = "hot"
-	}
-	return fmt.Sprintf("LOAD %s %d %d %d %s", r.Service, r.Outstanding, r.Threshold, r.QueueLen, state)
-}
-
-// sendReport serializes and sends one report (best effort — UDP).
+// sendReport serializes one report as a LOAD datagram (registry.ParseCommand
+// documents the line format) and sends it, best effort — UDP.
 func sendReport(conn net.Conn, r broker.LoadReport) {
-	fmt.Fprint(conn, formatReport(r))
+	fmt.Fprint(conn, registry.FormatCommand(registry.Command{Verb: registry.VerbLoad, Service: r.Service, Load: r}))
 }
 
 // dialReport opens the UDP socket a Reporter writes to.
@@ -43,82 +24,6 @@ func dialReport(addr string) (net.Conn, error) {
 		return nil, fmt.Errorf("frontend: dial listener %s: %w", addr, err)
 	}
 	return conn, nil
-}
-
-// Bounds the parser enforces on incoming datagrams. Reports arrive over an
-// unauthenticated UDP socket, so a malformed or hostile packet must never
-// poison the admission table: reject rather than clamp.
-const (
-	maxReportLine    = 512     // matches the listener's read buffer
-	maxServiceName   = 128     // generous; real service names are short
-	maxReportCounter = 1 << 30 // outstanding/threshold/queuelen sanity cap
-)
-
-// parseCounter decodes one non-negative bounded integer field.
-func parseCounter(s string) (int, error) {
-	// strconv.Atoi accepts a leading sign; forbid it so "-0" and "+1" are
-	// rejected and every accepted field re-formats to the identical string.
-	if s == "" || s[0] == '-' || s[0] == '+' {
-		return 0, fmt.Errorf("frontend: bad counter %q", s)
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, err
-	}
-	if n > maxReportCounter {
-		return 0, fmt.Errorf("frontend: counter %d out of range", n)
-	}
-	return n, nil
-}
-
-// parseReport decodes one datagram. The format is exactly six
-// space-separated fields (see the package comment above); anything else —
-// wrong field count, unknown verb or state, signed or oversized numbers,
-// unprintable service names — is rejected so garbage datagrams cannot
-// perturb centralized admission control.
-func parseReport(line string) (broker.LoadReport, error) {
-	if len(line) > maxReportLine {
-		return broker.LoadReport{}, fmt.Errorf("frontend: oversized load report (%d bytes)", len(line))
-	}
-	fields := strings.Fields(line)
-	if len(fields) != 6 || fields[0] != "LOAD" {
-		return broker.LoadReport{}, fmt.Errorf("frontend: bad load report %q", line)
-	}
-	var r broker.LoadReport
-	r.Service = fields[1]
-	if len(r.Service) > maxServiceName || !printable(r.Service) {
-		return broker.LoadReport{}, fmt.Errorf("frontend: bad service name %q", r.Service)
-	}
-	var err error
-	if r.Outstanding, err = parseCounter(fields[2]); err != nil {
-		return broker.LoadReport{}, fmt.Errorf("frontend: bad load report %q: %w", line, err)
-	}
-	if r.Threshold, err = parseCounter(fields[3]); err != nil {
-		return broker.LoadReport{}, fmt.Errorf("frontend: bad load report %q: %w", line, err)
-	}
-	if r.QueueLen, err = parseCounter(fields[4]); err != nil {
-		return broker.LoadReport{}, fmt.Errorf("frontend: bad load report %q: %w", line, err)
-	}
-	switch fields[5] {
-	case "hot":
-		r.Hot = true
-	case "cool":
-		r.Hot = false
-	default:
-		return broker.LoadReport{}, fmt.Errorf("frontend: bad state %q", fields[5])
-	}
-	return r, nil
-}
-
-// printable reports whether s is plain printable ASCII — service names are
-// used as map keys and echoed on status pages, so control bytes are refused.
-func printable(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] < '!' || s[i] > '~' {
-			return false
-		}
-	}
-	return len(s) > 0
 }
 
 // DefaultLoadTTL is how long a load report stays trusted without a refresh.
@@ -155,10 +60,10 @@ func WithLoadTTL(d time.Duration) ListenerOption {
 	}
 }
 
-// WithRegistry attaches a broker-pool registry: datagrams that are not LOAD
-// reports are parsed as registration commands (REGISTER/RENEW/DEREGISTER)
-// and applied to it, so leases share the load-report socket. Loads
-// piggybacked on REGISTER/RENEW also refresh the admission table.
+// WithRegistry attaches a broker-pool registry: the registration commands
+// (REGISTER/RENEW/DEREGISTER) are applied to it, so leases share the
+// load-report socket. Loads piggybacked on REGISTER/RENEW also refresh the
+// admission table.
 func WithRegistry(r *registry.Registry) ListenerOption {
 	return func(l *Listener) { l.registry = r }
 }
@@ -236,22 +141,21 @@ func (l *Listener) run() {
 		if err != nil {
 			return
 		}
-		line := string(buf[:n])
-		report, err := parseReport(line)
+		cmd, err := registry.ParseCommand(string(buf[:n]))
 		if err != nil {
-			// Not a LOAD report; with a registry attached it may be a lease
-			// command. Garbage still drops silently.
-			if r := l.reg(); r != nil {
-				if cmd, cerr := registry.ParseCommand(line); cerr == nil {
-					r.Apply(cmd)
-					if cmd.Verb != registry.VerbDeregister {
-						l.Record(cmd.Load)
-					}
-				}
-			}
-			continue
+			continue // garbage drops silently
 		}
-		l.Record(report)
+		if cmd.Verb != registry.VerbLoad {
+			// A lease command: meaningless without a registry attached.
+			r := l.reg()
+			if r == nil {
+				continue
+			}
+			r.Apply(cmd)
+		}
+		if cmd.Verb != registry.VerbDeregister {
+			l.Record(cmd.Load)
+		}
 	}
 }
 

@@ -75,7 +75,7 @@ type poolMember struct {
 	breaker *resilience.Breaker
 
 	mu        sync.Mutex
-	cli       *broker.Client
+	cli       caller // a *broker.Client outside tests
 	failures  int64
 	failovers int64
 	lastErr   string
@@ -185,7 +185,7 @@ func (p *Pool) member(addr string, static bool) *poolMember {
 }
 
 // clientFor lazily dials a member's gateway client.
-func (p *Pool) clientFor(m *poolMember) (*broker.Client, error) {
+func (p *Pool) clientFor(m *poolMember) (caller, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.cli != nil {
@@ -224,12 +224,14 @@ func weightOf(load broker.LoadReport, hasLoad bool) float64 {
 	return w
 }
 
-// candidates assembles the health-ordered member list for a service:
-// lease-discovered members (with live load data) unioned with the static
-// gateways, open-breaker members filtered out unless that would empty the
-// list entirely (then the pool fails open — a guess beats a guaranteed
-// error).
-func (p *Pool) candidates(service string) ([]candidate, bool) {
+// candidates assembles the member list for a service: lease-discovered
+// members (with live load data) unioned with the static gateways, in health
+// order, the members whose breaker admits a request ahead of those whose
+// breaker is open. live counts the former. Attempts on the open ones bypass
+// the breaker: they are the last resort of a premium request, and of every
+// request when no member is live (the pool fails open — a guess beats a
+// guaranteed error).
+func (p *Pool) candidates(service string) (cands []candidate, live int) {
 	type seed struct {
 		addr    string
 		static  bool
@@ -261,16 +263,15 @@ func (p *Pool) candidates(service string) ([]candidate, bool) {
 		}
 		return all[i].member.addr < all[j].member.addr
 	})
-	live := all[:0:0]
+	var open []candidate
 	for _, c := range all {
 		if c.member.breaker.Candidate() {
-			live = append(live, c)
+			cands = append(cands, c)
+		} else {
+			open = append(open, c)
 		}
 	}
-	if len(live) > 0 {
-		return live, false
-	}
-	return all, true // every breaker open: fail open, bypass gating
+	return append(cands, open...), len(cands)
 }
 
 // staleKey identifies one (service, payload) response in the stale cache.
@@ -280,10 +281,11 @@ func staleKey(service string, payload []byte) string {
 
 // Do routes one request: try members in health order, failing over on
 // transport errors within the caller's deadline budget. Premium classes
-// (below lowFidelityClass) try every candidate; lower classes stop after
-// two attempts and fall back to a stale answer at qos.FidelityLow when one
-// is cached — losing freshness instead of failing, while premium traffic
-// gets every chance at a live broker.
+// (below lowFidelityClass) try every candidate, open-breaker members last;
+// lower classes stop after two attempts on live members and fall back to a
+// stale answer at qos.FidelityLow when one is cached — losing freshness
+// instead of failing, while premium traffic gets every chance at a live
+// broker.
 func (p *Pool) Do(ctx context.Context, service string, req *broker.Request) (*broker.Response, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -292,17 +294,20 @@ func (p *Pool) Do(ctx context.Context, service string, req *broker.Request) (*br
 	}
 	p.mu.Unlock()
 
-	cands, bypass := p.candidates(service)
+	cands, live := p.candidates(service)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("frontend: no pool members for service %q", service)
 	}
-	maxAttempts := len(cands)
 	// Late transaction steps are premium regardless of base class: aborting
 	// a transaction at step 2+ wastes the completed steps and forces
 	// compensation, so near-complete transactions get every failover chance
 	// (the same reasoning that escalates their class at the broker).
 	premium := (req.Class != 0 && req.Class < lowFidelityClass) ||
 		(req.TxnID != "" && req.TxnStep >= 2)
+	if !premium && live > 0 {
+		cands = cands[:live]
+	}
+	maxAttempts := len(cands)
 	if !premium && maxAttempts > 2 {
 		maxAttempts = 2
 	}
@@ -316,23 +321,38 @@ func (p *Pool) Do(ctx context.Context, service string, req *broker.Request) (*br
 
 	var lastErr error
 	var lastResp *broker.Response
-	for i := 0; i < maxAttempts; i++ {
+	for i, sent := 0, 0; i < len(cands) && sent < maxAttempts; i++ {
 		cand := cands[i]
 		attemptStart := time.Now()
 		cli, err := p.clientFor(cand.member)
-		if err != nil {
-			lastErr = err
-			p.noteFailure(cand.member, err, i < maxAttempts-1, act, traceID, service, attemptStart)
-			continue
-		}
 		acquired := false
-		if !bypass {
+		if err == nil && i < live {
 			if acquired = cand.member.breaker.Acquire(); !acquired {
-				continue // raced open since the Candidate check
+				// Raced open since the Candidate check. That costs no
+				// attempt, and a premium request comes back to the member
+				// with the other open ones.
+				if premium {
+					cands = append(cands, cand)
+				}
+				continue
 			}
 		}
+		sent++
+		more := sent < maxAttempts && i < len(cands)-1
+		if err != nil {
+			lastErr = err
+			p.noteFailure(cand.member, err, more, act, traceID, service, attemptStart)
+			continue
+		}
 
-		attemptCtx, cancel := p.attemptContext(ctx, deadline, hasDeadline, len(cands), maxAttempts-i)
+		// The caller's deadline is split over the live members only. The
+		// open-breaker members, tried last, share whatever time is left: a
+		// member known to be down takes no budget from one that is up.
+		left := maxAttempts - sent + 1
+		if i < live {
+			left = min(left, live-i)
+		}
+		attemptCtx, cancel := p.attemptContext(ctx, deadline, hasDeadline, len(cands), left)
 		resp, err := cli.Do(attemptCtx, service, req)
 		if cancel != nil {
 			cancel()
@@ -348,7 +368,7 @@ func (p *Pool) Do(ctx context.Context, service string, req *broker.Request) (*br
 			p.noteBreaker(cand.member, before, service, traceID, err)
 		}
 		if err == nil {
-			if resp.Status == broker.StatusError && i < maxAttempts-1 {
+			if resp.Status == broker.StatusError && more {
 				// The member is alive but cannot serve this (e.g. it does not
 				// host the service): not a breaker failure, but another
 				// member may do better.
@@ -371,7 +391,7 @@ func (p *Pool) Do(ctx context.Context, service string, req *broker.Request) (*br
 			return resp, nil
 		}
 		lastErr = err
-		p.noteFailure(cand.member, err, i < maxAttempts-1, act, traceID, service, attemptStart)
+		p.noteFailure(cand.member, err, more, act, traceID, service, attemptStart)
 		if ctx.Err() != nil {
 			break // the caller's own deadline/cancellation: stop failing over
 		}

@@ -2,7 +2,9 @@ package frontend
 
 import (
 	"context"
+	"errors"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -267,5 +269,98 @@ func TestListenerDispatchesLeaseCommands(t *testing.T) {
 			t.Fatal("LOAD report lost after registry attach")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// failingCaller is a pool member that records each request it is sent and
+// fails it with a transport error.
+type failingCaller struct {
+	addr      string
+	sent      *[]string
+	deadlines map[string]time.Time // the deadline of each member's attempt
+}
+
+func (f failingCaller) Do(ctx context.Context, _ string, _ *broker.Request) (*broker.Response, error) {
+	*f.sent = append(*f.sent, f.addr)
+	if d, ok := ctx.Deadline(); ok {
+		f.deadlines[f.addr] = d
+	}
+	return nil, errors.New("member unreachable")
+}
+
+func (failingCaller) Close() error { return nil }
+
+// TestPoolPremiumTriesEveryMember pins the pool's class promise without a
+// clock: before Do gives up on a premium request it has sent it to every
+// member, the open-breaker ones last — both a member whose breaker was open
+// all along and one that raced open between the candidate check and the
+// attempt — while a low class stops after two live members.
+func TestPoolPremiumTriesEveryMember(t *testing.T) {
+	addrs := []string{"10.0.0.1:1", "10.0.0.2:1", "10.0.0.3:1", "10.0.0.4:1", "10.0.0.5:1"}
+	epoch := time.Unix(1000, 0)
+	var sent []string
+	var deadlines map[string]time.Time
+	newPool := func() *Pool {
+		sent, deadlines = nil, make(map[string]time.Time)
+		p := &Pool{cfg: PoolConfig{Gateways: addrs, AttemptTimeout: time.Hour}, members: make(map[string]*poolMember)}
+		for _, addr := range addrs {
+			cfg := resilience.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour, Clock: func() time.Time { return epoch }}
+			if addr == addrs[1] {
+				// Tripping the breaker below reads the clock once. To the next
+				// reader (the candidate check) the cooldown looks elapsed, to
+				// the one after (the attempt) it does not: the breaker races
+				// open in between.
+				reads := 0
+				cfg.Clock = func() time.Time {
+					if reads++; reads == 2 {
+						return epoch.Add(2 * time.Hour)
+					}
+					return epoch
+				}
+			}
+			m := &poolMember{addr: addr, static: true, breaker: resilience.NewBreaker(addr, cfg), cli: failingCaller{addr, &sent, deadlines}}
+			if addr == addrs[0] || addr == addrs[1] {
+				m.breaker.Acquire()
+				m.breaker.Done(errors.New("tripped"))
+			}
+			p.members[addr] = m
+		}
+		return p
+	}
+
+	if _, err := newPool().Do(context.Background(), "db", &broker.Request{Payload: []byte("x"), Class: qos.Class1}); err == nil {
+		t.Fatal("premium request succeeded against an all-failing pool")
+	}
+	want := []string{addrs[2], addrs[3], addrs[4], addrs[0], addrs[1]}
+	if !slices.Equal(sent, want) {
+		t.Fatalf("premium request was sent to %v, want every member, open breakers last: %v", sent, want)
+	}
+
+	// A caller's deadline is budgeted over the live members only: the first
+	// of the three gets at least a third of it and the last all that is left,
+	// as if the two open-breaker members were not there. Those get the rest.
+	start := time.Now()
+	ctx, cancel := context.WithDeadline(context.Background(), start.Add(time.Minute))
+	defer cancel()
+	if _, err := newPool().Do(ctx, "db", &broker.Request{Payload: []byte("x"), Class: qos.Class1}); err == nil {
+		t.Fatal("premium request with a deadline succeeded against an all-failing pool")
+	}
+	if !slices.Equal(sent, want) {
+		t.Fatalf("premium request with a deadline was sent to %v, want %v", sent, want)
+	}
+	if got := deadlines[addrs[2]].Sub(start); got < time.Minute/3 {
+		t.Errorf("first of three live members was given %v of a 1m deadline, want at least a third", got)
+	}
+	for _, addr := range []string{addrs[4], addrs[1]} {
+		if got := deadlines[addr].Sub(start); got != time.Minute {
+			t.Errorf("last live / last open member %s was given %v, want the whole remaining 1m", addr, got)
+		}
+	}
+
+	if _, err := newPool().Do(context.Background(), "db", &broker.Request{Payload: []byte("x"), Class: qos.Class3}); err == nil {
+		t.Fatal("class-3 request succeeded against an all-failing pool")
+	}
+	if want := []string{addrs[2], addrs[3]}; !slices.Equal(sent, want) {
+		t.Fatalf("class-3 request was sent to %v, want two live members: %v", sent, want)
 	}
 }

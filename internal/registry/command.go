@@ -6,15 +6,19 @@
 // leases whose broker stopped renewing — a crashed or partitioned broker
 // silently falls out of the pool — and re-admits brokers that come back.
 //
-// Registration datagrams are single text lines layered on the
-// frontend.Listener wire format (strict parse, reject-don't-clamp, fuzzed
-// like parseReport):
+// The control datagrams a front end's listener accepts are single text
+// lines, parsed strictly (reject, don't clamp) by the one fuzzed parser in
+// this package:
 //
+//	LOAD       <service> <outstanding> <threshold> <queuelen> <hot|cool>
 //	REGISTER   <service> <addr> <ttl_ms> <outstanding> <threshold> <queuelen> <hot|cool> [admin=<addr>]
 //	RENEW      <service> <addr> <ttl_ms> <outstanding> <threshold> <queuelen> <hot|cool> [admin=<addr>]
 //	DEREGISTER <service> <addr>
 //
-// REGISTER and RENEW piggyback the broker's current load summary so the
+// LOAD is the centralized model's load report; a plain-text format keeps
+// the listener thread cheap — the paper notes that model's scalability
+// hinges on how little work per update the listener does. REGISTER and
+// RENEW piggyback the broker's current load summary so the
 // front end's health-weighted member selection always works from data no
 // older than one renewal interval, with no separate reporting channel. The
 // optional trailing admin=<host:port> field advertises the member's admin
@@ -31,10 +35,10 @@ import (
 	"servicebroker/internal/broker"
 )
 
-// Verb is a registration command's action.
+// Verb is a control command's action.
 type Verb int
 
-// Registration verbs.
+// Control verbs.
 const (
 	// VerbRegister claims (or re-claims) pool membership with a fresh lease.
 	VerbRegister Verb = iota + 1
@@ -43,6 +47,8 @@ const (
 	VerbRenew
 	// VerbDeregister withdraws a member immediately (graceful shutdown).
 	VerbDeregister
+	// VerbLoad is a bare load report: no membership, no lease.
+	VerbLoad
 )
 
 // String names the verb in its wire spelling.
@@ -54,23 +60,26 @@ func (v Verb) String() string {
 		return "RENEW"
 	case VerbDeregister:
 		return "DEREGISTER"
+	case VerbLoad:
+		return "LOAD"
 	default:
 		return fmt.Sprintf("verb(%d)", int(v))
 	}
 }
 
-// Command is one parsed registration datagram.
+// Command is one parsed control datagram.
 type Command struct {
 	Verb    Verb
 	Service string
 	// Addr is the member's gateway address ("host:port") as the broker
-	// advertises it — the address the front end dials to reach it.
+	// advertises it — the address the front end dials to reach it. Empty
+	// for LOAD.
 	Addr string
-	// TTL is the lease duration granted by a REGISTER/RENEW; zero for
-	// DEREGISTER.
+	// TTL is the lease duration granted by a REGISTER/RENEW; zero otherwise.
 	TTL time.Duration
-	// Load is the load summary piggybacked on REGISTER/RENEW (Service is
-	// filled from the command); zero for DEREGISTER.
+	// Load is the load summary carried by LOAD and piggybacked on
+	// REGISTER/RENEW (Service is filled from the command); zero for
+	// DEREGISTER.
 	Load broker.LoadReport
 	// AdminAddr optionally advertises the member's admin-plane HTTP address
 	// (the trailing "admin=<host:port>" field on REGISTER/RENEW) for fleet
@@ -78,14 +87,15 @@ type Command struct {
 	AdminAddr string
 }
 
-// Bounds the parser enforces. Registration shares the listener's
+// Bounds the parser enforces. Commands arrive over the listener's
 // unauthenticated UDP socket, so a malformed or hostile datagram must never
-// perturb pool membership: reject rather than clamp.
+// perturb pool membership or poison the admission table: reject rather than
+// clamp.
 const (
 	maxCommandLine = 512     // matches the listener's read buffer
-	maxServiceName = 128     // mirrors the LOAD report bound
+	maxServiceName = 128     // generous; real service names are short
 	maxMemberAddr  = 256     // host:port; generous for IPv6 literals
-	maxCounter     = 1 << 30 // load-field sanity cap, mirrors maxReportCounter
+	maxCounter     = 1 << 30 // outstanding/threshold/queuelen sanity cap
 
 	// MinTTL and MaxTTL bound acceptable lease durations: a TTL below the
 	// renewal resolution would flap membership, one above the cap would keep
@@ -104,9 +114,11 @@ func FormatCommand(c Command) string {
 	if c.Load.Hot {
 		state = "hot"
 	}
-	line := fmt.Sprintf("%s %s %s %d %d %d %d %s",
-		c.Verb, c.Service, c.Addr, c.TTL/time.Millisecond,
-		c.Load.Outstanding, c.Load.Threshold, c.Load.QueueLen, state)
+	load := fmt.Sprintf("%d %d %d %s", c.Load.Outstanding, c.Load.Threshold, c.Load.QueueLen, state)
+	if c.Verb == VerbLoad {
+		return fmt.Sprintf("LOAD %s %s", c.Service, load)
+	}
+	line := fmt.Sprintf("%s %s %s %d %s", c.Verb, c.Service, c.Addr, c.TTL/time.Millisecond, load)
 	if c.AdminAddr != "" {
 		line += " admin=" + c.AdminAddr
 	}
@@ -130,8 +142,8 @@ func parseCounter(s string) (int, error) {
 }
 
 // printable reports whether s is plain printable ASCII: member addresses
-// and service names are map keys and are echoed on /poolz, so control bytes
-// are refused.
+// and service names are map keys and are echoed on status pages, so control
+// bytes are refused.
 func printable(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] < '!' || s[i] > '~' {
@@ -156,10 +168,32 @@ func validAddr(addr string) bool {
 	return err == nil
 }
 
-// ParseCommand decodes one registration datagram. The format is exactly the
+// parseLoad decodes the four load-summary fields
+// <outstanding> <threshold> <queuelen> <hot|cool> of a service's report.
+func parseLoad(service string, f []string) (broker.LoadReport, error) {
+	r := broker.LoadReport{Service: service}
+	for i, dst := range []*int{&r.Outstanding, &r.Threshold, &r.QueueLen} {
+		n, err := parseCounter(f[i])
+		if err != nil {
+			return broker.LoadReport{}, err
+		}
+		*dst = n
+	}
+	switch f[3] {
+	case "hot":
+		r.Hot = true
+	case "cool":
+	default:
+		return broker.LoadReport{}, fmt.Errorf("registry: bad state %q", f[3])
+	}
+	return r, nil
+}
+
+// ParseCommand decodes one control datagram. The format is exactly the
 // field counts given in the package comment; anything else — wrong field
-// count, unknown verb or state, signed or oversized numbers, malformed
-// addresses — is rejected so garbage datagrams cannot perturb the pool.
+// count, unknown verb or state, signed or oversized numbers, unprintable
+// names, malformed addresses — is rejected so garbage datagrams cannot
+// perturb the pool or centralized admission control.
 func ParseCommand(line string) (Command, error) {
 	if len(line) > maxCommandLine {
 		return Command{}, fmt.Errorf("registry: oversized command (%d bytes)", len(line))
@@ -168,31 +202,36 @@ func ParseCommand(line string) (Command, error) {
 	if len(fields) == 0 {
 		return Command{}, fmt.Errorf("registry: empty command")
 	}
+	// REGISTER/RENEW take exactly 8 fields, or 9 with the optional trailing
+	// admin=<addr>; DEREGISTER takes exactly 3 and LOAD exactly 6.
 	var c Command
+	want, optional := 8, 1
 	switch fields[0] {
 	case "REGISTER":
 		c.Verb = VerbRegister
 	case "RENEW":
 		c.Verb = VerbRenew
 	case "DEREGISTER":
-		c.Verb = VerbDeregister
+		c.Verb, want, optional = VerbDeregister, 3, 0
+	case "LOAD":
+		c.Verb, want, optional = VerbLoad, 6, 0
 	default:
 		return Command{}, fmt.Errorf("registry: unknown verb %q", fields[0])
 	}
-
-	// REGISTER/RENEW take exactly 8 fields, or 9 with the optional trailing
-	// admin=<addr>; DEREGISTER takes exactly 3.
-	want := 8
-	if c.Verb == VerbDeregister {
-		want = 3
-	}
-	if len(fields) != want && !(c.Verb != VerbDeregister && len(fields) == want+1) {
+	if len(fields) < want || len(fields) > want+optional {
 		return Command{}, fmt.Errorf("registry: bad %s command %q (want %d fields, got %d)",
 			c.Verb, line, want, len(fields))
 	}
 	c.Service = fields[1]
 	if len(c.Service) > maxServiceName || !printable(c.Service) {
 		return Command{}, fmt.Errorf("registry: bad service name %q", c.Service)
+	}
+	var err error
+	if c.Verb == VerbLoad {
+		if c.Load, err = parseLoad(c.Service, fields[2:]); err != nil {
+			return Command{}, fmt.Errorf("registry: bad command %q: %w", line, err)
+		}
+		return c, nil
 	}
 	c.Addr = fields[2]
 	if !validAddr(c.Addr) {
@@ -210,23 +249,8 @@ func ParseCommand(line string) (Command, error) {
 	if c.TTL < MinTTL || c.TTL > MaxTTL {
 		return Command{}, fmt.Errorf("registry: ttl %v outside [%v, %v]", c.TTL, MinTTL, MaxTTL)
 	}
-	c.Load.Service = c.Service
-	if c.Load.Outstanding, err = parseCounter(fields[4]); err != nil {
+	if c.Load, err = parseLoad(c.Service, fields[4:]); err != nil {
 		return Command{}, fmt.Errorf("registry: bad command %q: %w", line, err)
-	}
-	if c.Load.Threshold, err = parseCounter(fields[5]); err != nil {
-		return Command{}, fmt.Errorf("registry: bad command %q: %w", line, err)
-	}
-	if c.Load.QueueLen, err = parseCounter(fields[6]); err != nil {
-		return Command{}, fmt.Errorf("registry: bad command %q: %w", line, err)
-	}
-	switch fields[7] {
-	case "hot":
-		c.Load.Hot = true
-	case "cool":
-		c.Load.Hot = false
-	default:
-		return Command{}, fmt.Errorf("registry: bad state %q", fields[7])
 	}
 	if len(fields) == 9 {
 		v, ok := strings.CutPrefix(fields[8], "admin=")

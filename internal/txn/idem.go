@@ -4,6 +4,7 @@ import (
 	"context"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"servicebroker/internal/qos"
@@ -30,17 +31,25 @@ func IdemKey(txnID string, step int, key string) string {
 type idemState uint8
 
 const (
-	idemPending idemState = iota + 1 // first execution in flight
-	idemDone                         // outcome recorded
+	idemPending   idemState = iota + 1 // first execution in flight
+	idemDone                           // owner settled with an outcome
+	idemCancelled                      // owner settled without one
 )
 
 // idemEntry is one table slot. ready is closed when the entry leaves the
-// pending state (recorded or cancelled) so coalesced duplicates wake up.
+// pending state so coalesced duplicates wake up; state and out are not
+// written after that, so waiters read them without the table lock. The two
+// tickets every arrival is handed live in the entry, so joining a flight
+// allocates nothing.
 type idemEntry struct {
+	t     *IdemTable
+	key   string
 	state idemState
 	out   Outcome
 	ready chan struct{}
-	at    time.Time // insertion time, drives TTL expiry and FIFO eviction
+	at    time.Time // record time, drives TTL expiry and FIFO eviction
+
+	owner, waiter Ticket
 }
 
 // IdemStats is the table's point-in-time accounting for /txnz and tests.
@@ -49,32 +58,41 @@ type IdemStats struct {
 	Capacity  int
 	TTL       time.Duration
 	Hits      int64 // duplicates answered from a recorded outcome
+	Flights   int64 // first arrivals handed the owner ticket
 	Coalesced int64 // duplicates that waited on an in-flight first execution
+	Shared    int64 // coalesced duplicates answered with the owner's outcome
 	Recorded  int64 // outcomes recorded by Complete
 	Restored  int64 // outcomes re-armed from a journal
 	Evicted   int64 // entries removed by capacity or TTL pressure
 }
 
-// IdemTable is the broker-side idempotency table: a bounded, TTL'd map from
-// (transaction, step, idempotency key) to the recorded first outcome of that
-// access. It gives the retry/failover path exactly-once *effects*: the wire
-// client retransmits lost datagrams and the frontend pool fails requests
-// over to other brokers, so a mutating access can arrive more than once —
-// every arrival after the first is answered from the table.
+// IdemTable is the brokers' single-flight table: the first arrival for a key
+// owns its execution, later arrivals wait for the owner to settle, and the
+// owner decides what the waiters — and the future — get to see:
 //
-// Duplicates that arrive while the first execution is still in flight are
-// coalesced: Acquire hands them a ticket whose Await blocks until the owner
-// records or cancels. A table may be shared by several brokers (the paper's
-// brokers "exchange state information to ensure that transactions involving
-// different backend servers are properly protected"); sharing is what covers
-// the pool-failover path where attempt one executed but its broker crashed
-// before answering.
+//   - Complete hands the outcome to the waiters and remembers it, bounded by
+//     capacity and TTL. This is the idempotency table proper: a map from
+//     (transaction, step, idempotency key) to the recorded first outcome of
+//     that access, which gives the retry/failover path exactly-once
+//     *effects* — the wire client retransmits lost datagrams and the
+//     frontend pool fails requests over to other brokers, so a mutating
+//     access can arrive more than once, and every arrival after the first is
+//     answered from the table.
+//   - Share hands the outcome to the waiters and forgets it: the broker's
+//     coalescing of identical in-flight reads, whose memory is the result
+//     cache.
+//   - Cancel settles with nothing, and the waiters run for real.
+//
+// A table may be shared by several brokers (the paper's brokers "exchange
+// state information to ensure that transactions involving different backend
+// servers are properly protected"); sharing is what covers the pool-failover
+// path where attempt one executed but its broker crashed before answering.
 //
 // IdemTable is safe for concurrent use. Use NewIdemTable.
 type IdemTable struct {
 	mu      sync.Mutex
 	entries map[string]*idemEntry
-	order   []string // insertion FIFO; lazily compacted against entries
+	order   []string // recorded keys, oldest first; lazily compacted against entries
 	cap     int
 	ttl     time.Duration
 	now     func() time.Time
@@ -82,10 +100,12 @@ type IdemTable struct {
 	onRecord func(key string, out Outcome)
 
 	hits      int64
+	flights   int64
 	coalesced int64
 	recorded  int64
 	restored  int64
 	evicted   int64
+	shared    atomic.Int64 // bumped by waiters, outside mu
 }
 
 // DefaultIdemCapacity bounds the table when the caller passes capacity ≤ 0.
@@ -123,13 +143,12 @@ func (t *IdemTable) OnRecord(fn func(key string, out Outcome)) {
 }
 
 // Ticket is the caller's handle on one Acquire that did not hit a recorded
-// outcome. The owner (first arrival) must call exactly one of Complete or
-// Cancel; coalesced duplicates call Await.
+// outcome. The owner (first arrival) must settle with one of Complete, Share
+// or Cancel — the first call wins, later ones are no-ops; coalesced
+// duplicates call Await.
 type Ticket struct {
-	t     *IdemTable
-	key   string
+	e     *idemEntry
 	owner bool
-	ready <-chan struct{}
 }
 
 // Owner reports whether this caller owns the first execution.
@@ -140,111 +159,110 @@ func (tk *Ticket) Owner() bool { return tk.owner }
 //   - the access already has a recorded outcome → (outcome, true, nil):
 //     answer the caller with it, do not execute;
 //   - first arrival → (zero, false, ticket) with ticket.Owner() true:
-//     execute, then ticket.Complete(outcome) or ticket.Cancel();
+//     execute, then settle the ticket;
 //   - duplicate of an in-flight access → (zero, false, ticket) with Owner()
 //     false: ticket.Await(ctx) blocks for the first execution's outcome.
 func (t *IdemTable) Acquire(key string) (Outcome, bool, *Ticket) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := t.now()
 	if e, ok := t.entries[key]; ok {
-		if e.state == idemDone && !t.expiredLocked(e, now) {
+		if e.state == idemPending {
+			t.coalesced++
+			return Outcome{}, false, &e.waiter
+		}
+		if !t.expiredLocked(e, t.now()) {
 			t.hits++
 			return e.out, true, nil
 		}
-		if e.state == idemPending {
-			t.coalesced++
-			return Outcome{}, false, &Ticket{t: t, key: key, ready: e.ready}
-		}
-		// Done but expired: the window closed; treat as first arrival.
-		t.deleteLocked(key)
+		// Recorded but expired: the window closed; treat as first arrival.
 	}
-	e := &idemEntry{state: idemPending, ready: make(chan struct{}), at: now}
-	t.insertLocked(key, e)
-	return Outcome{}, false, &Ticket{t: t, key: key, owner: true, ready: e.ready}
+	e := &idemEntry{t: t, key: key, state: idemPending, ready: make(chan struct{})}
+	e.owner = Ticket{e: e, owner: true}
+	e.waiter = Ticket{e: e}
+	t.entries[key] = e
+	t.flights++
+	return Outcome{}, false, &e.owner
 }
 
-// Await blocks a coalesced duplicate until the first execution records or
-// cancels, or ctx is done. ok is true when an outcome was recorded — false
-// means the first execution did not record (it was shed or failed before the
-// effect), and the caller should execute normally.
+// Await blocks a coalesced duplicate until the first execution settles or
+// ctx is done. ok is true when the owner produced an outcome — false means
+// it did not (it was shed or failed before the effect), and the caller
+// should execute normally.
 func (tk *Ticket) Await(ctx context.Context) (Outcome, bool, error) {
+	e := tk.e
 	select {
-	case <-tk.ready:
+	case <-e.ready:
 	case <-ctx.Done():
 		return Outcome{}, false, ctx.Err()
 	}
-	out, ok := tk.t.Lookup(tk.key)
-	return out, ok, nil
+	if e.state != idemDone {
+		return Outcome{}, false, nil
+	}
+	e.t.shared.Add(1)
+	return e.out, true, nil
 }
 
 // Complete records the first outcome for the ticket's access and wakes every
-// coalesced duplicate. Owner tickets only; a duplicate Complete is a no-op.
-func (tk *Ticket) Complete(out Outcome) {
-	if !tk.owner {
-		return
-	}
-	tk.t.complete(tk.key, out)
-}
+// coalesced duplicate with it.
+func (tk *Ticket) Complete(out Outcome) { tk.settle(idemDone, out, true) }
 
-// Cancel abandons the ticket without recording: the access did not execute
+// Share wakes every coalesced duplicate with out but records nothing: the
+// next arrival for the key is a first arrival again.
+func (tk *Ticket) Share(out Outcome) { tk.settle(idemDone, out, false) }
+
+// Cancel abandons the ticket without an outcome: the access did not execute
 // (shed, dropped, backend error before the effect), so a retry is allowed to
 // run for real. Coalesced duplicates wake with ok=false.
-func (tk *Ticket) Cancel() {
-	if !tk.owner {
+func (tk *Ticket) Cancel() { tk.settle(idemCancelled, Outcome{}, false) }
+
+// settle moves an owned pending entry to its final state. An entry that is
+// no longer pending — settled already, or overtaken by Restore — is left
+// alone, which is what makes settling idempotent; a nil ticket (nothing
+// owned) settles nothing.
+func (tk *Ticket) settle(state idemState, out Outcome, record bool) {
+	if tk == nil || !tk.owner {
 		return
 	}
-	tk.t.cancel(tk.key)
-}
-
-func (t *IdemTable) complete(key string, out Outcome) {
+	e := tk.e
+	t := e.t
 	t.mu.Lock()
-	e, ok := t.entries[key]
-	if !ok || e.state != idemPending {
+	if e.state != idemPending {
 		t.mu.Unlock()
 		return
 	}
-	e.state = idemDone
-	e.out = out
-	e.at = t.now()
+	e.state, e.out = state, out
+	var fn func(string, Outcome)
+	if record {
+		t.recordLocked(e)
+		t.recorded++
+		fn = t.onRecord
+	} else {
+		delete(t.entries, e.key)
+	}
 	close(e.ready)
-	t.recorded++
-	t.evictOverCapLocked()
-	fn := t.onRecord
 	t.mu.Unlock()
 	if fn != nil {
-		fn(key, out)
+		fn(e.key, out)
 	}
-}
-
-func (t *IdemTable) cancel(key string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[key]
-	if !ok || e.state != idemPending {
-		return
-	}
-	t.deleteLocked(key)
-	close(e.ready)
 }
 
 // Restore re-arms a recorded outcome from a journal (brokerd restart).
 // Idempotent: a later record for the same key wins, matching journal replay
-// order. Restored entries do not fire OnRecord.
+// order. Restored entries do not fire OnRecord. An in-flight first execution
+// for the key is overtaken: its waiters wake with the restored outcome.
 func (t *IdemTable) Restore(key string, out Outcome) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e, ok := t.entries[key]; ok {
-		if e.state == idemPending {
-			close(e.ready)
-		}
-		t.deleteLocked(key)
+	if e, ok := t.entries[key]; ok && e.state == idemPending {
+		e.state, e.out = idemDone, out
+		close(e.ready)
 	}
 	ready := make(chan struct{})
 	close(ready)
-	t.insertLocked(key, &idemEntry{state: idemDone, out: out, ready: ready, at: t.now()})
+	e := &idemEntry{t: t, key: key, state: idemDone, out: out, ready: ready}
+	t.entries[key] = e
+	t.recordLocked(e)
 	t.restored++
-	t.evictOverCapLocked()
 }
 
 // Lookup returns the recorded outcome for key, if any (and not expired).
@@ -274,7 +292,9 @@ func (t *IdemTable) Stats() IdemStats {
 		Capacity:  t.cap,
 		TTL:       t.ttl,
 		Hits:      t.hits,
+		Flights:   t.flights,
 		Coalesced: t.coalesced,
+		Shared:    t.shared.Load(),
 		Recorded:  t.recorded,
 		Restored:  t.restored,
 		Evicted:   t.evicted,
@@ -286,15 +306,12 @@ func (t *IdemTable) expiredLocked(e *idemEntry, now time.Time) bool {
 	return t.ttl > 0 && now.Sub(e.at) > t.ttl
 }
 
-// insertLocked adds an entry and maintains the FIFO. Caller holds t.mu.
-func (t *IdemTable) insertLocked(key string, e *idemEntry) {
-	t.entries[key] = e
-	t.order = append(t.order, key)
-}
-
-// deleteLocked removes an entry; its order slot is skipped lazily.
-func (t *IdemTable) deleteLocked(key string) {
-	delete(t.entries, key)
+// recordLocked stamps a done entry that is in the table, queues it for FIFO
+// eviction and restores the capacity bound. Caller holds t.mu.
+func (t *IdemTable) recordLocked(e *idemEntry) {
+	e.at = t.now()
+	t.order = append(t.order, e.key)
+	t.evictOverCapLocked()
 }
 
 // evictOverCapLocked sheds expired and oldest *recorded* entries until the
@@ -307,43 +324,30 @@ func (t *IdemTable) evictOverCapLocked() {
 	if t.ttl > 0 && len(t.entries) > t.cap/2 {
 		for key, e := range t.entries {
 			if e.state == idemDone && t.expiredLocked(e, now) {
-				t.deleteLocked(key)
+				delete(t.entries, key)
 				t.evicted++
 			}
 		}
 	}
-	if len(t.entries) <= t.cap {
-		t.compactOrderLocked()
+	// FIFO over record order: evict the oldest recorded entries while over
+	// capacity, and drop the slots of entries that are already gone once
+	// they outnumber the live set enough to matter.
+	over := len(t.entries) > t.cap
+	if !over && len(t.order) < 2*len(t.entries)+16 {
 		return
 	}
-	// FIFO over insertion order: evict the oldest recorded entries.
 	kept := t.order[:0]
 	for _, key := range t.order {
 		e, ok := t.entries[key]
-		if !ok {
-			continue // already deleted; lazy compaction
+		if !ok || e.state != idemDone {
+			continue
 		}
-		if len(t.entries) > t.cap && e.state == idemDone {
-			t.deleteLocked(key)
+		if len(t.entries) > t.cap {
+			delete(t.entries, key)
 			t.evicted++
 			continue
 		}
 		kept = append(kept, key)
-	}
-	t.order = kept
-}
-
-// compactOrderLocked trims tombstones from the FIFO once it outgrows the
-// live set enough to matter. Caller holds t.mu.
-func (t *IdemTable) compactOrderLocked() {
-	if len(t.order) < 2*len(t.entries)+16 {
-		return
-	}
-	kept := t.order[:0]
-	for _, key := range t.order {
-		if _, ok := t.entries[key]; ok {
-			kept = append(kept, key)
-		}
 	}
 	t.order = kept
 }
