@@ -112,7 +112,7 @@ type Response struct {
 	// Broker identifies the gateway that answered (gateway Client only,
 	// normally its UDP listen address): the stitching identity that lets a
 	// failed-over request's spans from several pool members merge into one
-	// trace. Empty when the server predates identity stamping.
+	// trace. Empty on the response to an untraced request.
 	Broker string
 	// RetryAfter is the backpressure hint on StatusShed responses: how long
 	// the client should wait before retrying. Zero means no hint.

@@ -66,12 +66,11 @@ func NewGatewayConn(pc net.PacketConn, brokers map[string]*Broker) (*Gateway, er
 	return g, nil
 }
 
-// SetIdentity overrides the identity stamped on responses for clients that
-// set wire.FlagBrokerIdentity. The default — the gateway's UDP listen
-// address — matches how frontend pools address members, which is what makes
-// stitched traces line up with /poolz and /fleetz rows; override it only
-// when the advertised address differs from the bound one (NAT, 0.0.0.0
-// binds).
+// SetIdentity overrides the identity stamped on traced responses. The
+// default — the gateway's UDP listen address — matches how frontend pools
+// address members, which is what makes stitched traces line up with /poolz
+// and /fleetz rows; override it only when the advertised address differs
+// from the bound one (NAT, 0.0.0.0 binds).
 func (g *Gateway) SetIdentity(id string) { g.identity.Store(id) }
 
 // Identity reports the identity stamped on responses.
@@ -125,8 +124,6 @@ func (g *Gateway) handle(ctx context.Context, _ net.Addr, m *wire.Message) *wire
 	case StatusDropped:
 		out.Status = wire.StatusDropped
 	case StatusShed:
-		// The wire server downgrades shed → dropped (and strips the hint)
-		// for clients that did not set FlagBackpressure.
 		out.Status = wire.StatusShed
 		out.RetryAfterMs = retryAfterMs(resp.RetryAfter)
 	default:
@@ -135,20 +132,16 @@ func (g *Gateway) handle(ctx context.Context, _ net.Addr, m *wire.Message) *wire
 			out.Payload = []byte(resp.Err.Error())
 		}
 	}
-	// Span export (Dapper-style collection, piggybacked on the response):
-	// when the caller asked via FlagSpanExport, attach the broker-recorded
-	// spans for this trace so the front end can merge the cross-process tree.
-	// Best-effort — a trace still in flight (context cancellation) or aged
-	// out of the export buffer simply ships no spans.
-	if m.TraceID != 0 && m.Flags&wire.FlagSpanExport != 0 {
+	// Span export (Dapper-style collection, piggybacked on the response): a
+	// traced request gets the broker-recorded spans for its trace, so the
+	// front end can merge the cross-process tree, and this gateway's
+	// identity, so a failed-over request's spans attribute to the pool member
+	// that recorded them. Best-effort — a trace still in flight (context
+	// cancellation) or aged out of the export buffer simply ships no spans.
+	if m.TraceID != 0 {
 		if t, ok := b.tracer.TakeExport(trace.ID(m.TraceID)); ok {
 			out.Spans = exportSpans(t.Spans)
 		}
-	}
-	// Identity stamp (cross-broker stitching): tell the caller which pool
-	// member answered, so a failed-over request's span exports attribute to
-	// the right broker in the stitched /tracez tree.
-	if m.Flags&wire.FlagBrokerIdentity != 0 {
 		out.BrokerID = g.Identity()
 	}
 	return out
@@ -232,16 +225,6 @@ func (c *Client) Do(ctx context.Context, service string, req *Request) (*Respons
 	if req.NoCache {
 		m.Flags |= wire.FlagNoCache
 	}
-	if req.TraceID != 0 {
-		// Ask the broker to ship its spans home on the response, stamped
-		// with its identity so a pool can stitch spans from several members
-		// into one trace. Servers that predate span export or identity
-		// stamping ignore the bits.
-		m.Flags |= wire.FlagSpanExport | wire.FlagBrokerIdentity
-	}
-	// Declare shed/retry-after support; servers that predate backpressure
-	// ignore the bit and we only ever see pre-v4 statuses from them.
-	m.Flags |= wire.FlagBackpressure
 	out, err := c.wc.Call(ctx, m)
 	if err != nil {
 		return nil, err

@@ -251,10 +251,14 @@ func runDiffPoint(ctx context.Context, cfg DifferentiationConfig, clients int) (
 		ratios := make(map[qos.Class]float64, cfg.Classes)
 		for c := 1; c <= cfg.Classes; c++ {
 			class := qos.Class(c)
+			// A refusal is either disposition: the threshold check answers
+			// StatusShed (counted in shed_class_<k>), a contract breach
+			// StatusDropped.
 			reqs := b.Metrics().Counter(fmt.Sprintf("requests_class_%d", c)).Value()
-			drops := b.Metrics().Counter(fmt.Sprintf("dropped_class_%d", c)).Value()
+			refused := b.Metrics().Counter(fmt.Sprintf("dropped_class_%d", c)).Value() +
+				b.Metrics().Counter(fmt.Sprintf("shed_class_%d", c)).Value()
 			if reqs > 0 {
-				ratios[class] = float64(drops) / float64(reqs)
+				ratios[class] = float64(refused) / float64(reqs)
 			}
 		}
 		point.DropRatio[bi] = ratios

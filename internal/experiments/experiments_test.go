@@ -106,28 +106,27 @@ func TestDifferentiationReproducesPaperShapes(t *testing.T) {
 
 	light, heavy := res.Points[0], res.Points[1]
 
-	// Figure 9: API time grows sharply with load; at high load the broker
-	// beats the API because shed low-priority traffic stops queueing.
-	if heavy.APITime <= light.APITime {
-		t.Fatalf("API time did not grow with load: %.2f → %.2f", light.APITime, heavy.APITime)
-	}
-	if heavy.BrokerTime >= heavy.APITime {
-		t.Fatalf("broker (%.2f) not faster than API (%.2f) under heavy load",
-			heavy.BrokerTime, heavy.APITime)
-	}
+	// Figure 9's two wall-clock claims (API time grows with load; the broker
+	// beats the API under load) are checked by `sbexp -exp fig9`, where a
+	// timed run belongs. Everything below compares counts.
 
-	// Tables II-IV: (almost) no drops under light load — the small-scale
+	// Tables II-IV: (almost) no refusals under light load — the small-scale
 	// testbed keeps some arrival burstiness, so allow a small transient —
-	// and drops ordered by priority under heavy load.
+	// and refusals ordered by priority under heavy load, with the lowest
+	// class actually refused.
 	for bi := 0; bi < 3; bi++ {
 		for c := 1; c <= 3; c++ {
 			if r := light.DropRatio[bi][qos.Class(c)]; r > 0.15 {
 				t.Errorf("broker %d class %d drop ratio %.3f under light load", bi+1, c, r)
 			}
 		}
-		if heavy.DropRatio[bi][qos.Class3] < heavy.DropRatio[bi][qos.Class1] {
-			t.Errorf("broker %d: class 3 drop ratio %.3f < class 1 %.3f under load",
-				bi+1, heavy.DropRatio[bi][qos.Class3], heavy.DropRatio[bi][qos.Class1])
+		r := heavy.DropRatio[bi]
+		if r[qos.Class3] < r[qos.Class2] || r[qos.Class2] < r[qos.Class1] {
+			t.Errorf("broker %d: drop ratios not ordered by priority under load: class 1 %.3f, class 2 %.3f, class 3 %.3f",
+				bi+1, r[qos.Class1], r[qos.Class2], r[qos.Class3])
+		}
+		if r[qos.Class3] <= 0 {
+			t.Errorf("broker %d: class 3 drop ratio %.3f under heavy load, want > 0", bi+1, r[qos.Class3])
 		}
 	}
 

@@ -89,18 +89,16 @@ type TxnIntegrityMode struct {
 	DuplicatesSuppressed int64 `json:"duplicates_suppressed"`
 }
 
-// TxnWireOverhead reports what the codec v6 transaction block costs on the
-// wire: nothing for untagged frames (they still encode as version 1, the
-// acceptance criterion), and a few bytes for frames that opt in.
+// TxnWireOverhead reports what the transaction fields cost on the wire:
+// nothing for untagged frames (an absent block takes no bytes;
+// wire.TestFrameSizes pins the 36), and their own length for frames that
+// carry them.
 type TxnWireOverhead struct {
-	UntaggedBytes   int     `json:"untagged_bytes"`
-	UntaggedVersion int     `json:"untagged_version"`
-	TaggedBytes     int     `json:"tagged_bytes"`
-	TaggedVersion   int     `json:"tagged_version"`
-	TaggedExtra     int     `json:"tagged_extra_bytes"`
-	UntaggedPct     float64 `json:"untagged_overhead_pct"`
-	EncodeUntagged  float64 `json:"encode_untagged_ns"`
-	EncodeTagged    float64 `json:"encode_tagged_ns"`
+	UntaggedBytes  int     `json:"untagged_bytes"`
+	TaggedBytes    int     `json:"tagged_bytes"`
+	TaggedExtra    int     `json:"tagged_extra_bytes"`
+	EncodeUntagged float64 `json:"encode_untagged_ns"`
+	EncodeTagged   float64 `json:"encode_tagged_ns"`
 }
 
 // TxnIntegrityResult is the full ablation output, serialized to
@@ -319,10 +317,7 @@ func runTxnIntegrityMode(ctx context.Context, cfg TxnIntegrityConfig, integrity 
 }
 
 // measureTxnWireOverhead encodes untagged and transaction-tagged request
-// frames and reports sizes, selected codec versions, and encode cost. The
-// acceptance criterion is structural: an untagged frame still encodes as a
-// version-1 frame, so the v6 transaction block costs untagged traffic zero
-// bytes.
+// frames and reports sizes and encode cost.
 func measureTxnWireOverhead(frames int) (TxnWireOverhead, error) {
 	var w TxnWireOverhead
 	untagged := &wire.Message{Type: wire.TypeRequest, ID: 7, Service: "db",
@@ -339,15 +334,8 @@ func measureTxnWireOverhead(frames int) (TxnWireOverhead, error) {
 	if err != nil {
 		return w, err
 	}
-	w.UntaggedBytes, w.UntaggedVersion = len(ubuf), int(ubuf[2])
-	w.TaggedBytes, w.TaggedVersion = len(tbuf), int(tbuf[2])
+	w.UntaggedBytes, w.TaggedBytes = len(ubuf), len(tbuf)
 	w.TaggedExtra = w.TaggedBytes - w.UntaggedBytes
-	// Untagged frames select the version-1 layout, byte-identical to the
-	// pre-transaction codec — 0% overhead by construction; anything else is
-	// a regression worth surfacing in the benchmark output.
-	if w.UntaggedVersion != 1 {
-		w.UntaggedPct = 100 * float64(w.TaggedExtra) / float64(w.UntaggedBytes)
-	}
 
 	var buf []byte
 	start := time.Now()

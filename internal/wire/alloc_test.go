@@ -9,25 +9,26 @@ import (
 	"servicebroker/internal/qos"
 )
 
-// allocMessages covers all four frame layouts the codec can emit.
+// allocMessages covers a plain request, a traced one, and responses with a
+// span block and a retry hint.
 func allocMessages() []*Message {
 	return []*Message{
-		{ // v1: untraced
+		{ // untraced
 			Type: TypeRequest, ID: 7, Service: "db", Class: qos.Class1,
 			TxnID: "txn-1", TxnStep: 2, Flags: FlagNoCache,
 			Payload: []byte("select * from shows"),
 		},
-		{ // v2: traced
+		{ // traced
 			Type: TypeRequest, ID: 8, Service: "web", TraceID: 0xfeedbeef,
 			Payload: []byte("/movies/today"),
 		},
-		{ // v3: spans
+		{ // spans
 			Type: TypeResponse, ID: 9, Service: "db", TraceID: 0xabc,
 			Status:  StatusOK,
 			Spans:   []Span{{Stage: "backend", Note: "q", Start: 100, End: 200}},
 			Payload: []byte("result"),
 		},
-		{ // v4: retry-after trailer
+		{ // retry-after hint
 			Type: TypeResponse, ID: 10, Service: "db", TraceID: 0xdef,
 			Status: StatusShed, RetryAfterMs: 25, Payload: []byte("shed"),
 		},
@@ -35,7 +36,7 @@ func allocMessages() []*Message {
 }
 
 // TestAppendEncodeMatchesEncode: the append-into path must produce exactly
-// the bytes Encode does, for every frame version, including when appending
+// the bytes Encode does, for every message shape, including when appending
 // after existing content.
 func TestAppendEncodeMatchesEncode(t *testing.T) {
 	for i, m := range allocMessages() {
@@ -62,7 +63,7 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 }
 
 // TestAppendEncodeZeroAllocs is the ISSUE's hot-path gate: encoding into a
-// buffer with spare capacity must not allocate, for any frame version.
+// buffer with spare capacity must not allocate, for any message shape.
 func TestAppendEncodeZeroAllocs(t *testing.T) {
 	buf := make([]byte, 0, MaxFrame)
 	for i, m := range allocMessages() {
@@ -73,7 +74,7 @@ func TestAppendEncodeZeroAllocs(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("msg %d (v%d layout): AppendEncode = %.1f allocs/op, want 0", i, i+1, allocs)
+			t.Errorf("msg %d: AppendEncode = %.1f allocs/op, want 0", i, allocs)
 		}
 	}
 }
@@ -81,9 +82,9 @@ func TestAppendEncodeZeroAllocs(t *testing.T) {
 // TestEncodeDecodeAllocBudget bounds the full round trip. Encode costs one
 // allocation (the frame). Decode builds an independent message — the struct,
 // a payload copy, the string fields, and any span block — so its budget is
-// fixed per layout rather than zero; the gate is that neither side regresses.
+// fixed per message rather than zero; the gate is that neither side regresses.
 func TestEncodeDecodeAllocBudget(t *testing.T) {
-	budgets := []float64{5, 5, 8, 5} // per-layout: v1, v2, v3, v4
+	budgets := []float64{5, 5, 8, 5} // per allocMessages entry
 	for i, m := range allocMessages() {
 		budget := budgets[i]
 		allocs := testing.AllocsPerRun(1000, func() {
@@ -96,7 +97,7 @@ func TestEncodeDecodeAllocBudget(t *testing.T) {
 			}
 		})
 		if allocs > budget {
-			t.Errorf("msg %d (v%d layout): round trip = %.1f allocs/op, budget %.0f", i, i+1, allocs, budget)
+			t.Errorf("msg %d: round trip = %.1f allocs/op, budget %.0f", i, allocs, budget)
 		}
 	}
 }
@@ -176,7 +177,7 @@ func TestDecodeIntoZeroAllocs(t *testing.T) {
 }
 
 // TestDecodeIntoMatchesDecode: the in-place path must produce the same
-// message as Decode for every layout, including when the destination is
+// message as Decode for every message shape, including when the destination is
 // dirty from a previous, larger message.
 func TestDecodeIntoMatchesDecode(t *testing.T) {
 	dirty := &Message{

@@ -5,27 +5,23 @@ import (
 	"fmt"
 )
 
-// Version-7 frames are containers, not messages: a datagram that packs
-// several independently encoded v1–v6 frames so one syscall and one UDP
-// header amortize over a burst of requests or replies.
+// A container is a datagram that packs several independently encoded frames
+// so one syscall and one UDP header amortize over a burst of requests or
+// replies.
 //
 // Container layout (all integers big-endian):
 //
-//	magic[2] version=7[1] marker=0[1] count[2] (frameLen[4] frame[...])*
+//	magic[2] version[1] marker=0[1] count[2] (frameLen[4] frame[...])*
 //
-// The marker byte occupies the slot a v1–v6 frame uses for its message type
-// and is always zero — not a valid MsgType — so a container can never be
-// mistaken for a plain frame even by a parser that ignores the version.
-// Interoperability is by construction: peers that predate v7 reject the
-// version byte (Decode accepts only v1–v6) and drop the datagram exactly as
-// they drop garbage, and batching peers only emit containers when two or
-// more frames share a flush window — a lone frame always goes out bare,
-// byte-identical to an unbatched sender. Contained frames are themselves
-// complete v1–v6 frames; nesting a container inside a container is rejected
-// by the per-frame Decode, so depth is bounded at one.
+// The marker byte occupies the slot a frame uses for its message type and is
+// zero — not a valid MsgType — which is what tells the two apart: Decode
+// rejects a container and DecodeBatch rejects a frame. Batching peers only
+// emit containers when two or more frames share a flush window; a lone frame
+// always goes out bare. Contained frames are themselves complete frames;
+// nesting a container inside a container is rejected by the per-frame
+// Decode, so depth is bounded at one.
 const (
-	codecVersionBatch = 7
-	batchMarker       = 0
+	batchMarker = 0
 	// batchHeaderSize is the fixed container prefix before the first frame.
 	batchHeaderSize = 2 + 1 + 1 + 2
 	// batchFrameOverhead is the per-frame cost inside a container.
@@ -34,15 +30,15 @@ const (
 	MaxBatchFrames = 256
 )
 
-// IsBatch reports whether buf begins like a v7 multi-frame container. A true
+// IsBatch reports whether buf begins like a multi-frame container. A true
 // result only validates the prefix; DecodeBatch still fully checks bounds.
 func IsBatch(buf []byte) bool {
 	return len(buf) >= batchHeaderSize && buf[0] == magic0 && buf[1] == magic1 &&
-		buf[2] == codecVersionBatch && buf[3] == batchMarker
+		buf[2] == codecVersion && buf[3] == batchMarker
 }
 
-// AppendBatch appends a v7 container holding frames (each a complete encoded
-// v1–v6 frame) to dst and returns the extended slice. Like AppendEncode it
+// AppendBatch appends a container holding frames (each a complete encoded
+// frame) to dst and returns the extended slice. Like AppendEncode it
 // performs no allocation when dst has enough spare capacity. The container
 // must fit a datagram: total size is bounded by MaxFrame.
 func AppendBatch(dst []byte, frames [][]byte) ([]byte, error) {
@@ -65,7 +61,7 @@ func AppendBatch(dst []byte, frames [][]byte) ([]byte, error) {
 		copy(grown, buf)
 		buf = grown
 	}
-	buf = append(buf, magic0, magic1, codecVersionBatch, batchMarker)
+	buf = append(buf, magic0, magic1, codecVersion, batchMarker)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(frames)))
 	for _, f := range frames {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(f)))
@@ -74,7 +70,7 @@ func AppendBatch(dst []byte, frames [][]byte) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeBatch walks a v7 container, invoking fn for each contained frame in
+// DecodeBatch walks a container, invoking fn for each contained frame in
 // order. The frame slices alias buf and are only valid inside fn. A non-nil
 // error from fn stops the walk and is returned. Iterating with a callback
 // keeps the server's batched receive path allocation-free.
@@ -85,7 +81,7 @@ func DecodeBatch(buf []byte, fn func(frame []byte) error) error {
 	if buf[0] != magic0 || buf[1] != magic1 {
 		return fmt.Errorf("%w: bad magic", ErrBadFrame)
 	}
-	if buf[2] != codecVersionBatch || buf[3] != batchMarker {
+	if buf[2] != codecVersion || buf[3] != batchMarker {
 		return fmt.Errorf("%w: not a batch container", ErrBadFrame)
 	}
 	count := int(binary.BigEndian.Uint16(buf[4:6]))

@@ -55,20 +55,12 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchCompatSingleFrames pins the v7 compatibility contract: plain
-// messages never encode as version 7, IsBatch never matches them, and a
-// container is rejected by the v1–v6 decoder exactly like garbage — which is
-// how peers that predate batching stay safe.
-func TestBatchCompatSingleFrames(t *testing.T) {
+// TestBatchFramesAndContainersAreDistinct: IsBatch never matches a plain
+// frame, and Decode rejects a container like garbage — the marker byte is
+// not a message type.
+func TestBatchFramesAndContainersAreDistinct(t *testing.T) {
 	for i, m := range allocMessages() {
-		f, err := Encode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f[2] >= codecVersionBatch {
-			t.Errorf("msg %d encodes as version %d; single frames must stay v1–v6", i, f[2])
-		}
-		if IsBatch(f) {
+		if IsBatch(mustEncode(t, m)) {
 			t.Errorf("msg %d: IsBatch = true for a plain frame", i)
 		}
 	}
@@ -78,7 +70,7 @@ func TestBatchCompatSingleFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Decode(container); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("old-peer Decode(container) = %v, want ErrBadFrame", err)
+		t.Errorf("Decode(container) = %v, want ErrBadFrame", err)
 	}
 }
 
@@ -104,8 +96,8 @@ func TestBatchMalformed(t *testing.T) {
 		"truncated frame":  good[:len(good)-3],
 		"trailing bytes":   append(append([]byte(nil), good...), 0xff),
 		"bad magic":        append([]byte{'X', 'B'}, good[2:]...),
-		"zero count":       {magic0, magic1, codecVersionBatch, batchMarker, 0, 0},
-		"bad marker":       {magic0, magic1, codecVersionBatch, 9, 0, 1},
+		"zero count":       {magic0, magic1, codecVersion, batchMarker, 0, 0},
+		"bad marker":       {magic0, magic1, codecVersion, 9, 0, 1},
 	}
 	for name, buf := range cases {
 		if err := DecodeBatch(buf, func([]byte) error { return nil }); err == nil {
@@ -121,11 +113,10 @@ func TestBatchMalformed(t *testing.T) {
 	}
 }
 
-// oldStyleServer is a minimal pre-v7 responder: it decodes only bare v1–v6
-// frames and answers each with a bare frame, dropping anything else — the
-// observable behavior of a server from before this change. Interop tests run
-// the new client against it.
-func oldStyleServer(t *testing.T) (net.Addr, func()) {
+// bareFrameServer is a minimal responder without container support: it
+// decodes only bare frames and answers each with a bare frame, dropping
+// anything else.
+func bareFrameServer(t *testing.T) (net.Addr, func()) {
 	t.Helper()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -142,7 +133,7 @@ func oldStyleServer(t *testing.T) (net.Addr, func()) {
 			}
 			m, err := Decode(buf[:n])
 			if err != nil || m.Type != TypeRequest {
-				continue // an old peer drops v7 containers as garbage
+				continue // containers are garbage here
 			}
 			out, err := Encode(&Message{Type: TypeResponse, ID: m.ID, Status: StatusOK, Payload: m.Payload})
 			if err != nil {
@@ -157,11 +148,11 @@ func oldStyleServer(t *testing.T) (net.Addr, func()) {
 	}
 }
 
-// TestInteropNewClientOldServer: a batching client whose calls do not share
-// a flush window emits only bare frames, so it keeps working against a
-// server that predates the v7 container.
-func TestInteropNewClientOldServer(t *testing.T) {
-	addr, stop := oldStyleServer(t)
+// TestBatchingClientSendsLoneFramesBare: a batching client whose calls do not
+// share a flush window emits only bare frames, so it works against a server
+// that cannot unpack containers.
+func TestBatchingClientSendsLoneFramesBare(t *testing.T) {
+	addr, stop := bareFrameServer(t)
 	defer stop()
 	cli, err := Dial(addr.String(), WithBatching(time.Millisecond), WithRetransmit(50*time.Millisecond))
 	if err != nil {
@@ -184,10 +175,9 @@ func TestInteropNewClientOldServer(t *testing.T) {
 	}
 }
 
-// TestInteropOldClientNewServer: a raw socket speaking bare v1 frames — the
-// old client's entire wire behavior — works against the new server and gets
-// bare replies back.
-func TestInteropOldClientNewServer(t *testing.T) {
+// TestServerAnswersBareFrameBare: a raw socket speaking bare frames — an
+// unbatched client's entire wire behavior — gets bare replies back.
+func TestServerAnswersBareFrameBare(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", func(_ context.Context, _ net.Addr, req *Message) *Message {
 		return &Message{Status: StatusOK, Payload: append([]byte("ok:"), req.Payload...)}
 	})
@@ -209,14 +199,14 @@ func TestInteropOldClientNewServer(t *testing.T) {
 	buf := make([]byte, MaxFrame)
 	n, err := conn.Read(buf)
 	if err != nil {
-		t.Fatalf("old client got no reply: %v", err)
+		t.Fatalf("bare-frame client got no reply: %v", err)
 	}
 	if IsBatch(buf[:n]) {
-		t.Fatal("server sent a v7 container to a bare-frame client")
+		t.Fatal("server sent a container to a bare-frame client")
 	}
 	resp, err := Decode(buf[:n])
 	if err != nil {
-		t.Fatalf("reply does not decode as v1–v6: %v", err)
+		t.Fatalf("reply does not decode: %v", err)
 	}
 	if resp.ID != 42 || string(resp.Payload) != "ok:hi" {
 		t.Fatalf("unexpected reply %d %q", resp.ID, resp.Payload)
@@ -278,7 +268,7 @@ func TestBatchedCallsEndToEnd(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBatch mirrors FuzzDecode for the v7 container: whatever the
+// FuzzDecodeBatch mirrors FuzzDecode for the container: whatever the
 // walker accepts must survive a re-batch round trip, and malformed input
 // must error rather than panic or over-read.
 func FuzzDecodeBatch(f *testing.F) {
@@ -299,7 +289,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Add(lone)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{magic0, magic1, codecVersionBatch, batchMarker, 0xff, 0xff})
+	f.Add([]byte{magic0, magic1, codecVersion, batchMarker, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got [][]byte
 		if err := DecodeBatch(data, func(fr []byte) error {

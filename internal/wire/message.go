@@ -40,8 +40,7 @@ const (
 	// StatusShed marks a request shed by overload control (adaptive limit
 	// exceeded, sojourn budget expired, or broker draining) rather than by
 	// QoS policy: the condition is transient and the response usually
-	// carries a retry-after hint. Servers downgrade it to StatusDropped for
-	// clients that did not set FlagBackpressure, so old peers never see it.
+	// carries a retry-after hint.
 	StatusShed
 )
 
@@ -80,42 +79,33 @@ type Message struct {
 	Fidelity qos.Fidelity
 	// Status is the response disposition (responses only).
 	Status Status
-	// Flags carries request options (FlagNoCache).
+	// Flags carries request options (FlagNoCache). On the wire the codec
+	// keeps its presence bits in the same byte: Encode derives them from the
+	// fields below and Decode clears them, so callers neither see nor set
+	// them.
 	Flags uint8
 	// TraceID propagates the end-to-end request trace across the wire
-	// (package trace assigns it at the front end). Zero means untraced; a
-	// zero TraceID encodes in the original frame layout, so old peers and
-	// previously captured frames remain fully interoperable. The field is a
-	// raw uint64 rather than trace.ID to keep the codec dependency-free.
+	// (package trace assigns it at the front end). Zero means untraced. The
+	// field is a raw uint64 rather than trace.ID to keep the codec
+	// dependency-free.
 	TraceID uint64
-	// Spans carries the broker-side trace spans home on a response (responses
-	// only, version-3 frames). Empty for requests and for peers that did not
-	// set FlagSpanExport.
+	// Spans carries the broker-side trace spans home on a response
+	// (responses only).
 	Spans []Span
 	// RetryAfterMs is the broker's backpressure hint on shed responses: the
 	// client should wait this many milliseconds before retrying. Zero means
-	// no hint and encodes in the pre-existing frame layouts, so old peers
-	// and previously captured frames remain fully interoperable; nonzero
-	// selects a version-4 frame, which a server only sends to clients that
-	// set FlagBackpressure.
+	// no hint.
 	RetryAfterMs uint32
 	// BrokerID identifies the gateway that produced a response (responses
 	// only, normally its UDP listen address) so a frontend pool that failed
 	// over can stitch span exports from several brokers into one trace.
-	// Empty means unidentified and encodes in the pre-existing frame
-	// layouts; nonempty selects a version-5 frame, which a server only
-	// sends to clients that set FlagBrokerIdentity.
 	BrokerID string
 	// IdemKey is the per-access idempotency key of a mutating transactional
 	// request (requests only): together with TxnID and TxnStep it names one
 	// logical effect, so a broker that sees the same triple again — a wire
 	// retransmission or a pool failover re-send — answers with the recorded
 	// first outcome instead of re-executing. Empty means the access carries
-	// no idempotency protection and encodes in the pre-existing frame
-	// layouts, keeping untagged traffic byte-identical to older versions;
-	// nonempty selects a version-6 frame. Like TxnID/TxnStep (and unlike
-	// the response-escalation fields gated by flags), it is a request-side
-	// field and needs no capability flag.
+	// no idempotency protection.
 	IdemKey string
 	// Payload is the service-specific query or result body.
 	Payload []byte
@@ -134,106 +124,74 @@ type Span struct {
 // FlagNoCache asks the broker to bypass its result cache for this request.
 const FlagNoCache uint8 = 1 << 0
 
-// FlagSpanExport asks the broker to attach its recorded trace spans to the
-// response (a version-3 frame). Clients set it only alongside a nonzero
-// TraceID; a server that predates span export simply ignores the bit, and a
-// server never sends a v3 frame to a client that did not ask for one — which
-// is how old and new peers keep interoperating.
-const FlagSpanExport uint8 = 1 << 1
-
-// FlagBackpressure declares that the client understands overload shedding:
-// the server may answer with StatusShed and attach a retry-after hint (a
-// version-4 frame). Servers strip both for clients without the flag —
-// StatusShed downgrades to StatusDropped and the hint is dropped — which is
-// how old and new peers keep interoperating.
-const FlagBackpressure uint8 = 1 << 2
-
-// FlagBrokerIdentity asks the server to stamp its identity on the response
-// (a version-5 frame) so the caller can attribute merged spans to the pool
-// member that produced them. A server that predates identity stamping
-// simply ignores the bit, and a server never sends a v5 frame to a client
-// that did not ask for one — which is how old and new peers keep
-// interoperating.
-const FlagBrokerIdentity uint8 = 1 << 3
+// Presence bits share the header's flags byte with the request options. Each
+// announces one optional block. The encoder sets a bit exactly when the
+// block's field is non-zero and the decoder rejects a frame whose bits and
+// blocks disagree, so every message has one encoding.
+const (
+	hasTraceID uint8 = 1 << (iota + 1)
+	hasSpans
+	hasRetryAfter
+	hasBrokerID
+	hasIdemKey
+	presenceMask = hasTraceID | hasSpans | hasRetryAfter | hasBrokerID | hasIdemKey
+)
 
 const (
 	magic0 = 'S'
 	magic1 = 'B'
-	// codecVersion is the original frame layout, still emitted for untraced
-	// messages (TraceID == 0) so old peers keep interoperating.
-	codecVersion = 1
-	// codecVersionTraced extends the fixed header with an 8-byte trace ID.
-	codecVersionTraced = 2
-	// codecVersionSpans appends a span block after the payload (and keeps the
-	// version-2 traced header). Only emitted when the message carries spans,
-	// which a server only does for clients that set FlagSpanExport.
-	codecVersionSpans = 3
-	// codecVersionRetry appends a 4-byte retry-after trailer after the span
-	// block (which it always carries, possibly with count 0) and keeps the
-	// version-2 traced header. Only emitted when the message carries a
-	// nonzero RetryAfterMs, which a server only does for clients that set
-	// FlagBackpressure.
-	codecVersionRetry = 4
-	// codecVersionIdentity appends a length-prefixed broker identity string
-	// after the retry-after trailer (and always carries both the span block
-	// and the trailer, possibly count 0 / value 0). Only emitted when the
-	// message carries a nonempty BrokerID, which a server only does for
-	// clients that set FlagBrokerIdentity.
-	codecVersionIdentity = 5
-	// codecVersionTxn appends a length-prefixed idempotency key after the
-	// broker identity section (and always carries the span block, retry
-	// trailer, and identity section, possibly empty/zero). Only emitted when
-	// the message carries a nonempty IdemKey — a mutating transactional
-	// request — so untagged traffic still encodes as v1/v2 frames.
-	codecVersionTxn = 6
-	// headerSize is the fixed-size version-1 prefix before variable-length
-	// fields.
+	// codecVersion names the one frame layout and the batch container built
+	// on it (batch.go). There is no compatibility across versions: every peer
+	// is built from this repository, so a datagram with any other version
+	// byte is ErrBadFrame.
+	codecVersion = 7
+	// headerSize is the fixed-size prefix before variable-length fields; the
+	// flags byte is its last.
 	headerSize = 2 + 1 + 1 + 8 + 1 + 2 + 1 + 1 + 1
-	// headerSizeTraced is the version-2 prefix: headerSize plus the trace ID.
-	headerSizeTraced = headerSize + 8
 	// MaxFrame bounds an encoded message so it fits in a UDP datagram.
 	MaxFrame = 60 * 1024
 	// maxStringLen bounds each variable-length string field.
 	maxStringLen = 1024
-	// MaxSpans bounds the span block of a version-3 frame; gateways truncate
-	// rather than fail when a trace somehow exceeds it.
+	// MaxSpans bounds the span block; gateways truncate rather than fail
+	// when a trace somehow exceeds it.
 	MaxSpans = 64
 )
 
-// Frame layout (all integers big-endian):
+// Frame layout (all integers big-endian; a block in braces is present exactly
+// when its presence bit is set in flags):
 //
 //	magic[2] version[1] type[1] id[8] class[1] txnStep[2] fidelity[1] status[1]
-//	flags[1] {traceID[8] when version >= 2} serviceLen[2] service[...]
-//	txnIDLen[2] txnID[...] payloadLen[4] payload[...]
-//	{spanCount[2] (stageLen[2] stage[...] noteLen[2] note[...]
-//	 start[8] end[8])* when version >= 3}
-//	{retryAfterMs[4] when version >= 4}
-//	{brokerIDLen[2] brokerID[...] when version >= 5}
-//	{idemKeyLen[2] idemKey[...] when version >= 6}
-//
-// Version 1 frames carry no trace ID and decode with TraceID == 0; version 2
-// frames append the 8-byte trace ID to the fixed header; version 3 frames
-// additionally append a span block after the payload; version 4 frames
-// append a retry-after trailer after the span block (always present in v4,
-// count 0 when there are no spans); version 5 frames append a broker
-// identity string after the retry-after trailer (both span block and
-// trailer always present in v5, possibly empty/zero); version 6 frames
-// append an idempotency key after the identity section (span block, trailer,
-// and identity section always present in v6, possibly empty/zero). Encode
-// picks the layout from the message: no trace ID → v1, trace ID → v2, spans
-// → v3, retry-after → v4, broker identity → v5, idempotency key → v6. A
-// message without spans, a retry hint, an identity, or an idempotency key
-// therefore round-trips byte-for-byte through the layouts old peers
-// understand; v3/v4/v5 frames only ever reach peers that asked for them via
-// FlagSpanExport/FlagBackpressure/FlagBrokerIdentity, and v6 frames — being
-// request-side, like TxnID — only reach brokers the deployment already
-// upgraded.
+//	flags[1] {traceID[8]} serviceLen[2] service[...] txnIDLen[2] txnID[...]
+//	payloadLen[4] payload[...]
+//	{spanCount[2] (stageLen[2] stage[...] noteLen[2] note[...] start[8] end[8])*}
+//	{retryAfterMs[4]} {brokerIDLen[2] brokerID[...]} {idemKeyLen[2] idemKey[...]}
 
 // Encoding and decoding errors.
 var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 	ErrBadFrame      = errors.New("wire: malformed frame")
 )
+
+// presence returns the presence bits m's optional fields call for.
+func (m *Message) presence() uint8 {
+	var p uint8
+	if m.TraceID != 0 {
+		p |= hasTraceID
+	}
+	if len(m.Spans) > 0 {
+		p |= hasSpans
+	}
+	if m.RetryAfterMs != 0 {
+		p |= hasRetryAfter
+	}
+	if m.BrokerID != "" {
+		p |= hasBrokerID
+	}
+	if m.IdemKey != "" {
+		p |= hasIdemKey
+	}
+	return p
+}
 
 // Encode serializes m into a datagram-sized frame.
 func Encode(m *Message) ([]byte, error) {
@@ -246,69 +204,36 @@ func Encode(m *Message) ([]byte, error) {
 // buffers rely on. dst's existing contents are preserved; the frame occupies
 // the appended tail.
 func AppendEncode(dst []byte, m *Message) ([]byte, error) {
-	if len(m.Service) > maxStringLen {
-		return nil, fmt.Errorf("%w: service name %d bytes", ErrFrameTooLarge, len(m.Service))
-	}
-	if len(m.TxnID) > maxStringLen {
-		return nil, fmt.Errorf("%w: txn id %d bytes", ErrFrameTooLarge, len(m.TxnID))
+	if max(len(m.Service), len(m.TxnID), len(m.BrokerID), len(m.IdemKey)) > maxStringLen {
+		return nil, fmt.Errorf("%w: service name %d, txn id %d, broker id %d, idempotency key %d bytes, limit %d each",
+			ErrFrameTooLarge, len(m.Service), len(m.TxnID), len(m.BrokerID), len(m.IdemKey), maxStringLen)
 	}
 	if len(m.Spans) > MaxSpans {
 		return nil, fmt.Errorf("%w: %d spans", ErrFrameTooLarge, len(m.Spans))
 	}
-	version, fixed := byte(codecVersion), headerSize
-	if m.TraceID != 0 {
-		version, fixed = codecVersionTraced, headerSizeTraced
+	present := m.presence()
+	total := headerSize + 2 + len(m.Service) + 2 + len(m.TxnID) + 4 + len(m.Payload)
+	if present&hasTraceID != 0 {
+		total += 8
 	}
-	spanBytes := 0
-	if len(m.Spans) > 0 {
-		version, fixed = codecVersionSpans, headerSizeTraced
-		spanBytes = 2
+	if present&hasSpans != 0 {
+		total += 2
 		for _, sp := range m.Spans {
-			if len(sp.Stage) > maxStringLen {
-				return nil, fmt.Errorf("%w: span stage %d bytes", ErrFrameTooLarge, len(sp.Stage))
+			if len(sp.Stage) > maxStringLen || len(sp.Note) > maxStringLen {
+				return nil, fmt.Errorf("%w: span stage %d bytes, note %d bytes", ErrFrameTooLarge, len(sp.Stage), len(sp.Note))
 			}
-			if len(sp.Note) > maxStringLen {
-				return nil, fmt.Errorf("%w: span note %d bytes", ErrFrameTooLarge, len(sp.Note))
-			}
-			spanBytes += 2 + len(sp.Stage) + 2 + len(sp.Note) + 8 + 8
+			total += 2 + len(sp.Stage) + 2 + len(sp.Note) + 8 + 8
 		}
 	}
-	tailBytes := 0
-	if m.RetryAfterMs != 0 {
-		version, fixed = codecVersionRetry, headerSizeTraced
-		if spanBytes == 0 {
-			spanBytes = 2 // v4 always carries the span block, count 0 here
-		}
-		tailBytes = 4
+	if present&hasRetryAfter != 0 {
+		total += 4
 	}
-	idBytes := 0
-	if m.BrokerID != "" {
-		if len(m.BrokerID) > maxStringLen {
-			return nil, fmt.Errorf("%w: broker id %d bytes", ErrFrameTooLarge, len(m.BrokerID))
-		}
-		version, fixed = codecVersionIdentity, headerSizeTraced
-		if spanBytes == 0 {
-			spanBytes = 2 // v5 always carries the span block, count 0 here
-		}
-		tailBytes = 4 // v5 always carries the retry-after trailer, 0 here
-		idBytes = 2 + len(m.BrokerID)
+	if present&hasBrokerID != 0 {
+		total += 2 + len(m.BrokerID)
 	}
-	idemBytes := 0
-	if m.IdemKey != "" {
-		if len(m.IdemKey) > maxStringLen {
-			return nil, fmt.Errorf("%w: idempotency key %d bytes", ErrFrameTooLarge, len(m.IdemKey))
-		}
-		version, fixed = codecVersionTxn, headerSizeTraced
-		if spanBytes == 0 {
-			spanBytes = 2 // v6 always carries the span block, count 0 here
-		}
-		tailBytes = 4 // v6 always carries the retry-after trailer, 0 here
-		if idBytes == 0 {
-			idBytes = 2 // v6 always carries the identity section, empty here
-		}
-		idemBytes = 2 + len(m.IdemKey)
+	if present&hasIdemKey != 0 {
+		total += 2 + len(m.IdemKey)
 	}
-	total := fixed + 2 + len(m.Service) + 2 + len(m.TxnID) + 4 + len(m.Payload) + spanBytes + tailBytes + idBytes + idemBytes
 	if total > MaxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, total)
 	}
@@ -320,41 +245,35 @@ func AppendEncode(dst []byte, m *Message) ([]byte, error) {
 		copy(grown, buf)
 		buf = grown
 	}
-	buf = append(buf, magic0, magic1, version, byte(m.Type))
+	buf = append(buf, magic0, magic1, codecVersion, byte(m.Type))
 	buf = binary.BigEndian.AppendUint64(buf, m.ID)
 	buf = append(buf, byte(m.Class))
 	buf = binary.BigEndian.AppendUint16(buf, m.TxnStep)
-	buf = append(buf, byte(m.Fidelity), byte(m.Status), m.Flags)
-	if version >= codecVersionTraced {
+	buf = append(buf, byte(m.Fidelity), byte(m.Status), m.Flags&^presenceMask|present)
+	if present&hasTraceID != 0 {
 		buf = binary.BigEndian.AppendUint64(buf, m.TraceID)
 	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Service)))
-	buf = append(buf, m.Service...)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.TxnID)))
-	buf = append(buf, m.TxnID...)
+	buf = appendString(buf, m.Service)
+	buf = appendString(buf, m.TxnID)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Payload)))
 	buf = append(buf, m.Payload...)
-	if version >= codecVersionSpans {
+	if present&hasSpans != 0 {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Spans)))
 		for _, sp := range m.Spans {
-			buf = binary.BigEndian.AppendUint16(buf, uint16(len(sp.Stage)))
-			buf = append(buf, sp.Stage...)
-			buf = binary.BigEndian.AppendUint16(buf, uint16(len(sp.Note)))
-			buf = append(buf, sp.Note...)
+			buf = appendString(buf, sp.Stage)
+			buf = appendString(buf, sp.Note)
 			buf = binary.BigEndian.AppendUint64(buf, uint64(sp.Start))
 			buf = binary.BigEndian.AppendUint64(buf, uint64(sp.End))
 		}
 	}
-	if version >= codecVersionRetry {
+	if present&hasRetryAfter != 0 {
 		buf = binary.BigEndian.AppendUint32(buf, m.RetryAfterMs)
 	}
-	if version >= codecVersionIdentity {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.BrokerID)))
-		buf = append(buf, m.BrokerID...)
+	if present&hasBrokerID != 0 {
+		buf = appendString(buf, m.BrokerID)
 	}
-	if version >= codecVersionTxn {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.IdemKey)))
-		buf = append(buf, m.IdemKey...)
+	if present&hasIdemKey != 0 {
+		buf = appendString(buf, m.IdemKey)
 	}
 	return buf, nil
 }
@@ -376,16 +295,14 @@ func Decode(buf []byte) (*Message, error) {
 // the retained buffer and the service name is interned. On error m is left
 // in an unspecified state. Any previous contents of m are discarded.
 func DecodeInto(m *Message, buf []byte) error {
-	payload := m.Payload[:0]
-	spans := m.Spans[:0]
-	*m = Message{Payload: payload, Spans: spans}
+	m.Reset()
 	if len(buf) < headerSize {
 		return fmt.Errorf("%w: %d bytes", ErrBadFrame, len(buf))
 	}
 	if buf[0] != magic0 || buf[1] != magic1 {
 		return fmt.Errorf("%w: bad magic", ErrBadFrame)
 	}
-	if buf[2] < codecVersion || buf[2] > codecVersionTxn {
+	if buf[2] != codecVersion {
 		return fmt.Errorf("%w: unsupported version %d", ErrBadFrame, buf[2])
 	}
 	m.Type = MsgType(buf[3])
@@ -394,90 +311,68 @@ func DecodeInto(m *Message, buf []byte) error {
 	m.TxnStep = binary.BigEndian.Uint16(buf[13:15])
 	m.Fidelity = qos.Fidelity(buf[15])
 	m.Status = Status(buf[16])
-	m.Flags = buf[17]
+	present := buf[17] & presenceMask
+	m.Flags = buf[17] &^ presenceMask
 	if m.Type != TypeRequest && m.Type != TypeResponse {
 		return fmt.Errorf("%w: unknown type %d", ErrBadFrame, buf[3])
 	}
 	rest := buf[headerSize:]
-	if buf[2] >= codecVersionTraced {
-		if len(buf) < headerSizeTraced {
+	if present&hasTraceID != 0 {
+		if len(rest) < 8 {
 			return fmt.Errorf("%w: truncated trace id", ErrBadFrame)
 		}
-		m.TraceID = binary.BigEndian.Uint64(buf[headerSize:headerSizeTraced])
-		rest = buf[headerSizeTraced:]
+		m.TraceID = binary.BigEndian.Uint64(rest)
+		rest = rest[8:]
 	}
-
 	// Service names are a small fixed vocabulary, so intern rather than
 	// allocate a fresh string per frame.
-	if len(rest) < 2 {
-		return fmt.Errorf("%w: truncated string length", ErrBadFrame)
-	}
-	sn := int(binary.BigEndian.Uint16(rest))
-	rest = rest[2:]
-	if sn > maxStringLen {
-		return fmt.Errorf("%w: string length %d", ErrBadFrame, sn)
-	}
-	if len(rest) < sn {
-		return fmt.Errorf("%w: string length %d, have %d", ErrBadFrame, sn, len(rest))
-	}
-	m.Service = internService(rest[:sn])
-	rest = rest[sn:]
-
-	txnID, rest, err := readString(rest)
+	service, rest, err := readBytes(rest)
 	if err != nil {
 		return err
 	}
-	m.TxnID = txnID
-
+	m.Service = internService(service)
+	if m.TxnID, rest, err = readString(rest); err != nil {
+		return err
+	}
 	if len(rest) < 4 {
 		return fmt.Errorf("%w: truncated payload length", ErrBadFrame)
 	}
 	n := binary.BigEndian.Uint32(rest)
 	rest = rest[4:]
-	if buf[2] >= codecVersionSpans {
-		if uint32(len(rest)) < n {
-			return fmt.Errorf("%w: payload length %d, have %d", ErrBadFrame, n, len(rest))
-		}
-	} else if uint32(len(rest)) != n {
+	if uint32(len(rest)) < n {
 		return fmt.Errorf("%w: payload length %d, have %d", ErrBadFrame, n, len(rest))
 	}
 	if n > 0 {
 		m.Payload = append(m.Payload, rest[:n]...)
 	}
 	rest = rest[n:]
-
-	if buf[2] >= codecVersionSpans {
-		spans, tail, err := readSpans(m.Spans, rest)
-		if err != nil {
+	if present&hasSpans != 0 {
+		if m.Spans, rest, err = readSpans(m.Spans, rest); err != nil {
 			return err
 		}
-		if buf[2] >= codecVersionRetry {
-			if len(tail) < 4 {
-				return fmt.Errorf("%w: truncated retry-after trailer", ErrBadFrame)
-			}
-			m.RetryAfterMs = binary.BigEndian.Uint32(tail)
-			tail = tail[4:]
+	}
+	if present&hasRetryAfter != 0 {
+		if len(rest) < 4 {
+			return fmt.Errorf("%w: truncated retry-after", ErrBadFrame)
 		}
-		if buf[2] >= codecVersionIdentity {
-			id, rest, err := readString(tail)
-			if err != nil {
-				return err
-			}
-			m.BrokerID = id
-			tail = rest
+		m.RetryAfterMs = binary.BigEndian.Uint32(rest)
+		rest = rest[4:]
+	}
+	if present&hasBrokerID != 0 {
+		if m.BrokerID, rest, err = readString(rest); err != nil {
+			return err
 		}
-		if buf[2] >= codecVersionTxn {
-			key, rest, err := readString(tail)
-			if err != nil {
-				return err
-			}
-			m.IdemKey = key
-			tail = rest
+	}
+	if present&hasIdemKey != 0 {
+		if m.IdemKey, rest, err = readString(rest); err != nil {
+			return err
 		}
-		if len(tail) != 0 {
-			return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(tail))
-		}
-		m.Spans = spans
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(rest))
+	}
+	if m.presence() != present {
+		return fmt.Errorf("%w: presence bits %#x announce an empty block", ErrBadFrame, present)
 	}
 	return nil
 }
@@ -543,8 +438,8 @@ func internService(b []byte) string {
 	return s
 }
 
-// readSpans decodes a version-3 span block, appending to dst (which may be a
-// recycled message's retained spans array).
+// readSpans decodes a span block, appending to dst (which may be a recycled
+// message's retained spans array).
 func readSpans(dst []Span, buf []byte) ([]Span, []byte, error) {
 	if len(buf) < 2 {
 		return nil, nil, fmt.Errorf("%w: truncated span count", ErrBadFrame)
@@ -581,18 +476,32 @@ func readSpans(dst []Span, buf []byte) ([]Span, []byte, error) {
 	return spans, buf, nil
 }
 
-// readString decodes a 2-byte length-prefixed string.
-func readString(buf []byte) (string, []byte, error) {
+// appendString encodes s with a 2-byte length prefix; the caller has checked
+// it against maxStringLen.
+func appendString(buf []byte, s string) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(s)))
+	return append(buf, s...)
+}
+
+// readBytes decodes a 2-byte length-prefixed field, returning it as a slice
+// of buf.
+func readBytes(buf []byte) (field, rest []byte, err error) {
 	if len(buf) < 2 {
-		return "", nil, fmt.Errorf("%w: truncated string length", ErrBadFrame)
+		return nil, nil, fmt.Errorf("%w: truncated string length", ErrBadFrame)
 	}
 	n := int(binary.BigEndian.Uint16(buf))
 	buf = buf[2:]
 	if n > maxStringLen {
-		return "", nil, fmt.Errorf("%w: string length %d", ErrBadFrame, n)
+		return nil, nil, fmt.Errorf("%w: string length %d", ErrBadFrame, n)
 	}
 	if len(buf) < n {
-		return "", nil, fmt.Errorf("%w: string length %d, have %d", ErrBadFrame, n, len(buf))
+		return nil, nil, fmt.Errorf("%w: string length %d, have %d", ErrBadFrame, n, len(buf))
 	}
-	return string(buf[:n]), buf[n:], nil
+	return buf[:n], buf[n:], nil
+}
+
+// readString decodes a 2-byte length-prefixed string.
+func readString(buf []byte) (string, []byte, error) {
+	field, rest, err := readBytes(buf)
+	return string(field), rest, err
 }

@@ -63,7 +63,7 @@ type dedupSlot struct {
 // response back to the originating address. Duplicate requests (client
 // retransmissions) are answered from a small response cache without
 // re-invoking the handler, giving at-most-once handler execution for the
-// idempotent window. Requests that arrive packed in a v7 container are
+// idempotent window. Requests that arrive packed in a container are
 // handled concurrently and their replies are packed back into containers.
 type Server struct {
 	conn    net.PacketConn
@@ -197,7 +197,7 @@ func (s *Server) handleDatagram(ctx context.Context, data []byte, from net.Addr)
 	putBuf(bp)
 }
 
-// handleBatch unpacks a v7 container, runs every contained request on its
+// handleBatch unpacks a container, runs every contained request on its
 // own goroutine (a container must not serialize the handlers it carries),
 // and packs the replies back into as few datagrams as they fit.
 func (s *Server) handleBatch(ctx context.Context, data []byte, from net.Addr) {
@@ -227,7 +227,7 @@ func (s *Server) handleBatch(ctx context.Context, data []byte, from net.Addr) {
 }
 
 // writeBatched sends the encoded responses in outs (nil entries are dropped
-// frames) back to from, packing consecutive responses into v7 containers up
+// frames) back to from, packing consecutive responses into containers up
 // to the datagram size. A response that ends up alone in its window goes out
 // bare. Consumes and recycles the out buffers.
 func (s *Server) writeBatched(outs []*[]byte, from net.Addr) {
@@ -270,7 +270,7 @@ func (s *Server) writeBatched(outs []*[]byte, from net.Addr) {
 			continue
 		}
 		if count == 0 {
-			container = append(container, magic0, magic1, codecVersionBatch, batchMarker, 0, 0)
+			container = append(container, magic0, magic1, codecVersion, batchMarker, 0, 0)
 		}
 		container = binary.BigEndian.AppendUint32(container, uint32(len(f)))
 		container = append(container, f...)
@@ -306,26 +306,13 @@ func (s *Server) processFrame(ctx context.Context, frame []byte, from net.Addr) 
 	}
 	s.mu.Unlock()
 
-	id, flags := req.ID, req.Flags
+	id := req.ID
 	resp := s.handler(ctx, from, req)
 	if resp == nil {
 		resp = &Message{Status: StatusError, Payload: []byte("wire: handler returned no response")}
 	}
 	resp.Type = TypeResponse
 	resp.ID = id
-	if flags&FlagSpanExport == 0 {
-		// The client did not ask for spans (or predates them); never send a
-		// v3 frame it would reject.
-		resp.Spans = resp.Spans[:0]
-	}
-	if flags&FlagBackpressure == 0 {
-		// The client does not understand shedding (or predates it); never
-		// send a v4 frame or a status code it would misread.
-		resp.RetryAfterMs = 0
-		if resp.Status == StatusShed {
-			resp.Status = StatusDropped
-		}
-	}
 	bp := getBuf()
 	out, err := AppendEncode((*bp)[:0], resp)
 	if err != nil && len(resp.Spans) > 0 {
@@ -378,7 +365,7 @@ func (s *Server) insertDedup(key dedupKey, out []byte) {
 // retransmitting on loss. A single UDP socket is shared by all calls; a
 // reader goroutine demultiplexes responses to waiting callers. With
 // WithBatching, requests that fall within a flush window leave in one
-// datagram as a v7 container.
+// datagram as a container.
 type Client struct {
 	conn net.Conn
 
@@ -422,13 +409,10 @@ func WithAttempts(n int) ClientOption {
 }
 
 // WithBatching holds each outgoing request for up to window, packing every
-// request that accumulates meanwhile into one v7 container datagram. Off by
-// default: an unbatched client is byte-identical on the wire to every prior
-// release. A lone request in its window still goes out bare, so enabling
-// batching never changes single-frame traffic either — only the server must
-// understand v7, and only when two calls actually share a window. Batched
-// send errors surface through the retransmit/timeout path rather than the
-// sending Call.
+// request that accumulates meanwhile into one container datagram. Off by
+// default. A lone request in its window still goes out bare, so enabling
+// batching never changes single-frame traffic. Batched send errors surface
+// through the retransmit/timeout path rather than the sending Call.
 func WithBatching(window time.Duration) ClientOption {
 	return clientOptionFunc(func(c *Client) { c.batchWindow = window })
 }
@@ -672,7 +656,7 @@ func (c *Client) abandon(id uint64, ch chan *Message) {
 	reclaimChan(ch)
 }
 
-// clientBatcher accumulates encoded request frames into a v7 container and
+// clientBatcher accumulates encoded request frames into a container and
 // flushes when the window expires, the container fills, or the client
 // closes. The container is built in place with the per-frame length prefix,
 // so flushing is a single Write with no assembly copy.
@@ -729,11 +713,10 @@ func (b *clientBatcher) flushLocked() error {
 	}
 	var err error
 	if b.count == 1 {
-		// A lone frame goes out bare — byte-identical to an unbatched
-		// client, so v1–v6 servers interoperate even with batching on.
+		// A lone frame goes out bare, byte-identical to an unbatched client.
 		_, err = b.c.conn.Write(b.buf[batchHeaderSize+batchFrameOverhead:])
 	} else {
-		b.buf[0], b.buf[1], b.buf[2], b.buf[3] = magic0, magic1, codecVersionBatch, batchMarker
+		b.buf[0], b.buf[1], b.buf[2], b.buf[3] = magic0, magic1, codecVersion, batchMarker
 		binary.BigEndian.PutUint16(b.buf[4:6], uint16(b.count))
 		_, err = b.c.conn.Write(b.buf)
 	}

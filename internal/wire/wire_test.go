@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,37 +101,6 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 		if _, err := Decode(frame[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded successfully", cut)
 		}
-	}
-}
-
-// Property: any message with bounded field sizes round-trips exactly.
-func TestRoundTripProperty(t *testing.T) {
-	f := func(id uint64, class uint8, step uint16, service, txn string, payload []byte) bool {
-		if len(service) > 64 || len(txn) > 64 || len(payload) > 4096 {
-			return true
-		}
-		m := &Message{
-			Type:    TypeRequest,
-			ID:      id,
-			Service: service,
-			Class:   qos.Class(class),
-			TxnID:   txn,
-			TxnStep: step,
-			Payload: payload,
-		}
-		frame, err := Encode(m)
-		if err != nil {
-			return false
-		}
-		got, err := Decode(frame)
-		if err != nil {
-			return false
-		}
-		return got.ID == id && got.Service == service && got.TxnID == txn &&
-			got.TxnStep == step && bytes.Equal(got.Payload, payload)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -346,6 +316,72 @@ func TestServerNilHandlerResponse(t *testing.T) {
 	}
 	if resp.Status != StatusError {
 		t.Fatalf("status = %v, want StatusError", resp.Status)
+	}
+}
+
+// TestServerSendsHandlerResponseAsIs: the server owns Type and ID and nothing
+// else — a shed status, its retry hint, spans and the broker identity reach
+// the client exactly as the handler returned them, whatever the request said.
+func TestServerSendsHandlerResponseAsIs(t *testing.T) {
+	spans := []Span{{Stage: "queue", Start: 1, End: 2}}
+	srv, err := NewServer("127.0.0.1:0", func(_ context.Context, _ net.Addr, req *Message) *Message {
+		return &Message{Status: StatusShed, Payload: []byte("busy"), RetryAfterMs: 700,
+			TraceID: 9, Spans: spans, BrokerID: "10.0.0.2:7411"}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	resp, err := cli.Call(context.Background(), &Message{Service: "db"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != StatusShed || resp.RetryAfterMs != 700 || resp.BrokerID != "10.0.0.2:7411" ||
+		!reflect.DeepEqual(resp.Spans, spans) || string(resp.Payload) != "busy" {
+		t.Fatalf("response rewritten on the way out: %+v", resp)
+	}
+}
+
+// A payload near MaxFrame leaves no room for a span block; span export is
+// best-effort, so the server must deliver the payload anyway.
+func TestServerDropsSpansWhenFrameTooLarge(t *testing.T) {
+	payload := bytes.Repeat([]byte("x"), MaxFrame-128)
+	spans := make([]Span, MaxSpans)
+	for i := range spans {
+		spans[i] = Span{Stage: "backend", Note: "attempt"}
+	}
+	srv, err := NewServer("127.0.0.1:0", func(_ context.Context, _ net.Addr, req *Message) *Message {
+		return &Message{Status: StatusOK, TraceID: req.TraceID, Spans: spans, Payload: payload}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	cli, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	resp, err := cli.Call(context.Background(), &Message{Service: "db", TraceID: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != StatusOK {
+		t.Fatalf("status = %v, want ok (span overflow must not fail the response)", resp.Status)
+	}
+	if !bytes.Equal(resp.Payload, payload) {
+		t.Fatal("payload corrupted by span fallback")
+	}
+	if len(resp.Spans) != 0 {
+		t.Fatalf("oversized span block delivered %d spans, want 0", len(resp.Spans))
 	}
 }
 
