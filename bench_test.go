@@ -1,294 +1,24 @@
-// Package servicebroker's root benchmark suite regenerates every table and
-// figure of the paper's evaluation as a testing.B benchmark, plus the
-// ablation studies and substrate micro-benchmarks. Each figure/table bench
-// runs the corresponding experiment testbed end to end and reports the
-// paper's quantities as custom benchmark metrics (so `go test -bench` output
-// doubles as the reproduction record):
+// Package servicebroker's root benchmark suite holds the substrate
+// micro-benchmarks:
 //
-//	go test -bench=Figure7 -benchmem       # request clustering (Figure 7)
-//	go test -bench=Figure9                 # API vs broker processing time
-//	go test -bench=Figure10                # per-class processing time
-//	go test -bench=Table                   # Tables I-IV
-//	go test -bench=Ablation                # design-choice ablations
-//	go test -bench=Micro -benchmem         # substrate micro-benchmarks
+//	go test -run XXX -bench=Micro -benchmem
+//
+// The paper's figures and tables and the ablation studies are run by
+// `go run ./cmd/sbexp` (EXPERIMENTS.md); the end-to-end benchmark is
+// `bash benchmark/run.sh` (benchmark/README.md).
 package servicebroker
 
 import (
 	"context"
-	"fmt"
 	"testing"
-	"time"
 
 	"servicebroker/internal/backend"
 	"servicebroker/internal/broker"
 	"servicebroker/internal/cache"
-	"servicebroker/internal/experiments"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/sqldb"
 	"servicebroker/internal/wire"
 )
-
-// benchClusteringConfig is the Figure 7 testbed at bench scale.
-func benchClusteringConfig(degree int) experiments.ClusteringConfig {
-	cfg := experiments.DefaultClusteringConfig()
-	// Keep the per-query scan heavy enough relative to the handshake that
-	// very large degrees pay for their serialized repetition (the right
-	// side of the paper's U-shape).
-	cfg.Records = 20000
-	cfg.Requests = 80
-	cfg.Degrees = []int{degree}
-	return cfg
-}
-
-// BenchmarkFigure7Clustering regenerates Figure 7: one sub-benchmark per
-// degree of clustering, reporting mean response time as ms/req.
-func BenchmarkFigure7Clustering(b *testing.B) {
-	for _, degree := range []int{1, 2, 5, 10, 20, 40} {
-		b.Run(fmt.Sprintf("degree=%d", degree), func(b *testing.B) {
-			var total float64
-			for i := 0; i < b.N; i++ {
-				series, err := experiments.RunClustering(context.Background(), benchClusteringConfig(degree))
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += series.Points[0].Y
-			}
-			b.ReportMetric(total/float64(b.N), "ms/req")
-		})
-	}
-}
-
-// benchDiffConfig is the Figure 8 testbed at bench scale.
-func benchDiffConfig(clients int) experiments.DifferentiationConfig {
-	cfg := experiments.DefaultDifferentiationConfig(2 * time.Millisecond)
-	cfg.ClientCounts = []int{clients}
-	cfg.Duration = 60
-	return cfg
-}
-
-// BenchmarkFigure9APIvsBroker regenerates Figure 9: mean processing time in
-// paper seconds for both access models at several client counts.
-func BenchmarkFigure9APIvsBroker(b *testing.B) {
-	for _, clients := range []int{10, 50, 90} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			var api, brk float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunDifferentiation(context.Background(), benchDiffConfig(clients))
-				if err != nil {
-					b.Fatal(err)
-				}
-				api += res.Points[0].APITime
-				brk += res.Points[0].BrokerTime
-			}
-			b.ReportMetric(api/float64(b.N), "api-s")
-			b.ReportMetric(brk/float64(b.N), "broker-s")
-		})
-	}
-}
-
-// BenchmarkFigure10PerClass regenerates Figure 10: per-QoS-class mean
-// processing time in paper seconds.
-func BenchmarkFigure10PerClass(b *testing.B) {
-	for _, clients := range []int{10, 90} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			sums := map[qos.Class]float64{}
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunDifferentiation(context.Background(), benchDiffConfig(clients))
-				if err != nil {
-					b.Fatal(err)
-				}
-				for c := qos.Class1; c <= qos.Class3; c++ {
-					sums[c] += res.Points[0].ClassTime[c]
-				}
-			}
-			for c := qos.Class1; c <= qos.Class3; c++ {
-				b.ReportMetric(sums[c]/float64(b.N), fmt.Sprintf("qos%d-s", int(c)))
-			}
-		})
-	}
-}
-
-// BenchmarkTable1Completions regenerates Table I: completed requests per
-// QoS class.
-func BenchmarkTable1Completions(b *testing.B) {
-	for _, clients := range []int{30, 90} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			sums := map[qos.Class]float64{}
-			var api float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunDifferentiation(context.Background(), benchDiffConfig(clients))
-				if err != nil {
-					b.Fatal(err)
-				}
-				for c := qos.Class1; c <= qos.Class3; c++ {
-					sums[c] += float64(res.Points[0].ClassCompleted[c])
-				}
-				api += float64(res.Points[0].APICompleted)
-			}
-			for c := qos.Class1; c <= qos.Class3; c++ {
-				b.ReportMetric(sums[c]/float64(b.N), fmt.Sprintf("qos%d-completed", int(c)))
-			}
-			b.ReportMetric(api/float64(b.N), "api-completed")
-		})
-	}
-}
-
-// BenchmarkTable2to4DropRatios regenerates Tables II-IV: drop ratios per
-// class at each of the three brokers.
-func BenchmarkTable2to4DropRatios(b *testing.B) {
-	for _, clients := range []int{30, 90} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			sums := map[string]float64{}
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunDifferentiation(context.Background(), benchDiffConfig(clients))
-				if err != nil {
-					b.Fatal(err)
-				}
-				for bi := 0; bi < 3; bi++ {
-					for c := qos.Class1; c <= qos.Class3; c++ {
-						key := fmt.Sprintf("b%d-qos%d-dropratio", bi+1, int(c))
-						sums[key] += res.Points[0].DropRatio[bi][c]
-					}
-				}
-			}
-			for key, sum := range sums {
-				b.ReportMetric(sum/float64(b.N), key)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationConnections compares per-request (API) and persistent
-// (broker) connection costs.
-func BenchmarkAblationConnections(b *testing.B) {
-	for _, cost := range []time.Duration{2 * time.Millisecond, 10 * time.Millisecond} {
-		b.Run(fmt.Sprintf("connect=%v", cost), func(b *testing.B) {
-			var api, brk time.Duration
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunConnectionAblation(context.Background(), cost, 60)
-				if err != nil {
-					b.Fatal(err)
-				}
-				api += res.APIMean
-				brk += res.BrokerMean
-			}
-			b.ReportMetric(float64(api.Microseconds())/float64(b.N)/1000, "api-ms")
-			b.ReportMetric(float64(brk.Microseconds())/float64(b.N)/1000, "broker-ms")
-		})
-	}
-}
-
-// BenchmarkAblationCache compares the hot-spot workload with and without
-// the broker's result cache.
-func BenchmarkAblationCache(b *testing.B) {
-	var unc, cac time.Duration
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunCacheAblation(context.Background(), 2*time.Millisecond, 200, 10, 0.9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		unc += res.UncachedMean
-		cac += res.CachedMean
-	}
-	b.ReportMetric(float64(unc.Microseconds())/float64(b.N)/1000, "uncached-ms")
-	b.ReportMetric(float64(cac.Microseconds())/float64(b.N)/1000, "cached-ms")
-}
-
-// BenchmarkAblationPrefetch compares burst latency against a periodically
-// updated source with and without prefetching.
-func BenchmarkAblationPrefetch(b *testing.B) {
-	var off, on time.Duration
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunPrefetchAblation(context.Background(), 8*time.Millisecond, 8, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		off += res.NoPrefetchMean
-		on += res.PrefetchMean
-	}
-	b.ReportMetric(float64(off.Microseconds())/float64(b.N)/1000, "noprefetch-ms")
-	b.ReportMetric(float64(on.Microseconds())/float64(b.N)/1000, "prefetch-ms")
-}
-
-// BenchmarkAblationClusteringCapacity sweeps the backend MaxClients cap at
-// a fixed degree, showing how the clustering sweet spot tracks backend
-// capacity ("clustering must be configured according to the backend
-// server's capacity").
-func BenchmarkAblationClusteringCapacity(b *testing.B) {
-	for _, maxClients := range []int{2, 5, 10} {
-		b.Run(fmt.Sprintf("maxclients=%d", maxClients), func(b *testing.B) {
-			var d1, d8 float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchClusteringConfig(1)
-				cfg.MaxClients = maxClients
-				s1, err := experiments.RunClustering(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg.Degrees = []int{8}
-				s8, err := experiments.RunClustering(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				d1 += s1.Points[0].Y
-				d8 += s8.Points[0].Y
-			}
-			b.ReportMetric(d1/float64(b.N), "degree1-ms")
-			b.ReportMetric(d8/float64(b.N), "degree8-ms")
-		})
-	}
-}
-
-// BenchmarkAblationLoadBalance compares balancing policies.
-func BenchmarkAblationLoadBalance(b *testing.B) {
-	sums := map[string]time.Duration{}
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunLoadBalanceComparison(context.Background(), 80)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for name, mean := range res.Mean {
-			sums[name] += mean
-		}
-	}
-	for name, sum := range sums {
-		b.ReportMetric(float64(sum.Microseconds())/float64(b.N)/1000, name+"-ms")
-	}
-}
-
-// BenchmarkAblationDeploymentModels compares per-request cost of the
-// centralized and distributed models.
-func BenchmarkAblationDeploymentModels(b *testing.B) {
-	var dist, cent time.Duration
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunModelComparison(context.Background(), 30)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dist += res.DistributedMean
-		cent += res.CentralizedMean
-	}
-	b.ReportMetric(float64(dist.Microseconds())/float64(b.N)/1000, "distributed-ms")
-	b.ReportMetric(float64(cent.Microseconds())/float64(b.N)/1000, "centralized-ms")
-}
-
-// BenchmarkAblationTxnEscalation compares late-step drop counts with and
-// without transaction escalation.
-func BenchmarkAblationTxnEscalation(b *testing.B) {
-	var flat, esc float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTxnAblation(context.Background(), 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		flat += float64(res.FlatLateDrops)
-		esc += float64(res.EscalatedLateDrops)
-	}
-	b.ReportMetric(flat/float64(b.N), "flat-drops")
-	b.ReportMetric(esc/float64(b.N), "escalated-drops")
-}
-
-// --- substrate micro-benchmarks ---
 
 // BenchmarkMicroSQLQuery measures one indexed query against the 42,000-row
 // fixture through the in-process engine.

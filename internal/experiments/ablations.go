@@ -26,11 +26,11 @@ import (
 // ConnectionAblationResult compares per-request connections (the API model)
 // against broker-held persistent connections.
 type ConnectionAblationResult struct {
-	ConnectCost time.Duration
-	APIMean     time.Duration
-	BrokerMean  time.Duration
-	// APIConnects and BrokerDials count connection establishments.
-	APIConnects int64
+	ConnectCost time.Duration `json:"connect_cost_ns"`
+	APIMean     time.Duration `json:"api_mean_ns"`
+	BrokerMean  time.Duration `json:"broker_mean_ns"`
+	// APIConnects counts the API model's connection establishments.
+	APIConnects int64 `json:"api_connects"`
 }
 
 // RunConnectionAblation measures both access models over a backend whose
@@ -83,11 +83,11 @@ func RunConnectionAblation(ctx context.Context, connectCost time.Duration, reque
 // CacheAblationResult compares a hot-spot workload with and without the
 // broker's result cache (the paper's movie-schedule scenario).
 type CacheAblationResult struct {
-	UncachedMean    time.Duration
-	CachedMean      time.Duration
-	UncachedBackend int64
-	CachedBackend   int64
-	HitRatio        float64
+	UncachedMean    time.Duration `json:"uncached_mean_ns"`
+	CachedMean      time.Duration `json:"cached_mean_ns"`
+	UncachedBackend int64         `json:"uncached_backend_queries"`
+	CachedBackend   int64         `json:"cached_backend_queries"`
+	HitRatio        float64       `json:"hit_ratio"`
 }
 
 // RunCacheAblation drives a Zipf-ish workload (hotFraction of requests hit
@@ -156,21 +156,23 @@ func RunCacheAblation(ctx context.Context, queryCost time.Duration, requests, ho
 	}, nil
 }
 
-// LoadBalanceResult compares balancing policies on heterogeneous replicas.
-type LoadBalanceResult struct {
-	// Mean maps policy name → mean response time.
-	Mean map[string]time.Duration
+// LoadBalanceMean is one balancing policy's mean response time on
+// heterogeneous replicas.
+type LoadBalanceMean struct {
+	Policy string        `json:"policy"`
+	Mean   time.Duration `json:"mean_ns"`
 }
 
 // RunLoadBalanceComparison drives the same workload through a fast and a
-// slow replica under each policy.
-func RunLoadBalanceComparison(ctx context.Context, requests int) (*LoadBalanceResult, error) {
+// slow replica under each policy and returns the means in the order the
+// policies ran.
+func RunLoadBalanceComparison(ctx context.Context, requests int) ([]LoadBalanceMean, error) {
 	policies := []loadbalance.Policy{
 		&loadbalance.RoundRobin{},
 		loadbalance.LeastOutstanding{},
 		loadbalance.NewRandom(11),
 	}
-	out := &LoadBalanceResult{Mean: make(map[string]time.Duration, len(policies))}
+	out := make([]LoadBalanceMean, 0, len(policies))
 	for _, policy := range policies {
 		fast := &backend.DelayConnector{ServiceName: "fast", ProcessTime: 2 * time.Millisecond}
 		slow := &backend.DelayConnector{ServiceName: "slow", ProcessTime: 12 * time.Millisecond}
@@ -192,87 +194,9 @@ func RunLoadBalanceComparison(ctx context.Context, requests int) (*LoadBalanceRe
 		if err != nil {
 			return nil, err
 		}
-		out.Mean[policy.Name()] = res.Latency.Mean()
+		out = append(out, LoadBalanceMean{Policy: policy.Name(), Mean: res.Latency.Mean()})
 	}
 	return out, nil
-}
-
-// TxnAblationResult compares transaction-step escalation against flat
-// classes for late-stage access survival under overload.
-type TxnAblationResult struct {
-	// FlatLateDrops counts dropped step-3 accesses without escalation.
-	FlatLateDrops int64
-	// EscalatedLateDrops counts dropped step-3 accesses with escalation.
-	EscalatedLateDrops int64
-}
-
-// RunTxnAblation saturates a small broker with low-priority traffic and
-// measures whether late transaction steps survive, with and without
-// escalation (paper §III's supply-chain scenario).
-func RunTxnAblation(ctx context.Context, requests int) (*TxnAblationResult, error) {
-	run := func(escalate bool) (int64, error) {
-		conn := &backend.DelayConnector{ServiceName: "vendor", ProcessTime: 20 * time.Millisecond}
-		opts := []broker.Option{broker.WithThreshold(6, 3), broker.WithWorkers(2)}
-		if escalate {
-			opts = append(opts, broker.WithTransactions())
-		}
-		b, err := broker.New(conn, opts...)
-		if err != nil {
-			return 0, err
-		}
-		defer b.Close()
-
-		var lateDrops int64
-		// Background class-2 load keeps the broker near its threshold.
-		var bg sync.WaitGroup
-		stop := make(chan struct{})
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				bg.Add(1)
-				go func(i int) {
-					defer bg.Done()
-					b.Handle(ctx, &broker.Request{
-						Payload: []byte(fmt.Sprintf("bg%d", i)), Class: qos.Class2, NoCache: true,
-					})
-				}(i)
-				time.Sleep(2 * time.Millisecond)
-			}
-		}()
-		time.Sleep(20 * time.Millisecond)
-
-		for i := 0; i < requests; i++ {
-			resp := b.Handle(ctx, &broker.Request{
-				Payload: []byte(fmt.Sprintf("purchase%d", i)),
-				Class:   qos.Class3,
-				TxnID:   fmt.Sprintf("txn%d", i),
-				TxnStep: 3,
-				NoCache: true,
-			})
-			if resp.Status == broker.StatusDropped || resp.Status == broker.StatusShed {
-				lateDrops++
-			}
-		}
-		close(stop)
-		bg.Wait()
-		return lateDrops, nil
-	}
-
-	flat, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	escalated, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	return &TxnAblationResult{FlatLateDrops: flat, EscalatedLateDrops: escalated}, nil
 }
 
 // ModelComparisonResult compares the two deployment models of §IV.
@@ -280,15 +204,15 @@ type ModelComparisonResult struct {
 	// DistributedMean and CentralizedMean are per-request latencies under
 	// light load (the centralized model's admission check is extra work on
 	// every request).
-	DistributedMean time.Duration
-	CentralizedMean time.Duration
+	DistributedMean time.Duration `json:"distributed_mean_ns"`
+	CentralizedMean time.Duration `json:"centralized_mean_ns"`
 	// CentralizedAborts counts requests the centralized model rejected up
 	// front during an overload episode; the distributed model forwards
 	// everything and lets brokers shed.
-	CentralizedAborts int64
+	CentralizedAborts int64 `json:"centralized_aborts"`
 	// ListenerUpdates counts load-report datagrams the centralized model's
 	// listener thread processed (its scalability cost).
-	ListenerUpdates int
+	ListenerUpdates int `json:"listener_updates"`
 }
 
 // RunModelComparison builds both front ends over the same broker gateway
@@ -421,11 +345,11 @@ func driveFrontend(ctx context.Context, addr string, requests int) (time.Duratio
 // PrefetchAblationResult compares a periodically-updated content source
 // (the paper's news-headline scenario) with and without broker prefetching.
 type PrefetchAblationResult struct {
-	NoPrefetchMean time.Duration
-	PrefetchMean   time.Duration
-	NoPrefetchHit  float64
-	PrefetchHit    float64
-	Prefetched     int64
+	NoPrefetchMean time.Duration `json:"no_prefetch_mean_ns"`
+	PrefetchMean   time.Duration `json:"prefetch_mean_ns"`
+	NoPrefetchHit  float64       `json:"no_prefetch_hit_ratio"`
+	PrefetchHit    float64       `json:"prefetch_hit_ratio"`
+	Prefetched     int64         `json:"prefetched"`
 }
 
 // RunPrefetchAblation models a news site: the backend takes fetchCost per
@@ -500,13 +424,13 @@ func RunPrefetchAblation(ctx context.Context, fetchCost time.Duration, bursts, p
 // three replicas dies mid-run.
 type FailoverAblationResult struct {
 	// BaselineErrors / ResilientErrors count requests answered StatusError.
-	BaselineErrors  int
-	ResilientErrors int
+	BaselineErrors  int `json:"baseline_errors"`
+	ResilientErrors int `json:"resilient_errors"`
 	// BaselineOK / ResilientOK count full-fidelity successes.
-	BaselineOK  int
-	ResilientOK int
+	BaselineOK  int `json:"baseline_ok"`
+	ResilientOK int `json:"resilient_ok"`
 	// BreakerOpens is the resilient arm's breaker_opens_total.
-	BreakerOpens int64
+	BreakerOpens int64 `json:"breaker_opens"`
 }
 
 // RunFailoverAblation sends sequential requests through three replicas,

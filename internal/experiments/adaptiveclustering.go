@@ -177,8 +177,8 @@ type AdaptiveClusteringPhase struct {
 	WorstVsBest float64 `json:"worst_vs_best"`
 }
 
-// AdaptiveClusteringResult is the fig7a output, serialized to
-// BENCH_clustering_adaptive.json by sbexp.
+// AdaptiveClusteringResult is the fig7a output (the "fig7a" entry of
+// BENCH_experiments.json).
 type AdaptiveClusteringResult struct {
 	Clients     int                        `json:"clients"`
 	HandshakeMs float64                    `json:"handshake_ms"`

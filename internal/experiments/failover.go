@@ -150,8 +150,8 @@ type FailoverMode struct {
 	PoolSizeEnd      int64 `json:"pool_size_end"`
 }
 
-// FailoverResult is the full ablation output, serialized to
-// BENCH_availability.json by sbexp.
+// FailoverResult is the full ablation output (the "failover" entry of
+// BENCH_experiments.json).
 type FailoverResult struct {
 	Service       string       `json:"service"`
 	RunSeconds    float64      `json:"run_seconds"`
@@ -265,8 +265,8 @@ func (m *chaosMember) crash() {
 }
 
 // restart rebinds the member on its original address and re-registers.
-func (m *chaosMember) restart() {
-	_ = m.start(m.addr)
+func (m *chaosMember) restart() error {
+	return m.start(m.addr)
 }
 
 // close tears the member down gracefully at end of run.
@@ -379,14 +379,22 @@ func runFailoverMode(ctx context.Context, cfg FailoverConfig, name string, poolS
 	runCtx, cancel := context.WithTimeout(ctx, cfg.Run)
 	defer cancel()
 
+	// A member that cannot rebind stays down for the rest of the run and
+	// drags availability with it; the first such error fails the mode.
+	// Written by the chaos goroutine only, read after chaosDone.Wait().
+	var restartErr error
 	var chaosDone sync.WaitGroup
 	chaosDone.Add(1)
 	go func() {
 		defer chaosDone.Done()
 		testutil.RunChaos(runCtx, failoverSchedule(cfg, poolSize), testutil.ChaosHooks{
-			Crash:   func(i int) { members[i].crash() },
-			Restart: func(i int) { members[i].restart() },
-			Hang:    func(i int, on bool) { members[i].gate.SetHang(on) },
+			Crash: func(i int) { members[i].crash() },
+			Restart: func(i int) {
+				if err := members[i].restart(); err != nil && restartErr == nil {
+					restartErr = err
+				}
+			},
+			Hang: func(i int, on bool) { members[i].gate.SetHang(on) },
 			PartitionOut: func(i int, on bool) {
 				members[i].gate.PartitionOutbound(on)
 			},
@@ -450,6 +458,9 @@ func runFailoverMode(ctx context.Context, cfg FailoverConfig, name string, poolS
 	}
 	clients.Wait()
 	chaosDone.Wait()
+	if restartErr != nil {
+		return mode, restartErr
+	}
 
 	mode.Issued, mode.OK, mode.Stale, mode.Dropped, mode.Errors = issued, ok, stale, dropped, errs
 	mode.PremiumIssued, mode.PremiumOK, mode.PremiumLost = premIssued, premOK, premLost

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"net"
 	"testing"
 	"time"
 )
@@ -38,5 +39,24 @@ func TestRunBrokerFailover(t *testing.T) {
 	}
 	if res.Pool.Issued == 0 || res.Single.Issued == 0 {
 		t.Errorf("empty run: single issued=%d pool issued=%d", res.Single.Issued, res.Pool.Issued)
+	}
+}
+
+// A member whose pinned port is taken while it is down cannot rebind; the
+// restart must say so instead of leaving the member silently down.
+func TestChaosMemberRestartReportsRebindFailure(t *testing.T) {
+	m, err := newChaosMember(0, "", DefaultFailoverConfig(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.close()
+	m.crash()
+	squatter, err := net.ListenPacket("udp", m.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer squatter.Close()
+	if err := m.restart(); err == nil {
+		t.Fatal("restart on a held port reported no error")
 	}
 }

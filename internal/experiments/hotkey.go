@@ -67,7 +67,8 @@ type HotkeyPhase struct {
 	SkewEstimate float64 `json:"skew_estimate"`
 }
 
-// HotkeyResult is the experiment outcome written to BENCH_hotkey.json.
+// HotkeyResult is the experiment outcome (the "hotkey" entry of
+// BENCH_experiments.json).
 type HotkeyResult struct {
 	Keys             int     `json:"keys"`
 	Skew             float64 `json:"skew"`

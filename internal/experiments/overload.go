@@ -102,8 +102,8 @@ type OverloadMode struct {
 	LimitCuts int64 `json:"limit_cuts"`
 }
 
-// OverloadResult is the full ablation output, serialized to
-// BENCH_overload.json by sbexp.
+// OverloadResult is the full ablation output (the "overload" entry of
+// BENCH_experiments.json).
 type OverloadResult struct {
 	ProcessTimeMs   float64      `json:"process_time_ms"`
 	BackendSlots    int          `json:"backend_slots"`

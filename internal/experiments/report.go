@@ -75,7 +75,7 @@ func Table1(res *DiffResult) string {
 func DropTable(res *DiffResult, brokerIdx int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table %s — Drop ratios at broker %d\n",
-		[]string{"II", "III", "IV"}[minInt(brokerIdx, 2)], brokerIdx+1)
+		[]string{"II", "III", "IV"}[min(brokerIdx, 2)], brokerIdx+1)
 	fmt.Fprintf(&b, "%-10s", "clients")
 	for c := 1; c <= res.Config.Classes; c++ {
 		fmt.Fprintf(&b, "%-10s", qos.Class(c).String())
@@ -90,82 +90,4 @@ func DropTable(res *DiffResult, brokerIdx int) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Figure7CSV renders the clustering sweep as CSV (degree, mean response ms).
-func Figure7CSV(series *metrics.Series) string {
-	var b strings.Builder
-	b.WriteString("degree,avg_response_ms\n")
-	for _, p := range series.Points {
-		fmt.Fprintf(&b, "%g,%.3f\n", p.X, p.Y)
-	}
-	return b.String()
-}
-
-// DiffCSVs renders the differentiation sweep as CSV files keyed by name:
-// fig9.csv, fig10.csv, table1.csv, table2.csv, table3.csv, table4.csv.
-func DiffCSVs(res *DiffResult) map[string]string {
-	out := make(map[string]string, 6)
-
-	var fig9 strings.Builder
-	fig9.WriteString("clients,api_s,broker_s\n")
-	for _, p := range res.Points {
-		fmt.Fprintf(&fig9, "%d,%.3f,%.3f\n", p.Clients, p.APITime, p.BrokerTime)
-	}
-	out["fig9.csv"] = fig9.String()
-
-	var fig10 strings.Builder
-	fig10.WriteString("clients")
-	for c := 1; c <= res.Config.Classes; c++ {
-		fmt.Fprintf(&fig10, ",qos%d_s", c)
-	}
-	fig10.WriteString(",api_s\n")
-	for _, p := range res.Points {
-		fmt.Fprintf(&fig10, "%d", p.Clients)
-		for c := 1; c <= res.Config.Classes; c++ {
-			fmt.Fprintf(&fig10, ",%.3f", p.ClassTime[qos.Class(c)])
-		}
-		fmt.Fprintf(&fig10, ",%.3f\n", p.APITime)
-	}
-	out["fig10.csv"] = fig10.String()
-
-	var t1 strings.Builder
-	t1.WriteString("clients")
-	for c := 1; c <= res.Config.Classes; c++ {
-		fmt.Fprintf(&t1, ",qos%d_completed", c)
-	}
-	t1.WriteString(",api_completed\n")
-	for _, p := range res.Points {
-		fmt.Fprintf(&t1, "%d", p.Clients)
-		for c := 1; c <= res.Config.Classes; c++ {
-			fmt.Fprintf(&t1, ",%d", p.ClassCompleted[qos.Class(c)])
-		}
-		fmt.Fprintf(&t1, ",%d\n", p.APICompleted)
-	}
-	out["table1.csv"] = t1.String()
-
-	for bi := 0; bi < 3; bi++ {
-		var tb strings.Builder
-		tb.WriteString("clients")
-		for c := 1; c <= res.Config.Classes; c++ {
-			fmt.Fprintf(&tb, ",qos%d_dropratio", c)
-		}
-		tb.WriteByte('\n')
-		for _, p := range res.Points {
-			fmt.Fprintf(&tb, "%d", p.Clients)
-			for c := 1; c <= res.Config.Classes; c++ {
-				fmt.Fprintf(&tb, ",%.4f", p.DropRatio[bi][qos.Class(c)])
-			}
-			tb.WriteByte('\n')
-		}
-		out[fmt.Sprintf("table%d.csv", bi+2)] = tb.String()
-	}
-	return out
 }

@@ -10,7 +10,6 @@ import (
 	"servicebroker/internal/broker"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/txn"
-	"servicebroker/internal/wire"
 )
 
 // TxnIntegrityConfig parameterizes the transaction-integrity ablation: the
@@ -37,8 +36,6 @@ type TxnIntegrityConfig struct {
 	// DuplicateMutations is the number of mutating accesses in the
 	// duplicate-delivery section; each is delivered twice.
 	DuplicateMutations int
-	// WireFrames is the iteration count for the wire-overhead measurement.
-	WireFrames int
 }
 
 // DefaultTxnIntegrityConfig returns the ablation defaults; quick shrinks the
@@ -54,12 +51,10 @@ func DefaultTxnIntegrityConfig(quick bool) TxnIntegrityConfig {
 		BackgroundEvery:    2 * time.Millisecond,
 		Warmup:             20 * time.Millisecond,
 		DuplicateMutations: 200,
-		WireFrames:         20000,
 	}
 	if quick {
 		cfg.Purchases = 20
 		cfg.DuplicateMutations = 50
-		cfg.WireFrames = 2000
 	}
 	return cfg
 }
@@ -89,25 +84,12 @@ type TxnIntegrityMode struct {
 	DuplicatesSuppressed int64 `json:"duplicates_suppressed"`
 }
 
-// TxnWireOverhead reports what the transaction fields cost on the wire:
-// nothing for untagged frames (an absent block takes no bytes;
-// wire.TestFrameSizes pins the 36), and their own length for frames that
-// carry them.
-type TxnWireOverhead struct {
-	UntaggedBytes  int     `json:"untagged_bytes"`
-	TaggedBytes    int     `json:"tagged_bytes"`
-	TaggedExtra    int     `json:"tagged_extra_bytes"`
-	EncodeUntagged float64 `json:"encode_untagged_ns"`
-	EncodeTagged   float64 `json:"encode_tagged_ns"`
-}
-
-// TxnIntegrityResult is the full ablation output, serialized to
-// BENCH_txn.json by sbexp.
+// TxnIntegrityResult is the full ablation output (the "txn" entry of
+// BENCH_experiments.json).
 type TxnIntegrityResult struct {
 	Purchases int              `json:"purchases"`
 	Baseline  TxnIntegrityMode `json:"baseline"`
 	Integrity TxnIntegrityMode `json:"integrity"`
-	Wire      TxnWireOverhead  `json:"wire"`
 }
 
 // runTxnIntegrityMode drives cfg.Purchases three-step purchases through a
@@ -316,56 +298,15 @@ func runTxnIntegrityMode(ctx context.Context, cfg TxnIntegrityConfig, integrity 
 	return mode, nil
 }
 
-// measureTxnWireOverhead encodes untagged and transaction-tagged request
-// frames and reports sizes and encode cost.
-func measureTxnWireOverhead(frames int) (TxnWireOverhead, error) {
-	var w TxnWireOverhead
-	untagged := &wire.Message{Type: wire.TypeRequest, ID: 7, Service: "db",
-		Class: 2, Payload: []byte("SELECT 1")}
-	tagged := &wire.Message{Type: wire.TypeRequest, ID: 7, Service: "db",
-		Class: 2, Payload: []byte("SELECT 1"),
-		TxnID: "purchase-42", TxnStep: 3, IdemKey: "commit"}
-
-	ubuf, err := wire.Encode(untagged)
-	if err != nil {
-		return w, err
-	}
-	tbuf, err := wire.Encode(tagged)
-	if err != nil {
-		return w, err
-	}
-	w.UntaggedBytes, w.TaggedBytes = len(ubuf), len(tbuf)
-	w.TaggedExtra = w.TaggedBytes - w.UntaggedBytes
-
-	var buf []byte
-	start := time.Now()
-	for i := 0; i < frames; i++ {
-		buf, err = wire.AppendEncode(buf[:0], untagged)
-		if err != nil {
-			return w, err
-		}
-	}
-	w.EncodeUntagged = float64(time.Since(start).Nanoseconds()) / float64(frames)
-	start = time.Now()
-	for i := 0; i < frames; i++ {
-		buf, err = wire.AppendEncode(buf[:0], tagged)
-		if err != nil {
-			return w, err
-		}
-	}
-	w.EncodeTagged = float64(time.Since(start).Nanoseconds()) / float64(frames)
-	return w, nil
-}
-
 // RunTxnIntegrity runs the transaction-integrity ablation: the same
 // congested three-step purchase workload with and without the integrity
-// machinery, plus the duplicate-delivery and wire-overhead sections. The
+// machinery, plus the duplicate-delivery section. The
 // integrity mode must show a lower late-abort rate (escalated step 3 outranks
 // the browsing flood), zero orphaned holds (compensations ran), and
 // exactly-once mutations under duplicate delivery.
 func RunTxnIntegrity(ctx context.Context, cfg TxnIntegrityConfig) (*TxnIntegrityResult, error) {
-	if cfg.Purchases < 1 || cfg.DuplicateMutations < 1 || cfg.WireFrames < 1 {
-		return nil, fmt.Errorf("experiments: txn integrity config needs purchases, duplicate mutations, and wire frames")
+	if cfg.Purchases < 1 || cfg.DuplicateMutations < 1 {
+		return nil, fmt.Errorf("experiments: txn integrity config needs purchases and duplicate mutations")
 	}
 	baseline, err := runTxnIntegrityMode(ctx, cfg, false)
 	if err != nil {
@@ -375,14 +316,9 @@ func RunTxnIntegrity(ctx context.Context, cfg TxnIntegrityConfig) (*TxnIntegrity
 	if err != nil {
 		return nil, err
 	}
-	wireOverhead, err := measureTxnWireOverhead(cfg.WireFrames)
-	if err != nil {
-		return nil, err
-	}
 	return &TxnIntegrityResult{
 		Purchases: cfg.Purchases,
 		Baseline:  baseline,
 		Integrity: integrity,
-		Wire:      wireOverhead,
 	}, nil
 }

@@ -208,9 +208,9 @@ func sameMessage(a, b *Message) bool {
 		len(a.Spans) == len(b.Spans) && (len(a.Spans) == 0 || reflect.DeepEqual(a.Spans, b.Spans))
 }
 
-// TestFrameSizes pins the two sizes BENCH_txn.json reports: the untagged
-// request is header plus lengths and nothing else, and the transaction-tagged
-// one adds only its own two strings.
+// TestFrameSizes is the source for the two sizes the docs quote (36 B and
+// 55 B): the untagged request is header plus lengths and nothing else, and
+// the transaction-tagged one adds only its own two strings.
 func TestFrameSizes(t *testing.T) {
 	untagged := &Message{Type: TypeRequest, ID: 7, Service: "db", Class: 2, Payload: []byte("SELECT 1")}
 	tagged := &Message{Type: TypeRequest, ID: 7, Service: "db", Class: 2, Payload: []byte("SELECT 1"),
