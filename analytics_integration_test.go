@@ -93,8 +93,9 @@ func TestSLOAlertFlipsUnderClassOverload(t *testing.T) {
 	// Admin plane exactly as cmd/brokerd wires it.
 	adminSrv := obs.New()
 	adminSrv.MountRegistry("broker.db.", b.Metrics())
-	adminSrv.AddSLOSource("db", b.SLOStatus)
-	adminSrv.AddHotKeySource("db", b.HotKeySnapshot)
+	for page, render := range b.AdminPages("db") {
+		adminSrv.AddRows(page, "db", render)
+	}
 	if err := adminSrv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -171,7 +172,9 @@ func run(kind, addr string, records int, handshake, delay time.Duration, maxClie
 		store := tsdb.New(0)
 		store.Mount("backend."+kind+".", reg)
 		if hk != nil {
-			adminSrv.AddHotKeySource("backend."+kind, func() (sketch.Snapshot, bool) { return hk.Snapshot(), true })
+			adminSrv.AddRows("/hotz", "backend."+kind, func(w io.Writer, limit int) {
+				hk.Snapshot().WriteRows(w, "backend."+kind, limit)
+			})
 		}
 		adminSrv.SetTSDB(store)
 		store.Start(time.Second)

@@ -15,6 +15,26 @@ import (
 	"servicebroker/internal/wire"
 )
 
+// startDaemon runs brokerd in-process and returns its gateway address once it
+// serves, and the channel run's result arrives on after the process gets a
+// SIGTERM.
+func startDaemon(t *testing.T, cfg config) (gwAddr string, done <-chan error) {
+	t.Helper()
+	gatewayUp := make(chan string, 1)
+	testHookGatewayUp = func(addr string) { gatewayUp <- addr }
+	t.Cleanup(func() { testHookGatewayUp = nil })
+	daemonDone := make(chan error, 1)
+	go func() { daemonDone <- run(cfg) }()
+	select {
+	case gwAddr = <-gatewayUp:
+	case err := <-daemonDone:
+		t.Fatalf("daemon exited before serving: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("gateway never came up")
+	}
+	return gwAddr, daemonDone
+}
+
 // TestSIGTERMDrainsInFlightRequests is the graceful-shutdown acceptance
 // test: a brokerd under SIGTERM must answer every request it has already
 // accepted — zero lost — before exiting cleanly. It runs `run` in-process
@@ -35,31 +55,15 @@ func TestSIGTERMDrainsInFlightRequests(t *testing.T) {
 		return httpserver.Text("done " + req.Query["q"])
 	})
 
-	gatewayUp := make(chan string, 1)
-	testHookGatewayUp = func(addr string) { gatewayUp <- addr }
-	defer func() { testHookGatewayUp = nil }()
-
-	daemonDone := make(chan error, 1)
-	go func() {
-		daemonDone <- run(config{
-			services:     serviceFlags{"cgi:cgi:" + be.Addr().String()},
-			listen:       "127.0.0.1:0",
-			threshold:    8,
-			classes:      3,
-			workers:      4,
-			reportEvery:  time.Second,
-			drainTimeout: 5 * time.Second,
-		})
-	}()
-
-	var gwAddr string
-	select {
-	case gwAddr = <-gatewayUp:
-	case err := <-daemonDone:
-		t.Fatalf("daemon exited before serving: %v", err)
-	case <-time.After(5 * time.Second):
-		t.Fatal("gateway never came up")
-	}
+	gwAddr, daemonDone := startDaemon(t, config{
+		services:     serviceFlags{"cgi:cgi:" + be.Addr().String()},
+		listen:       "127.0.0.1:0",
+		threshold:    8,
+		classes:      3,
+		workers:      4,
+		reportEvery:  time.Second,
+		drainTimeout: 5 * time.Second,
+	})
 
 	// A retransmit longer than the whole run keeps the client from sending
 	// duplicate datagrams that would race the drain as "new" requests.

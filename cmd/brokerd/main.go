@@ -21,9 +21,11 @@
 // REGISTER datagram on startup, RENEW every third of -lease-ttl with the
 // live load piggybacked, DEREGISTER on graceful shutdown — so a replicated
 // broker pool assembles itself and a crashed member ages out when its lease
-// lapses. With -admin the process serves the obs admin endpoints (/metrics,
-// /tracez, /loadz, /breakerz, /healthz, pprof) over HTTP. The -retries, -retry-base, -breaker-failures, -breaker-cooldown,
-// and -serve-stale flags configure the fault-tolerance layer (see
+// lapses. With -admin the process serves the obs admin plane over HTTP; its
+// index at / lists the pages (/metrics, /tracez, /loadz, /breakerz, /limitz,
+// /healthz, pprof, and one page per analytics or transaction feature switched
+// on). The -retries, -retry-base, -breaker-failures, -breaker-cooldown, and
+// -serve-stale flags configure the fault-tolerance layer (see
 // DESIGN.md §8): transient backend errors are retried with capped backoff,
 // replicas trip per-replica circuit breakers, and -serve-stale answers
 // from expired cache entries at low fidelity when the backend is down.
@@ -80,6 +82,7 @@ import (
 	"servicebroker/internal/metrics"
 	"servicebroker/internal/obs"
 	"servicebroker/internal/overload"
+	"servicebroker/internal/qos"
 	"servicebroker/internal/registry"
 	"servicebroker/internal/resilience"
 	"servicebroker/internal/sketch"
@@ -386,58 +389,18 @@ func run(cfg config) error {
 		brokers[name] = b
 		if adminSrv != nil {
 			adminSrv.MountRegistry("broker."+name+".", b.Metrics())
-			adminSrv.AddBreakerSource(name, b.BreakerSnapshots)
-			adminSrv.AddLimitSource(name, b.LimitSnapshot)
+			for page, render := range b.AdminPages(name) {
+				adminSrv.AddRows(page, name, render)
+			}
 			if cfg.cacheSize > 0 {
-				adminSrv.MountCacheShards("broker."+name+".", b.CacheShardStats)
-			}
-			if cfg.hotkeys > 0 {
-				adminSrv.AddHotKeySource(name, b.HotKeySnapshot)
-			}
-			if cfg.coalesce {
-				adminSrv.AddCoalesceSource(name, func() (obs.CoalesceSnapshot, bool) {
-					st, ok := b.CoalesceStats()
-					if !ok {
-						return obs.CoalesceSnapshot{}, false
-					}
-					return obs.CoalesceSnapshot{
-						Flights:   st.Flights,
-						Coalesced: st.Coalesced,
-						Shared:    st.Shared,
-						Inflight:  int64(st.Inflight),
-					}, true
-				})
-			}
-			if cfg.slo {
-				adminSrv.AddSLOSource(name, b.SLOStatus)
-			}
-			if cfg.txn {
-				adminSrv.AddTxnSource(name, func() (obs.TxnStatus, bool) {
-					tr := b.Tracker()
-					if tr == nil {
-						return obs.TxnStatus{}, false
-					}
-					st := obs.TxnStatus{Tracker: tr.Snapshot()}
-					if is, ok := b.IdemStats(); ok {
-						st.Idem, st.HasIdem = is, true
-					}
-					return st, true
-				})
+				adminSrv.MountView("broker."+name+".", b.CacheShardView)
 			}
 		}
 		if store != nil {
 			store.Mount("broker."+name+".", b.Metrics())
-			reg := b.Metrics()
-			for class := 1; class <= cfg.classes; class++ {
-				probeName := fmt.Sprintf("broker.%s.drop_ratio_class_%d", name, class)
-				dropped := reg.Counter(fmt.Sprintf("dropped_class_%d", class))
-				requests := reg.Counter(fmt.Sprintf("requests_class_%d", class))
-				store.AddProbe(probeName, func() (float64, bool) {
-					total := requests.Value()
-					if total == 0 {
-						return 0, false
-					}
-					return float64(dropped.Value()) / float64(total), true
+			for class := qos.Class(1); int(class) <= cfg.classes; class++ {
+				store.AddProbe(fmt.Sprintf("broker.%s.drop_ratio_class_%d", name, class), func() (float64, bool) {
+					return b.RefusedRatio(class)
 				})
 			}
 			if cfg.hotkeys > 0 {
@@ -495,13 +458,6 @@ func run(cfg config) error {
 	// advertise its admin address for fleet federation scraping.
 	var adminAddr string
 	if adminSrv != nil {
-		adminSrv.AddLoadSource(func() []broker.LoadReport {
-			reports := make([]broker.LoadReport, 0, len(brokers))
-			for _, b := range brokers {
-				reports = append(reports, b.Load())
-			}
-			return reports
-		})
 		if err := adminSrv.Start(cfg.admin); err != nil {
 			return err
 		}

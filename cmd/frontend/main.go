@@ -22,8 +22,8 @@
 // failover. With -registry the pool additionally discovers members through
 // lease registration (brokerd -register-to): the distributed model binds a
 // lease listener on -registry-listen, the centralized model accepts lease
-// datagrams on its existing -load-listen socket. Pool membership is served
-// on /poolz (both the web status plane and, with -admin, the obs plane).
+// datagrams on its existing -load-listen socket. With -admin, pool membership
+// is served on the admin plane's /poolz.
 //
 // In the centralized model, point brokerd's -report-to at the address this
 // command prints as its listener.
@@ -130,33 +130,58 @@ func run(model, addr, gateway, listenAddr string, registryOn bool, registryListe
 		})
 	}
 
-	// startAdmin mounts the front end's registry, trace recorder, pool view,
-	// and (when available) age-stamped listener loads on an obs server when
-	// -admin is set; it returns the server (nil when the admin plane is off,
-	// for the shutdown path's SetDraining) and a cleanup (possibly no-op).
-	// enableFleet and fleetMembers wire the federation plane: pool and
-	// registry events feed /eventz, and lease-discovered members' admin
-	// planes are scraped into /fleetz and the federated /metrics section.
-	startAdmin := func(reg *metrics.Registry, enableTracing func(*trace.Recorder), poolSrc obs.PoolSource, agedSrc obs.AgedLoadSource, enableFleet func(*fleet.Log), fleetMembers func() []fleet.MemberInfo) (*obs.Server, func(), error) {
-		if admin == "" {
-			return nil, func() {}, nil
+	var fe *frontend.Distributed
+	switch model {
+	case "distributed":
+		d, err := frontend.NewDistributed(addr, gateway, routes, httpOpts...)
+		if err != nil {
+			return err
 		}
-		adminSrv := obs.New()
-		adminSrv.AddPoolSource("frontend", poolSrc)
-		adminSrv.AddAgedLoadSource(agedSrc)
+		fe = d
+	case "centralized":
+		c, err := frontend.NewCentralized(addr, gateway, listenAddr, routes, profiles, httpOpts...)
+		if err != nil {
+			return err
+		}
+		fe = c.Distributed
+		slog.Info("load listener up", "addr", c.ListenerAddr())
+	default:
+		return fmt.Errorf("unknown model %q", model)
+	}
+	defer fe.Close()
+	fe.EnableAnalytics(hk, sloEng)
+	if registryOn {
+		l, err := fe.EnableRegistry(registryListen)
+		if err != nil {
+			return err
+		}
+		slog.Info("lease listener up", "addr", l.Addr())
+	}
+
+	// The admin plane: the front end's row pages (/poolz, and /loadz, /hotz,
+	// /sloz when it has them), its registries and trace recorder, their time
+	// series, and the fleet plane — pool and registry events feed /eventz,
+	// and with -registry, lease-discovered members' admin planes are scraped
+	// into /fleetz and the federated /metrics section.
+	var adminSrv *obs.Server
+	if admin != "" {
+		adminSrv = obs.New()
+		for page, render := range fe.AdminPages("frontend") {
+			adminSrv.AddRows(page, "frontend", render)
+		}
 		traceReg := metrics.NewRegistry()
 		rec := trace.NewRecorder(trace.WithMetrics(traceReg), trace.WithSampler(sampler))
-		enableTracing(rec)
+		fe.EnableTracing(rec)
 		adminSrv.SetRecorder(rec)
 		adminSrv.MountRegistry("", traceReg)
-		adminSrv.MountRegistry("frontend.", reg)
+		adminSrv.MountRegistry("frontend.", fe.Metrics())
 		store := tsdb.New(0)
+		defer store.Close()
 		store.Mount("", traceReg)
-		store.Mount("frontend.", reg)
+		store.Mount("frontend.", fe.Metrics())
 		adminSrv.MountRegistry("frontend.", anaReg)
 		store.Mount("frontend.", anaReg)
 		if hk != nil {
-			adminSrv.AddHotKeySource("frontend", func() (sketch.Snapshot, bool) { return hk.Snapshot(), true })
 			store.AddProbe("frontend.hotkey_skew", func() (float64, bool) {
 				snap := hk.Snapshot()
 				if snap.TotalAccesses == 0 {
@@ -166,7 +191,6 @@ func run(model, addr, gateway, listenAddr string, registryOn bool, registryListe
 			})
 		}
 		if sloEng != nil {
-			adminSrv.AddSLOSource("frontend", func() (slo.Status, bool) { return sloEng.Status(), true })
 			// Evaluating once per tick drives the alert state machine even
 			// when nobody scrapes /sloz.
 			store.AddProbe("frontend.slo_breach_classes", func() (float64, bool) {
@@ -183,13 +207,12 @@ func run(model, addr, gateway, listenAddr string, registryOn bool, registryListe
 		// breaker, and lease events into a shared timeline, and a federator
 		// scrapes every lease-discovered member's admin plane.
 		events := fleet.NewLog(0, anaReg)
-		enableFleet(events)
+		fe.EnableFleet(events)
 		adminSrv.SetEventLog(events)
-		var fed *fleet.Federator
 		if registryOn {
 			fleetReg := metrics.NewRegistry()
-			fed = fleet.NewFederator(fleet.FederatorConfig{
-				Discover: fleetMembers,
+			fed := fleet.NewFederator(fleet.FederatorConfig{
+				Discover: fe.FleetMembers,
 				Interval: fleetScrape,
 				Metrics:  fleetReg,
 				Events:   events,
@@ -207,105 +230,24 @@ func run(model, addr, gateway, listenAddr string, registryOn bool, registryListe
 				return float64(scrapeErrs.Value()), true
 			})
 			fed.Start()
+			defer fed.Close()
 		}
 		adminSrv.SetTSDB(store)
 		store.Start(sampleEvery)
 		if err := adminSrv.Start(admin); err != nil {
-			if fed != nil {
-				fed.Close()
-			}
-			store.Close()
-			return nil, nil, err
+			return err
 		}
+		defer adminSrv.Close()
 		slog.Info("admin endpoint up", "addr", adminSrv.Addr().String())
-		return adminSrv, func() {
-			if fed != nil {
-				fed.Close()
-			}
-			adminSrv.Close()
-			store.Close()
-		}, nil
 	}
-
-	switch model {
-	case "distributed":
-		d, err := frontend.NewDistributed(addr, gateway, routes, httpOpts...)
-		if err != nil {
-			return err
-		}
-		defer d.Close()
-		d.EnableAnalytics(hk, sloEng)
-		var agedSrc obs.AgedLoadSource
-		if registryOn {
-			l, err := d.EnableRegistry(registryListen)
-			if err != nil {
-				return err
-			}
-			agedSrc = agedLoads(l.Entries)
-			slog.Info("lease listener up", "addr", l.Addr())
-		}
-		adminSrv, stopAdmin, err := startAdmin(d.Metrics(), d.EnableTracing, d.PoolStatus, agedSrc, d.EnableFleet, d.FleetMembers)
-		if err != nil {
-			return err
-		}
-		defer stopAdmin()
-		d.ServeStatus()
-		slog.Info("distributed model up", "http", d.Addr(), "gateway", gateway,
-			"status", "http://"+d.Addr()+"/broker-status",
-			"pool", "http://"+d.Addr()+"/poolz")
-		wait()
-		slog.Info("shutting down: draining", "timeout", drainTimeout)
-		if adminSrv != nil {
-			adminSrv.SetDraining(true)
-		}
-		drain(d.Drain, drainTimeout)
-		return nil
-
-	case "centralized":
-		c, err := frontend.NewCentralized(addr, gateway, listenAddr, routes, profiles, httpOpts...)
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		c.EnableAnalytics(hk, sloEng)
-		if registryOn {
-			c.EnableRegistry()
-			slog.Info("lease registration enabled on load listener", "addr", c.ListenerAddr())
-		}
-		adminSrv, stopAdmin, err := startAdmin(c.Metrics(), c.EnableTracing, c.PoolStatus, agedLoads(c.LoadEntries), c.EnableFleet, c.FleetMembers)
-		if err != nil {
-			return err
-		}
-		defer stopAdmin()
-		c.ServeStatus()
-		slog.Info("centralized model up", "http", c.Addr(), "gateway", gateway,
-			"status", "http://"+c.Addr()+"/broker-status",
-			"pool", "http://"+c.Addr()+"/poolz",
-			"load_listener", c.ListenerAddr())
-		wait()
-		slog.Info("shutting down: draining", "timeout", drainTimeout)
-		if adminSrv != nil {
-			adminSrv.SetDraining(true)
-		}
-		drain(c.Drain, drainTimeout)
-		return nil
-
-	default:
-		return fmt.Errorf("unknown model %q", model)
+	slog.Info(model+" model up", "http", fe.Addr(), "gateway", gateway)
+	wait()
+	slog.Info("shutting down: draining", "timeout", drainTimeout)
+	if adminSrv != nil {
+		adminSrv.SetDraining(true)
 	}
-}
-
-// agedLoads adapts the listener's age-stamped load entries to the obs
-// /loadz row type.
-func agedLoads(entries func() []frontend.LoadEntry) obs.AgedLoadSource {
-	return func() []obs.AgedLoad {
-		es := entries()
-		out := make([]obs.AgedLoad, len(es))
-		for i, e := range es {
-			out[i] = obs.AgedLoad{Report: e.Report, Age: e.Age, Stale: e.Stale}
-		}
-		return out
-	}
+	drain(fe.Drain, drainTimeout)
+	return nil
 }
 
 func wait() {

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"os"
@@ -246,10 +247,10 @@ func run(cfg runConfig) error {
 		adminSrv := obs.New()
 		adminSrv.MountRegistry("client.", reg)
 		if sloEng != nil {
-			adminSrv.AddSLOSource("client", func() (slo.Status, bool) { return sloEng.Status(), true })
+			adminSrv.AddRows("/sloz", "client", func(w io.Writer, _ int) { sloEng.Status().WriteRows(w, "client") })
 		}
 		if hk != nil {
-			adminSrv.AddHotKeySource("client", func() (sketch.Snapshot, bool) { return hk.Snapshot(), true })
+			adminSrv.AddRows("/hotz", "client", func(w io.Writer, limit int) { hk.Snapshot().WriteRows(w, "client", limit) })
 		}
 		store := tsdb.New(0)
 		store.Mount("client.", reg)

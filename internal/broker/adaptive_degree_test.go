@@ -2,6 +2,7 @@ package broker
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,7 +61,7 @@ func TestAdaptiveDegreeThroughBroker(t *testing.T) {
 	}
 }
 
-func TestCacheShardStats(t *testing.T) {
+func TestCacheShardView(t *testing.T) {
 	b := newBroker(t, echoConnector("db"), WithCache(1024, time.Minute))
 	for i := 0; i < 3; i++ {
 		resp := b.Handle(context.Background(), &Request{Payload: []byte("q"), Class: qos.Class1})
@@ -68,20 +69,27 @@ func TestCacheShardStats(t *testing.T) {
 			t.Fatalf("resp = %+v", resp)
 		}
 	}
-	shards := b.CacheShardStats()
-	if len(shards) == 0 {
-		t.Fatal("no shard stats with caching enabled")
+	view := b.CacheShardView()
+	for _, name := range []string{"cache_shard0_hits", "cache_shard0_misses", "cache_shard0_stale_hits"} {
+		if _, ok := view.Counters[name]; !ok {
+			t.Fatalf("view has no counter %s: %v", name, view.Counters)
+		}
+	}
+	if _, ok := view.Gauges["cache_shard0_entries"]; !ok {
+		t.Fatalf("view has no gauge cache_shard0_entries: %v", view.Gauges)
 	}
 	var sum int64
-	for _, st := range shards {
-		sum += st.Hits
+	for name, v := range view.Counters {
+		if strings.HasSuffix(name, "_hits") && !strings.HasSuffix(name, "_stale_hits") {
+			sum += v
+		}
 	}
 	if total := b.CacheStats().Hits; sum != total || total == 0 {
 		t.Fatalf("shard hits sum = %d, CacheStats hits = %d (want equal, nonzero)", sum, total)
 	}
 
 	plain := newBroker(t, echoConnector("db"))
-	if got := plain.CacheShardStats(); got != nil {
-		t.Fatalf("CacheShardStats without cache = %v, want nil", got)
+	if got := plain.CacheShardView(); len(got.Counters)+len(got.Gauges) != 0 {
+		t.Fatalf("CacheShardView without cache = %v, want empty", got)
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"log/slog"
+	"strings"
 	"testing"
 	"time"
 
+	"servicebroker/internal/overload"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/sketch"
 	"servicebroker/internal/slo"
@@ -119,5 +121,62 @@ func TestSLORecordingThroughBroker(t *testing.T) {
 	// Gauges land in the broker's registry by default.
 	if got := b.Metrics().Gauge("slo_state_class_1").Value(); got != int64(slo.StateOK) {
 		t.Fatalf("slo_state_class_1 = %d, want ok", got)
+	}
+}
+
+// pageBodies renders every admin page the broker enumerates.
+func pageBodies(b *Broker, service string) map[string]string {
+	out := make(map[string]string)
+	for page, render := range b.AdminPages(service) {
+		var buf strings.Builder
+		render(&buf, 0)
+		out[page] = buf.String()
+	}
+	return out
+}
+
+// A broker has rows for the pages of the features it was built with and no
+// others; the always-on pages say so when their feature is off.
+func TestAdminPagesFollowFeatures(t *testing.T) {
+	bare := pageBodies(newBroker(t, echoConnector("db"), WithThreshold(20, 3)), "orders")
+	want := map[string]string{
+		"/loadz":    "service=db outstanding=0 threshold=20 queue=0 hot=false\n",
+		"/breakerz": "service=orders breakers disabled\n",
+		"/limitz":   "service=orders static threshold (adaptive limiting disabled)\n",
+	}
+	if len(bare) != len(want) {
+		t.Fatalf("bare broker pages = %v, want exactly %v", bare, want)
+	}
+	for page, body := range want {
+		if bare[page] != body {
+			t.Errorf("%s = %q, want %q", page, bare[page], body)
+		}
+	}
+
+	full := newBroker(t, echoConnector("db"),
+		WithHotKeys(sketch.Config{TopK: 4}), WithCoalescing(), WithCache(64, time.Minute),
+		WithSLO(slo.Config{Objectives: slo.DefaultObjectives()}),
+		WithTransactions(), WithIdempotency(8, time.Minute),
+		WithAdaptiveLimit(overload.Config{Min: 2, Max: 32}))
+	resp := full.Handle(context.Background(), &Request{
+		Payload: []byte("hold sku-1"), Class: qos.Class1, TxnID: "order-7", TxnStep: 2, IdemKey: "hold"})
+	if resp.Status != StatusOK {
+		t.Fatalf("resp = %+v", resp)
+	}
+	pages := pageBodies(full, "orders")
+	for page, wants := range map[string][]string{
+		"/limitz": {"service=orders limit=", " min=2 max=32 "},
+		"/hotz":   {"service=orders coalesce: flights=", "service=orders accesses=1 ", `key="hold sku-1"`},
+		"/sloz":   {"service=orders fast_window=", "  class=1 state=ok "},
+		"/txnz":   {"service=orders active=1 ", "  idempotency: size=1/8 ", "  txn=order-7 step=2 "},
+	} {
+		for _, w := range wants {
+			if !strings.Contains(pages[page], w) {
+				t.Errorf("%s missing %q:\n%s", page, w, pages[page])
+			}
+		}
+	}
+	if len(pages) != 6 {
+		t.Errorf("full broker pages = %d, want 6: %v", len(pages), pages)
 	}
 }

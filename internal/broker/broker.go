@@ -692,15 +692,6 @@ func (b *Broker) CacheStats() cache.Stats {
 	return b.results.Stats()
 }
 
-// CacheShardStats returns per-shard result-cache statistics (nil when
-// caching is disabled), for the admin plane's skew view.
-func (b *Broker) CacheShardStats() []cache.ShardStats {
-	if b.results == nil {
-		return nil
-	}
-	return b.results.ShardStats()
-}
-
 // ClusterDegree returns the live degree of clustering: the configured value
 // for a static batcher, the controller's current position under
 // WithAdaptiveDegree, and 0 when clustering is disabled.

@@ -86,3 +86,17 @@ func newInstruments(b *Broker) instruments {
 func (m *instruments) forClass(c qos.Class) *classInstruments {
 	return &m.class[min(int(c), len(m.class))-1]
 }
+
+// RefusedRatio is the share of class c's requests the broker has refused.
+// A refusal is either disposition: the threshold check answers StatusShed
+// (shed_class_<k>), a contract breach StatusDropped (dropped_class_<k>) —
+// the paper's drop ratio counts both. ok is false before the class's first
+// request.
+func (b *Broker) RefusedRatio(c qos.Class) (ratio float64, ok bool) {
+	m := b.m.forClass(c)
+	requests := m.requests.Value()
+	if requests == 0 {
+		return 0, false
+	}
+	return float64(m.dropped.Value()+m.shed.Value()) / float64(requests), true
+}

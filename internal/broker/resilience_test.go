@@ -161,7 +161,9 @@ func TestTotalOutageServesStaleAtLowFidelity(t *testing.T) {
 	// The admin plane must reflect the outage.
 	s := obs.New()
 	s.MountRegistry("broker.db.", b.Metrics())
-	s.AddBreakerSource("db", b.BreakerSnapshots)
+	for page, render := range b.AdminPages("db") {
+		s.AddRows(page, "db", render)
+	}
 	get := func(path string) string {
 		rw := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rw, httptest.NewRequest(http.MethodGet, path, nil))

@@ -250,15 +250,8 @@ func runDiffPoint(ctx context.Context, cfg DifferentiationConfig, clients int) (
 	for bi, b := range stack.brokers {
 		ratios := make(map[qos.Class]float64, cfg.Classes)
 		for c := 1; c <= cfg.Classes; c++ {
-			class := qos.Class(c)
-			// A refusal is either disposition: the threshold check answers
-			// StatusShed (counted in shed_class_<k>), a contract breach
-			// StatusDropped.
-			reqs := b.Metrics().Counter(fmt.Sprintf("requests_class_%d", c)).Value()
-			refused := b.Metrics().Counter(fmt.Sprintf("dropped_class_%d", c)).Value() +
-				b.Metrics().Counter(fmt.Sprintf("shed_class_%d", c)).Value()
-			if reqs > 0 {
-				ratios[class] = float64(refused) / float64(reqs)
+			if ratio, ok := b.RefusedRatio(qos.Class(c)); ok {
+				ratios[qos.Class(c)] = ratio
 			}
 		}
 		point.DropRatio[bi] = ratios

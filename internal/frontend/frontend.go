@@ -10,18 +10,20 @@
 //     overloaded, "the request is aborted before any real processing starts
 //     and an error message is sent to the end user".
 //
-// Both models run on the httpserver substrate and reach brokers through the
-// UDP wire gateway. The centralized model's load information arrives at a
-// listener goroutine fed by UDP load-report datagrams pushed by a Reporter
-// attached to each broker — the paper's "listener thread".
+// There is one front end: Distributed runs on the httpserver substrate and
+// reaches brokers through a Pool of UDP wire gateways, and Centralized is
+// that plus its listener, its resource profiles and the admission step. The
+// centralized model's load information arrives at a listener goroutine fed by
+// UDP load-report datagrams pushed by a Reporter attached to each broker —
+// the paper's "listener thread".
 package frontend
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -154,13 +156,12 @@ func (a analytics) observe(key string, class qos.Class, resp *broker.Response, e
 	}
 }
 
-// tracedCall wraps one gateway call with trace bookkeeping shared by both
-// deployment models: it assigns the request's end-to-end trace ID, times the
-// wire (UDP round-trip) stage, finishes the front-end trace record with
-// the request's disposition, and feeds the analytics hooks. With a nil
-// recorder it degrades to a plain call with a zero trace ID. cli is either
-// a single gateway client or a replicated Pool.
-func tracedCall(rec *trace.Recorder, ana analytics, cli caller, service string, req *broker.Request) (*broker.Response, trace.ID, error) {
+// tracedCall wraps one pool call with the trace bookkeeping: it assigns the
+// request's end-to-end trace ID, times the wire (UDP round-trip) stage,
+// finishes the front-end trace record with the request's disposition, and
+// feeds the analytics hooks. With a nil recorder it degrades to a plain call
+// with a zero trace ID.
+func tracedCall(rec *trace.Recorder, ana analytics, pool *Pool, service string, req *broker.Request) (*broker.Response, trace.ID, error) {
 	var tr *trace.Active
 	if rec != nil {
 		tr = rec.Start(0, service, int(req.Class))
@@ -170,7 +171,7 @@ func tracedCall(rec *trace.Recorder, ana analytics, cli caller, service string, 
 	span := tr.StartSpan(trace.StageWire)
 	// Carry the active trace down into the pool so its failover loop can
 	// record StageFailover hops on the same tree the remote spans merge into.
-	resp, err := cli.Do(trace.NewContext(context.Background(), tr), service, req)
+	resp, err := pool.Do(trace.NewContext(context.Background(), tr), service, req)
 	span.End()
 	wire := time.Since(start)
 	if resp != nil {
@@ -220,18 +221,29 @@ const registryReconcileInterval = 500 * time.Millisecond
 
 // Distributed is the Figure 5 deployment: a front-end web server that
 // forwards every routed request to the brokers and relays their responses.
-// The brokers behind it may be a replicated pool.
+// The brokers behind it may be a replicated pool. It is also everything the
+// centralized model has except admission: Centralized embeds it.
 type Distributed struct {
 	srv  *httpserver.Server
-	cli  caller
 	pool *Pool
 	reg  *metrics.Registry
 	rec  *trace.Recorder
 	ana  analytics
 
-	events      *fleet.Log
-	registry    *registry.Registry
-	regListener *Listener
+	events   *fleet.Log
+	registry *registry.Registry
+	// listener receives lease datagrams once EnableRegistry has run; in the
+	// centralized model it exists from the start and receives load reports
+	// too.
+	listener *Listener
+
+	// admit, when set, is asked before a request is forwarded; an error
+	// answers 503 without touching the brokers (the centralized model).
+	admit func(Route) error
+
+	// Metric handles, resolved once in start. sent is "forwarded" in the
+	// distributed model and "admitted" in the centralized one.
+	sent, errs, dropped, shed *metrics.Counter
 }
 
 // NewDistributed starts a front-end web server on addr whose routes call
@@ -239,6 +251,17 @@ type Distributed struct {
 // (a replicated pool with health-weighted failover). EnableRegistry adds
 // lease-discovered members to the pool.
 func NewDistributed(addr, gatewayAddr string, routes []Route, opts ...httpserver.ServerOption) (*Distributed, error) {
+	d, err := start(addr, gatewayAddr, routes, "forwarded", opts)
+	if err != nil {
+		return nil, err
+	}
+	d.handle(routes)
+	return d, nil
+}
+
+// start builds the pool and the web server both models share. No route is
+// handled yet, so the caller can finish wiring before the first request.
+func start(addr, gatewayAddr string, routes []Route, sent string, opts []httpserver.ServerOption) (*Distributed, error) {
 	if len(routes) == 0 {
 		return nil, errors.New("frontend: no routes")
 	}
@@ -252,36 +275,49 @@ func NewDistributed(addr, gatewayAddr string, routes []Route, opts ...httpserver
 		pool.Close()
 		return nil, err
 	}
-	d := &Distributed{srv: srv, cli: pool, pool: pool, reg: reg}
+	return &Distributed{
+		srv: srv, pool: pool, reg: reg,
+		sent: reg.Counter(sent), errs: reg.Counter("errors"),
+		dropped: reg.Counter("dropped"), shed: reg.Counter("shed"),
+	}, nil
+}
+
+// handle starts serving the routes.
+func (d *Distributed) handle(routes []Route) {
 	for _, route := range routes {
 		route := route
-		srv.Handle(route.Pattern, func(req *httpserver.Request) *httpserver.Response {
+		d.srv.Handle(route.Pattern, func(req *httpserver.Request) *httpserver.Response {
 			return d.serve(req, route)
 		})
 	}
-	return d, nil
 }
 
-// EnableRegistry starts lease-based pool discovery: it binds a UDP listener
-// on listenAddr for REGISTER/RENEW/DEREGISTER datagrams (brokerd's
-// -register-to target), reconciles leases in the background, and routes to
-// discovered members alongside the static gateways. The returned listener's
-// Addr is the address brokers register to.
+// EnableRegistry starts lease-based pool discovery: REGISTER/RENEW/DEREGISTER
+// datagrams (brokerd's -register-to target) maintain pool membership, leases
+// are reconciled in the background, and discovered members join the routing
+// pool alongside the static gateways. The distributed model binds a UDP
+// listener on listenAddr for them; the centralized model already has a
+// listener, so leases share its load-report socket and listenAddr is unused.
+// The returned listener's Addr is the address brokers register to.
 func (d *Distributed) EnableRegistry(listenAddr string) (*Listener, error) {
 	if d.registry != nil {
-		return d.regListener, nil
+		return d.listener, nil
 	}
 	reg := registry.New(registry.Config{Metrics: d.reg, Logger: slog.Default(), Events: d.events})
-	l, err := NewListener(listenAddr, WithRegistry(reg))
-	if err != nil {
-		reg.Close()
-		return nil, err
+	if d.listener != nil {
+		d.listener.AttachRegistry(reg)
+	} else {
+		l, err := NewListener(listenAddr, WithRegistry(reg))
+		if err != nil {
+			reg.Close()
+			return nil, err
+		}
+		d.listener = l
 	}
 	reg.Start(registryReconcileInterval)
 	d.registry = reg
-	d.regListener = l
 	d.pool.SetRegistry(reg)
-	return l, nil
+	return d.listener, nil
 }
 
 // PoolStatus returns the routing pool's /poolz rows (lease state merged
@@ -313,8 +349,9 @@ func (d *Distributed) FleetMembers() []fleet.MemberInfo {
 // Addr returns the web server's address.
 func (d *Distributed) Addr() string { return d.srv.Addr().String() }
 
-// Metrics returns the front-end registry ("forwarded", "dropped",
-// "errors").
+// Metrics returns the front-end registry: "forwarded" (distributed) or
+// "admitted" and "aborted" (centralized), "dropped", "shed", "errors", and
+// the pool's and registry's counters.
 func (d *Distributed) Metrics() *metrics.Registry { return d.reg }
 
 // EnableTracing assigns each forwarded request an end-to-end trace ID,
@@ -332,10 +369,41 @@ func (d *Distributed) EnableAnalytics(hk *sketch.Tracker, eng *slo.Engine) {
 	d.ana = analytics{hotkeys: hk, slo: eng}
 }
 
+// AdminPages returns a row renderer for every admin page the front end has
+// something to say on, keyed by page path: /poolz always, /loadz once it has
+// a listener (each report with its age, stale ones marked), /hotz and /sloz
+// when EnableAnalytics attached a tracker or an engine. Rows are labelled
+// with name. Call it after the Enable* calls.
+func (d *Distributed) AdminPages(name string) map[string]func(w io.Writer, limit int) {
+	pages := map[string]func(io.Writer, int){
+		"/poolz": func(w io.Writer, _ int) { registry.WritePool(w, name, d.PoolStatus()) },
+	}
+	if l := d.listener; l != nil {
+		pages["/loadz"] = func(w io.Writer, _ int) {
+			for _, e := range l.Entries() {
+				e.WriteRow(w)
+			}
+		}
+	}
+	if hk := d.ana.hotkeys; hk != nil {
+		pages["/hotz"] = func(w io.Writer, limit int) { hk.Snapshot().WriteRows(w, name, limit) }
+	}
+	if eng := d.ana.slo; eng != nil {
+		// Each render evaluates the engine, so scraping drives alerting.
+		pages["/sloz"] = func(w io.Writer, _ int) { eng.Status().WriteRows(w, name) }
+	}
+	return pages
+}
+
 func (d *Distributed) serve(req *httpserver.Request, route Route) *httpserver.Response {
+	if d.admit != nil {
+		if err := d.admit(route); err != nil {
+			return httpserver.Error(503, err.Error())
+		}
+	}
+	d.sent.Inc()
 	txnID, step, idemKey := txnOf(req)
-	d.reg.Counter("forwarded").Inc()
-	resp, traceID, err := tracedCall(d.rec, d.ana, d.cli, route.Service, &broker.Request{
+	resp, traceID, err := tracedCall(d.rec, d.ana, d.pool, route.Service, &broker.Request{
 		Payload: payloadOf(req, route),
 		Class:   classOf(req, route),
 		TxnID:   txnID,
@@ -343,14 +411,14 @@ func (d *Distributed) serve(req *httpserver.Request, route Route) *httpserver.Re
 		IdemKey: idemKey,
 	})
 	if err != nil {
-		d.reg.Counter("errors").Inc()
+		d.errs.Inc()
 		return httpserver.Error(502, err.Error())
 	}
 	switch resp.Status {
 	case broker.StatusDropped:
-		d.reg.Counter("dropped").Inc()
+		d.dropped.Inc()
 	case broker.StatusShed:
-		d.reg.Counter("shed").Inc()
+		d.shed.Inc()
 	}
 	return respond(resp, traceID)
 }
@@ -359,15 +427,15 @@ func (d *Distributed) serve(req *httpserver.Request, route Route) *httpserver.Re
 // requests run to completion (bounded by ctx). Call before Close.
 func (d *Distributed) Drain(ctx context.Context) error { return d.srv.Drain(ctx) }
 
-// Close stops the web server, the gateway pool, and (when registry
-// discovery is enabled) the lease listener and reconciliation loop.
+// Close stops the web server, the gateway pool, the listener (when there is
+// one) and the lease reconciliation loop (when discovery is enabled).
 func (d *Distributed) Close() error {
 	err := d.srv.Close()
-	if cerr := d.cli.Close(); err == nil {
+	if cerr := d.pool.Close(); err == nil {
 		err = cerr
 	}
-	if d.regListener != nil {
-		if lerr := d.regListener.Close(); err == nil {
+	if d.listener != nil {
+		if lerr := d.listener.Close(); err == nil {
 			err = lerr
 		}
 	}
@@ -387,22 +455,14 @@ type Demand struct {
 	Weight int
 }
 
-// Centralized is the Figure 4 deployment: the web server runs admission
-// control against broker load reports gathered by its listener goroutine
-// and per-URL resource profiles, aborting doomed requests up front. The
-// brokers behind it may be a replicated pool.
+// Centralized is the Figure 4 deployment: the distributed front end plus a
+// listener goroutine that gathers broker load reports, per-URL resource
+// profiles, and an admission check against both that aborts doomed requests
+// before they are forwarded.
 type Centralized struct {
-	srv      *httpserver.Server
-	cli      caller
-	pool     *Pool
-	listener *Listener
+	*Distributed
 	profiles map[string][]Demand // pattern → demands
-	reg      *metrics.Registry
-	rec      *trace.Recorder
-	ana      analytics
-
-	events   *fleet.Log
-	registry *registry.Registry
+	aborted  *metrics.Counter
 }
 
 // NewCentralized starts the centralized front end. listenAddr is the UDP
@@ -411,83 +471,19 @@ type Centralized struct {
 // profile are admitted unconditionally). gatewayAddr may name several pool
 // members separated by "|".
 func NewCentralized(addr, gatewayAddr, listenAddr string, routes []Route, profiles map[string][]Demand, opts ...httpserver.ServerOption) (*Centralized, error) {
-	if len(routes) == 0 {
-		return nil, errors.New("frontend: no routes")
-	}
-	listener, err := NewListener(listenAddr)
+	d, err := start(addr, gatewayAddr, routes, "admitted", opts)
 	if err != nil {
 		return nil, err
 	}
-	reg := metrics.NewRegistry()
-	pool, err := NewPool(PoolConfig{Gateways: splitGateways(gatewayAddr), Metrics: reg})
-	if err != nil {
-		listener.Close()
+	if d.listener, err = NewListener(listenAddr); err != nil {
+		d.Close()
 		return nil, err
 	}
-	srv, err := httpserver.NewServer(addr, opts...)
-	if err != nil {
-		pool.Close()
-		listener.Close()
-		return nil, err
-	}
-	c := &Centralized{
-		srv:      srv,
-		cli:      pool,
-		pool:     pool,
-		listener: listener,
-		profiles: profiles,
-		reg:      reg,
-	}
-	for _, route := range routes {
-		route := route
-		srv.Handle(route.Pattern, func(req *httpserver.Request) *httpserver.Response {
-			return c.serve(req, route)
-		})
-	}
+	c := &Centralized{Distributed: d, profiles: profiles, aborted: d.reg.Counter("aborted")}
+	d.admit = c.admit
+	d.handle(routes)
 	return c, nil
 }
-
-// EnableRegistry turns on lease-based pool discovery over the existing
-// load-report listener: REGISTER/RENEW/DEREGISTER datagrams arriving at
-// ListenerAddr() maintain pool membership, and discovered members join the
-// routing pool alongside the static gateways.
-func (c *Centralized) EnableRegistry() *registry.Registry {
-	if c.registry != nil {
-		return c.registry
-	}
-	reg := registry.New(registry.Config{Metrics: c.reg, Logger: slog.Default(), Events: c.events})
-	reg.Start(registryReconcileInterval)
-	c.listener.AttachRegistry(reg)
-	c.registry = reg
-	c.pool.SetRegistry(reg)
-	return reg
-}
-
-// PoolStatus returns the routing pool's /poolz rows (lease state merged
-// with per-member routing health).
-func (c *Centralized) PoolStatus() []registry.PoolView { return c.pool.Status() }
-
-// EnableFleet wires the fleet event timeline (see Distributed.EnableFleet).
-func (c *Centralized) EnableFleet(l *fleet.Log) {
-	c.events = l
-	c.pool.SetEvents(l)
-	if c.registry != nil {
-		c.registry.SetEvents(l)
-	}
-}
-
-// FleetMembers returns the lease-discovered pool members that advertised an
-// admin plane — the Discover feed for a fleet.Federator. Nil before
-// EnableRegistry.
-func (c *Centralized) FleetMembers() []fleet.MemberInfo {
-	if c.registry == nil {
-		return nil
-	}
-	return c.registry.FleetMembers()
-}
-
-// Addr returns the web server's address.
-func (c *Centralized) Addr() string { return c.srv.Addr().String() }
 
 // ListenerAddr returns the load-report UDP address brokers should report to.
 func (c *Centralized) ListenerAddr() string { return c.listener.Addr() }
@@ -497,21 +493,10 @@ func (c *Centralized) ListenerAddr() string { return c.listener.Addr() }
 // about.
 func (c *Centralized) ListenerUpdates() int { return c.listener.Updates() }
 
-// LoadEntries returns the listener's age-stamped load reports (fresh and
-// stale) for /loadz.
-func (c *Centralized) LoadEntries() []LoadEntry { return c.listener.Entries() }
-
-// Metrics returns the front-end registry ("admitted", "aborted", "dropped",
-// "errors").
-func (c *Centralized) Metrics() *metrics.Registry { return c.reg }
-
-// admit applies the centralized admission check for one route.
+// admit applies the centralized admission check for one route, counting the
+// requests it turns away.
 func (c *Centralized) admit(route Route) error {
-	demands, ok := c.profiles[route.Pattern]
-	if !ok {
-		return nil
-	}
-	for _, d := range demands {
+	for _, d := range c.profiles[route.Pattern] {
 		report, ok := c.listener.Load(d.Service)
 		if !ok {
 			continue // no load information yet; fail open like the paper's warmup
@@ -523,69 +508,12 @@ func (c *Centralized) admit(route Route) error {
 		// Abort when the demand does not fit the remaining headroom, or
 		// when the broker has declared a hot spot.
 		if report.Hot || report.Outstanding+weight > report.Threshold {
+			c.aborted.Inc()
 			return fmt.Errorf("frontend: service %s overloaded (%d/%d outstanding, hot=%v)",
 				d.Service, report.Outstanding, report.Threshold, report.Hot)
 		}
 	}
 	return nil
-}
-
-// EnableTracing assigns each admitted request an end-to-end trace ID,
-// records the front end's wire span into rec, and propagates the ID to the
-// brokers over the wire protocol.
-func (c *Centralized) EnableTracing(rec *trace.Recorder) { c.rec = rec }
-
-// EnableAnalytics attaches the front end's workload measurement (see
-// Distributed.EnableAnalytics).
-func (c *Centralized) EnableAnalytics(hk *sketch.Tracker, eng *slo.Engine) {
-	c.ana = analytics{hotkeys: hk, slo: eng}
-}
-
-func (c *Centralized) serve(req *httpserver.Request, route Route) *httpserver.Response {
-	if err := c.admit(route); err != nil {
-		c.reg.Counter("aborted").Inc()
-		return httpserver.Error(503, err.Error())
-	}
-	c.reg.Counter("admitted").Inc()
-	txnID, step, idemKey := txnOf(req)
-	resp, traceID, err := tracedCall(c.rec, c.ana, c.cli, route.Service, &broker.Request{
-		Payload: payloadOf(req, route),
-		Class:   classOf(req, route),
-		TxnID:   txnID,
-		TxnStep: step,
-		IdemKey: idemKey,
-	})
-	if err != nil {
-		c.reg.Counter("errors").Inc()
-		return httpserver.Error(502, err.Error())
-	}
-	switch resp.Status {
-	case broker.StatusDropped:
-		c.reg.Counter("dropped").Inc()
-	case broker.StatusShed:
-		c.reg.Counter("shed").Inc()
-	}
-	return respond(resp, traceID)
-}
-
-// Drain gracefully stops the web server: no new connections, in-flight
-// requests run to completion (bounded by ctx). Call before Close.
-func (c *Centralized) Drain(ctx context.Context) error { return c.srv.Drain(ctx) }
-
-// Close stops the web server, gateway pool, listener, and (when enabled)
-// the registry reconciliation loop.
-func (c *Centralized) Close() error {
-	err := c.srv.Close()
-	if cerr := c.cli.Close(); err == nil {
-		err = cerr
-	}
-	if lerr := c.listener.Close(); err == nil {
-		err = lerr
-	}
-	if c.registry != nil {
-		c.registry.Close()
-	}
-	return err
 }
 
 // Reporter periodically pushes one broker's load report to a listener
@@ -633,73 +561,4 @@ func NewReporter(b *broker.Broker, listenAddr string, interval time.Duration) (*
 func (r *Reporter) Close() {
 	close(r.stop)
 	<-r.done
-}
-
-// statusBody renders one line per known service load plus front-end
-// counters — the /broker-status page both models expose.
-func statusBody(loads []broker.LoadReport, reg *metrics.Registry) []byte {
-	var b strings.Builder
-	b.WriteString("service brokers\n")
-	for _, r := range loads {
-		state := "cool"
-		if r.Hot {
-			state = "hot"
-		}
-		fmt.Fprintf(&b, "  %-12s outstanding=%d/%d queued=%d %s\n",
-			r.Service, r.Outstanding, r.Threshold, r.QueueLen, state)
-	}
-	b.WriteString("front end\n")
-	b.WriteString(indentLines(reg.Dump()))
-	return []byte(b.String())
-}
-
-func indentLines(s string) string {
-	if s == "" {
-		return ""
-	}
-	return "  " + strings.ReplaceAll(s, "\n", "\n  ") + "\n"
-}
-
-// ServeStatus registers the diagnostics pages on the distributed front
-// end: /broker-status (front-end counters only — load information is not
-// available in this model, brokers decide autonomously) and /poolz (pool
-// membership, lease state, and per-member routing health).
-func (d *Distributed) ServeStatus() {
-	d.srv.Handle("/broker-status", func(*httpserver.Request) *httpserver.Response {
-		return httpserver.Text(string(statusBody(nil, d.reg)))
-	})
-	d.srv.Handle("/poolz", func(*httpserver.Request) *httpserver.Response {
-		return httpserver.Text(string(poolStatusBody(d.PoolStatus())))
-	})
-}
-
-// ServeStatus registers the diagnostics pages on the centralized front
-// end: /broker-status (the latest load report per profiled service from
-// the listener thread, plus front-end counters) and /poolz (pool
-// membership, lease state, and per-member routing health).
-func (c *Centralized) ServeStatus() {
-	c.srv.Handle("/broker-status", func(*httpserver.Request) *httpserver.Response {
-		var loads []broker.LoadReport
-		var names []string
-		for pattern := range c.profiles {
-			for _, d := range c.profiles[pattern] {
-				names = append(names, d.Service)
-			}
-		}
-		sort.Strings(names)
-		seen := map[string]bool{}
-		for _, name := range names {
-			if seen[name] {
-				continue
-			}
-			seen[name] = true
-			if r, ok := c.listener.Load(name); ok {
-				loads = append(loads, r)
-			}
-		}
-		return httpserver.Text(string(statusBody(loads, c.reg)))
-	})
-	c.srv.Handle("/poolz", func(*httpserver.Request) *httpserver.Response {
-		return httpserver.Text(string(poolStatusBody(c.PoolStatus())))
-	})
 }

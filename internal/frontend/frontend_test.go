@@ -1,8 +1,10 @@
 package frontend
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +15,8 @@ import (
 	"servicebroker/internal/broker"
 	"servicebroker/internal/httpserver"
 	"servicebroker/internal/qos"
+	"servicebroker/internal/registry"
+	"servicebroker/internal/trace"
 )
 
 // testStack builds broker(s) + gateway and returns the gateway address.
@@ -37,67 +41,207 @@ var testRoutes = []Route{{
 	DefaultClass: qos.Class3,
 }}
 
-func TestDistributedForwardsToBroker(t *testing.T) {
-	gw, _ := testStack(t, 0)
-	d, err := NewDistributed("127.0.0.1:0", gw, testRoutes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	cli := httpserver.NewClient(d.Addr())
-	defer cli.Close()
-	resp, err := cli.Get("/db", map[string]string{"q": "SELECT 1", "qos": "1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != 200 || string(resp.Body) != "done:SELECT 1" {
-		t.Fatalf("resp = %d %q", resp.Status, resp.Body)
-	}
-	if resp.Header["x-fidelity"] != "full" || resp.Header["x-broker-status"] != "ok" {
-		t.Fatalf("headers = %v", resp.Header)
-	}
-	if d.Metrics().Counter("forwarded").Value() != 1 {
-		t.Fatal("forwarded not counted")
-	}
+// model is one deployment model as the shared-behaviour table starts it:
+// both are a *Distributed, the centralized one with its listener, profiles
+// and admission step in front.
+type model struct {
+	name string
+	sent string // the counter a forwarded request bumps
+	new  func(gw string) (*Distributed, error)
 }
 
-func TestDistributedRelaysDrops(t *testing.T) {
-	gw, _ := testStack(t, 300*time.Millisecond,
-		broker.WithThreshold(2, 2), broker.WithWorkers(1))
-	d, err := NewDistributed("127.0.0.1:0", gw, testRoutes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	cli := httpserver.NewClient(d.Addr())
-	defer cli.Close()
+var models = []model{
+	{"distributed", "forwarded", func(gw string) (*Distributed, error) {
+		return NewDistributed("127.0.0.1:0", gw, testRoutes)
+	}},
+	{"centralized", "admitted", func(gw string) (*Distributed, error) {
+		profiles := map[string][]Demand{"/db": {{Service: "db", Weight: 1}}}
+		c, err := NewCentralized("127.0.0.1:0", gw, "127.0.0.1:0", testRoutes, profiles)
+		if err != nil {
+			return nil, err
+		}
+		return c.Distributed, nil
+	}},
+}
 
-	// Saturate class 2's share.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cli.Get("/db", map[string]string{"q": "fill", "qos": "1"})
-	}()
-	time.Sleep(60 * time.Millisecond)
+// TestSharedBehaviours runs everything the two models have in common against
+// both of them: there is one implementation, and this is the test that a
+// behaviour added to it works under either constructor.
+func TestSharedBehaviours(t *testing.T) {
+	behaviours := []struct {
+		name string
+		opts []broker.Option
+		slow time.Duration // backend processing time
+		run  func(t *testing.T, m model, d *Distributed, b *broker.Broker, cli *httpserver.Client)
+	}{
+		{name: "forward", run: func(t *testing.T, m model, d *Distributed, _ *broker.Broker, cli *httpserver.Client) {
+			resp, err := cli.Get("/db", map[string]string{"q": "SELECT 1", "qos": "1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Status != 200 || string(resp.Body) != "done:SELECT 1" {
+				t.Fatalf("resp = %d %q", resp.Status, resp.Body)
+			}
+			if resp.Header["x-fidelity"] != "full" || resp.Header["x-broker-status"] != "ok" {
+				t.Fatalf("headers = %v", resp.Header)
+			}
+			if got := d.Metrics().Counter(m.sent).Value(); got != 1 {
+				t.Fatalf("%s = %d, want 1", m.sent, got)
+			}
+		}},
+		{name: "shed headers", slow: 300 * time.Millisecond,
+			opts: []broker.Option{broker.WithThreshold(2, 2), broker.WithWorkers(1)},
+			run: func(t *testing.T, _ model, d *Distributed, _ *broker.Broker, cli *httpserver.Client) {
+				// Saturate class 2's share.
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					cli.Get("/db", map[string]string{"q": "fill", "qos": "1"})
+				}()
+				time.Sleep(60 * time.Millisecond)
 
-	resp, err := cli.Get("/db", map[string]string{"q": "x", "qos": "2"})
-	if err != nil {
-		t.Fatal(err)
+				resp, err := cli.Get("/db", map[string]string{"q": "x", "qos": "2"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.Header["x-broker-status"] != "shed" || resp.Header["x-fidelity"] != "busy" {
+					t.Fatalf("headers = %v body = %q", resp.Header, resp.Body)
+				}
+				if ms, err := strconv.Atoi(resp.Header["x-retry-after-ms"]); err != nil || ms <= 0 {
+					t.Fatalf("x-retry-after-ms = %q, want positive integer", resp.Header["x-retry-after-ms"])
+				}
+				if !strings.Contains(string(resp.Body), "busy") {
+					t.Fatalf("body = %q", resp.Body)
+				}
+				wg.Wait()
+				if d.Metrics().Counter("shed").Value() != 1 {
+					t.Fatal("shed not counted")
+				}
+			}},
+		{name: "txn tagging", opts: []broker.Option{broker.WithTransactions()},
+			run: func(t *testing.T, _ model, _ *Distributed, b *broker.Broker, cli *httpserver.Client) {
+				resp, err := cli.Get("/db", map[string]string{
+					"q": "purchase", "qos": "3", "txn": "order-7", "step": "3",
+				})
+				if err != nil || resp.Status != 200 {
+					t.Fatalf("resp = %+v, %v", resp, err)
+				}
+				if s, ok := b.Tracker().Lookup("order-7"); !ok || s.Step != 3 {
+					t.Fatalf("tracker state = %+v, %v", s, ok)
+				}
+				// A txn tag with a missing/garbage step defaults to step 1.
+				resp, err = cli.Get("/db", map[string]string{"q": "browse", "qos": "3", "txn": "order-8"})
+				if err != nil || resp.Status != 200 {
+					t.Fatalf("resp = %+v, %v", resp, err)
+				}
+				if s, ok := b.Tracker().Lookup("order-8"); !ok || s.Step != 1 {
+					t.Fatalf("tracker state = %+v, %v", s, ok)
+				}
+			}},
+		{name: "tracing", run: func(t *testing.T, _ model, d *Distributed, _ *broker.Broker, cli *httpserver.Client) {
+			rec := trace.NewRecorder()
+			d.EnableTracing(rec)
+			resp, err := cli.Get("/db", map[string]string{"q": "traced", "qos": "2"})
+			if err != nil || resp.Status != 200 {
+				t.Fatalf("resp = %+v, %v", resp, err)
+			}
+			traces := rec.Snapshot(trace.Filter{Service: "db"})
+			if len(traces) != 1 || traces[0].Class != 2 || traces[0].Status != "ok" {
+				t.Fatalf("traces = %+v, want one ok class-2 trace", traces)
+			}
+			if got := resp.Header["x-trace-id"]; got != traces[0].ID.String() {
+				t.Fatalf("x-trace-id = %q, recorder has %s", got, traces[0].ID)
+			}
+			if len(traces[0].Spans) == 0 || traces[0].Spans[0].Stage != trace.StageWire {
+				t.Fatalf("spans = %+v, want the wire span first", traces[0].Spans)
+			}
+		}},
+		{name: "registry discovery", run: func(t *testing.T, _ model, d *Distributed, _ *broker.Broker, _ *httpserver.Client) {
+			l, err := d.EnableRegistry("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := d.EnableRegistry("127.0.0.1:0"); again != l {
+				t.Fatal("a second EnableRegistry bound a second listener")
+			}
+			conn, err := net.Dial("udp", l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			cmd := registry.Command{Verb: registry.VerbRegister, Service: "db", Addr: "127.0.0.1:7101",
+				TTL: time.Minute, Load: broker.LoadReport{Service: "db", Outstanding: 5, Threshold: 16}}
+			if _, err := conn.Write([]byte(registry.FormatCommand(cmd))); err != nil {
+				t.Fatal(err)
+			}
+			pages := d.AdminPages("fe")
+			want := "pool=fe service=db addr=127.0.0.1:7101 source=lease state=live"
+			var poolz bytes.Buffer
+			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				poolz.Reset()
+				pages["/poolz"](&poolz, 0)
+				if strings.Contains(poolz.String(), want) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("/poolz never showed the leased member:\n%s", poolz.String())
+				}
+			}
+			// The load piggybacked on the lease is a /loadz row with its age.
+			var loadz bytes.Buffer
+			pages["/loadz"](&loadz, 0)
+			if !strings.HasPrefix(loadz.String(), "service=db outstanding=5 threshold=16 queue=0 hot=false age=") {
+				t.Fatalf("/loadz = %q", loadz.String())
+			}
+		}},
+		{name: "drain", slow: 100 * time.Millisecond,
+			run: func(t *testing.T, _ model, d *Distributed, _ *broker.Broker, cli *httpserver.Client) {
+				type result struct {
+					resp *httpserver.Response
+					err  error
+				}
+				inflight := make(chan result, 1)
+				go func() {
+					resp, err := cli.Get("/db", map[string]string{"q": "slow", "qos": "1"})
+					inflight <- result{resp, err}
+				}()
+				time.Sleep(30 * time.Millisecond) // let it reach the backend
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				if err := d.Drain(ctx); err != nil {
+					t.Fatalf("Drain: %v", err)
+				}
+				// Drain returned, so the in-flight request has been answered.
+				select {
+				case r := <-inflight:
+					if r.err != nil || r.resp.Status != 200 || string(r.resp.Body) != "done:slow" {
+						t.Fatalf("in-flight request = %+v, %v", r.resp, r.err)
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatal("Drain returned with the in-flight request unanswered")
+				}
+				late := httpserver.NewClient(d.Addr())
+				defer late.Close()
+				if resp, err := late.Get("/db", map[string]string{"q": "late"}); err == nil {
+					t.Fatalf("a drained front end accepted a new connection: %+v", resp)
+				}
+			}},
 	}
-	if resp.Header["x-broker-status"] != "shed" || resp.Header["x-fidelity"] != "busy" {
-		t.Fatalf("headers = %v body = %q", resp.Header, resp.Body)
-	}
-	if ms, err := strconv.Atoi(resp.Header["x-retry-after-ms"]); err != nil || ms <= 0 {
-		t.Fatalf("x-retry-after-ms = %q, want positive integer", resp.Header["x-retry-after-ms"])
-	}
-	if !strings.Contains(string(resp.Body), "busy") {
-		t.Fatalf("body = %q", resp.Body)
-	}
-	wg.Wait()
-	if d.Metrics().Counter("shed").Value() != 1 {
-		t.Fatal("shed not counted")
+	for _, m := range models {
+		for _, bh := range behaviours {
+			t.Run(m.name+"/"+bh.name, func(t *testing.T) {
+				gw, b := testStack(t, bh.slow, bh.opts...)
+				d, err := m.new(gw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.Close()
+				cli := httpserver.NewClient(d.Addr())
+				defer cli.Close()
+				bh.run(t, m, d, b, cli)
+			})
+		}
 	}
 }
 
@@ -354,36 +498,6 @@ func TestConcurrentFrontendTraffic(t *testing.T) {
 	wg.Wait()
 }
 
-func TestTransactionTagsFlowThroughFrontend(t *testing.T) {
-	gw, b := testStack(t, 0, broker.WithTransactions())
-	d, err := NewDistributed("127.0.0.1:0", gw, testRoutes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	cli := httpserver.NewClient(d.Addr())
-	defer cli.Close()
-
-	resp, err := cli.Get("/db", map[string]string{
-		"q": "purchase", "qos": "3", "txn": "order-7", "step": "3",
-	})
-	if err != nil || resp.Status != 200 {
-		t.Fatalf("resp = %+v, %v", resp, err)
-	}
-	if s, ok := b.Tracker().Lookup("order-7"); !ok || s.Step != 3 {
-		t.Fatalf("tracker state = %+v, %v", s, ok)
-	}
-
-	// A txn tag with a missing/garbage step defaults to step 1.
-	resp, err = cli.Get("/db", map[string]string{"q": "browse", "qos": "3", "txn": "order-8"})
-	if err != nil || resp.Status != 200 {
-		t.Fatalf("resp = %+v, %v", resp, err)
-	}
-	if s, ok := b.Tracker().Lookup("order-8"); !ok || s.Step != 1 {
-		t.Fatalf("tracker state = %+v, %v", s, ok)
-	}
-}
-
 func TestFrontendRelaysBackendError(t *testing.T) {
 	// A broker whose backend always fails surfaces 502 at the front end.
 	failing, err := broker.New(&backend.FuncConnector{
@@ -414,59 +528,5 @@ func TestFrontendRelaysBackendError(t *testing.T) {
 	}
 	if resp.Status != 502 || !strings.Contains(string(resp.Body), "exploded") {
 		t.Fatalf("resp = %d %q", resp.Status, resp.Body)
-	}
-}
-
-func TestStatusEndpoints(t *testing.T) {
-	gw, b := testStack(t, 0)
-
-	d, err := NewDistributed("127.0.0.1:0", gw, testRoutes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	d.ServeStatus()
-	cli := httpserver.NewClient(d.Addr())
-	defer cli.Close()
-	cli.Get("/db", map[string]string{"q": "warm", "qos": "1"})
-	resp, err := cli.Get("/broker-status", nil)
-	if err != nil || resp.Status != 200 {
-		t.Fatalf("distributed status = %+v, %v", resp, err)
-	}
-	if !strings.Contains(string(resp.Body), "forwarded") {
-		t.Fatalf("distributed status body = %q", resp.Body)
-	}
-
-	profiles := map[string][]Demand{"/db": {{Service: "db"}}}
-	c, err := NewCentralized("127.0.0.1:0", gw, "127.0.0.1:0", testRoutes, profiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.ServeStatus()
-	rep, err := NewReporter(b, c.ListenerAddr(), 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-
-	cli2 := httpserver.NewClient(c.Addr())
-	defer cli2.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		resp, err := cli2.Get("/broker-status", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Contains(string(resp.Body), "outstanding=") {
-			if !strings.Contains(string(resp.Body), "db") {
-				t.Fatalf("centralized status body = %q", resp.Body)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("status never showed broker load: %q", resp.Body)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"sync"
@@ -45,6 +46,16 @@ type LoadEntry struct {
 	// Stale means the report has outlived the listener's TTL: it is shown
 	// for diagnosis but no longer consulted by admission control.
 	Stale bool
+}
+
+// WriteRow renders the entry as one /loadz row: the report's own row plus
+// its age, marked "stale" once it no longer steers admission.
+func (e LoadEntry) WriteRow(w io.Writer) {
+	fmt.Fprintf(w, "%s age=%s", e.Report.Row(), e.Age.Round(time.Millisecond))
+	if e.Stale {
+		fmt.Fprint(w, " stale")
+	}
+	fmt.Fprintln(w)
 }
 
 // ListenerOption configures a Listener.
@@ -129,9 +140,6 @@ func NewListener(addr string, opts ...ListenerOption) (*Listener, error) {
 
 // Addr returns the bound UDP address.
 func (l *Listener) Addr() string { return l.conn.LocalAddr().String() }
-
-// Registry returns the attached pool registry, nil if none.
-func (l *Listener) Registry() *registry.Registry { return l.reg() }
 
 func (l *Listener) run() {
 	defer close(l.done)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -20,8 +19,8 @@ import (
 	"servicebroker/internal/wire"
 )
 
-// caller is the gateway-call surface the deployment models route through:
-// a single broker.Client or a replicated Pool.
+// caller is the gateway-call surface of one pool member: a *broker.Client,
+// or a fake in tests.
 type caller interface {
 	Do(ctx context.Context, service string, req *broker.Request) (*broker.Response, error)
 	Close() error
@@ -598,28 +597,4 @@ func (p *Pool) Close() error {
 		}
 	}
 	return err
-}
-
-// poolStatusBody renders /poolz rows as text.
-func poolStatusBody(rows []registry.PoolView) []byte {
-	var b strings.Builder
-	b.WriteString("broker pool\n")
-	if len(rows) == 0 {
-		b.WriteString("  (no members)\n")
-		return []byte(b.String())
-	}
-	for _, v := range rows {
-		state := "cool"
-		if v.Hot {
-			state = "hot"
-		}
-		fmt.Fprintf(&b, "  service=%s addr=%s source=%s state=%s ttl=%s renewals=%d outstanding=%d/%d queue=%d %s failures=%d failovers=%d",
-			v.Service, v.Addr, v.Source, v.State, v.TTLRemaining.Round(time.Millisecond),
-			v.Renewals, v.Outstanding, v.Threshold, v.QueueLen, state, v.Failures, v.Failovers)
-		if v.LastError != "" {
-			fmt.Fprintf(&b, " last_error=%q", v.LastError)
-		}
-		b.WriteString("\n")
-	}
-	return []byte(b.String())
 }

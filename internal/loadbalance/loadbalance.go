@@ -90,32 +90,6 @@ func (r *Random) Pick(outstanding []int) int {
 // Name implements Policy.
 func (r *Random) Name() string { return "random" }
 
-// Weighted picks the replica minimizing outstanding/weight, modelling
-// heterogeneous backend capacities.
-type Weighted struct {
-	// Weights holds one positive relative capacity per replica.
-	Weights []float64
-}
-
-// Pick implements Policy.
-func (w *Weighted) Pick(outstanding []int) int {
-	best, bestScore := 0, -1.0
-	for i, n := range outstanding {
-		weight := 1.0
-		if i < len(w.Weights) && w.Weights[i] > 0 {
-			weight = w.Weights[i]
-		}
-		score := float64(n) / weight
-		if bestScore < 0 || score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best
-}
-
-// Name implements Policy.
-func (w *Weighted) Name() string { return "weighted" }
-
 // ReplicaSet distributes requests across replicated backends using a
 // policy, maintaining accurate outstanding counts and per-replica session
 // pools. Use NewReplicaSet; Close releases the pools.

@@ -63,22 +63,9 @@ func TestRandomWithinBounds(t *testing.T) {
 	}
 }
 
-func TestWeighted(t *testing.T) {
-	w := &Weighted{Weights: []float64{1, 4}}
-	// Replica 1 has 4x capacity: with loads (2, 4), scores are 2 and 1.
-	if got := w.Pick([]int{2, 4}); got != 1 {
-		t.Fatalf("pick = %d, want 1", got)
-	}
-	// Missing/invalid weights default to 1.
-	w2 := &Weighted{}
-	if got := w2.Pick([]int{5, 3}); got != 1 {
-		t.Fatalf("pick = %d, want 1", got)
-	}
-}
-
 // Property: every policy returns a valid index for any non-empty loads.
 func TestPoliciesAlwaysValidProperty(t *testing.T) {
-	policies := []Policy{&RoundRobin{}, LeastOutstanding{}, NewRandom(7), &Weighted{Weights: []float64{1, 2, 3}}}
+	policies := []Policy{&RoundRobin{}, LeastOutstanding{}, NewRandom(7)}
 	f := func(loads []uint8) bool {
 		if len(loads) == 0 {
 			return true

@@ -77,7 +77,6 @@ func (s *Server) handleEventz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFleetz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	fed := s.federator
-	pools := append([]namedPoolSource(nil), s.pools...)
 	s.mu.Unlock()
 	if fed == nil {
 		http.Error(w, "fleetz: no federator configured", http.StatusNotFound)
@@ -106,17 +105,9 @@ func (s *Server) handleFleetz(w http.ResponseWriter, _ *http.Request) {
 		}
 		fmt.Fprintln(w)
 	}
-	// Lease state, utilization, and breaker health come from the same pool
-	// sources /poolz renders: one page with the whole topology.
-	for _, np := range pools {
-		for _, v := range np.src() {
-			state := "cool"
-			if v.Hot {
-				state = "hot"
-			}
-			fmt.Fprintf(w, "lease pool=%s service=%s addr=%s source=%s state=%s ttl=%s outstanding=%d/%d %s failovers=%d\n",
-				np.name, v.Service, v.Addr, v.Source, v.State,
-				v.TTLRemaining.Round(time.Millisecond), v.Outstanding, v.Threshold, state, v.Failovers)
-		}
+	// Lease state, utilization, and breaker health are the /poolz rows: one
+	// page with the whole topology.
+	for _, src := range s.sources("/poolz") {
+		src.render(w, 0)
 	}
 }

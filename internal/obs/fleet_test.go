@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -79,9 +80,9 @@ func TestFleetzEndpoint(t *testing.T) {
 	defer fed.Close()
 	fed.ScrapeOnce(t.Context())
 	s.SetFederator(fed)
-	s.AddPoolSource("frontend", func() []registry.PoolView {
-		return []registry.PoolView{{Service: "db", Addr: "127.0.0.1:7101", Source: "lease",
-			State: "live", TTLRemaining: 2 * time.Second, Outstanding: 1, Threshold: 16}}
+	s.AddRows("/poolz", "frontend", func(w io.Writer, _ int) {
+		registry.WritePool(w, "frontend", []registry.PoolView{{Service: "db", Addr: "127.0.0.1:7101", Source: "lease",
+			State: "live", TTLRemaining: 2 * time.Second, Outstanding: 1, Threshold: 16}})
 	})
 
 	body := get(t, s.Handler(), "/fleetz")
@@ -89,7 +90,8 @@ func TestFleetzEndpoint(t *testing.T) {
 		"fleet: 1 members\n",
 		"member=127.0.0.1:7101 admin=" + admin + " state=live series=1",
 		"build=\"test build\"",
-		"lease pool=frontend service=db addr=127.0.0.1:7101 source=lease state=live",
+		// The lease context is the /poolz rows, verbatim.
+		"\npool=frontend service=db addr=127.0.0.1:7101 source=lease state=live ttl=2s renewals=0 outstanding=1/16 queue=0 cool failures=0 failovers=0\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/fleetz missing %q in:\n%s", want, body)
@@ -178,21 +180,5 @@ func TestMetricsFederatedNoDuplicateSeries(t *testing.T) {
 		if n > 1 {
 			t.Errorf("series %q appears %d times", series, n)
 		}
-	}
-}
-
-func TestIndexListsFleetPages(t *testing.T) {
-	s := New()
-	_, body := fetch(t, s, "/")
-	if strings.Contains(body, "/eventz") || strings.Contains(body, "/fleetz") {
-		t.Fatalf("index lists fleet pages without wiring:\n%s", body)
-	}
-	s.SetEventLog(fleet.NewLog(0, nil))
-	fed := fleet.NewFederator(fleet.FederatorConfig{})
-	defer fed.Close()
-	s.SetFederator(fed)
-	_, body = fetch(t, s, "/")
-	if !strings.Contains(body, "/eventz") || !strings.Contains(body, "/fleetz") {
-		t.Fatalf("index missing fleet pages:\n%s", body)
 	}
 }

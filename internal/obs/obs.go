@@ -1,43 +1,29 @@
 // Package obs is the framework's operational introspection plane: a small
-// admin HTTP server that any daemon (brokerd, frontend, backendd, sbexp) can
-// mount behind a -admin flag. It exposes:
+// admin HTTP server that any daemon (brokerd, frontend, backendd, loadgen,
+// sbexp) mounts behind its -admin flag. GET / is the index: one
+// "path<TAB>description" line per page the process serves.
 //
-//	/metrics  Prometheus-style text exposition of every mounted
-//	          metrics.Registry, including histogram buckets
-//	/healthz  liveness probe
-//	/tracez   recent completed traces with per-stage latency breakdowns,
-//	          filterable by service and QoS class
-//	/loadz    live broker.LoadReport lines from registered load sources,
-//	          with age and staleness when the source stamps arrival times
-//	/poolz    broker-pool membership from registered pool sources: lease
-//	          state, TTLs, piggybacked loads, and failover counters
-//	/breakerz per-replica circuit-breaker states from registered breaker
-//	          sources (state, consecutive failures, totals, last transition)
-//	/limitz   adaptive admission-limit snapshots from registered limit
-//	          sources (current limit, bounds, latency target, cut counts)
-//	/hotz     hot-key analytics from registered sketch trackers (top-k keys
-//	          with rates, hit ratios, p95 latency, and estimated Zipf skew)
-//	/sloz     per-QoS-class SLO state from registered engines (burn rates,
-//	          error budgets, alert state, per-stage budget attribution)
-//	/txnz     transaction integrity from registered txn sources: active
-//	          transactions (step, age, accesses), completed/aborted/abandoned
-//	          and compensation totals, idempotency-table accounting
-
-//	/fleetz   fleet topology from a wired federator: every pool member with
-//	          scrape freshness, staleness, build, plus lease/breaker context
-//	/eventz   bounded fleet event timeline (lease churn, breaker flips, AIMD
-//	          cuts, SLO transitions, drains) with trace-ID links
-//	/         an index of every mounted page with one-line descriptions
-//	/debug/pprof/...  the standard net/http/pprof handlers
+// A few pages are the server's own and take a whole object: /metrics
+// (MountRegistry, MountView, and the federated section from SetFederator),
+// /tracez (SetRecorder), /seriesz and /graphz (SetTSDB), /eventz
+// (SetEventLog), /fleetz (SetFederator), plus /healthz, /buildz and
+// /debug/pprof/. Every other page is a row page, and there is one rule for
+// those: a subsystem that has rows for a page registers a renderer with
+// AddRows, and the page exists — and is listed on the index — exactly when
+// something has registered for it. The text of a row belongs to the package
+// that owns the snapshot type (broker, registry, resilience, overload, sketch,
+// slo, txn, frontend); this package imports none of them.
 //
 // The server is stdlib-only and safe to mount in front of live registries:
-// rendering works from point-in-time View snapshots, never from live metric
+// rendering works from point-in-time snapshots, never from live metric
 // objects.
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -50,51 +36,15 @@ import (
 	"sync"
 	"time"
 
-	"servicebroker/internal/broker"
-	"servicebroker/internal/cache"
 	"servicebroker/internal/fleet"
 	"servicebroker/internal/metrics"
-	"servicebroker/internal/overload"
-	"servicebroker/internal/registry"
-	"servicebroker/internal/resilience"
 	"servicebroker/internal/trace"
 	"servicebroker/internal/tsdb"
 )
 
-// LoadSource supplies live broker load summaries for /loadz. A brokerd
-// process registers one source per hosted broker (or one returning all of
-// them); the centralized front end can register its listener's view.
-type LoadSource func() []broker.LoadReport
-
-// AgedLoad is one /loadz row with freshness information: a front-end
-// listener knows when each report arrived and whether it has outlived the
-// load TTL (the broker stopped reporting — stale rows are shown for
-// diagnosis but no longer steer admission).
-type AgedLoad struct {
-	Report broker.LoadReport
-	Age    time.Duration
-	Stale  bool
-}
-
-// AgedLoadSource supplies age-stamped load reports for /loadz (the
-// centralized front end's listener view).
-type AgedLoadSource func() []AgedLoad
-
-// PoolSource supplies broker-pool membership rows for /poolz: lease state
-// merged with per-member routing health from a frontend pool or a bare
-// registry.
-type PoolSource func() []registry.PoolView
-
-// BreakerSource supplies per-replica circuit-breaker snapshots for /breakerz.
-// A brokerd process registers one source per broker with breakers enabled.
-type BreakerSource func() []resilience.Snapshot
-
-// LimitSource supplies an adaptive-admission snapshot for /limitz. The bool
-// is false when the broker runs a static threshold (no limiter configured).
-type LimitSource func() (overload.Snapshot, bool)
-
 // Server is the admin endpoint. The zero value is not usable; call New.
-// Mount* and Add* calls are safe at any time, including while serving.
+// Mount*, Set* and AddRows calls are safe at any time, including while
+// serving.
 type Server struct {
 	mux   *http.ServeMux
 	start time.Time
@@ -102,15 +52,7 @@ type Server struct {
 	mu        sync.Mutex
 	mounts    []mount
 	rec       *trace.Recorder
-	sources   []LoadSource
-	aged      []AgedLoadSource
-	pools     []namedPoolSource
-	breakers  []namedBreakerSource
-	limits    []namedLimitSource
-	hotkeys   []namedHotKeySource
-	coalesce  []namedCoalesceSource
-	slos      []namedSLOSource
-	txns      []namedTxnSource
+	rows      map[string][]rowSource // row page path → its sources
 	store     *tsdb.Store
 	events    *fleet.Log
 	federator *fleet.Federator
@@ -128,38 +70,23 @@ type mount struct {
 	view func() metrics.View
 }
 
-type namedBreakerSource struct {
-	service string
-	src     BreakerSource
+// rowSource is one AddRows registration.
+type rowSource struct {
+	name   string
+	render func(w io.Writer, limit int)
 }
 
-type namedLimitSource struct {
-	service string
-	src     LimitSource
-}
-
-type namedPoolSource struct {
-	name string
-	src  PoolSource
-}
-
-// New returns an admin server with all endpoints registered.
+// New returns an admin server with the fixed pages registered. Row pages are
+// served by the index handler from whatever AddRows has registered.
 func New() *Server {
-	s := &Server{mux: http.NewServeMux(), start: time.Now()}
+	s := &Server{mux: http.NewServeMux(), start: time.Now(), rows: make(map[string][]rowSource)}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/buildz", s.handleBuildz)
 	s.mux.HandleFunc("/tracez", s.handleTracez)
-	s.mux.HandleFunc("/loadz", s.handleLoadz)
-	s.mux.HandleFunc("/poolz", s.handlePoolz)
-	s.mux.HandleFunc("/breakerz", s.handleBreakerz)
-	s.mux.HandleFunc("/limitz", s.handleLimitz)
 	s.mux.HandleFunc("/seriesz", s.handleSeriesz)
 	s.mux.HandleFunc("/graphz", s.handleGraphz)
-	s.mux.HandleFunc("/hotz", s.handleHotz)
-	s.mux.HandleFunc("/sloz", s.handleSloz)
-	s.mux.HandleFunc("/txnz", s.handleTxnz)
 	s.mux.HandleFunc("/eventz", s.handleEventz)
 	s.mux.HandleFunc("/fleetz", s.handleFleetz)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -195,33 +122,6 @@ func (s *Server) MountView(prefix string, fn func() metrics.View) {
 	s.mu.Unlock()
 }
 
-// MountCacheShards exposes per-shard result-cache counters on /metrics as
-// cache_shard<N>_{hits,misses,evictions,expired,stale_hits} counters and
-// cache_shard<N>_{entries,bytes} gauges, making key-space skew across the
-// cache's lock domains visible. stats is typically broker.CacheShardStats.
-func (s *Server) MountCacheShards(prefix string, stats func() []cache.ShardStats) {
-	if stats == nil {
-		return
-	}
-	s.MountView(prefix, func() metrics.View {
-		v := metrics.View{
-			Counters: make(map[string]int64),
-			Gauges:   make(map[string]int64),
-		}
-		for _, st := range stats() {
-			p := fmt.Sprintf("cache_shard%d_", st.Shard)
-			v.Counters[p+"hits"] = st.Hits
-			v.Counters[p+"misses"] = st.Misses
-			v.Counters[p+"evictions"] = st.Evictions
-			v.Counters[p+"expired"] = st.Expired
-			v.Counters[p+"stale_hits"] = st.StaleHits
-			v.Gauges[p+"entries"] = int64(st.Entries)
-			v.Gauges[p+"bytes"] = st.Bytes
-		}
-		return v
-	})
-}
-
 // SetRecorder wires the trace recorder backing /tracez.
 func (s *Server) SetRecorder(rec *trace.Recorder) {
 	s.mu.Lock()
@@ -236,57 +136,30 @@ func (s *Server) SetTSDB(store *tsdb.Store) {
 	s.mu.Unlock()
 }
 
-// AddLoadSource registers a /loadz supplier.
-func (s *Server) AddLoadSource(src LoadSource) {
-	if src == nil {
-		return
-	}
-	s.mu.Lock()
-	s.sources = append(s.sources, src)
-	s.mu.Unlock()
+// rowPages describes every row page a source may register for.
+var rowPages = map[string]string{
+	"/loadz":    "live broker load reports (outstanding, threshold, queue, hot)",
+	"/poolz":    "broker-pool membership: lease state, health, and failover counters",
+	"/breakerz": "per-replica circuit-breaker states",
+	"/limitz":   "adaptive admission-limit snapshots",
+	"/hotz":     "hot keys: top-k frequency, hit ratio, latency, and workload skew",
+	"/sloz":     "per-class SLO burn rates, error budgets, and stage attribution",
+	"/txnz":     "active transactions with step/age/accesses, plus idempotency-table accounting",
 }
 
-// AddAgedLoadSource registers an age-stamped /loadz supplier. Rows carry
-// their age and a "stale" marker once the report outlives the load TTL.
-func (s *Server) AddAgedLoadSource(src AgedLoadSource) {
-	if src == nil {
-		return
+// AddRows registers a source of text rows for one row page (a key of
+// rowPages; anything else is a programming error and panics). The page is
+// served and listed on the index from the first registration on. A page
+// renders its sources in name order, so name is normally the service, pool
+// or daemon the rows describe; render writes whole lines, labelled however
+// the owning package labels them. limit is the request's ?n= parameter (0
+// when absent) for sources whose rows are ranked.
+func (s *Server) AddRows(page, name string, render func(w io.Writer, limit int)) {
+	if _, ok := rowPages[page]; !ok {
+		panic("obs: AddRows for unknown page " + page)
 	}
 	s.mu.Lock()
-	s.aged = append(s.aged, src)
-	s.mu.Unlock()
-}
-
-// AddPoolSource registers a /poolz supplier under a display name (typically
-// the deployment model or front-end instance).
-func (s *Server) AddPoolSource(name string, src PoolSource) {
-	if src == nil {
-		return
-	}
-	s.mu.Lock()
-	s.pools = append(s.pools, namedPoolSource{name: name, src: src})
-	s.mu.Unlock()
-}
-
-// AddBreakerSource registers a /breakerz supplier for one service. Sources
-// returning nil (breakers disabled) render as a "no breakers" line.
-func (s *Server) AddBreakerSource(service string, src BreakerSource) {
-	if src == nil {
-		return
-	}
-	s.mu.Lock()
-	s.breakers = append(s.breakers, namedBreakerSource{service: service, src: src})
-	s.mu.Unlock()
-}
-
-// AddLimitSource registers a /limitz supplier for one service. Sources whose
-// broker runs a static threshold render as a "static" line.
-func (s *Server) AddLimitSource(service string, src LimitSource) {
-	if src == nil {
-		return
-	}
-	s.mu.Lock()
-	s.limits = append(s.limits, namedLimitSource{service: service, src: src})
+	s.rows[page] = append(s.rows[page], rowSource{name: name, render: render})
 	s.mu.Unlock()
 }
 
@@ -617,135 +490,87 @@ func (s *Server) handleGraphz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "</body></html>\n")
 }
 
-// --- /breakerz ------------------------------------------------------------
+// --- / (index) and the row pages ----------------------------------------------
 
-func (s *Server) handleBreakerz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	breakers := append([]namedBreakerSource(nil), s.breakers...)
-	s.mu.Unlock()
-
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if len(breakers) == 0 {
-		fmt.Fprintln(w, "breakerz: no breaker sources configured")
-		return
-	}
-	sort.SliceStable(breakers, func(i, j int) bool { return breakers[i].service < breakers[j].service })
-	for _, nb := range breakers {
-		snaps := nb.src()
-		if snaps == nil {
-			fmt.Fprintf(w, "service=%s breakers disabled\n", nb.service)
-			continue
-		}
-		for _, sn := range snaps {
-			fmt.Fprintf(w, "service=%s replica=%s state=%s consecutive_failures=%d successes=%d failures=%d opens=%d",
-				nb.service, sn.Name, sn.State, sn.ConsecutiveFailures, sn.Successes, sn.Failures, sn.Opens)
-			if !sn.LastTransition.IsZero() {
-				fmt.Fprintf(w, " last_transition=%s", sn.LastTransition.Format(time.RFC3339Nano))
-			}
-			fmt.Fprintln(w)
-		}
-	}
+// pageInfo is one admin page for the index: its path and a one-line
+// description.
+type pageInfo struct {
+	Path string
+	Desc string
 }
 
-// --- /limitz --------------------------------------------------------------
-
-func (s *Server) handleLimitz(w http.ResponseWriter, _ *http.Request) {
+// pages returns the pages this server answers right now, sorted by path: the
+// fixed ones, those whose backing object has been set, and every row page
+// with at least one source. Every listed page serves a 200 — the CI smoke
+// step walks the index.
+func (s *Server) pages() []pageInfo {
 	s.mu.Lock()
-	limits := append([]namedLimitSource(nil), s.limits...)
-	s.mu.Unlock()
-
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if len(limits) == 0 {
-		fmt.Fprintln(w, "limitz: no limit sources configured")
-		return
+	defer s.mu.Unlock()
+	out := []pageInfo{
+		{"/", "this index: every mounted admin page with a one-line description"},
+		{"/healthz", "liveness probe"},
+		{"/buildz", "build, runtime, and uptime information"},
+		{"/metrics", "Prometheus-style exposition of every mounted metrics registry"},
+		{"/tracez", "recent completed traces with per-stage latency breakdowns"},
+		{"/debug/pprof/", "standard net/http/pprof profiling handlers"},
 	}
-	sort.SliceStable(limits, func(i, j int) bool { return limits[i].service < limits[j].service })
-	for _, nl := range limits {
-		sn, ok := nl.src()
-		if !ok {
-			fmt.Fprintf(w, "service=%s static threshold (adaptive limiting disabled)\n", nl.service)
-			continue
-		}
-		fmt.Fprintf(w, "service=%s limit=%d min=%d max=%d target=%s healthy=%d breaches=%d cuts=%d",
-			nl.service, sn.Limit, sn.Min, sn.Max, sn.Target, sn.Healthy, sn.Breaches, sn.Cuts)
-		if !sn.LastCut.IsZero() {
-			fmt.Fprintf(w, " last_cut=%s", sn.LastCut.Format(time.RFC3339Nano))
-		}
-		fmt.Fprintln(w)
+	if s.store != nil {
+		out = append(out,
+			pageInfo{"/seriesz", "raw time-series snapshots as JSON"},
+			pageInfo{"/graphz", "SVG charts over the recorded time series"},
+		)
 	}
+	if s.events != nil {
+		out = append(out, pageInfo{"/eventz", "fleet event timeline: lease churn, breaker flips, limit cuts, drains"})
+	}
+	if s.federator != nil {
+		out = append(out, pageInfo{"/fleetz", "fleet topology: pool members with scrape freshness, staleness, and builds"})
+	}
+	for page := range s.rows {
+		out = append(out, pageInfo{page, rowPages[page]})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out
 }
 
-// --- /loadz ---------------------------------------------------------------
-
-func (s *Server) handleLoadz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	sources := append([]LoadSource(nil), s.sources...)
-	aged := append([]AgedLoadSource(nil), s.aged...)
-	s.mu.Unlock()
-
-	// Plain sources render as ageless rows; aged sources add freshness.
-	var rows []AgedLoad
+// handleIndex serves every path no fixed page claims: the page directory at
+// exactly "/" (one tab-separated "path<TAB>description" line per page,
+// trivially parseable by the CI smoke step), the rows of a registered row
+// page, and 404 for anything else.
+func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, "admin pages")
+		for _, p := range s.pages() {
+			fmt.Fprintf(w, "%s\t%s\n", p.Path, p.Desc)
+		}
+		return
+	}
+	sources := s.sources(r.URL.Path)
+	if len(sources) == 0 {
+		http.NotFound(w, r)
+		return
+	}
+	limit, _ := strconv.Atoi(r.URL.Query().Get("n"))
+	var b bytes.Buffer
 	for _, src := range sources {
-		for _, lr := range src() {
-			rows = append(rows, AgedLoad{Report: lr, Age: -1})
-		}
+		src.render(&b, limit)
 	}
-	for _, src := range aged {
-		rows = append(rows, src()...)
+	if b.Len() == 0 {
+		// Sources with nothing to show yet (a listener before its first
+		// report): a listed page still answers with a body.
+		fmt.Fprintf(&b, "%s: no rows\n", strings.TrimPrefix(r.URL.Path, "/"))
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Report.Service < rows[j].Report.Service })
-
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if len(sources) == 0 && len(aged) == 0 {
-		fmt.Fprintln(w, "loadz: no load sources configured")
-		return
-	}
-	for _, row := range rows {
-		lr := row.Report
-		fmt.Fprintf(w, "service=%s outstanding=%d threshold=%d queue=%d hot=%v",
-			lr.Service, lr.Outstanding, lr.Threshold, lr.QueueLen, lr.Hot)
-		if row.Age >= 0 {
-			fmt.Fprintf(w, " age=%s", row.Age.Round(time.Millisecond))
-			if row.Stale {
-				fmt.Fprint(w, " stale")
-			}
-		}
-		fmt.Fprintln(w)
-	}
+	_, _ = w.Write(b.Bytes())
 }
 
-// --- /poolz ---------------------------------------------------------------
-
-func (s *Server) handlePoolz(w http.ResponseWriter, _ *http.Request) {
+// sources returns a row page's sources in name order (registration order
+// among equal names); none means the page does not exist.
+func (s *Server) sources(page string) []rowSource {
 	s.mu.Lock()
-	pools := append([]namedPoolSource(nil), s.pools...)
+	out := append([]rowSource(nil), s.rows[page]...)
 	s.mu.Unlock()
-
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if len(pools) == 0 {
-		fmt.Fprintln(w, "poolz: no pool sources configured")
-		return
-	}
-	sort.SliceStable(pools, func(i, j int) bool { return pools[i].name < pools[j].name })
-	for _, np := range pools {
-		views := np.src()
-		if len(views) == 0 {
-			fmt.Fprintf(w, "pool=%s (no members)\n", np.name)
-			continue
-		}
-		for _, v := range views {
-			state := "cool"
-			if v.Hot {
-				state = "hot"
-			}
-			fmt.Fprintf(w, "pool=%s service=%s addr=%s source=%s state=%s ttl=%s renewals=%d outstanding=%d/%d queue=%d %s failures=%d failovers=%d",
-				np.name, v.Service, v.Addr, v.Source, v.State,
-				v.TTLRemaining.Round(time.Millisecond), v.Renewals,
-				v.Outstanding, v.Threshold, v.QueueLen, state, v.Failures, v.Failovers)
-			if v.LastError != "" {
-				fmt.Fprintf(w, " last_error=%q", v.LastError)
-			}
-			fmt.Fprintln(w)
-		}
-	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,12 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"servicebroker/internal/broker"
-	"servicebroker/internal/cache"
 	"servicebroker/internal/metrics"
-	"servicebroker/internal/overload"
-	"servicebroker/internal/registry"
-	"servicebroker/internal/resilience"
 	"servicebroker/internal/trace"
 )
 
@@ -155,100 +149,6 @@ func TestTracezNoRecorder(t *testing.T) {
 	}
 }
 
-func TestLoadzEndpoint(t *testing.T) {
-	s := New()
-	body := get(t, s.Handler(), "/loadz")
-	if !strings.Contains(body, "no load sources") {
-		t.Errorf("want placeholder, got:\n%s", body)
-	}
-
-	s.AddLoadSource(func() []broker.LoadReport {
-		return []broker.LoadReport{
-			{Service: "mail", Outstanding: 1, Threshold: 8, QueueLen: 0},
-			{Service: "db", Outstanding: 5, Threshold: 10, QueueLen: 2, Hot: true},
-		}
-	})
-	body = get(t, s.Handler(), "/loadz")
-	want := "service=db outstanding=5 threshold=10 queue=2 hot=true\nservice=mail outstanding=1 threshold=8 queue=0 hot=false\n"
-	if body != want {
-		t.Errorf("loadz = %q, want %q", body, want)
-	}
-}
-
-func TestLoadzAgedRows(t *testing.T) {
-	s := New()
-	s.AddAgedLoadSource(func() []AgedLoad {
-		return []AgedLoad{
-			{Report: broker.LoadReport{Service: "db", Outstanding: 3, Threshold: 16}, Age: 1200 * time.Millisecond},
-			{Report: broker.LoadReport{Service: "mail", Outstanding: 0, Threshold: 8}, Age: 20 * time.Second, Stale: true},
-		}
-	})
-	body := get(t, s.Handler(), "/loadz")
-	for _, want := range []string{
-		"service=db outstanding=3 threshold=16 queue=0 hot=false age=1.2s\n",
-		"service=mail outstanding=0 threshold=8 queue=0 hot=false age=20s stale\n",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("loadz missing %q, got:\n%s", want, body)
-		}
-	}
-}
-
-func TestPoolzEndpoint(t *testing.T) {
-	s := New()
-	body := get(t, s.Handler(), "/poolz")
-	if !strings.Contains(body, "no pool sources") {
-		t.Errorf("want placeholder, got:\n%s", body)
-	}
-
-	s.AddPoolSource("frontend", func() []registry.PoolView {
-		return []registry.PoolView{
-			{Service: "db", Addr: "127.0.0.1:7101", Source: "lease", State: "live",
-				TTLRemaining: 2500 * time.Millisecond, Renewals: 4, Outstanding: 3, Threshold: 16, QueueLen: 1},
-			{Service: "db", Addr: "127.0.0.1:7102", Source: "static", State: "live/open",
-				Hot: true, Failures: 5, Failovers: 2, LastError: "dial refused"},
-		}
-	})
-	s.AddPoolSource("empty", func() []registry.PoolView { return nil })
-	body = get(t, s.Handler(), "/poolz")
-	for _, want := range []string{
-		"pool=frontend service=db addr=127.0.0.1:7101 source=lease state=live ttl=2.5s renewals=4 outstanding=3/16 queue=1 cool failures=0 failovers=0\n",
-		"pool=frontend service=db addr=127.0.0.1:7102 source=static state=live/open ttl=0s renewals=0 outstanding=0/0 queue=0 hot failures=5 failovers=2 last_error=\"dial refused\"\n",
-		"pool=empty (no members)\n",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("poolz missing %q, got:\n%s", want, body)
-		}
-	}
-}
-
-func TestBreakerzEndpoint(t *testing.T) {
-	s := New()
-	body := get(t, s.Handler(), "/breakerz")
-	if !strings.Contains(body, "no breaker sources") {
-		t.Errorf("want placeholder, got:\n%s", body)
-	}
-
-	s.AddBreakerSource("db", func() []resilience.Snapshot {
-		return []resilience.Snapshot{
-			{Name: "db#0", State: resilience.StateClosed, Successes: 12},
-			{Name: "db#1", State: resilience.StateOpen, ConsecutiveFailures: 3, Failures: 3, Opens: 1,
-				LastTransition: time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)},
-		}
-	})
-	s.AddBreakerSource("mail", func() []resilience.Snapshot { return nil })
-	body = get(t, s.Handler(), "/breakerz")
-	for _, want := range []string{
-		"service=db replica=db#0 state=closed consecutive_failures=0 successes=12 failures=0 opens=0\n",
-		"service=db replica=db#1 state=open consecutive_failures=3 successes=0 failures=3 opens=1 last_transition=2026-08-05T12:00:00Z\n",
-		"service=mail breakers disabled\n",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("breakerz missing %q, got:\n%s", want, body)
-		}
-	}
-}
-
 func TestHealthzAndPprof(t *testing.T) {
 	s := New()
 	if body := get(t, s.Handler(), "/healthz"); body != "ok\n" {
@@ -279,32 +179,6 @@ func TestStartServesOverTCP(t *testing.T) {
 	}
 }
 
-func TestLimitzEndpoint(t *testing.T) {
-	s := New()
-	body := get(t, s.Handler(), "/limitz")
-	if !strings.Contains(body, "no limit sources") {
-		t.Errorf("want placeholder, got:\n%s", body)
-	}
-
-	s.AddLimitSource("db", func() (overload.Snapshot, bool) {
-		return overload.Snapshot{
-			Limit: 12, Min: 2, Max: 64, Target: 8 * time.Millisecond,
-			Healthy: 40, Breaches: 5, Cuts: 2,
-			LastCut: time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC),
-		}, true
-	})
-	s.AddLimitSource("mail", func() (overload.Snapshot, bool) { return overload.Snapshot{}, false })
-	body = get(t, s.Handler(), "/limitz")
-	for _, want := range []string{
-		"service=db limit=12 min=2 max=64 target=8ms healthy=40 breaches=5 cuts=2 last_cut=2026-08-05T12:00:00Z\n",
-		"service=mail static threshold (adaptive limiting disabled)\n",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("limitz missing %q, got:\n%s", want, body)
-		}
-	}
-}
-
 func TestMountView(t *testing.T) {
 	s := New()
 	calls := 0
@@ -323,35 +197,5 @@ func TestMountView(t *testing.T) {
 	body = get(t, s.Handler(), "/metrics")
 	if !strings.Contains(body, "dyn_lookups 20") {
 		t.Fatalf("/metrics served a stale dynamic view:\n%s", body)
-	}
-}
-
-func TestMountCacheShards(t *testing.T) {
-	c := cache.New(1024, cache.WithShards(4))
-	c.Put("k", []byte("v"))
-	c.Get("k")
-	c.Get("absent")
-	s := New()
-	s.MountCacheShards("broker.db.", c.ShardStats)
-	body := get(t, s.Handler(), "/metrics")
-	for _, want := range []string{
-		"broker_db_cache_shard0_hits",
-		"broker_db_cache_shard3_misses",
-		"broker_db_cache_shard0_entries",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/metrics missing %s:\n%s", want, body)
-		}
-	}
-	var hits int64
-	for _, line := range strings.Split(body, "\n") {
-		var shard int
-		var v int64
-		if n, _ := fmt.Sscanf(line, "broker_db_cache_shard%d_hits %d", &shard, &v); n == 2 {
-			hits += v
-		}
-	}
-	if hits != 1 {
-		t.Fatalf("per-shard hit lines sum to %d, want 1:\n%s", hits, body)
 	}
 }

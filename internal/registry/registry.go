@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"fmt"
+	"io"
 	"log/slog"
 	"sort"
 	"sync"
@@ -34,10 +36,9 @@ type Member struct {
 	AdminAddr string
 }
 
-// PoolView is one row of pool state as rendered on /poolz. It merges lease
-// bookkeeping (from the registry) with routing health (from the frontend
-// pool's breakers) so obs can display both without importing either
-// package's internals.
+// PoolView is one row of pool state as rendered on /poolz (WritePool). It
+// merges lease bookkeeping (from the registry) with routing health (from the
+// frontend pool's breakers).
 type PoolView struct {
 	Service string
 	Addr    string
@@ -61,6 +62,30 @@ type PoolView struct {
 	Failures  int64
 	Failovers int64
 	LastError string
+}
+
+// WritePool renders one pool's views as /poolz rows, or a "(no members)"
+// line for an empty pool. It is the only renderer of a PoolView: /fleetz
+// shows the same rows.
+func WritePool(w io.Writer, pool string, views []PoolView) {
+	if len(views) == 0 {
+		fmt.Fprintf(w, "pool=%s (no members)\n", pool)
+		return
+	}
+	for _, v := range views {
+		state := "cool"
+		if v.Hot {
+			state = "hot"
+		}
+		fmt.Fprintf(w, "pool=%s service=%s addr=%s source=%s state=%s ttl=%s renewals=%d outstanding=%d/%d queue=%d %s failures=%d failovers=%d",
+			pool, v.Service, v.Addr, v.Source, v.State,
+			v.TTLRemaining.Round(time.Millisecond), v.Renewals,
+			v.Outstanding, v.Threshold, v.QueueLen, state, v.Failures, v.Failovers)
+		if v.LastError != "" {
+			fmt.Fprintf(w, " last_error=%q", v.LastError)
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // Config parameterizes a Registry. The zero value is usable.

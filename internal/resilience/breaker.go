@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"time"
 )
@@ -84,6 +85,16 @@ type Snapshot struct {
 	Failures            int64
 	Opens               int64
 	LastTransition      time.Time // zero if the breaker never transitioned
+}
+
+// WriteRow renders the snapshot as one /breakerz row for a service.
+func (sn Snapshot) WriteRow(w io.Writer, service string) {
+	fmt.Fprintf(w, "service=%s replica=%s state=%s consecutive_failures=%d successes=%d failures=%d opens=%d",
+		service, sn.Name, sn.State, sn.ConsecutiveFailures, sn.Successes, sn.Failures, sn.Opens)
+	if !sn.LastTransition.IsZero() {
+		fmt.Fprintf(w, " last_transition=%s", sn.LastTransition.Format(time.RFC3339Nano))
+	}
+	fmt.Fprintln(w)
 }
 
 // Breaker is one replica's circuit breaker. Use NewBreaker; all methods are

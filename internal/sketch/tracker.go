@@ -1,10 +1,14 @@
 package sketch
 
 import (
+	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"servicebroker/internal/trace"
 )
 
 // Config sizes a Tracker. The zero value selects the defaults below.
@@ -107,6 +111,24 @@ func (s *Snapshot) HitRatio() float64 {
 		return 0
 	}
 	return float64(s.TotalHits) / float64(s.TotalAccesses)
+}
+
+// WriteRows renders the snapshot as /hotz rows for a service: a summary
+// line, then one line per hot key — at most limit of them when limit > 0.
+func (s Snapshot) WriteRows(w io.Writer, service string, limit int) {
+	fmt.Fprintf(w, "service=%s accesses=%d hit_ratio=%.3f skew=%.2f tracked=%d memory=%dB elapsed=%s\n",
+		service, s.TotalAccesses, s.HitRatio(), s.Skew,
+		len(s.Keys), s.MemoryBytes, s.Elapsed.Round(time.Second))
+	keys := s.Keys
+	if limit > 0 && len(keys) > limit {
+		keys = keys[:limit]
+	}
+	for i, k := range keys {
+		fmt.Fprintf(w, "  #%-3d key=%q count=%d(±%d) rate=%.2f/s hit_ratio=%.3f mean=%s p95=%s\n",
+			i+1, k.Key, k.Count, k.Err, k.RatePerSec, k.HitRatio,
+			trace.FormatDuration(time.Duration(k.MeanLatencyUs)*time.Microsecond),
+			trace.FormatDuration(time.Duration(k.P95LatencyUs)*time.Microsecond))
+	}
 }
 
 // Tracker is the concurrency-safe workload-analytics front door: every

@@ -29,6 +29,7 @@ package slo
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"sort"
 	"sync"
@@ -351,6 +352,26 @@ type Status struct {
 	Classes    []ClassStatus `json:"classes"`
 	FastWindow time.Duration `json:"fast_window_ns"`
 	SlowWindow time.Duration `json:"slow_window_ns"`
+}
+
+// WriteRows renders the status as /sloz rows for a service: the windows,
+// then per class its state, both objectives, and the stage attribution.
+func (st Status) WriteRows(w io.Writer, service string) {
+	fmt.Fprintf(w, "service=%s fast_window=%s slow_window=%s\n", service, st.FastWindow, st.SlowWindow)
+	for _, c := range st.Classes {
+		fmt.Fprintf(w, "  class=%d state=%s since=%s requests(fast/slow)=%d/%d\n",
+			c.Class, c.State, c.Since.Format(time.RFC3339), c.FastTotal, c.SlowTotal)
+		fmt.Fprintf(w, "    latency: target=%s goal=%.3f burn(fast/slow)=%.2f/%.2f budget=%.3f\n",
+			trace.FormatDuration(c.LatencyTarget), c.Latency.Goal,
+			c.Latency.FastBurn, c.Latency.SlowBurn, c.Latency.Budget)
+		fmt.Fprintf(w, "    availability: goal=%.3f burn(fast/slow)=%.2f/%.2f budget=%.3f\n",
+			c.Availability.Goal,
+			c.Availability.FastBurn, c.Availability.SlowBurn, c.Availability.Budget)
+		for _, sh := range c.Stages {
+			fmt.Fprintf(w, "    stage=%s share=%.3f total=%s\n",
+				sh.Stage, sh.Share, trace.FormatDuration(sh.Total))
+		}
+	}
 }
 
 // budget converts a slow-window burn into remaining error budget.

@@ -26,11 +26,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"time"
 
 	"servicebroker/internal/qos"
+	"servicebroker/internal/trace"
 )
 
 // State describes one tracked transaction.
@@ -99,6 +101,33 @@ type Snapshot struct {
 	CompensationsFailed int
 	// TTL is the abandonment idle limit (0 = sweeping disabled).
 	TTL time.Duration
+}
+
+// WriteRows renders one service's transaction state as /txnz rows: the
+// tracker's totals, the idempotency table's accounting when the broker runs
+// one (idem non-nil), then one line per active transaction.
+func (s Snapshot) WriteRows(w io.Writer, service string, idem *IdemStats) {
+	fmt.Fprintf(w, "service=%s active=%d completed=%d aborted=%d abandoned=%d compensations(run/failed)=%d/%d ttl=%s\n",
+		service, len(s.Active), s.Completed, s.Aborted, s.Abandoned,
+		s.CompensationsRun, s.CompensationsFailed, formatTTL(s.TTL))
+	if idem != nil {
+		fmt.Fprintf(w, "  idempotency: size=%d/%d ttl=%s hits=%d coalesced=%d recorded=%d restored=%d evicted=%d\n",
+			idem.Size, idem.Capacity, formatTTL(idem.TTL),
+			idem.Hits, idem.Coalesced, idem.Recorded, idem.Restored, idem.Evicted)
+	}
+	for _, a := range s.Active {
+		fmt.Fprintf(w, "  txn=%s step=%d age=%s idle=%s accesses=%d compensations=%d\n",
+			a.ID, a.Step, trace.FormatDuration(a.Age), trace.FormatDuration(a.Idle),
+			a.Accesses, a.Compensations)
+	}
+}
+
+// formatTTL renders a TTL where zero means "none configured".
+func formatTTL(d time.Duration) string {
+	if d <= 0 {
+		return "none"
+	}
+	return trace.FormatDuration(d)
 }
 
 // Tracker records transaction progress and computes priority escalation.

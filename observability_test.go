@@ -99,7 +99,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	adminSrv.MountRegistry("", traceReg)
 	adminSrv.MountRegistry("broker.db.", b.Metrics())
 	adminSrv.MountRegistry("frontend.", fe.Metrics())
-	adminSrv.AddLoadSource(func() []broker.LoadReport { return []broker.LoadReport{b.Load()} })
+	for page, render := range b.AdminPages("db") {
+		adminSrv.AddRows(page, "db", render)
+	}
 	if err := adminSrv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

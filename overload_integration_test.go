@@ -71,7 +71,9 @@ func TestAdaptiveOverloadEndToEnd(t *testing.T) {
 
 	// Admin plane with the live limiter wired in, as cmd/brokerd does it.
 	adminSrv := obs.New()
-	adminSrv.AddLimitSource("cgi", b.LimitSnapshot)
+	for page, render := range b.AdminPages("cgi") {
+		adminSrv.AddRows(page, "cgi", render)
+	}
 	if err := adminSrv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -290,8 +290,9 @@ func TestConcurrentAdminScrapes(t *testing.T) {
 
 	adminSrv := obs.New()
 	adminSrv.MountRegistry("broker.db.", b.Metrics())
-	adminSrv.AddLoadSource(func() []broker.LoadReport { return []broker.LoadReport{b.Load()} })
-	adminSrv.AddBreakerSource("db", b.BreakerSnapshots)
+	for page, render := range b.AdminPages("db") {
+		adminSrv.AddRows(page, "db", render)
+	}
 	if err := adminSrv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
