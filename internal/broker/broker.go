@@ -42,7 +42,9 @@ import (
 type Request struct {
 	// Payload is the service-specific query (SQL text, command line, URI).
 	Payload []byte
-	// Class is the request's QoS class; zero defaults to the lowest class.
+	// Class is the request's QoS class, 1 (highest priority) to the broker's
+	// class count. Anything else — zero, or a class above the count — is the
+	// lowest class, settled once where the request enters (escalate).
 	Class qos.Class
 	// TxnID optionally tags the enclosing transaction.
 	TxnID string
@@ -204,8 +206,8 @@ type Option func(*Broker) error
 // (defaults: 20 and 3, the paper's values).
 func WithThreshold(threshold, classes int) Option {
 	return func(b *Broker) error {
-		if threshold <= 0 || classes <= 0 {
-			return errors.New("broker: threshold and classes must be positive")
+		if threshold <= 0 || classes <= 0 || classes > int(qos.MaxClass) {
+			return fmt.Errorf("broker: threshold must be positive and classes in 1..%d", qos.MaxClass)
 		}
 		b.policy = qos.NewThresholdPolicy(threshold, classes)
 		return nil
@@ -647,6 +649,8 @@ func New(connector backend.Connector, opts ...Option) (_ *Broker, err error) {
 	}
 
 	if b.prefetch != nil {
+		b.m.prefetched = b.reg.Counter("prefetched")
+		b.m.prefetchSkipped, b.m.prefetchErrors = b.reg.Counter("prefetch_skipped"), b.reg.Counter("prefetch_errors")
 		go b.prefetch.run()
 	}
 	return b, nil

@@ -11,12 +11,13 @@ import (
 // request path never looks a metric up by name (a registry lookup takes the
 // registry's mutex and formats the per-class names).
 type instruments struct {
-	requests, completed, dropped, shed     *metrics.Counter
-	idemHits, idemCoalesced                *metrics.Counter
-	cacheHits, coalesceFlights, coalesced  *metrics.Counter
-	degradedReplies, busyReplies           *metrics.Counter
-	sojournEvictions, expiredInQueue       *metrics.Counter
-	retries, backendErrors, degradedServes *metrics.Counter
+	requests, completed, dropped, shed          *metrics.Counter
+	idemHits, idemCoalesced                     *metrics.Counter
+	cacheHits, coalesceFlights, coalesced       *metrics.Counter
+	degradedReplies, busyReplies                *metrics.Counter
+	sojournEvictions, expiredInQueue            *metrics.Counter
+	retries, backendErrors, degradedServes      *metrics.Counter
+	prefetched, prefetchSkipped, prefetchErrors *metrics.Counter
 
 	outstanding, queueLen *metrics.Gauge
 
@@ -57,8 +58,8 @@ func newInstruments(b *Broker) instruments {
 		class:           make([]classInstruments, b.policy.Classes),
 	}
 	// An optional stage's handles exist only when the stage does, so /metrics
-	// lists no series for a feature that is off. New registers clustering's
-	// and the sojourn budget's where it switches those on.
+	// lists no series for a feature that is off. New registers clustering's,
+	// the sojourn budget's and the prefetcher's where it switches those on.
 	if b.idem != nil {
 		m.idemHits, m.idemCoalesced = reg.Counter("idem_hits"), reg.Counter("idem_coalesced")
 	}
@@ -80,19 +81,18 @@ func newInstruments(b *Broker) instruments {
 	return m
 }
 
-// forClass returns class c's handles. c is valid (≥ 1); a class numbered
-// above the policy's class count is accounted with the lowest class, the
-// share and sojourn budget it is already given.
-func (m *instruments) forClass(c qos.Class) *classInstruments {
-	return &m.class[min(int(c), len(m.class))-1]
-}
+// forClass returns class c's handles; c is a settled class (see escalate).
+func (m *instruments) forClass(c qos.Class) *classInstruments { return &m.class[c-1] }
 
 // RefusedRatio is the share of class c's requests the broker has refused.
 // A refusal is either disposition: the threshold check answers StatusShed
 // (shed_class_<k>), a contract breach StatusDropped (dropped_class_<k>) —
 // the paper's drop ratio counts both. ok is false before the class's first
-// request.
+// request, and for a class the policy does not have.
 func (b *Broker) RefusedRatio(c qos.Class) (ratio float64, ok bool) {
+	if c < 1 || int(c) > b.policy.Classes {
+		return 0, false
+	}
 	m := b.m.forClass(c)
 	requests := m.requests.Value()
 	if requests == 0 {

@@ -25,7 +25,8 @@ import (
 type flow struct {
 	ctx     context.Context
 	req     *Request
-	class   qos.Class // effective class, after defaulting and escalation
+	base    qos.Class // the caller's class once settled; contracts go by it
+	class   qos.Class // effective class: base, escalated by the transaction step
 	started time.Time
 	tr      *trace.Active // nil when tracing is off
 
@@ -88,13 +89,15 @@ func (b *Broker) Handle(ctx context.Context, req *Request) *Response {
 	return b.enqueue(&r)
 }
 
-// escalate settles the request's effective class: an invalid class defaults
-// to the lowest priority, and later transaction steps gain priority (paper
-// §III).
+// escalate settles the request's class, here and nowhere else: an invalid
+// class, or one above the policy's class count, is the lowest class, and from
+// there later transaction steps gain priority (paper §III). Every later stage
+// — share, contract, queue, sojourn budget, counters — sees 1..Classes.
 func (b *Broker) escalate(r *flow) error {
-	if !r.class.Valid() {
+	if !r.class.Valid() || int(r.class) > b.policy.Classes {
 		r.class = qos.Class(b.policy.Classes)
 	}
+	r.base = r.class
 	if b.tracker == nil || r.req.TxnID == "" {
 		return nil
 	}
@@ -211,7 +214,7 @@ func (b *Broker) coalesce(r *flow) (resp *Response) {
 // enforceContract drops a request beyond its class's rate contract, even
 // under light load (loosely coupled services).
 func (b *Broker) enforceContract(r *flow) *Response {
-	if c := b.contract[r.req.Class]; c != nil && !c.Allow() {
+	if c := b.contract[r.base]; c != nil && !c.Allow() {
 		return b.refuse(r, StatusDropped, "contract exceeded")
 	}
 	return nil
@@ -315,8 +318,7 @@ func (b *Broker) retryAfterHint() time.Duration {
 // may wait base × (k-c+1), so the lowest class is shed first — the paper's
 // priority order applied to time in queue, not just admission.
 func (b *Broker) sojournBudget(c qos.Class) time.Duration {
-	k := min(max(int(c), 1), b.policy.Classes)
-	return b.sojournBase * time.Duration(b.policy.Classes-k+1)
+	return b.sojournBase * time.Duration(b.policy.Classes-int(c)+1)
 }
 
 // evictExpired sheds a job whose queue wait exceeded its class budget. It

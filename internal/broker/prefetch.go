@@ -37,7 +37,7 @@ func (p *prefetcher) tick() {
 	idle := p.b.outstanding < p.lowWater && !p.b.closed
 	p.b.mu.Unlock()
 	if !idle {
-		p.b.reg.Counter("prefetch_skipped").Inc()
+		p.b.m.prefetchSkipped.Inc()
 		return
 	}
 	for _, payload := range p.source() {
@@ -50,11 +50,11 @@ func (p *prefetcher) tick() {
 		body, err := p.b.do(ctx, payload)
 		cancel()
 		if err != nil {
-			p.b.reg.Counter("prefetch_errors").Inc()
+			p.b.m.prefetchErrors.Inc()
 			continue
 		}
 		p.b.results.Put(string(payload), body)
-		p.b.reg.Counter("prefetched").Inc()
+		p.b.m.prefetched.Inc()
 	}
 }
 

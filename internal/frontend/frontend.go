@@ -58,8 +58,8 @@ type Route struct {
 // else the route default).
 func classOf(req *httpserver.Request, route Route) qos.Class {
 	if v := req.Query["qos"]; v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 1 {
-			return qos.Class(n)
+		if n, err := strconv.Atoi(v); err == nil && qos.Class(n).Valid() {
+			return qos.Class(n) // fits the wire's class byte
 		}
 	}
 	return route.DefaultClass

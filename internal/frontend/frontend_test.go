@@ -530,3 +530,15 @@ func TestFrontendRelaysBackendError(t *testing.T) {
 		t.Fatalf("resp = %d %q", resp.Status, resp.Body)
 	}
 }
+
+// A qos parameter the wire's class byte cannot carry falls back to the
+// route's default instead of wrapping round to some other class.
+func TestClassOfRejectsWhatTheWireCannotCarry(t *testing.T) {
+	route := Route{DefaultClass: qos.Class2}
+	for v, want := range map[string]qos.Class{"1": 1, "255": 255, "256": 2, "300": 2, "0": 2, "-4": 2, "x": 2, "": 2} {
+		req := &httpserver.Request{Query: map[string]string{"qos": v}}
+		if got := classOf(req, route); got != want {
+			t.Errorf("qos=%q: class %d, want %d", v, int(got), int(want))
+		}
+	}
+}

@@ -7,12 +7,12 @@ import (
 )
 
 // TestQueuePushPopZeroAllocs pins the admission queue's hot path: once a
-// shard's backing array is warm, a Push/Pop pair must not allocate. The CI
+// class's backing array is warm, a Push/Pop pair must not allocate. The CI
 // bench-smoke job runs every test matching "Alloc" with -count=2, so a
 // regression here fails the build, not just a benchmark eyeball.
 func TestQueuePushPopZeroAllocs(t *testing.T) {
 	q := NewQueue[int](1024)
-	// Warm the shard so append never grows mid-measurement.
+	// Warm the class so append never grows mid-measurement.
 	for i := 0; i < 512; i++ {
 		if err := q.Push(Class2, i); err != nil {
 			t.Fatal(err)
@@ -82,9 +82,9 @@ func BenchmarkQueuePushPop(b *testing.B) {
 	}
 }
 
-// BenchmarkQueuePushPopParallel exercises the striped locks: goroutines
-// spread across three classes, so producers of different classes take
-// different shard mutexes.
+// BenchmarkQueuePushPopParallel measures contention on the queue's one lock:
+// goroutines spread across three classes all push and pop through it. This is
+// the number a future re-striping would have to beat — end to end, not here.
 func BenchmarkQueuePushPopParallel(b *testing.B) {
 	q := NewQueue[int](1 << 16)
 	var gid atomic.Int64

@@ -29,8 +29,12 @@ const (
 	Class3 Class = 3
 )
 
-// Valid reports whether c is a usable class (≥ 1).
-func (c Class) Valid() bool { return c >= 1 }
+// MaxClass is the largest usable class: the wire carries a request's class
+// in one byte.
+const MaxClass Class = 255
+
+// Valid reports whether c is a usable class (1..MaxClass).
+func (c Class) Valid() bool { return c >= 1 && c <= MaxClass }
 
 // String renders the class as "QoS n".
 func (c Class) String() string { return fmt.Sprintf("QoS %d", int(c)) }

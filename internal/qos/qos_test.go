@@ -325,29 +325,6 @@ func TestQueueLens(t *testing.T) {
 	if q.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", q.Len())
 	}
-	if q.LenClass(Class2) != 2 {
-		t.Fatalf("LenClass(2) = %d, want 2", q.LenClass(Class2))
-	}
-	if q.LenClass(Class3) != 0 {
-		t.Fatalf("LenClass(3) = %d, want 0", q.LenClass(Class3))
-	}
-}
-
-func TestQueueDropClass(t *testing.T) {
-	q := NewQueue[int](16)
-	q.Push(Class1, 1)
-	q.Push(Class3, 30)
-	q.Push(Class3, 31)
-	dropped := q.DropClass(Class3)
-	if len(dropped) != 2 || dropped[0] != 30 || dropped[1] != 31 {
-		t.Fatalf("DropClass = %v, want [30 31]", dropped)
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len after drop = %d, want 1", q.Len())
-	}
-	if q.DropClass(Class3) != nil {
-		t.Fatal("second DropClass returned items")
-	}
 }
 
 func TestQueueConcurrentProducersConsumers(t *testing.T) {

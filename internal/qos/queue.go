@@ -2,96 +2,42 @@ package qos
 
 import (
 	"errors"
-	"math/bits"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// ErrQueueClosed is returned by Push and Pop after Close.
-var ErrQueueClosed = errors.New("qos: queue closed")
+// Push and Pop fail with these.
+var (
+	ErrQueueClosed = errors.New("qos: queue closed")
+	ErrQueueFull   = errors.New("qos: queue full")
+)
 
-// ErrQueueFull is returned by Push when the queue is at capacity.
-var ErrQueueFull = errors.New("qos: queue full")
-
-// entry pairs a queued item with its enqueue time so the queue can measure
-// sojourn (queue-wait) time.
+// entry is a queued item and its enqueue time, the start of its sojourn.
 type entry[T any] struct {
 	item T
 	at   time.Time
 }
 
-// stripedClasses is the number of low-numbered classes that get a dedicated
-// lock-striped shard. Real deployments use a handful of classes (the paper
-// uses three), so every hot class lands here; classes above the stripe are
-// legal but share the spill region's extra map lookup.
-const stripedClasses = 32
-
-// classShard holds one class's FIFO under its own lock. Items live in
-// items[head:]; popping advances head and compact reclaims the dead prefix,
-// so the backing array never grows without bound. The trailing padding keeps
-// adjacent shards in the striped array off each other's cache lines.
-type classShard[T any] struct {
-	mu     sync.Mutex
-	items  []entry[T]
-	head   int
-	closed bool
-	_      [16]byte
+// fifo is one class's queue: the live items are items[head:].
+type fifo[T any] struct {
+	items []entry[T]
+	head  int
 }
 
-// evictExpired removes the expired prefix of the shard (FIFO order means
-// expired items are always a prefix), appending each to out. Caller holds
-// sh.mu.
-func (sh *classShard[T]) evictExpired(c Class, b time.Duration, now time.Time, out []evicted[T]) []evicted[T] {
-	for sh.head < len(sh.items) {
-		w := now.Sub(sh.items[sh.head].at)
-		if w <= b {
-			break
-		}
-		out = append(out, evicted[T]{item: sh.items[sh.head].item, c: c, wait: w})
-		sh.items[sh.head] = entry[T]{}
-		sh.head++
+// pop removes the oldest entry of a non-empty fifo. A dead prefix as long as
+// the live tail is copied over (amortised constant): the array never grows.
+func (f *fifo[T]) pop() entry[T] {
+	e := f.items[f.head]
+	f.items[f.head] = entry[T]{}
+	if f.head++; f.head*2 >= len(f.items) {
+		n := copy(f.items, f.items[f.head:])
+		clear(f.items[n:])
+		f.items, f.head = f.items[:n], 0
 	}
-	sh.compact()
-	return out
+	return e
 }
 
-// compact reclaims the popped prefix. A fully drained shard resets in place
-// (keeping the backing array for reuse); a long dead prefix is copied down
-// once it dominates the slice. Caller holds sh.mu.
-func (sh *classShard[T]) compact() {
-	if sh.head == len(sh.items) {
-		sh.items = sh.items[:0]
-		sh.head = 0
-		return
-	}
-	if sh.head >= 64 && sh.head*2 >= len(sh.items) {
-		n := copy(sh.items, sh.items[sh.head:])
-		tail := sh.items[n:]
-		var zero entry[T]
-		for i := range tail {
-			tail[i] = zero
-		}
-		sh.items = sh.items[:n]
-		sh.head = 0
-	}
-}
-
-// len reports the live item count. Caller holds sh.mu.
-func (sh *classShard[T]) len() int { return len(sh.items) - sh.head }
-
-// queueConfig bundles the queue's tunable callbacks behind one atomic
-// pointer so the hot Push/Pop paths read them without a lock.
-type queueConfig[T any] struct {
-	now    func() time.Time
-	budget func(Class) time.Duration
-	evict  func(item T, c Class, wait time.Duration)
-}
-
-// evicted is an expired item removed under a shard lock, delivered to the
-// eviction callback after every lock is released (the callback may re-enter
-// the queue or take caller locks held around Push/Pop).
+// evicted is an expired item on its way to the evict callback.
 type evicted[T any] struct {
 	item T
 	c    Class
@@ -101,429 +47,154 @@ type evicted[T any] struct {
 // Queue is a bounded strict-priority queue: Pop always returns the oldest
 // item of the highest-priority (lowest-numbered) non-empty class. Brokers
 // use it to "reshuffle the queued requests and schedule according to their
-// priorities" (paper §III, QoS awareness).
-//
-// With SetSojourn the queue additionally evicts items whose queue wait
-// exceeds a per-class budget (CoDel-style): under overload a low-priority
-// request is handed to the eviction callback — answered early with the
-// paper's low-fidelity busy message — instead of rotting in queue until its
-// deadline has long passed.
-//
-// Internally the queue stripes one lock per class instead of serializing
-// every operation behind a single mutex: producers of different classes
-// never contend, and a consumer only touches the shards that are actually
-// non-empty (tracked in an atomic bitmask). The global invariants — strict
-// priority across classes, FIFO within a class, exact capacity — are kept by
-// an atomic size reservation and a generation-counted condition variable.
-//
-// Queue is safe for concurrent producers and consumers. Use NewQueue.
+// priorities" (paper §III, QoS awareness). With SetSojourn it also evicts
+// items that outwait a per-class budget (CoDel-style): under overload a
+// low-priority request is answered early with the paper's low-fidelity busy
+// message instead of rotting in queue past its deadline. One mutex guards
+// everything and every operation is one critical section: strict priority,
+// FIFO within a class and the exact capacity bound hold by construction.
+// Safe for concurrent producers and consumers. Use NewQueue.
 type Queue[T any] struct {
-	capacity int
-	size     atomic.Int64 // reserved by Push before insert, released on removal
-
-	// striped[i] holds class i+1. nonEmpty bit i is set while striped[i]
-	// has items; maintained under the shard lock, read lock-free by Pop to
-	// skip empty shards.
-	striped  [stripedClasses]classShard[T]
-	nonEmpty atomic.Uint32
-
-	// spill holds the rare classes above the stripe, in sorted class order.
-	spillMu    sync.Mutex
-	spill      map[Class]*classShard[T]
-	spillOrder []Class
-	spillCount atomic.Int32
-
-	cfg   atomic.Pointer[queueConfig[T]]
-	setMu sync.Mutex // serializes SetClock/SetSojourn copy-on-write
-
-	// waitMu guards the blocking machinery only; it is never held while a
-	// shard lock is taken. gen increments on every Push so a popper that
-	// scanned empty can tell whether anything arrived since its scan.
-	waitMu sync.Mutex
-	wake   *sync.Cond
-	gen    uint64
-	closed bool
-
-	closedFast atomic.Bool // Push fast-path check; authoritative state is per-shard + waitMu
+	mu             sync.Mutex
+	wake           sync.Cond // on mu: Push signals, Close broadcasts
+	classes        []fifo[T] // class c at index c-1; grows to the highest class pushed
+	size, capacity int
+	closed         bool
+	now            func() time.Time
+	budget         func(Class) time.Duration // nil: no sojourn eviction
+	evict          func(item T, c Class, wait time.Duration)
 }
 
-// NewQueue creates a queue holding at most capacity items across all
-// classes. It panics if capacity is not positive.
+// NewQueue creates a queue holding at most capacity (> 0) items in all.
 func NewQueue[T any](capacity int) *Queue[T] {
 	if capacity <= 0 {
 		panic("qos: queue capacity must be positive")
 	}
-	q := &Queue[T]{capacity: capacity}
-	q.cfg.Store(&queueConfig[T]{now: time.Now})
-	q.wake = sync.NewCond(&q.waitMu)
+	q := &Queue[T]{capacity: capacity, now: time.Now}
+	q.wake.L = &q.mu
 	return q
 }
 
-// SetClock overrides the queue's time source (deterministic tests).
+// SetClock overrides the time source (tests); now runs under the queue's lock.
 func (q *Queue[T]) SetClock(now func() time.Time) {
-	q.setMu.Lock()
-	defer q.setMu.Unlock()
-	cfg := *q.cfg.Load()
-	cfg.now = now
-	q.cfg.Store(&cfg)
+	q.mu.Lock()
+	q.now = now
+	q.mu.Unlock()
 }
 
-// SetSojourn enables sojourn-time eviction. budget returns the maximum
-// queue wait for a class (0 or negative disables eviction for that class);
-// evict receives each expired item with its measured wait. Eviction happens
-// on Push (to make room) and on Pop/TryPop (expired heads are skipped), and
-// evict is always invoked outside the queue's locks, so it may call back
-// into the queue or take caller locks held around Push/Pop.
+// SetSojourn enables sojourn-time eviction. budget returns the maximum queue
+// wait for a class (≤ 0: never evicted); it runs under the queue's lock and
+// must not call back. evict (not nil) receives each expired item and its wait,
+// on Push (making room in a full queue) and on every Pop and TryPop, always
+// with the lock released: it may re-enter the queue or take caller locks.
 func (q *Queue[T]) SetSojourn(budget func(Class) time.Duration, evict func(item T, c Class, wait time.Duration)) {
-	q.setMu.Lock()
-	defer q.setMu.Unlock()
-	cfg := *q.cfg.Load()
-	cfg.budget = budget
-	cfg.evict = evict
-	q.cfg.Store(&cfg)
+	q.mu.Lock()
+	q.budget, q.evict = budget, evict
+	q.mu.Unlock()
 }
 
-// Push enqueues item with the given class. It returns ErrQueueFull when the
-// queue is at capacity and ErrQueueClosed after Close. Invalid classes are
-// rejected. When sojourn eviction is enabled, a full queue first sheds
-// expired items to make room.
-func (q *Queue[T]) Push(c Class, item T) error {
+// take is the queue's one walk, in priority order with q.mu held. Every item
+// that outwaited its class's budget is removed into expired (within a class
+// they are a prefix); with pop set, the first live head is removed as well.
+func (q *Queue[T]) take(pop bool) (item T, c Class, ok bool, expired []evicted[T]) {
+	var now time.Time
+	if q.budget != nil {
+		now = q.now()
+	}
+	for i := range q.classes {
+		f, class := &q.classes[i], Class(i+1)
+		if q.budget != nil && f.head < len(f.items) {
+			b := q.budget(class)
+			for b > 0 && f.head < len(f.items) && now.Sub(f.items[f.head].at) > b {
+				e := f.pop()
+				expired = append(expired, evicted[T]{e.item, class, now.Sub(e.at)})
+			}
+		}
+		if pop && !ok && f.head < len(f.items) {
+			item, c, ok = f.pop().item, class, true
+			q.size--
+		}
+	}
+	q.size -= len(expired)
+	return item, c, ok, expired
+}
+
+// unlock releases q.mu, then hands the expired items to the evict callback.
+func (q *Queue[T]) unlock(expired []evicted[T]) {
+	evict := q.evict
+	q.mu.Unlock()
+	for _, e := range expired {
+		evict(e.item, e.c, e.wait)
+	}
+}
+
+// Push enqueues item in class c, which must be Valid. A queue still full once
+// its expired items are shed fails with ErrQueueFull, a closed one with ErrQueueClosed.
+func (q *Queue[T]) Push(c Class, item T) (err error) {
 	if !c.Valid() {
 		return errors.New("qos: invalid class")
 	}
-	if q.closedFast.Load() {
-		return ErrQueueClosed
-	}
-	cfg := q.cfg.Load()
-
-	// Reserve a capacity slot before touching any shard: the CAS keeps the
-	// bound exact without a global lock. A full queue gets one expiry sweep
-	// to make room before the push is refused.
+	q.mu.Lock()
 	var expired []evicted[T]
-	swept := false
-	for {
-		s := q.size.Load()
-		if int(s) < q.capacity {
-			if q.size.CompareAndSwap(s, s+1) {
-				break
-			}
-			continue
+	if q.size >= q.capacity && !q.closed {
+		_, _, _, expired = q.take(false)
+	}
+	switch {
+	case q.closed:
+		err = ErrQueueClosed
+	case q.size >= q.capacity:
+		err = ErrQueueFull
+	default:
+		for len(q.classes) < int(c) {
+			q.classes = append(q.classes, fifo[T]{})
 		}
-		if swept {
-			q.runEvictions(cfg, expired)
-			return ErrQueueFull
-		}
-		swept = true
-		expired = q.sweepExpired(cfg, expired)
+		f := &q.classes[c-1]
+		f.items = append(f.items, entry[T]{item, q.now()})
+		q.size++
+		q.wake.Signal()
 	}
-
-	sh, bit := q.shard(c)
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		q.size.Add(-1)
-		q.runEvictions(cfg, expired)
-		return ErrQueueClosed
-	}
-	sh.items = append(sh.items, entry[T]{item: item, at: cfg.now()})
-	if bit != 0 {
-		orUint32(&q.nonEmpty, bit)
-	}
-	sh.mu.Unlock()
-
-	q.waitMu.Lock()
-	q.gen++
-	q.wake.Signal()
-	q.waitMu.Unlock()
-	q.runEvictions(cfg, expired)
-	return nil
+	q.unlock(expired)
+	return err
 }
 
-// shard returns the shard for class c, creating a spill shard on first use
-// of a class above the stripe. bit is the shard's nonEmpty mask bit (0 for
-// spill shards, which are tracked by spillCount instead).
-func (q *Queue[T]) shard(c Class) (sh *classShard[T], bit uint32) {
-	if int(c) <= stripedClasses {
-		return &q.striped[int(c)-1], 1 << (int(c) - 1)
-	}
-	q.spillMu.Lock()
-	defer q.spillMu.Unlock()
-	sh, ok := q.spill[c]
-	if !ok {
-		sh = &classShard[T]{closed: q.closedFast.Load()}
-		if q.spill == nil {
-			q.spill = make(map[Class]*classShard[T])
-		}
-		q.spill[c] = sh
-		i := sort.Search(len(q.spillOrder), func(i int) bool { return q.spillOrder[i] >= c })
-		q.spillOrder = append(q.spillOrder, 0)
-		copy(q.spillOrder[i+1:], q.spillOrder[i:])
-		q.spillOrder[i] = c
-		q.spillCount.Add(1)
-	}
-	return sh, 0
-}
-
-// peekShard returns the shard for class c without creating one.
-func (q *Queue[T]) peekShard(c Class) *classShard[T] {
-	if !c.Valid() {
-		return nil
-	}
-	if int(c) <= stripedClasses {
-		return &q.striped[int(c)-1]
-	}
-	q.spillMu.Lock()
-	defer q.spillMu.Unlock()
-	return q.spill[c]
-}
-
-// spillRef pairs a spill shard with its class for an ordered scan.
-type spillRef[T any] struct {
-	c  Class
-	sh *classShard[T]
-}
-
-// spillRefs snapshots the spill shards in ascending class order. Free when
-// no class ever spilled.
-func (q *Queue[T]) spillRefs() []spillRef[T] {
-	if q.spillCount.Load() == 0 {
-		return nil
-	}
-	q.spillMu.Lock()
-	defer q.spillMu.Unlock()
-	refs := make([]spillRef[T], 0, len(q.spillOrder))
-	for _, c := range q.spillOrder {
-		refs = append(refs, spillRef[T]{c: c, sh: q.spill[c]})
-	}
-	return refs
-}
-
-// scanPop walks the shards in strict class order: it evicts every expired
-// item (matching the old single-lock queue, which swept all classes on each
-// operation) and removes the first live head it finds. One shard lock is
-// held at a time; eviction callbacks run after all locks are released.
-func (q *Queue[T]) scanPop() (item T, c Class, found bool) {
-	cfg := q.cfg.Load()
-	sojourn := cfg.budget != nil
-	var now time.Time
-	if sojourn {
-		now = cfg.now()
-	}
-	var expired []evicted[T]
-	removed := 0
-
-	visit := func(class Class, sh *classShard[T], bit uint32) {
-		sh.mu.Lock()
-		if sojourn {
-			if b := cfg.budget(class); b > 0 {
-				n0 := len(expired)
-				expired = sh.evictExpired(class, b, now, expired)
-				removed += len(expired) - n0
-			}
-		}
-		if !found && sh.head < len(sh.items) {
-			item = sh.items[sh.head].item
-			sh.items[sh.head] = entry[T]{}
-			sh.head++
-			sh.compact()
-			removed++
-			c, found = class, true
-		}
-		if bit != 0 && sh.len() == 0 {
-			andNotUint32(&q.nonEmpty, bit)
-		}
-		sh.mu.Unlock()
-	}
-
-	for mask := q.nonEmpty.Load(); mask != 0; mask &= mask - 1 {
-		i := bits.TrailingZeros32(mask)
-		visit(Class(i+1), &q.striped[i], 1<<i)
-		if found && !sojourn {
-			break
-		}
-	}
-	if !found || sojourn {
-		for _, ref := range q.spillRefs() {
-			visit(ref.c, ref.sh, 0)
-			if found && !sojourn {
-				break
-			}
-		}
-	}
-	if removed != 0 {
-		q.size.Add(int64(-removed))
-	}
-	q.runEvictions(cfg, expired)
-	return item, c, found
-}
-
-// sweepExpired evicts expired items from every shard (Push's make-room
-// sweep), appending them to out and releasing their capacity slots.
-func (q *Queue[T]) sweepExpired(cfg *queueConfig[T], out []evicted[T]) []evicted[T] {
-	if cfg.budget == nil {
-		return out
-	}
-	now := cfg.now()
-	n0 := len(out)
-	sweep := func(class Class, sh *classShard[T], bit uint32) {
-		b := cfg.budget(class)
-		if b <= 0 {
-			return
-		}
-		sh.mu.Lock()
-		out = sh.evictExpired(class, b, now, out)
-		if bit != 0 && sh.len() == 0 {
-			andNotUint32(&q.nonEmpty, bit)
-		}
-		sh.mu.Unlock()
-	}
-	for mask := q.nonEmpty.Load(); mask != 0; mask &= mask - 1 {
-		i := bits.TrailingZeros32(mask)
-		sweep(Class(i+1), &q.striped[i], 1<<i)
-	}
-	for _, ref := range q.spillRefs() {
-		sweep(ref.c, ref.sh, 0)
-	}
-	if n := len(out) - n0; n != 0 {
-		q.size.Add(int64(-n))
-	}
-	return out
-}
-
-// runEvictions invokes the eviction callback for each expired item. Caller
-// must hold no queue locks.
-func (q *Queue[T]) runEvictions(cfg *queueConfig[T], expired []evicted[T]) {
-	if len(expired) == 0 || cfg.evict == nil {
-		return
-	}
-	for _, e := range expired {
-		cfg.evict(e.item, e.c, e.wait)
-	}
-}
-
-// Pop blocks until an item is available and returns the oldest item of the
-// highest-priority non-empty class, skipping (and evicting) items whose
-// sojourn budget has expired. After Close it drains remaining items and
-// then returns ErrQueueClosed.
-//
-// The loop is race-free without a global lock: the generation counter is
-// read before the scan, and Push increments it after inserting, so a scan
-// that found nothing either predates the insert (then gen differs and the
-// popper rescans instead of sleeping) or would have seen the item.
+// Pop blocks until it can return the oldest item of the highest-priority
+// non-empty class. After Close it drains the queue, then fails.
 func (q *Queue[T]) Pop() (T, Class, error) {
 	for {
-		q.waitMu.Lock()
-		g, closed := q.gen, q.closed
-		q.waitMu.Unlock()
-		if item, c, ok := q.scanPop(); ok {
-			return item, c, nil
-		}
-		if closed {
-			var zero T
-			return zero, 0, ErrQueueClosed
-		}
-		q.waitMu.Lock()
-		for q.gen == g && !q.closed {
+		q.mu.Lock()
+		for q.size == 0 && !q.closed {
 			q.wake.Wait()
 		}
-		q.waitMu.Unlock()
-		// Something arrived (or the queue closed); rescan.
+		item, c, ok, expired := q.take(true)
+		closed := q.closed
+		q.unlock(expired)
+		if ok {
+			return item, c, nil
+		} else if closed {
+			return item, 0, ErrQueueClosed
+		} // else everything queued had expired: wait again
 	}
 }
 
-// TryPop returns an item if one is immediately available; ok=false means the
-// queue was empty (or closed and drained, or held only expired items).
+// TryPop is Pop without the wait: ok=false means no live item was queued.
 func (q *Queue[T]) TryPop() (item T, c Class, ok bool) {
-	return q.scanPop()
+	q.mu.Lock()
+	item, c, ok, expired := q.take(true)
+	q.unlock(expired)
+	return item, c, ok
 }
 
 // Len returns the total number of queued items.
 func (q *Queue[T]) Len() int {
-	return int(q.size.Load())
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.size
 }
 
-// LenClass returns the number of queued items of class c.
-func (q *Queue[T]) LenClass(c Class) int {
-	sh := q.peekShard(c)
-	if sh == nil {
-		return 0
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.len()
-}
-
-// DropClass removes and returns all queued items of class c, used by
-// brokers to shed an entire class when its traffic exceeds contract.
-func (q *Queue[T]) DropClass(c Class) []T {
-	sh := q.peekShard(c)
-	if sh == nil {
-		return nil
-	}
-	sh.mu.Lock()
-	n := sh.len()
-	if n == 0 {
-		sh.mu.Unlock()
-		return nil
-	}
-	out := make([]T, 0, n)
-	for i := sh.head; i < len(sh.items); i++ {
-		out = append(out, sh.items[i].item)
-	}
-	sh.items = nil
-	sh.head = 0
-	if int(c) <= stripedClasses {
-		andNotUint32(&q.nonEmpty, 1<<(int(c)-1))
-	}
-	sh.mu.Unlock()
-	q.size.Add(int64(-n))
-	return out
-}
-
-// Close marks the queue closed. Pending Pop calls drain remaining items and
-// then fail with ErrQueueClosed; Push fails immediately.
+// Close fails every later Push and, once the queue is drained, every Pop.
 func (q *Queue[T]) Close() {
-	if q.closedFast.Swap(true) {
-		return
-	}
-	// Mark every shard closed under its own lock so a racing Push either
-	// lands before the mark (its item is visible to draining poppers, which
-	// take the same locks) or observes closed and fails.
-	for i := range q.striped {
-		sh := &q.striped[i]
-		sh.mu.Lock()
-		sh.closed = true
-		sh.mu.Unlock()
-	}
-	q.spillMu.Lock()
-	for _, sh := range q.spill {
-		sh.mu.Lock()
-		sh.closed = true
-		sh.mu.Unlock()
-	}
-	q.spillMu.Unlock()
-	q.waitMu.Lock()
+	q.mu.Lock()
 	q.closed = true
 	q.wake.Broadcast()
-	q.waitMu.Unlock()
-}
-
-// orUint32 and andNotUint32 are CAS fallbacks for the atomic bit ops added
-// in Go 1.23 (go.mod pins 1.22).
-func orUint32(v *atomic.Uint32, bits uint32) {
-	for {
-		old := v.Load()
-		if old&bits == bits || v.CompareAndSwap(old, old|bits) {
-			return
-		}
-	}
-}
-
-func andNotUint32(v *atomic.Uint32, bits uint32) {
-	for {
-		old := v.Load()
-		if old&bits == 0 || v.CompareAndSwap(old, old&^bits) {
-			return
-		}
-	}
+	q.mu.Unlock()
 }
