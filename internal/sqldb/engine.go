@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -47,27 +48,55 @@ var (
 	ErrNotComparable = errors.New("sqldb: incomparable operands")
 )
 
-// table is one in-memory table with optional indexes. Every CREATE INDEX
-// (and the primary key) maintains two access structures per column: a hash
-// index for equality lookups and a sorted position list for range scans.
-// Both rebuild lazily after invalidating mutations; inserts keep the hash
-// fresh incrementally and only mark the sorted list stale.
+// table is one in-memory table. The primary key and every CREATE INDEX
+// column have a hash index for equality lookups.
+//
+// A hash index is correct whenever the engine's lock is free: it chains every
+// row's position under the text form of that row's column value. Each
+// mutating statement restores that before it unlocks, so a reader never finds
+// an index to repair.
 type table struct {
 	name    string
 	columns []ColumnDef
 	colIdx  map[string]int
 	pkCol   int // -1 when no primary key
 	rows    [][]Value
-	// indexes maps column index → value(text form) → row positions.
-	indexes map[int]map[string][]int
-	dirty   map[int]bool
-	// sorted maps column index → row positions ordered by column value.
-	sorted      map[int][]int
-	sortedDirty map[int]bool
+	indexes map[int]*index // by column index
+}
+
+// index is a hash index on one column: for each value (text form), the chain
+// of the row positions holding it, ascending. The chains are threaded through
+// one array, so a value costs a map entry of two int32s and a row four bytes;
+// a slice per value would cost the 42,000-key primary index a slice header
+// and an allocation per row.
+type index struct {
+	chains map[string]chain
+	next   []int32 // next[pos] is the position after pos in its chain, or -1
+}
+
+type chain struct{ first, last int32 }
+
+// add puts the next row, the one at position len(ix.next), under key.
+func (ix *index) add(key string) {
+	pos := int32(len(ix.next))
+	ix.next = append(ix.next, -1)
+	c, ok := ix.chains[key]
+	if ok {
+		ix.next[c.last] = pos
+	} else {
+		c.first = pos
+	}
+	c.last = pos
+	ix.chains[key] = c
 }
 
 // Engine is the in-memory database. It is safe for concurrent use; reads
 // take a shared lock and mutations an exclusive one.
+//
+// A mutating statement selects, then applies: under the write lock it first
+// resolves columns, coerces values, collects the matching positions and
+// checks primary-key uniqueness, and only then touches the rows. A statement
+// that returns an error has changed nothing.
 type Engine struct {
 	mu     sync.RWMutex
 	tables map[string]*table
@@ -125,11 +154,29 @@ func (e *Engine) TableNames() []string {
 func (e *Engine) RowCount(name string) (int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	t, ok := e.tables[strings.ToLower(name)]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
+	t, err := e.table(name)
+	if err != nil {
+		return 0, err
 	}
 	return len(t.rows), nil
+}
+
+// table resolves a table by name. Caller holds the lock.
+func (e *Engine) table(name string) (*table, error) {
+	t, ok := e.tables[strings.ToLower(name)]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
+	}
+	return t, nil
+}
+
+// column resolves a column of t by name.
+func (t *table) column(name string) (int, error) {
+	ci, ok := t.colIdx[strings.ToLower(name)]
+	if !ok {
+		return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.name, name)
+	}
+	return ci, nil
 }
 
 func (e *Engine) createTable(s *CreateTable) (*ResultSet, error) {
@@ -143,14 +190,11 @@ func (e *Engine) createTable(s *CreateTable) (*ResultSet, error) {
 		return nil, fmt.Errorf("%w: %s", ErrTableExists, s.Name)
 	}
 	t := &table{
-		name:        s.Name,
-		columns:     s.Columns,
-		colIdx:      make(map[string]int, len(s.Columns)),
-		pkCol:       -1,
-		indexes:     make(map[int]map[string][]int),
-		dirty:       make(map[int]bool),
-		sorted:      make(map[int][]int),
-		sortedDirty: make(map[int]bool),
+		name:    s.Name,
+		columns: s.Columns,
+		colIdx:  make(map[string]int, len(s.Columns)),
+		pkCol:   -1,
+		indexes: make(map[int]*index),
 	}
 	for i, c := range s.Columns {
 		lc := strings.ToLower(c.Name)
@@ -166,8 +210,7 @@ func (e *Engine) createTable(s *CreateTable) (*ResultSet, error) {
 		}
 	}
 	if t.pkCol != -1 {
-		t.indexes[t.pkCol] = make(map[string][]int)
-		t.sortedDirty[t.pkCol] = true
+		t.reindex(t.pkCol)
 	}
 	e.tables[key] = t
 	return &ResultSet{}, nil
@@ -176,18 +219,16 @@ func (e *Engine) createTable(s *CreateTable) (*ResultSet, error) {
 func (e *Engine) createIndex(s *CreateIndex) (*ResultSet, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t, ok := e.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
+	t, err := e.table(s.Table)
+	if err != nil {
+		return nil, err
 	}
-	ci, ok := t.colIdx[strings.ToLower(s.Column)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, s.Table, s.Column)
+	ci, err := t.column(s.Column)
+	if err != nil {
+		return nil, err
 	}
 	if _, exists := t.indexes[ci]; !exists {
-		t.indexes[ci] = nil
-		t.dirty[ci] = true
-		t.sortedDirty[ci] = true
+		t.reindex(ci)
 	}
 	return &ResultSet{}, nil
 }
@@ -203,12 +244,26 @@ func (e *Engine) dropTable(s *DropTable) (*ResultSet, error) {
 	return &ResultSet{}, nil
 }
 
+// reindex builds column ci's hash index from the rows. Caller holds the
+// write lock.
+func (t *table) reindex(ci int) {
+	distinct := 0
+	if old := t.indexes[ci]; old != nil {
+		distinct = len(old.chains)
+	}
+	ix := &index{chains: make(map[string]chain, distinct), next: make([]int32, 0, len(t.rows))}
+	for _, row := range t.rows {
+		ix.add(formatValue(row[ci]))
+	}
+	t.indexes[ci] = ix
+}
+
 func (e *Engine) insert(s *Insert) (*ResultSet, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t, ok := e.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
+	t, err := e.table(s.Table)
+	if err != nil {
+		return nil, err
 	}
 	// Resolve the column order for the VALUES tuples.
 	order := make([]int, 0, len(t.columns))
@@ -218,92 +273,67 @@ func (e *Engine) insert(s *Insert) (*ResultSet, error) {
 		}
 	} else {
 		for _, name := range s.Columns {
-			ci, ok := t.colIdx[strings.ToLower(name)]
-			if !ok {
-				return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, s.Table, name)
+			ci, err := t.column(name)
+			if err != nil {
+				return nil, err
 			}
 			order = append(order, ci)
 		}
 	}
-	for _, tuple := range s.Rows {
+	if len(t.rows)+len(s.Rows) > math.MaxInt32 {
+		return nil, fmt.Errorf("sqldb: table %s is full", t.name) // the indexes hold positions as int32
+	}
+	rows := make([][]Value, len(s.Rows))
+	var pending map[string]bool // primary keys of this statement's own rows
+	if t.pkCol != -1 {
+		pending = make(map[string]bool, len(s.Rows))
+	}
+	for i, tuple := range s.Rows {
 		if len(tuple) != len(order) {
 			return nil, fmt.Errorf("%w: got %d values for %d columns", ErrColumnCount, len(tuple), len(order))
 		}
 		row := make([]Value, len(t.columns))
-		for i, v := range tuple {
-			cv, err := coerce(v, t.columns[order[i]].Type)
+		for j, v := range tuple {
+			cv, err := coerce(v, t.columns[order[j]].Type)
 			if err != nil {
 				return nil, err
 			}
-			row[order[i]] = cv
+			row[order[j]] = cv
 		}
 		if t.pkCol != -1 {
 			pk := formatValue(row[t.pkCol])
-			t.ensureIndex(t.pkCol)
-			if len(t.indexes[t.pkCol][pk]) > 0 {
+			if _, held := t.indexes[t.pkCol].chains[pk]; held || pending[pk] {
 				return nil, fmt.Errorf("%w: %s", ErrDuplicateKey, pk)
 			}
+			pending[pk] = true
 		}
+		rows[i] = row
+	}
+	for _, row := range rows {
 		t.rows = append(t.rows, row)
-		// Keep built hash indexes incrementally fresh instead of
-		// invalidating; sorted lists would need an O(n) insertion, so they
-		// only go stale and rebuild lazily on the next range query.
-		for ci, idx := range t.indexes {
-			t.sortedDirty[ci] = true
-			if t.dirty[ci] || idx == nil {
-				continue
-			}
-			key := formatValue(row[ci])
-			idx[key] = append(idx[key], len(t.rows)-1)
+		for ci, ix := range t.indexes {
+			ix.add(formatValue(row[ci]))
 		}
 	}
-	return &ResultSet{Affected: len(s.Rows)}, nil
-}
-
-// ensureIndex builds the hash index for column ci if stale. Caller holds the
-// write lock (or the read lock upgraded path in query via queryIndexes).
-func (t *table) ensureIndex(ci int) {
-	idx, tracked := t.indexes[ci]
-	if !tracked {
-		return
-	}
-	if idx != nil && !t.dirty[ci] {
-		return
-	}
-	idx = make(map[string][]int, len(t.rows))
-	for pos, row := range t.rows {
-		key := formatValue(row[ci])
-		idx[key] = append(idx[key], pos)
-	}
-	t.indexes[ci] = idx
-	delete(t.dirty, ci)
-}
-
-// invalidateIndexes marks every index stale after a bulk mutation.
-func (t *table) invalidateIndexes() {
-	for ci := range t.indexes {
-		t.dirty[ci] = true
-		t.sortedDirty[ci] = true
-	}
+	return &ResultSet{Affected: len(rows)}, nil
 }
 
 func (e *Engine) update(s *Update) (*ResultSet, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t, ok := e.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
+	t, err := e.table(s.Table)
+	if err != nil {
+		return nil, err
 	}
-	// Pre-resolve SET columns.
 	type setOp struct {
 		ci  int
 		val Value
 	}
 	ops := make([]setOp, 0, len(s.Set))
 	for col, v := range s.Set {
-		ci, ok := t.colIdx[strings.ToLower(col)]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, s.Table, col)
+		ci, err := t.column(col)
+		if err != nil {
+			return nil, err
 		}
 		cv, err := coerce(v, t.columns[ci].Type)
 		if err != nil {
@@ -311,381 +341,168 @@ func (e *Engine) update(s *Update) (*ResultSet, error) {
 		}
 		ops = append(ops, setOp{ci: ci, val: cv})
 	}
-	affected := 0
-	for _, row := range t.rows {
-		match, err := evalBool(s.Where, t, row)
-		if err != nil {
-			return nil, err
-		}
-		if !match {
+	positions, err := t.matching(s.Where)
+	if err != nil {
+		return nil, err
+	}
+	if len(positions) == 0 {
+		return &ResultSet{}, nil
+	}
+	for _, op := range ops {
+		if op.ci != t.pkCol {
 			continue
 		}
-		for _, op := range ops {
-			row[op.ci] = op.val
+		// Every matched row takes this key: it must be one row, and no other
+		// row may hold the key already.
+		pk := formatValue(op.val)
+		holder, held := t.indexes[t.pkCol].chains[pk]
+		if len(positions) > 1 || (held && int(holder.first) != positions[0]) {
+			return nil, fmt.Errorf("%w: %s", ErrDuplicateKey, pk)
 		}
-		affected++
 	}
-	if affected > 0 {
-		t.invalidateIndexes()
+	for _, pos := range positions {
+		for _, op := range ops {
+			t.rows[pos][op.ci] = op.val
+		}
 	}
-	return &ResultSet{Affected: affected}, nil
+	for _, op := range ops {
+		if _, indexed := t.indexes[op.ci]; indexed {
+			t.reindex(op.ci)
+		}
+	}
+	return &ResultSet{Affected: len(positions)}, nil
 }
 
 func (e *Engine) delete(s *Delete) (*ResultSet, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t, ok := e.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
+	t, err := e.table(s.Table)
+	if err != nil {
+		return nil, err
 	}
-	kept := t.rows[:0]
-	affected := 0
-	for _, row := range t.rows {
-		match, err := evalBool(s.Where, t, row)
-		if err != nil {
-			return nil, err
+	positions, err := t.matching(s.Where)
+	if err != nil {
+		return nil, err
+	}
+	if len(positions) == 0 {
+		return &ResultSet{}, nil
+	}
+	// Close the gaps: move each run of kept rows between two deleted
+	// positions down over the rows deleted before it.
+	w := positions[0]
+	for i, pos := range positions {
+		end := len(t.rows)
+		if i+1 < len(positions) {
+			end = positions[i+1]
 		}
-		if match {
-			affected++
-			continue
-		}
-		kept = append(kept, row)
+		w += copy(t.rows[w:], t.rows[pos+1:end])
 	}
-	// Release references past the new length.
-	for i := len(kept); i < len(t.rows); i++ {
-		t.rows[i] = nil
+	clear(t.rows[w:]) // release references past the new length
+	t.rows = t.rows[:w]
+	// Positions shifted, so every index is rebuilt.
+	for ci := range t.indexes {
+		t.reindex(ci)
 	}
-	t.rows = kept
-	if affected > 0 {
-		t.invalidateIndexes()
-	}
-	return &ResultSet{Affected: affected}, nil
-}
-
-// planKind identifies the chosen access path for a query.
-type planKind int
-
-const (
-	planScan planKind = iota
-	planEq
-	planRange
-)
-
-// queryPlan is the planner's choice: a hash-index equality probe, a sorted
-// range scan, or a full scan. Index candidates are always re-checked against
-// the full WHERE clause, so the plan only affects performance.
-type queryPlan struct {
-	kind   planKind
-	ci     int
-	key    string // planEq: hash key
-	lo, hi Value  // planRange: bounds (nil = unbounded side)
-	loInc  bool
-	hiInc  bool
+	return &ResultSet{Affected: len(positions)}, nil
 }
 
 func (e *Engine) query(s *Select) (*ResultSet, error) {
-	// Index maintenance may mutate the table, so take the write lock when a
-	// usable index is stale; the common case takes the read lock only.
 	e.mu.RLock()
-	t, ok := e.tables[strings.ToLower(s.Table)]
-	if !ok {
-		e.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
-	}
-	plan := planIndex(s.Where, t)
-	if plan.kind == planScan {
-		defer e.mu.RUnlock()
-		return selectScan(s, t)
-	}
-
-	if planStale(t, plan) {
-		// Upgrade to the write lock to (re)build the needed structure.
-		e.mu.RUnlock()
-		e.mu.Lock()
-		t.ensureIndex(plan.ci)
-		t.ensureSorted(plan.ci)
-		e.mu.Unlock()
-		e.mu.RLock()
-		// The table may have been dropped or replaced between locks.
-		if t2, ok := e.tables[strings.ToLower(s.Table)]; !ok || t2 != t {
-			e.mu.RUnlock()
-			return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
-		}
-	}
 	defer e.mu.RUnlock()
-	if planStale(t, plan) {
-		// A concurrent mutation re-dirtied the index; fall back to a scan.
-		return selectScan(s, t)
+	t, err := e.table(s.Table)
+	if err != nil {
+		return nil, err
 	}
-	switch plan.kind {
-	case planEq:
-		return selectRows(s, t, t.indexes[plan.ci][plan.key])
-	case planRange:
-		return selectRows(s, t, t.rangeLookup(plan))
-	default:
-		return selectScan(s, t)
+	positions, err := t.matching(s.Where)
+	if err != nil {
+		return nil, err
 	}
+	return project(s, t, positions)
 }
 
-// planStale reports whether the structures the plan needs require a rebuild.
-// Caller holds at least the read lock.
-func planStale(t *table, plan queryPlan) bool {
-	switch plan.kind {
-	case planEq:
-		return t.indexes[plan.ci] == nil || t.dirty[plan.ci]
-	case planRange:
-		return t.sortedDirty[plan.ci] || t.sorted[plan.ci] == nil
-	default:
-		return false
-	}
-}
-
-// planIndex chooses an access path for the WHERE clause: it flattens the
-// top-level AND conjunction and picks the first equality conjunct over an
-// indexed column (hash probe), else the first range conjunct over an
-// indexed column (sorted scan). Caller holds at least the read lock.
-func planIndex(where Expr, t *table) queryPlan {
-	conjuncts := flattenAnd(where, nil)
-	// Equality probes first: they are the most selective.
-	for _, c := range conjuncts {
-		if ci, key, ok := indexableEq(c, t); ok {
-			return queryPlan{kind: planEq, ci: ci, key: key}
+// matching returns the positions of the rows that satisfy where, ascending.
+// It is the one row-selection path: SELECT, UPDATE and DELETE all find their
+// rows here. Caller holds at least the read lock.
+func (t *table) matching(where Expr) ([]int, error) {
+	var matched []int
+	pos, via := t.candidates(where)
+	for pos >= 0 && pos < len(t.rows) {
+		ok, err := evalBool(where, t, t.rows[pos])
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			matched = append(matched, pos)
+		}
+		if via == nil {
+			pos++
+		} else {
+			pos = int(via.next[pos])
 		}
 	}
-	for _, c := range conjuncts {
-		if plan, ok := indexableRange(c, t); ok {
-			return plan
+	return matched, nil
+}
+
+// candidates narrows where to the rows worth checking: the first of them and
+// the index whose chain leads to the rest. Walking the top-level ANDs left to
+// right, it picks the chain of the first `col = literal` conjunct over an
+// indexed column (first is -1 when no row holds the literal); with no such
+// conjunct via is nil, and every row from 0 on must be checked. Candidates
+// are always re-checked against the full WHERE clause, so the choice only
+// affects performance.
+func (t *table) candidates(where Expr) (first int, via *index) {
+	if l, ok := where.(*Logical); ok && l.Op == OpAnd {
+		if first, via = t.candidates(l.L); via != nil {
+			return first, via
 		}
+		return t.candidates(l.R)
 	}
-	return queryPlan{kind: planScan}
-}
-
-// flattenAnd collects the conjuncts of a top-level AND tree.
-func flattenAnd(e Expr, out []Expr) []Expr {
-	if l, ok := e.(*Logical); ok && l.Op == OpAnd {
-		out = flattenAnd(l.L, out)
-		return flattenAnd(l.R, out)
+	if via, key := indexableEq(where, t); via != nil {
+		if c, held := via.chains[key]; held {
+			return int(c.first), via
+		}
+		return -1, via
 	}
-	if e != nil {
-		out = append(out, e)
-	}
-	return out
-}
-
-// indexedColumn resolves a ColRef to an indexed column position.
-func indexedColumn(e Expr, t *table) (int, bool) {
-	col, ok := e.(*ColRef)
-	if !ok {
-		return 0, false
-	}
-	ci, exists := t.colIdx[strings.ToLower(col.Name)]
-	if !exists {
-		return 0, false
-	}
-	_, indexed := t.indexes[ci]
-	return ci, indexed
+	return 0, nil
 }
 
 // indexableEq recognizes `col = literal` (either side) over an indexed
-// column.
-func indexableEq(where Expr, t *table) (ci int, key string, ok bool) {
+// column and returns that index and the literal's key in it, or a nil index.
+func indexableEq(where Expr, t *table) (ix *index, key string) {
 	cmp, isCmp := where.(*Cmp)
 	if !isCmp || cmp.Op != OpEq {
-		return 0, "", false
+		return nil, ""
 	}
 	colExpr, litExpr := cmp.L, cmp.R
 	if _, isCol := colExpr.(*ColRef); !isCol {
 		colExpr, litExpr = cmp.R, cmp.L
 	}
-	ci, indexed := indexedColumn(colExpr, t)
-	if !indexed {
-		return 0, "", false
-	}
+	col, isCol := colExpr.(*ColRef)
 	lit, isLit := litExpr.(*Literal)
-	if !isLit {
-		return 0, "", false
+	if !isCol || !isLit {
+		return nil, ""
+	}
+	ci, exists := t.colIdx[strings.ToLower(col.Name)]
+	if ix = t.indexes[ci]; !exists || ix == nil {
+		return nil, ""
 	}
 	cv, err := coerce(lit.Val, t.columns[ci].Type)
 	if err != nil {
-		return 0, "", false
+		return nil, ""
 	}
-	return ci, formatValue(cv), true
+	return ix, formatValue(cv)
 }
 
-// indexableRange recognizes `col BETWEEN lo AND hi` and single comparisons
-// (`col < x`, `col >= x`, and their reversed forms) over an indexed column.
-func indexableRange(where Expr, t *table) (queryPlan, bool) {
-	switch x := where.(type) {
-	case *Between:
-		ci, indexed := indexedColumn(x.E, t)
-		if !indexed {
-			return queryPlan{}, false
-		}
-		lo, okLo := literalFor(x.Lo, t, ci)
-		hi, okHi := literalFor(x.Hi, t, ci)
-		if !okLo || !okHi {
-			return queryPlan{}, false
-		}
-		return queryPlan{kind: planRange, ci: ci, lo: lo, hi: hi, loInc: true, hiInc: true}, true
-
-	case *Cmp:
-		op := x.Op
-		colExpr, litExpr := x.L, x.R
-		if _, isCol := colExpr.(*ColRef); !isCol {
-			// literal OP col ⇒ col flipped-OP literal.
-			colExpr, litExpr = x.R, x.L
-			switch op {
-			case OpLt:
-				op = OpGt
-			case OpLe:
-				op = OpGe
-			case OpGt:
-				op = OpLt
-			case OpGe:
-				op = OpLe
-			}
-		}
-		ci, indexed := indexedColumn(colExpr, t)
-		if !indexed {
-			return queryPlan{}, false
-		}
-		lit, ok := literalFor(litExpr, t, ci)
-		if !ok {
-			return queryPlan{}, false
-		}
-		plan := queryPlan{kind: planRange, ci: ci}
-		switch op {
-		case OpLt:
-			plan.hi = lit
-		case OpLe:
-			plan.hi, plan.hiInc = lit, true
-		case OpGt:
-			plan.lo = lit
-		case OpGe:
-			plan.lo, plan.loInc = lit, true
-		default:
-			return queryPlan{}, false
-		}
-		return plan, true
-	}
-	return queryPlan{}, false
-}
-
-// literalFor coerces a literal expression to the column's type. NULL bounds
-// are rejected (the comparison would never match anyway).
-func literalFor(e Expr, t *table, ci int) (Value, bool) {
-	lit, ok := e.(*Literal)
-	if !ok || lit.Val == nil {
-		return nil, false
-	}
-	cv, err := coerce(lit.Val, t.columns[ci].Type)
-	if err != nil {
-		return nil, false
-	}
-	return cv, true
-}
-
-// ensureSorted builds the sorted position list for column ci if stale.
-// Caller holds the write lock.
-func (t *table) ensureSorted(ci int) {
-	if _, tracked := t.indexes[ci]; !tracked {
-		return
-	}
-	if t.sorted[ci] != nil && !t.sortedDirty[ci] {
-		return
-	}
-	positions := make([]int, len(t.rows))
-	for i := range positions {
-		positions[i] = i
-	}
-	sort.SliceStable(positions, func(a, b int) bool {
-		return compare(t.rows[positions[a]][ci], t.rows[positions[b]][ci]) < 0
-	})
-	t.sorted[ci] = positions
-	delete(t.sortedDirty, ci)
-}
-
-// rangeLookup returns the row positions whose plan.ci value falls within
-// the plan's bounds, using binary search over the sorted list. Caller holds
-// at least the read lock and has verified freshness.
-func (t *table) rangeLookup(plan queryPlan) []int {
-	positions := t.sorted[plan.ci]
-	valueAt := func(i int) Value { return t.rows[positions[i]][plan.ci] }
-
-	// start: first position satisfying the lower bound.
-	start := 0
-	if plan.lo != nil {
-		start = sort.Search(len(positions), func(i int) bool {
-			c := compare(valueAt(i), plan.lo)
-			if plan.loInc {
-				return c >= 0
-			}
-			return c > 0
-		})
-	} else {
-		// NULLs sort first and never satisfy range predicates; skip them.
-		start = sort.Search(len(positions), func(i int) bool {
-			return valueAt(i) != nil
-		})
-	}
-	// end: first position beyond the upper bound.
-	end := len(positions)
-	if plan.hi != nil {
-		end = sort.Search(len(positions), func(i int) bool {
-			c := compare(valueAt(i), plan.hi)
-			if plan.hiInc {
-				return c > 0
-			}
-			return c >= 0
-		})
-	}
-	if start >= end {
-		return nil
-	}
-	return positions[start:end]
-}
-
-// selectScan evaluates s against every row.
-func selectScan(s *Select, t *table) (*ResultSet, error) {
-	var matched [][]Value
-	for _, row := range t.rows {
-		ok, err := evalBool(s.Where, t, row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			matched = append(matched, row)
-		}
-	}
-	return project(s, t, matched)
-}
-
-// selectRows evaluates s against a candidate row position list (from an
-// index); the WHERE clause is re-checked for correctness.
-func selectRows(s *Select, t *table, positions []int) (*ResultSet, error) {
-	var matched [][]Value
-	for _, pos := range positions {
-		row := t.rows[pos]
-		ok, err := evalBool(s.Where, t, row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			matched = append(matched, row)
-		}
-	}
-	return project(s, t, matched)
-}
-
-// project applies ORDER BY, aggregates, column projection, and LIMIT.
-func project(s *Select, t *table, matched [][]Value) (*ResultSet, error) {
+// project applies ORDER BY, aggregates, column projection, and LIMIT to the
+// matched row positions, which it may reorder.
+func project(s *Select, t *table, matched []int) (*ResultSet, error) {
 	if s.OrderBy != "" {
-		ci, ok := t.colIdx[strings.ToLower(s.OrderBy)]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.name, s.OrderBy)
+		ci, err := t.column(s.OrderBy)
+		if err != nil {
+			return nil, err
 		}
 		sort.SliceStable(matched, func(i, j int) bool {
-			c := compare(matched[i][ci], matched[j][ci])
+			c := compare(t.rows[matched[i]][ci], t.rows[matched[j]][ci])
 			if s.Desc {
 				return c > 0
 			}
@@ -710,9 +527,9 @@ func project(s *Select, t *table, matched [][]Value) (*ResultSet, error) {
 			}
 			continue
 		}
-		ci, ok := t.colIdx[strings.ToLower(item.Column)]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.name, item.Column)
+		ci, err := t.column(item.Column)
+		if err != nil {
+			return nil, err
 		}
 		name := item.Column
 		if item.Alias != "" {
@@ -727,10 +544,10 @@ func project(s *Select, t *table, matched [][]Value) (*ResultSet, error) {
 		limit = len(matched)
 	}
 	out := make([][]Value, 0, limit)
-	for _, row := range matched[:limit] {
+	for _, pos := range matched[:limit] {
 		proj := make([]Value, len(indices))
 		for i, ci := range indices {
-			proj[i] = row[ci]
+			proj[i] = t.rows[pos][ci]
 		}
 		out = append(out, proj)
 	}
@@ -746,7 +563,7 @@ func isAggregate(items []SelectItem) bool {
 	return false
 }
 
-func aggregate(s *Select, t *table, matched [][]Value) (*ResultSet, error) {
+func aggregate(s *Select, t *table, matched []int) (*ResultSet, error) {
 	cols := make([]string, len(s.Items))
 	row := make([]Value, len(s.Items))
 	for i, item := range s.Items {
@@ -763,11 +580,11 @@ func aggregate(s *Select, t *table, matched [][]Value) (*ResultSet, error) {
 			row[i] = int64(len(matched))
 			continue
 		}
-		ci, ok := t.colIdx[strings.ToLower(item.Column)]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.name, item.Column)
+		ci, err := t.column(item.Column)
+		if err != nil {
+			return nil, err
 		}
-		v, err := foldAgg(item.Agg, matched, ci)
+		v, err := foldAgg(item.Agg, t, matched, ci)
 		if err != nil {
 			return nil, err
 		}
@@ -793,12 +610,13 @@ func aggName(a AggFunc) string {
 	}
 }
 
-func foldAgg(a AggFunc, rows [][]Value, ci int) (Value, error) {
+func foldAgg(a AggFunc, t *table, matched []int, ci int) (Value, error) {
 	switch a {
 	case AggCount:
 		n := int64(0)
-		for _, r := range rows {
-			if r[ci] != nil {
+		for _, pos := range matched {
+			v := t.rows[pos][ci]
+			if v != nil {
 				n++
 			}
 		}
@@ -806,11 +624,12 @@ func foldAgg(a AggFunc, rows [][]Value, ci int) (Value, error) {
 	case AggSum, AggAvg:
 		sum := 0.0
 		n := 0
-		for _, r := range rows {
-			if r[ci] == nil {
+		for _, pos := range matched {
+			v := t.rows[pos][ci]
+			if v == nil {
 				continue
 			}
-			f, ok := toFloat(r[ci])
+			f, ok := toFloat(v)
 			if !ok {
 				return nil, fmt.Errorf("sqldb: %s over non-numeric column", aggName(a))
 			}
@@ -826,17 +645,18 @@ func foldAgg(a AggFunc, rows [][]Value, ci int) (Value, error) {
 		return sum / float64(n), nil
 	case AggMin, AggMax:
 		var best Value
-		for _, r := range rows {
-			if r[ci] == nil {
+		for _, pos := range matched {
+			v := t.rows[pos][ci]
+			if v == nil {
 				continue
 			}
 			if best == nil {
-				best = r[ci]
+				best = v
 				continue
 			}
-			c := compare(r[ci], best)
+			c := compare(v, best)
 			if (a == AggMin && c < 0) || (a == AggMax && c > 0) {
-				best = r[ci]
+				best = v
 			}
 		}
 		return best, nil

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -158,6 +160,64 @@ func TestPrimaryKeyDuplicate(t *testing.T) {
 	_, err := e.Exec("INSERT INTO movies VALUES (1, 'Duplicate', 1.0, 2000)")
 	if !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("err = %v, want ErrDuplicateKey", err)
+	}
+	// UPDATE may not create one either: neither by moving a row onto a key
+	// another row holds, nor by giving two matched rows the same key.
+	before := mustExec(t, e, "SELECT * FROM movies")
+	for _, sql := range []string{
+		"UPDATE movies SET id = 1 WHERE id = 2",
+		"UPDATE movies SET id = 9 WHERE year < 1985",
+	} {
+		if _, err := e.Exec(sql); !errors.Is(err, ErrDuplicateKey) {
+			t.Errorf("Exec(%s) err = %v, want ErrDuplicateKey", sql, err)
+		}
+	}
+	if after := mustExec(t, e, "SELECT * FROM movies"); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected updates changed the table:\n%v\nwas\n%v", after, before)
+	}
+	if rs := mustExec(t, e, "SELECT title FROM movies WHERE id = 1"); len(rs.Rows) != 1 || rs.Rows[0][0] != "Alien" {
+		t.Fatalf("id = 1 rows = %v", rs.Rows)
+	}
+	// A row may keep its own key, or move to a free one.
+	mustExec(t, e, "UPDATE movies SET id = 2 WHERE id = 2")
+	mustExec(t, e, "UPDATE movies SET id = 7 WHERE id = 2")
+	if rs := mustExec(t, e, "SELECT title FROM movies WHERE id = 7"); len(rs.Rows) != 1 || rs.Rows[0][0] != "Blade Runner" {
+		t.Fatalf("id = 7 rows = %v", rs.Rows)
+	}
+	if rs := mustExec(t, e, "SELECT title FROM movies WHERE id = 2"); len(rs.Rows) != 0 {
+		t.Fatalf("id = 2 rows = %v after the key moved", rs.Rows)
+	}
+}
+
+// A statement that returns an error has changed nothing: the table and every
+// indexed lookup read the same before and after.
+func TestFailedStatementChangesNothing(t *testing.T) {
+	const failsMidScan = "(v = 1 AND nosuch = 2) OR v = 3" // matches row 1, errors on row 3
+	for _, sql := range []string{
+		"DELETE FROM t WHERE " + failsMidScan,
+		"UPDATE t SET v = 9 WHERE " + failsMidScan,
+		"INSERT INTO t VALUES (4, 4), (5, 5), (1, 6)",
+	} {
+		e := NewEngine()
+		mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+		mustExec(t, e, "CREATE INDEX tv ON t (v)")
+		mustExec(t, e, "INSERT INTO t VALUES (1, 3), (2, 0), (3, 1)")
+		snapshot := func() string {
+			var b strings.Builder
+			b.WriteString(mustExec(t, e, "SELECT * FROM t").String())
+			for k := 0; k < 10; k++ {
+				fmt.Fprintf(&b, "id=%d %v\n", k, mustExec(t, e, fmt.Sprintf("SELECT * FROM t WHERE id = %d", k)).Rows)
+				fmt.Fprintf(&b, "v=%d %v\n", k, mustExec(t, e, fmt.Sprintf("SELECT * FROM t WHERE v = %d", k)).Rows)
+			}
+			return b.String()
+		}
+		before := snapshot()
+		if _, err := e.Exec(sql); err == nil {
+			t.Errorf("Exec(%s) succeeded", sql)
+		}
+		if after := snapshot(); after != before {
+			t.Errorf("Exec(%s) failed but left\n%s\nwhere there was\n%s", sql, after, before)
+		}
 	}
 }
 
@@ -358,6 +418,35 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	rs := mustExec(t, e, "SELECT COUNT(*) FROM t")
 	if rs.Rows[0][0] != int64(400) {
 		t.Fatalf("count = %v, want 400", rs.Rows[0][0])
+	}
+}
+
+// TestExecAllocs is the alloc-regression gate for the two point statements
+// the benchmark issues against the 42,000-row fixture (matched by CI's -run
+// 'Alloc' step). Nearly all of either budget is the lexer and parser; the
+// engine adds the probe key, the matched positions and the result. An UPDATE
+// of the unindexed score must stay a small constant: rebuilding an index
+// costs an allocation per distinct key, tens of thousands for id.
+func TestExecAllocs(t *testing.T) {
+	e := NewEngine()
+	if err := LoadRecords(e, PaperRecordCount); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sql    string
+		budget float64
+	}{
+		{"SELECT id, name FROM records WHERE id = 41999", 30},
+		{"UPDATE records SET score = 12.345 WHERE id = 41999", 26},
+	} {
+		n := testing.AllocsPerRun(200, func() {
+			if _, err := e.Exec(tc.sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > tc.budget {
+			t.Errorf("%s: %.1f allocs/op, budget %.0f", tc.sql, n, tc.budget)
+		}
 	}
 }
 

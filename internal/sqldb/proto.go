@@ -191,6 +191,10 @@ func decodeResult(buf []byte) (*ResultSet, error) {
 	}
 	nrows := int(binary.BigEndian.Uint32(buf))
 	buf = buf[4:]
+	if ncols == 0 && nrows > 0 {
+		// Such rows take no bytes, so the body length would not bound them.
+		return nil, fmt.Errorf("%w: %d rows without columns", ErrProtocol, nrows)
+	}
 	for i := 0; i < nrows; i++ {
 		row := make([]Value, ncols)
 		for j := 0; j < ncols; j++ {

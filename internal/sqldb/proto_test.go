@@ -114,6 +114,58 @@ func TestDecodeResultNeverPanicsProperty(t *testing.T) {
 	}
 }
 
+// FuzzDecodeResult feeds arbitrary bytes to readFrame and, when they frame a
+// result, to decodeResult: neither panics, and an accepted result body
+// re-encodes to the bytes it was decoded from. Seeds are the replies to the
+// benchmark workloads' statements over the fixture.
+func FuzzDecodeResult(f *testing.F) {
+	e := NewEngine()
+	if err := LoadRecords(e, 3); err != nil {
+		f.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT id, name FROM records WHERE id = 2",
+		"SELECT id, name, score, category FROM records",
+		"UPDATE records SET score = 12.345 WHERE id = 1",
+		"SELECT COUNT(*), AVG(score) FROM records WHERE id > 5",
+	} {
+		rs, err := e.Exec(sql)
+		if err != nil {
+			f.Fatal(err)
+		}
+		body, err := encodeResult(rs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var frame bytes.Buffer
+		if err := writeFrame(&frame, frameResult, body); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame.Bytes())
+		f.Add(frame.Bytes()[:frame.Len()-1])
+	}
+	f.Add([]byte{0, 0, 0, 0, byte(frameResult)})
+	// 0x30000000 rows of no columns in a ten-byte body.
+	f.Add([]byte{0, 0, 0, 11, byte(frameResult), 0, 0, 0, 0, 0, 0, 0x30, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ft, body, err := readFrame(bytes.NewReader(data))
+		if err != nil || ft != frameResult {
+			return
+		}
+		rs, err := decodeResult(body)
+		if err != nil {
+			return
+		}
+		again, err := encodeResult(rs)
+		if err != nil {
+			t.Fatalf("accepted result does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, body) {
+			t.Fatalf("re-encoded result differs:\n got %x\nwant %x", again, body)
+		}
+	})
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, frameQuery, []byte("SELECT 1")); err != nil {
@@ -256,6 +308,17 @@ func TestExecSlotsSerializeQueries(t *testing.T) {
 
 func TestServerMetrics(t *testing.T) {
 	srv := startServer(t)
+	// Every metric is registered before the first session, so it is exported
+	// at zero.
+	view := srv.Metrics().View()
+	for _, name := range []string{"connections", "auth_failures", "queries", "query_errors"} {
+		if v, ok := view.Counters[name]; !ok || v != 0 {
+			t.Errorf("counter %s at start = %d, registered %v; want 0, true", name, v, ok)
+		}
+	}
+	if _, ok := view.Histograms["query_time"]; !ok {
+		t.Error("histogram query_time not registered at start")
+	}
 	conn, err := Connect(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)

@@ -63,8 +63,8 @@ func TestRangeIndexMatchesScan(t *testing.T) {
 
 func TestRangeIndexWithConjunction(t *testing.T) {
 	e := newRangeDB(t, 500)
-	// The planner picks the range conjunct; the other conjunct is
-	// re-checked per candidate.
+	// No conjunct is an equality, so both statements scan; an index on v
+	// must not change the answer.
 	idx := mustExec(t, e, "SELECT id FROM r WHERE v BETWEEN 20 AND 40 AND id < 100")
 	scan := mustExec(t, e, "SELECT id FROM r WHERE vcopy BETWEEN 20 AND 40 AND id < 100")
 	if len(idx.Rows) != len(scan.Rows) {
@@ -110,7 +110,6 @@ func TestRangeIndexStaysFreshAcrossMutations(t *testing.T) {
 	if rs := mustExec(t, e, "SELECT v FROM t WHERE v BETWEEN 0 AND 6"); len(rs.Rows) != 2 {
 		t.Fatalf("initial rows = %d", len(rs.Rows))
 	}
-	// Insert invalidates the sorted list; the next range query rebuilds.
 	mustExec(t, e, "INSERT INTO t VALUES (3)")
 	if rs := mustExec(t, e, "SELECT v FROM t WHERE v BETWEEN 0 AND 6"); len(rs.Rows) != 3 {
 		t.Fatalf("post-insert rows = %d", len(rs.Rows))
@@ -183,25 +182,5 @@ func TestRangeIndexEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkRangeQueryIndexed(b *testing.B) {
-	e := NewEngine()
-	if err := LoadRecords(e, PaperRecordCount); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := e.Exec("CREATE INDEX records_score ON records (score)"); err != nil {
-		b.Fatal(err)
-	}
-	// Warm the sorted list.
-	if _, err := e.Exec("SELECT id FROM records WHERE score BETWEEN 100 AND 140"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Exec("SELECT id FROM records WHERE score BETWEEN 100 AND 140"); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -64,6 +64,9 @@ type Server struct {
 	queryDelay     time.Duration
 	execSlots      chan struct{}
 	reg            *metrics.Registry
+	// Handles into reg, resolved once the options have chosen it.
+	connections, authFailures, queries, queryErrors *metrics.Counter
+	queryTime                                       *metrics.Histogram
 
 	mu     sync.Mutex
 	closed bool
@@ -92,6 +95,11 @@ func NewServer(engine *Engine, addr string, opts ...ServerOption) (*Server, erro
 	for _, o := range opts {
 		o.apply(s)
 	}
+	s.connections = s.reg.Counter("connections")
+	s.authFailures = s.reg.Counter("auth_failures")
+	s.queries = s.reg.Counter("queries")
+	s.queryErrors = s.reg.Counter("query_errors")
+	s.queryTime = s.reg.Histogram("query_time")
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -152,7 +160,7 @@ func (s *Server) acceptLoop() {
 
 // session drives one client connection: handshake, then query loop.
 func (s *Server) session(conn net.Conn) {
-	s.reg.Counter("connections").Inc()
+	s.connections.Inc()
 	bc := newBufferedConn(conn)
 
 	if s.handshakeDelay > 0 {
@@ -174,7 +182,7 @@ func (s *Server) session(conn net.Conn) {
 		return
 	}
 	if user != s.user || pass != s.pass {
-		s.reg.Counter("auth_failures").Inc()
+		s.authFailures.Inc()
 		_ = bc.send(frameError, appendString(nil, ErrAuthFailed.Error()))
 		return
 	}
@@ -216,15 +224,15 @@ func (s *Server) respond(bc *bufferedConn, sql string) bool {
 		s.execSlots <- struct{}{}
 		defer func() { <-s.execSlots }()
 	}
-	s.reg.Counter("queries").Inc()
-	timer := metrics.StartTimer(s.reg.Histogram("query_time"))
+	s.queries.Inc()
+	timer := metrics.StartTimer(s.queryTime)
 	if s.queryDelay > 0 {
 		time.Sleep(s.queryDelay)
 	}
 	rs, err := s.engine.Exec(sql)
 	timer.ObserveDuration()
 	if err != nil {
-		s.reg.Counter("query_errors").Inc()
+		s.queryErrors.Inc()
 		return bc.send(frameError, appendString(nil, err.Error())) == nil
 	}
 	body, err := encodeResult(rs)
