@@ -64,7 +64,6 @@ func TestAdminPlaneUnderOverload(t *testing.T) {
 		classes:      3,
 		workers:      1,
 		sampleEvery:  10 * time.Millisecond,
-		reportEvery:  time.Second,
 		drainTimeout: 5 * time.Second,
 		cacheSize:    64,
 		cacheTTL:     time.Minute,

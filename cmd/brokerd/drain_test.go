@@ -61,7 +61,6 @@ func TestSIGTERMDrainsInFlightRequests(t *testing.T) {
 		threshold:    8,
 		classes:      3,
 		workers:      4,
-		reportEvery:  time.Second,
 		drainTimeout: 5 * time.Second,
 	})
 

@@ -15,18 +15,17 @@
 //	        -service dir:dir:127.0.0.1:7002 \
 //	        -threshold 20 -classes 3 -workers 20 -cache 1024
 //
-// With -report-to the broker pushes load reports to a centralized front
-// end's listener thread. With -register-to it additionally self-registers
-// each hosted service at a front end's lease listener (DESIGN.md §12): a
-// REGISTER datagram on startup, RENEW every third of -lease-ttl with the
-// live load piggybacked, DEREGISTER on graceful shutdown — so a replicated
-// broker pool assembles itself and a crashed member ages out when its lease
-// lapses. With -admin the process serves the obs admin plane over HTTP; its
-// index at / lists the pages (/metrics, /tracez, /loadz, /breakerz, /limitz,
-// /healthz, pprof, and one page per analytics or transaction feature switched
-// on). The -retries, -retry-base, -breaker-failures, -breaker-cooldown, and
-// -serve-stale flags configure the fault-tolerance layer (see
-// DESIGN.md §8): transient backend errors are retried with capped backoff,
+// With -register-to the broker self-registers each hosted service at a front
+// end's lease listener (DESIGN.md §12): a REGISTER datagram on startup,
+// RENEW every third of -lease-ttl with the live load piggybacked, DEREGISTER
+// on graceful shutdown — so a replicated broker pool assembles itself, a
+// crashed member ages out when its lease lapses, and a centralized front end
+// admits against the load the leases carry. With -admin the process serves
+// the obs admin plane over HTTP; its index at / lists the pages (/metrics,
+// /tracez, /loadz, /breakerz, /limitz, /healthz, pprof, and one page per
+// analytics or transaction feature switched on). The -retries, -retry-base,
+// -breaker-failures, -breaker-cooldown, and -serve-stale flags configure the
+// fault-tolerance layer (see DESIGN.md §8): transient backend errors are retried with capped backoff,
 // replicas trip per-replica circuit breakers, and -serve-stale answers
 // from expired cache entries at low fidelity when the backend is down.
 //
@@ -77,7 +76,6 @@ import (
 	"servicebroker/internal/broker"
 	"servicebroker/internal/cluster"
 	"servicebroker/internal/fleet"
-	"servicebroker/internal/frontend"
 	"servicebroker/internal/loadbalance"
 	"servicebroker/internal/metrics"
 	"servicebroker/internal/obs"
@@ -118,8 +116,6 @@ type config struct {
 	clusterDegree   int
 	clusterWait     time.Duration
 	adaptiveDegree  int
-	reportTo        string
-	reportEvery     time.Duration
 	registerTo      string
 	leaseTTL        time.Duration
 	admin           string
@@ -161,8 +157,6 @@ func main() {
 	flag.IntVar(&cfg.clusterDegree, "cluster", 0, "degree of clustering: max compatible requests combined into one backend access (0 disables)")
 	flag.DurationVar(&cfg.clusterWait, "cluster-wait", 2*time.Millisecond, "how long a batch waits to fill after its first request (with -cluster)")
 	flag.IntVar(&cfg.adaptiveDegree, "adaptive-degree", 0, "self-tune the clustering degree over [1, N] with a hill-climbing controller; 0 keeps -cluster static")
-	flag.StringVar(&cfg.reportTo, "report-to", "", "push load reports to this UDP listener address")
-	flag.DurationVar(&cfg.reportEvery, "report-every", time.Second, "load report interval")
 	flag.StringVar(&cfg.registerTo, "register-to", "", "self-register hosted services at this front-end lease listener (UDP address)")
 	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 3*time.Second, "lease duration requested with -register-to (renewed every ttl/3)")
 	flag.StringVar(&cfg.admin, "admin", "", "admin HTTP address for /metrics, /tracez, /loadz, /breakerz (empty disables)")
@@ -244,12 +238,8 @@ func run(cfg config) error {
 	}
 
 	brokers := make(map[string]*broker.Broker, len(cfg.services))
-	var reporters []*frontend.Reporter
 	var journals []*txn.Journal
 	defer func() {
-		for _, r := range reporters {
-			r.Close()
-		}
 		for _, b := range brokers {
 			b.Close()
 		}
@@ -439,13 +429,6 @@ func run(cfg config) error {
 				})
 			}
 		}
-		if cfg.reportTo != "" {
-			r, err := frontend.NewReporter(b, cfg.reportTo, cfg.reportEvery)
-			if err != nil {
-				return fmt.Errorf("reporter %s: %w", name, err)
-			}
-			reporters = append(reporters, r)
-		}
 	}
 
 	gw, err := broker.NewGateway(cfg.listen, brokers)
@@ -505,10 +488,10 @@ func run(cfg config) error {
 
 	// Graceful drain: every broker stops admitting (new requests are shed
 	// with a retry-after hint) and runs its accepted work to completion, up
-	// to -drain-timeout. The deferred closes then run in reverse order —
-	// gateway first, which waits for in-flight wire handlers, so every
-	// accepted request's response reaches the client; the reporters push one
-	// final load report on the way out.
+	// to -drain-timeout. The deferred closes then run in reverse order: the
+	// registrars send DEREGISTER, then the gateway closes, waiting for
+	// in-flight wire handlers so every accepted request's response reaches
+	// the client.
 	slog.Info("shutting down: draining", "timeout", cfg.drainTimeout)
 	if adminSrv != nil {
 		// /healthz flips to "draining" (503 + Retry-After) so fleet scrapers

@@ -1,7 +1,7 @@
 // Command frontend runs the front-end web server in either deployment
 // model from the paper's §IV: distributed (brokers decide; Figure 5) or
-// centralized (the web server runs admission control against broker load
-// reports; Figure 4).
+// centralized (the web server runs admission control against the load its
+// brokers' leases carry; Figure 4).
 //
 // Each -route flag declares one URL route as
 //
@@ -20,13 +20,11 @@
 // -gateway accepts several "|"-separated addresses; the front end then
 // routes each request across the replicated broker pool with health-weighted
 // failover. With -registry the pool additionally discovers members through
-// lease registration (brokerd -register-to): the distributed model binds a
-// lease listener on -registry-listen, the centralized model accepts lease
-// datagrams on its existing -load-listen socket. With -admin, pool membership
-// is served on the admin plane's /poolz.
-//
-// In the centralized model, point brokerd's -report-to at the address this
-// command prints as its listener.
+// lease registration (brokerd -register-to) on a lease listener bound to
+// -registry-listen. The centralized model always has that listener, bound to
+// -load-listen: point brokerd's -register-to at the address this command
+// prints as its lease listener. With -admin, pool membership and each
+// member's load are served on the admin plane's /poolz.
 package main
 
 import (
@@ -66,7 +64,7 @@ func main() {
 		model       = flag.String("model", "distributed", "deployment model: distributed or centralized")
 		addr        = flag.String("addr", "127.0.0.1:0", "HTTP listen address")
 		gateway     = flag.String("gateway", "", `broker gateway UDP address(es), "|"-separated (required)`)
-		listenAddr  = flag.String("load-listen", "127.0.0.1:0", "centralized: UDP address for broker load reports")
+		listenAddr  = flag.String("load-listen", "127.0.0.1:0", "centralized: UDP address for broker leases (brokerd -register-to)")
 		registryOn  = flag.Bool("registry", false, "discover pool members via lease registration (brokerd -register-to)")
 		registryLsn = flag.String("registry-listen", "127.0.0.1:0", "distributed: UDP address for the lease listener (centralized reuses -load-listen)")
 		maxClients  = flag.Int("maxclients", 0, "cap simultaneous request processing (0 = unlimited)")
@@ -144,7 +142,7 @@ func run(model, addr, gateway, listenAddr string, registryOn bool, registryListe
 			return err
 		}
 		fe = c.Distributed
-		slog.Info("load listener up", "addr", c.ListenerAddr())
+		slog.Info("lease listener up", "addr", c.ListenerAddr())
 	default:
 		return fmt.Errorf("unknown model %q", model)
 	}
@@ -158,8 +156,8 @@ func run(model, addr, gateway, listenAddr string, registryOn bool, registryListe
 		slog.Info("lease listener up", "addr", l.Addr())
 	}
 
-	// The admin plane: the front end's row pages (/poolz, and /loadz, /hotz,
-	// /sloz when it has them), its registries and trace recorder, their time
+	// The admin plane: the front end's row pages (/poolz, and /hotz, /sloz
+	// when it has them), its registries and trace recorder, their time
 	// series, and the fleet plane — pool and registry events feed /eventz,
 	// and with -registry, lease-discovered members' admin planes are scraped
 	// into /fleetz and the federated /metrics section.

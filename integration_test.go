@@ -16,6 +16,7 @@ import (
 	"servicebroker/internal/ldapdir"
 	"servicebroker/internal/mailsvc"
 	"servicebroker/internal/qos"
+	"servicebroker/internal/registry"
 	"servicebroker/internal/sqldb"
 )
 
@@ -216,8 +217,8 @@ func TestBackendRestartRecovery(t *testing.T) {
 }
 
 // TestCentralizedEndToEndOverload drives the centralized model through a
-// real overload: the reporter feeds the listener thread, and the web server
-// starts aborting requests up front, then recovers.
+// real overload: the broker's lease renewals feed the listener thread, and
+// the web server starts aborting requests up front, then recovers.
 func TestCentralizedEndToEndOverload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
@@ -241,11 +242,14 @@ func TestCentralizedEndToEndOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fe.Close()
-	rep, err := frontend.NewReporter(b, fe.ListenerAddr(), 3*time.Millisecond)
+	lease, err := registry.NewRegistrar(registry.RegistrarConfig{
+		Service: "db", Addr: gw.Addr().String(), Target: fe.ListenerAddr(),
+		Interval: 3 * time.Millisecond, Load: b.Load,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rep.Close()
+	defer lease.Close()
 
 	// Saturate the broker with direct holds.
 	var hold sync.WaitGroup
@@ -270,7 +274,7 @@ func TestCentralizedEndToEndOverload(t *testing.T) {
 		}
 	}()
 
-	// The web server must start answering 503 once a report shows overload.
+	// The web server must start answering 503 once a renewal shows overload.
 	cli := httpserver.NewClient(fe.Addr())
 	defer cli.Close()
 	saw503 := false
@@ -288,7 +292,7 @@ func TestCentralizedEndToEndOverload(t *testing.T) {
 		t.Fatal("centralized front end never aborted during overload")
 	}
 
-	// After the load drains and a fresh report lands, requests pass again.
+	// After the load drains and a fresh renewal lands, requests pass again.
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		resp, err := cli.Get("/db", map[string]string{"q": "recovered"})
@@ -301,7 +305,7 @@ func TestCentralizedEndToEndOverload(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if fe.ListenerUpdates() == 0 {
-		t.Fatal("listener thread processed no reports")
+		t.Fatal("listener thread applied no leases")
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 	"servicebroker/internal/txn"
 )
 
-// Row renders the report as one /loadz row, without a newline so a listener
-// can append the report's age.
+// Row renders the report as one /loadz row, without a newline.
 func (r LoadReport) Row() string {
 	return fmt.Sprintf("service=%s outstanding=%d threshold=%d queue=%d hot=%v",
 		r.Service, r.Outstanding, r.Threshold, r.QueueLen, r.Hot)

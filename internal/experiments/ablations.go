@@ -15,6 +15,7 @@ import (
 	"servicebroker/internal/loadbalance"
 	"servicebroker/internal/metrics"
 	"servicebroker/internal/qos"
+	"servicebroker/internal/registry"
 	"servicebroker/internal/resilience"
 	"servicebroker/internal/workload"
 )
@@ -210,8 +211,8 @@ type ModelComparisonResult struct {
 	// front during an overload episode; the distributed model forwards
 	// everything and lets brokers shed.
 	CentralizedAborts int64 `json:"centralized_aborts"`
-	// ListenerUpdates counts load-report datagrams the centralized model's
-	// listener thread processed (its scalability cost).
+	// ListenerUpdates counts lease datagrams the centralized model's
+	// listener thread applied (its scalability cost).
 	ListenerUpdates int `json:"listener_updates"`
 }
 
@@ -253,7 +254,7 @@ func RunModelComparison(ctx context.Context, requests int) (*ModelComparisonResu
 		return nil, err
 	}
 
-	// Centralized model with a reporter feeding its listener thread.
+	// Centralized model with the broker's lease feeding its listener thread.
 	b2, g2, err := mkStack()
 	if err != nil {
 		return nil, err
@@ -266,12 +267,15 @@ func RunModelComparison(ctx context.Context, requests int) (*ModelComparisonResu
 		return nil, err
 	}
 	defer cent.Close()
-	rep, err := frontend.NewReporter(b2, cent.ListenerAddr(), 5*time.Millisecond)
+	lease, err := registry.NewRegistrar(registry.RegistrarConfig{
+		Service: "db", Addr: g2.Addr().String(), Target: cent.ListenerAddr(),
+		Interval: 5 * time.Millisecond, Load: b2.Load,
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer rep.Close()
-	time.Sleep(20 * time.Millisecond) // first report
+	defer lease.Close()
+	time.Sleep(20 * time.Millisecond) // first lease
 	centMean, err := driveFrontend(ctx, cent.Addr(), requests)
 	if err != nil {
 		return nil, err
@@ -279,7 +283,7 @@ func RunModelComparison(ctx context.Context, requests int) (*ModelComparisonResu
 
 	// Overload episode: a continuous stream of class-1 holds keeps the
 	// broker at its threshold while doomed requests arrive; the centralized
-	// model aborts them at the web server as soon as a load report shows
+	// model aborts them at the web server as soon as a lease renewal shows
 	// the overload.
 	var hold sync.WaitGroup
 	stop := make(chan struct{})

@@ -320,12 +320,12 @@ func runFailoverMode(ctx context.Context, cfg FailoverConfig, name string, poolS
 	// Replicated mode discovers members through leases; the single baseline
 	// routes to one statically configured gateway.
 	var reg *registry.Registry
-	var listener *frontend.Listener
+	var listener *registry.Listener
 	target := ""
 	if poolSize > 1 {
 		reg = registry.New(registry.Config{Metrics: m})
 		var err error
-		listener, err = frontend.NewListener("127.0.0.1:0", frontend.WithRegistry(reg))
+		listener, err = registry.Listen("127.0.0.1:0", reg)
 		if err != nil {
 			return mode, err
 		}

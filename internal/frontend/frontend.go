@@ -12,10 +12,10 @@
 //
 // There is one front end: Distributed runs on the httpserver substrate and
 // reaches brokers through a Pool of UDP wire gateways, and Centralized is
-// that plus its listener, its resource profiles and the admission step. The
-// centralized model's load information arrives at a listener goroutine fed by
-// UDP load-report datagrams pushed by a Reporter attached to each broker —
-// the paper's "listener thread".
+// that plus a lease registry, its resource profiles and the admission step.
+// The centralized model's load information is the load each broker's lease
+// carries (registry.Registrar), applied to the registry by a
+// registry.Listener — the paper's "listener thread".
 package frontend
 
 import (
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -232,10 +233,9 @@ type Distributed struct {
 
 	events   *fleet.Log
 	registry *registry.Registry
-	// listener receives lease datagrams once EnableRegistry has run; in the
-	// centralized model it exists from the start and receives load reports
-	// too.
-	listener *Listener
+	// listener applies lease datagrams to registry once EnableRegistry has
+	// run (from the start in the centralized model).
+	listener *registry.Listener
 
 	// admit, when set, is asked before a request is forwarded; an error
 	// answers 503 without touching the brokers (the centralized model).
@@ -295,29 +295,23 @@ func (d *Distributed) handle(routes []Route) {
 // EnableRegistry starts lease-based pool discovery: REGISTER/RENEW/DEREGISTER
 // datagrams (brokerd's -register-to target) maintain pool membership, leases
 // are reconciled in the background, and discovered members join the routing
-// pool alongside the static gateways. The distributed model binds a UDP
-// listener on listenAddr for them; the centralized model already has a
-// listener, so leases share its load-report socket and listenAddr is unused.
-// The returned listener's Addr is the address brokers register to.
-func (d *Distributed) EnableRegistry(listenAddr string) (*Listener, error) {
+// pool alongside the static gateways. It binds a UDP listener on listenAddr
+// for them; once enabled (the centralized model is from the start), a second
+// call returns the same listener and listenAddr is unused. The returned
+// listener's Addr is the address brokers register to.
+func (d *Distributed) EnableRegistry(listenAddr string) (*registry.Listener, error) {
 	if d.registry != nil {
 		return d.listener, nil
 	}
 	reg := registry.New(registry.Config{Metrics: d.reg, Logger: slog.Default(), Events: d.events})
-	if d.listener != nil {
-		d.listener.AttachRegistry(reg)
-	} else {
-		l, err := NewListener(listenAddr, WithRegistry(reg))
-		if err != nil {
-			reg.Close()
-			return nil, err
-		}
-		d.listener = l
+	l, err := registry.Listen(listenAddr, reg)
+	if err != nil {
+		return nil, err
 	}
 	reg.Start(registryReconcileInterval)
-	d.registry = reg
+	d.registry, d.listener = reg, l
 	d.pool.SetRegistry(reg)
-	return d.listener, nil
+	return l, nil
 }
 
 // PoolStatus returns the routing pool's /poolz rows (lease state merged
@@ -370,20 +364,13 @@ func (d *Distributed) EnableAnalytics(hk *sketch.Tracker, eng *slo.Engine) {
 }
 
 // AdminPages returns a row renderer for every admin page the front end has
-// something to say on, keyed by page path: /poolz always, /loadz once it has
-// a listener (each report with its age, stale ones marked), /hotz and /sloz
-// when EnableAnalytics attached a tracker or an engine. Rows are labelled
-// with name. Call it after the Enable* calls.
+// something to say on, keyed by page path: /poolz always (each leased
+// member's load is on its row), /hotz and /sloz when EnableAnalytics
+// attached a tracker or an engine. Rows are labelled with name. Call it
+// after the Enable* calls.
 func (d *Distributed) AdminPages(name string) map[string]func(w io.Writer, limit int) {
 	pages := map[string]func(io.Writer, int){
 		"/poolz": func(w io.Writer, _ int) { registry.WritePool(w, name, d.PoolStatus()) },
-	}
-	if l := d.listener; l != nil {
-		pages["/loadz"] = func(w io.Writer, _ int) {
-			for _, e := range l.Entries() {
-				e.WriteRow(w)
-			}
-		}
 	}
 	if hk := d.ana.hotkeys; hk != nil {
 		pages["/hotz"] = func(w io.Writer, limit int) { hk.Snapshot().WriteRows(w, name, limit) }
@@ -455,110 +442,70 @@ type Demand struct {
 	Weight int
 }
 
-// Centralized is the Figure 4 deployment: the distributed front end plus a
-// listener goroutine that gathers broker load reports, per-URL resource
-// profiles, and an admission check against both that aborts doomed requests
-// before they are forwarded.
+// Centralized is the Figure 4 deployment: the distributed front end with its
+// lease registry enabled, per-URL resource profiles, and an admission check
+// against the leased brokers' load that aborts doomed requests before they
+// are forwarded.
 type Centralized struct {
 	*Distributed
 	profiles map[string][]Demand // pattern → demands
 	aborted  *metrics.Counter
+	// registrations and renewals are the registry's lease counters: each
+	// lease datagram the listener applies bumps one of them.
+	registrations, renewals *metrics.Counter
 }
 
 // NewCentralized starts the centralized front end. listenAddr is the UDP
-// address its listener thread binds for load reports; each route's resource
-// profile is given in profiles keyed by route pattern (routes without a
-// profile are admitted unconditionally). gatewayAddr may name several pool
-// members separated by "|".
+// address its listener thread binds for broker leases (brokerd
+// -register-to); each route's resource profile is given in profiles keyed by
+// route pattern (routes without a profile are admitted unconditionally).
+// gatewayAddr may name several pool members separated by "|".
 func NewCentralized(addr, gatewayAddr, listenAddr string, routes []Route, profiles map[string][]Demand, opts ...httpserver.ServerOption) (*Centralized, error) {
 	d, err := start(addr, gatewayAddr, routes, "admitted", opts)
 	if err != nil {
 		return nil, err
 	}
-	if d.listener, err = NewListener(listenAddr); err != nil {
+	if _, err := d.EnableRegistry(listenAddr); err != nil {
 		d.Close()
 		return nil, err
 	}
-	c := &Centralized{Distributed: d, profiles: profiles, aborted: d.reg.Counter("aborted")}
+	c := &Centralized{
+		Distributed: d, profiles: profiles, aborted: d.reg.Counter("aborted"),
+		registrations: d.reg.Counter("lease_registrations"), renewals: d.reg.Counter("lease_renewals"),
+	}
 	d.admit = c.admit
 	d.handle(routes)
 	return c, nil
 }
 
-// ListenerAddr returns the load-report UDP address brokers should report to.
+// ListenerAddr returns the UDP address brokers should register to.
 func (c *Centralized) ListenerAddr() string { return c.listener.Addr() }
 
-// ListenerUpdates counts load-report datagrams the listener thread has
-// processed — the update workload the paper's scalability discussion is
-// about.
-func (c *Centralized) ListenerUpdates() int { return c.listener.Updates() }
+// ListenerUpdates counts the lease datagrams the listener thread has applied
+// — the update workload the paper's scalability discussion is about.
+func (c *Centralized) ListenerUpdates() int {
+	return int(c.registrations.Value() + c.renewals.Value())
+}
 
 // admit applies the centralized admission check for one route, counting the
-// requests it turns away.
+// requests it turns away. A demand is admitted when some live member of its
+// service has the headroom for it and has not declared a hot spot; a service
+// with no live lease fails open, like the paper's warmup.
 func (c *Centralized) admit(route Route) error {
 	for _, d := range c.profiles[route.Pattern] {
-		report, ok := c.listener.Load(d.Service)
-		if !ok {
-			continue // no load information yet; fail open like the paper's warmup
+		members := c.registry.Members(d.Service)
+		if len(members) == 0 {
+			continue
 		}
-		weight := d.Weight
-		if weight < 1 {
-			weight = 1
-		}
-		// Abort when the demand does not fit the remaining headroom, or
-		// when the broker has declared a hot spot.
-		if report.Hot || report.Outstanding+weight > report.Threshold {
+		weight := max(d.Weight, 1)
+		if !slices.ContainsFunc(members, func(m registry.Member) bool {
+			return !m.Load.Hot && m.Load.Outstanding+weight <= m.Load.Threshold
+		}) {
 			c.aborted.Inc()
-			return fmt.Errorf("frontend: service %s overloaded (%d/%d outstanding, hot=%v)",
-				d.Service, report.Outstanding, report.Threshold, report.Hot)
+			load := members[0].Load
+			return fmt.Errorf("frontend: service %s overloaded (%d/%d outstanding, hot=%v, %d live members)",
+				d.Service, load.Outstanding, load.Threshold, load.Hot, len(members))
 		}
 	}
 	return nil
-}
-
-// Reporter periodically pushes one broker's load report to a listener
-// address over UDP. Attach one per broker in the centralized model; Close
-// stops the reporting goroutine.
-type Reporter struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-// NewReporter starts reporting b's load to listenAddr every interval.
-func NewReporter(b *broker.Broker, listenAddr string, interval time.Duration) (*Reporter, error) {
-	if b == nil {
-		return nil, errors.New("frontend: nil broker")
-	}
-	if interval <= 0 {
-		return nil, errors.New("frontend: report interval must be positive")
-	}
-	conn, err := dialReport(listenAddr)
-	if err != nil {
-		return nil, err
-	}
-	r := &Reporter{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(r.done)
-		defer conn.Close()
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-r.stop:
-				// Final report on the way out so a centralized front end
-				// sees the broker's drained state instead of a stale load.
-				sendReport(conn, b.Load())
-				return
-			case <-ticker.C:
-				sendReport(conn, b.Load())
-			}
-		}
-	}()
-	return r, nil
-}
-
-// Close stops the reporter and waits for its goroutine.
-func (r *Reporter) Close() {
-	close(r.stop)
-	<-r.done
 }

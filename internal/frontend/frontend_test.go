@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,7 +44,7 @@ var testRoutes = []Route{{
 }}
 
 // model is one deployment model as the shared-behaviour table starts it:
-// both are a *Distributed, the centralized one with its listener, profiles
+// both are a *Distributed, the centralized one with its registry, profiles
 // and admission step in front.
 type model struct {
 	name string
@@ -176,23 +178,21 @@ func TestSharedBehaviours(t *testing.T) {
 				t.Fatal(err)
 			}
 			pages := d.AdminPages("fe")
-			want := "pool=fe service=db addr=127.0.0.1:7101 source=lease state=live"
+			// The load the lease carries is on the member's /poolz row.
+			want := regexp.MustCompile(`pool=fe service=db addr=127\.0\.0\.1:7101 source=lease state=live ttl=\S+ renewals=0 outstanding=5/16 queue=0 cool`)
 			var poolz bytes.Buffer
 			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 				poolz.Reset()
 				pages["/poolz"](&poolz, 0)
-				if strings.Contains(poolz.String(), want) {
+				if want.Match(poolz.Bytes()) {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("/poolz never showed the leased member:\n%s", poolz.String())
+					t.Fatalf("/poolz never showed the leased member and its load:\n%s", poolz.String())
 				}
 			}
-			// The load piggybacked on the lease is a /loadz row with its age.
-			var loadz bytes.Buffer
-			pages["/loadz"](&loadz, 0)
-			if !strings.HasPrefix(loadz.String(), "service=db outstanding=5 threshold=16 queue=0 hot=false age=") {
-				t.Fatalf("/loadz = %q", loadz.String())
+			if _, ok := pages["/loadz"]; ok {
+				t.Fatal("the front end registers a /loadz page")
 			}
 		}},
 		{name: "drain", slow: 100 * time.Millisecond,
@@ -280,124 +280,26 @@ func TestDistributedValidation(t *testing.T) {
 	}
 }
 
-func TestListenerReceivesReports(t *testing.T) {
-	l, err := NewListener("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	conn, err := dialReport(l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	sendReport(conn, broker.LoadReport{Service: "db", Outstanding: 7, Threshold: 20, QueueLen: 3, Hot: false})
-	sendReport(conn, broker.LoadReport{Service: "db", Outstanding: 19, Threshold: 20, QueueLen: 9, Hot: true})
-
-	deadline := time.After(2 * time.Second)
-	for {
-		if r, ok := l.Load("db"); ok && r.Outstanding == 19 {
-			if !r.Hot || r.QueueLen != 9 || r.Threshold != 20 {
-				t.Fatalf("report = %+v", r)
-			}
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("reports never arrived")
-		default:
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	if l.Updates() < 2 {
-		t.Fatalf("updates = %d", l.Updates())
-	}
-}
-
-func TestListenerIgnoresGarbage(t *testing.T) {
-	l, err := NewListener("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	conn, _ := dialReport(l.Addr())
-	defer conn.Close()
-	conn.Write([]byte("NOISE not a report"))
-	conn.Write([]byte("LOAD db x y z hot"))
-	sendReport(conn, broker.LoadReport{Service: "db", Outstanding: 1, Threshold: 2})
-	deadline := time.After(2 * time.Second)
-	for {
-		if _, ok := l.Load("db"); ok {
-			return
-		}
-		select {
-		case <-deadline:
-			t.Fatal("valid report lost among garbage")
-		default:
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-}
-
-func TestReporterPushesLoad(t *testing.T) {
-	_, b := testStack(t, 0)
-	l, err := NewListener("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	r, err := NewReporter(b, l.Addr(), 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	deadline := time.After(2 * time.Second)
-	for {
-		if report, ok := l.Load("db"); ok {
-			if report.Threshold != 20 {
-				t.Fatalf("report = %+v", report)
-			}
-			return
-		}
-		select {
-		case <-deadline:
-			t.Fatal("reporter never delivered")
-		default:
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-}
-
-func TestReporterValidation(t *testing.T) {
-	if _, err := NewReporter(nil, "127.0.0.1:1", time.Second); err == nil {
-		t.Fatal("nil broker accepted")
-	}
-	_, b := testStack(t, 0)
-	if _, err := NewReporter(b, "127.0.0.1:1", 0); err == nil {
-		t.Fatal("zero interval accepted")
-	}
+// lease builds the REGISTER a broker at addr sends for db with the given
+// load.
+func lease(addr string, outstanding, threshold int, hot bool) registry.Command {
+	return registry.Command{Verb: registry.VerbRegister, Service: "db", Addr: addr, TTL: time.Minute,
+		Load: broker.LoadReport{Service: "db", Outstanding: outstanding, Threshold: threshold, Hot: hot}}
 }
 
 func TestCentralizedAdmitsAndAborts(t *testing.T) {
-	gw, b := testStack(t, 0)
+	gw, _ := testStack(t, 0)
 	profiles := map[string][]Demand{"/db": {{Service: "db", Weight: 1}}}
 	c, err := NewCentralized("127.0.0.1:0", gw, "127.0.0.1:0", testRoutes, profiles)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	rep, err := NewReporter(b, c.ListenerAddr(), 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-
 	cli := httpserver.NewClient(c.Addr())
 	defer cli.Close()
 
 	// Light load: admitted.
+	c.registry.Apply(lease(gw, 0, 20, false))
 	resp, err := cli.Get("/db", map[string]string{"q": "ok", "qos": "1"})
 	if err != nil {
 		t.Fatal(err)
@@ -406,8 +308,8 @@ func TestCentralizedAdmitsAndAborts(t *testing.T) {
 		t.Fatalf("light-load status = %d body %q", resp.Status, resp.Body)
 	}
 
-	// Simulate an overloaded backend via a direct listener record.
-	c.listener.Record(broker.LoadReport{Service: "db", Outstanding: 20, Threshold: 20, Hot: true})
+	// The broker's lease declares overload.
+	c.registry.Apply(lease(gw, 20, 20, true))
 	resp, err = cli.Get("/db", map[string]string{"q": "doomed", "qos": "1"})
 	if err != nil {
 		t.Fatal(err)
@@ -419,8 +321,8 @@ func TestCentralizedAdmitsAndAborts(t *testing.T) {
 		t.Fatal("abort not counted")
 	}
 
-	// Recovery: a fresh report re-opens the gate.
-	c.listener.Record(broker.LoadReport{Service: "db", Outstanding: 0, Threshold: 20})
+	// Recovery: a fresh lease re-opens the gate.
+	c.registry.Apply(lease(gw, 0, 20, false))
 	resp, _ = cli.Get("/db", map[string]string{"q": "ok2", "qos": "1"})
 	if resp.Status != 200 {
 		t.Fatalf("recovery status = %d", resp.Status)
@@ -450,13 +352,127 @@ func TestCentralizedRouteWithoutProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Even with an "overloaded" report, no profile means no admission check.
-	c.listener.Record(broker.LoadReport{Service: "db", Outstanding: 99, Threshold: 20})
+	// Even with an "overloaded" lease, no profile means no admission check.
+	c.registry.Apply(lease(gw, 99, 20, false))
 	cli := httpserver.NewClient(c.Addr())
 	defer cli.Close()
 	resp, err := cli.Get("/db", map[string]string{"q": "x", "qos": "1"})
 	if err != nil || resp.Status != 200 {
 		t.Fatalf("resp = %d, %v", resp.Status, err)
+	}
+}
+
+// TestCentralizedAdmitsOnAnyLiveMember pins admission over a replicated pool:
+// a request is admitted while some live member has headroom, whichever
+// member renewed last, and routed to that member; it is aborted only when
+// every live member is full.
+func TestCentralizedAdmitsOnAnyLiveMember(t *testing.T) {
+	const idle = "127.0.0.1:1" // B: nothing listens there
+	for _, tc := range []struct {
+		name         string
+		aOutstanding int // A is the real gateway; B, renewing last, is full
+		status       int
+	}{
+		{"one member has headroom", 0, 200},
+		{"every member full", 20, 503},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gw, _ := testStack(t, 0)
+			profiles := map[string][]Demand{"/db": {{Service: "db", Weight: 1}}}
+			c, err := NewCentralized("127.0.0.1:0", gw, "127.0.0.1:0", testRoutes, profiles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			l, err := c.EnableRegistry("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := net.Dial("udp", l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			for _, cmd := range []registry.Command{lease(gw, tc.aOutstanding, 20, false), lease(idle, 20, 20, true)} {
+				if _, err := conn.Write([]byte(registry.FormatCommand(cmd))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitForPool(t, c.Distributed, gw, idle)
+
+			cli := httpserver.NewClient(c.Addr())
+			defer cli.Close()
+			resp, err := cli.Get("/db", map[string]string{"q": "x", "qos": "1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Status != tc.status {
+				t.Fatalf("status = %d %q, want %d", resp.Status, resp.Body, tc.status)
+			}
+			if tc.status == 200 && string(resp.Body) != "done:x" {
+				t.Fatalf("body = %q, want the answer of A's broker", resp.Body)
+			}
+			wantAborted := int64(0)
+			if tc.status == 503 {
+				wantAborted = 1
+			}
+			if got := c.Metrics().Counter("aborted").Value(); got != wantAborted {
+				t.Fatalf("aborted = %d, want %d", got, wantAborted)
+			}
+		})
+	}
+}
+
+// waitForPool waits until every addr has a live lease row on d's pool.
+func waitForPool(t *testing.T, d *Distributed, addrs ...string) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		live := 0
+		for _, v := range d.PoolStatus() {
+			if v.Source == "lease" && strings.HasPrefix(v.State, "live") && slices.Contains(addrs, v.Addr) {
+				live++
+			}
+		}
+		if live == len(addrs) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pool never listed %v live: %+v", addrs, d.PoolStatus())
+		}
+	}
+}
+
+// TestListenerRejectsOversizedDatagram: UDP truncates a datagram to the read
+// buffer without saying so, so a buffer no longer than the longest valid
+// command would read an oversized line as its valid prefix.
+func TestListenerRejectsOversizedDatagram(t *testing.T) {
+	gw, _ := testStack(t, 0)
+	d, err := NewDistributed("127.0.0.1:0", gw, testRoutes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	l, err := d.EnableRegistry("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("udp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	oversized := "REGISTER db 127.0.0.1:7101 3000 0 20 0 cool" + strings.Repeat(" ", 600) + "garbage"
+	sentinel := registry.FormatCommand(lease("127.0.0.1:7102", 0, 20, false))
+	for _, line := range []string{oversized, sentinel} {
+		if _, err := conn.Write([]byte(line)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitForPool(t, d, "127.0.0.1:7102")
+	for _, v := range d.PoolStatus() {
+		if v.Addr == "127.0.0.1:7101" {
+			t.Fatalf("the prefix of an oversized datagram was applied: %+v", v)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package frontend
 import (
 	"context"
 	"errors"
-	"net"
 	"slices"
 	"testing"
 	"time"
@@ -191,84 +190,6 @@ func TestPoolBreakerEjectsFailingMember(t *testing.T) {
 	}
 	if !sawOpen {
 		t.Fatalf("pool status missing open-breaker member: %+v", p.Status())
-	}
-}
-
-func TestListenerExpiresStaleLoads(t *testing.T) {
-	clock := struct{ now time.Time }{now: time.Unix(1_700_000_000, 0)}
-	now := &clock.now
-	l, err := NewListener("127.0.0.1:0", WithLoadTTL(time.Second), withClock(func() time.Time { return *now }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	l.Record(broker.LoadReport{Service: "db", Outstanding: 3, Threshold: 16})
-	if _, ok := l.Load("db"); !ok {
-		t.Fatal("fresh report withheld")
-	}
-	*now = now.Add(2 * time.Second)
-	if _, ok := l.Load("db"); ok {
-		t.Fatal("stale report still served to admission control")
-	}
-	entries := l.Entries()
-	if len(entries) != 1 || !entries[0].Stale || entries[0].Age != 2*time.Second {
-		t.Fatalf("entries = %+v, want one stale 2s-old row", entries)
-	}
-
-	// A fresh report revives the service.
-	l.Record(broker.LoadReport{Service: "db", Outstanding: 1, Threshold: 16})
-	if _, ok := l.Load("db"); !ok {
-		t.Fatal("revived report withheld")
-	}
-}
-
-func TestListenerDispatchesLeaseCommands(t *testing.T) {
-	reg := registry.New(registry.Config{})
-	l, err := NewListener("127.0.0.1:0", WithRegistry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	conn, err := net.Dial("udp", l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	cmd := registry.Command{Verb: registry.VerbRegister, Service: "db", Addr: "127.0.0.1:7101",
-		TTL: time.Minute, Load: broker.LoadReport{Service: "db", Outstanding: 5, Threshold: 16}}
-	if _, err := conn.Write([]byte(registry.FormatCommand(cmd))); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if ms := reg.Members("db"); len(ms) == 1 && ms[0].Addr == "127.0.0.1:7101" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("lease command never reached the registry")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The piggybacked load also feeds the admission table.
-	if r, ok := l.Load("db"); !ok || r.Outstanding != 5 {
-		t.Fatalf("piggybacked load not recorded: %+v ok=%v", r, ok)
-	}
-	// LOAD reports still work on the same socket.
-	if _, err := conn.Write([]byte("LOAD db 7 16 0 cool")); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(2 * time.Second)
-	for {
-		if r, ok := l.Load("db"); ok && r.Outstanding == 7 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("LOAD report lost after registry attach")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

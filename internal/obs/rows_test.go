@@ -11,7 +11,6 @@ import (
 
 	"servicebroker/internal/broker"
 	"servicebroker/internal/fleet"
-	"servicebroker/internal/frontend"
 	"servicebroker/internal/overload"
 	"servicebroker/internal/registry"
 	"servicebroker/internal/resilience"
@@ -64,14 +63,6 @@ func TestRowPagesGolden(t *testing.T) {
 		},
 			"service=db outstanding=5 threshold=10 queue=2 hot=true\n" +
 				"service=mail outstanding=1 threshold=8 queue=0 hot=false\n"},
-		{"loadz aged", "/loadz", []source{{"frontend", func(w io.Writer, _ int) {
-			frontend.LoadEntry{Report: broker.LoadReport{Service: "db", Outstanding: 3, Threshold: 16, QueueLen: 1, Hot: true},
-				Age: 1234567 * time.Microsecond}.WriteRow(w)
-			frontend.LoadEntry{Report: broker.LoadReport{Service: "mail", Threshold: 8},
-				Age: 20 * time.Second, Stale: true}.WriteRow(w)
-		}}},
-			"service=db outstanding=3 threshold=16 queue=1 hot=true age=1.235s\n" +
-				"service=mail outstanding=0 threshold=8 queue=0 hot=false age=20s stale\n"},
 		{"poolz", "/poolz", []source{
 			{"frontend", func(w io.Writer, _ int) {
 				registry.WritePool(w, "frontend", []registry.PoolView{

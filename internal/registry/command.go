@@ -1,29 +1,28 @@
 // Package registry implements lease-based broker self-registration: the
-// membership half of a replicated broker tier. Each brokerd process
-// announces the services it hosts to a front end over the same UDP channel
-// the centralized model's load reports travel on, and keeps the claim alive
-// by renewing a TTL lease. A reconciliation loop on the front end expires
-// leases whose broker stopped renewing — a crashed or partitioned broker
-// silently falls out of the pool — and re-admits brokers that come back.
+// membership half of a replicated broker tier and the only way a broker
+// tells a front end its load. Each brokerd process announces the services it
+// hosts to a front end's UDP listener and keeps the claim alive by renewing a
+// TTL lease. A reconciliation loop on the front end expires leases whose
+// broker stopped renewing — a crashed or partitioned broker silently falls
+// out of the pool — and re-admits brokers that come back.
 //
 // The control datagrams a front end's listener accepts are single text
 // lines, parsed strictly (reject, don't clamp) by the one fuzzed parser in
 // this package:
 //
-//	LOAD       <service> <outstanding> <threshold> <queuelen> <hot|cool>
 //	REGISTER   <service> <addr> <ttl_ms> <outstanding> <threshold> <queuelen> <hot|cool> [admin=<addr>]
 //	RENEW      <service> <addr> <ttl_ms> <outstanding> <threshold> <queuelen> <hot|cool> [admin=<addr>]
 //	DEREGISTER <service> <addr>
 //
-// LOAD is the centralized model's load report; a plain-text format keeps
-// the listener thread cheap — the paper notes that model's scalability
-// hinges on how little work per update the listener does. REGISTER and
-// RENEW piggyback the broker's current load summary so the
-// front end's health-weighted member selection always works from data no
-// older than one renewal interval, with no separate reporting channel. The
-// optional trailing admin=<host:port> field advertises the member's admin
-// HTTP plane so a fleet federator can scrape /metrics and /buildz without
-// separate configuration; lines without it parse exactly as before.
+// REGISTER and RENEW carry the broker's current load summary, so the front
+// end's health-weighted member selection and the centralized model's
+// admission check both work from data no older than one renewal interval,
+// with no separate reporting channel. A plain-text format keeps the listener
+// thread cheap — the paper notes the centralized model's scalability hinges
+// on how little work per update the listener does. The optional trailing
+// admin=<host:port> field advertises the member's admin HTTP plane so a fleet
+// federator can scrape /metrics and /buildz without separate configuration;
+// lines without it parse exactly as before.
 package registry
 
 import (
@@ -47,8 +46,6 @@ const (
 	VerbRenew
 	// VerbDeregister withdraws a member immediately (graceful shutdown).
 	VerbDeregister
-	// VerbLoad is a bare load report: no membership, no lease.
-	VerbLoad
 )
 
 // String names the verb in its wire spelling.
@@ -60,8 +57,6 @@ func (v Verb) String() string {
 		return "RENEW"
 	case VerbDeregister:
 		return "DEREGISTER"
-	case VerbLoad:
-		return "LOAD"
 	default:
 		return fmt.Sprintf("verb(%d)", int(v))
 	}
@@ -72,14 +67,12 @@ type Command struct {
 	Verb    Verb
 	Service string
 	// Addr is the member's gateway address ("host:port") as the broker
-	// advertises it — the address the front end dials to reach it. Empty
-	// for LOAD.
+	// advertises it — the address the front end dials to reach it.
 	Addr string
 	// TTL is the lease duration granted by a REGISTER/RENEW; zero otherwise.
 	TTL time.Duration
-	// Load is the load summary carried by LOAD and piggybacked on
-	// REGISTER/RENEW (Service is filled from the command); zero for
-	// DEREGISTER.
+	// Load is the load summary REGISTER/RENEW carry (Service is filled
+	// from the command); zero for DEREGISTER.
 	Load broker.LoadReport
 	// AdminAddr optionally advertises the member's admin-plane HTTP address
 	// (the trailing "admin=<host:port>" field on REGISTER/RENEW) for fleet
@@ -89,10 +82,9 @@ type Command struct {
 
 // Bounds the parser enforces. Commands arrive over the listener's
 // unauthenticated UDP socket, so a malformed or hostile datagram must never
-// perturb pool membership or poison the admission table: reject rather than
-// clamp.
+// perturb pool membership or the load it records: reject rather than clamp.
 const (
-	maxCommandLine = 512     // matches the listener's read buffer
+	maxCommandLine = 512     // the listener reads one byte more (Listen)
 	maxServiceName = 128     // generous; real service names are short
 	maxMemberAddr  = 256     // host:port; generous for IPv6 literals
 	maxCounter     = 1 << 30 // outstanding/threshold/queuelen sanity cap
@@ -114,11 +106,8 @@ func FormatCommand(c Command) string {
 	if c.Load.Hot {
 		state = "hot"
 	}
-	load := fmt.Sprintf("%d %d %d %s", c.Load.Outstanding, c.Load.Threshold, c.Load.QueueLen, state)
-	if c.Verb == VerbLoad {
-		return fmt.Sprintf("LOAD %s %s", c.Service, load)
-	}
-	line := fmt.Sprintf("%s %s %s %d %s", c.Verb, c.Service, c.Addr, c.TTL/time.Millisecond, load)
+	line := fmt.Sprintf("%s %s %s %d %d %d %d %s", c.Verb, c.Service, c.Addr, c.TTL/time.Millisecond,
+		c.Load.Outstanding, c.Load.Threshold, c.Load.QueueLen, state)
 	if c.AdminAddr != "" {
 		line += " admin=" + c.AdminAddr
 	}
@@ -203,7 +192,7 @@ func ParseCommand(line string) (Command, error) {
 		return Command{}, fmt.Errorf("registry: empty command")
 	}
 	// REGISTER/RENEW take exactly 8 fields, or 9 with the optional trailing
-	// admin=<addr>; DEREGISTER takes exactly 3 and LOAD exactly 6.
+	// admin=<addr>; DEREGISTER takes exactly 3.
 	var c Command
 	want, optional := 8, 1
 	switch fields[0] {
@@ -213,8 +202,6 @@ func ParseCommand(line string) (Command, error) {
 		c.Verb = VerbRenew
 	case "DEREGISTER":
 		c.Verb, want, optional = VerbDeregister, 3, 0
-	case "LOAD":
-		c.Verb, want, optional = VerbLoad, 6, 0
 	default:
 		return Command{}, fmt.Errorf("registry: unknown verb %q", fields[0])
 	}
@@ -225,13 +212,6 @@ func ParseCommand(line string) (Command, error) {
 	c.Service = fields[1]
 	if len(c.Service) > maxServiceName || !printable(c.Service) {
 		return Command{}, fmt.Errorf("registry: bad service name %q", c.Service)
-	}
-	var err error
-	if c.Verb == VerbLoad {
-		if c.Load, err = parseLoad(c.Service, fields[2:]); err != nil {
-			return Command{}, fmt.Errorf("registry: bad command %q: %w", line, err)
-		}
-		return c, nil
 	}
 	c.Addr = fields[2]
 	if !validAddr(c.Addr) {

@@ -79,36 +79,38 @@ func TestParseCommandHardening(t *testing.T) {
 		{name: "admin on deregister", line: "DEREGISTER search 127.0.0.1:7101 admin=127.0.0.1:9101"},
 		{name: "two admin fields", line: "REGISTER search 127.0.0.1:7101 3000 4 16 2 cool admin=127.0.0.1:9101 admin=127.0.0.1:9102"},
 		{name: "empty", line: ""},
+		// The load fields a lease carries, parsed through RENEW.
 		{
 			name: "load",
-			line: "LOAD db 3 20 1 hot",
+			line: "RENEW db 127.0.0.1:7101 3000 3 20 1 hot",
 			ok:   true,
-			want: Command{Verb: VerbLoad, Service: "db",
+			want: Command{Verb: VerbRenew, Service: "db", Addr: "127.0.0.1:7101", TTL: 3 * time.Second,
 				Load: broker.LoadReport{Service: "db", Outstanding: 3, Threshold: 20, QueueLen: 1, Hot: true}},
 		},
 		{
 			// Extra whitespace between fields is tolerated (strings.Fields),
 			// and the result is identical to the canonical spelling.
 			name: "load whitespace",
-			line: "  LOAD   db  3\t20 1   hot ",
+			line: "  RENEW   db 127.0.0.1:7101\t3000  3\t20 1   hot ",
 			ok:   true,
-			want: Command{Verb: VerbLoad, Service: "db",
+			want: Command{Verb: VerbRenew, Service: "db", Addr: "127.0.0.1:7101", TTL: 3 * time.Second,
 				Load: broker.LoadReport{Service: "db", Outstanding: 3, Threshold: 20, QueueLen: 1, Hot: true}},
 		},
 		{name: "unknown verb", line: "SAVE db 3 20 1 hot"},
-		{name: "load too few fields", line: "LOAD db 3 20 hot"},
-		{name: "load too many fields", line: "LOAD db 3 20 1 hot extra"},
-		{name: "load with addr", line: "LOAD db 127.0.0.1:7101 3 20 1 hot"},
-		{name: "load negative outstanding", line: "LOAD db -3 20 1 hot"},
-		{name: "load signed threshold", line: "LOAD db 3 +20 1 hot"},
-		{name: "load non-numeric queuelen", line: "LOAD db 3 20 z hot"},
-		{name: "load overflow", line: "LOAD db 3 99999999999999999999 1 hot"},
-		{name: "load counter above cap", line: "LOAD db 3 2000000000 1 hot"},
-		{name: "load unknown state", line: "LOAD db 3 20 1 tepid"},
-		{name: "load state case", line: "LOAD db 3 20 1 HOT"},
-		{name: "load control bytes in name", line: "LOAD d\x01b 3 20 1 hot"},
-		{name: "load oversized name", line: "LOAD " + strings.Repeat("x", 200) + " 3 20 1 hot"},
-		{name: "load oversized line", line: "LOAD db 3 20 1 hot" + strings.Repeat(" ", 600)},
+		{name: "load is an unknown verb", line: "LOAD db 3 20 1 hot"},
+		{name: "load too few fields", line: "RENEW db 127.0.0.1:7101 3000 3 20 hot"},
+		{name: "load too many fields", line: "RENEW db 127.0.0.1:7101 3000 3 20 1 hot extra"},
+		{name: "load with addr", line: "RENEW db 127.0.0.1:7101 3 20 1 hot"}, // an address but no TTL
+		{name: "load negative outstanding", line: "RENEW db 127.0.0.1:7101 3000 -3 20 1 hot"},
+		{name: "load signed threshold", line: "RENEW db 127.0.0.1:7101 3000 3 +20 1 hot"},
+		{name: "load non-numeric queuelen", line: "RENEW db 127.0.0.1:7101 3000 3 20 z hot"},
+		{name: "load overflow", line: "RENEW db 127.0.0.1:7101 3000 3 99999999999999999999 1 hot"},
+		{name: "load counter above cap", line: "RENEW db 127.0.0.1:7101 3000 3 2000000000 1 hot"},
+		{name: "load unknown state", line: "RENEW db 127.0.0.1:7101 3000 3 20 1 tepid"},
+		{name: "load state case", line: "RENEW db 127.0.0.1:7101 3000 3 20 1 HOT"},
+		{name: "load control bytes in name", line: "RENEW d\x01b 127.0.0.1:7101 3000 3 20 1 hot"},
+		{name: "load oversized name", line: "RENEW " + strings.Repeat("x", 200) + " 127.0.0.1:7101 3000 3 20 1 hot"},
+		{name: "load oversized line", line: "RENEW db 127.0.0.1:7101 3000 3 20 1 hot" + strings.Repeat(" ", 600)},
 		{name: "lowercase verb", line: "register search 127.0.0.1:7101 3000 0 16 0 cool"},
 		{name: "missing field", line: "REGISTER search 127.0.0.1:7101 3000 0 16 cool"},
 		{name: "extra field", line: "REGISTER search 127.0.0.1:7101 3000 0 16 0 cool x"},
@@ -157,10 +159,10 @@ func TestFormatCommandRoundTrip(t *testing.T) {
 			Load:      broker.LoadReport{Service: "search", Outstanding: 1, Threshold: 16},
 			AdminAddr: "127.0.0.1:9101"},
 		{Verb: VerbDeregister, Service: "cart", Addr: "10.0.0.2:7102"},
-		{Verb: VerbLoad, Service: "db", Load: broker.LoadReport{Service: "db"}},
-		{Verb: VerbLoad, Service: "cgi-bin",
+		{Verb: VerbRenew, Service: "db", Addr: "127.0.0.1:7101", TTL: MaxTTL, Load: broker.LoadReport{Service: "db"}},
+		{Verb: VerbRenew, Service: "cgi-bin", Addr: "127.0.0.1:7101", TTL: time.Second,
 			Load: broker.LoadReport{Service: "cgi-bin", Outstanding: 7, Threshold: 20, QueueLen: 3, Hot: true}},
-		{Verb: VerbLoad, Service: "x",
+		{Verb: VerbRenew, Service: "x", Addr: "127.0.0.1:7101", TTL: time.Second,
 			Load: broker.LoadReport{Service: "x", Outstanding: maxCounter, Threshold: maxCounter, QueueLen: maxCounter}},
 	}
 	for _, c := range cmds {
@@ -177,8 +179,8 @@ func TestFormatCommandRoundTrip(t *testing.T) {
 
 // FuzzParseCommand drives the datagram parser with arbitrary bytes: it must
 // never panic, and any line it accepts must survive a format → parse round
-// trip unchanged (so the pool and the admission table only ever hold values
-// a broker could have sent).
+// trip unchanged (so the pool and admission only ever see values a broker
+// could have sent).
 func FuzzParseCommand(f *testing.F) {
 	f.Add("REGISTER search 127.0.0.1:7101 3000 4 16 2 cool")
 	f.Add("RENEW search [::1]:7101 250 16 16 9 hot")
@@ -186,15 +188,15 @@ func FuzzParseCommand(f *testing.F) {
 	f.Add("REGISTER search 127.0.0.1:7101 3000 4 16 2 cool admin=127.0.0.1:9101")
 	f.Add("RENEW search 127.0.0.1:7101 250 16 16 9 hot admin=[::1]:9101")
 	f.Add("REGISTER s :1 10 0 0 0 cool")
-	f.Add("LOAD search 1 16 0 cool")
+	f.Add("RENEW search 127.0.0.1:7101 3000 1 16 0 cool")
 	f.Add("LOAD db 3 20 1 hot")
-	f.Add("LOAD cgi 0 0 0 cool")
-	f.Add(FormatCommand(Command{Verb: VerbLoad, Service: "mail",
+	f.Add("RENEW cgi 127.0.0.1:7101 3000 0 0 0 cool")
+	f.Add(FormatCommand(Command{Verb: VerbRenew, Service: "mail", Addr: "127.0.0.1:7101", TTL: time.Second,
 		Load: broker.LoadReport{Service: "mail", Outstanding: 19, Threshold: 20, QueueLen: 64, Hot: true}}))
-	f.Add("LOAD db -3 20 1 hot")
-	f.Add("LOAD db 3 99999999999999999999 1 hot")
+	f.Add("RENEW db 127.0.0.1:7101 3000 -3 20 1 hot")
+	f.Add("RENEW db 127.0.0.1:7101 3000 3 99999999999999999999 1 hot")
 	f.Add("NOISE not a report")
-	f.Add("LOAD  db\t3 20 1  cool")
+	f.Add("RENEW  db\t127.0.0.1:7101 3000 3 20 1  cool")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, line string) {
 		c, err := ParseCommand(line)
