@@ -17,7 +17,8 @@ import (
 // pays TCP connection setup and tear-down. With pooling enabled it behaves
 // like a broker's multiplexed persistent channel.
 type Client struct {
-	addr string
+	addr   string
+	header map[string]string // every request's headers; read-only
 
 	persistent bool
 	maxIdle    int
@@ -33,6 +34,7 @@ type clientConn struct {
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
+	head []byte // the buffer response heads are read into
 }
 
 // ClientOption configures a Client.
@@ -70,7 +72,7 @@ var ErrClientClosed = errors.New("httpserver: client closed")
 
 // NewClient creates a client for the server at addr ("host:port").
 func NewClient(addr string, opts ...ClientOption) *Client {
-	c := &Client{addr: addr, maxIdle: 2, dial: net.Dial}
+	c := &Client{addr: addr, header: map[string]string{"host": addr}, maxIdle: 2}
 	for _, o := range opts {
 		o.apply(c)
 	}
@@ -93,22 +95,14 @@ func (c *Client) get() (*clientConn, error) {
 	c.mu.Unlock()
 
 	dial := c.dial
-	if c.timeout > 0 && isDefaultDial(dial) {
-		dial = func(network, address string) (net.Conn, error) {
-			return net.DialTimeout(network, address, c.timeout)
-		}
+	if dial == nil {
+		dial = (&net.Dialer{Timeout: c.timeout}).Dial
 	}
 	conn, err := dial("tcp", c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("httpserver: dial %s: %w", c.addr, err)
 	}
 	return &clientConn{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
-}
-
-// isDefaultDial reports whether dial is the package default; custom dialers
-// manage their own timeouts.
-func isDefaultDial(dial func(string, string) (net.Conn, error)) bool {
-	return fmt.Sprintf("%p", dial) == fmt.Sprintf("%p", net.Dial)
 }
 
 // put returns a connection to the pool or closes it.
@@ -144,16 +138,12 @@ func (c *Client) Close() error {
 
 // Get issues GET path?query and returns the response.
 func (c *Client) Get(path string, query map[string]string) (*Response, error) {
-	target := path
-	if q := encodeQuery(query); q != "" {
-		target += "?" + q
-	}
-	return c.roundTrip("GET "+target, nil)
+	return c.roundTrip(&Request{Method: "GET", Path: path, Query: query, Header: c.header})
 }
 
 // Post issues POST path with a body.
 func (c *Client) Post(path string, body []byte) (*Response, error) {
-	return c.roundTrip("POST "+path, body)
+	return c.roundTrip(&Request{Method: "POST", Path: path, Header: c.header, Body: body})
 }
 
 // MGet issues one MGET request for several URIs and returns the per-URI
@@ -162,11 +152,7 @@ func (c *Client) MGet(uris []string) ([]MGetPart, error) {
 	if len(uris) == 0 {
 		return nil, errors.New("httpserver: MGet with no URIs")
 	}
-	targets := make([]string, len(uris))
-	for i, u := range uris {
-		targets[i] = "URI:" + u
-	}
-	resp, err := c.roundTrip("MGET "+strings.Join(targets, " "), nil)
+	resp, err := c.roundTrip(&Request{Method: "MGET", Header: c.header, MGetTargets: uris})
 	if err != nil {
 		return nil, err
 	}
@@ -183,15 +169,15 @@ func (c *Client) MGet(uris []string) ([]MGetPart, error) {
 	return parts, nil
 }
 
-// roundTrip sends "<METHOD> <target>" plus body and reads the response,
-// retrying once on a stale pooled connection.
-func (c *Client) roundTrip(methodAndTarget string, body []byte) (*Response, error) {
+// roundTrip sends req and reads the response, retrying once on a stale
+// pooled connection.
+func (c *Client) roundTrip(req *Request) (*Response, error) {
 	for attempt := 0; ; attempt++ {
 		cc, err := c.get()
 		if err != nil {
 			return nil, err
 		}
-		resp, reusable, err := c.exchange(cc, methodAndTarget, body)
+		resp, reusable, err := c.exchange(cc, req)
 		if err != nil {
 			cc.conn.Close()
 			// A pooled connection may have been closed server-side between
@@ -206,76 +192,56 @@ func (c *Client) roundTrip(methodAndTarget string, body []byte) (*Response, erro
 	}
 }
 
-func (c *Client) exchange(cc *clientConn, methodAndTarget string, body []byte) (*Response, bool, error) {
+func (c *Client) exchange(cc *clientConn, req *Request) (*Response, bool, error) {
 	if c.timeout > 0 {
 		cc.conn.SetDeadline(time.Now().Add(c.timeout))
 		defer cc.conn.SetDeadline(time.Time{})
 	}
-	fmt.Fprintf(cc.w, "%s HTTP/1.1\r\n", methodAndTarget)
-	fmt.Fprintf(cc.w, "host: %s\r\n", c.addr)
-	if len(body) > 0 {
-		fmt.Fprintf(cc.w, "content-length: %d\r\n", len(body))
-	}
-	if !c.persistent {
-		io.WriteString(cc.w, "connection: close\r\n")
-	}
-	io.WriteString(cc.w, "\r\n")
-	if len(body) > 0 {
-		cc.w.Write(body)
-	}
-	if err := cc.w.Flush(); err != nil {
+	if err := writeRequest(cc.w, req, !c.persistent); err != nil {
 		return nil, false, fmt.Errorf("httpserver: write: %w", err)
 	}
-	resp, reusable, err := readResponse(cc.r)
-	if err != nil {
-		return nil, false, err
-	}
-	return resp, reusable, nil
+	return readResponse(cc.r, &cc.head)
 }
 
-// readResponse parses a response, reporting whether the connection may be
-// reused.
-func readResponse(r *bufio.Reader) (*Response, bool, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return nil, false, fmt.Errorf("httpserver: read status: %w", err)
+// writeRequest writes req and flushes: the request line (MGET's URI: list,
+// or the path and its escaped query), the headers and the body.
+func writeRequest(w *bufio.Writer, req *Request, close bool) error {
+	b := append(w.AvailableBuffer(), req.Method...)
+	if req.Method == "MGET" {
+		for _, uri := range req.MGetTargets {
+			b = append(append(b, " URI:"...), uri...)
+		}
+	} else if b = append(append(b, ' '), req.Path...); len(req.Query) > 0 {
+		b = appendQuery(append(b, '?'), req.Query)
 	}
-	line = strings.TrimRight(line, "\r\n")
-	fields := strings.SplitN(line, " ", 3)
-	if len(fields) < 2 || !strings.HasPrefix(fields[0], "HTTP/") {
+	w.Write(append(b, " HTTP/1.1\r\n"...))
+	writeHeaders(w, req.Header, len(req.Body), close)
+	w.Write(req.Body)
+	return w.Flush()
+}
+
+// readResponse parses a response, reading its head into *head, and reports
+// whether the connection may be reused. The response is the caller's.
+func readResponse(r *bufio.Reader, head *[]byte) (*Response, bool, error) {
+	h, err := readHead(r, head)
+	if err != nil {
+		return nil, false, fmt.Errorf("httpserver: read head: %w", err)
+	}
+	line, h := nextLine(h)
+	proto, rest, _ := strings.Cut(line, " ")
+	code, _, _ := strings.Cut(rest, " ")
+	status, err := strconv.Atoi(code)
+	if err != nil || !strings.HasPrefix(proto, "HTTP/") {
 		return nil, false, fmt.Errorf("httpserver: bad status line %q", line)
 	}
-	status, err := strconv.Atoi(fields[1])
-	if err != nil {
-		return nil, false, fmt.Errorf("httpserver: bad status %q", fields[1])
-	}
 	resp := &Response{Status: status, Header: map[string]string{}}
-	for {
-		hline, err := r.ReadString('\n')
-		if err != nil {
-			return nil, false, fmt.Errorf("httpserver: read header: %w", err)
-		}
-		hline = strings.TrimRight(hline, "\r\n")
-		if hline == "" {
-			break
-		}
-		name, value, ok := strings.Cut(hline, ":")
-		if !ok {
-			return nil, false, fmt.Errorf("httpserver: bad header %q", hline)
-		}
-		resp.Header[strings.ToLower(strings.TrimSpace(name))] = strings.TrimSpace(value)
-	}
-	n := 0
-	if cl := resp.Header["content-length"]; cl != "" {
-		n, err = strconv.Atoi(cl)
-		if err != nil || n < 0 {
-			return nil, false, fmt.Errorf("httpserver: bad content-length %q", cl)
-		}
+	n, err := parseHeaders(h, resp.Header)
+	if err != nil {
+		return nil, false, fmt.Errorf("httpserver: bad %v", err)
 	}
 	resp.Body = make([]byte, n)
 	if _, err := io.ReadFull(r, resp.Body); err != nil {
 		return nil, false, fmt.Errorf("httpserver: read body: %w", err)
 	}
-	reusable := !strings.EqualFold(resp.Header["connection"], "close")
-	return resp, reusable, nil
+	return resp, !strings.EqualFold(resp.Header["connection"], "close"), nil
 }

@@ -3,8 +3,11 @@ package httpserver
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"net"
 	"strings"
+	"syscall"
 	"testing"
 	"testing/quick"
 	"time"
@@ -198,5 +201,81 @@ func TestReadRequestStructuredNeverPanicsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fakeServer answers the request on its i-th connection with replies[i] and
+// closes it; connections beyond the list get the last reply.
+func fakeServer(t *testing.T, replies ...string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for i := 0; ; i++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			r := bufio.NewReader(conn)
+			for {
+				line, err := r.ReadString('\n')
+				if err != nil || line == "\r\n" {
+					break
+				}
+			}
+			conn.Write([]byte(replies[min(i, len(replies)-1)]))
+			conn.Close()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// A backend that declares an absurd length or sends an endless head gets an
+// error, not a crashed caller, and the next request works.
+func TestClientRejectsOversizedResponse(t *testing.T) {
+	const ok = "HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok"
+	for name, bad := range map[string]string{
+		"content-length": "HTTP/1.1 200 OK\r\ncontent-length: 1125899906842624\r\n\r\n",
+		"head":           "HTTP/1.1 200 OK\r\nx-big: " + strings.Repeat("a", 1<<20) + "\r\n\r\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			cli := NewClient(fakeServer(t, bad, ok))
+			defer cli.Close()
+			if _, err := cli.Get("/x", nil); err == nil {
+				t.Fatal("oversized response accepted")
+			}
+			resp, err := cli.Get("/x", nil)
+			if err != nil || string(resp.Body) != "ok" {
+				t.Fatalf("next request: %v, %v", resp, err)
+			}
+		})
+	}
+}
+
+// A request head past the cap is answered 400 and the connection closed.
+func TestServerRejectsOversizedHead(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Handle("/x", func(req *Request) *Response { return Text("x") })
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go conn.Write([]byte("GET /x HTTP/1.1\r\nx-big: " + strings.Repeat("a", 1<<20) + "\r\n\r\n"))
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
+	status, err := r.ReadString('\n')
+	if err != nil || !strings.HasPrefix(status, "HTTP/1.1 400 ") {
+		t.Fatalf("status line %q, %v; want 400", status, err)
+	}
+	if _, err := io.Copy(io.Discard, r); err != nil && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("connection left open after 400: %v", err)
 	}
 }

@@ -12,11 +12,21 @@
 //
 // The types are intentionally independent of net/http: this package is one
 // of the substrates the reproduction builds from scratch.
+//
+// A request allocates only what outlives it. Each connection reuses one
+// Request, its maps and a head buffer; the head (request line and headers,
+// at most 64 KiB) becomes one string, and every string the parser hands a
+// handler is a substring of it, so strings may be kept but the *Request, its
+// maps and its Body only until the handler returns. A Response the client
+// returns is the caller's.
 package httpserver
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -83,44 +93,127 @@ func Error(status int, msg string) *Response {
 	return r
 }
 
-// parseQuery decodes "a=1&b=2" (minimal %XX and + decoding).
-func parseQuery(raw string) map[string]string {
-	q := map[string]string{}
-	if raw == "" {
-		return q
-	}
-	for _, pair := range strings.Split(raw, "&") {
-		if pair == "" {
-			continue
+const (
+	// maxHeadBytes bounds a message head: the start line and the headers.
+	maxHeadBytes = 64 << 10
+	// maxBodyBytes bounds the body a request or a response may declare.
+	maxBodyBytes = 16 << 20
+)
+
+var errHeadTooLarge = errors.New("httpserver: message head over 64 KiB")
+
+// readHead reads a message head, the start line and headers up to the blank
+// line, into *buf and returns it as one string, so that every field parsed
+// from it is a substring and the head costs one allocation. *buf grows on
+// demand and never holds more than maxHeadBytes.
+func readHead(r *bufio.Reader, buf *[]byte) (string, error) {
+	b, line := (*buf)[:0], 0 // line is where the current line starts
+	defer func() { *buf = b }()
+	for {
+		frag, err := r.ReadSlice('\n')
+		if len(b)+len(frag) > maxHeadBytes {
+			return "", errHeadTooLarge
 		}
-		k, v, _ := strings.Cut(pair, "=")
-		q[unescape(k)] = unescape(v)
+		b = append(b, frag...)
+		switch {
+		case err == bufio.ErrBufferFull:
+			continue
+		case err != nil:
+			return "", err
+		case len(bytes.TrimRight(b[line:], "\r\n")) == 0:
+			return string(b[:line]), nil
+		}
+		line = len(b)
 	}
-	return q
 }
 
-// encodeQuery is the inverse of parseQuery, with deterministic key order.
-func encodeQuery(q map[string]string) string {
-	if len(q) == 0 {
-		return ""
+// nextLine splits the first line, without its line ending, off s.
+func nextLine(s string) (string, string) {
+	line, rest, _ := strings.Cut(s, "\n")
+	return strings.TrimRight(line, "\r\n"), rest
+}
+
+// parseHeaders adds the header lines of s to header, names lowercased, and
+// returns the body length they declare, at most maxBodyBytes.
+func parseHeaders(s string, header map[string]string) (int, error) {
+	for s != "" {
+		var line string
+		line, s = nextLine(s)
+		name, value, ok := strings.Cut(line, ":")
+		if !ok {
+			return 0, fmt.Errorf("header %q", line)
+		}
+		header[strings.ToLower(strings.TrimSpace(name))] = strings.TrimSpace(value)
 	}
-	keys := make([]string, 0, len(q))
-	for k := range q {
+	cl := header["content-length"]
+	if cl == "" {
+		return 0, nil
+	}
+	if n, err := strconv.Atoi(cl); err == nil && n >= 0 && n <= maxBodyBytes {
+		return n, nil
+	}
+	return 0, fmt.Errorf("content-length %q", cl)
+}
+
+// writeHeaders ends a message head: header, names lowercased, but for the two
+// it derives, the body length n and "connection: close" when close; then the
+// blank line.
+func writeHeaders(w *bufio.Writer, header map[string]string, n int, close bool) {
+	for name, value := range header {
+		if name = strings.ToLower(name); name != "content-length" && name != "connection" {
+			w.WriteString(name)
+			w.WriteString(": ")
+			w.WriteString(value)
+			w.WriteString("\r\n")
+		}
+	}
+	w.WriteString("content-length: ")
+	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(n), 10))
+	if close {
+		w.WriteString("\r\nconnection: close")
+	}
+	w.WriteString("\r\n\r\n")
+}
+
+// parseQuery decodes "a=1&b=2" into q (minimal %XX and + decoding; the last
+// value wins).
+func parseQuery(q map[string]string, raw string) {
+	for raw != "" {
+		var pair string
+		if pair, raw, _ = strings.Cut(raw, "&"); pair != "" {
+			k, v, _ := strings.Cut(pair, "=")
+			q[unescape(k)] = unescape(v)
+		}
+	}
+}
+
+// appendQuery appends query as "k=v&k=v", escaped, with keys in sorted
+// order: the inverse of parseQuery.
+func appendQuery(b []byte, query map[string]string) []byte {
+	var stack [8]string
+	keys := stack[:0]
+	for k := range query {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, escape(k)+"="+escape(q[k]))
+	slices.Sort(keys)
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, '&')
+		}
+		b = append(appendEscape(b, k), '=')
+		b = appendEscape(b, query[k])
 	}
-	return strings.Join(parts, "&")
+	return b
 }
 
+// unescape decodes s only when it holds an escape, allocating once: at the
+// exact size when every '%' starts a well-formed escape.
 func unescape(s string) string {
 	if !strings.ContainsAny(s, "%+") {
 		return s
 	}
 	var b strings.Builder
+	b.Grow(max(0, len(s)-2*strings.Count(s, "%")))
 	for i := 0; i < len(s); i++ {
 		switch {
 		case s[i] == '+':
@@ -135,18 +228,19 @@ func unescape(s string) string {
 	return b.String()
 }
 
-func escape(s string) string {
+// appendEscape appends s with every byte outside a conservative unreserved
+// set written as %XX.
+func appendEscape(b []byte, s string) []byte {
 	const safe = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.~*()/:,"
-	var b strings.Builder
+	const hex = "0123456789ABCDEF"
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if strings.IndexByte(safe, c) >= 0 {
-			b.WriteByte(c)
-			continue
+		if c := s[i]; strings.IndexByte(safe, c) >= 0 {
+			b = append(b, c)
+		} else {
+			b = append(b, '%', hex[c>>4], hex[c&15])
 		}
-		fmt.Fprintf(&b, "%%%02X", c)
 	}
-	return b.String()
+	return b
 }
 
 func isHex(c byte) bool {

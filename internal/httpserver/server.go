@@ -16,6 +16,10 @@ import (
 )
 
 // Handler produces a response for one request. Returning nil yields a 500.
+//
+// The *Request, its Header and Query maps and its Body are valid only until
+// the handler returns: the connection reuses them for its next request. The
+// strings in them are immutable and may be kept.
 type Handler func(req *Request) *Response
 
 // ServerOption configures a Server.
@@ -63,6 +67,11 @@ type Server struct {
 	reg         *metrics.Registry
 	readTimeout time.Duration
 
+	// Metric handles, resolved once the options have chosen reg.
+	requests, notFound, panics *metrics.Counter
+	active                     *metrics.Gauge
+	requestTime                *metrics.Histogram
+
 	mu       sync.Mutex
 	handlers map[string]Handler // exact path or prefix ending in '/'
 	closed   bool
@@ -87,6 +96,8 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 	for _, o := range opts {
 		o.apply(s)
 	}
+	s.requests, s.notFound, s.panics = s.reg.Counter("requests"), s.reg.Counter("not_found"), s.reg.Counter("panics")
+	s.active, s.requestTime = s.reg.Gauge("active"), s.reg.Histogram("request_time")
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -221,6 +232,8 @@ var errBadRequest = errors.New("httpserver: bad request")
 func (s *Server) session(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
+	req := &Request{Header: map[string]string{}, Query: map[string]string{}}
+	var head []byte
 	for {
 		s.mu.Lock()
 		closed := s.closed
@@ -233,11 +246,9 @@ func (s *Server) session(conn net.Conn) {
 		if s.readTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.readTimeout))
 		}
-		req, err := ReadRequest(r)
-		if err != nil {
-			if errors.Is(err, errBadRequest) {
+		if err := readRequest(r, req, &head); err != nil {
+			if errors.Is(err, errBadRequest) || errors.Is(err, errHeadTooLarge) {
 				writeResponse(w, Error(400, err.Error()), true)
-				w.Flush()
 			}
 			return
 		}
@@ -248,13 +259,7 @@ func (s *Server) session(conn net.Conn) {
 		resp, keepAlive := s.dispatch(req)
 		s.logRequest(conn, req, resp)
 		wantClose := strings.EqualFold(req.Header["connection"], "close") || !keepAlive
-		if err := writeResponse(w, resp, wantClose); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if wantClose {
+		if err := writeResponse(w, resp, wantClose); err != nil || wantClose {
 			return
 		}
 	}
@@ -267,23 +272,20 @@ func (s *Server) dispatch(req *Request) (*Response, bool) {
 		s.slots <- struct{}{}
 		defer func() { <-s.slots }()
 	}
-	s.reg.Counter("requests").Inc()
-	s.reg.Gauge("active").Inc()
-	defer s.reg.Gauge("active").Dec()
-	timer := metrics.StartTimer(s.reg.Histogram("request_time"))
+	s.requests.Inc()
+	s.active.Inc()
+	defer s.active.Dec()
+	timer := metrics.StartTimer(s.requestTime)
 	defer timer.ObserveDuration()
 
 	if req.Method == "MGET" {
 		parts := make([]*Response, len(req.MGetTargets))
+		sub := &Request{Method: "GET", Proto: req.Proto, Header: req.Header, Query: map[string]string{}}
 		for i, uri := range req.MGetTargets {
 			path, rawQuery, _ := strings.Cut(uri, "?")
-			sub := &Request{
-				Method: "GET",
-				Path:   path,
-				Query:  parseQuery(rawQuery),
-				Proto:  req.Proto,
-				Header: req.Header,
-			}
+			clear(sub.Query)
+			sub.Path = path
+			parseQuery(sub.Query, rawQuery)
 			parts[i] = s.serveOne(sub)
 		}
 		resp := NewResponse(200, EncodeMGetParts(req.MGetTargets, parts))
@@ -297,12 +299,12 @@ func (s *Server) dispatch(req *Request) (*Response, bool) {
 func (s *Server) serveOne(req *Request) (resp *Response) {
 	h := s.lookup(req.Path)
 	if h == nil {
-		s.reg.Counter("not_found").Inc()
+		s.notFound.Inc()
 		return Error(404, "no handler for "+req.Path)
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			s.reg.Counter("panics").Inc()
+			s.panics.Inc()
 			resp = Error(500, fmt.Sprintf("handler panic: %v", p))
 		}
 	}()
@@ -325,101 +327,77 @@ func (s *Server) logRequest(conn net.Conn, req *Request, resp *Response) {
 
 // ReadRequest parses one request from r.
 func ReadRequest(r *bufio.Reader) (*Request, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
+	req := &Request{Header: map[string]string{}, Query: map[string]string{}}
+	if err := readRequest(r, req, new([]byte)); err != nil {
 		return nil, err
-	}
-	line = strings.TrimRight(line, "\r\n")
-	fields := strings.Fields(line)
-	if len(fields) < 3 {
-		return nil, fmt.Errorf("%w: request line %q", errBadRequest, line)
-	}
-	method := fields[0]
-	proto := fields[len(fields)-1]
-	if !strings.HasPrefix(proto, "HTTP/") {
-		return nil, fmt.Errorf("%w: protocol %q", errBadRequest, proto)
-	}
-	req := &Request{Method: method, Proto: proto, Header: map[string]string{}}
-
-	if method == "MGET" {
-		// MGET URI:/a URI:/b HTTP/1.1  (paper §III / www-talk proposal)
-		for _, f := range fields[1 : len(fields)-1] {
-			uri := strings.TrimPrefix(f, "URI:")
-			if uri == "" || uri[0] != '/' {
-				return nil, fmt.Errorf("%w: MGET target %q", errBadRequest, f)
-			}
-			req.MGetTargets = append(req.MGetTargets, uri)
-		}
-		if len(req.MGetTargets) == 0 {
-			return nil, fmt.Errorf("%w: MGET without targets", errBadRequest)
-		}
-	} else {
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("%w: request line %q", errBadRequest, line)
-		}
-		target := fields[1]
-		if target == "" || target[0] != '/' {
-			return nil, fmt.Errorf("%w: target %q", errBadRequest, target)
-		}
-		path, rawQuery, _ := strings.Cut(target, "?")
-		req.Path = path
-		req.Query = parseQuery(rawQuery)
-	}
-
-	for {
-		hline, err := r.ReadString('\n')
-		if err != nil {
-			return nil, err
-		}
-		hline = strings.TrimRight(hline, "\r\n")
-		if hline == "" {
-			break
-		}
-		name, value, ok := strings.Cut(hline, ":")
-		if !ok {
-			return nil, fmt.Errorf("%w: header %q", errBadRequest, hline)
-		}
-		req.Header[strings.ToLower(strings.TrimSpace(name))] = strings.TrimSpace(value)
-	}
-
-	if cl := req.Header["content-length"]; cl != "" {
-		n, err := strconv.Atoi(cl)
-		if err != nil || n < 0 || n > 16<<20 {
-			return nil, fmt.Errorf("%w: content-length %q", errBadRequest, cl)
-		}
-		req.Body = make([]byte, n)
-		if _, err := io.ReadFull(r, req.Body); err != nil {
-			return nil, err
-		}
 	}
 	return req, nil
 }
 
-// writeResponse serializes one response. close adds "Connection: close".
-func writeResponse(w io.Writer, resp *Response, close bool) error {
-	if _, err := fmt.Fprintf(w, "HTTP/1.1 %d %s\r\n", resp.Status, StatusText(resp.Status)); err != nil {
+// readRequest parses one request from r into req, clearing and refilling its
+// maps, with *head as the buffer the head is read into.
+func readRequest(r *bufio.Reader, req *Request, head *[]byte) error {
+	h, err := readHead(r, head)
+	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "content-length: %d\r\n", len(resp.Body)); err != nil {
-		return err
+	// method SP target... SP proto: MGET names several targets (paper §III /
+	// www-talk proposal), every other method one.
+	line, h := nextLine(h)
+	method, rest := field(line)
+	var fields []string
+	for f, more := field(rest); f != ""; f, more = field(more) {
+		fields = append(fields, f)
 	}
-	for name, value := range resp.Header {
-		lname := strings.ToLower(name)
-		if lname == "content-length" || lname == "connection" {
-			continue
+	if method == "" || len(fields) < 2 || (method != "MGET" && len(fields) != 2) {
+		return fmt.Errorf("%w: request line %q", errBadRequest, line)
+	}
+	targets := fields[:len(fields)-1]
+	req.Method, req.Proto, req.Path, req.Body, req.MGetTargets = method, fields[len(targets)], "", nil, nil
+	if !strings.HasPrefix(req.Proto, "HTTP/") {
+		return fmt.Errorf("%w: protocol %q", errBadRequest, req.Proto)
+	}
+	clear(req.Query)
+	clear(req.Header)
+	for i, target := range targets {
+		if method == "MGET" {
+			target = strings.TrimPrefix(target, "URI:")
+			targets[i] = target
 		}
-		if _, err := fmt.Fprintf(w, "%s: %s\r\n", lname, value); err != nil {
-			return err
+		if target == "" || target[0] != '/' {
+			return fmt.Errorf("%w: target %q", errBadRequest, target)
 		}
 	}
-	if close {
-		if _, err := io.WriteString(w, "connection: close\r\n"); err != nil {
-			return err
-		}
+	if method == "MGET" {
+		req.MGetTargets = targets
+	} else {
+		path, rawQuery, _ := strings.Cut(targets[0], "?")
+		req.Path = path
+		parseQuery(req.Query, rawQuery)
 	}
-	if _, err := io.WriteString(w, "\r\n"); err != nil {
-		return err
+
+	n, err := parseHeaders(h, req.Header)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errBadRequest, err)
 	}
-	_, err := w.Write(resp.Body)
+	if n > 0 {
+		req.Body = make([]byte, n)
+		_, err = io.ReadFull(r, req.Body)
+	}
 	return err
+}
+
+// field splits the first space-separated field off s.
+func field(s string) (string, string) {
+	f, rest, _ := strings.Cut(strings.TrimLeft(s, " "), " ")
+	return f, rest
+}
+
+// writeResponse writes resp and flushes. close adds "connection: close".
+func writeResponse(w *bufio.Writer, resp *Response, close bool) error {
+	b := strconv.AppendInt(append(w.AvailableBuffer(), "HTTP/1.1 "...), int64(resp.Status), 10)
+	w.Write(append(append(append(b, ' '), StatusText(resp.Status)...), "\r\n"...))
+	writeHeaders(w, resp.Header, len(resp.Body), close)
+	w.Write(resp.Body)
+	return w.Flush()
 }
