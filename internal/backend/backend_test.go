@@ -269,6 +269,54 @@ func TestSQLSessionHonorsRepeatDirective(t *testing.T) {
 	}
 }
 
+// TestSQLSessionAllocs is the alloc-regression gate for the broker's database
+// access (matched by CI's -run 'Alloc' step): sqlSession.Do against a
+// loopback sqldb.Server, client and server together (measured 20 and 29). The
+// session adds three allocations to the engine's: the payload as a string, the
+// query text on the server, and the rendered table the broker keeps; a fourth
+// is the test's own payload. The range read is the benchmark's shape, 15 rows.
+func TestSQLSessionAllocs(t *testing.T) {
+	engine := sqldb.NewEngine()
+	if err := sqldb.LoadRecords(engine, sqldb.PaperRecordCount); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := sqldb.NewServer(engine, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	s, err := (&SQLConnector{Addr: srv.Addr().String()}).Connect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, tc := range []struct {
+		sql, first string // first: the table's first row
+		rows       int
+		budget     float64
+	}{
+		{"SELECT id, name FROM records WHERE id = 12345", "12345\trecord-012345", 1, 30},
+		{"SELECT id, name, score FROM records WHERE category = 62 AND score BETWEEN 389 AND 427", "", 15, 40},
+	} {
+		out, err := s.Do(context.Background(), []byte(tc.sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+		if len(lines) != 1+tc.rows || (tc.first != "" && lines[1] != tc.first) {
+			t.Fatalf("%s = %q, want %d rows", tc.sql, out, tc.rows)
+		}
+		n := testing.AllocsPerRun(200, func() {
+			if _, err := s.Do(context.Background(), []byte(tc.sql)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > tc.budget {
+			t.Errorf("%s: %.1f allocs/op, budget %.0f", tc.sql, n, tc.budget)
+		}
+	}
+}
+
 func TestDirConnectorEndToEnd(t *testing.T) {
 	dir := ldapdir.NewDirectory()
 	root, _ := ldapdir.ParseDN("dc=example")

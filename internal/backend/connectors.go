@@ -73,23 +73,22 @@ type sqlSession struct {
 
 // Do executes SQL, honoring the /*repeat=N*/ clustering directive: the query
 // runs N times (modelling N clustered application requests worth of work)
-// and the final result is returned in textual form.
+// and the final result is returned as the text table Conn.Query renders.
 func (s *sqlSession) Do(ctx context.Context, payload []byte) ([]byte, error) {
 	sql, times := sqldb.ParseRepeat(string(payload))
 	var (
-		rs  *sqldb.ResultSet
-		err error
+		table []byte
+		err   error
 	)
 	for i := 0; i < times; i++ {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		rs, err = s.conn.Query(sql)
-		if err != nil {
+		if table, err = s.conn.Query(sql); err != nil {
 			return nil, err
 		}
 	}
-	return []byte(rs.String()), nil
+	return table, nil
 }
 
 func (s *sqlSession) Close() error { return s.conn.Close() }

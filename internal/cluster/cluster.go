@@ -49,10 +49,14 @@ var _ Combiner = RepeatCombiner{}
 // CanCombine implements Combiner: only identical queries cluster.
 func (RepeatCombiner) CanCombine(a, b []byte) bool { return bytes.Equal(a, b) }
 
-// Combine implements Combiner.
+// Combine implements Combiner. A batch above sqldb.MaxRepeat is an error: the
+// backend would not read its directive as one.
 func (RepeatCombiner) Combine(payloads [][]byte) ([]byte, error) {
 	if len(payloads) == 0 {
 		return nil, errors.New("cluster: empty batch")
+	}
+	if len(payloads) > sqldb.MaxRepeat {
+		return nil, fmt.Errorf("cluster: batch of %d exceeds the repeat directive's bound %d", len(payloads), sqldb.MaxRepeat)
 	}
 	return []byte(sqldb.RepeatQuery(string(payloads[0]), len(payloads))), nil
 }

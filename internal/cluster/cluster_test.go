@@ -44,6 +44,9 @@ func TestRepeatCombiner(t *testing.T) {
 	if _, err := c.Combine(nil); err == nil {
 		t.Fatal("empty combine accepted")
 	}
+	if _, err := c.Combine(make([][]byte, sqldb.MaxRepeat+1)); err == nil {
+		t.Fatal("a batch the directive cannot carry combined")
+	}
 }
 
 func TestRepeatCombinerSingleton(t *testing.T) {

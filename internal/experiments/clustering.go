@@ -94,24 +94,25 @@ func newClusteringStack(cfg ClusteringConfig, degree int) (*clusteringStack, err
 		return nil, err
 	}
 	web.Handle("/script", func(req *httpserver.Request) *httpserver.Response {
-		sql := req.Query["q"]
-		n, _ := strconv.Atoi(req.Query["n"])
-		if n < 1 {
-			n = 1
+		sql, n := req.Query["q"], 1
+		if s := req.Query["n"]; s != "" {
+			var err error
+			if n, err = strconv.Atoi(s); err != nil || n < 1 || n > sqldb.MaxRepeat {
+				return httpserver.Error(400, "n must be 1 to "+strconv.Itoa(sqldb.MaxRepeat))
+			}
 		}
 		conn, err := sqldb.Connect(db.Addr().String())
 		if err != nil {
 			return httpserver.Error(500, err.Error())
 		}
 		defer conn.Close()
-		var rs *sqldb.ResultSet
+		var table []byte
 		for i := 0; i < n; i++ {
-			rs, err = conn.Query(sql)
-			if err != nil {
+			if table, err = conn.Query(sql); err != nil {
 				return httpserver.Error(500, err.Error())
 			}
 		}
-		return httpserver.Text(rs.String())
+		return httpserver.Text(string(table))
 	})
 
 	// The broker's backend access: translate the (possibly repeat-wrapped)

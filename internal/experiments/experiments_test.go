@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"servicebroker/internal/httpserver"
 	"servicebroker/internal/qos"
+	"servicebroker/internal/sqldb"
 )
 
 // Experiment tests run scaled-down configurations and assert the paper's
@@ -86,6 +89,38 @@ func testDiffConfig() DifferentiationConfig {
 	cfg.ClientCounts = []int{9, 90}
 	cfg.Duration = 80
 	return cfg
+}
+
+// The script's repeat count takes the repeat directive's bound.
+func TestClusteringScriptBoundsRepeatCount(t *testing.T) {
+	cfg := testClusteringConfig()
+	cfg.HandshakeDelay = 0
+	stack, err := newClusteringStack(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.close()
+	cli := httpserver.NewClient(stack.web.Addr().String())
+	defer cli.Close()
+	for _, tc := range []struct {
+		n      string
+		status int
+	}{
+		{"", 200}, {"2", 200}, {strconv.Itoa(sqldb.MaxRepeat), 200},
+		{strconv.Itoa(sqldb.MaxRepeat + 1), 400}, {"2000000000", 400}, {"0", 400}, {"3abc", 400},
+	} {
+		q := map[string]string{"q": "SELECT COUNT(*) FROM records"}
+		if tc.n != "" {
+			q["n"] = tc.n
+		}
+		resp, err := cli.Get("/script", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != tc.status || (tc.status == 200 && string(resp.Body) != "count\n2000\n") {
+			t.Errorf("n=%q: %d %q, want status %d", tc.n, resp.Status, resp.Body, tc.status)
+		}
+	}
 }
 
 func TestDifferentiationReproducesPaperShapes(t *testing.T) {

@@ -95,12 +95,10 @@ func handshake(nc net.Conn, user, pass string) (*Conn, error) {
 	if t != frameGreeting {
 		return nil, fmt.Errorf("%w: expected greeting, got frame %d", ErrProtocol, t)
 	}
-	if _, _, err := readString(body); err != nil {
+	if _, _, err := readText(body); err != nil {
 		return nil, err
 	}
-	auth := appendString(nil, user)
-	auth = appendString(auth, pass)
-	if err := bc.send(frameAuth, auth); err != nil {
+	if err := bc.send(appendString(appendString(bc.start(frameAuth), user), pass)); err != nil {
 		return nil, fmt.Errorf("sqldb: handshake: %w", err)
 	}
 	t, body, err = bc.recv()
@@ -109,23 +107,25 @@ func handshake(nc net.Conn, user, pass string) (*Conn, error) {
 	}
 	switch t {
 	case frameAuthOK:
+		bc.limit = maxBody
 		return &Conn{conn: nc, bc: bc}, nil
 	case frameError:
-		msg, _, _ := readString(body)
+		msg, _, _ := readText(body)
 		return nil, fmt.Errorf("%w: %s", ErrAuthFailed, msg)
 	default:
 		return nil, fmt.Errorf("%w: unexpected frame %d after auth", ErrProtocol, t)
 	}
 }
 
-// Query executes one SQL statement and returns its result.
-func (c *Conn) Query(sql string) (*ResultSet, error) {
+// Query executes one SQL statement and returns its result rendered as the
+// text table ResultSet.String prints for it. The slice is the caller's.
+func (c *Conn) Query(sql string) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, ErrConnClosed
 	}
-	if err := c.bc.send(frameQuery, appendString(nil, sql)); err != nil {
+	if err := c.bc.send(appendString(c.bc.start(frameQuery), sql)); err != nil {
 		return nil, fmt.Errorf("sqldb: send query: %w", err)
 	}
 	t, body, err := c.bc.recv()
@@ -134,9 +134,15 @@ func (c *Conn) Query(sql string) (*ResultSet, error) {
 	}
 	switch t {
 	case frameResult:
-		return decodeResult(body)
+		// Laid out in the idle write buffer, handed over at its exact size.
+		table, err := appendTable(c.bc.wbuf[:0], body)
+		if err != nil {
+			return nil, err
+		}
+		c.bc.wbuf = reusable(table)
+		return append(make([]byte, 0, len(table)), table...), nil
 	case frameError:
-		msg, _, _ := readString(body)
+		msg, _, _ := readText(body)
 		return nil, fmt.Errorf("sqldb: server: %s", msg)
 	default:
 		return nil, fmt.Errorf("%w: unexpected frame %d", ErrProtocol, t)
@@ -150,7 +156,7 @@ func (c *Conn) Ping() error {
 	if c.closed {
 		return ErrConnClosed
 	}
-	if err := c.bc.send(framePing, nil); err != nil {
+	if err := c.bc.send(c.bc.start(framePing)); err != nil {
 		return err
 	}
 	t, _, err := c.bc.recv()
@@ -171,6 +177,6 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed = true
-	_ = c.bc.send(frameQuit, nil)
+	_ = c.bc.send(c.bc.start(frameQuit))
 	return c.conn.Close()
 }

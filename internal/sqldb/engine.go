@@ -17,25 +17,21 @@ type ResultSet struct {
 	Affected int
 }
 
-// String renders the result set as a small text table (diagnostics and
-// examples).
+// String renders the result set as a text table: the column names, then one
+// line per row, tab-separated, NULL for a null cell; a result without columns
+// is "OK, n row(s) affected". It renders the result's own wire encoding, so
+// it is byte for byte what Conn.Query returns for the same result.
 func (rs *ResultSet) String() string {
-	var b strings.Builder
-	if len(rs.Columns) == 0 {
-		fmt.Fprintf(&b, "OK, %d row(s) affected", rs.Affected)
-		return b.String()
+	var enc, text [1 << 10]byte // a typical result grows neither
+	body, err := appendResult(enc[:0], rs)
+	if err != nil {
+		return err.Error()
 	}
-	b.WriteString(strings.Join(rs.Columns, "\t"))
-	b.WriteByte('\n')
-	for _, row := range rs.Rows {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			parts[i] = formatValue(v)
-		}
-		b.WriteString(strings.Join(parts, "\t"))
-		b.WriteByte('\n')
+	table, err := appendTable(text[:0], body)
+	if err != nil {
+		return err.Error()
 	}
-	return b.String()
+	return string(table)
 }
 
 // Engine errors.
@@ -515,10 +511,7 @@ func project(s *Select, t *table, matched []int) (*ResultSet, error) {
 	}
 
 	// Resolve the projection once.
-	var (
-		cols    []string
-		indices []int // -1 marks a star expansion slot
-	)
+	cols, indices := make([]string, 0, len(s.Items)), make([]int, 0, len(s.Items))
 	for _, item := range s.Items {
 		if item.Star {
 			for i, c := range t.columns {
@@ -543,13 +536,15 @@ func project(s *Select, t *table, matched []int) (*ResultSet, error) {
 	if limit < 0 || limit > len(matched) {
 		limit = len(matched)
 	}
-	out := make([][]Value, 0, limit)
-	for _, pos := range matched[:limit] {
-		proj := make([]Value, len(indices))
+	// Every row is a window of one backing array.
+	width := len(indices)
+	out, cells := make([][]Value, limit), make([]Value, limit*width)
+	for r, pos := range matched[:limit] {
+		row := cells[r*width : (r+1)*width : (r+1)*width]
 		for i, ci := range indices {
-			proj[i] = t.rows[pos][ci]
+			row[i] = t.rows[pos][ci]
 		}
-		out = append(out, proj)
+		out[r] = row
 	}
 	return &ResultSet{Columns: cols, Rows: out}, nil
 }

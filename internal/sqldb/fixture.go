@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -66,6 +67,10 @@ func RandomRangeQuery(rng *rand.Rand) string {
 		cat, lo, lo+width)
 }
 
+// MaxRepeat bounds the repeat directive, which any HTTP client can send; the
+// largest degree of clustering in use is Figure 7's 40.
+const MaxRepeat = 64
+
 // RepeatQuery wraps a query with a repetition directive understood by the
 // backend CGI script: the paper's broker "rewrite[s] the query command to
 // notify the script to repeat the same workload multiple times to achieve
@@ -74,24 +79,25 @@ func RepeatQuery(sql string, times int) string {
 	if times <= 1 {
 		return sql
 	}
-	return fmt.Sprintf("/*repeat=%d*/ %s", times, sql)
+	return "/*repeat=" + strconv.Itoa(times) + "*/ " + sql
 }
 
 // ParseRepeat extracts the repetition directive from a query produced by
-// RepeatQuery, returning the bare SQL and the repeat count (≥ 1).
+// RepeatQuery, returning the bare SQL and the repeat count. A directive is
+// decimal digits only, 1 to MaxRepeat; anything else is not a directive, and
+// the query comes back whole with count 1 (the engine rejects it).
 func ParseRepeat(sql string) (string, int) {
-	const prefix = "/*repeat="
-	if !strings.HasPrefix(sql, prefix) {
+	rest, ok := strings.CutPrefix(sql, "/*repeat=")
+	if !ok {
 		return sql, 1
 	}
-	rest := sql[len(prefix):]
-	end := strings.Index(rest, "*/")
-	if end < 0 {
+	digits, query, ok := strings.Cut(rest, "*/")
+	if !ok || strings.Trim(digits, "0123456789") != "" {
 		return sql, 1
 	}
-	var times int
-	if _, err := fmt.Sscanf(rest[:end], "%d", &times); err != nil || times < 1 {
+	times, err := strconv.Atoi(digits)
+	if err != nil || times < 1 || times > MaxRepeat {
 		return sql, 1
 	}
-	return strings.TrimSpace(rest[end+2:]), times
+	return strings.TrimSpace(query), times
 }

@@ -29,22 +29,34 @@ type token struct {
 	pos   int
 }
 
-// keywords recognized by the parser. Everything else alphanumeric is an
-// identifier.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "INSERT": true, "INTO": true,
-	"VALUES": true, "CREATE": true, "TABLE": true, "INDEX": true, "ON": true,
-	"UPDATE": true, "SET": true, "DELETE": true, "AND": true, "OR": true,
-	"NOT": true, "BETWEEN": true, "IN": true, "LIKE": true, "ORDER": true,
-	"BY": true, "ASC": true, "DESC": true, "LIMIT": true, "NULL": true,
-	"INT": true, "FLOAT": true, "TEXT": true, "COUNT": true, "SUM": true,
-	"AVG": true, "MIN": true, "MAX": true, "AS": true, "DROP": true,
-	"PRIMARY": true, "KEY": true,
+// keywords recognized by the parser, each mapped to itself so a token can
+// carry the table's spelling. Everything else alphanumeric is an identifier.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, k := range strings.Fields(`SELECT FROM WHERE INSERT INTO VALUES CREATE
+		TABLE INDEX ON UPDATE SET DELETE AND OR NOT BETWEEN IN LIKE ORDER BY ASC
+		DESC LIMIT NULL INT FLOAT TEXT COUNT SUM AVG MIN MAX AS DROP PRIMARY KEY`) {
+		m[k] = k
+	}
+	return m
+}()
+
+// keyword returns the keyword word spells in any letter case.
+func keyword(word string) (string, bool) {
+	var upper [len("BETWEEN")]byte // the longest keywords, with PRIMARY
+	if len(word) > len(upper) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		upper[i] = word[i] &^ ('a' - 'A') // upper-cases a letter; no other byte of a word becomes one
+	}
+	kw, ok := keywords[string(upper[:len(word)])]
+	return kw, ok
 }
 
 // lex tokenizes a SQL statement.
 func lex(input string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(input)/4+2) // a token and its space take about four bytes
 	i := 0
 	for i < len(input) {
 		c := rune(input[i])
@@ -95,17 +107,16 @@ func lex(input string) ([]token, error) {
 				j++
 			}
 			word := input[i:j]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, token{kind: tokKeyword, val: upper, pos: i})
+			if kw, ok := keyword(word); ok {
+				toks = append(toks, token{kind: tokKeyword, val: kw, pos: i})
 			} else {
 				toks = append(toks, token{kind: tokIdent, val: word, pos: i})
 			}
 			i = j
 		case c == '<' || c == '>' || c == '!':
-			sym := string(c)
+			sym := input[i : i+1]
 			if i+1 < len(input) && (input[i+1] == '=' || (c == '<' && input[i+1] == '>')) {
-				sym += string(input[i+1])
+				sym = input[i : i+2]
 				i++
 			}
 			if sym == "!" {
@@ -118,7 +129,7 @@ func lex(input string) ([]token, error) {
 				i++ // statement terminator, ignored
 				continue
 			}
-			toks = append(toks, token{kind: tokSymbol, val: string(c), pos: i})
+			toks = append(toks, token{kind: tokSymbol, val: input[i : i+1], pos: i})
 			i++
 		default:
 			return nil, fmt.Errorf("sqldb: unexpected character %q at %d", c, i)

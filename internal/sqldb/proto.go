@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strconv"
 )
 
 // The sqldb wire protocol frames every message as
@@ -32,9 +34,11 @@ const (
 	frameQuit
 )
 
-// maxBody bounds one frame body to keep a malicious peer from forcing huge
-// allocations.
-const maxBody = 64 << 20
+const (
+	maxBody          = 64 << 20 // the largest frame once a session is authenticated
+	maxHandshakeBody = 4 << 10  // the largest before: a greeting, credentials or an error
+	maxKeptBuffer    = 64 << 10 // the largest frame buffer a session keeps between frames
+)
 
 // Protocol errors.
 var (
@@ -42,192 +46,190 @@ var (
 	ErrAuthFailed = errors.New("sqldb: authentication failed")
 )
 
-// writeFrame sends one frame.
-func writeFrame(w io.Writer, t frameType, body []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)+1))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readFrame reads one frame.
-func readFrame(r io.Reader) (frameType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n == 0 || n > maxBody {
-		return 0, nil, fmt.Errorf("%w: frame length %d", ErrProtocol, n)
-	}
-	body := make([]byte, n-1)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
-	}
-	return frameType(hdr[4]), body, nil
-}
-
-// Value tags used inside result frames.
-const (
-	tagNull  = 0
-	tagInt   = 1
-	tagFloat = 2
-	tagText  = 3
-)
-
 func appendString(buf []byte, s string) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
 	return append(buf, s...)
 }
 
-func readString(buf []byte) (string, []byte, error) {
-	if len(buf) < 4 {
-		return "", nil, fmt.Errorf("%w: truncated string", ErrProtocol)
-	}
-	n := binary.BigEndian.Uint32(buf)
-	buf = buf[4:]
-	if uint32(len(buf)) < n {
-		return "", nil, fmt.Errorf("%w: string length %d, have %d", ErrProtocol, n, len(buf))
-	}
-	return string(buf[:n]), buf[n:], nil
-}
+// A frameResult body carries a result set as text cells:
+//
+//	affected[4] ncols[2] (len[4] name)×ncols nrows[4] (len[4] text)×(nrows×ncols)
+//
+// Each cell is its value's text form and a NULL cell the length nullCell with
+// no text. The server writes it straight from the engine's ResultSet; the
+// client and ResultSet.String render it with appendTable.
+const nullCell = math.MaxUint32
 
-func appendValue(buf []byte, v Value) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(buf, tagNull), nil
-	case int64:
-		buf = append(buf, tagInt)
-		return binary.BigEndian.AppendUint64(buf, uint64(x)), nil
-	case float64:
-		buf = append(buf, tagFloat)
-		return binary.BigEndian.AppendUint64(buf, math.Float64bits(x)), nil
-	case string:
-		buf = append(buf, tagText)
-		return appendString(buf, x), nil
-	default:
-		return nil, fmt.Errorf("%w: unsupported value type %T", ErrProtocol, v)
-	}
-}
+var nullText = []byte("NULL")
 
-func readValue(buf []byte) (Value, []byte, error) {
-	if len(buf) < 1 {
-		return nil, nil, fmt.Errorf("%w: truncated value", ErrProtocol)
-	}
-	tag := buf[0]
-	buf = buf[1:]
-	switch tag {
-	case tagNull:
-		return nil, buf, nil
-	case tagInt:
-		if len(buf) < 8 {
-			return nil, nil, fmt.Errorf("%w: truncated int", ErrProtocol)
-		}
-		return int64(binary.BigEndian.Uint64(buf)), buf[8:], nil
-	case tagFloat:
-		if len(buf) < 8 {
-			return nil, nil, fmt.Errorf("%w: truncated float", ErrProtocol)
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(buf)), buf[8:], nil
-	case tagText:
-		s, rest, err := readString(buf)
-		return s, rest, err
-	default:
-		return nil, nil, fmt.Errorf("%w: unknown value tag %d", ErrProtocol, tag)
-	}
-}
-
-// encodeResult serializes a ResultSet into a frameResult body.
-func encodeResult(rs *ResultSet) ([]byte, error) {
-	buf := binary.BigEndian.AppendUint32(nil, uint32(rs.Affected))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(rs.Columns)))
+// appendResult appends rs's frameResult body to dst.
+func appendResult(dst []byte, rs *ResultSet) ([]byte, error) {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(rs.Affected))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(rs.Columns)))
 	for _, c := range rs.Columns {
-		buf = appendString(buf, c)
+		dst = appendString(dst, c)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rs.Rows)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rs.Rows)))
 	for _, row := range rs.Rows {
 		if len(row) != len(rs.Columns) {
 			return nil, fmt.Errorf("%w: row width %d != %d columns", ErrProtocol, len(row), len(rs.Columns))
 		}
-		var err error
 		for _, v := range row {
-			buf, err = appendValue(buf, v)
-			if err != nil {
-				return nil, err
+			at := len(dst)
+			dst = append(dst, 0, 0, 0, 0)
+			switch x := v.(type) {
+			case nil:
+				binary.BigEndian.PutUint32(dst[at:], nullCell)
+				continue
+			case int64: // formatValue's text, without allocating
+				dst = strconv.AppendInt(dst, x, 10)
+			case float64:
+				dst = strconv.AppendFloat(dst, x, 'g', -1, 64)
+			default:
+				dst = append(dst, formatValue(v)...)
 			}
+			binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+		}
+	}
+	return dst, nil
+}
+
+// readText splits the length-prefixed text at the front of buf from the rest;
+// a result cell's NULL marker reads as "NULL".
+func readText(buf []byte) (text, rest []byte, err error) {
+	if len(buf) < 4 {
+		return nil, nil, fmt.Errorf("%w: truncated text", ErrProtocol)
+	}
+	n := binary.BigEndian.Uint32(buf)
+	buf = buf[4:]
+	if n == nullCell {
+		return nullText, buf, nil
+	}
+	if uint32(len(buf)) < n {
+		return nil, nil, fmt.Errorf("%w: text length %d, have %d", ErrProtocol, n, len(buf))
+	}
+	return buf[:n], buf[n:], nil
+}
+
+// appendTable appends the text table of a frameResult body to dst: the column
+// names, then one line per row, tab-separated and newline-terminated; a
+// result without columns is "OK, n row(s) affected". One walk checks every
+// length against the body.
+func appendTable(dst, body []byte) ([]byte, error) {
+	if len(body) < 10 {
+		return nil, fmt.Errorf("%w: truncated result", ErrProtocol)
+	}
+	ncols := int(binary.BigEndian.Uint16(body[4:]))
+	if ncols == 0 {
+		// Rows without columns would take no bytes, so none may be announced.
+		if len(body) != 10 || binary.BigEndian.Uint32(body[6:]) != 0 {
+			return nil, fmt.Errorf("%w: result without columns has rows or trailing bytes", ErrProtocol)
+		}
+		dst = strconv.AppendUint(append(dst, "OK, "...), uint64(binary.BigEndian.Uint32(body)), 10)
+		return append(dst, " row(s) affected"...), nil
+	}
+	dst, rest, err := appendLine(dst, body[6:], ncols)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) < 4 {
+		return nil, fmt.Errorf("%w: truncated row count", ErrProtocol)
+	}
+	nrows := binary.BigEndian.Uint32(rest)
+	rest = rest[4:]
+	// A row takes at least four bytes, so the body bounds this loop.
+	for ; nrows > 0; nrows-- {
+		if dst, rest, err = appendLine(dst, rest, ncols); err != nil {
+			return nil, err
+		}
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrProtocol, len(rest))
+	}
+	return dst, nil
+}
+
+// appendLine appends the n > 0 cells at the front of buf to dst as one line.
+func appendLine(dst, buf []byte, n int) (line, rest []byte, err error) {
+	var text []byte
+	for i := 0; i < n; i++ {
+		if text, buf, err = readText(buf); err != nil {
+			return nil, nil, err
+		}
+		dst = append(append(dst, text...), '\t')
+	}
+	dst[len(dst)-1] = '\n'
+	return dst, buf, nil
+}
+
+// bufferedConn is one side of a session. Every frame of the session is read
+// into one buffer and written from another; a buffer that one frame grew past
+// maxKeptBuffer leaves with that frame, so an idle session holds at most
+// twice maxKeptBuffer.
+type bufferedConn struct {
+	r          *bufio.Reader
+	w          io.Writer
+	hdr        [5]byte
+	rbuf, wbuf []byte
+	limit      uint32 // the largest frame length recv accepts
+}
+
+func newBufferedConn(rw io.ReadWriter) *bufferedConn {
+	return &bufferedConn{r: bufio.NewReader(rw), w: rw, limit: maxHandshakeBody}
+}
+
+// start begins a frame of type t in the write buffer; the caller appends the
+// body and hands the frame to send.
+func (c *bufferedConn) start(t frameType) []byte {
+	return append(c.wbuf[:0], 0, 0, 0, 0, byte(t))
+}
+
+// send writes a frame begun by start.
+func (c *bufferedConn) send(frame []byte) error {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := c.w.Write(frame)
+	c.wbuf = reusable(frame)
+	return err
+}
+
+// recv reads one frame. The body is valid until the next recv.
+func (c *bufferedConn) recv() (frameType, []byte, error) {
+	if _, err := io.ReadFull(c.r, c.hdr[:]); err != nil {
+		return 0, nil, err
+	}
+	n := binary.BigEndian.Uint32(c.hdr[:4])
+	if n == 0 || n > c.limit {
+		return 0, nil, fmt.Errorf("%w: frame length %d", ErrProtocol, n)
+	}
+	body, err := readBody(c.r, c.rbuf, int(n-1))
+	c.rbuf = reusable(body)
+	if err != nil {
+		return 0, nil, err
+	}
+	return frameType(c.hdr[4]), body, nil
+}
+
+// readBody reads an n-byte frame body into buf, growing buf only as the bytes
+// arrive: a peer that announces a large frame and sends less makes the
+// session allocate at most about twice what it sent.
+func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		buf = slices.Grow(buf, min(n-len(buf), max(len(buf), 512)))
+		got, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, err
 		}
 	}
 	return buf, nil
 }
 
-// decodeResult parses a frameResult body.
-func decodeResult(buf []byte) (*ResultSet, error) {
-	if len(buf) < 10 {
-		return nil, fmt.Errorf("%w: truncated result", ErrProtocol)
+// reusable returns buf emptied for the next frame, or nil when it has grown
+// past maxKeptBuffer.
+func reusable(buf []byte) []byte {
+	if cap(buf) > maxKeptBuffer {
+		return nil
 	}
-	rs := &ResultSet{Affected: int(binary.BigEndian.Uint32(buf))}
-	buf = buf[4:]
-	ncols := int(binary.BigEndian.Uint16(buf))
-	buf = buf[2:]
-	var err error
-	for i := 0; i < ncols; i++ {
-		var c string
-		c, buf, err = readString(buf)
-		if err != nil {
-			return nil, err
-		}
-		rs.Columns = append(rs.Columns, c)
-	}
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("%w: truncated row count", ErrProtocol)
-	}
-	nrows := int(binary.BigEndian.Uint32(buf))
-	buf = buf[4:]
-	if ncols == 0 && nrows > 0 {
-		// Such rows take no bytes, so the body length would not bound them.
-		return nil, fmt.Errorf("%w: %d rows without columns", ErrProtocol, nrows)
-	}
-	for i := 0; i < nrows; i++ {
-		row := make([]Value, ncols)
-		for j := 0; j < ncols; j++ {
-			row[j], buf, err = readValue(buf)
-			if err != nil {
-				return nil, err
-			}
-		}
-		rs.Rows = append(rs.Rows, row)
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrProtocol, len(buf))
-	}
-	return rs, nil
-}
-
-// bufferedConn pairs a buffered reader with the raw writer for one session.
-type bufferedConn struct {
-	r io.Reader
-	w *bufio.Writer
-}
-
-func newBufferedConn(rw io.ReadWriter) *bufferedConn {
-	return &bufferedConn{r: bufio.NewReader(rw), w: bufio.NewWriter(rw)}
-}
-
-func (c *bufferedConn) send(t frameType, body []byte) error {
-	if err := writeFrame(c.w, t, body); err != nil {
-		return err
-	}
-	return c.w.Flush()
-}
-
-func (c *bufferedConn) recv() (frameType, []byte, error) {
-	return readFrame(c.r)
+	return buf[:0]
 }

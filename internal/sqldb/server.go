@@ -166,29 +166,30 @@ func (s *Server) session(conn net.Conn) {
 	if s.handshakeDelay > 0 {
 		time.Sleep(s.handshakeDelay)
 	}
-	if err := bc.send(frameGreeting, appendString(nil, "sqldb/1")); err != nil {
+	if err := bc.send(appendString(bc.start(frameGreeting), "sqldb/1")); err != nil {
 		return
 	}
 	t, body, err := bc.recv()
 	if err != nil || t != frameAuth {
 		return
 	}
-	user, rest, err := readString(body)
+	user, rest, err := readText(body)
 	if err != nil {
 		return
 	}
-	pass, _, err := readString(rest)
+	pass, _, err := readText(rest)
 	if err != nil {
 		return
 	}
-	if user != s.user || pass != s.pass {
+	if string(user) != s.user || string(pass) != s.pass {
 		s.authFailures.Inc()
-		_ = bc.send(frameError, appendString(nil, ErrAuthFailed.Error()))
+		_ = bc.send(appendString(bc.start(frameError), ErrAuthFailed.Error()))
 		return
 	}
-	if err := bc.send(frameAuthOK, nil); err != nil {
+	if err := bc.send(bc.start(frameAuthOK)); err != nil {
 		return
 	}
+	bc.limit = maxBody
 
 	for {
 		t, body, err := bc.recv()
@@ -197,21 +198,21 @@ func (s *Server) session(conn net.Conn) {
 		}
 		switch t {
 		case framePing:
-			if err := bc.send(framePong, nil); err != nil {
+			if err := bc.send(bc.start(framePong)); err != nil {
 				return
 			}
 		case frameQuit:
 			return
 		case frameQuery:
-			sql, _, err := readString(body)
+			sql, _, err := readText(body)
 			if err != nil {
 				return
 			}
-			if !s.respond(bc, sql) {
+			if !s.respond(bc, string(sql)) {
 				return
 			}
 		default:
-			_ = bc.send(frameError, appendString(nil, fmt.Sprintf("unexpected frame %d", t)))
+			_ = bc.send(appendString(bc.start(frameError), fmt.Sprintf("unexpected frame %d", t)))
 			return
 		}
 	}
@@ -233,11 +234,11 @@ func (s *Server) respond(bc *bufferedConn, sql string) bool {
 	timer.ObserveDuration()
 	if err != nil {
 		s.queryErrors.Inc()
-		return bc.send(frameError, appendString(nil, err.Error())) == nil
+		return bc.send(appendString(bc.start(frameError), err.Error())) == nil
 	}
-	body, err := encodeResult(rs)
+	frame, err := appendResult(bc.start(frameResult), rs)
 	if err != nil {
-		return bc.send(frameError, appendString(nil, err.Error())) == nil
+		return bc.send(appendString(bc.start(frameError), err.Error())) == nil
 	}
-	return bc.send(frameResult, body) == nil
+	return bc.send(frame) == nil
 }
