@@ -12,6 +12,7 @@ import (
 	"servicebroker/internal/httpserver"
 	"servicebroker/internal/ldapdir"
 	"servicebroker/internal/mailsvc"
+	"servicebroker/internal/resilience"
 	"servicebroker/internal/sqldb"
 )
 
@@ -394,6 +395,46 @@ func TestMailConnectorEndToEnd(t *testing.T) {
 	}
 	if _, err := s.Do(context.Background(), []byte("RETR c@x.com NaN")); err == nil {
 		t.Fatal("bad sequence accepted")
+	}
+}
+
+// TestServerErrorRepliesArePermanent: a request the backend itself refuses
+// would be refused again, so retrying it cannot help and the replica that
+// answered is healthy.
+func TestServerErrorRepliesArePermanent(t *testing.T) {
+	db, err := sqldb.NewServer(sqldb.NewEngine(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	dir, err := ldapdir.NewServer(ldapdir.NewDirectory(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	mail, err := mailsvc.NewServer(mailsvc.NewStore(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mail.Close()
+	for _, tc := range []struct {
+		c       Connector
+		payload string
+	}{
+		{&SQLConnector{Addr: db.Addr().String()}, "SELEKT 1"},
+		{&DirConnector{Addr: dir.Addr().String()}, "DEL cn=nobody,dc=example"},
+		{&DirConnector{Addr: dir.Addr().String()}, "ADD cn=x,dc=example =v"},
+		{&MailConnector{Addr: mail.Addr().String()}, "RETR ghost@x.com 1"},
+		{&MailConnector{Addr: mail.Addr().String()}, "SEND nodomain b@x.com hi"},
+	} {
+		s, err := tc.c.Connect(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Do(context.Background(), []byte(tc.payload)); !resilience.IsPermanent(err) {
+			t.Errorf("%s %q: err = %v, want a permanent error", tc.c.Name(), tc.payload, err)
+		}
+		s.Close()
 	}
 }
 

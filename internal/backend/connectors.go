@@ -2,6 +2,7 @@ package backend
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -85,7 +86,7 @@ func (s *sqlSession) Do(ctx context.Context, payload []byte) ([]byte, error) {
 			return nil, ctx.Err()
 		}
 		if table, err = s.conn.Query(sql); err != nil {
-			return nil, err
+			return nil, refusal(err, sqldb.ErrServer)
 		}
 	}
 	return table, nil
@@ -147,7 +148,7 @@ func (s *dirSession) Do(ctx context.Context, payload []byte) ([]byte, error) {
 		}
 		scope, err := ldapdir.ParseScope(fields[1])
 		if err != nil {
-			return nil, err
+			return nil, resilience.Permanent(err)
 		}
 		filter := ""
 		if len(fields) == 3 {
@@ -155,7 +156,7 @@ func (s *dirSession) Do(ctx context.Context, payload []byte) ([]byte, error) {
 		}
 		entries, err := s.cli.Search(fields[0], scope, filter)
 		if err != nil {
-			return nil, err
+			return nil, refusal(err, ldapdir.ErrServer)
 		}
 		var b strings.Builder
 		for _, e := range entries {
@@ -170,33 +171,22 @@ func (s *dirSession) Do(ctx context.Context, payload []byte) ([]byte, error) {
 		return []byte(b.String()), nil
 	case "ADD", "MODIFY":
 		dn, attrText, _ := strings.Cut(rest, " ")
-		attrs := map[string][]string{}
-		if strings.TrimSpace(attrText) != "" {
-			for _, pair := range strings.Split(attrText, "|") {
-				name, val, ok := strings.Cut(pair, "=")
-				if !ok {
-					return nil, resilience.Permanent(fmt.Errorf("backend: bad attribute %q", pair))
-				}
-				if val == "" {
-					attrs[name] = nil
-					continue
-				}
-				attrs[name] = append(attrs[name], val)
-			}
+		attrs, err := ldapdir.ParseAttrList(attrText)
+		if err != nil {
+			return nil, resilience.Permanent(err)
 		}
-		var err error
 		if cmd == "ADD" {
 			err = s.cli.Add(dn, attrs)
 		} else {
 			err = s.cli.Modify(dn, attrs)
 		}
 		if err != nil {
-			return nil, err
+			return nil, refusal(err, ldapdir.ErrServer)
 		}
 		return []byte("ok"), nil
 	case "DEL":
 		if err := s.cli.Delete(rest); err != nil {
-			return nil, err
+			return nil, refusal(err, ldapdir.ErrServer)
 		}
 		return []byte("ok"), nil
 	default:
@@ -250,13 +240,13 @@ func (s *mailSession) Do(ctx context.Context, payload []byte) ([]byte, error) {
 			return nil, resilience.Permanent(fmt.Errorf("backend: SEND <from> <to,...> <body>"))
 		}
 		if err := s.cli.Send(from, strings.Split(toList, ","), body); err != nil {
-			return nil, err
+			return nil, refusal(err, mailsvc.ErrServer)
 		}
 		return []byte("sent"), nil
 	case "LIST":
 		sums, err := s.cli.List(rest)
 		if err != nil {
-			return nil, err
+			return nil, refusal(err, mailsvc.ErrServer)
 		}
 		var b strings.Builder
 		for _, m := range sums {
@@ -271,7 +261,7 @@ func (s *mailSession) Do(ctx context.Context, payload []byte) ([]byte, error) {
 		}
 		body, err := s.cli.Retr(user, seq)
 		if err != nil {
-			return nil, err
+			return nil, refusal(err, mailsvc.ErrServer)
 		}
 		return []byte(body), nil
 	default:
@@ -280,6 +270,16 @@ func (s *mailSession) Do(ctx context.Context, payload []byte) ([]byte, error) {
 }
 
 func (s *mailSession) Close() error { return s.cli.Close() }
+
+// refusal marks err Permanent when it wraps sentinel, a backend's own error
+// reply: the server refused the payload, would refuse it again, and is
+// healthy.
+func refusal(err, sentinel error) error {
+	if errors.Is(err, sentinel) {
+		return resilience.Permanent(err)
+	}
+	return err
+}
 
 // WebConnector reaches a (possibly loosely coupled) web backend over HTTP.
 // Payloads are one URI per line; multi-line payloads are fetched with a

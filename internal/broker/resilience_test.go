@@ -19,6 +19,7 @@ import (
 	"servicebroker/internal/obs"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/resilience"
+	"servicebroker/internal/sqldb"
 )
 
 // faultyReplicas builds n FaultConnectors around instant echo backends.
@@ -187,6 +188,39 @@ func TestTotalOutageServesStaleAtLowFidelity(t *testing.T) {
 		if !strings.Contains(metricsBody, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, metricsBody)
 		}
+	}
+}
+
+// TestRefusedQueryIsNotRetried: a statement the database refuses is sent
+// once per request, and the replica that refused it keeps a closed breaker.
+func TestRefusedQueryIsNotRetried(t *testing.T) {
+	db, err := sqldb.NewServer(sqldb.NewEngine(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	b, err := broker.New(nil,
+		broker.WithReplicas(loadbalance.LeastOutstanding{}, 1, &backend.SQLConnector{Addr: db.Addr().String()}),
+		broker.WithResilience(resilience.Config{
+			Retry:   resilience.RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond},
+			Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute},
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for i := 0; i < 2; i++ {
+		resp := b.Handle(context.Background(), &broker.Request{Payload: []byte("SELEKT 1"), Class: qos.Class1, NoCache: true})
+		if resp.Status != broker.StatusError {
+			t.Fatalf("request %d = %+v, want StatusError", i, resp)
+		}
+	}
+	if got := db.Metrics().Counter("queries").Value(); got != 2 {
+		t.Errorf("sqldb queries = %d, want 2", got)
+	}
+	if s := b.BreakerSnapshots()[0]; s.State != resilience.StateClosed {
+		t.Errorf("breaker = %+v, want closed", s)
 	}
 }
 

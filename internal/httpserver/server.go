@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"servicebroker/internal/metrics"
+	"servicebroker/internal/netsvc"
 )
 
 // Handler produces a response for one request. Returning nil yields a 500.
@@ -61,7 +62,7 @@ func WithReadTimeout(d time.Duration) ServerOption {
 // support. Use NewServer, register handlers with Handle, and Close when
 // done.
 type Server struct {
-	ln          net.Listener
+	svc         *netsvc.Server
 	slots       chan struct{}
 	accessLog   io.Writer
 	reg         *metrics.Registry
@@ -74,37 +75,31 @@ type Server struct {
 
 	mu       sync.Mutex
 	handlers map[string]Handler // exact path or prefix ending in '/'
-	closed   bool
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
 	logMu    sync.Mutex
 }
 
 // NewServer listens on addr and begins serving. Handlers may be registered
 // before or after start.
 func NewServer(addr string, opts ...ServerOption) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("httpserver: listen %s: %w", addr, err)
-	}
-	s := &Server{
-		ln:       ln,
-		reg:      metrics.NewRegistry(),
-		handlers: make(map[string]Handler),
-		conns:    make(map[net.Conn]struct{}),
-	}
+	s := &Server{reg: metrics.NewRegistry(), handlers: make(map[string]Handler)}
 	for _, o := range opts {
 		o.apply(s)
 	}
 	s.requests, s.notFound, s.panics = s.reg.Counter("requests"), s.reg.Counter("not_found"), s.reg.Counter("panics")
 	s.active, s.requestTime = s.reg.Gauge("active"), s.reg.Histogram("request_time")
-	s.wg.Add(1)
-	go s.acceptLoop()
+	// A session reads s.svc under mu, since it may start before Listen returns.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	svc, err := netsvc.Listen(addr, s.session)
+	if err != nil {
+		return nil, fmt.Errorf("httpserver: listen %s: %w", addr, err)
+	}
+	s.svc = svc
 	return s, nil
 }
 
 // Addr returns the bound address.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
+func (s *Server) Addr() net.Addr { return s.svc.Addr() }
 
 // Metrics returns the server's registry.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
@@ -148,97 +143,25 @@ func (s *Server) lookup(path string) Handler {
 // instead of lingering. If ctx expires first, remaining connections are
 // force-closed; Drain then still waits for their session goroutines and
 // returns the context error.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-		return err
-	case <-ctx.Done():
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		if err == nil {
-			err = ctx.Err()
-		}
-		return err
-	}
-}
+func (s *Server) Drain(ctx context.Context) error { return s.svc.Drain(ctx) }
 
 // Close stops the server and waits for in-flight sessions.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				conn.Close()
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-			s.session(conn)
-		}()
-	}
-}
+func (s *Server) Close() error { return s.svc.Close() }
 
 // errBadRequest distinguishes protocol errors from io errors during parse.
 var errBadRequest = errors.New("httpserver: bad request")
 
 // session serves requests on one connection until close or protocol error.
 func (s *Server) session(conn net.Conn) {
+	s.mu.Lock()
+	svc := s.svc
+	s.mu.Unlock()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	req := &Request{Header: map[string]string{}, Query: map[string]string{}}
 	var head []byte
 	for {
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
+		if svc.Closing() {
 			// Draining: the response for the last request has been flushed;
 			// do not start reading another.
 			return

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"servicebroker/internal/netsvc"
 )
 
 // Client is a connection to an ldapdir server. Operations on one Client are
@@ -23,17 +25,14 @@ type Client struct {
 // ErrClientClosed is returned by operations on a closed client.
 var ErrClientClosed = errors.New("ldapdir: client closed")
 
-// Connect dials an ldapdir server and consumes the greeting.
+// ErrServer wraps the server's "-ERR" reply to a command: the server refused
+// it, and the session is still good.
+var ErrServer = errors.New("ldapdir: server")
+
+// Connect dials an ldapdir server and consumes the greeting. A zero timeout
+// waits as long as the system allows.
 func Connect(addr string, timeout time.Duration) (*Client, error) {
-	var (
-		conn net.Conn
-		err  error
-	)
-	if timeout > 0 {
-		conn, err = net.DialTimeout("tcp", addr, timeout)
-	} else {
-		conn, err = net.Dial("tcp", addr)
-	}
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("ldapdir: dial %s: %w", addr, err)
 	}
@@ -51,11 +50,11 @@ func Connect(addr string, timeout time.Duration) (*Client, error) {
 }
 
 func (c *Client) readLine() (string, error) {
-	line, err := c.r.ReadString('\n')
+	line, err := netsvc.ReadLine(c.r)
 	if err != nil {
 		return "", fmt.Errorf("ldapdir: read: %w", err)
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	return line, nil
 }
 
 // command sends one line and returns the first response line.
@@ -75,19 +74,22 @@ func checkOK(line string) error {
 	if strings.HasPrefix(line, "+OK") {
 		return nil
 	}
-	return fmt.Errorf("ldapdir: server: %s", strings.TrimPrefix(line, "-ERR "))
+	return fmt.Errorf("%w: %s", ErrServer, strings.TrimPrefix(line, "-ERR "))
 }
 
-// Bind authenticates the session.
-func (c *Client) Bind(user, pass string) error {
+// exec runs a command whose reply is one status line.
+func (c *Client) exec(format string, args ...interface{}) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	line, err := c.command("BIND %s %s", user, pass)
+	line, err := c.command(format, args...)
 	if err != nil {
 		return err
 	}
 	return checkOK(line)
 }
+
+// Bind authenticates the session.
+func (c *Client) Bind(user, pass string) error { return c.exec("BIND %s %s", user, pass) }
 
 // Search runs a search and returns the matching entries.
 func (c *Client) Search(base string, scope Scope, filter string) ([]*Entry, error) {
@@ -136,36 +138,16 @@ func (c *Client) Search(base string, scope Scope, filter string) ([]*Entry, erro
 
 // Add creates an entry. attrs uses the wire "a=v|a=v" form semantics.
 func (c *Client) Add(dn string, attrs map[string][]string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	line, err := c.command("ADD %s %s", dn, encodeAttrList(attrs))
-	if err != nil {
-		return err
-	}
-	return checkOK(line)
+	return c.exec("ADD %s %s", dn, encodeAttrList(attrs))
 }
 
 // Modify replaces attributes on an entry; nil slices delete.
 func (c *Client) Modify(dn string, attrs map[string][]string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	line, err := c.command("MODIFY %s %s", dn, encodeAttrList(attrs))
-	if err != nil {
-		return err
-	}
-	return checkOK(line)
+	return c.exec("MODIFY %s %s", dn, encodeAttrList(attrs))
 }
 
 // Delete removes a leaf entry.
-func (c *Client) Delete(dn string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	line, err := c.command("DEL %s", dn)
-	if err != nil {
-		return err
-	}
-	return checkOK(line)
-}
+func (c *Client) Delete(dn string) error { return c.exec("DEL %s", dn) }
 
 // Close ends the session.
 func (c *Client) Close() error {

@@ -2,11 +2,16 @@ package ldapdir
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"servicebroker/internal/netsvc"
 )
 
 func TestDirectoryLen(t *testing.T) {
@@ -128,7 +133,7 @@ func TestProtocolEdgeCases(t *testing.T) {
 }
 
 func TestParseAttrListDeletionMarker(t *testing.T) {
-	attrs, err := parseAttrList("title=|mail=a@x.com")
+	attrs, err := ParseAttrList("title=|mail=a@x.com")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +143,10 @@ func TestParseAttrListDeletionMarker(t *testing.T) {
 	if len(attrs["mail"]) != 1 {
 		t.Fatalf("mail = %v", attrs["mail"])
 	}
-	if _, err := parseAttrList("=value"); err == nil {
-		t.Fatal("empty attribute name accepted")
+	for _, bad := range []string{"=value", " =value", "noequalsign"} {
+		if _, err := ParseAttrList(bad); err == nil {
+			t.Errorf("ParseAttrList(%q) accepted", bad)
+		}
 	}
 }
 
@@ -184,6 +191,98 @@ func TestClientClosed(t *testing.T) {
 		t.Fatal("invalid scope accepted")
 	}
 	cli.Close() // idempotent
+}
+
+// flood writes 16 MiB of chunk over conn and half-closes it, while reading
+// lines from r until the peer ends the session. It returns the lines read and
+// how many bytes the process allocated meanwhile.
+func flood(t *testing.T, conn net.Conn, r *bufio.Reader, chunk []byte) ([]string, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		for n := 0; n < 16<<20; n += len(chunk) {
+			if _, err := conn.Write(chunk); err != nil {
+				return
+			}
+		}
+		conn.(*net.TCPConn).CloseWrite()
+	}()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var lines []string
+	for {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			break
+		}
+		lines = append(lines, strings.TrimRight(line, "\r\n"))
+	}
+	runtime.ReadMemStats(&after)
+	conn.Close()
+	<-wrote
+	return lines, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLongLineEndsSession: a line with no end is refused at 64 KiB rather
+// than buffered whole; the session says so and ends.
+func TestLongLineEndsSession(t *testing.T) {
+	srv, err := NewServer(newTestDir(t), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	if _, err := r.ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+	lines, grew := flood(t, conn, r, bytes.Repeat([]byte("x"), 64<<10))
+	if len(lines) != 1 || lines[0] != "-ERR line too long" {
+		t.Errorf("replies %q, want one -ERR line too long", lines)
+	}
+	if grew >= 1<<20 {
+		t.Errorf("a 16 MiB line allocated %d bytes", grew)
+	}
+}
+
+// TestClientRefusesLongLine: the client bounds what it reads the same way.
+func TestClientRefusesLongLine(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	chunk := bytes.Repeat([]byte("+"), 64<<10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		for n := 0; n < 16<<20; n += len(chunk) {
+			if _, err := c.Write(chunk); err != nil {
+				return
+			}
+		}
+	}()
+	_, err = Connect(ln.Addr().String(), time.Second)
+	runtime.ReadMemStats(&after)
+	<-served
+	if !errors.Is(err, netsvc.ErrLineTooLong) {
+		t.Errorf("Connect err = %v, want ErrLineTooLong", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("a 16 MiB greeting allocated %d bytes", grew)
+	}
 }
 
 func TestNewServerNilDirectory(t *testing.T) {

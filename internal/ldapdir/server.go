@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"time"
+
+	"servicebroker/internal/netsvc"
 )
 
 // The ldapdir wire protocol is line-oriented:
@@ -26,7 +27,9 @@ import (
 //
 // Errors are reported as "-ERR <message>". Every session must BIND first;
 // that round trip is the connection-setup cost the broker's persistent
-// connections amortize.
+// connections amortize. A line, in either direction, may be at most 64 KiB:
+// the server answers a longer one with "-ERR line too long" and ends the
+// session, and the client fails with netsvc.ErrLineTooLong.
 
 // ErrNotBound is returned when operations precede BIND.
 var ErrNotBound = errors.New("ldapdir: not bound")
@@ -56,16 +59,11 @@ func WithBindDelay(d time.Duration) ServerOption {
 
 // Server exposes a Directory over the line protocol.
 type Server struct {
+	svc *netsvc.Server
 	dir *Directory
-	ln  net.Listener
 
 	user, pass string
 	bindDelay  time.Duration
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
 }
 
 // NewServer serves dir on addr.
@@ -73,216 +71,134 @@ func NewServer(dir *Directory, addr string, opts ...ServerOption) (*Server, erro
 	if dir == nil {
 		return nil, errors.New("ldapdir: nil directory")
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("ldapdir: listen %s: %w", addr, err)
-	}
-	s := &Server{
-		dir:   dir,
-		ln:    ln,
-		user:  "cn=web",
-		pass:  "web",
-		conns: make(map[net.Conn]struct{}),
-	}
+	s := &Server{dir: dir, user: "cn=web", pass: "web"}
 	for _, o := range opts {
 		o.apply(s)
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	svc, err := netsvc.Listen(addr, s.session)
+	if err != nil {
+		return nil, fmt.Errorf("ldapdir: listen %s: %w", addr, err)
+	}
+	s.svc = svc
 	return s, nil
 }
 
 // Addr returns the bound address.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
+func (s *Server) Addr() net.Addr { return s.svc.Addr() }
 
 // Close stops the server and waits for sessions to end.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				conn.Close()
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-			s.session(conn)
-		}()
-	}
-}
+func (s *Server) Close() error { return s.svc.Close() }
 
 func (s *Server) session(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	say := func(format string, args ...interface{}) bool {
-		fmt.Fprintf(w, format+"\r\n", args...)
+	say := func(line string) bool {
+		w.WriteString(line + "\r\n")
 		return w.Flush() == nil
 	}
 	if !say("+OK ldapdir/1 ready") {
 		return
 	}
-	bound := false
-	for {
-		line, err := r.ReadString('\n')
+	for bound := false; ; {
+		line, err := netsvc.ReadLine(r)
 		if err != nil {
+			if errors.Is(err, netsvc.ErrLineTooLong) {
+				say("-ERR line too long")
+			}
 			return
 		}
-		line = strings.TrimRight(line, "\r\n")
 		cmd, rest, _ := strings.Cut(line, " ")
-		switch strings.ToUpper(cmd) {
-		case "BIND":
-			if s.bindDelay > 0 {
-				time.Sleep(s.bindDelay)
-			}
-			user, pass, _ := strings.Cut(rest, " ")
-			if user != s.user || pass != s.pass {
-				if !say("-ERR %s", ErrBindFailed) {
-					return
-				}
-				continue
-			}
-			bound = true
-			if !say("+OK bound") {
-				return
-			}
-		case "QUIT":
+		if strings.ToUpper(cmd) == "QUIT" {
 			say("+OK bye")
 			return
-		case "SEARCH", "ADD", "MODIFY", "DEL":
-			if !bound {
-				if !say("-ERR %s", ErrNotBound) {
-					return
-				}
-				continue
-			}
-			if !s.dispatch(say, strings.ToUpper(cmd), rest) {
-				return
-			}
-		default:
-			if !say("-ERR unknown command %q", cmd) {
-				return
-			}
+		}
+		reply, err := s.command(w, &bound, cmd, rest)
+		if err != nil {
+			reply = "-ERR " + err.Error()
+		}
+		if !say(reply) {
+			return
 		}
 	}
 }
 
-// dispatch runs one bound command, reporting whether the session continues.
-func (s *Server) dispatch(say func(string, ...interface{}) bool, cmd, rest string) bool {
-	switch cmd {
-	case "SEARCH":
+// command runs one command other than QUIT: it writes the "*" lines of the
+// reply to w and returns the status line, or the error to send as "-ERR".
+func (s *Server) command(w *bufio.Writer, bound *bool, cmd, rest string) (string, error) {
+	switch verb := strings.ToUpper(cmd); {
+	case verb == "BIND":
+		if s.bindDelay > 0 {
+			time.Sleep(s.bindDelay)
+		}
+		if user, pass, _ := strings.Cut(rest, " "); user != s.user || pass != s.pass {
+			return "", ErrBindFailed
+		}
+		*bound = true
+		return "+OK bound", nil
+	case verb != "SEARCH" && verb != "ADD" && verb != "MODIFY" && verb != "DEL":
+		return "", fmt.Errorf("unknown command %q", cmd)
+	case !*bound:
+		return "", ErrNotBound
+	case verb == "SEARCH":
 		fields := strings.SplitN(rest, " ", 3)
 		if len(fields) < 2 {
-			return say("-ERR SEARCH <base> <scope> [filter]")
+			return "", errors.New("SEARCH <base> <scope> [filter]")
 		}
 		base, err := ParseDN(fields[0])
 		if err != nil {
-			return say("-ERR %s", err)
+			return "", err
 		}
 		scope, err := ParseScope(fields[1])
 		if err != nil {
-			return say("-ERR %s", err)
+			return "", err
 		}
 		var filter Filter
 		if len(fields) == 3 && strings.TrimSpace(fields[2]) != "" {
-			filter, err = ParseFilter(fields[2])
-			if err != nil {
-				return say("-ERR %s", err)
+			if filter, err = ParseFilter(fields[2]); err != nil {
+				return "", err
 			}
 		}
 		entries, err := s.dir.Search(base, scope, filter)
 		if err != nil {
-			return say("-ERR %s", err)
+			return "", err
 		}
 		for _, e := range entries {
-			if !say("*ENTRY %s", e.DN) {
-				return false
-			}
+			fmt.Fprintf(w, "*ENTRY %s\r\n", e.DN)
 			for name, vals := range e.Attrs {
 				for _, v := range vals {
-					if !say("*ATTR %s %s", name, v) {
-						return false
-					}
+					fmt.Fprintf(w, "*ATTR %s %s\r\n", name, v)
 				}
 			}
 		}
-		return say("+OK %d entries", len(entries))
-
-	case "ADD":
-		dnText, attrText, _ := strings.Cut(rest, " ")
-		dn, err := ParseDN(dnText)
-		if err != nil {
-			return say("-ERR %s", err)
-		}
-		attrs, err := parseAttrList(attrText)
-		if err != nil {
-			return say("-ERR %s", err)
-		}
-		if err := s.dir.Add(dn, attrs); err != nil {
-			return say("-ERR %s", err)
-		}
-		return say("+OK added")
-
-	case "MODIFY":
-		dnText, attrText, _ := strings.Cut(rest, " ")
-		dn, err := ParseDN(dnText)
-		if err != nil {
-			return say("-ERR %s", err)
-		}
-		attrs, err := parseAttrList(attrText)
-		if err != nil {
-			return say("-ERR %s", err)
-		}
-		if err := s.dir.Modify(dn, attrs); err != nil {
-			return say("-ERR %s", err)
-		}
-		return say("+OK modified")
-
-	case "DEL":
+		return fmt.Sprintf("+OK %d entries", len(entries)), nil
+	case verb == "DEL":
 		dn, err := ParseDN(rest)
 		if err != nil {
-			return say("-ERR %s", err)
+			return "", err
 		}
-		if err := s.dir.Delete(dn); err != nil {
-			return say("-ERR %s", err)
+		return "+OK deleted", s.dir.Delete(dn)
+	default: // ADD or MODIFY
+		dnText, attrText, _ := strings.Cut(rest, " ")
+		dn, err := ParseDN(dnText)
+		if err != nil {
+			return "", err
 		}
-		return say("+OK deleted")
+		attrs, err := ParseAttrList(attrText)
+		if err != nil {
+			return "", err
+		}
+		if verb == "ADD" {
+			return "+OK added", s.dir.Add(dn, attrs)
+		}
+		return "+OK modified", s.dir.Modify(dn, attrs)
 	}
-	return say("-ERR unhandled %s", cmd)
 }
 
-// parseAttrList parses "attr=val|attr=val|attr=" (” value = delete).
-// Multiple values for one attribute accumulate.
-func parseAttrList(s string) (map[string][]string, error) {
+// ParseAttrList parses the attribute list of an ADD or MODIFY line,
+// "attr=val|attr=val|attr=": names are trimmed and lowercased, values are
+// kept as written, several values for one name accumulate, and an empty
+// value marks the attribute for deletion.
+func ParseAttrList(s string) (map[string][]string, error) {
 	attrs := make(map[string][]string)
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -290,10 +206,10 @@ func parseAttrList(s string) (map[string][]string, error) {
 	}
 	for _, pair := range strings.Split(s, "|") {
 		attr, val, ok := strings.Cut(pair, "=")
-		if !ok || attr == "" {
+		name := strings.ToLower(strings.TrimSpace(attr))
+		if !ok || name == "" {
 			return nil, fmt.Errorf("ldapdir: bad attribute %q", pair)
 		}
-		name := strings.ToLower(strings.TrimSpace(attr))
 		if val == "" {
 			// Explicit deletion marker: ensure the key exists with nil.
 			if _, present := attrs[name]; !present {

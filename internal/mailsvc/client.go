@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"servicebroker/internal/netsvc"
 )
 
 // Client is a connection to a mailsvc server. Operations are serialized.
@@ -23,17 +25,14 @@ type Client struct {
 // ErrClientClosed is returned by operations on a closed client.
 var ErrClientClosed = errors.New("mailsvc: client closed")
 
-// Connect dials a mailsvc server, consumes the greeting, and sends HELO.
+// ErrServer wraps a server reply other than the one a command expects, such
+// as a 5xx refusal.
+var ErrServer = errors.New("mailsvc: server")
+
+// Connect dials a mailsvc server, consumes the greeting, and sends HELO. A
+// zero timeout waits as long as the system allows.
 func Connect(addr string, timeout time.Duration) (*Client, error) {
-	var (
-		conn net.Conn
-		err  error
-	)
-	if timeout > 0 {
-		conn, err = net.DialTimeout("tcp", addr, timeout)
-	} else {
-		conn, err = net.Dial("tcp", addr)
-	}
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("mailsvc: dial %s: %w", addr, err)
 	}
@@ -50,11 +49,11 @@ func Connect(addr string, timeout time.Duration) (*Client, error) {
 }
 
 func (c *Client) readLine() (string, error) {
-	line, err := c.r.ReadString('\n')
+	line, err := netsvc.ReadLine(c.r)
 	if err != nil {
 		return "", fmt.Errorf("mailsvc: read: %w", err)
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	return line, nil
 }
 
 // expect reads one line and verifies its status prefix.
@@ -64,7 +63,7 @@ func (c *Client) expect(code string) (string, error) {
 		return "", err
 	}
 	if !strings.HasPrefix(line, code) {
-		return "", fmt.Errorf("mailsvc: server: %s", line)
+		return "", fmt.Errorf("%w: %s", ErrServer, line)
 	}
 	return line, nil
 }

@@ -7,8 +7,9 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
+
+	"servicebroker/internal/netsvc"
 )
 
 // The mailsvc protocol borrows SMTP's submission verbs and adds two
@@ -26,6 +27,20 @@ import (
 //
 // Errors use 5xx codes. HELO is mandatory before anything else — the greeting
 // round trip is the connection-setup cost brokers amortize.
+//
+// Three caps bound what a session holds:
+//   - a line, in either direction, is at most 64 KiB; the server answers a
+//     longer one with "500 line too long" and ends the session, and the
+//     client fails with netsvc.ErrLineTooLong;
+//   - a message body is at most 1 MiB; past it the server answers
+//     "552 message too large" and ends the session;
+//   - a message has at most 100 recipients, RFC 5321's minimum; a RCPT past
+//     them is answered "452 too many recipients" and the session goes on.
+
+const (
+	maxMessageBytes = 1 << 20
+	maxRecipients   = 100
+)
 
 // ServerOption configures a Server.
 type ServerOption interface {
@@ -43,14 +58,9 @@ func WithHeloDelay(d time.Duration) ServerOption {
 
 // Server exposes a Store over the mailsvc protocol.
 type Server struct {
+	svc       *netsvc.Server
 	store     *Store
-	ln        net.Listener
 	heloDelay time.Duration
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
 }
 
 // NewServer serves store on addr.
@@ -58,67 +68,23 @@ func NewServer(store *Store, addr string, opts ...ServerOption) (*Server, error)
 	if store == nil {
 		return nil, errors.New("mailsvc: nil store")
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("mailsvc: listen %s: %w", addr, err)
-	}
-	s := &Server{store: store, ln: ln, conns: make(map[net.Conn]struct{})}
+	s := &Server{store: store}
 	for _, o := range opts {
 		o.apply(s)
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	svc, err := netsvc.Listen(addr, s.session)
+	if err != nil {
+		return nil, fmt.Errorf("mailsvc: listen %s: %w", addr, err)
+	}
+	s.svc = svc
 	return s, nil
 }
 
 // Addr returns the bound address.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
+func (s *Server) Addr() net.Addr { return s.svc.Addr() }
 
 // Close stops the server and waits for sessions.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				conn.Close()
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-			s.session(conn)
-		}()
-	}
-}
+func (s *Server) Close() error { return s.svc.Close() }
 
 // angleAddr strips an optional <...> wrapper.
 func angleAddr(s string) string {
@@ -130,174 +96,128 @@ func angleAddr(s string) string {
 func (s *Server) session(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	say := func(format string, args ...interface{}) bool {
+	// Replies are buffered: the loop flushes each command's reply before it
+	// reads the next line, and a session that ends flushes what it said last.
+	defer w.Flush()
+	say := func(format string, args ...interface{}) {
 		fmt.Fprintf(w, format+"\r\n", args...)
-		return w.Flush() == nil
 	}
-	if !say("220 mailsvc ready") {
-		return
+	readLine := func() (string, bool) {
+		line, err := netsvc.ReadLine(r)
+		if errors.Is(err, netsvc.ErrLineTooLong) {
+			say("500 line too long")
+		}
+		return line, err == nil
 	}
 	var (
 		greeted bool
 		from    string
 		rcpts   []string
 	)
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
+	say("220 mailsvc ready")
+	for w.Flush() == nil {
+		line, ok := readLine()
+		if !ok {
 			return
 		}
-		line = strings.TrimRight(line, "\r\n")
 		verb, rest, _ := strings.Cut(line, " ")
-		switch strings.ToUpper(verb) {
-		case "HELO":
+		switch v := strings.ToUpper(verb); {
+		case v == "QUIT":
+			say("221 bye")
+			return
+		case v == "HELO":
 			if s.heloDelay > 0 {
 				time.Sleep(s.heloDelay)
 			}
 			greeted = true
-			if !say("250 hello") {
-				return
+			say("250 hello")
+		case !greeted && (v == "MAIL" || v == "LIST" || v == "RETR"):
+			say("503 HELO first")
+		case v == "MAIL":
+			if addr := angleAddr(strings.TrimPrefix(rest, "FROM:")); !ValidAddress(addr) {
+				say("553 bad sender %q", addr)
+			} else {
+				from, rcpts = addr, nil
+				say("250 ok")
 			}
-		case "QUIT":
-			say("221 bye")
-			return
-		case "MAIL":
-			if !greeted {
-				if !say("503 HELO first") {
-					return
-				}
-				continue
-			}
-			addr := angleAddr(strings.TrimPrefix(rest, "FROM:"))
-			if !ValidAddress(addr) {
-				if !say("553 bad sender %q", addr) {
-					return
-				}
-				continue
-			}
-			from = addr
-			rcpts = nil
-			if !say("250 ok") {
-				return
-			}
-		case "RCPT":
-			if from == "" {
-				if !say("503 MAIL first") {
-					return
-				}
-				continue
-			}
+		case v == "RCPT":
 			addr := angleAddr(strings.TrimPrefix(rest, "TO:"))
-			if !ValidAddress(addr) {
-				if !say("553 bad recipient %q", addr) {
-					return
-				}
-				continue
+			switch {
+			case from == "":
+				say("503 MAIL first")
+			case !ValidAddress(addr):
+				say("553 bad recipient %q", addr)
+			case len(rcpts) == maxRecipients:
+				say("452 too many recipients")
+			default:
+				rcpts = append(rcpts, addr)
+				say("250 ok")
 			}
-			rcpts = append(rcpts, addr)
-			if !say("250 ok") {
+		case v == "DATA" && len(rcpts) == 0:
+			say("503 RCPT first")
+		case v == "DATA":
+			say("354 end with .")
+			if w.Flush() != nil {
 				return
 			}
-		case "DATA":
-			if len(rcpts) == 0 {
-				if !say("503 RCPT first") {
+			// The body's lines are kept as read and joined once, so a refused
+			// body costs no more than the lines it kept.
+			var lines []string
+			for size := 0; ; {
+				l, ok := readLine()
+				if !ok {
 					return
 				}
-				continue
-			}
-			if !say("354 end with .") {
-				return
-			}
-			var body strings.Builder
-			for {
-				l, err := r.ReadString('\n')
-				if err != nil {
-					return
-				}
-				l = strings.TrimRight(l, "\r\n")
 				if l == "." {
 					break
 				}
 				// Dot-stuffing: a leading ".." encodes a literal ".".
-				body.WriteString(strings.TrimPrefix(l, "."))
-				body.WriteByte('\n')
-			}
-			n, err := s.store.Deliver(from, rcpts, strings.TrimSuffix(body.String(), "\n"))
-			if err != nil {
-				if !say("554 %s", err) {
+				l = strings.TrimPrefix(l, ".")
+				if size += len(l) + 1; size > maxMessageBytes {
+					say("552 message too large")
 					return
 				}
-				continue
+				lines = append(lines, l)
 			}
-			from, rcpts = "", nil
-			if !say("250 delivered %d", n) {
-				return
+			if n, err := s.store.Deliver(from, rcpts, strings.Join(lines, "\n")); err != nil {
+				say("554 %s", err)
+			} else {
+				from, rcpts = "", nil
+				say("250 delivered %d", n)
 			}
-		case "LIST":
-			if !greeted {
-				if !say("503 HELO first") {
-					return
-				}
-				continue
-			}
+		case v == "LIST":
 			msgs, err := s.store.List(strings.TrimSpace(rest))
 			if err != nil {
-				if !say("550 %s", err) {
-					return
-				}
-				continue
+				say("550 %s", err)
+				break
 			}
-			if !say("250 %d messages", len(msgs)) {
-				return
-			}
+			say("250 %d messages", len(msgs))
 			for _, m := range msgs {
-				if !say("%d %s %d", m.Seq, m.From, len(m.Body)) {
-					return
-				}
+				say("%d %s %d", m.Seq, m.From, len(m.Body))
 			}
-			if !say(".") {
-				return
-			}
-		case "RETR":
-			if !greeted {
-				if !say("503 HELO first") {
-					return
-				}
-				continue
-			}
-			userStr, seqStr, _ := strings.Cut(strings.TrimSpace(rest), " ")
-			seq, err := strconv.Atoi(strings.TrimSpace(seqStr))
+			say(".")
+		case v == "RETR":
+			user, seqText, _ := strings.Cut(strings.TrimSpace(rest), " ")
+			seq, err := strconv.Atoi(strings.TrimSpace(seqText))
 			if err != nil {
-				if !say("501 bad sequence %q", seqStr) {
-					return
-				}
-				continue
+				say("501 bad sequence %q", seqText)
+				break
 			}
-			m, err := s.store.Retr(userStr, seq)
+			m, err := s.store.Retr(user, seq)
 			if err != nil {
-				if !say("550 %s", err) {
-					return
-				}
-				continue
+				say("550 %s", err)
+				break
 			}
-			if !say("250 ok from %s", m.From) {
-				return
-			}
+			say("250 ok from %s", m.From)
 			for _, l := range strings.Split(m.Body, "\n") {
 				if strings.HasPrefix(l, ".") {
 					l = "." + l
 				}
-				if !say("%s", l) {
-					return
-				}
+				say("%s", l)
 			}
-			if !say(".") {
-				return
-			}
+			say(".")
 		default:
-			if !say("500 unknown verb %q", verb) {
-				return
-			}
+			say("500 unknown verb %q", verb)
 		}
 	}
 }

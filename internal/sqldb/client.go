@@ -51,6 +51,10 @@ func WithDialer(dial func(network, address string) (net.Conn, error)) ConnectOpt
 // ErrConnClosed is returned by operations on a closed Conn.
 var ErrConnClosed = errors.New("sqldb: connection closed")
 
+// ErrServer wraps the server's error reply to a query: the server refused
+// the statement, and the connection is still good.
+var ErrServer = errors.New("sqldb: server")
+
 // Connect dials addr and performs the handshake. This is the expensive
 // operation the API-based access model repeats per request.
 func Connect(addr string, opts ...ConnectOption) (*Conn, error) {
@@ -60,12 +64,8 @@ func Connect(addr string, opts ...ConnectOption) (*Conn, error) {
 	}
 	dial := cfg.dial
 	if dial == nil {
-		if cfg.timeout > 0 {
-			dial = func(network, address string) (net.Conn, error) {
-				return net.DialTimeout(network, address, cfg.timeout)
-			}
-		} else {
-			dial = net.Dial
+		dial = func(network, address string) (net.Conn, error) {
+			return net.DialTimeout(network, address, cfg.timeout)
 		}
 	}
 	nc, err := dial("tcp", addr)
@@ -143,7 +143,7 @@ func (c *Conn) Query(sql string) ([]byte, error) {
 		return append(make([]byte, 0, len(table)), table...), nil
 	case frameError:
 		msg, _, _ := readText(body)
-		return nil, fmt.Errorf("sqldb: server: %s", msg)
+		return nil, fmt.Errorf("%w: %s", ErrServer, msg)
 	default:
 		return nil, fmt.Errorf("%w: unexpected frame %d", ErrProtocol, t)
 	}

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"servicebroker/internal/metrics"
+	"servicebroker/internal/netsvc"
 )
 
 // ServerOption configures a Server.
@@ -56,8 +56,8 @@ func WithServerMetrics(reg *metrics.Registry) ServerOption {
 
 // Server exposes an Engine over the sqldb wire protocol.
 type Server struct {
+	svc    *netsvc.Server
 	engine *Engine
-	ln     net.Listener
 
 	user, pass     string
 	handshakeDelay time.Duration
@@ -67,11 +67,6 @@ type Server struct {
 	// Handles into reg, resolved once the options have chosen it.
 	connections, authFailures, queries, queryErrors *metrics.Counter
 	queryTime                                       *metrics.Histogram
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
 }
 
 // NewServer starts serving engine on addr ("127.0.0.1:0" for ephemeral).
@@ -80,17 +75,11 @@ func NewServer(engine *Engine, addr string, opts ...ServerOption) (*Server, erro
 	if engine == nil {
 		return nil, errors.New("sqldb: nil engine")
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("sqldb: listen %s: %w", addr, err)
-	}
 	s := &Server{
 		engine: engine,
-		ln:     ln,
 		user:   "web",
 		pass:   "web",
 		reg:    metrics.NewRegistry(),
-		conns:  make(map[net.Conn]struct{}),
 	}
 	for _, o := range opts {
 		o.apply(s)
@@ -100,63 +89,22 @@ func NewServer(engine *Engine, addr string, opts ...ServerOption) (*Server, erro
 	s.queries = s.reg.Counter("queries")
 	s.queryErrors = s.reg.Counter("query_errors")
 	s.queryTime = s.reg.Histogram("query_time")
-	s.wg.Add(1)
-	go s.acceptLoop()
+	svc, err := netsvc.Listen(addr, s.session)
+	if err != nil {
+		return nil, fmt.Errorf("sqldb: listen %s: %w", addr, err)
+	}
+	s.svc = svc
 	return s, nil
 }
 
 // Addr returns the server's bound address.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
+func (s *Server) Addr() net.Addr { return s.svc.Addr() }
 
 // Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // Close stops accepting, closes every session, and waits for them to exit.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				conn.Close()
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-			s.session(conn)
-		}()
-	}
-}
+func (s *Server) Close() error { return s.svc.Close() }
 
 // session drives one client connection: handshake, then query loop.
 func (s *Server) session(conn net.Conn) {
