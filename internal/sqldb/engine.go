@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -96,20 +97,82 @@ func (ix *index) add(key string) {
 type Engine struct {
 	mu     sync.RWMutex
 	tables map[string]*table
+
+	shapeMu sync.RWMutex
+	shapes  map[string]chan *instance // each shape's free parses, by shape key
+}
+
+const (
+	maxShapes    = 1024    // a full shape table is cleared before the next shape goes in
+	maxShapeText = 4 << 10 // a longer statement is not cached
+	freeParses   = 8       // parses kept per shape, for its statements executing at once
+)
+
+// instance is one parse of a shape and its binders, in token order.
+type instance struct {
+	stmt  Statement
+	binds []binder
 }
 
 // NewEngine returns an empty database.
 func NewEngine() *Engine {
-	return &Engine{tables: make(map[string]*table)}
+	return &Engine{tables: make(map[string]*table), shapes: make(map[string]chan *instance)}
 }
 
-// Exec parses and executes one SQL statement.
+// Exec executes one SQL statement. Every statement is lexed, but only the
+// first of a shape (appendShape) is parsed: a later one rebinds the literals
+// of a parse of its shape that no other execution holds. Table, column and
+// index resolution stay per execution, so nothing invalidates a parse.
 func (e *Engine) Exec(sql string) (*ResultSet, error) {
-	stmt, err := Parse(sql)
+	var tokBuf [32]token
+	var keyBuf [256]byte // a longer statement spills to the heap
+	toks, err := appendTokens(tokBuf[:0], sql)
 	if err != nil {
 		return nil, err
 	}
-	return e.ExecStmt(stmt)
+	key := appendShape(keyBuf[:0], toks)
+	e.shapeMu.RLock()
+	free := e.shapes[string(key)] // nil for a new shape: never ready
+	e.shapeMu.RUnlock()
+	var in *instance
+	select {
+	case in = <-free:
+	default:
+		stmt, binds, err := parse(slices.Clone(toks)) // the parser would take tokBuf to the heap
+		if err != nil {
+			return nil, err
+		}
+		switch stmt.(type) {
+		case *CreateTable, *CreateIndex, *DropTable:
+			return e.ExecStmt(stmt) // DDL is rare, and CREATE TABLE keeps its Columns
+		}
+		in = &instance{stmt: stmt, binds: binds}
+		if free == nil && len(sql) <= maxShapeText {
+			free = make(chan *instance, freeParses) // replacing a racing add of the shape only drops its parses
+			e.shapeMu.Lock()
+			if len(e.shapes) >= maxShapes {
+				clear(e.shapes)
+			}
+			e.shapes[string(key)] = free
+			e.shapeMu.Unlock()
+		}
+	}
+	defer func() {
+		select {
+		case free <- in: // a full free list, or no shape, drops it
+		default:
+		}
+	}()
+	k := 0
+	for _, t := range toks {
+		if t.kind == tokNumber || t.kind == tokString {
+			if err := in.binds[k](t); err != nil {
+				return nil, err
+			}
+			k++
+		}
+	}
+	return e.ExecStmt(in.stmt)
 }
 
 // ExecStmt executes a parsed statement.
@@ -325,19 +388,26 @@ func (e *Engine) update(s *Update) (*ResultSet, error) {
 		ci  int
 		val Value
 	}
+	var names [8]string
+	cols := names[:0]
+	for col := range s.Set {
+		cols = append(cols, col)
+	}
+	slices.Sort(cols) // not map order: the same error, and winner of two spellings, every run
 	ops := make([]setOp, 0, len(s.Set))
-	for col, v := range s.Set {
+	for _, col := range cols {
 		ci, err := t.column(col)
 		if err != nil {
 			return nil, err
 		}
-		cv, err := coerce(v, t.columns[ci].Type)
+		cv, err := coerce(s.Set[col], t.columns[ci].Type)
 		if err != nil {
 			return nil, err
 		}
 		ops = append(ops, setOp{ci: ci, val: cv})
 	}
-	positions, err := t.matching(s.Where)
+	var buf [stackRows]int
+	positions, err := t.matching(s.Where, buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -376,7 +446,8 @@ func (e *Engine) delete(s *Delete) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	positions, err := t.matching(s.Where)
+	var buf [stackRows]int
+	positions, err := t.matching(s.Where, buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -409,18 +480,20 @@ func (e *Engine) query(s *Select) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	positions, err := t.matching(s.Where)
+	var buf [stackRows]int
+	positions, err := t.matching(s.Where, buf[:0])
 	if err != nil {
 		return nil, err
 	}
 	return project(s, t, positions)
 }
 
-// matching returns the positions of the rows that satisfy where, ascending.
-// It is the one row-selection path: SELECT, UPDATE and DELETE all find their
-// rows here. Caller holds at least the read lock.
-func (t *table) matching(where Expr) ([]int, error) {
-	var matched []int
+const stackRows = 64 // matched positions held on the stack; a point or range read matches fewer
+
+// matching appends to matched the positions of the rows that satisfy where,
+// ascending. It is the one row-selection path: SELECT, UPDATE and DELETE all
+// find their rows here. Caller holds at least the read lock.
+func (t *table) matching(where Expr, matched []int) ([]int, error) {
 	pos, via := t.candidates(where)
 	for pos >= 0 && pos < len(t.rows) {
 		ok, err := evalBool(where, t, t.rows[pos])
@@ -453,8 +526,9 @@ func (t *table) candidates(where Expr) (first int, via *index) {
 		}
 		return t.candidates(l.R)
 	}
-	if via, key := indexableEq(where, t); via != nil {
-		if c, held := via.chains[key]; held {
+	if via, v := indexableEq(where, t); via != nil {
+		var key [32]byte // any number's text; a longer string spills to the heap
+		if c, held := via.chains[string(appendValue(key[:0], v))]; held {
 			return int(c.first), via
 		}
 		return -1, via
@@ -463,11 +537,12 @@ func (t *table) candidates(where Expr) (first int, via *index) {
 }
 
 // indexableEq recognizes `col = literal` (either side) over an indexed
-// column and returns that index and the literal's key in it, or a nil index.
-func indexableEq(where Expr, t *table) (ix *index, key string) {
+// column and returns that index and the literal coerced to the column's
+// type, or a nil index.
+func indexableEq(where Expr, t *table) (ix *index, v Value) {
 	cmp, isCmp := where.(*Cmp)
 	if !isCmp || cmp.Op != OpEq {
-		return nil, ""
+		return nil, nil
 	}
 	colExpr, litExpr := cmp.L, cmp.R
 	if _, isCol := colExpr.(*ColRef); !isCol {
@@ -476,17 +551,17 @@ func indexableEq(where Expr, t *table) (ix *index, key string) {
 	col, isCol := colExpr.(*ColRef)
 	lit, isLit := litExpr.(*Literal)
 	if !isCol || !isLit {
-		return nil, ""
+		return nil, nil
 	}
 	ci, exists := t.colIdx[strings.ToLower(col.Name)]
 	if ix = t.indexes[ci]; !exists || ix == nil {
-		return nil, ""
+		return nil, nil
 	}
 	cv, err := coerce(lit.Val, t.columns[ci].Type)
 	if err != nil {
-		return nil, ""
+		return nil, nil
 	}
-	return ix, formatValue(cv)
+	return ix, cv
 }
 
 // project applies ORDER BY, aggregates, column projection, and LIMIT to the
@@ -497,12 +572,12 @@ func project(s *Select, t *table, matched []int) (*ResultSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		sort.SliceStable(matched, func(i, j int) bool {
-			c := compare(t.rows[matched[i]][ci], t.rows[matched[j]][ci])
+		slices.SortStableFunc(matched, func(a, b int) int {
+			c := compare(t.rows[a][ci], t.rows[b][ci])
 			if s.Desc {
-				return c > 0
+				return -c
 			}
-			return c < 0
+			return c
 		})
 	}
 
@@ -511,7 +586,8 @@ func project(s *Select, t *table, matched []int) (*ResultSet, error) {
 	}
 
 	// Resolve the projection once.
-	cols, indices := make([]string, 0, len(s.Items)), make([]int, 0, len(s.Items))
+	var buf [16]int
+	cols, indices := make([]string, 0, len(s.Items)), buf[:0]
 	for _, item := range s.Items {
 		if item.Star {
 			for i, c := range t.columns {

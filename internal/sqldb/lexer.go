@@ -19,13 +19,15 @@ const (
 	tokSymbol // ( ) , * = < > <= >= != <>
 )
 
-// token is one lexical unit. For numbers, val holds the canonical text and
-// num the parsed value; isInt distinguishes INT literals from FLOAT.
+// token is one lexical unit. For numbers, val holds the text and num the
+// value; isInt marks an INT literal. lit is a number's or string's value:
+// int64 (exact), float64 or string.
 type token struct {
 	kind  tokenKind
 	val   string // uppercased for keywords
 	num   float64
 	isInt bool
+	lit   Value
 	pos   int
 }
 
@@ -56,7 +58,11 @@ func keyword(word string) (string, bool) {
 
 // lex tokenizes a SQL statement.
 func lex(input string) ([]token, error) {
-	toks := make([]token, 0, len(input)/4+2) // a token and its space take about four bytes
+	return appendTokens(make([]token, 0, len(input)/4+2), input) // a token and its space take about four bytes
+}
+
+// appendTokens appends the tokens of input to toks, the last one tokEOF.
+func appendTokens(toks []token, input string) ([]token, error) {
 	i := 0
 	for i < len(input) {
 		c := rune(input[i])
@@ -83,7 +89,8 @@ func lex(input string) ([]token, error) {
 				sb.WriteByte(input[j])
 				j++
 			}
-			toks = append(toks, token{kind: tokString, val: sb.String(), pos: i})
+			s := sb.String()
+			toks = append(toks, token{kind: tokString, val: s, lit: s, pos: i})
 			i = j + 1
 		case unicode.IsDigit(c) || (c == '-' && i+1 < len(input) && unicode.IsDigit(rune(input[i+1])) && startsValue(toks)):
 			j := i + 1
@@ -94,12 +101,22 @@ func lex(input string) ([]token, error) {
 				}
 				j++
 			}
-			text := input[i:j]
-			f, err := strconv.ParseFloat(text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sqldb: bad number %q at %d", text, i)
+			t := token{kind: tokNumber, val: input[i:j], isInt: isInt, pos: i}
+			if isInt {
+				// The text is an optional '-' and digits, so only range can fail.
+				n, err := strconv.ParseInt(t.val, 10, 64)
+				if err != nil {
+					return nil, fmt.Errorf("sqldb: integer out of range at %d", i)
+				}
+				t.num, t.lit = float64(n), n
+			} else {
+				f, err := strconv.ParseFloat(t.val, 64)
+				if err != nil {
+					return nil, fmt.Errorf("sqldb: bad number %q at %d", t.val, i)
+				}
+				t.num, t.lit = f, f
 			}
-			toks = append(toks, token{kind: tokNumber, val: text, num: f, isInt: isInt, pos: i})
+			toks = append(toks, t)
 			i = j
 		case unicode.IsLetter(c) || c == '_':
 			j := i + 1
@@ -135,8 +152,29 @@ func lex(input string) ([]token, error) {
 			return nil, fmt.Errorf("sqldb: unexpected character %q at %d", c, i)
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, pos: len(input)})
-	return toks, nil
+	return append(toks, token{kind: tokEOF, pos: len(input)}), nil
+}
+
+// appendShape appends the shape key of toks to key: each token's text and a
+// space, a literal's text replaced by a marker of its kind (?i, ?f, ?s). No
+// token's text holds a space or starts with '?', and a keyword, an identifier
+// and a symbol never spell alike, so two statements share a key exactly when
+// they differ only in the values of literals of the same kinds. NULL is a
+// keyword, not a literal.
+func appendShape(key []byte, toks []token) []byte {
+	for _, t := range toks {
+		switch {
+		case t.kind == tokString:
+			key = append(key, "?s "...)
+		case t.kind == tokNumber && t.isInt:
+			key = append(key, "?i "...)
+		case t.kind == tokNumber:
+			key = append(key, "?f "...)
+		default:
+			key = append(append(key, t.val...), ' ')
+		}
+	}
+	return key
 }
 
 // startsValue reports whether a '-' at the current position begins a

@@ -11,20 +11,32 @@ func Parse(sql string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	stmt, _, err := parse(toks)
+	return stmt, err
+}
+
+// A binder puts the value of a literal token, of a statement of the same
+// shape, in place of one literal of a parse, rechecking what the parser did.
+type binder func(token) error
+
+// parse builds the statement toks spell and the binders of its number and
+// string tokens, in token order.
+func parse(toks []token) (Statement, []binder, error) {
 	p := &parser{toks: toks}
 	stmt, err := p.parseStatement()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !p.at(tokEOF, "") {
-		return nil, fmt.Errorf("sqldb: trailing input at %d: %q", p.peek().pos, p.peek().val)
+		return nil, nil, fmt.Errorf("sqldb: trailing input at %d: %q", p.peek().pos, p.peek().val)
 	}
-	return stmt, nil
+	return stmt, p.binds, nil
 }
 
 type parser struct {
-	toks []token
-	i    int
+	toks  []token
+	i     int
+	binds []binder
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -224,7 +236,8 @@ func (p *parser) parseInsert() (Statement, error) {
 		}
 		var row []Value
 		for {
-			v, err := p.literal()
+			r, i := len(ins.Rows), len(row)
+			v, err := p.literal(func(v Value) { ins.Rows[r][i] = v })
 			if err != nil {
 				return nil, err
 			}
@@ -246,17 +259,14 @@ func (p *parser) parseInsert() (Statement, error) {
 	return ins, nil
 }
 
-// literal parses a constant: number, string, or NULL.
-func (p *parser) literal() (Value, error) {
+// literal parses a constant: number, string, or NULL. A number's or string's
+// binder hands the value to set, which stores it where the parse put it.
+func (p *parser) literal(set func(Value)) (Value, error) {
 	t := p.next()
 	switch t.kind {
-	case tokNumber:
-		if t.isInt {
-			return int64(t.num), nil
-		}
-		return t.num, nil
-	case tokString:
-		return t.val, nil
+	case tokNumber, tokString:
+		p.binds = append(p.binds, func(t token) error { set(t.lit); return nil })
+		return t.lit, nil
 	case tokKeyword:
 		if t.val == "NULL" {
 			return nil, nil
@@ -315,13 +325,21 @@ func (p *parser) parseSelect() (Statement, error) {
 		}
 	}
 	if p.accept(tokKeyword, "LIMIT") {
-		t := p.next()
-		if t.kind != tokNumber || !t.isInt || t.num < 0 {
-			return nil, fmt.Errorf("sqldb: LIMIT needs a non-negative integer at %d", t.pos)
+		if sel.Limit, err = limit(p.next()); err != nil {
+			return nil, err
 		}
-		sel.Limit = int(t.num)
+		p.binds = append(p.binds, func(t token) (err error) { sel.Limit, err = limit(t); return err })
 	}
 	return sel, nil
+}
+
+// limit reads LIMIT's operand, a non-negative integer.
+func limit(t token) (int, error) {
+	n, isInt := t.lit.(int64)
+	if !isInt || n < 0 {
+		return 0, fmt.Errorf("sqldb: LIMIT needs a non-negative integer at %d", t.pos)
+	}
+	return int(n), nil
 }
 
 func (p *parser) selectItem() (SelectItem, error) {
@@ -395,7 +413,7 @@ func (p *parser) parseUpdate() (Statement, error) {
 		if _, err := p.expect(tokSymbol, "="); err != nil {
 			return nil, err
 		}
-		v, err := p.literal()
+		v, err := p.literal(func(v Value) { upd.Set[col] = v })
 		if err != nil {
 			return nil, err
 		}
@@ -558,7 +576,9 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if t.kind != tokString {
 			return nil, fmt.Errorf("sqldb: LIKE needs a string pattern at %d", t.pos)
 		}
-		e = &Like{E: operand, Pattern: t.val}
+		like := &Like{E: operand, Pattern: t.val}
+		p.binds = append(p.binds, func(t token) error { like.Pattern = t.val; return nil }) // the key makes t a string
+		e = like
 
 	default:
 		return nil, fmt.Errorf("sqldb: expected predicate at %d, got %q", t.pos, t.val)
@@ -576,11 +596,10 @@ func (p *parser) parseOperand() (Expr, error) {
 		p.next()
 		return &ColRef{Name: t.val}, nil
 	case tokNumber, tokString:
-		v, err := p.literal()
-		if err != nil {
-			return nil, err
-		}
-		return &Literal{Val: v}, nil
+		lit := &Literal{}
+		var err error
+		lit.Val, err = p.literal(func(v Value) { lit.Val = v })
+		return lit, err
 	case tokKeyword:
 		if t.val == "NULL" {
 			p.next()

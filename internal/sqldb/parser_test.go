@@ -1,6 +1,9 @@
 package sqldb
 
 import (
+	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -242,9 +245,78 @@ func TestParseKeywordSoupNeverPanicsProperty(t *testing.T) {
 	}
 }
 
-// FuzzParse: the lexer and parser never panic, and whatever parses executes
-// against a three-row fixture without panicking. Seeds are the statements the
-// benchmark workloads and the fixture issue.
+// Integer literals are exact int64s: past 2^53 a float64 would lose them, and
+// one past the int64 range is refused, not wrapped.
+func TestIntegerLiteralsAreExact(t *testing.T) {
+	e := NewEngine()
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	mustExec(t, e, "INSERT INTO t VALUES (1, 9007199254740993)")
+	if rs := mustExec(t, e, "SELECT v FROM t WHERE id = 1"); rs.Rows[0][0] != int64(9007199254740993) {
+		t.Errorf("read back %v, want 9007199254740993", rs.Rows[0][0])
+	}
+	const huge = "INSERT INTO t VALUES (2, 99999999999999999999)"
+	if _, err := e.Exec(huge); err == nil || err.Error() != "sqldb: integer out of range at 25" {
+		t.Errorf("Exec(%s) err = %v, want integer out of range at 25", huge, err)
+	}
+	mustExec(t, e, "INSERT INTO t VALUES (9007199254740992, 0)")
+	mustExec(t, e, "INSERT INTO t VALUES (9007199254740993, 0)")
+	if rs := mustExec(t, e, "SELECT COUNT(*) FROM t WHERE id = 9007199254740993"); rs.Rows[0][0] != int64(1) {
+		t.Errorf("rows with id 2^53+1: %v, want 1", rs.Rows[0][0])
+	}
+}
+
+// variant renders toks, the tokens of a statement, with every literal changed
+// to another of its kind: a statement of the same shape with other values.
+func variant(toks []token) string {
+	var b strings.Builder
+	for _, t := range toks {
+		switch {
+		case t.kind == tokString:
+			b.WriteString(sqlLiteral(t.val + "x'"))
+		case t.kind == tokNumber && t.isInt:
+			b.WriteString(strconv.FormatInt(t.lit.(int64)^1, 10))
+		case t.kind == tokNumber:
+			f := strconv.FormatFloat(t.num+0.5, 'f', -1, 64)
+			if !strings.Contains(f, ".") {
+				f += ".0"
+			}
+			b.WriteString(f)
+		default:
+			b.WriteString(t.val)
+		}
+		b.WriteByte(' ')
+	}
+	return b.String()
+}
+
+// execFresh executes sql through a parse of its own, as Exec did before it
+// kept parses of each shape.
+func execFresh(e *Engine, sql string) (*ResultSet, error) {
+	stmt, err := Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return e.ExecStmt(stmt)
+}
+
+// outcomeDiff describes how an execution differs from one through a fresh
+// parse, or returns "" when they agree in result or in error text.
+func outcomeDiff(got *ResultSet, gotErr error, want *ResultSet, wantErr error) string {
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		return fmt.Sprintf("error %v, fresh parse %v", gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("result\n%v\nfresh parse\n%v", got, want)
+	}
+	return ""
+}
+
+// FuzzParse: the lexer and parser never panic, and a statement that parses
+// executes against a three-row fixture without panicking. Then a variant of
+// the same shape with other literals executes through the parse Exec kept of
+// the first, and must agree, as must the table after it, with a twin engine
+// that parses every statement afresh. Seeds are the statements the benchmark
+// workloads and the fixture issue.
 func FuzzParse(f *testing.F) {
 	for _, sql := range []string{
 		"CREATE TABLE records (id INT PRIMARY KEY, category INT, score FLOAT, name TEXT)",
@@ -260,19 +332,40 @@ func FuzzParse(f *testing.F) {
 		"UPDATE records SET id = 1 WHERE id = 2",
 		"SELECT COUNT(*), AVG(score) AS mean FROM records WHERE NOT (id <> 1) ORDER BY name DESC LIMIT 1",
 		"DROP TABLE records",
+		"INSERT INTO records VALUES (9007199254740993, 1, 2.5, 'x')",
+		"SELECT id FROM records WHERE id = 99999999999999999999",
+		"INSERT INTO records VALUES (9007199254740992, 0, 0.5, 'a'), (9007199254740993, 0, 0.5, 'b')",
+		"SELECT name FROM records WHERE name LIKE 'it''s%' ORDER BY score LIMIT 0",
+		"UPDATE records SET score = -1.5, name = NULL WHERE category > -3",
 	} {
 		f.Add(sql)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
-		stmt, err := Parse(sql)
+		toks, err := lex(sql)
 		if err != nil {
 			return
 		}
-		e := NewEngine()
-		if err := LoadRecords(e, 3); err != nil {
-			t.Fatal(err)
+		if _, _, err := parse(toks); err != nil {
+			return
 		}
-		_, _ = e.ExecStmt(stmt)
+		other := variant(toks)
+		otherToks, err := lex(other)
+		if key, otherKey := appendShape(nil, toks), appendShape(nil, otherToks); err != nil || string(otherKey) != string(key) {
+			t.Fatalf("variant %q of %q: %v, key %q, want %q", other, sql, err, otherKey, key)
+		}
+		cached, fresh := NewEngine(), NewEngine()
+		for _, e := range []*Engine{cached, fresh} {
+			if err := LoadRecords(e, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range []string{sql, other, "SELECT * FROM records"} {
+			got, gotErr := cached.Exec(s)
+			want, wantErr := execFresh(fresh, s)
+			if diff := outcomeDiff(got, gotErr, want, wantErr); diff != "" {
+				t.Fatalf("%s, after %s: %s", s, sql, diff)
+			}
+		}
 	})
 }
 

@@ -77,17 +77,11 @@ func appendResult(dst []byte, rs *ResultSet) ([]byte, error) {
 		for _, v := range row {
 			at := len(dst)
 			dst = append(dst, 0, 0, 0, 0)
-			switch x := v.(type) {
-			case nil:
+			if v == nil {
 				binary.BigEndian.PutUint32(dst[at:], nullCell)
 				continue
-			case int64: // formatValue's text, without allocating
-				dst = strconv.AppendInt(dst, x, 10)
-			case float64:
-				dst = strconv.AppendFloat(dst, x, 'g', -1, 64)
-			default:
-				dst = append(dst, formatValue(v)...)
 			}
+			dst = appendValue(dst, v)
 			binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 		}
 	}

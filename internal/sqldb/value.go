@@ -47,7 +47,7 @@ func (t ColType) String() string {
 type Value interface{}
 
 // coerce converts v to the column type, returning an error for impossible
-// conversions.
+// conversions. A value of the column's type comes back as is, not re-boxed.
 func coerce(v Value, t ColType) (Value, error) {
 	if v == nil {
 		return nil, nil
@@ -56,7 +56,7 @@ func coerce(v Value, t ColType) (Value, error) {
 	case TypeInt:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return v, nil
 		case float64:
 			return int64(x), nil
 		case string:
@@ -71,7 +71,7 @@ func coerce(v Value, t ColType) (Value, error) {
 		case int64:
 			return float64(x), nil
 		case float64:
-			return x, nil
+			return v, nil
 		case string:
 			f, err := strconv.ParseFloat(x, 64)
 			if err != nil {
@@ -86,7 +86,7 @@ func coerce(v Value, t ColType) (Value, error) {
 		case float64:
 			return strconv.FormatFloat(x, 'g', -1, 64), nil
 		case string:
-			return x, nil
+			return v, nil
 		}
 	}
 	return nil, fmt.Errorf("sqldb: unsupported value %T for %v", v, t)
@@ -146,6 +146,19 @@ func formatValue(v Value) string {
 		return x
 	default:
 		return fmt.Sprintf("%v", x)
+	}
+}
+
+// appendValue appends formatValue's text of v to dst, without allocating for
+// a number.
+func appendValue(dst []byte, v Value) []byte {
+	switch x := v.(type) {
+	case int64:
+		return strconv.AppendInt(dst, x, 10)
+	case float64:
+		return strconv.AppendFloat(dst, x, 'g', -1, 64)
+	default:
+		return append(dst, formatValue(v)...)
 	}
 }
 
