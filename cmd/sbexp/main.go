@@ -97,8 +97,6 @@ var table = []experiment{
 		plain(experiments.DefaultFailoverConfig, experiments.RunBrokerFailover, failoverChecks)},
 	{"txn", "transaction integrity: escalation, saga compensation, idempotency",
 		plain(experiments.DefaultTxnIntegrityConfig, experiments.RunTxnIntegrity, nil)},
-	{"wire", "wire throughput: batching + coalescing vs the plain path",
-		plain(experiments.DefaultWireThroughputConfig, experiments.RunWireThroughput, nil)},
 }
 
 func names(table []experiment) string {

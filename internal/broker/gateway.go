@@ -92,10 +92,6 @@ func (g *Gateway) Services() []string {
 // Close stops the UDP server.
 func (g *Gateway) Close() error { return g.server.Close() }
 
-// IOStats returns the gateway's wire-level frame/datagram counters; the gap
-// between the two is the syscall traffic datagram batching saved.
-func (g *Gateway) IOStats() wire.IOStats { return g.server.IOStats() }
-
 // handle converts one wire request into a broker call.
 func (g *Gateway) handle(ctx context.Context, _ net.Addr, m *wire.Message) *wire.Message {
 	b, ok := g.brokers[m.Service]
@@ -203,7 +199,7 @@ func DialGateway(addr string, opts ...wire.ClientOption) (*Client, error) {
 // Close releases the client socket.
 func (c *Client) Close() error { return c.wc.Close() }
 
-// IOStats returns the client's wire-level frame/datagram counters.
+// IOStats returns the client's wire-level datagram counters.
 func (c *Client) IOStats() wire.IOStats { return c.wc.IOStats() }
 
 // Do sends one request to the named service and returns the broker's

@@ -43,10 +43,6 @@ type PoolConfig struct {
 	Metrics *metrics.Registry
 	// WireOpts apply to every member client dialed by the pool.
 	WireOpts []wire.ClientOption
-	// StaleEntries sizes the last-good-response cache used to answer
-	// low-fidelity classes when every member is down; zero means 256,
-	// negative disables stale serving.
-	StaleEntries int
 	// Events, when set, receives fleet timeline entries for routing
 	// decisions: failovers, breaker transitions, stale serves — each linked
 	// to the triggering request's trace ID when it was traced. Nil disables
@@ -56,6 +52,10 @@ type PoolConfig struct {
 
 // DefaultAttemptTimeout caps one member attempt during failover.
 const DefaultAttemptTimeout = 150 * time.Millisecond
+
+// staleEntries sizes the last-good-response cache used to answer
+// low-fidelity classes when every member is down.
+const staleEntries = 256
 
 // staleTTL is how long a remembered response may be served stale — long,
 // because it is only consulted when the whole pool is unreachable.
@@ -109,12 +109,9 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.AttemptTimeout <= 0 {
 		cfg.AttemptTimeout = DefaultAttemptTimeout
 	}
-	p := &Pool{cfg: cfg, members: make(map[string]*poolMember), events: cfg.Events}
-	if n := cfg.StaleEntries; n >= 0 {
-		if n == 0 {
-			n = 256
-		}
-		p.stale = cache.New(n, cache.WithDefaultTTL(staleTTL))
+	p := &Pool{
+		cfg: cfg, members: make(map[string]*poolMember), events: cfg.Events,
+		stale: cache.New(staleEntries, cache.WithDefaultTTL(staleTTL)),
 	}
 	if m := cfg.Metrics; m != nil {
 		p.failovers = m.Counter("pool_failovers")

@@ -30,7 +30,7 @@ func TestPoolLateTxnStepsArePremium(t *testing.T) {
 		Load: broker.LoadReport{Service: "db", Outstanding: 12, Threshold: 16}})
 
 	m := metrics.NewRegistry()
-	p := fastPool(t, PoolConfig{Registry: reg, Metrics: m, StaleEntries: -1,
+	p := fastPool(t, PoolConfig{Registry: reg, Metrics: m,
 		AttemptTimeout: 50 * time.Millisecond,
 		Breaker:        resilience.BreakerConfig{FailureThreshold: 1000}})
 

@@ -239,7 +239,7 @@ func TestFrameSizes(t *testing.T) {
 const capturedV1Frame = "53420101000000000000004d010002000001000264620003742d310000000853454c4543542031"
 
 // TestDecodeRejectsForeignVersion is the compatibility policy: none. A frame
-// or container with any version byte but the current one is ErrBadFrame.
+// with any version byte but the current one is ErrBadFrame.
 func TestDecodeRejectsForeignVersion(t *testing.T) {
 	v1, err := hex.DecodeString(capturedV1Frame)
 	if err != nil {
@@ -254,25 +254,24 @@ func TestDecodeRejectsForeignVersion(t *testing.T) {
 	}
 
 	frame := mustEncode(t, withBlocks(presenceMask))
-	container, err := AppendBatch(nil, [][]byte{frame, frame})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for v := 0; v < 256; v++ {
 		if v == codecVersion {
 			continue
 		}
-		frame[2], container[2] = byte(v), byte(v)
+		frame[2] = byte(v)
 		if _, err := Decode(frame); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("frame version %d: err = %v, want ErrBadFrame", v, err)
 		}
-		if IsBatch(container) {
-			t.Fatalf("container version %d: IsBatch = true", v)
-		}
-		if err := DecodeBatch(container, func([]byte) error { return nil }); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("container version %d: err = %v, want ErrBadFrame", v, err)
-		}
 	}
+}
+
+func mustEncode(t *testing.T, m *Message) []byte {
+	t.Helper()
+	f, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // TestDecodeRejectsEmptyAnnouncedBlock: a presence bit over a zero value is

@@ -140,8 +140,8 @@ const (
 const (
 	magic0 = 'S'
 	magic1 = 'B'
-	// codecVersion names the one frame layout and the batch container built
-	// on it (batch.go). There is no compatibility across versions: every peer
+	// codecVersion names the one frame layout; a datagram carries exactly
+	// one frame. There is no compatibility across versions: every peer
 	// is built from this repository, so a datagram with any other version
 	// byte is ErrBadFrame.
 	codecVersion = 7

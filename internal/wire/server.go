@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -23,13 +22,10 @@ import (
 // recognizes the aliasing and recycles the message exactly once.
 type Handler func(ctx context.Context, from net.Addr, req *Message) *Message
 
-// IOStats counts frames and datagrams crossing one endpoint. With batching,
-// frames outnumber datagrams; the gap is the syscalls (and UDP headers)
-// saved.
+// IOStats counts the datagrams crossing one client. Every datagram carries
+// exactly one frame.
 type IOStats struct {
-	FramesIn     uint64
 	DatagramsIn  uint64
-	FramesOut    uint64
 	DatagramsOut uint64
 }
 
@@ -52,7 +48,9 @@ func makeDedupKey(from net.Addr, id uint64) dedupKey {
 
 // dedupSlot is one ring entry: the key it answers for and the encoded
 // response, kept in a buffer that is overwritten in place when the ring
-// wraps so the steady-state insert allocates nothing.
+// wraps so the steady-state insert allocates nothing. A buffer grown past
+// dedupKeepCap is dropped on reuse instead, so one large reply cannot pin
+// its size in the slot for the life of the server.
 type dedupSlot struct {
 	key  dedupKey
 	used bool
@@ -63,8 +61,7 @@ type dedupSlot struct {
 // response back to the originating address. Duplicate requests (client
 // retransmissions) are answered from a small response cache without
 // re-invoking the handler, giving at-most-once handler execution for the
-// idempotent window. Requests that arrive packed in a container are
-// handled concurrently and their replies are packed back into containers.
+// idempotent window.
 type Server struct {
 	conn    net.PacketConn
 	handler Handler
@@ -79,17 +76,18 @@ type Server struct {
 	next   int
 	closed bool
 
-	framesIn     atomic.Uint64
-	datagramsIn  atomic.Uint64
-	framesOut    atomic.Uint64
-	datagramsOut atomic.Uint64
-
 	wg     sync.WaitGroup
 	cancel context.CancelFunc
 }
 
 // dedupWindow bounds the retransmission-suppression cache.
 const dedupWindow = 4096
+
+// dedupKeepCap is the largest slot buffer the ring reuses. It sits above
+// every reply the repository's benchmark workloads produce (the largest, a
+// mixed_rw range read, encodes to 1,332 bytes), so their steady state still
+// allocates nothing.
+const dedupKeepCap = 4096
 
 // NewServer starts a datagram server on addr ("127.0.0.1:0" for an ephemeral
 // port). Close must be called to release the socket and stop the serving
@@ -128,16 +126,6 @@ func NewServerConn(pc net.PacketConn, handler Handler) (*Server, error) {
 // Addr returns the server's bound address.
 func (s *Server) Addr() net.Addr { return s.conn.LocalAddr() }
 
-// IOStats returns the server's frame/datagram counters.
-func (s *Server) IOStats() IOStats {
-	return IOStats{
-		FramesIn:     s.framesIn.Load(),
-		DatagramsIn:  s.datagramsIn.Load(),
-		FramesOut:    s.framesOut.Load(),
-		DatagramsOut: s.datagramsOut.Load(),
-	}
-}
-
 // Close stops the server and waits for in-flight handlers to finish. The
 // socket stays open until they do: a handler that is mid-response gets to
 // send it, so requests accepted before Close are answered, not lost.
@@ -171,7 +159,6 @@ func (s *Server) serve(ctx context.Context) {
 			putBuf(bp)
 			return // socket closed
 		}
-		s.datagramsIn.Add(1)
 		s.wg.Add(1)
 		go func(bp *[]byte, n int, from net.Addr) {
 			defer s.wg.Done()
@@ -181,104 +168,15 @@ func (s *Server) serve(ctx context.Context) {
 	}
 }
 
+// handleDatagram answers one datagram, which must be exactly one request
+// frame; anything else is garbage.
 func (s *Server) handleDatagram(ctx context.Context, data []byte, from net.Addr) {
-	if IsBatch(data) {
-		s.handleBatch(ctx, data, from)
-		return
-	}
-	s.framesIn.Add(1)
 	bp := s.processFrame(ctx, data, from)
 	if bp == nil {
 		return // drop garbage silently, as a datagram service must
 	}
-	s.framesOut.Add(1)
-	s.datagramsOut.Add(1)
 	_, _ = s.conn.WriteTo(*bp, from)
 	putBuf(bp)
-}
-
-// handleBatch unpacks a container, runs every contained request on its
-// own goroutine (a container must not serialize the handlers it carries),
-// and packs the replies back into as few datagrams as they fit.
-func (s *Server) handleBatch(ctx context.Context, data []byte, from net.Addr) {
-	var frames [][]byte
-	if err := DecodeBatch(data, func(f []byte) error {
-		frames = append(frames, f)
-		return nil
-	}); err != nil {
-		return
-	}
-	s.framesIn.Add(uint64(len(frames)))
-	outs := make([]*[]byte, len(frames))
-	if len(frames) == 1 {
-		outs[0] = s.processFrame(ctx, frames[0], from)
-	} else {
-		var wg sync.WaitGroup
-		for i := range frames {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				outs[i] = s.processFrame(ctx, frames[i], from)
-			}(i)
-		}
-		wg.Wait()
-	}
-	s.writeBatched(outs, from)
-}
-
-// writeBatched sends the encoded responses in outs (nil entries are dropped
-// frames) back to from, packing consecutive responses into containers up
-// to the datagram size. A response that ends up alone in its window goes out
-// bare. Consumes and recycles the out buffers.
-func (s *Server) writeBatched(outs []*[]byte, from net.Addr) {
-	cp := getBuf()
-	container := (*cp)[:0]
-	count := 0
-	flush := func() {
-		if count == 0 {
-			return
-		}
-		if count == 1 {
-			// A lone reply goes out bare: batching must never change the
-			// bytes a single-frame exchange produces.
-			_, _ = s.conn.WriteTo(container[batchHeaderSize+batchFrameOverhead:], from)
-		} else {
-			binary.BigEndian.PutUint16(container[4:6], uint16(count))
-			_, _ = s.conn.WriteTo(container, from)
-		}
-		s.framesOut.Add(uint64(count))
-		s.datagramsOut.Add(1)
-		container = container[:0]
-		count = 0
-	}
-	for _, bp := range outs {
-		if bp == nil {
-			continue
-		}
-		f := *bp
-		need := batchFrameOverhead + len(f)
-		if count > 0 && (len(container)+need > MaxFrame || count >= MaxBatchFrames) {
-			flush()
-		}
-		if batchHeaderSize+need > MaxFrame {
-			// Too large to containerize even alone; send it bare.
-			flush()
-			s.framesOut.Add(1)
-			s.datagramsOut.Add(1)
-			_, _ = s.conn.WriteTo(f, from)
-			putBuf(bp)
-			continue
-		}
-		if count == 0 {
-			container = append(container, magic0, magic1, codecVersion, batchMarker, 0, 0)
-		}
-		container = binary.BigEndian.AppendUint32(container, uint32(len(f)))
-		container = append(container, f...)
-		count++
-		putBuf(bp)
-	}
-	flush()
-	putBuf(cp)
 }
 
 // processFrame decodes one request frame, answers duplicates from the dedup
@@ -350,6 +248,9 @@ func (s *Server) insertDedup(key dedupKey, out []byte) {
 			}
 			slot.key = key
 			slot.used = true
+			if cap(slot.buf) > dedupKeepCap {
+				slot.buf = nil
+			}
 			slot.buf = append(slot.buf[:0], out...)
 			s.index[key] = s.next
 			s.next++
@@ -363,9 +264,7 @@ func (s *Server) insertDedup(key dedupKey, out []byte) {
 
 // Client issues requests to a wire server and matches responses by ID,
 // retransmitting on loss. A single UDP socket is shared by all calls; a
-// reader goroutine demultiplexes responses to waiting callers. With
-// WithBatching, requests that fall within a flush window leave in one
-// datagram as a container.
+// reader goroutine demultiplexes responses to waiting callers.
 type Client struct {
 	conn net.Conn
 
@@ -374,14 +273,10 @@ type Client struct {
 	pending map[uint64]chan *Message
 	closed  bool
 
-	retransmit  time.Duration
-	attempts    int
-	batchWindow time.Duration
-	batch       *clientBatcher
+	retransmit time.Duration
+	attempts   int
 
-	framesOut    atomic.Uint64
 	datagramsOut atomic.Uint64
-	framesIn     atomic.Uint64
 	datagramsIn  atomic.Uint64
 
 	wg    sync.WaitGroup // reader goroutine
@@ -389,32 +284,17 @@ type Client struct {
 }
 
 // ClientOption configures a Client.
-type ClientOption interface {
-	apply(*Client)
-}
-
-type clientOptionFunc func(*Client)
-
-func (f clientOptionFunc) apply(c *Client) { f(c) }
+type ClientOption func(*Client)
 
 // WithRetransmit sets the per-attempt timeout before a request datagram is
 // re-sent (default 200 ms).
 func WithRetransmit(d time.Duration) ClientOption {
-	return clientOptionFunc(func(c *Client) { c.retransmit = d })
+	return func(c *Client) { c.retransmit = d }
 }
 
 // WithAttempts sets the total number of transmissions per call (default 3).
 func WithAttempts(n int) ClientOption {
-	return clientOptionFunc(func(c *Client) { c.attempts = n })
-}
-
-// WithBatching holds each outgoing request for up to window, packing every
-// request that accumulates meanwhile into one container datagram. Off by
-// default. A lone request in its window still goes out bare, so enabling
-// batching never changes single-frame traffic. Batched send errors surface
-// through the retransmit/timeout path rather than the sending Call.
-func WithBatching(window time.Duration) ClientOption {
-	return clientOptionFunc(func(c *Client) { c.batchWindow = window })
+	return func(c *Client) { c.attempts = n }
 }
 
 // Dial connects a client to the wire server at addr.
@@ -430,24 +310,16 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 		attempts:   3,
 	}
 	for _, o := range opts {
-		o.apply(c)
-	}
-	if c.batchWindow > 0 {
-		c.batch = newClientBatcher(c, c.batchWindow)
+		o(c)
 	}
 	c.wg.Add(1)
 	go c.readLoop()
 	return c, nil
 }
 
-// IOStats returns the client's frame/datagram counters.
+// IOStats returns the client's datagram counters.
 func (c *Client) IOStats() IOStats {
-	return IOStats{
-		FramesIn:     c.framesIn.Load(),
-		DatagramsIn:  c.datagramsIn.Load(),
-		FramesOut:    c.framesOut.Load(),
-		DatagramsOut: c.datagramsOut.Load(),
-	}
+	return IOStats{DatagramsIn: c.datagramsIn.Load(), DatagramsOut: c.datagramsOut.Load()}
 }
 
 // Close fails outstanding calls with ErrClientClosed, waits for them to
@@ -466,9 +338,6 @@ func (c *Client) Close() error {
 		ch <- nil // closed sentinel; buffered and sole sender under mu
 	}
 	c.mu.Unlock()
-	if c.batch != nil {
-		c.batch.stop()
-	}
 	c.calls.Wait()
 	err := c.conn.Close()
 	c.wg.Wait()
@@ -507,15 +376,7 @@ func (c *Client) readLoop() {
 			continue
 		}
 		c.datagramsIn.Add(1)
-		data := buf[:n]
-		if IsBatch(data) {
-			_ = DecodeBatch(data, func(f []byte) error {
-				c.dispatch(f)
-				return nil
-			})
-			continue
-		}
-		c.dispatch(data)
+		c.dispatch(buf[:n])
 	}
 }
 
@@ -528,7 +389,6 @@ func (c *Client) dispatch(frame []byte) {
 	if err != nil || m.Type != TypeResponse {
 		return
 	}
-	c.framesIn.Add(1)
 	c.mu.Lock()
 	if ch, ok := c.pending[m.ID]; ok {
 		delete(c.pending, m.ID)
@@ -608,10 +468,11 @@ func (c *Client) Call(ctx context.Context, req *Message) (*Message, error) {
 	timer := getTimer()
 	defer putTimer(timer)
 	for attempt := 0; attempt < c.attempts; attempt++ {
-		if err := c.send(frame); err != nil {
+		if _, err := c.conn.Write(frame); err != nil {
 			c.abandon(req.ID, ch)
 			return nil, fmt.Errorf("wire: send: %w", err)
 		}
+		c.datagramsOut.Add(1)
 		timer.Reset(c.retransmit)
 		select {
 		case m := <-ch:
@@ -633,19 +494,6 @@ func (c *Client) Call(ctx context.Context, req *Message) (*Message, error) {
 	return nil, fmt.Errorf("%w after %d attempts", ErrTimeout, c.attempts)
 }
 
-// send transmits one encoded frame, via the batcher when configured.
-func (c *Client) send(frame []byte) error {
-	if c.batch != nil {
-		return c.batch.enqueue(frame)
-	}
-	_, err := c.conn.Write(frame)
-	if err == nil {
-		c.framesOut.Add(1)
-		c.datagramsOut.Add(1)
-	}
-	return err
-}
-
 // abandon forgets a pending request and recycles its channel. Senders only
 // send under mu while the entry exists, so once the entry is gone any sent
 // value is already buffered and the drain in reclaimChan catches it.
@@ -654,86 +502,4 @@ func (c *Client) abandon(id uint64, ch chan *Message) {
 	delete(c.pending, id)
 	c.mu.Unlock()
 	reclaimChan(ch)
-}
-
-// clientBatcher accumulates encoded request frames into a container and
-// flushes when the window expires, the container fills, or the client
-// closes. The container is built in place with the per-frame length prefix,
-// so flushing is a single Write with no assembly copy.
-type clientBatcher struct {
-	c       *Client
-	window  time.Duration
-	mu      sync.Mutex
-	buf     []byte
-	count   int
-	timer   *time.Timer
-	stopped bool
-}
-
-func newClientBatcher(c *Client, window time.Duration) *clientBatcher {
-	b := &clientBatcher{
-		c:      c,
-		window: window,
-		buf:    make([]byte, batchHeaderSize, MaxFrame),
-	}
-	b.timer = time.AfterFunc(time.Hour, b.flush)
-	b.timer.Stop()
-	return b
-}
-
-func (b *clientBatcher) enqueue(frame []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.stopped {
-		return ErrClientClosed
-	}
-	if b.count >= MaxBatchFrames || len(b.buf)+batchFrameOverhead+len(frame) > MaxFrame {
-		if err := b.flushLocked(); err != nil {
-			return err
-		}
-	}
-	b.buf = binary.BigEndian.AppendUint32(b.buf, uint32(len(frame)))
-	b.buf = append(b.buf, frame...)
-	b.count++
-	if b.count == 1 {
-		b.timer.Reset(b.window)
-	}
-	return nil
-}
-
-func (b *clientBatcher) flush() {
-	b.mu.Lock()
-	_ = b.flushLocked()
-	b.mu.Unlock()
-}
-
-func (b *clientBatcher) flushLocked() error {
-	if b.count == 0 {
-		return nil
-	}
-	var err error
-	if b.count == 1 {
-		// A lone frame goes out bare, byte-identical to an unbatched client.
-		_, err = b.c.conn.Write(b.buf[batchHeaderSize+batchFrameOverhead:])
-	} else {
-		b.buf[0], b.buf[1], b.buf[2], b.buf[3] = magic0, magic1, codecVersion, batchMarker
-		binary.BigEndian.PutUint16(b.buf[4:6], uint16(b.count))
-		_, err = b.c.conn.Write(b.buf)
-	}
-	if err == nil {
-		b.c.framesOut.Add(uint64(b.count))
-		b.c.datagramsOut.Add(1)
-	}
-	b.buf = b.buf[:batchHeaderSize]
-	b.count = 0
-	return err
-}
-
-// stop flushes anything pending and rejects further enqueues.
-func (b *clientBatcher) stop() {
-	b.mu.Lock()
-	b.stopped = true
-	b.timer.Stop()
-	_ = b.flushLocked()
-	b.mu.Unlock()
 }

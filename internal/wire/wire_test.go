@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"net"
 	"reflect"
@@ -294,6 +295,87 @@ func TestServerIgnoresGarbageDatagrams(t *testing.T) {
 	}
 	if string(resp.Payload) != "still alive" {
 		t.Fatalf("resp = %q", resp.Payload)
+	}
+}
+
+// formerContainer is a multi-frame datagram in the layout clients once used
+// to batch requests — magic, version, a zero marker, a frame count, then
+// (length, frame) pairs — wrapping two valid requests, IDs 1 and 2 to "db".
+// It is also a FuzzDecode corpus seed (testdata/fuzz).
+const formerContainer = "534207000002" +
+	"00000024" + "5342070100000000000000010000000000000002646200000000000853454c4543542031" +
+	"00000024" + "5342070100000000000000020000000000000002646200000000000853454c4543542032"
+
+// TestServerIgnoresContainerDatagram: a datagram carries one frame, so a
+// container is garbage like any other — neither request inside it runs and
+// nothing is sent back.
+func TestServerIgnoresContainerDatagram(t *testing.T) {
+	var executions atomic.Int64
+	srv, err := NewServer("127.0.0.1:0", func(_ context.Context, _ net.Addr, req *Message) *Message {
+		executions.Add(1)
+		return &Message{Status: StatusOK, Payload: req.Payload}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	container, err := hex.DecodeString(formerContainer)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("udp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(container); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	var ne net.Error
+	if n, err := conn.Read(make([]byte, MaxFrame)); !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("container answered: %d bytes, err %v", n, err)
+	}
+	if got := executions.Load(); got != 0 {
+		t.Fatalf("handler ran %d times for a container, want 0", got)
+	}
+}
+
+// TestDedupSlotDropsOversizedBuffer: a ring slot that once held a large
+// reply does not keep that buffer once it holds small ones, so the ring's
+// footprint follows the replies it holds now.
+func TestDedupSlotDropsOversizedBuffer(t *testing.T) {
+	size := 8 << 10
+	s := &Server{
+		handler: func(context.Context, net.Addr, *Message) *Message {
+			return &Message{Status: StatusOK, Payload: make([]byte, size)}
+		},
+		index: make(map[dedupKey]int),
+	}
+	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}
+	id := uint64(0)
+	fill := func() {
+		for i := 0; i < dedupWindow; i++ {
+			id++
+			frame := mustEncode(t, &Message{Type: TypeRequest, ID: id, Service: "db"})
+			bp := s.processFrame(context.Background(), frame, from)
+			if bp == nil {
+				t.Fatal("processFrame dropped a valid request")
+			}
+			putBuf(bp)
+		}
+	}
+	fill()
+	size = 100
+	fill()
+
+	total := 0
+	for _, slot := range s.slots {
+		total += cap(slot.buf)
+	}
+	if limit := dedupWindow * dedupKeepCap; total > limit {
+		t.Fatalf("dedup slots hold %d bytes after small replies, want ≤ %d", total, limit)
 	}
 }
 
