@@ -272,10 +272,10 @@ func TestSQLSessionHonorsRepeatDirective(t *testing.T) {
 
 // TestSQLSessionAllocs is the alloc-regression gate for the broker's database
 // access (matched by CI's -run 'Alloc' step): sqlSession.Do against a
-// loopback sqldb.Server, client and server together (measured 20 and 29). The
-// session adds three allocations to the engine's: the payload as a string, the
-// query text on the server, and the rendered table the broker keeps; a fourth
-// is the test's own payload. The range read is the benchmark's shape, 15 rows.
+// loopback sqldb.Server, client and server together, each budget the measured
+// value. The session adds two allocations to the engine's: the query text on
+// the server, and the rendered table the broker keeps; a third is the test's
+// own payload. The range read is the benchmark's shape, 15 rows.
 func TestSQLSessionAllocs(t *testing.T) {
 	engine := sqldb.NewEngine()
 	if err := sqldb.LoadRecords(engine, sqldb.PaperRecordCount); err != nil {
@@ -296,8 +296,8 @@ func TestSQLSessionAllocs(t *testing.T) {
 		rows       int
 		budget     float64
 	}{
-		{"SELECT id, name FROM records WHERE id = 12345", "12345\trecord-012345", 1, 30},
-		{"SELECT id, name, score FROM records WHERE category = 62 AND score BETWEEN 389 AND 427", "", 15, 40},
+		{"SELECT id, name FROM records WHERE id = 12345", "12345\trecord-012345", 1, 8},
+		{"SELECT id, name, score FROM records WHERE category = 62 AND score BETWEEN 389 AND 427", "", 15, 9},
 	} {
 		out, err := s.Do(context.Background(), []byte(tc.sql))
 		if err != nil {

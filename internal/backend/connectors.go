@@ -76,7 +76,7 @@ type sqlSession struct {
 // runs N times (modelling N clustered application requests worth of work)
 // and the final result is returned as the text table Conn.Query renders.
 func (s *sqlSession) Do(ctx context.Context, payload []byte) ([]byte, error) {
-	sql, times := sqldb.ParseRepeat(string(payload))
+	sql, times := sqldb.ParseRepeat(payload)
 	var (
 		table []byte
 		err   error

@@ -268,7 +268,7 @@ func TestDroppedRequestDegradedReply(t *testing.T) {
 	b := newBroker(t, echoConnector("cgi"), WithCache(4, 0))
 	b.results.Put("key", []byte("stale result"))
 	r := &flow{req: &Request{Payload: []byte("key")}, class: qos.Class3, key: "key", shareable: true}
-	resp := b.refuse(r, StatusDropped, "test")
+	resp := b.refuse(r, StatusDropped, newRefusal("test"))
 	if resp.Status != StatusDropped || resp.Fidelity != qos.FidelityDegraded {
 		t.Fatalf("resp = %+v, want dropped/degraded", resp)
 	}

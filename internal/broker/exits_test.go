@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -357,8 +358,10 @@ func TestEveryExitIsOneDisposition(t *testing.T) {
 
 // TestHandleAllocs is the alloc-regression gate for the request path (matched
 // by CI's -run 'Alloc' step): a cache hit allocates its response and nothing
-// else, and a miss the job, its channel, the response and what the backend
-// pool and queue need — no metric name is formatted per request.
+// else. A miss allocates only what it hands on, the backend's body and the
+// response: its job and reply channel are recycled, and no metric name is
+// formatted per request. A cached miss adds the cache key it keeps and its
+// coalesce flight's table entry; the put that evicts reuses the evicted slot.
 func TestHandleAllocs(t *testing.T) {
 	ctx := context.Background()
 	hit := newBroker(t, echoConnector("db"), WithThreshold(64, 3), WithCache(64, 0))
@@ -369,7 +372,30 @@ func TestHandleAllocs(t *testing.T) {
 	}
 	miss := newBroker(t, echoConnector("db"), WithThreshold(64, 3))
 	req = &Request{Payload: []byte("q"), Class: qos.Class1, NoCache: true}
-	if n := testing.AllocsPerRun(1000, func() { miss.Handle(ctx, req) }); n > 8 {
-		t.Errorf("miss allocates %.1f objects/op, want ≤ 8", n)
+	if n := testing.AllocsPerRun(1000, func() { miss.Handle(ctx, req) }); n > 2 {
+		t.Errorf("miss allocates %.1f objects/op, want ≤ 2", n)
+	}
+
+	const entries = 64
+	evict := newBroker(t, echoConnector("db"), WithThreshold(64, 3), WithCache(entries, 0), WithCoalescing())
+	reqs := make([]*Request, 4*entries) // cycled through an LRU a quarter their number: every one misses
+	for i := range reqs {
+		reqs[i] = &Request{Payload: []byte("SELECT v FROM kv WHERE k = " + strconv.Itoa(i)), Class: qos.Class1}
+	}
+	i := 0
+	next := func() {
+		if resp := evict.Handle(ctx, reqs[i%len(reqs)]); resp.Fidelity != qos.FidelityFull {
+			t.Fatalf("resp = %+v, want a full-fidelity miss", resp)
+		}
+		i++
+	}
+	for range reqs {
+		next() // fill the cache and the slab
+	}
+	if n := testing.AllocsPerRun(1000, next); n > 4 {
+		t.Errorf("cached miss that evicts allocates %.1f objects/op, want ≤ 4", n)
+	}
+	if ev := evict.CacheStats().Evictions; ev < 1000 {
+		t.Fatalf("evictions = %d, want every measured miss to evict", ev)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strconv"
+	"sync"
 	"time"
 
 	"servicebroker/internal/metrics"
@@ -46,6 +47,17 @@ type flow struct {
 type job struct {
 	flow
 	resp chan *Response
+}
+
+// jobs recycles jobs together with their reply channels. A job goes back
+// only after its caller has received the reply: one whose caller gave up is
+// left to the collector, since a worker still answers it.
+var jobs = sync.Pool{New: func() any { return &job{resp: make(chan *Response, 1)} }}
+
+// recycle returns a job whose reply has been received to the pool.
+func recycle(j *job) {
+	j.flow = flow{}
+	jobs.Put(j)
 }
 
 // ErrBrokerClosed is returned by Handle after Close.
@@ -215,7 +227,7 @@ func (b *Broker) coalesce(r *flow) (resp *Response) {
 // under light load (loosely coupled services).
 func (b *Broker) enforceContract(r *flow) *Response {
 	if c := b.contract[r.base]; c != nil && !c.Allow() {
-		return b.refuse(r, StatusDropped, "contract exceeded")
+		return b.refuse(r, StatusDropped, refusedContract)
 	}
 	return nil
 }
@@ -225,13 +237,13 @@ func (b *Broker) enforceContract(r *flow) *Response {
 // until release.
 func (b *Broker) admit(r *flow) *Response {
 	b.mu.Lock()
-	closed, reason := b.closed, ""
+	closed, why := b.closed, refusal{}
 	switch {
 	case closed:
 	case b.draining:
-		reason = "draining"
+		why = refusedDraining
 	case !b.policy.AdmitAt(r.class, b.outstanding, b.effectiveThreshold()):
-		reason = "threshold exceeded"
+		why = refusedThreshold
 	default:
 		b.outstanding++
 	}
@@ -240,8 +252,8 @@ func (b *Broker) admit(r *flow) *Response {
 	switch {
 	case closed:
 		return &Response{Status: StatusError, Err: ErrBrokerClosed}
-	case reason != "":
-		return b.refuse(r, StatusShed, reason)
+	case why.body != nil:
+		return b.refuse(r, StatusShed, why)
 	}
 	b.m.outstanding.Set(int64(outstanding))
 	return nil
@@ -259,33 +271,60 @@ func (b *Broker) release() {
 // enqueue hands an admitted request to the workers and waits for its answer.
 // From here on the worker side owns the flow and finishes it.
 func (b *Broker) enqueue(r *flow) *Response {
-	j := &job{flow: *r, resp: make(chan *Response, 1)}
+	j := jobs.Get().(*job)
+	j.flow = *r
 	j.queued = time.Now()
 	if err := b.queue.Push(j.class, j); err != nil {
 		b.release()
-		return b.finish(&j.flow, &Response{Status: StatusError, Err: err})
+		resp := b.finish(&j.flow, &Response{Status: StatusError, Err: err})
+		recycle(j)
+		return resp
 	}
 	b.m.queueLen.Set(int64(b.queue.Len()))
 	select {
 	case resp := <-j.resp:
+		recycle(j)
 		return resp
 	case <-r.ctx.Done():
 		// The worker still runs the job (resp is buffered) and finishes it:
 		// an effect that executes after the caller gave up is recorded, so
-		// the caller's retry replays it. Only the coalesce flight is let go
-		// now: its waiters must not sit out this caller's queue wait, and
-		// their retry will hit the cache the worker warms.
+		// the caller's retry replays it. That is also why the job is not
+		// recycled. Only the coalesce flight is let go now: its waiters must
+		// not sit out this caller's queue wait, and their retry will hit the
+		// cache the worker warms.
 		j.flight.Cancel()
 		return &Response{Status: StatusError, Err: r.ctx.Err()}
 	}
 }
 
+// refusal is one reason the broker will not forward a request, with the
+// busy message that names it.
+type refusal struct {
+	reason string
+	body   []byte // BusyMessage + " (" + reason + ")"
+}
+
+func newRefusal(reason string) refusal {
+	b := []byte(BusyMessage + " (" + reason + ")")
+	// Every refusal for this reason answers with these bytes; capped, so a
+	// caller that appends to its payload copies instead of writing here.
+	return refusal{reason: reason, body: b[:len(b):len(b)]}
+}
+
+// The refusals, built once: under overload most requests get one.
+var (
+	refusedContract  = newRefusal("contract exceeded")
+	refusedDraining  = newRefusal("draining")
+	refusedThreshold = newRefusal("threshold exceeded")
+	refusedSojourn   = newRefusal("sojourn budget exceeded")
+)
+
 // refuse builds the immediate low-fidelity answer for a request the broker
 // will not forward: a cached result when one has appeared, else the busy
 // message. StatusDropped is a policy decision retrying will not change;
 // StatusShed is transient overload and carries a retry-after hint.
-func (b *Broker) refuse(r *flow, status Status, reason string) *Response {
-	r.tr.SetNote(reason)
+func (b *Broker) refuse(r *flow, status Status, why refusal) *Response {
+	r.tr.SetNote(why.reason)
 	resp := &Response{Status: status, Fidelity: qos.FidelityBusy}
 	if status == StatusShed {
 		resp.RetryAfter = b.retryAfterHint()
@@ -298,7 +337,7 @@ func (b *Broker) refuse(r *flow, status Status, reason string) *Response {
 		}
 	}
 	b.m.busyReplies.Inc()
-	resp.Payload = []byte(BusyMessage + " (" + reason + ")")
+	resp.Payload = why.body
 	return resp
 }
 
@@ -330,7 +369,7 @@ func (b *Broker) evictExpired(j *job, _ qos.Class, wait time.Duration) {
 	j.tr.Span(trace.StageQueue, j.queued, time.Now(), "sojourn evicted")
 	b.sloStage(j.class, trace.StageQueue, wait)
 	b.release()
-	j.resp <- b.finish(&j.flow, b.refuse(&j.flow, StatusShed, "sojourn budget exceeded"))
+	j.resp <- b.finish(&j.flow, b.refuse(&j.flow, StatusShed, refusedSojourn))
 }
 
 // congested tells the adaptive limiter, when there is one, that the broker

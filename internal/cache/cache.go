@@ -19,7 +19,7 @@
 package cache
 
 import (
-	"container/list"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,25 +71,35 @@ type Cache struct {
 	seq atomic.Uint64
 }
 
-// shard is one lock domain: a private LRU list, index, and byte budget.
-// Mutating stats are atomics so Stats can aggregate without a lock sweep on
-// the counters (Entries/Bytes still take the shard lock briefly).
+// shard is one lock domain: a slab of entries linked into an LRU list by
+// slot index, a key → slot index, and a byte budget. The slab grows by
+// append until the shard is full; after that a put that evicts reuses the
+// evicted entry's slot, so a miss that fills the cache allocates nothing
+// but what the caller keeps. Mutating stats are atomics so Stats can
+// aggregate without a lock sweep on the counters (Entries/Bytes still take
+// the shard lock briefly).
 type shard struct {
 	mu         sync.Mutex
 	maxEntries int
 	maxBytes   int64
-	ll         *list.List // front = most recently used
-	items      map[string]*list.Element
+	slots      []entry          // at most maxEntries
+	index      map[string]int32 // key → slot
+	head, tail int32            // most / least recently used slot
+	free       int32            // slots given up by Delete or the byte budget, chained by next
 	bytes      int64
 
 	hits, misses, evictions, expired, staleHits atomic.Int64
 }
 
+// noSlot ends the LRU list and the free chain.
+const noSlot int32 = -1
+
 type entry struct {
-	key     string
-	value   []byte
-	expires time.Time // zero means never
-	seq     uint64    // global access clock at last promotion
+	key        string
+	value      []byte
+	expires    time.Time // zero means never
+	seq        uint64    // global access clock at last promotion
+	prev, next int32     // LRU neighbours toward head / tail
 }
 
 // Option configures a Cache.
@@ -196,10 +206,10 @@ func New(maxEntries int, opts ...Option) *Cache {
 		s := &shard{
 			// Integer division under-allocates the remainder, keeping the
 			// global entry/byte invariants strict: Σ per-shard ≤ global.
-			maxEntries: maxEntries / n,
-			ll:         list.New(),
-			items:      make(map[string]*list.Element),
+			// Slot indices are int32, which caps a shard there.
+			maxEntries: min(maxEntries/n, math.MaxInt32),
 		}
+		s.reset()
 		if c.maxBytes > 0 {
 			s.maxBytes = c.maxBytes / int64(n)
 		}
@@ -231,14 +241,14 @@ func (c *Cache) shardFor(key string) *shard {
 func (c *Cache) Get(key string) ([]byte, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	el, ok := s.items[key]
+	i, ok := s.index[key]
 	if !ok {
 		s.mu.Unlock()
 		s.misses.Add(1)
 		c.access(key, false)
 		return nil, false
 	}
-	e := el.Value.(*entry)
+	e := &s.slots[i]
 	if c.isExpired(e) {
 		s.mu.Unlock()
 		s.expired.Add(1)
@@ -246,7 +256,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		c.access(key, false)
 		return nil, false
 	}
-	s.ll.MoveToFront(el)
+	s.moveToFront(i)
 	e.seq = c.seq.Add(1)
 	v := e.value
 	s.mu.Unlock()
@@ -271,14 +281,14 @@ func (c *Cache) access(key string, hit bool) {
 func (c *Cache) GetStale(key string) ([]byte, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	el, ok := s.items[key]
+	i, ok := s.index[key]
 	if !ok {
 		s.mu.Unlock()
 		s.misses.Add(1)
 		c.access(key, false)
 		return nil, false
 	}
-	e := el.Value.(*entry)
+	e := &s.slots[i]
 	if c.isExpired(e) {
 		v := e.value
 		s.mu.Unlock()
@@ -286,7 +296,7 @@ func (c *Cache) GetStale(key string) ([]byte, bool) {
 		c.access(key, false)
 		return v, true
 	}
-	s.ll.MoveToFront(el)
+	s.moveToFront(i)
 	e.seq = c.seq.Add(1)
 	v := e.value
 	s.mu.Unlock()
@@ -309,19 +319,21 @@ func (c *Cache) PutTTL(key string, value []byte, ttl time.Duration) {
 	}
 	s := c.shardFor(key)
 	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		e := el.Value.(*entry)
+	if i, ok := s.index[key]; ok {
+		e := &s.slots[i]
 		s.bytes += int64(len(value)) - int64(len(e.value))
 		e.value = value
 		e.expires = expires
 		e.seq = c.seq.Add(1)
-		s.ll.MoveToFront(el)
+		s.moveToFront(i)
 	} else {
-		el := s.ll.PushFront(&entry{key: key, value: value, expires: expires, seq: c.seq.Add(1)})
-		s.items[key] = el
+		i := s.slot()
+		s.slots[i] = entry{key: key, value: value, expires: expires, seq: c.seq.Add(1)}
+		s.pushFront(i)
+		s.index[key] = i
 		s.bytes += int64(len(value))
 	}
-	s.evictOverflow()
+	s.evictOverBudget()
 	s.mu.Unlock()
 }
 
@@ -330,12 +342,11 @@ func (c *Cache) Delete(key string) bool {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		return false
+	i, ok := s.index[key]
+	if ok {
+		s.release(i)
 	}
-	s.removeElement(el)
-	return true
+	return ok
 }
 
 // Len returns the number of live entries (including any not yet observed to
@@ -344,7 +355,7 @@ func (c *Cache) Len() int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		n += s.ll.Len()
+		n += len(s.index)
 		s.mu.Unlock()
 	}
 	return n
@@ -354,9 +365,7 @@ func (c *Cache) Len() int {
 func (c *Cache) Clear() {
 	for _, s := range c.shards {
 		s.mu.Lock()
-		s.ll.Init()
-		s.items = make(map[string]*list.Element)
-		s.bytes = 0
+		s.reset()
 		s.mu.Unlock()
 	}
 }
@@ -392,7 +401,7 @@ func (c *Cache) Shards() int { return len(c.shards) }
 // snapshot reads one shard's counters.
 func (s *shard) snapshot() Stats {
 	s.mu.Lock()
-	entries, bytes := s.ll.Len(), s.bytes
+	entries, bytes := len(s.index), s.bytes
 	s.mu.Unlock()
 	return Stats{
 		Hits:      s.hits.Load(),
@@ -416,8 +425,8 @@ func (c *Cache) Keys() []string {
 	var all []stamped
 	for _, s := range c.shards {
 		s.mu.Lock()
-		for el := s.ll.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
+		for i := s.head; i != noSlot; i = s.slots[i].next {
+			e := &s.slots[i]
 			all = append(all, stamped{key: e.key, seq: e.seq})
 		}
 		s.mu.Unlock()
@@ -435,23 +444,89 @@ func (c *Cache) isExpired(e *entry) bool {
 	return !e.expires.IsZero() && c.now().After(e.expires)
 }
 
-// evictOverflow drops LRU entries until both shard bounds hold. Caller
+// reset empties the shard. Caller holds s.mu, or owns s.
+func (s *shard) reset() {
+	s.slots, s.index = nil, make(map[string]int32)
+	s.head, s.tail, s.free = noSlot, noSlot, noSlot
+	s.bytes = 0
+}
+
+// slot returns a slot for a new entry: the least recently used entry's when
+// the shard is full (evicting it), else one Delete or the byte budget gave
+// up, else a new one at the end of the slab. Caller holds s.mu.
+func (s *shard) slot() int32 {
+	switch {
+	case len(s.index) >= s.maxEntries:
+		i := s.tail
+		s.drop(i)
+		s.evictions.Add(1)
+		return i
+	case s.free != noSlot:
+		i := s.free
+		s.free = s.slots[i].next
+		return i
+	}
+	s.slots = append(s.slots, entry{})
+	return int32(len(s.slots) - 1)
+}
+
+// evictOverBudget drops LRU entries until the byte budget holds. Caller
 // holds s.mu.
-func (s *shard) evictOverflow() {
-	for s.ll.Len() > s.maxEntries || (s.maxBytes > 0 && s.bytes > s.maxBytes && s.ll.Len() > 0) {
-		el := s.ll.Back()
-		if el == nil {
-			return
-		}
-		s.removeElement(el)
+func (s *shard) evictOverBudget() {
+	for s.maxBytes > 0 && s.bytes > s.maxBytes && s.tail != noSlot {
+		s.release(s.tail)
 		s.evictions.Add(1)
 	}
 }
 
-// removeElement unlinks el. Caller holds s.mu.
-func (s *shard) removeElement(el *list.Element) {
-	e := el.Value.(*entry)
-	s.ll.Remove(el)
-	delete(s.items, e.key)
+// drop takes slot i's entry out of the LRU list and the index. Caller holds
+// s.mu.
+func (s *shard) drop(i int32) {
+	e := &s.slots[i]
+	s.unlink(i)
+	delete(s.index, e.key)
 	s.bytes -= int64(len(e.value))
+}
+
+// release drops slot i's entry, lets go of its key and value, and chains
+// the slot onto the free list. Caller holds s.mu.
+func (s *shard) release(i int32) {
+	s.drop(i)
+	s.slots[i] = entry{next: s.free}
+	s.free = i
+}
+
+// pushFront links slot i in as the most recently used. Caller holds s.mu.
+func (s *shard) pushFront(i int32) {
+	e := &s.slots[i]
+	e.prev, e.next = noSlot, s.head
+	if s.head != noSlot {
+		s.slots[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
+}
+
+// unlink takes slot i out of the LRU list. Caller holds s.mu.
+func (s *shard) unlink(i int32) {
+	e := &s.slots[i]
+	if e.prev != noSlot {
+		s.slots[e.prev].next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next != noSlot {
+		s.slots[e.next].prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+}
+
+// moveToFront makes slot i the most recently used. Caller holds s.mu.
+func (s *shard) moveToFront(i int32) {
+	if s.head != i {
+		s.unlink(i)
+		s.pushFront(i)
+	}
 }

@@ -151,6 +151,37 @@ func TestCacheHitAllocs(t *testing.T) {
 	}
 }
 
+// TestCachePutAllocs pins the miss path's fill: once a shard is full, a Put
+// that evicts reuses the evicted entry's slot, and a Put that updates a key
+// reuses its own, so neither allocates.
+func TestCachePutAllocs(t *testing.T) {
+	const n = 64
+	c := New(n, WithShards(1))
+	keys := make([]string, 4*n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
+	value := []byte("result")
+	for _, k := range keys[:n] {
+		c.Put(k, value)
+	}
+	i := 0
+	evicting := testing.AllocsPerRun(1000, func() {
+		c.Put(keys[n+i%(3*n)], value)
+		i++
+	})
+	if evicting > 0 {
+		t.Errorf("evicting Put = %.1f allocs/op, want 0", evicting)
+	}
+	if ev := c.Stats().Evictions; ev < 1000 {
+		t.Fatalf("evictions = %d, want every measured Put to evict", ev)
+	}
+	updating := testing.AllocsPerRun(1000, func() { c.Put(keys[n], value) })
+	if updating > 0 {
+		t.Errorf("updating Put = %.1f allocs/op, want 0", updating)
+	}
+}
+
 // benchParallelGet measures Get throughput with exactly 8 goroutines
 // hammering a shared working set — the broker hot path under concurrent
 // load, and the shape the ISSUE's ≥3× acceptance bar is stated in.

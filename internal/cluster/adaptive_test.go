@@ -193,7 +193,7 @@ func TestBatcherAdaptiveDegreeLive(t *testing.T) {
 	var mu sync.Mutex
 	sizes := []int{}
 	do := func(ctx context.Context, payload []byte) ([]byte, error) {
-		_, n := sqldb.ParseRepeat(string(payload))
+		_, n := sqldb.ParseRepeat(payload)
 		mu.Lock()
 		sizes = append(sizes, n)
 		mu.Unlock()

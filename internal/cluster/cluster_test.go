@@ -28,8 +28,8 @@ func TestRepeatCombiner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sql, times := sqldb.ParseRepeat(string(combined))
-	if sql != string(q) || times != 3 {
+	sql, times := sqldb.ParseRepeat(combined)
+	if string(sql) != string(q) || times != 3 {
 		t.Fatalf("combined = (%q, %d)", sql, times)
 	}
 	parts, err := c.Split([]byte("result"), 3)
@@ -191,7 +191,7 @@ func TestBatcherDegreeOneDisablesClustering(t *testing.T) {
 	}
 	// None of the dispatched payloads should carry a repeat directive.
 	for _, p := range calls.payloads {
-		if _, times := sqldb.ParseRepeat(string(p)); times != 1 {
+		if _, times := sqldb.ParseRepeat(p); times != 1 {
 			t.Fatalf("degree-1 payload had repeat=%d", times)
 		}
 	}
@@ -200,7 +200,7 @@ func TestBatcherDegreeOneDisablesClustering(t *testing.T) {
 func TestBatcherRespectsDegreeCap(t *testing.T) {
 	var maxBatch atomic.Int64
 	do := func(_ context.Context, p []byte) ([]byte, error) {
-		_, times := sqldb.ParseRepeat(string(p))
+		_, times := sqldb.ParseRepeat(p)
 		for {
 			cur := maxBatch.Load()
 			if int64(times) <= cur || maxBatch.CompareAndSwap(cur, int64(times)) {
@@ -248,8 +248,8 @@ func TestBatcherSeparatesIncompatibleRequests(t *testing.T) {
 			}
 			// RepeatCombiner shares the combined result; strip directive to
 			// verify the right query was executed.
-			sql, _ := sqldb.ParseRepeat(string(out))
-			if sql != q {
+			sql, _ := sqldb.ParseRepeat(out)
+			if string(sql) != q {
 				t.Errorf("result %q for query %q (cross-batch mixing)", out, q)
 			}
 		}(i)

@@ -217,7 +217,7 @@ func runAdaptiveClusteringScenario(ctx context.Context, cfg AdaptiveClusteringCo
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			_, n := sqldb.ParseRepeat(string(payload))
+			_, n := sqldb.ParseRepeat(payload)
 			gate.acquire()
 			// The paper's CGI cost model: one connection handshake, then the
 			// query workload repeated once per clustered request.

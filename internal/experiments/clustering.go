@@ -108,7 +108,7 @@ func newClusteringStack(cfg ClusteringConfig, degree int) (*clusteringStack, err
 		defer conn.Close()
 		var table []byte
 		for i := 0; i < n; i++ {
-			if table, err = conn.Query(sql); err != nil {
+			if table, err = conn.Query([]byte(sql)); err != nil {
 				return httpserver.Error(500, err.Error())
 			}
 		}
@@ -125,9 +125,9 @@ func newClusteringStack(cfg ClusteringConfig, degree int) (*clusteringStack, err
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			sql, times := sqldb.ParseRepeat(string(payload))
+			sql, times := sqldb.ParseRepeat(payload)
 			resp, err := webClient.Get("/script", map[string]string{
-				"q": sql, "n": strconv.Itoa(times),
+				"q": string(sql), "n": strconv.Itoa(times),
 			})
 			if err != nil {
 				return nil, err

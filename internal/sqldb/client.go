@@ -119,7 +119,7 @@ func handshake(nc net.Conn, user, pass string) (*Conn, error) {
 
 // Query executes one SQL statement and returns its result rendered as the
 // text table ResultSet.String prints for it. The slice is the caller's.
-func (c *Conn) Query(sql string) ([]byte, error) {
+func (c *Conn) Query(sql []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {

@@ -531,12 +531,12 @@ func TestRepeatQueryDirective(t *testing.T) {
 		{"/*repeat=oops*/ " + sql, 1},
 		{"/*repeat=3 " + sql, 1},
 	} {
-		bare, times := ParseRepeat(tc.in)
+		bare, times := ParseRepeat([]byte(tc.in))
 		want := tc.in
 		if tc.times > 1 {
 			want = sql
 		}
-		if bare != want || times != tc.times {
+		if string(bare) != want || times != tc.times {
 			t.Errorf("ParseRepeat(%q) = (%q, %d), want (%q, %d)", tc.in, bare, times, want, tc.times)
 		}
 	}

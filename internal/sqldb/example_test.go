@@ -32,8 +32,8 @@ func ExampleEngine() {
 func ExampleRepeatQuery() {
 	wrapped := sqldb.RepeatQuery("SELECT COUNT(*) FROM records", 5)
 	fmt.Println(wrapped)
-	sql, times := sqldb.ParseRepeat(wrapped)
-	fmt.Println(sql, times)
+	sql, times := sqldb.ParseRepeat([]byte(wrapped))
+	fmt.Println(string(sql), times)
 	// Output:
 	// /*repeat=5*/ SELECT COUNT(*) FROM records
 	// SELECT COUNT(*) FROM records 5

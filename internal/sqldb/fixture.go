@@ -1,10 +1,10 @@
 package sqldb
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strconv"
-	"strings"
 )
 
 // RecordsTable is the name of the fixture table used by the request
@@ -85,19 +85,20 @@ func RepeatQuery(sql string, times int) string {
 // ParseRepeat extracts the repetition directive from a query produced by
 // RepeatQuery, returning the bare SQL and the repeat count. A directive is
 // decimal digits only, 1 to MaxRepeat; anything else is not a directive, and
-// the query comes back whole with count 1 (the engine rejects it).
-func ParseRepeat(sql string) (string, int) {
-	rest, ok := strings.CutPrefix(sql, "/*repeat=")
+// the query comes back whole with count 1 (the engine rejects it). The bare
+// SQL is a subslice of sql.
+func ParseRepeat(sql []byte) ([]byte, int) {
+	rest, ok := bytes.CutPrefix(sql, []byte("/*repeat="))
 	if !ok {
 		return sql, 1
 	}
-	digits, query, ok := strings.Cut(rest, "*/")
-	if !ok || strings.Trim(digits, "0123456789") != "" {
+	digits, query, ok := bytes.Cut(rest, []byte("*/"))
+	if !ok || len(bytes.Trim(digits, "0123456789")) != 0 {
 		return sql, 1
 	}
-	times, err := strconv.Atoi(digits)
+	times, err := strconv.Atoi(string(digits))
 	if err != nil || times < 1 || times > MaxRepeat {
 		return sql, 1
 	}
-	return strings.TrimSpace(query), times
+	return bytes.TrimSpace(query), times
 }

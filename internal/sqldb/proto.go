@@ -46,7 +46,7 @@ var (
 	ErrAuthFailed = errors.New("sqldb: authentication failed")
 )
 
-func appendString(buf []byte, s string) []byte {
+func appendString[T string | []byte](buf []byte, s T) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
 	return append(buf, s...)
 }

@@ -362,7 +362,7 @@ func TestClientServerQuery(t *testing.T) {
 		{"SELECT k, v FROM kv WHERE k > 1 ORDER BY k", "k\tv\n2\ttwo\n3\tthree\n"},
 		{"SELECT COUNT(*), AVG(k), MAX(v) FROM kv WHERE k > 9", "count\tavg\tmax\n0\tNULL\tNULL\n"},
 	} {
-		got, err := conn.Query(tc.sql)
+		got, err := conn.Query([]byte(tc.sql))
 		if err != nil || string(got) != tc.want {
 			t.Fatalf("Query(%s) = %q, %v; want %q", tc.sql, got, err, tc.want)
 		}
@@ -391,11 +391,11 @@ func TestClientServerQueryError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Query("SELECT * FROM missing"); err == nil {
+	if _, err := conn.Query([]byte("SELECT * FROM missing")); err == nil {
 		t.Fatal("query on missing table succeeded")
 	}
 	// Session survives an error response.
-	if got, err := conn.Query("SELECT k FROM kv"); err != nil || string(got) != "k\n1\n2\n" {
+	if got, err := conn.Query([]byte("SELECT k FROM kv")); err != nil || string(got) != "k\n1\n2\n" {
 		t.Fatalf("after an error: %q, %v", got, err)
 	}
 }
@@ -426,7 +426,7 @@ func TestHandshakeDelayApplied(t *testing.T) {
 	}
 	// Queries on the established connection do NOT pay the delay again.
 	start = time.Now()
-	if _, err := conn.Query("SELECT k FROM kv"); err != nil {
+	if _, err := conn.Query([]byte("SELECT k FROM kv")); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > delay {
@@ -450,7 +450,7 @@ func TestExecSlotsSerializeQueries(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			if _, err := conn.Query("SELECT k FROM kv"); err != nil {
+			if _, err := conn.Query([]byte("SELECT k FROM kv")); err != nil {
 				t.Errorf("query: %v", err)
 			}
 		}()
@@ -480,8 +480,8 @@ func TestServerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.Query("SELECT k FROM kv")
-	conn.Query("SELECT * FROM missing")
+	conn.Query([]byte("SELECT k FROM kv"))
+	conn.Query([]byte("SELECT * FROM missing"))
 	reg := srv.Metrics()
 	if got := reg.Counter("queries").Value(); got != 2 {
 		t.Fatalf("queries = %d, want 2", got)
@@ -501,7 +501,7 @@ func TestConnClosedOperations(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
-	if _, err := conn.Query("SELECT k FROM kv"); !errors.Is(err, ErrConnClosed) {
+	if _, err := conn.Query([]byte("SELECT k FROM kv")); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("query err = %v, want ErrConnClosed", err)
 	}
 	if err := conn.Ping(); !errors.Is(err, ErrConnClosed) {
@@ -520,7 +520,7 @@ func TestServerCloseTerminatesSessions(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Query("SELECT k FROM kv"); err == nil {
+	if _, err := conn.Query([]byte("SELECT k FROM kv")); err == nil {
 		t.Fatal("query succeeded after server close")
 	}
 	srv.Close() // idempotent
@@ -540,7 +540,7 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			defer conn.Close()
 			for j := 0; j < 20; j++ {
-				got, err := conn.Query("SELECT v FROM kv WHERE k = 1")
+				got, err := conn.Query([]byte("SELECT v FROM kv WHERE k = 1"))
 				if err != nil {
 					t.Errorf("client %d query %d: %v", i, j, err)
 					return

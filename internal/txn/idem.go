@@ -36,18 +36,19 @@ const (
 	idemCancelled                      // owner settled without one
 )
 
-// idemEntry is one table slot. ready is closed when the entry leaves the
-// pending state so coalesced duplicates wake up; state and out are not
-// written after that, so waiters read them without the table lock. The two
-// tickets every arrival is handed live in the entry, so joining a flight
-// allocates nothing.
+// idemEntry is one table slot. ready is made by the first coalesced
+// duplicate, under the table lock, and closed when the entry leaves the
+// pending state so the duplicates wake up; an entry nobody waited on never
+// has one. state and out are not written after that, so waiters read them
+// without the table lock. The two tickets every arrival is handed live in
+// the entry, so joining a flight allocates nothing.
 type idemEntry struct {
 	t     *IdemTable
 	key   string
 	state idemState
 	out   Outcome
-	ready chan struct{}
-	at    time.Time // record time, drives TTL expiry and FIFO eviction
+	ready chan struct{} // nil until someone waits
+	at    time.Time     // record time, drives TTL expiry and FIFO eviction
 
 	owner, waiter Ticket
 }
@@ -167,6 +168,9 @@ func (t *IdemTable) Acquire(key string) (Outcome, bool, *Ticket) {
 	defer t.mu.Unlock()
 	if e, ok := t.entries[key]; ok {
 		if e.state == idemPending {
+			if e.ready == nil {
+				e.ready = make(chan struct{})
+			}
 			t.coalesced++
 			return Outcome{}, false, &e.waiter
 		}
@@ -176,7 +180,7 @@ func (t *IdemTable) Acquire(key string) (Outcome, bool, *Ticket) {
 		}
 		// Recorded but expired: the window closed; treat as first arrival.
 	}
-	e := &idemEntry{t: t, key: key, state: idemPending, ready: make(chan struct{})}
+	e := &idemEntry{t: t, key: key, state: idemPending}
 	e.owner = Ticket{e: e, owner: true}
 	e.waiter = Ticket{e: e}
 	t.entries[key] = e
@@ -239,10 +243,17 @@ func (tk *Ticket) settle(state idemState, out Outcome, record bool) {
 	} else {
 		delete(t.entries, e.key)
 	}
-	close(e.ready)
+	e.wake()
 	t.mu.Unlock()
 	if fn != nil {
 		fn(e.key, out)
+	}
+}
+
+// wake releases the entry's waiters, if it has any. Caller holds t.mu.
+func (e *idemEntry) wake() {
+	if e.ready != nil {
+		close(e.ready)
 	}
 }
 
@@ -255,11 +266,9 @@ func (t *IdemTable) Restore(key string, out Outcome) {
 	defer t.mu.Unlock()
 	if e, ok := t.entries[key]; ok && e.state == idemPending {
 		e.state, e.out = idemDone, out
-		close(e.ready)
+		e.wake()
 	}
-	ready := make(chan struct{})
-	close(ready)
-	e := &idemEntry{t: t, key: key, state: idemDone, out: out, ready: ready}
+	e := &idemEntry{t: t, key: key, state: idemDone, out: out}
 	t.entries[key] = e
 	t.recordLocked(e)
 	t.restored++

@@ -300,4 +300,18 @@ func TestIdemTableAllocHotPath(t *testing.T) {
 	if lookups > 0 {
 		t.Fatalf("Lookup allocates %.1f objects/op, want 0", lookups)
 	}
+
+	// A flight nobody waits on — the coalescing broker's every cache miss —
+	// costs its entry alone: the wake-up channel is made by a first waiter.
+	flight := IdemKey("t1", 3, "read")
+	flights := testing.AllocsPerRun(1000, func() {
+		_, _, tk := tbl.Acquire(flight)
+		if !tk.Owner() {
+			t.Fatal("flight not owned")
+		}
+		tk.Share(Outcome{Status: 1})
+	})
+	if flights > 1 {
+		t.Fatalf("unwaited flight allocates %.1f objects/op, want 1", flights)
+	}
 }

@@ -223,12 +223,12 @@ func (t *Tracker) Begin(id string) error {
 // Observe records one access for transaction id at the given step,
 // creating the transaction on first sight (brokers learn about transactions
 // from tagged requests, not from explicit begins). The step may only grow.
-func (t *Tracker) Observe(id string, step int) (*State, error) {
+func (t *Tracker) Observe(id string, step int) (State, error) {
 	if id == "" {
-		return nil, errors.New("txn: empty id")
+		return State{}, errors.New("txn: empty id")
 	}
 	if step < 1 {
-		return nil, fmt.Errorf("%w: %d", ErrBadStep, step)
+		return State{}, fmt.Errorf("%w: %d", ErrBadStep, step)
 	}
 	t.mu.Lock()
 	now := t.now()
@@ -246,7 +246,7 @@ func (t *Tracker) Observe(id string, step int) (*State, error) {
 	if step < s.Step {
 		t.mu.Unlock()
 		t.finishAborts(abandoned, true)
-		return nil, fmt.Errorf("%w: %d after %d", ErrBadStep, step, s.Step)
+		return State{}, fmt.Errorf("%w: %d after %d", ErrBadStep, step, s.Step)
 	}
 	s.Step = step
 	s.Accesses++
@@ -254,7 +254,7 @@ func (t *Tracker) Observe(id string, step int) (*State, error) {
 	cp := *s
 	t.mu.Unlock()
 	t.finishAborts(abandoned, true)
-	return &cp, nil
+	return cp, nil
 }
 
 // Touch refreshes a transaction's idle clock without counting an access
