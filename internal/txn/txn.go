@@ -16,7 +16,8 @@
 //     accounts for partial compensation (a compensation that itself fails);
 //   - abandonment sweeps: the active table is TTL'd, so a transaction whose
 //     client vanished mid-flight is eventually aborted (compensations and
-//     all) instead of leaking forever;
+//     all) instead of leaking forever; with no TTL, the least recently seen
+//     transactions holding no compensation are forgotten past untimedCap;
 //   - an idempotency table plus crash-safe journal (idem.go, journal.go):
 //     retried or failed-over mutating accesses are answered with the
 //     recorded first outcome instead of re-executing the backend effect.
@@ -144,6 +145,9 @@ type Tracker struct {
 	ttl       time.Duration
 	lastSweep time.Time
 	onAbandon func(State)
+	// forgetAt is the active count past which insertLocked forgets, with no
+	// TTL; a pass sets it to twice what it left, so passes stay amortised.
+	forgetAt int
 
 	completed   int
 	aborted     int
@@ -155,10 +159,44 @@ type Tracker struct {
 // NewTracker returns an empty tracker with abandonment sweeping disabled.
 func NewTracker() *Tracker {
 	return &Tracker{
-		active: make(map[string]*State),
-		comps:  make(map[string][]compensation),
-		now:    time.Now,
+		active:   make(map[string]*State),
+		comps:    make(map[string][]compensation),
+		now:      time.Now,
+		forgetAt: untimedCap,
 	}
+}
+
+// untimedCap bounds the active table when no TTL is set. A broker uses the
+// tracker for step monotonicity and /txnz, so a transaction that never
+// completes and holds no compensation can go once newer ones crowd it out;
+// one that holds compensations stays until it completes or aborts.
+const untimedCap = 4096
+
+// insertLocked starts tracking id and, with no TTL, forgets the least
+// recently seen other transactions holding no compensation once the table
+// passes forgetAt, down to half of untimedCap. Forgetting is not aborting: no
+// compensation runs and no counter moves. Caller holds t.mu.
+func (t *Tracker) insertLocked(id string, step int, now time.Time) *State {
+	s := &State{ID: id, Step: step, Started: now, LastSeen: now}
+	t.active[id] = s
+	if t.ttl > 0 || len(t.active) <= t.forgetAt {
+		return s
+	}
+	var idle []*State
+	for _, a := range t.active {
+		if a != s && a.Compensations == 0 {
+			idle = append(idle, a)
+		}
+	}
+	sort.Slice(idle, func(i, j int) bool { return idle[i].LastSeen.Before(idle[j].LastSeen) })
+	for _, a := range idle {
+		if len(t.active) <= untimedCap/2 {
+			break
+		}
+		delete(t.active, a.ID)
+	}
+	t.forgetAt = max(untimedCap, 2*len(t.active))
+	return s
 }
 
 // SetClock overrides the tracker's time source (deterministic tests).
@@ -215,8 +253,7 @@ func (t *Tracker) Begin(id string) error {
 		}
 		return fmt.Errorf("txn: %s already active at step %d", id, s.Step)
 	}
-	now := t.now()
-	t.active[id] = &State{ID: id, Step: 1, Started: now, LastSeen: now}
+	t.insertLocked(id, 1, t.now())
 	return nil
 }
 
@@ -240,8 +277,7 @@ func (t *Tracker) Observe(id string, step int) (State, error) {
 	}
 	s, ok := t.active[id]
 	if !ok {
-		s = &State{ID: id, Step: step, Started: now, LastSeen: now}
-		t.active[id] = s
+		s = t.insertLocked(id, step, now)
 	}
 	if step < s.Step {
 		t.mu.Unlock()

@@ -349,6 +349,44 @@ func TestAbandonmentSweep(t *testing.T) {
 	}
 }
 
+// With no TTL the tracker still stays bounded: past 4,096 transactions it
+// forgets the least recently seen of those holding no compensation. Forgetting
+// is not aborting — nothing runs and nothing counts — and a transaction with
+// a compensation to run is never forgotten this way.
+func TestUntimedTrackerForgetsLeastRecentlySeen(t *testing.T) {
+	now := time.Unix(1000, 0)
+	tr := NewTracker()
+	tr.SetClock(func() time.Time { now = now.Add(time.Millisecond); return now })
+	tr.Observe("held", 1)
+	ran := false
+	if err := tr.RegisterCompensation("held", 1, "undo", func(context.Context) error {
+		ran = true
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10000; i++ {
+		if _, err := tr.Observe(fmt.Sprintf("one-shot-%d", i), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := tr.ActiveCount(); n > 4096 {
+		t.Fatalf("active = %d after 10,000 one-step transactions, want ≤ 4,096", n)
+	}
+	if _, ok := tr.Lookup("held"); !ok {
+		t.Fatal("transaction holding a compensation was forgotten")
+	}
+	if _, ok := tr.Lookup("one-shot-9999"); !ok {
+		t.Fatal("most recent transaction was forgotten")
+	}
+	if _, ok := tr.Lookup("one-shot-0"); ok {
+		t.Fatal("least recently seen transaction is still tracked")
+	}
+	if _, aborted := tr.Stats(); ran || aborted != 0 || tr.Abandoned() != 0 {
+		t.Fatalf("forgetting aborted: compensation ran %v, aborted %d, abandoned %d", ran, aborted, tr.Abandoned())
+	}
+}
+
 // Sweep with no TTL configured is a no-op.
 func TestSweepDisabledByDefault(t *testing.T) {
 	tr := NewTracker()

@@ -212,43 +212,56 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestServerPathZeroAllocs pins the ISSUE's acceptance criterion: the
-// server's decode→dedup→encode path runs without allocating once warm, on
-// both the execute path (handler mutates the pooled request in place) and
-// the duplicate path (answered from the dedup ring).
+// testServer is a Server with no socket, for driving processFrame directly.
+func testServer(h Handler) *Server {
+	return &Server{handler: h, peers: make(map[peerKey]*peer)}
+}
+
+// inPlace answers by mutating the pooled request, as the gateway does.
+func inPlace(_ context.Context, _ net.Addr, req *Message) *Message {
+	req.Status = StatusOK
+	return req
+}
+
+// stampedFrames returns a function that encodes req as the next call of a
+// sequential client, stamped as Client.Call stamps it: an incarnation in the
+// upper half of the ID, and the call's own ID as its ack.
+func stampedFrames(req *Message) func() []byte {
+	fb := make([]byte, 0, MaxFrame)
+	id := uint64(7) << 32
+	return func() []byte {
+		id++
+		req.ID, req.Ack = id, id
+		frame, err := AppendEncode(fb[:0], req)
+		if err != nil {
+			panic(err)
+		}
+		return frame
+	}
+}
+
+// TestServerPathZeroAllocs pins the server's decode→dedup→encode path at zero
+// allocations once warm, on both the execute path (the handler mutates the
+// pooled request in place) and the duplicate path (answered from the kept
+// reply), for frames stamped the way Client.Call stamps them.
 func TestServerPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool puts by design; pooled paths allocate under -race")
 	}
-	s := &Server{
-		handler: func(_ context.Context, _ net.Addr, req *Message) *Message {
-			req.Status = StatusOK
-			return req
-		},
-		index: make(map[dedupKey]int),
-	}
+	s := testServer(inPlace)
 	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}
 	ctx := context.Background()
-	req := &Message{Type: TypeRequest, Service: "db", Class: qos.Class1, Payload: []byte("select * from shows")}
-
-	// Fill the dedup ring past its window so steady-state inserts recycle
-	// slots (and the index map reaches its final size) before measuring.
-	id := uint64(0)
-	fb := make([]byte, 0, MaxFrame)
+	next := stampedFrames(&Message{Type: TypeRequest, Service: "db", Class: qos.Class1, Payload: []byte("select * from shows")})
+	var frame []byte
 	sendOne := func() {
-		id++
-		req.ID = id
-		frame, err := AppendEncode(fb[:0], req)
-		if err != nil {
-			t.Fatal(err)
-		}
+		frame = next()
 		bp := s.processFrame(ctx, frame, from)
 		if bp == nil {
 			t.Fatal("processFrame dropped a valid request")
 		}
 		putBuf(bp)
 	}
-	for i := 0; i < dedupWindow+64; i++ {
+	for i := 0; i < 64; i++ {
 		sendOne()
 	}
 
@@ -256,15 +269,13 @@ func TestServerPathZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("execute path = %.1f allocs/op, want 0", allocs)
 	}
-
-	// Duplicate path: same frame again must be served from the ring.
-	req.ID = id
-	dupFrame, err := AppendEncode(fb[:0], req)
-	if err != nil {
-		t.Fatal(err)
+	if s.nkept != 1 {
+		t.Errorf("server keeps %d replies for a sequential caller, want 1", s.nkept)
 	}
+
+	// Duplicate path: the last frame again is answered from its kept reply.
 	allocs = testing.AllocsPerRun(1000, func() {
-		bp := s.processFrame(ctx, dupFrame, from)
+		bp := s.processFrame(ctx, frame, from)
 		if bp == nil {
 			t.Fatal("duplicate dropped")
 		}
@@ -275,27 +286,48 @@ func TestServerPathZeroAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkServerProcessFrame(b *testing.B) {
-	s := &Server{
-		handler: func(_ context.Context, _ net.Addr, req *Message) *Message {
-			req.Status = StatusOK
-			return req
-		},
-		index: make(map[dedupKey]int),
+// TestClientCallAllocs pins what one Call costs end to end over loopback,
+// counted across every goroutine, against a server that answers in place.
+// All six are on the receive sides — the server's per-datagram goroutine and
+// sender address, the client's decoded reply — none on send or dedup.
+func TestClientCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector drops sync.Pool puts by design; pooled paths allocate under -race")
 	}
+	srv, err := NewServer("127.0.0.1:0", inPlace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	req := &Message{Service: "db", Class: qos.Class1, Payload: []byte("select * from shows")}
+	call := func() {
+		if _, err := cli.Call(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		call()
+	}
+	const budget = 6
+	if allocs := testing.AllocsPerRun(1000, call); allocs > budget {
+		t.Errorf("Call = %.1f allocs/op, want ≤ %d", allocs, budget)
+	}
+}
+
+func BenchmarkServerProcessFrame(b *testing.B) {
+	s := testServer(inPlace)
 	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}
 	ctx := context.Background()
-	req := &Message{Type: TypeRequest, Service: "db", Class: qos.Class1, Payload: []byte("select * from shows")}
-	fb := make([]byte, 0, MaxFrame)
+	next := stampedFrames(&Message{Type: TypeRequest, Service: "db", Class: qos.Class1, Payload: []byte("select * from shows")})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req.ID = uint64(i + 1)
-		frame, err := AppendEncode(fb[:0], req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bp := s.processFrame(ctx, frame, from)
+		bp := s.processFrame(ctx, next(), from)
 		if bp == nil {
 			b.Fatal("dropped")
 		}

@@ -31,6 +31,7 @@ var optionalBlocks = []struct {
 	{"retry", hasRetryAfter, 4, func(m *Message) { m.RetryAfterMs = 250 }},
 	{"broker", hasBrokerID, 2 + 14, func(m *Message) { m.BrokerID = "127.0.0.1:9001" }},
 	{"idem", hasIdemKey, 2 + 12, func(m *Message) { m.IdemKey = "hold:card-42" }},
+	{"ack", hasAck, 8, func(m *Message) { m.Ack = 0x1234_5678_0000_0001 }},
 }
 
 // baseSize is the encoded size of withBlocks(0): header, "db", "t-1", and an
@@ -77,7 +78,7 @@ func blockNames(bits uint8) string {
 	return strings.Join(names, "+")
 }
 
-// TestCodecEverySubset runs the codec's whole contract over all 32 subsets of
+// TestCodecEverySubset runs the codec's whole contract over all 64 subsets of
 // the optional blocks: the frame carries exactly the announced blocks and
 // nothing else, decodes to the same message, re-encodes to the same bytes,
 // fails cleanly when cut at any byte or extended by one, and refuses every
@@ -161,12 +162,12 @@ func TestCodecEverySubset(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	f := func(id, traceID uint64, class, fidelity, status uint8, noCache, response bool,
 		step uint16, retry uint32, service, txn, broker, idem string,
-		payload []byte, spans []Span, drop uint8) bool {
+		payload []byte, spans []Span, ack uint64, drop uint8) bool {
 		m := &Message{
 			Type: TypeRequest, ID: id, Service: service, Class: qos.Class(class),
 			TxnID: txn, TxnStep: step, Fidelity: qos.Fidelity(fidelity), Status: Status(status),
 			TraceID: traceID, Spans: spans, RetryAfterMs: retry, BrokerID: broker, IdemKey: idem,
-			Payload: payload,
+			Ack: ack, Payload: payload,
 		}
 		if response {
 			m.Type = TypeResponse
@@ -177,7 +178,7 @@ func TestRoundTripProperty(t *testing.T) {
 		// quick rarely draws a zero on its own: clear a random subset.
 		for i, clear := range []func(){
 			func() { m.TraceID = 0 }, func() { m.Spans = nil }, func() { m.RetryAfterMs = 0 },
-			func() { m.BrokerID = "" }, func() { m.IdemKey = "" },
+			func() { m.BrokerID = "" }, func() { m.IdemKey = "" }, func() { m.Ack = 0 },
 		} {
 			if drop&(1<<i) != 0 {
 				clear()
@@ -208,13 +209,15 @@ func sameMessage(a, b *Message) bool {
 		len(a.Spans) == len(b.Spans) && (len(a.Spans) == 0 || reflect.DeepEqual(a.Spans, b.Spans))
 }
 
-// TestFrameSizes is the source for the two sizes the docs quote (36 B and
-// 55 B): the untagged request is header plus lengths and nothing else, and
-// the transaction-tagged one adds only its own two strings.
+// TestFrameSizes is the source for the sizes the docs quote (36 B, 55 B and
+// 44 B): the untagged request is header plus lengths and nothing else, the
+// transaction-tagged one adds only its own two strings, and the ack that
+// Client.Call stamps on every request adds eight bytes.
 func TestFrameSizes(t *testing.T) {
 	untagged := &Message{Type: TypeRequest, ID: 7, Service: "db", Class: 2, Payload: []byte("SELECT 1")}
 	tagged := &Message{Type: TypeRequest, ID: 7, Service: "db", Class: 2, Payload: []byte("SELECT 1"),
 		TxnID: "purchase-42", TxnStep: 3, IdemKey: "commit"}
+	stamped := &Message{Type: TypeRequest, ID: 7, Service: "db", Class: 2, Payload: []byte("SELECT 1"), Ack: 7}
 	for _, c := range []struct {
 		name string
 		m    *Message
@@ -222,6 +225,7 @@ func TestFrameSizes(t *testing.T) {
 	}{
 		{"untagged", untagged, 36},
 		{"tagged", tagged, 36 + len("purchase-42") + 2 + len("commit")}, // 55, under the 71 of the six-layout codec
+		{"client-stamped untagged", stamped, 36 + 8},
 	} {
 		frame, err := Encode(c.m)
 		if err != nil {
@@ -265,7 +269,7 @@ func TestDecodeRejectsForeignVersion(t *testing.T) {
 	}
 }
 
-func mustEncode(t *testing.T, m *Message) []byte {
+func mustEncode(t testing.TB, m *Message) []byte {
 	t.Helper()
 	f, err := Encode(m)
 	if err != nil {
@@ -283,6 +287,7 @@ func TestDecodeRejectsEmptyAnnouncedBlock(t *testing.T) {
 		hasRetryAfter: make([]byte, 4),
 		hasBrokerID:   make([]byte, 2),
 		hasIdemKey:    make([]byte, 2),
+		hasAck:        make([]byte, 8),
 	}
 	for _, b := range optionalBlocks {
 		m := &Message{Type: TypeRequest, ID: 1}
@@ -312,6 +317,7 @@ func FuzzDecode(f *testing.F) {
 	if v1, err := hex.DecodeString(capturedV1Frame); err == nil {
 		f.Add(v1)
 	}
+	f.Add(mustEncode(f, &Message{Type: TypeRequest, ID: 9<<32 | 5, Ack: 9<<32 | 3, Service: "db", Payload: []byte("SELECT 1")}))
 	f.Add([]byte{})
 	f.Add([]byte{magic0, magic1, codecVersion})
 

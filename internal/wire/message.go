@@ -107,6 +107,9 @@ type Message struct {
 	// first outcome instead of re-executing. Empty means the access carries
 	// no idempotency protection.
 	IdemKey string
+	// Ack is the lowest ID the sending client still waits for (requests
+	// only, stamped by Client.Call); the server forgets replies below it.
+	Ack uint64
 	// Payload is the service-specific query or result body.
 	Payload []byte
 }
@@ -134,7 +137,8 @@ const (
 	hasRetryAfter
 	hasBrokerID
 	hasIdemKey
-	presenceMask = hasTraceID | hasSpans | hasRetryAfter | hasBrokerID | hasIdemKey
+	hasAck
+	presenceMask = hasTraceID | hasSpans | hasRetryAfter | hasBrokerID | hasIdemKey | hasAck
 )
 
 const (
@@ -144,7 +148,7 @@ const (
 	// one frame. There is no compatibility across versions: every peer
 	// is built from this repository, so a datagram with any other version
 	// byte is ErrBadFrame.
-	codecVersion = 7
+	codecVersion = 8
 	// headerSize is the fixed-size prefix before variable-length fields; the
 	// flags byte is its last.
 	headerSize = 2 + 1 + 1 + 8 + 1 + 2 + 1 + 1 + 1
@@ -164,7 +168,7 @@ const (
 //	flags[1] {traceID[8]} serviceLen[2] service[...] txnIDLen[2] txnID[...]
 //	payloadLen[4] payload[...]
 //	{spanCount[2] (stageLen[2] stage[...] noteLen[2] note[...] start[8] end[8])*}
-//	{retryAfterMs[4]} {brokerIDLen[2] brokerID[...]} {idemKeyLen[2] idemKey[...]}
+//	{retryAfterMs[4]} {brokerIDLen[2] brokerID[...]} {idemKeyLen[2] idemKey[...]} {ack[8]}
 
 // Encoding and decoding errors.
 var (
@@ -189,6 +193,9 @@ func (m *Message) presence() uint8 {
 	}
 	if m.IdemKey != "" {
 		p |= hasIdemKey
+	}
+	if m.Ack != 0 {
+		p |= hasAck
 	}
 	return p
 }
@@ -234,6 +241,9 @@ func AppendEncode(dst []byte, m *Message) ([]byte, error) {
 	if present&hasIdemKey != 0 {
 		total += 2 + len(m.IdemKey)
 	}
+	if present&hasAck != 0 {
+		total += 8
+	}
 	if total > MaxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, total)
 	}
@@ -274,6 +284,9 @@ func AppendEncode(dst []byte, m *Message) ([]byte, error) {
 	}
 	if present&hasIdemKey != 0 {
 		buf = appendString(buf, m.IdemKey)
+	}
+	if present&hasAck != 0 {
+		buf = binary.BigEndian.AppendUint64(buf, m.Ack)
 	}
 	return buf, nil
 }
@@ -367,6 +380,13 @@ func DecodeInto(m *Message, buf []byte) error {
 		if m.IdemKey, rest, err = readString(rest); err != nil {
 			return err
 		}
+	}
+	if present&hasAck != 0 {
+		if len(rest) < 8 {
+			return fmt.Errorf("%w: truncated ack", ErrBadFrame)
+		}
+		m.Ack = binary.BigEndian.Uint64(rest)
+		rest = rest[8:]
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(rest))

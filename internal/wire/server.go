@@ -1,11 +1,15 @@
 package wire
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,65 +33,65 @@ type IOStats struct {
 	DatagramsOut uint64
 }
 
-// dedupKey names one request for retransmission suppression: the sender plus
-// the client-assigned request ID. For UDP senders — every real deployment —
-// the key is built from the comparable netip.AddrPort value without
-// allocating; other PacketConn address types fall back to the String form.
-type dedupKey struct {
+// peerKey names one client socket. For UDP senders — every real deployment —
+// it is the comparable netip.AddrPort value, built without allocating; other
+// PacketConn address types fall back to the String form.
+type peerKey struct {
 	ap   netip.AddrPort
 	addr string
-	id   uint64
 }
 
-func makeDedupKey(from net.Addr, id uint64) dedupKey {
+func makePeerKey(from net.Addr) peerKey {
 	if ua, ok := from.(*net.UDPAddr); ok {
-		return dedupKey{ap: ua.AddrPort(), id: id}
+		return peerKey{ap: ua.AddrPort()}
 	}
-	return dedupKey{addr: from.String(), id: id}
+	return peerKey{addr: from.String()}
 }
 
-// dedupSlot is one ring entry: the key it answers for and the encoded
-// response, kept in a buffer that is overwritten in place when the ring
-// wraps so the steady-state insert allocates nothing. A buffer grown past
-// dedupKeepCap is dropped on reuse instead, so one large reply cannot pin
-// its size in the slot for the life of the server.
-type dedupSlot struct {
-	key  dedupKey
-	used bool
-	buf  []byte
+// peer is what the server remembers of one client socket: the incarnation in
+// the upper half of its IDs, the highest ack it sent, and its requests at or
+// above that ack by ID, each with its encoded reply (nil while it runs).
+type peer struct {
+	inc, ack uint64
+	kept     []kept
+}
+
+type kept struct {
+	id    uint64
+	reply []byte
+}
+
+// find returns the index of id in p.kept, or where it would go.
+func (p *peer) find(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(p.kept, id, func(e kept, id uint64) int { return cmp.Compare(e.id, id) })
 }
 
 // Server receives request datagrams, invokes a handler, and sends the
-// response back to the originating address. Duplicate requests (client
-// retransmissions) are answered from a small response cache without
-// re-invoking the handler, giving at-most-once handler execution for the
-// idempotent window.
+// response back to the originating address. A retransmitted request is
+// answered from the first copy's kept reply instead of running again, so the
+// handler runs at most once per request; each client's ack lets the server
+// forget a reply once the client has it.
 type Server struct {
 	conn    net.PacketConn
 	handler Handler
 
-	// The dedup cache is a fixed ring of dedupWindow slots indexed by a map:
-	// insertion overwrites the oldest slot in place (reusing its buffer), so
-	// neither the ring nor its backing array grows, and lookups never build
-	// a string key on the UDP path.
 	mu     sync.Mutex
-	index  map[dedupKey]int
-	slots  []dedupSlot
-	next   int
+	peers  map[peerKey]*peer // only peers with something kept
+	nkept  int               // entries over all peers, at most maxKept
+	free   [][]byte          // reply buffers to reuse, at most maxFree
 	closed bool
 
 	wg     sync.WaitGroup
 	cancel context.CancelFunc
 }
 
-// dedupWindow bounds the retransmission-suppression cache.
-const dedupWindow = 4096
-
-// dedupKeepCap is the largest slot buffer the ring reuses. It sits above
-// every reply the repository's benchmark workloads produce (the largest, a
-// mixed_rw range read, encodes to 1,332 bytes), so their steady state still
-// allocates nothing.
-const dedupKeepCap = 4096
+// maxKept bounds the requests kept over all peers: a client that acks holds
+// about one per call in flight, one that does not up to all. maxFree bounds
+// the reply buffers kept for reuse, enough to refill after a stalled call.
+const (
+	maxKept = 4096
+	maxFree = 256
+)
 
 // NewServer starts a datagram server on addr ("127.0.0.1:0" for an ephemeral
 // port). Close must be called to release the socket and stop the serving
@@ -115,7 +119,7 @@ func NewServerConn(pc net.PacketConn, handler Handler) (*Server, error) {
 	s := &Server{
 		conn:    pc,
 		handler: handler,
-		index:   make(map[dedupKey]int),
+		peers:   make(map[peerKey]*peer),
 		cancel:  cancel,
 	}
 	s.wg.Add(1)
@@ -179,39 +183,34 @@ func (s *Server) handleDatagram(ctx context.Context, data []byte, from net.Addr)
 	putBuf(bp)
 }
 
-// processFrame decodes one request frame, answers duplicates from the dedup
-// ring, and otherwise runs the handler and encodes its response. The encoded
+// processFrame decodes one request frame, answers a duplicate from its kept
+// reply, and otherwise runs the handler and encodes its response. The encoded
 // response is returned in a pooled buffer the caller must send and putBuf;
-// nil means the frame was garbage and produced no reply. The path from
-// decode through dedup to encode allocates nothing in steady state: the
-// request comes from the Message free list, the dedup key is a comparable
-// value, and both the ring slot and the reply buffer are recycled.
+// nil means no reply: garbage, a duplicate of a request still running, or one
+// below its client's ack. Decode, dedup and encode allocate nothing in steady
+// state: the request comes from the Message free list, the peer key is a
+// comparable value, and reply buffers are reused.
 func (s *Server) processFrame(ctx context.Context, frame []byte, from net.Addr) *[]byte {
 	req := GetMessage()
 	if err := DecodeInto(req, frame); err != nil || req.Type != TypeRequest {
 		PutMessage(req)
 		return nil
 	}
-
-	key := makeDedupKey(from, req.ID)
-	s.mu.Lock()
-	if i, ok := s.index[key]; ok {
-		bp := getBuf()
-		*bp = append((*bp)[:0], s.slots[i].buf...)
-		s.mu.Unlock()
+	id := req.ID
+	p, bp := s.admit(makePeerKey(from), id, req.Ack)
+	if p == nil {
 		PutMessage(req)
 		return bp
 	}
-	s.mu.Unlock()
 
-	id := req.ID
 	resp := s.handler(ctx, from, req)
 	if resp == nil {
 		resp = &Message{Status: StatusError, Payload: []byte("wire: handler returned no response")}
 	}
 	resp.Type = TypeResponse
 	resp.ID = id
-	bp := getBuf()
+	resp.Ack = 0
+	bp = getBuf()
 	out, err := AppendEncode((*bp)[:0], resp)
 	if err != nil && len(resp.Spans) > 0 {
 		// Span export is best-effort: an oversized span block must not turn a
@@ -227,39 +226,99 @@ func (s *Server) processFrame(ctx context.Context, frame []byte, from net.Addr) 
 	// mutation), so the request is recycled only now, after encoding.
 	PutMessage(req)
 
-	s.insertDedup(key, out)
+	s.keep(p, id, out)
 	*bp = out
 	return bp
 }
 
-// insertDedup records an encoded response in the ring, evicting the oldest
-// entry in place once the window is full. Concurrent executions of the same
-// key keep the first recorded response, matching the map-based predecessor.
-func (s *Server) insertDedup(key dedupKey, out []byte) {
+// admit applies a request's ID and ack to its peer and says what to do with
+// it: run it (p, where it is recorded first), answer it with a copy of its
+// kept reply (bp), or drop it (neither) — below the ack, its client has the
+// reply or gave up; a duplicate of one still running, the first will answer.
+func (s *Server) admit(key peerKey, id, ack uint64) (p *peer, bp *[]byte) {
 	s.mu.Lock()
-	if _, dup := s.index[key]; !dup {
-		if len(s.slots) < dedupWindow {
-			s.slots = append(s.slots, dedupSlot{key: key, used: true, buf: append([]byte(nil), out...)})
-			s.index[key] = len(s.slots) - 1
-		} else {
-			slot := &s.slots[s.next]
-			if slot.used {
-				delete(s.index, slot.key)
-			}
-			slot.key = key
-			slot.used = true
-			if cap(slot.buf) > dedupKeepCap {
-				slot.buf = nil
-			}
-			slot.buf = append(slot.buf[:0], out...)
-			s.index[key] = s.next
-			s.next++
-			if s.next == dedupWindow {
-				s.next = 0
-			}
+	defer s.mu.Unlock()
+	p = s.peers[key]
+	if p == nil {
+		p = &peer{inc: id >> 32}
+		s.peers[key] = p
+	} else if p.inc != id>>32 {
+		// A new client on an earlier one's port: nothing kept answers it.
+		s.drop(p, 0, len(p.kept))
+		p.inc, p.ack = id>>32, 0
+	}
+	if ack > p.ack {
+		p.ack = ack
+		n, _ := p.find(ack)
+		s.drop(p, 0, n)
+	}
+	if id < p.ack {
+		if len(p.kept) == 0 {
+			delete(s.peers, key)
+		}
+		return nil, nil
+	}
+	i, found := p.find(id)
+	if found {
+		if r := p.kept[i].reply; r != nil {
+			bp = getBuf()
+			*bp = append((*bp)[:0], r...)
+		}
+		return nil, bp
+	}
+	if s.nkept >= maxKept {
+		s.evict(p)
+		i, _ = p.find(id)
+	}
+	p.kept = slices.Insert(p.kept, i, kept{id: id})
+	s.nkept++
+	return p, nil
+}
+
+// keep fills in the reply of a request admit recorded in p, unless its entry
+// went meanwhile (acknowledged, evicted, or p reset or left the table).
+func (s *Server) keep(p *peer, id uint64, out []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i, ok := p.find(id); ok && p.kept[i].reply == nil {
+		var buf []byte
+		if n := len(s.free); n > 0 {
+			buf, s.free[n-1], s.free = s.free[n-1][:0], nil, s.free[:n-1]
+		}
+		p.kept[i].reply = append(buf, out...)
+	}
+}
+
+// drop removes p.kept[i:j], keeping their reply buffers for reuse.
+func (s *Server) drop(p *peer, i, j int) {
+	for _, e := range p.kept[i:j] {
+		if e.reply != nil && len(s.free) < maxFree {
+			s.free = append(s.free, e.reply)
 		}
 	}
-	s.mu.Unlock()
+	p.kept = slices.Delete(p.kept, i, j)
+	s.nkept -= j - i
+}
+
+// evict makes room at the maxKept cap: the peer holding the most drops its
+// oldest entry above its ack; the one at its ack, the call it still waits for,
+// goes only when every peer holds just that. An emptied peer but p leaves.
+func (s *Server) evict(p *peer) {
+	var vkey peerKey
+	var v *peer
+	for k, q := range s.peers {
+		if v == nil || len(q.kept) > len(v.kept) {
+			vkey, v = k, q
+		}
+	}
+	i := 0
+	if len(v.kept) > 1 && v.kept[0].id == v.ack {
+		i = 1
+	}
+	s.drop(v, i, i+1)
+	if len(v.kept) == 0 && v != p {
+		delete(s.peers, vkey)
+	}
 }
 
 // Client issues requests to a wire server and matches responses by ID,
@@ -270,6 +329,7 @@ type Client struct {
 
 	mu      sync.Mutex
 	nextID  uint64
+	acked   uint64 // no ID below it is pending
 	pending map[uint64]chan *Message
 	closed  bool
 
@@ -303,8 +363,18 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
+	return newClient(conn, opts...), nil
+}
+
+// newClient runs a client on a connected socket. A random non-zero incarnation
+// in its IDs' upper half keeps a server from answering it with replies meant
+// for an earlier client on the same port.
+func newClient(conn net.Conn, opts ...ClientOption) *Client {
+	inc := uint64(rand.Uint32N(math.MaxUint32)+1) << 32
 	c := &Client{
 		conn:       conn,
+		nextID:     inc,
+		acked:      inc + 1,
 		pending:    make(map[uint64]chan *Message),
 		retransmit: 200 * time.Millisecond,
 		attempts:   3,
@@ -314,7 +384,7 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	}
 	c.wg.Add(1)
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // IOStats returns the client's datagram counters.
@@ -436,8 +506,8 @@ func stopTimer(t *time.Timer) {
 func putTimer(t *time.Timer) { timerPool.Put(t) }
 
 // Call sends req and waits for the matching response, retransmitting up to
-// the configured number of attempts. The req.ID field is assigned by the
-// client. Call honors ctx cancellation.
+// the configured number of attempts. The client assigns req.ID and req.Ack; a
+// retransmission resends the same bytes. Call honors ctx cancellation.
 func (c *Client) Call(ctx context.Context, req *Message) (*Message, error) {
 	req.Type = TypeRequest
 
@@ -452,6 +522,14 @@ func (c *Client) Call(ctx context.Context, req *Message) (*Message, error) {
 	req.ID = c.nextID
 	ch := respChanPool.Get().(chan *Message)
 	c.pending[req.ID] = ch
+	// acked only rises, so the lowest pending ID costs one lookup amortised.
+	for c.acked < req.ID {
+		if _, ok := c.pending[c.acked]; ok {
+			break
+		}
+		c.acked++
+	}
+	req.Ack = c.acked
 	c.mu.Unlock()
 
 	// Encode into a pooled buffer: the frame is only referenced for the

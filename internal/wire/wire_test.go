@@ -342,40 +342,232 @@ func TestServerIgnoresContainerDatagram(t *testing.T) {
 	}
 }
 
-// TestDedupSlotDropsOversizedBuffer: a ring slot that once held a large
-// reply does not keep that buffer once it holds small ones, so the ring's
-// footprint follows the replies it holds now.
-func TestDedupSlotDropsOversizedBuffer(t *testing.T) {
-	size := 8 << 10
-	s := &Server{
-		handler: func(context.Context, net.Addr, *Message) *Message {
-			return &Message{Status: StatusOK, Payload: make([]byte, size)}
-		},
-		index: make(map[dedupKey]int),
-	}
-	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}
-	id := uint64(0)
-	fill := func() {
-		for i := 0; i < dedupWindow; i++ {
-			id++
-			frame := mustEncode(t, &Message{Type: TypeRequest, ID: id, Service: "db"})
-			bp := s.processFrame(context.Background(), frame, from)
-			if bp == nil {
-				t.Fatal("processFrame dropped a valid request")
-			}
-			putBuf(bp)
+// TestServerKeepsOneReplyForSequentialCalls: a client's ack lets the server
+// forget each reply once the next call says it arrived, so a sequential
+// caller costs the server one kept reply however many calls it makes.
+func TestServerKeepsOneReplyForSequentialCalls(t *testing.T) {
+	srv, cli := echoServer(t)
+	for i := 0; i < 10000; i++ {
+		if _, err := cli.Call(context.Background(), &Message{Service: "db", Payload: []byte("q")}); err != nil {
+			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	fill()
-	size = 100
-	fill()
-
-	total := 0
-	for _, slot := range s.slots {
-		total += cap(slot.buf)
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if srv.nkept > 1 || len(srv.peers) != 1 {
+		t.Fatalf("after 10,000 sequential calls the server keeps %d replies for %d peers, want ≤ 1 for 1",
+			srv.nkept, len(srv.peers))
 	}
-	if limit := dedupWindow * dedupKeepCap; total > limit {
-		t.Fatalf("dedup slots hold %d bytes after small replies, want ≤ %d", total, limit)
+}
+
+// TestServerDropsLateDuplicateBelowAck: once a client acks past a request,
+// a late copy of it is neither run nor answered — the client has the reply.
+func TestServerDropsLateDuplicateBelowAck(t *testing.T) {
+	var executions atomic.Int64
+	s := testServer(func(_ context.Context, _ net.Addr, req *Message) *Message {
+		executions.Add(1)
+		return &Message{Status: StatusOK, Payload: req.Payload}
+	})
+	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}
+	inc := uint64(3) << 32
+	first := mustEncode(t, &Message{Type: TypeRequest, ID: inc + 1, Ack: inc + 1, Payload: []byte("a")})
+	second := mustEncode(t, &Message{Type: TypeRequest, ID: inc + 2, Ack: inc + 2, Payload: []byte("b")})
+	for _, frame := range [][]byte{first, second} {
+		if bp := s.processFrame(context.Background(), frame, from); bp == nil {
+			t.Fatal("processFrame dropped a valid request")
+		}
+	}
+	if bp := s.processFrame(context.Background(), first, from); bp != nil {
+		t.Fatal("late duplicate below the ack was answered")
+	}
+	if got := executions.Load(); got != 2 {
+		t.Fatalf("handler ran %d times, want 2", got)
+	}
+}
+
+// TestServerNewClientOnReusedPort: a client that binds the local port an
+// earlier client used starts its IDs where the earlier one did only by
+// chance of one in 2^32. Its first call must run, not be answered with the
+// earlier client's reply to the same ID.
+func TestServerNewClientOnReusedPort(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", func(_ context.Context, _ net.Addr, req *Message) *Message {
+		return &Message{Status: StatusOK, Payload: append([]byte("from "), req.Payload...)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	raddr := srv.Addr().(*net.UDPAddr)
+	call := func(laddr *net.UDPAddr, who string) (*net.UDPAddr, string) {
+		var conn *net.UDPConn
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			if conn, err = net.DialUDP("udp", laddr, raddr); err == nil || time.Now().After(deadline) {
+				break
+			}
+		}
+		if err != nil {
+			t.Fatalf("bind %v: %v", laddr, err)
+		}
+		cli := newClient(conn)
+		defer cli.Close()
+		resp, err := cli.Call(context.Background(), &Message{Payload: []byte(who)})
+		if err != nil {
+			t.Fatalf("call from %s: %v", who, err)
+		}
+		return conn.LocalAddr().(*net.UDPAddr), string(resp.Payload)
+	}
+	port, got := call(nil, "A")
+	if got != "from A" {
+		t.Fatalf("first client got %q", got)
+	}
+	if _, got = call(port, "B"); got != "from B" {
+		t.Fatalf("second client on port %d got %q, want \"from B\"", port.Port, got)
+	}
+}
+
+// TestServerDropsDuplicateWhileRunning: a retransmission that arrives while
+// the first copy is still in the handler is dropped, not run a second time;
+// once the first copy has answered, a retransmission gets its reply.
+func TestServerDropsDuplicateWhileRunning(t *testing.T) {
+	var executions atomic.Int64
+	started, release := make(chan struct{}), make(chan struct{})
+	srv, err := NewServer("127.0.0.1:0", func(_ context.Context, _ net.Addr, req *Message) *Message {
+		if executions.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+		return &Message{Status: StatusOK, Payload: req.Payload}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}
+	frame := mustEncode(t, &Message{Type: TypeRequest, ID: 42, Payload: []byte("q")})
+
+	first := make(chan *[]byte)
+	go func() { first <- srv.processFrame(context.Background(), frame, from) }()
+	<-started
+	if bp := srv.processFrame(context.Background(), frame, from); bp != nil {
+		t.Error("duplicate answered while the first copy runs")
+	}
+	close(release)
+	if bp := <-first; bp == nil {
+		t.Fatal("first copy not answered")
+	}
+	bp := srv.processFrame(context.Background(), frame, from)
+	if bp == nil {
+		t.Fatal("retransmission after the reply was not answered")
+	}
+	if resp, err := Decode(*bp); err != nil || resp.ID != 42 || string(resp.Payload) != "q" {
+		t.Fatalf("retransmission answered with %+v, %v", resp, err)
+	}
+	if got := executions.Load(); got != 1 {
+		t.Fatalf("handler ran %d times, want 1", got)
+	}
+}
+
+// stuckConn loses the server's first reply to the request whose payload is
+// "stuck", and holds back that request's retransmissions until release is
+// closed, so its client keeps waiting while other calls go on.
+type stuckConn struct {
+	net.PacketConn
+	lost, release chan struct{}
+	copies        int // read side only
+	dropped       atomic.Bool
+}
+
+func (c *stuckConn) ReadFrom(b []byte) (int, net.Addr, error) {
+	for {
+		n, from, err := c.PacketConn.ReadFrom(b)
+		if err == nil && isStuck(b[:n]) {
+			c.copies++
+			select {
+			case <-c.release:
+			default:
+				if c.copies > 1 {
+					continue
+				}
+			}
+		}
+		return n, from, err
+	}
+}
+
+func (c *stuckConn) WriteTo(b []byte, to net.Addr) (int, error) {
+	if isStuck(b) && c.dropped.CompareAndSwap(false, true) {
+		close(c.lost)
+		return len(b), nil
+	}
+	return c.PacketConn.WriteTo(b, to)
+}
+
+func isStuck(frame []byte) bool {
+	m, err := Decode(frame)
+	return err == nil && string(m.Payload) == "stuck"
+}
+
+// TestServerKeepsReplyOfStuckCall: a call whose reply was lost stays the
+// lowest pending ID, so every later call acks it and its reply is kept however
+// many later calls the server answers meanwhile — 5,000 here, past the
+// 4,096-entry cap — and its retransmission is answered, not run again.
+func TestServerKeepsReplyOfStuckCall(t *testing.T) {
+	var stuckRuns atomic.Int64
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &stuckConn{PacketConn: pc, lost: make(chan struct{}), release: make(chan struct{})}
+	srv, err := NewServerConn(conn, func(_ context.Context, _ net.Addr, req *Message) *Message {
+		if string(req.Payload) == "stuck" {
+			stuckRuns.Add(1)
+		}
+		return &Message{Status: StatusOK, Payload: req.Payload}
+	})
+	if err != nil {
+		pc.Close()
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr().String(), WithRetransmit(20*time.Millisecond), WithAttempts(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	stuck := make(chan error, 1)
+	go func() {
+		resp, err := cli.Call(ctx, &Message{Payload: []byte("stuck")})
+		if err == nil && string(resp.Payload) != "stuck" {
+			err = errTestMismatch
+		}
+		stuck <- err
+	}()
+	<-conn.lost
+
+	const later, workers = 5000, 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < later/workers; i++ {
+				if _, err := cli.Call(ctx, &Message{Payload: []byte("later")}); err != nil {
+					t.Errorf("later call: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(conn.release)
+	if err := <-stuck; err != nil {
+		t.Fatalf("stuck call: %v", err)
+	}
+	if got := stuckRuns.Load(); got != 1 {
+		t.Fatalf("stuck request ran %d times, want 1", got)
 	}
 }
 
