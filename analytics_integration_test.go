@@ -1,9 +1,8 @@
 package servicebroker
 
 import (
-	"bytes"
 	"context"
-	"log/slog"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -11,18 +10,20 @@ import (
 
 	"servicebroker/internal/backend"
 	"servicebroker/internal/broker"
+	"servicebroker/internal/metrics"
 	"servicebroker/internal/obs"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/sketch"
-	"servicebroker/internal/slo"
+	"servicebroker/internal/trace"
 )
 
-// TestSLOAlertFlipsUnderClassOverload floods one QoS class through a broker
-// with a single slow worker, then scrapes the obs /sloz page: the overloaded
-// class must have paged with queue-stage attribution dominating its latency
-// budget loss, while the lightly loaded high-priority class stays ok. The
-// /hotz page must attribute the flood to its key.
-func TestSLOAlertFlipsUnderClassOverload(t *testing.T) {
+// TestQueueStageDominatesUnderClassOverload floods one QoS class through a
+// broker with a single slow worker, then scrapes the admin plane as brokerd
+// wires it. On /metrics the trace recorder's per-class stage histograms must
+// show the overloaded class losing its time in the queue stage, while the
+// lightly loaded high-priority class waits far less there. The /hotz page
+// must attribute the flood to its key.
+func TestQueueStageDominatesUnderClassOverload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
@@ -35,26 +36,12 @@ func TestSLOAlertFlipsUnderClassOverload(t *testing.T) {
 		},
 	}
 
-	var logBuf bytes.Buffer
+	traceReg := metrics.NewRegistry()
 	b, err := broker.New(fc,
 		broker.WithThreshold(128, 3),
 		broker.WithWorkers(1),
 		broker.WithHotKeys(sketch.Config{TopK: 8}),
-		broker.WithSLO(slo.Config{
-			Objectives: []slo.Objective{
-				// Class 1 has a generous target the light traffic meets.
-				{Class: qos.Class1, LatencyTarget: 5 * time.Second, LatencyGoal: 0.9, AvailabilityGoal: 0.5},
-				// Class 3's 1ms target is unmeetable once its requests queue
-				// behind each other on the single worker.
-				{Class: qos.Class3, LatencyTarget: time.Millisecond, LatencyGoal: 0.9, AvailabilityGoal: 0.5},
-			},
-			FastWindow: time.Second,
-			SlowWindow: 4 * time.Second,
-			Resolution: 100 * time.Millisecond,
-			WarnBurn:   1.5,
-			PageBurn:   3,
-			Logger:     slog.New(slog.NewTextHandler(&logBuf, nil)),
-		}))
+		broker.WithTracer(trace.NewRecorder(trace.WithMetrics(traceReg))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +79,7 @@ func TestSLOAlertFlipsUnderClassOverload(t *testing.T) {
 
 	// Admin plane exactly as cmd/brokerd wires it.
 	adminSrv := obs.New()
+	adminSrv.MountRegistry("", traceReg)
 	adminSrv.MountRegistry("broker.db.", b.Metrics())
 	for page, render := range b.AdminPages("db") {
 		adminSrv.AddRows(page, "db", render)
@@ -102,29 +90,30 @@ func TestSLOAlertFlipsUnderClassOverload(t *testing.T) {
 	defer adminSrv.Close()
 	base := "http://" + adminSrv.Addr().String()
 
-	sloz := httpGet(t, base+"/sloz")
-	if !strings.Contains(sloz, "class=1 state=ok") {
-		t.Fatalf("/sloz: healthy class 1 not ok:\n%s", sloz)
+	// Queue time must dominate class 3's stage histograms: its queue sum
+	// exceeds every other stage's. Class 1 jumps the queue, so its mean
+	// queue wait stays below class 3's.
+	metricsPage := httpGet(t, base+"/metrics")
+	stageSums := promSamples(metricsPage, "trace_db_", "_class_3_sum")
+	queue3, ok := stageSums["queue"]
+	if !ok || queue3 <= 0 {
+		t.Fatalf("/metrics: no class-3 queue time in %v:\n%s", stageSums, metricsPage)
 	}
-	if !strings.Contains(sloz, "class=3 state=page") {
-		t.Fatalf("/sloz: overloaded class 3 did not page:\n%s", sloz)
+	for stage, sum := range stageSums {
+		if stage != "queue" && sum >= queue3 {
+			t.Errorf("/metrics: class 3 spent %.3fs in %s, not below its %.3fs queued", sum, stage, queue3)
+		}
 	}
-
-	// Queue time must dominate class 3's stage attribution: its first
-	// (largest) stage line after the class header must be the queue stage.
-	classIdx := strings.Index(sloz, "class=3")
-	stageIdx := strings.Index(sloz[classIdx:], "stage=")
-	if stageIdx < 0 {
-		t.Fatalf("/sloz: class 3 has no stage attribution:\n%s", sloz)
+	mean := func(class string) float64 {
+		sum := promSamples(metricsPage, "trace_db_queue_class_"+class, "_sum")[""]
+		count := promSamples(metricsPage, "trace_db_queue_class_"+class, "_count")[""]
+		if count == 0 {
+			t.Fatalf("/metrics: no class-%s queue observations:\n%s", class, metricsPage)
+		}
+		return sum / count
 	}
-	topStage := sloz[classIdx+stageIdx:]
-	if !strings.HasPrefix(topStage, "stage=queue") {
-		t.Fatalf("/sloz: class 3's dominant stage is not queue:\n%s", sloz)
-	}
-
-	// The state machine logged the ok → page transition.
-	if log := logBuf.String(); !strings.Contains(log, "slo state change") || !strings.Contains(log, "to=page") {
-		t.Fatalf("transition log missing page transition:\n%s", log)
+	if m1, m3 := mean("1"), mean("3"); m1 >= m3 {
+		t.Errorf("class 1 mean queue wait %.4fs, not below class 3's %.4fs", m1, m3)
 	}
 
 	// The flood key leads /hotz.
@@ -133,10 +122,22 @@ func TestSLOAlertFlipsUnderClassOverload(t *testing.T) {
 	if first < 0 || !strings.HasPrefix(hotz[first:], `key="flood-key"`) {
 		t.Fatalf("/hotz: flood-key not the top key:\n%s", hotz)
 	}
+}
 
-	// The burn-rate gauges landed in the broker registry for /metrics + tsdb.
-	metricsPage := httpGet(t, base+"/metrics")
-	if !strings.Contains(metricsPage, "broker_db_slo_state_class_3") {
-		t.Fatalf("/metrics missing slo state gauge:\n%s", metricsPage)
+// promSamples returns the value of every unlabelled sample on an exposition
+// page whose name is prefix + x + suffix, keyed by x.
+func promSamples(page, prefix, suffix string) map[string]float64 {
+	out := make(map[string]float64)
+	for _, line := range strings.Split(page, "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil || len(name) < len(prefix)+len(suffix) {
+			continue
+		}
+		out[name[len(prefix):len(name)-len(suffix)]] = v
 	}
+	return out
 }

@@ -34,7 +34,7 @@ func adminGet(t *testing.T, url string) (int, string) {
 // TestAdminPlaneUnderOverload runs brokerd in-process with every admin
 // feature on and a backend a sixth as fast as the offered load. The index
 // lists the broker's row pages (and not /poolz, which nothing in a brokerd
-// feeds), every listed page answers, and the drop-ratio probe behind /graphz
+// feeds), every listed page answers, and the drop-ratio series on /seriesz
 // counts threshold refusals — they are StatusShed, which the probe read as
 // zero when it divided dropped_class_<k> alone.
 func TestAdminPlaneUnderOverload(t *testing.T) {
@@ -69,7 +69,6 @@ func TestAdminPlaneUnderOverload(t *testing.T) {
 		cacheTTL:     time.Minute,
 		hotkeys:      8,
 		coalesce:     true,
-		slo:          true,
 		txn:          true,
 		idemCap:      16,
 		idemTTL:      time.Minute,
@@ -86,7 +85,7 @@ func TestAdminPlaneUnderOverload(t *testing.T) {
 			}
 		}
 	}
-	for _, page := range []string{"/loadz", "/breakerz", "/limitz", "/hotz", "/sloz", "/txnz", "/eventz", "/graphz"} {
+	for _, page := range []string{"/loadz", "/breakerz", "/limitz", "/hotz", "/txnz", "/eventz", "/seriesz"} {
 		if !listed[page] {
 			t.Errorf("index does not list %s:\n%s", page, index)
 		}

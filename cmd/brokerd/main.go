@@ -41,14 +41,12 @@
 // db/cgi, MGET for web) and -cluster-wait (gather window). Adding
 // -adaptive-degree M makes the degree self-tuning: a hill-climbing
 // controller walks [1, M] tracking the response-time minimum as backend
-// capacity shifts, with the live degree on /metrics and /graphz as
+// capacity shifts, with the live degree on /metrics and /seriesz as
 // cluster_degree_current.
 //
-// Workload analytics and SLOs (DESIGN.md §11): -hotkeys N tracks the top-N
-// hottest request keys per broker in fixed memory (count-min sketch +
-// space-saving), surfaced on the admin plane at /hotz; -slo evaluates
-// per-class latency/availability objectives with multi-window burn-rate
-// alerting on /sloz (-slo-fast and -slo-slow size the windows).
+// Workload analytics (DESIGN.md §11): -hotkeys N tracks the top-N hottest
+// request keys per broker in fixed memory (count-min sketch +
+// space-saving), surfaced on the admin plane at /hotz.
 //
 // Transaction integrity (DESIGN.md §14): -txn tracks multi-step transactions
 // per broker and escalates late steps' priority; -txn-ttl sweeps abandoned
@@ -84,7 +82,6 @@ import (
 	"servicebroker/internal/registry"
 	"servicebroker/internal/resilience"
 	"servicebroker/internal/sketch"
-	"servicebroker/internal/slo"
 	"servicebroker/internal/trace"
 	"servicebroker/internal/tsdb"
 	"servicebroker/internal/txn"
@@ -128,7 +125,6 @@ type config struct {
 	traceSlow       time.Duration
 	traceSeed       uint64
 	sampleEvery     time.Duration
-	seriesPoints    int
 	limitMin        int
 	limitMax        int
 	latencyTarget   time.Duration
@@ -136,9 +132,6 @@ type config struct {
 	drainTimeout    time.Duration
 	hotkeys         int
 	coalesce        bool
-	slo             bool
-	sloFast         time.Duration
-	sloSlow         time.Duration
 	txn             bool
 	txnTTL          time.Duration
 	idemCap         int
@@ -168,8 +161,7 @@ func main() {
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 1, "fraction of healthy traces retained in the ring (errors, drops, and slow traces always kept)")
 	flag.DurationVar(&cfg.traceSlow, "trace-slow", 0, "latency above which a healthy trace is always retained (0 disables)")
 	flag.Uint64Var(&cfg.traceSeed, "trace-seed", 1, "deterministic tail-sampling seed (share across processes for consistent decisions)")
-	flag.DurationVar(&cfg.sampleEvery, "sample-every", time.Second, "time-series sampling interval for /seriesz and /graphz")
-	flag.IntVar(&cfg.seriesPoints, "series-points", 0, "points retained per time series (0 selects the default)")
+	flag.DurationVar(&cfg.sampleEvery, "sample-every", time.Second, "time-series sampling interval for /seriesz")
 	flag.IntVar(&cfg.limitMin, "limit-min", 1, "adaptive admission limit floor (with -limit-max)")
 	flag.IntVar(&cfg.limitMax, "limit-max", 0, "adaptive admission limit ceiling; 0 keeps the static -threshold")
 	flag.DurationVar(&cfg.latencyTarget, "latency-target", 0, "completion latency the adaptive limiter treats as congestion (0 reacts to failures only)")
@@ -177,9 +169,6 @@ func main() {
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 5*time.Second, "how long SIGTERM/SIGINT waits for in-flight requests to finish")
 	flag.IntVar(&cfg.hotkeys, "hotkeys", 0, "track the top-N hottest request keys per broker for /hotz (0 disables)")
 	flag.BoolVar(&cfg.coalesce, "coalesce", false, "single-flight identical in-flight cacheable queries so N duplicates cost one backend trip")
-	flag.BoolVar(&cfg.slo, "slo", false, "evaluate per-class SLO burn rates for /sloz")
-	flag.DurationVar(&cfg.sloFast, "slo-fast", 0, "SLO fast burn window (0 selects the default)")
-	flag.DurationVar(&cfg.sloSlow, "slo-slow", 0, "SLO slow burn window (0 selects 12x the fast window)")
 	flag.BoolVar(&cfg.txn, "txn", false, "track multi-step transactions and escalate late steps' priority")
 	flag.DurationVar(&cfg.txnTTL, "txn-ttl", 0, "abort+compensate transactions idle longer than this (0 disables the abandonment sweep)")
 	flag.IntVar(&cfg.idemCap, "idem", 0, "idempotency-table entries per broker; duplicate tagged accesses replay their first outcome (0 disables, requires -txn)")
@@ -221,11 +210,11 @@ func run(cfg config) error {
 		adminSrv = obs.New()
 		adminSrv.SetRecorder(tracer)
 		adminSrv.MountRegistry("", traceReg)
-		store = tsdb.New(cfg.seriesPoints)
+		store = tsdb.New(0)
 		store.Mount("", traceReg)
 		adminSrv.SetTSDB(store)
 		// Every hosted broker shares one event timeline: limit cuts, breaker
-		// flips, SLO transitions, and drains all land on /eventz.
+		// flips and drains all land on /eventz.
 		events = fleet.NewLog(0, traceReg)
 		adminSrv.SetEventLog(events)
 	}
@@ -306,28 +295,6 @@ func run(cfg config) error {
 		}
 		if cfg.coalesce {
 			opts = append(opts, broker.WithCoalescing())
-		}
-		if cfg.slo {
-			objectives := slo.DefaultObjectives()
-			if cfg.classes < len(objectives) {
-				objectives = objectives[:cfg.classes]
-			}
-			sloCfg := slo.Config{
-				Objectives: objectives,
-				FastWindow: cfg.sloFast,
-				SlowWindow: cfg.sloSlow,
-			}
-			if events != nil {
-				service := name
-				sloCfg.OnTransition = func(class int, from, to string) {
-					events.Publish(fleet.Event{
-						Kind:    fleet.KindSLOTransition,
-						Service: service,
-						Detail:  fmt.Sprintf("class %d alert state %s -> %s", class, from, to),
-					})
-				}
-			}
-			opts = append(opts, broker.WithSLO(sloCfg))
 		}
 		if cfg.txn {
 			opts = append(opts, broker.WithTransactions())
@@ -411,23 +378,6 @@ func run(cfg config) error {
 					return snap.TopShare(10), true
 				})
 			}
-			if cfg.slo {
-				// Evaluating once per tick drives the alert state machine and
-				// refreshes the slo_* gauges even when nobody scrapes /sloz.
-				store.AddProbe("broker."+name+".slo_breach_classes", func() (float64, bool) {
-					st, ok := b.SLOStatus()
-					if !ok {
-						return 0, false
-					}
-					breaching := 0.0
-					for _, c := range st.Classes {
-						if c.AlertState() != slo.StateOK {
-							breaching++
-						}
-					}
-					return breaching, true
-				})
-			}
 		}
 	}
 
@@ -437,16 +387,12 @@ func run(cfg config) error {
 	}
 	defer gw.Close()
 
-	// The admin plane starts before lease registration so each REGISTER can
-	// advertise its admin address for fleet federation scraping.
-	var adminAddr string
 	if adminSrv != nil {
 		if err := adminSrv.Start(cfg.admin); err != nil {
 			return err
 		}
 		defer adminSrv.Close()
-		adminAddr = adminSrv.Addr().String()
-		slog.Info("admin endpoint up", "addr", adminAddr)
+		slog.Info("admin endpoint up", "addr", adminSrv.Addr().String())
 	}
 
 	// Lease registration: advertise each hosted service at the front end.
@@ -461,12 +407,11 @@ func run(cfg config) error {
 		}()
 		for name, b := range brokers {
 			r, err := registry.NewRegistrar(registry.RegistrarConfig{
-				Service:   name,
-				Addr:      gw.Addr().String(),
-				Target:    cfg.registerTo,
-				TTL:       cfg.leaseTTL,
-				Load:      b.Load,
-				AdminAddr: adminAddr,
+				Service: name,
+				Addr:    gw.Addr().String(),
+				Target:  cfg.registerTo,
+				TTL:     cfg.leaseTTL,
+				Load:    b.Load,
 			})
 			if err != nil {
 				return fmt.Errorf("registrar %s: %w", name, err)
@@ -494,7 +439,7 @@ func run(cfg config) error {
 	// the client.
 	slog.Info("shutting down: draining", "timeout", cfg.drainTimeout)
 	if adminSrv != nil {
-		// /healthz flips to "draining" (503 + Retry-After) so fleet scrapers
+		// /healthz flips to "draining" (503 + Retry-After) so health probes
 		// and load balancers see an intentional shutdown, not a crash.
 		adminSrv.SetDraining(true)
 	}

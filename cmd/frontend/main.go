@@ -44,7 +44,6 @@ import (
 	"servicebroker/internal/metrics"
 	"servicebroker/internal/obs"
 	"servicebroker/internal/sketch"
-	"servicebroker/internal/slo"
 	"servicebroker/internal/trace"
 	"servicebroker/internal/tsdb"
 )
@@ -72,23 +71,21 @@ func main() {
 		traceSample = flag.Float64("trace-sample", 1, "fraction of healthy traces retained in the ring (errors, drops, and slow traces always kept)")
 		traceSlow   = flag.Duration("trace-slow", 0, "latency above which a healthy trace is always retained (0 disables)")
 		traceSeed   = flag.Uint64("trace-seed", 1, "deterministic tail-sampling seed (share across processes for consistent decisions)")
-		sampleEvery = flag.Duration("sample-every", time.Second, "time-series sampling interval for /seriesz and /graphz")
+		sampleEvery = flag.Duration("sample-every", time.Second, "time-series sampling interval for /seriesz")
 		drainTO     = flag.Duration("drain-timeout", 5*time.Second, "how long SIGTERM/SIGINT waits for in-flight requests to finish")
 		hotkeys     = flag.Int("hotkeys", 0, "track the top-N hottest request payloads for /hotz (0 disables)")
-		sloOn       = flag.Bool("slo", false, "evaluate per-class SLO burn rates over client-observed latency for /sloz")
-		fleetScrape = flag.Duration("fleet-scrape", fleet.DefaultScrapeInterval, "fleet federation scrape interval for lease-discovered member admin planes (with -admin and -registry)")
 	)
 	flag.Var(&routes, "route", "route spec pattern=service (repeatable)")
 	flag.Parse()
 
 	sampler := &trace.Sampler{SlowThreshold: *traceSlow, Fraction: *traceSample, Seed: *traceSeed}
-	if err := run(*model, *addr, *gateway, *listenAddr, *registryOn, *registryLsn, *maxClients, routes, *admin, sampler, *sampleEvery, *drainTO, *hotkeys, *sloOn, *fleetScrape); err != nil {
+	if err := run(*model, *addr, *gateway, *listenAddr, *registryOn, *registryLsn, *maxClients, routes, *admin, sampler, *sampleEvery, *drainTO, *hotkeys); err != nil {
 		slog.Error("frontend failed", "err", err)
 		os.Exit(1)
 	}
 }
 
-func run(model, addr, gateway, listenAddr string, registryOn bool, registryListen string, maxClients int, routeSpecs routeFlags, admin string, sampler *trace.Sampler, sampleEvery, drainTimeout time.Duration, hotkeys int, sloOn bool, fleetScrape time.Duration) error {
+func run(model, addr, gateway, listenAddr string, registryOn bool, registryListen string, maxClients int, routeSpecs routeFlags, admin string, sampler *trace.Sampler, sampleEvery, drainTimeout time.Duration, hotkeys int) error {
 	if gateway == "" {
 		return fmt.Errorf("-gateway is required")
 	}
@@ -112,20 +109,10 @@ func run(model, addr, gateway, listenAddr string, registryOn bool, registryListe
 	}
 
 	// Client-side workload analytics: the front end sees every request end to
-	// end, so its tracker attributes popularity across all brokered services
-	// and its SLO engine scores the latency clients actually observe.
+	// end, so its tracker attributes popularity across all brokered services.
 	var hk *sketch.Tracker
 	if hotkeys > 0 {
 		hk = sketch.NewTracker(sketch.Config{TopK: hotkeys})
-	}
-	var sloEng *slo.Engine
-	anaReg := metrics.NewRegistry()
-	if sloOn {
-		sloEng = slo.New(slo.Config{
-			Objectives: slo.DefaultObjectives(),
-			Logger:     slog.Default(),
-			Metrics:    anaReg,
-		})
 	}
 
 	var fe *frontend.Distributed
@@ -147,7 +134,7 @@ func run(model, addr, gateway, listenAddr string, registryOn bool, registryListe
 		return fmt.Errorf("unknown model %q", model)
 	}
 	defer fe.Close()
-	fe.EnableAnalytics(hk, sloEng)
+	fe.EnableAnalytics(hk)
 	if registryOn {
 		l, err := fe.EnableRegistry(registryListen)
 		if err != nil {
@@ -156,11 +143,9 @@ func run(model, addr, gateway, listenAddr string, registryOn bool, registryListe
 		slog.Info("lease listener up", "addr", l.Addr())
 	}
 
-	// The admin plane: the front end's row pages (/poolz, and /hotz, /sloz
-	// when it has them), its registries and trace recorder, their time
-	// series, and the fleet plane — pool and registry events feed /eventz,
-	// and with -registry, lease-discovered members' admin planes are scraped
-	// into /fleetz and the federated /metrics section.
+	// The admin plane: the front end's row pages (/poolz, and /hotz when it
+	// has it), its registries and trace recorder, their time series, and the
+	// event timeline the pool and registry feed (/eventz).
 	var adminSrv *obs.Server
 	if admin != "" {
 		adminSrv = obs.New()
@@ -177,8 +162,6 @@ func run(model, addr, gateway, listenAddr string, registryOn bool, registryListe
 		defer store.Close()
 		store.Mount("", traceReg)
 		store.Mount("frontend.", fe.Metrics())
-		adminSrv.MountRegistry("frontend.", anaReg)
-		store.Mount("frontend.", anaReg)
 		if hk != nil {
 			store.AddProbe("frontend.hotkey_skew", func() (float64, bool) {
 				snap := hk.Snapshot()
@@ -188,48 +171,11 @@ func run(model, addr, gateway, listenAddr string, registryOn bool, registryListe
 				return snap.Skew, true
 			})
 		}
-		if sloEng != nil {
-			// Evaluating once per tick drives the alert state machine even
-			// when nobody scrapes /sloz.
-			store.AddProbe("frontend.slo_breach_classes", func() (float64, bool) {
-				breaching := 0.0
-				for _, c := range sloEng.Status().Classes {
-					if c.AlertState() != slo.StateOK {
-						breaching++
-					}
-				}
-				return breaching, true
-			})
-		}
-		// Fleet observability: the pool and registry publish failover,
-		// breaker, and lease events into a shared timeline, and a federator
-		// scrapes every lease-discovered member's admin plane.
-		events := fleet.NewLog(0, anaReg)
+		// The pool and registry publish failover, breaker, and lease events
+		// into one timeline.
+		events := fleet.NewLog(0, fe.Metrics())
 		fe.EnableFleet(events)
 		adminSrv.SetEventLog(events)
-		if registryOn {
-			fleetReg := metrics.NewRegistry()
-			fed := fleet.NewFederator(fleet.FederatorConfig{
-				Discover: fe.FleetMembers,
-				Interval: fleetScrape,
-				Metrics:  fleetReg,
-				Events:   events,
-			})
-			adminSrv.SetFederator(fed)
-			adminSrv.MountRegistry("", fleetReg)
-			// Federation health on /graphz: pool size as the federator sees
-			// it, and cumulative scrape failures.
-			members := fleetReg.Gauge("fleet_members")
-			scrapeErrs := fleetReg.Counter("fleet_scrape_errors_total")
-			store.AddProbe("fleet_members", func() (float64, bool) {
-				return float64(members.Value()), true
-			})
-			store.AddProbe("fleet_scrape_errors_total", func() (float64, bool) {
-				return float64(scrapeErrs.Value()), true
-			})
-			fed.Start()
-			defer fed.Close()
-		}
 		adminSrv.SetTSDB(store)
 		store.Start(sampleEvery)
 		if err := adminSrv.Start(admin); err != nil {

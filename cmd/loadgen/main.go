@@ -40,7 +40,6 @@ import (
 	"servicebroker/internal/obs"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/sketch"
-	"servicebroker/internal/slo"
 	"servicebroker/internal/tsdb"
 	"servicebroker/internal/workload"
 )
@@ -55,10 +54,9 @@ func main() {
 	flag.IntVar(&cfg.classes, "classes", 3, "webstone: QoS classes")
 	flag.DurationVar(&cfg.duration, "duration", 30*time.Second, "webstone: run duration")
 	flag.DurationVar(&cfg.think, "think", time.Second, "webstone: per-client think time")
-	flag.StringVar(&cfg.admin, "admin", "", "admin HTTP address for /metrics, /seriesz, /graphz (empty disables)")
+	flag.StringVar(&cfg.admin, "admin", "", "admin HTTP address for /metrics, /seriesz (empty disables)")
 	flag.Float64Var(&cfg.zipf, "zipf", 0, "key-popularity skew s > 0 draws keys Zipf(s)-distributed; the sampled key id replaces every {key} in the URL query")
 	flag.IntVar(&cfg.zipfKeys, "zipf-keys", 1000, "zipf: size of the key universe")
-	flag.BoolVar(&cfg.slo, "slo", false, "evaluate client-side per-class SLO burn rates, served on -admin /sloz")
 	flag.IntVar(&cfg.hotkeys, "hotkeys", 0, "with -zipf: track the top-N hottest sampled keys client-side for -admin /hotz (0 disables)")
 	flag.IntVar(&cfg.txnSteps, "txn-steps", 0, "tag requests as N-step transactions (txn/step query params, idem key on the final step; 0 disables)")
 	flag.Parse()
@@ -78,7 +76,6 @@ type runConfig struct {
 	admin            string
 	zipf             float64
 	zipfKeys         int
-	slo              bool
 	hotkeys          int
 	txnSteps         int
 }
@@ -230,14 +227,9 @@ func run(cfg runConfig) error {
 	// registries for a same-scrape comparison.
 	reg := metrics.NewRegistry()
 
-	// Client-side analytics: the driver scores the latency clients actually
-	// observe against the per-class objectives, and (with -zipf) tracks which
-	// sampled keys dominate — a cached fidelity counts as a hit, so the
-	// client-side /hotz hit ratio approximates the broker cache's.
-	var sloEng *slo.Engine
-	if cfg.slo {
-		sloEng = slo.New(slo.Config{Objectives: slo.DefaultObjectives(), Logger: slog.Default(), Metrics: reg})
-	}
+	// Client-side analytics: with -zipf loadgen tracks which sampled keys
+	// dominate — a cached fidelity counts as a hit, so the client-side /hotz
+	// hit ratio approximates the broker cache's.
 	var hk *sketch.Tracker
 	if cfg.hotkeys > 0 && keys != nil {
 		hk = sketch.NewTracker(sketch.Config{TopK: cfg.hotkeys})
@@ -246,9 +238,6 @@ func run(cfg runConfig) error {
 	if admin != "" {
 		adminSrv := obs.New()
 		adminSrv.MountRegistry("client.", reg)
-		if sloEng != nil {
-			adminSrv.AddRows("/sloz", "client", func(w io.Writer, _ int) { sloEng.Status().WriteRows(w, "client") })
-		}
 		if hk != nil {
 			adminSrv.AddRows("/hotz", "client", func(w io.Writer, limit int) { hk.Snapshot().WriteRows(w, "client", limit) })
 		}
@@ -288,10 +277,6 @@ func run(cfg runConfig) error {
 			reg.Histogram("latency").Observe(elapsed)
 			if class >= 1 {
 				reg.Histogram(fmt.Sprintf("latency_class_%d", class)).Observe(elapsed)
-			}
-			if sloEng != nil && class >= 1 {
-				ok := err == nil && (fid == qos.FidelityFull || fid == qos.FidelityCached)
-				sloEng.Record(class, elapsed, ok)
 			}
 			if err != nil {
 				reg.Counter("errors").Inc()

@@ -1,7 +1,6 @@
 package servicebroker
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -14,7 +13,6 @@ import (
 	"servicebroker/internal/fleet"
 	"servicebroker/internal/frontend"
 	"servicebroker/internal/httpserver"
-	"servicebroker/internal/metrics"
 	"servicebroker/internal/obs"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/registry"
@@ -22,20 +20,18 @@ import (
 )
 
 // fleetMember is one pool member the way brokerd deploys it: a traced broker
-// behind a gateway, a lease registrar advertising the member's admin-plane
-// address, and the admin plane itself for the federator to scrape. The
-// backend sits behind a FaultConnector so a test can make the member answer
-// error status without killing it.
+// behind a gateway and a lease registrar. The backend sits behind a
+// FaultConnector so a test can make the member answer error status without
+// killing it.
 type fleetMember struct {
 	t     *testing.T
 	fault *backend.FaultConnector
 	b     *broker.Broker
 	addr  string
 
-	mu    sync.Mutex
-	gw    *broker.Gateway
-	rgr   *registry.Registrar
-	admin *obs.Server
+	mu  sync.Mutex
+	gw  *broker.Gateway
+	rgr *registry.Registrar
 }
 
 func newFleetMember(t *testing.T, service string) *fleetMember {
@@ -51,31 +47,20 @@ func newFleetMember(t *testing.T, service string) *fleetMember {
 		b.Close()
 		t.Fatal(err)
 	}
-	admin := obs.New()
-	admin.MountRegistry("broker."+service+".", b.Metrics())
-	admin.SetRecorder(rec)
-	if err := admin.Start("127.0.0.1:0"); err != nil {
-		gw.Close()
-		b.Close()
-		t.Fatal(err)
-	}
-	m := &fleetMember{t: t, fault: fault, b: b, gw: gw, admin: admin, addr: gw.Addr().String()}
+	m := &fleetMember{t: t, fault: fault, b: b, gw: gw, addr: gw.Addr().String()}
 	t.Cleanup(m.close)
 	return m
 }
 
-func (m *fleetMember) adminAddr() string { return m.admin.Addr().String() }
-
 func (m *fleetMember) register(service, target string, ttl time.Duration) {
 	m.t.Helper()
 	rgr, err := registry.NewRegistrar(registry.RegistrarConfig{
-		Service:   service,
-		Addr:      m.addr,
-		Target:    target,
-		TTL:       ttl,
-		Interval:  ttl / 3,
-		Load:      m.b.Load,
-		AdminAddr: m.adminAddr(),
+		Service:  service,
+		Addr:     m.addr,
+		Target:   target,
+		TTL:      ttl,
+		Interval: ttl / 3,
+		Load:     m.b.Load,
 	})
 	if err != nil {
 		m.t.Fatal(err)
@@ -86,21 +71,18 @@ func (m *fleetMember) register(service, target string, ttl time.Duration) {
 }
 
 // crash kills the member like a process death: renewals stop without a
-// deregister, the gateway socket closes, and the admin plane stops answering
-// the federator's scrapes.
+// deregister and the gateway socket closes. No renewal leaves once it
+// returns.
 func (m *fleetMember) crash() {
 	m.mu.Lock()
-	gw, rgr, admin := m.gw, m.rgr, m.admin
-	m.gw, m.rgr, m.admin = nil, nil, nil
+	gw, rgr := m.gw, m.rgr
+	m.gw, m.rgr = nil, nil
 	m.mu.Unlock()
 	if rgr != nil {
 		rgr.Abandon()
 	}
 	if gw != nil {
 		gw.Close()
-	}
-	if admin != nil {
-		admin.Close()
 	}
 }
 
@@ -109,12 +91,11 @@ func (m *fleetMember) close() {
 	m.b.Close()
 }
 
-// TestFleetObservability drives the federation plane end to end: three
-// lease-registered members scraped by a frontend-hosted federator, a forced
-// failover producing one stitched /tracez tree with spans from two brokers,
-// a member crash marking it stale on /fleetz within one lease TTL, and
-// /eventz carrying the lease expiry and the breaker-open with the failing
-// request's trace ID.
+// TestFleetObservability drives the front end's fleet view end to end: three
+// lease-registered members live on /poolz, a forced failover producing one
+// stitched /tracez tree with spans from two brokers, a member crash showing
+// expired on /poolz within one lease TTL, and /eventz carrying the lease
+// expiry and the breaker-open with the failing request's trace ID.
 func TestFleetObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
@@ -143,25 +124,17 @@ func TestFleetObservability(t *testing.T) {
 	fe.EnableFleet(events)
 
 	// The frontend's admin plane, wired the way cmd/frontend wires it: the
-	// trace recorder, the event timeline, and a lease-driven federator.
+	// row pages, the trace recorder and the event timeline.
 	adminSrv := obs.New()
+	for page, render := range fe.AdminPages("frontend") {
+		adminSrv.AddRows(page, "frontend", render)
+	}
 	adminSrv.SetRecorder(rec)
 	adminSrv.SetEventLog(events)
-	fleetReg := metrics.NewRegistry()
-	fed := fleet.NewFederator(fleet.FederatorConfig{
-		Discover:   fe.FleetMembers,
-		Interval:   100 * time.Millisecond,
-		StaleAfter: 300 * time.Millisecond,
-		Metrics:    fleetReg,
-		Events:     events,
-	})
-	defer fed.Close()
-	adminSrv.SetFederator(fed)
 	if err := adminSrv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer adminSrv.Close()
-	fed.Start()
 
 	for _, m := range members {
 		m.register(service, lsn.Addr(), leaseTTL)
@@ -192,9 +165,14 @@ func TestFleetObservability(t *testing.T) {
 		}
 	}
 
-	// All three members join the fleet view live.
-	waitPage("/fleetz", "3 live members", 5*time.Second, func(b string) bool {
-		return strings.Count(b, "state=live") >= 3 && strings.Contains(b, "fleet: 3 members")
+	// All three members join the pool as live lease rows.
+	waitPage("/poolz", "3 live lease rows", 5*time.Second, func(b string) bool {
+		for _, m := range members {
+			if !strings.Contains(poolRow(b, m.addr), " source=lease state=live ") {
+				return false
+			}
+		}
+		return true
 	})
 
 	cli := httpserver.NewClient(fe.Addr(), httpserver.WithPersistent(1))
@@ -211,17 +189,6 @@ func TestFleetObservability(t *testing.T) {
 		}
 	}
 	premium("warm")
-
-	// With traffic flowing, the next scrape merges every member's series
-	// under broker= labels and sums them into broker="fleet" rollups.
-	metricsBody := waitPage("/metrics", "fleet rollup series", 5*time.Second, func(b string) bool {
-		return strings.Contains(b, `broker="fleet"`)
-	})
-	for _, m := range members {
-		if !strings.Contains(metricsBody, fmt.Sprintf("fleet_member_up{broker=%q} 1", m.addr)) {
-			t.Fatalf("federated /metrics missing live marker for %s:\n%.2000s", m.addr, metricsBody)
-		}
-	}
 
 	// --- (a) forced failover stitches one tree from two brokers -------------
 	// The idle pool picks the lowest address first; make that member answer
@@ -245,28 +212,22 @@ func TestFleetObservability(t *testing.T) {
 		t.Fatalf("stitched trace missing the failover hop:\n%s", block)
 	}
 
-	// --- (b) a killed member marks stale within one lease TTL ---------------
+	// --- (b) a killed member reads expired within one lease TTL ------------
+	// Premium traffic runs through the crash until one TTL has passed: while
+	// the lease is live every request fails over, and the repeated failures
+	// open the dead member's pool breaker. The last renewal left before the
+	// kill, so the lease ends within one TTL of it; /poolz reads expiry from
+	// the lease itself, not from the reconcile sweep, so the row says so as
+	// soon as the TTL has run out.
 	victim := first
-	killedAt := time.Now()
 	victim.crash()
-	waitPage("/fleetz", "killed member stale", leaseTTL, func(b string) bool {
-		for _, line := range strings.Split(b, "\n") {
-			if strings.Contains(line, "member="+victim.addr) && strings.Contains(line, "state=stale") {
-				return true
-			}
-		}
-		return false
-	})
-	if elapsed := time.Since(killedAt); elapsed > leaseTTL {
-		t.Fatalf("stale marking took %v, want within one lease TTL (%v)", elapsed, leaseTTL)
-	}
-
-	// Premium traffic through the crash: every request fails over, and the
-	// repeated failures open the dead member's pool breaker.
-	crashUntil := time.Now().Add(leaseTTL + time.Second)
-	for time.Now().Before(crashUntil) {
+	killedAt := time.Now()
+	for time.Since(killedAt) < leaseTTL {
 		premium("failover")
 		time.Sleep(10 * time.Millisecond)
+	}
+	if row := poolRow(page("/poolz"), victim.addr); !strings.Contains(row, " state=expired") {
+		t.Fatalf("one lease TTL after the kill, the victim's /poolz row = %q, want state=expired", row)
 	}
 
 	// --- (c) /eventz carries the lease expiry and the traced breaker-open ---
@@ -285,14 +246,16 @@ func TestFleetObservability(t *testing.T) {
 		}
 		return sawExpiry && sawBreaker
 	})
+}
 
-	// The fleet gauges track the scrape health the whole time.
-	if got := fleetReg.Gauge("fleet_members_stale").Value(); got < 1 {
-		t.Fatalf("fleet_members_stale = %d, want >= 1", got)
+// poolRow returns the /poolz row of the member at addr, or "" if none.
+func poolRow(body, addr string) string {
+	for _, line := range strings.Split(body, "\n") {
+		if strings.Contains(line, " addr="+addr+" ") {
+			return line
+		}
 	}
-	if got := fleetReg.Counter("fleet_scrapes_total").Value(); got == 0 {
-		t.Fatal("federator never scraped")
-	}
+	return ""
 }
 
 // findStitchedTrace returns the first /tracez block whose spans carry

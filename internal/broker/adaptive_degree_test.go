@@ -55,7 +55,7 @@ func TestAdaptiveDegreeThroughBroker(t *testing.T) {
 		t.Fatalf("ClusterDegree = %d escaped [1, 8]", deg)
 	}
 	// The live degree gauge rides in the broker registry so /metrics and
-	// /graphz pick it up with no extra wiring.
+	// /seriesz pick it up with no extra wiring.
 	if g := b.Metrics().Gauge("cluster_degree_current").Value(); g != int64(deg) {
 		t.Fatalf("cluster_degree_current gauge = %d, ClusterDegree = %d", g, deg)
 	}

@@ -28,13 +28,13 @@ func (st CoalesceStats) WriteRow(w io.Writer, service string) {
 
 // AdminPages returns a row renderer for every admin page this broker has
 // something to say on, keyed by page path: /loadz, /breakerz and /limitz
-// always, /hotz, /sloz and /txnz when the feature behind them was configured.
+// always, /hotz and /txnz when the feature behind them was configured.
 // Rows are labelled with service (brokerd's -service name, which need not be
 // the connector's). limit is the page's ?n= parameter; only /hotz ranks rows.
 //
-// Rendering /hotz, /sloz and /txnz snapshots their subsystem, which also
-// refreshes its gauges, steps the SLO alert state machine and runs the
-// transaction abandonment sweep — scraping keeps an idle broker honest.
+// Rendering /hotz and /txnz snapshots their subsystem, which also refreshes
+// its gauges and runs the transaction abandonment sweep — scraping keeps an
+// idle broker honest.
 func (b *Broker) AdminPages(service string) map[string]func(w io.Writer, limit int) {
 	pages := map[string]func(io.Writer, int){
 		"/loadz": func(w io.Writer, _ int) { fmt.Fprintln(w, b.Load().Row()) },
@@ -64,9 +64,6 @@ func (b *Broker) AdminPages(service string) map[string]func(w io.Writer, limit i
 				snap.WriteRows(w, service, limit)
 			}
 		}
-	}
-	if b.sloEng != nil {
-		pages["/sloz"] = func(w io.Writer, _ int) { b.sloEng.Status().WriteRows(w, service) }
 	}
 	if b.tracker != nil {
 		pages["/txnz"] = func(w io.Writer, _ int) {

@@ -1,9 +1,7 @@
 package broker
 
 import (
-	"bytes"
 	"context"
-	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -11,8 +9,6 @@ import (
 	"servicebroker/internal/overload"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/sketch"
-	"servicebroker/internal/slo"
-	"servicebroker/internal/trace"
 )
 
 func TestHotKeyTrackingThroughBroker(t *testing.T) {
@@ -72,58 +68,6 @@ func TestHotKeyTrackingWithoutCache(t *testing.T) {
 	}
 }
 
-func TestSLORecordingThroughBroker(t *testing.T) {
-	var logBuf bytes.Buffer
-	b := newBroker(t, echoConnector("cgi"),
-		WithCache(16, 0),
-		WithSLO(slo.Config{
-			Objectives: []slo.Objective{{
-				Class:            qos.Class1,
-				LatencyTarget:    5 * time.Second, // generous: everything is fast
-				LatencyGoal:      0.9,
-				AvailabilityGoal: 0.99,
-			}},
-			FastWindow: time.Second,
-			SlowWindow: 4 * time.Second,
-			Resolution: 100 * time.Millisecond,
-			Logger:     slog.New(slog.NewTextHandler(&logBuf, nil)),
-		}))
-
-	for i := 0; i < 10; i++ {
-		resp := b.Handle(context.Background(), &Request{Payload: []byte("k"), Class: qos.Class1})
-		if resp.Status != StatusOK {
-			t.Fatalf("resp = %+v", resp)
-		}
-	}
-	st, ok := b.SLOStatus()
-	if !ok {
-		t.Fatal("SLOStatus not available despite WithSLO")
-	}
-	if len(st.Classes) != 1 {
-		t.Fatalf("classes = %+v", st.Classes)
-	}
-	c := st.Classes[0]
-	if c.State != "ok" {
-		t.Fatalf("state = %q, want ok", c.State)
-	}
-	if c.FastTotal != 10 {
-		t.Fatalf("fast total = %d, want 10", c.FastTotal)
-	}
-	// The backend miss plus nine cache hits must have produced stage
-	// attribution including cache and backend time.
-	seen := map[trace.Stage]bool{}
-	for _, s := range c.Stages {
-		seen[s.Stage] = true
-	}
-	if !seen[trace.StageCache] || !seen[trace.StageBackend] || !seen[trace.StageQueue] {
-		t.Fatalf("stages = %+v, want cache+backend+queue attribution", c.Stages)
-	}
-	// Gauges land in the broker's registry by default.
-	if got := b.Metrics().Gauge("slo_state_class_1").Value(); got != int64(slo.StateOK) {
-		t.Fatalf("slo_state_class_1 = %d, want ok", got)
-	}
-}
-
 // pageBodies renders every admin page the broker enumerates.
 func pageBodies(b *Broker, service string) map[string]string {
 	out := make(map[string]string)
@@ -155,7 +99,6 @@ func TestAdminPagesFollowFeatures(t *testing.T) {
 
 	full := newBroker(t, echoConnector("db"),
 		WithHotKeys(sketch.Config{TopK: 4}), WithCoalescing(), WithCache(64, time.Minute),
-		WithSLO(slo.Config{Objectives: slo.DefaultObjectives()}),
 		WithTransactions(), WithIdempotency(8, time.Minute),
 		WithAdaptiveLimit(overload.Config{Min: 2, Max: 32}))
 	resp := full.Handle(context.Background(), &Request{
@@ -167,7 +110,6 @@ func TestAdminPagesFollowFeatures(t *testing.T) {
 	for page, wants := range map[string][]string{
 		"/limitz": {"service=orders limit=", " min=2 max=32 "},
 		"/hotz":   {"service=orders coalesce: flights=", "service=orders accesses=1 ", `key="hold sku-1"`},
-		"/sloz":   {"service=orders fast_window=", "  class=1 state=ok "},
 		"/txnz":   {"service=orders active=1 ", "  idempotency: size=1/8 ", "  txn=order-7 step=2 "},
 	} {
 		for _, w := range wants {
@@ -176,7 +118,7 @@ func TestAdminPagesFollowFeatures(t *testing.T) {
 			}
 		}
 	}
-	if len(pages) != 6 {
-		t.Errorf("full broker pages = %d, want 6: %v", len(pages), pages)
+	if len(pages) != 5 {
+		t.Errorf("full broker pages = %d, want 5: %v", len(pages), pages)
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"servicebroker/internal/qos"
 	"servicebroker/internal/resilience"
 	"servicebroker/internal/sketch"
-	"servicebroker/internal/slo"
 	"servicebroker/internal/trace"
 	"servicebroker/internal/txn"
 )
@@ -160,9 +159,8 @@ type Broker struct {
 	idem    *txn.IdemTable // keyed mutations (WithIdempotency): outcomes remembered
 	flights *txn.IdemTable // identical reads (WithCoalescing): outcomes only shared
 
-	// workload analytics (WithHotKeys) and per-class SLOs (WithSLO)
+	// workload analytics (WithHotKeys)
 	hotkeys *sketch.Tracker
-	sloEng  *slo.Engine
 
 	// fleet event timeline (WithFleetEvents); nil-safe, may stay nil
 	events *fleet.Log
@@ -196,7 +194,6 @@ type Broker struct {
 	batcherOpts []cluster.BatcherOption // WithClustering's wait, WithAdaptiveDegree
 	cacheCap    int                     // 0 unless WithCache
 	cacheTTL    time.Duration
-	sloCfg      *slo.Config
 }
 
 // Option configures a Broker.
@@ -249,19 +246,6 @@ func WithCache(capacity int, ttl time.Duration) Option {
 func WithHotKeys(cfg sketch.Config) Option {
 	return func(b *Broker) error {
 		b.hotkeys = sketch.NewTracker(cfg)
-		return nil
-	}
-}
-
-// WithSLO attaches a per-class SLO engine (package slo): every request's
-// final disposition is recorded against its class's latency and availability
-// objectives, and the broker's stage timings (queue, cache, cluster,
-// backend, retry) feed the engine's per-stage budget attribution. The
-// evaluated state is surfaced via SLOStatus (the obs /sloz page) and, when
-// cfg.Metrics is nil, slo_* gauges in the broker's registry.
-func WithSLO(cfg slo.Config) Option {
-	return func(b *Broker) error {
-		b.sloCfg = &cfg
 		return nil
 	}
 }
@@ -534,13 +518,6 @@ func New(connector backend.Connector, opts ...Option) (_ *Broker, err error) {
 		b.tracker.OnAbandon(func(txn.State) { abandoned.Inc() })
 	}
 
-	if b.sloCfg != nil {
-		cfg := *b.sloCfg
-		if cfg.Metrics == nil {
-			cfg.Metrics = b.reg
-		}
-		b.sloEng = slo.New(cfg)
-	}
 	if b.cacheCap > 0 {
 		copts := []cache.Option{cache.WithDefaultTTL(b.cacheTTL)}
 		if b.hotkeys != nil {
@@ -779,24 +756,6 @@ type CoalesceStats struct {
 	Coalesced int64 // duplicate requests that waited on a flight
 	Shared    int64 // waiters answered from the owner's response
 	Inflight  int   // currently open flights
-}
-
-// SLOStatus evaluates and returns the per-class SLO state; ok is false
-// unless WithSLO is configured. Evaluation (burn rates, alert transitions,
-// gauge publication) happens on each call, so periodic scrapers drive the
-// alert state machine.
-func (b *Broker) SLOStatus() (slo.Status, bool) {
-	if b.sloEng == nil {
-		return slo.Status{}, false
-	}
-	return b.sloEng.Status(), true
-}
-
-// sloStage attributes stage time to a class's SLO window.
-func (b *Broker) sloStage(class qos.Class, stage trace.Stage, d time.Duration) {
-	if b.sloEng != nil {
-		b.sloEng.RecordStage(class, stage, d)
-	}
 }
 
 // publish puts one of the broker's operational transitions on the fleet

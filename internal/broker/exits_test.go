@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"log/slog"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -15,13 +13,12 @@ import (
 	"servicebroker/internal/metrics"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/resilience"
-	"servicebroker/internal/slo"
 	"servicebroker/internal/trace"
 )
 
 // exitRig is a broker with every accounting sink attached, so one request's
 // disposition can be audited from the outside: a trace recorder aggregating
-// into its own registry, and an SLO engine with an objective per class.
+// into its own registry.
 type exitRig struct {
 	t        *testing.T
 	b        *Broker
@@ -36,15 +33,7 @@ func newExitRig(t *testing.T, conn backend.Connector, opts ...Option) *exitRig {
 		rig.g = newGateConnector()
 		conn = rig.g.connector()
 	}
-	objectives := make([]slo.Objective, 3)
-	for i := range objectives {
-		objectives[i] = slo.Objective{Class: qos.Class(i + 1), LatencyTarget: time.Minute, LatencyGoal: 0.9, AvailabilityGoal: 0.9}
-	}
-	opts = append([]Option{
-		WithTracer(trace.NewRecorder(trace.WithMetrics(rig.traceReg))),
-		WithSLO(slo.Config{Objectives: objectives, FastWindow: time.Minute, SlowWindow: time.Hour,
-			Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}),
-	}, opts...)
+	opts = append([]Option{WithTracer(trace.NewRecorder(trace.WithMetrics(rig.traceReg)))}, opts...)
 	rig.b = newBroker(t, conn, opts...)
 	return rig
 }
@@ -81,7 +70,7 @@ func (rig *exitRig) waitFor(what string, cond func() bool) {
 
 // audit asserts the accounting invariant after a case has driven its
 // requests: every request is exactly one finished trace with the expected
-// status, one SLO event and one per-class disposition, and nothing it owned
+// status and one per-class disposition, and nothing it owned
 // is left open.
 func (rig *exitRig) audit(want map[string]int64) {
 	t, reg := rig.t, rig.b.Metrics()
@@ -104,14 +93,6 @@ func (rig *exitRig) audit(want map[string]int64) {
 	}
 	if got := reg.Counter("requests").Value(); got != total {
 		t.Errorf("requests = %d, want %d", got, total)
-	}
-	st, _ := rig.b.SLOStatus()
-	var events uint64
-	for _, c := range st.Classes {
-		events += c.FastTotal
-	}
-	if events != uint64(total) {
-		t.Errorf("SLO events = %d, want %d (one per request)", events, total)
 	}
 	for k := 1; k <= 3; k++ {
 		count := func(name string) int64 { return reg.Counter(fmt.Sprintf("%s_class_%d", name, k)).Value() }

@@ -69,8 +69,8 @@ func NewGatewayConn(pc net.PacketConn, brokers map[string]*Broker) (*Gateway, er
 // SetIdentity overrides the identity stamped on traced responses. The
 // default — the gateway's UDP listen address — matches how frontend pools
 // address members, which is what makes stitched traces line up with /poolz
-// and /fleetz rows; override it only when the advertised address differs
-// from the bound one (NAT, 0.0.0.0 binds).
+// rows; override it only when the advertised address differs from the bound
+// one (NAT, 0.0.0.0 binds).
 func (g *Gateway) SetIdentity(id string) { g.identity.Store(id) }
 
 // Identity reports the identity stamped on responses.

@@ -193,10 +193,10 @@ func (b *Broker) lookup(r *flow) *Response {
 	span := r.tr.StartSpan(trace.StageCache)
 	body, ok := b.results.Get(r.key)
 	if !ok {
-		b.sloStage(r.class, trace.StageCache, span.EndNote("miss"))
+		span.EndNote("miss")
 		return nil
 	}
-	b.sloStage(r.class, trace.StageCache, span.EndNote("hit"))
+	span.EndNote("hit")
 	b.m.cacheHits.Inc()
 	return &Response{Status: StatusOK, Fidelity: qos.FidelityCached, Payload: body}
 }
@@ -212,7 +212,7 @@ func (b *Broker) coalesce(r *flow) (resp *Response) {
 	var waited bool
 	r.flight, resp, _, waited = join(r.ctx, b.flights, r.key, b.m.coalesced)
 	if waited {
-		b.sloStage(r.class, trace.StageCoalesce, span.EndNote("waited"))
+		span.EndNote("waited")
 	}
 	switch {
 	case r.flight != nil:
@@ -367,7 +367,6 @@ func (b *Broker) evictExpired(j *job, _ qos.Class, wait time.Duration) {
 	b.m.queueSojourn.ObserveTrace(wait, uint64(j.tr.ID()))
 	b.congested()
 	j.tr.Span(trace.StageQueue, j.queued, time.Now(), "sojourn evicted")
-	b.sloStage(j.class, trace.StageQueue, wait)
 	b.release()
 	j.resp <- b.finish(&j.flow, b.refuse(&j.flow, StatusShed, refusedSojourn))
 }
@@ -404,7 +403,6 @@ func (b *Broker) dequeue(j *job) *Response {
 	wait := j.popped.Sub(j.queued)
 	id := uint64(j.tr.ID())
 	j.tr.Span(trace.StageQueue, j.queued, j.popped, "")
-	b.sloStage(j.class, trace.StageQueue, wait)
 	b.m.queueWait.ObserveTrace(wait, id)
 	b.m.forClass(j.class).queueWait.ObserveTrace(wait, id)
 	b.m.queueLen.Set(int64(b.queue.Len()))
@@ -434,7 +432,6 @@ func (b *Broker) execute(j *job) *Response {
 				now := time.Now()
 				j.tr.Span(trace.StageRetry, now.Add(-waited), now,
 					"attempt "+strconv.Itoa(attempt)+" after: "+cause.Error())
-				b.sloStage(j.class, trace.StageRetry, waited)
 			})
 		if attempts > 1 {
 			b.m.retries.Add(int64(attempts - 1))
@@ -480,7 +477,6 @@ func (b *Broker) access(ctx context.Context, j *job) ([]byte, error) {
 	span := j.tr.StartSpan(stage)
 	body, err := do(ctx, j.req.Payload)
 	d := span.EndNote(note)
-	b.sloStage(j.class, stage, d)
 	hist.ObserveTrace(d, uint64(j.tr.ID()))
 	return body, err
 }
@@ -510,14 +506,6 @@ func (b *Broker) finish(r *flow, resp *Response) *Response {
 		k.errors.Inc()
 	}
 
-	// The SLO's availability objective counts a request as served only when
-	// it got a full or cached result: stale and degraded answers, refusals
-	// and errors burn the class's budget.
-	if b.sloEng != nil {
-		served := resp.Status == StatusOK &&
-			(resp.Fidelity == qos.FidelityFull || resp.Fidelity == qos.FidelityCached)
-		b.sloEng.Record(r.class, elapsed, served)
-	}
 	refused := resp.Status == StatusDropped || resp.Status == StatusShed
 	if b.hotkeys != nil && r.key != "" && !refused {
 		b.hotkeys.RecordLatency(r.key, elapsed)

@@ -1,19 +1,8 @@
-// Package fleet is the federation layer of the observability plane: it
-// turns a set of per-process admin endpoints (one per broker, front end, or
-// backend daemon) into a single fleet-level view. Three pieces compose it:
-//
-//   - Log, a bounded fleet event timeline (/eventz): lease expiry/rejoin,
-//     breaker transitions, AIMD limit cuts, SLO state changes, drain
-//     start/stop — published through a small hook API that the registry,
-//     pool, broker, and SLO subsystems call into, with trace-ID links back
-//     to /tracez.
-//   - Federator, a background scraper that discovers pool members via
-//     registry leases plus static lists, polls each member's admin plane,
-//     and caches the last good answer so a member mid-crash marks stale
-//     instead of blocking or blanking the fleet view (/fleetz).
-//   - The federated /metrics renderer, which merges every member's
-//     Prometheus exposition under per-member broker="..." labels plus
-//     broker="fleet" sum rollups.
+// Package fleet is the fleet event timeline of the observability plane:
+// Log, a bounded ring (/eventz) of lease expiry/rejoin, breaker
+// transitions, AIMD limit cuts and drain start/stop, published through a
+// small hook API that the registry, pool and broker call into, with
+// trace-ID links back to /tracez.
 //
 // The package is stdlib-only and depends only on internal/metrics, so every
 // subsystem that wants to publish events can import it without cycles.
@@ -49,16 +38,10 @@ const (
 	KindStaleServe Kind = "stale_serve"
 	// KindLimitCut marks a multiplicative cut of the AIMD admission limit.
 	KindLimitCut Kind = "limit_cut"
-	// KindSLOTransition marks an SLO alert-state change (ok/warning/page).
-	KindSLOTransition Kind = "slo_transition"
 	// KindDrainStart/Stop bracket a daemon's graceful shutdown; /healthz
 	// reports "draining" between them.
 	KindDrainStart Kind = "drain_start"
 	KindDrainStop  Kind = "drain_stop"
-	// KindMemberStale/Live mirror the federator's scrape health: a member
-	// whose admin plane stopped answering is stale until it answers again.
-	KindMemberStale Kind = "member_stale"
-	KindMemberLive  Kind = "member_live"
 )
 
 // Event is one entry on the fleet timeline.

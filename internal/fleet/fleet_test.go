@@ -1,13 +1,7 @@
 package fleet
 
 import (
-	"context"
-	"net/http"
-	"net/http/httptest"
-	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"servicebroker/internal/metrics"
 )
@@ -58,219 +52,5 @@ func TestLogMetrics(t *testing.T) {
 	}
 	if got := reg.Counter("fleet_events_dropped_total").Value(); got != 1 {
 		t.Fatalf("fleet_events_dropped_total = %d, want 1", got)
-	}
-}
-
-func TestParsePromSkipsGarbage(t *testing.T) {
-	body := strings.Join([]string{
-		"# HELP requests_total ignored",
-		"# TYPE requests_total counter",
-		`requests_total{class="1"} 41`,
-		`requests_total{class="2"} 1`,
-		"this line is noise",
-		"# TYPE queue_depth gauge",
-		"queue_depth 7",
-		"orphan_sample 3",
-		"# TYPE latency_ms histogram",
-		`latency_ms_bucket{le="10"} 5`,
-		`latency_ms_bucket{le="+Inf"} 9`,
-		"latency_ms_sum 120",
-		"latency_ms_count 9",
-		"truncated{",
-	}, "\n")
-	fams := parseProm(body)
-	byName := map[string]promFamily{}
-	for _, f := range fams {
-		byName[f.name] = f
-	}
-	if f := byName["requests_total"]; f.typ != "counter" || len(f.samples) != 2 {
-		t.Fatalf("requests_total = %+v", f)
-	}
-	if f := byName["queue_depth"]; f.typ != "gauge" || len(f.samples) != 1 || f.samples[0].value != 7 {
-		t.Fatalf("queue_depth = %+v", f)
-	}
-	if f := byName["orphan_sample"]; f.typ != "untyped" || len(f.samples) != 1 {
-		t.Fatalf("orphan_sample = %+v", f)
-	}
-	if f := byName["latency_ms"]; f.typ != "histogram" || len(f.samples) != 4 {
-		t.Fatalf("latency_ms = %+v", f)
-	}
-}
-
-func TestWriteFederatedLabelsAndRollups(t *testing.T) {
-	members := []memberExposition{
-		{name: "b1", fams: parseProm("# TYPE requests_total counter\nrequests_total{class=\"1\"} 10\n")},
-		{name: "b2", fams: parseProm("# TYPE requests_total counter\nrequests_total{class=\"1\"} 32\n")},
-	}
-	var b strings.Builder
-	writeFederated(&b, members, map[string]bool{})
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE requests_total counter\n",
-		`requests_total{broker="b1",class="1"} 10`,
-		`requests_total{broker="b2",class="1"} 32`,
-		`requests_total{broker="fleet",class="1"} 42`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("federated output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Count(out, "# TYPE requests_total") != 1 {
-		t.Fatalf("duplicate TYPE line:\n%s", out)
-	}
-
-	// A family the caller already typed locally must not be re-typed.
-	b.Reset()
-	writeFederated(&b, members, map[string]bool{"requests_total": true})
-	if strings.Contains(b.String(), "# TYPE") {
-		t.Fatalf("seen family re-typed:\n%s", b.String())
-	}
-}
-
-// fakeMember is an httptest admin plane serving /metrics and /buildz.
-func fakeMember(t *testing.T, body *atomic.Value) *httptest.Server {
-	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte(body.Load().(string)))
-	})
-	mux.HandleFunc("/buildz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte("servicebroker test build\ngoos linux\n"))
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-func TestFederatorScrapeStaleAndRecovery(t *testing.T) {
-	var body atomic.Value
-	body.Store("# TYPE requests_total counter\nrequests_total 5\n")
-	srv := fakeMember(t, &body)
-	adminAddr := strings.TrimPrefix(srv.URL, "http://")
-
-	reg := metrics.NewRegistry()
-	events := NewLog(32, nil)
-	alive := atomic.Bool{}
-	alive.Store(true)
-	fed := NewFederator(FederatorConfig{
-		Discover: func() []MemberInfo {
-			return []MemberInfo{{Name: "b1", AdminAddr: adminAddr}}
-		},
-		Interval:   50 * time.Millisecond,
-		StaleAfter: time.Nanosecond, // any failed sweep goes stale immediately
-		Metrics:    reg,
-		Events:     events,
-	})
-	defer fed.Close()
-
-	ctx := context.Background()
-	fed.ScrapeOnce(ctx)
-	ms := fed.Members()
-	if len(ms) != 1 || ms[0].Stale || ms[0].Series != 1 {
-		t.Fatalf("after first sweep: %+v", ms)
-	}
-	if ms[0].Build != "servicebroker test build" {
-		t.Fatalf("build line = %q", ms[0].Build)
-	}
-	if got := reg.Gauge("fleet_members").Value(); got != 1 {
-		t.Fatalf("fleet_members = %d, want 1", got)
-	}
-
-	// Kill the admin plane: the member marks stale, the cached exposition
-	// still serves, and a member_stale event lands on the timeline.
-	srv.Close()
-	fed.ScrapeOnce(ctx)
-	ms = fed.Members()
-	if !ms[0].Stale || ms[0].LastError == "" {
-		t.Fatalf("member not stale after dead scrape: %+v", ms[0])
-	}
-	if ms[0].Series != 1 {
-		t.Fatalf("cached series lost on failure: %+v", ms[0])
-	}
-	if got := reg.Gauge("fleet_members_stale").Value(); got != 1 {
-		t.Fatalf("fleet_members_stale = %d, want 1", got)
-	}
-	if got := reg.Counter("fleet_scrape_errors_total").Value(); got == 0 {
-		t.Fatal("fleet_scrape_errors_total not incremented")
-	}
-	var sawStale bool
-	for _, e := range events.Snapshot(0) {
-		if e.Kind == KindMemberStale && e.Member == "b1" {
-			sawStale = true
-		}
-	}
-	if !sawStale {
-		t.Fatalf("no member_stale event: %+v", events.Snapshot(0))
-	}
-
-	// The stale member's cached samples stay in the federated exposition,
-	// marked down.
-	var b strings.Builder
-	fed.WriteMetrics(&b, map[string]bool{})
-	out := b.String()
-	if !strings.Contains(out, `fleet_member_up{broker="b1"} 0`) {
-		t.Fatalf("stale member not marked down:\n%s", out)
-	}
-	if !strings.Contains(out, `requests_total{broker="b1"} 5`) {
-		t.Fatalf("stale member's cached samples missing:\n%s", out)
-	}
-
-	// A replacement admin plane on the same name recovers the member.
-	body.Store("# TYPE requests_total counter\nrequests_total 9\n")
-	srv2 := fakeMember(t, &body)
-	adminAddr = strings.TrimPrefix(srv2.URL, "http://")
-	fed.ScrapeOnce(ctx)
-	ms = fed.Members()
-	if ms[0].Stale {
-		t.Fatalf("member still stale after recovery: %+v", ms[0])
-	}
-	var sawLive bool
-	for _, e := range events.Snapshot(0) {
-		if e.Kind == KindMemberLive && e.Member == "b1" {
-			sawLive = true
-		}
-	}
-	if !sawLive {
-		t.Fatalf("no member_live event after recovery: %+v", events.Snapshot(0))
-	}
-}
-
-func TestFederatorForgetsLongGoneMembers(t *testing.T) {
-	var body atomic.Value
-	body.Store("queue_depth 1\n")
-	srv := fakeMember(t, &body)
-	adminAddr := strings.TrimPrefix(srv.URL, "http://")
-
-	discovered := atomic.Bool{}
-	discovered.Store(true)
-	fed := NewFederator(FederatorConfig{
-		Discover: func() []MemberInfo {
-			if !discovered.Load() {
-				return nil
-			}
-			return []MemberInfo{{Name: "b1", AdminAddr: adminAddr}}
-		},
-		Interval: 50 * time.Millisecond,
-	})
-	defer fed.Close()
-
-	ctx := context.Background()
-	fed.ScrapeOnce(ctx)
-	if len(fed.Members()) != 1 {
-		t.Fatal("member not adopted")
-	}
-
-	// Discovery loses the member: the row is retained (stale grace) for a
-	// while, then forgotten.
-	discovered.Store(false)
-	for i := 0; i <= forgetAfterSweeps; i++ {
-		fed.ScrapeOnce(ctx)
-		if i < forgetAfterSweeps && len(fed.Members()) != 1 {
-			t.Fatalf("member dropped too early, sweep %d", i)
-		}
-	}
-	fed.ScrapeOnce(ctx)
-	if got := fed.Members(); len(got) != 0 {
-		t.Fatalf("long-gone member still shown: %+v", got)
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"servicebroker/internal/qos"
 	"servicebroker/internal/registry"
 	"servicebroker/internal/sketch"
-	"servicebroker/internal/slo"
 	"servicebroker/internal/trace"
 )
 
@@ -119,41 +118,19 @@ func respond(resp *broker.Response, traceID trace.ID) *httpserver.Response {
 	return out
 }
 
-// analytics bundles the optional front-end measurement hooks shared by both
-// deployment models: a hot-key tracker fed with each request's payload key
-// and a per-class SLO engine fed with each request's disposition and the
-// remote per-stage breakdown shipped back on the wire.
+// analytics is the optional front-end workload measurement: a hot-key
+// tracker fed with each request's payload key.
 type analytics struct {
 	hotkeys *sketch.Tracker
-	slo     *slo.Engine
 }
 
-// observe records one completed gateway call. wire is the full UDP
-// round-trip time; the remote spans (when the brokers trace) are subtracted
-// from it so the wire stage attributes only the network + gateway overhead,
-// not the broker-side work it encloses.
-func (a analytics) observe(key string, class qos.Class, resp *broker.Response, err error, wire time.Duration) {
+// observe records one completed gateway call; wire is its full UDP
+// round-trip time.
+func (a analytics) observe(key string, resp *broker.Response, err error, wire time.Duration) {
 	if a.hotkeys != nil {
 		hit := err == nil && resp != nil && resp.Fidelity == qos.FidelityCached
 		a.hotkeys.RecordAccess(key, hit)
 		a.hotkeys.RecordLatency(key, wire)
-	}
-	if a.slo == nil {
-		return
-	}
-	ok := err == nil && resp != nil && resp.Status == broker.StatusOK &&
-		(resp.Fidelity == qos.FidelityFull || resp.Fidelity == qos.FidelityCached)
-	a.slo.Record(class, wire, ok)
-	var remote time.Duration
-	if resp != nil {
-		for _, sp := range resp.RemoteSpans {
-			d := sp.Duration()
-			a.slo.RecordStage(class, sp.Stage, d)
-			remote += d
-		}
-	}
-	if net := wire - remote; net > 0 {
-		a.slo.RecordStage(class, trace.StageWire, net)
 	}
 }
 
@@ -184,7 +161,7 @@ func tracedCall(rec *trace.Recorder, ana analytics, pool *Pool, service string, 
 			tr.RemoteSpan(sp.Stage, sp.Start, sp.End, sp.Note, sp.Broker)
 		}
 	}
-	ana.observe(string(req.Payload), req.Class, resp, err, wire)
+	ana.observe(string(req.Payload), resp, err, wire)
 	switch {
 	case err != nil:
 		tr.SetStatus("error")
@@ -330,16 +307,6 @@ func (d *Distributed) EnableFleet(l *fleet.Log) {
 	}
 }
 
-// FleetMembers returns the lease-discovered pool members that advertised an
-// admin plane — the Discover feed for a fleet.Federator. Nil before
-// EnableRegistry.
-func (d *Distributed) FleetMembers() []fleet.MemberInfo {
-	if d.registry == nil {
-		return nil
-	}
-	return d.registry.FleetMembers()
-}
-
 // Addr returns the web server's address.
 func (d *Distributed) Addr() string { return d.srv.Addr().String() }
 
@@ -354,30 +321,22 @@ func (d *Distributed) Metrics() *metrics.Registry { return d.reg }
 // expose /tracez.
 func (d *Distributed) EnableTracing(rec *trace.Recorder) { d.rec = rec }
 
-// EnableAnalytics attaches the front end's workload measurement: hk (when
-// non-nil) tracks per-key frequency, broker-cache-hit ratio, and latency for
-// the /hotz page; eng (when non-nil) records per-class dispositions and the
-// per-stage breakdown for the /sloz page. Stage attribution beyond the wire
-// stage requires tracing enabled on both the front end and the brokers.
-func (d *Distributed) EnableAnalytics(hk *sketch.Tracker, eng *slo.Engine) {
-	d.ana = analytics{hotkeys: hk, slo: eng}
+// EnableAnalytics attaches the front end's workload measurement: hk tracks
+// per-key frequency, broker-cache-hit ratio, and latency for the /hotz page.
+func (d *Distributed) EnableAnalytics(hk *sketch.Tracker) {
+	d.ana = analytics{hotkeys: hk}
 }
 
 // AdminPages returns a row renderer for every admin page the front end has
 // something to say on, keyed by page path: /poolz always (each leased
-// member's load is on its row), /hotz and /sloz when EnableAnalytics
-// attached a tracker or an engine. Rows are labelled with name. Call it
-// after the Enable* calls.
+// member's load is on its row), /hotz when EnableAnalytics attached a
+// tracker. Rows are labelled with name. Call it after the Enable* calls.
 func (d *Distributed) AdminPages(name string) map[string]func(w io.Writer, limit int) {
 	pages := map[string]func(io.Writer, int){
 		"/poolz": func(w io.Writer, _ int) { registry.WritePool(w, name, d.PoolStatus()) },
 	}
 	if hk := d.ana.hotkeys; hk != nil {
 		pages["/hotz"] = func(w io.Writer, limit int) { hk.Snapshot().WriteRows(w, name, limit) }
-	}
-	if eng := d.ana.slo; eng != nil {
-		// Each render evaluates the engine, so scraping drives alerting.
-		pages["/sloz"] = func(w io.Writer, _ int) { eng.Status().WriteRows(w, name) }
 	}
 	return pages
 }

@@ -16,17 +16,9 @@ func (s *Server) SetEventLog(l *fleet.Log) {
 	s.mu.Unlock()
 }
 
-// SetFederator wires the fleet federator backing /fleetz and the federated
-// section of /metrics.
-func (s *Server) SetFederator(f *fleet.Federator) {
-	s.mu.Lock()
-	s.federator = f
-	s.mu.Unlock()
-}
-
 // SetDraining flips the /healthz answer between "ok" and "draining": a
 // daemon calls SetDraining(true) when it starts its graceful shutdown so a
-// fleet scraper (or load balancer) can tell an intentional drain from a
+// health probe (or load balancer) can tell an intentional drain from a
 // crash. A draining daemon answers 503 with a Retry-After hint.
 func (s *Server) SetDraining(v bool) {
 	s.mu.Lock()
@@ -70,44 +62,4 @@ func (s *Server) handleEventz(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "ring: held=%d dropped=%d\n", log.Len(), log.Dropped())
-}
-
-// --- /fleetz ----------------------------------------------------------------
-
-func (s *Server) handleFleetz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	fed := s.federator
-	s.mu.Unlock()
-	if fed == nil {
-		http.Error(w, "fleetz: no federator configured", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	members := fed.Members()
-	fmt.Fprintf(w, "fleet: %d members\n", len(members))
-	now := time.Now()
-	for _, m := range members {
-		state := "live"
-		if m.Stale {
-			state = "stale"
-		}
-		fmt.Fprintf(w, "member=%s admin=%s state=%s series=%d", m.Name, m.AdminAddr, state, m.Series)
-		if m.LastGood.IsZero() {
-			fmt.Fprint(w, " last_scrape=never")
-		} else {
-			fmt.Fprintf(w, " last_scrape=%s ago", now.Sub(m.LastGood).Round(time.Millisecond))
-		}
-		if m.Build != "" {
-			fmt.Fprintf(w, " build=%q", m.Build)
-		}
-		if m.LastError != "" {
-			fmt.Fprintf(w, " last_error=%q", m.LastError)
-		}
-		fmt.Fprintln(w)
-	}
-	// Lease state, utilization, and breaker health are the /poolz rows: one
-	// page with the whole topology.
-	for _, src := range s.sources("/poolz") {
-		src.render(w, 0)
-	}
 }

@@ -4,15 +4,14 @@
 // "path<TAB>description" line per page the process serves.
 //
 // A few pages are the server's own and take a whole object: /metrics
-// (MountRegistry, MountView, and the federated section from SetFederator),
-// /tracez (SetRecorder), /seriesz and /graphz (SetTSDB), /eventz
-// (SetEventLog), /fleetz (SetFederator), plus /healthz, /buildz and
-// /debug/pprof/. Every other page is a row page, and there is one rule for
-// those: a subsystem that has rows for a page registers a renderer with
-// AddRows, and the page exists — and is listed on the index — exactly when
-// something has registered for it. The text of a row belongs to the package
+// (MountRegistry, MountView), /tracez (SetRecorder), /seriesz (SetTSDB),
+// /eventz (SetEventLog), plus /healthz, /buildz and /debug/pprof/. Every
+// other page is a row page, and there is one rule for those: a subsystem
+// that has rows for a page registers a renderer with AddRows, and the page
+// exists — and is listed on the index — exactly when something has
+// registered for it. The text of a row belongs to the package
 // that owns the snapshot type (broker, registry, resilience, overload, sketch,
-// slo, txn, frontend); this package imports none of them.
+// txn, frontend); this package imports none of them.
 //
 // The server is stdlib-only and safe to mount in front of live registries:
 // rendering works from point-in-time snapshots, never from live metric
@@ -27,7 +26,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"regexp"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -49,14 +47,13 @@ type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	mu        sync.Mutex
-	mounts    []mount
-	rec       *trace.Recorder
-	rows      map[string][]rowSource // row page path → its sources
-	store     *tsdb.Store
-	events    *fleet.Log
-	federator *fleet.Federator
-	draining  bool
+	mu       sync.Mutex
+	mounts   []mount
+	rec      *trace.Recorder
+	rows     map[string][]rowSource // row page path → its sources
+	store    *tsdb.Store
+	events   *fleet.Log
+	draining bool
 
 	srv *http.Server
 	ln  net.Listener
@@ -86,9 +83,7 @@ func New() *Server {
 	s.mux.HandleFunc("/buildz", s.handleBuildz)
 	s.mux.HandleFunc("/tracez", s.handleTracez)
 	s.mux.HandleFunc("/seriesz", s.handleSeriesz)
-	s.mux.HandleFunc("/graphz", s.handleGraphz)
 	s.mux.HandleFunc("/eventz", s.handleEventz)
-	s.mux.HandleFunc("/fleetz", s.handleFleetz)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -129,7 +124,7 @@ func (s *Server) SetRecorder(rec *trace.Recorder) {
 	s.mu.Unlock()
 }
 
-// SetTSDB wires the time-series store backing /seriesz and /graphz.
+// SetTSDB wires the time-series store backing /seriesz.
 func (s *Server) SetTSDB(store *tsdb.Store) {
 	s.mu.Lock()
 	s.store = store
@@ -143,7 +138,6 @@ var rowPages = map[string]string{
 	"/breakerz": "per-replica circuit-breaker states",
 	"/limitz":   "adaptive admission-limit snapshots",
 	"/hotz":     "hot keys: top-k frequency, hit ratio, latency, and workload skew",
-	"/sloz":     "per-class SLO burn rates, error budgets, and stage attribution",
 	"/txnz":     "active transactions with step/age/accesses, plus idempotency-table accounting",
 }
 
@@ -246,34 +240,16 @@ func (s *Server) handleBuildz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	mounts := append([]mount(nil), s.mounts...)
-	fed := s.federator
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
-	seen := make(map[string]bool)
 	for _, m := range mounts {
 		v := m.view
 		if v == nil {
 			v = m.reg.View
 		}
-		view := v()
-		WriteProm(&b, m.prefix, view)
-		// Record locally emitted family names so the federated section never
-		// repeats a # TYPE line (duplicate metadata is a parse error for
-		// strict OpenMetrics consumers).
-		for name := range view.Counters {
-			seen[PromName(m.prefix+name)] = true
-		}
-		for name := range view.Gauges {
-			seen[PromName(m.prefix+name)] = true
-		}
-		for name := range view.Histograms {
-			seen[PromName(m.prefix+name)] = true
-		}
-	}
-	if fed != nil {
-		fed.WriteMetrics(&b, seen)
+		WriteProm(&b, m.prefix, v())
 	}
 	if b.Len() == 0 {
 		b.WriteString("# no metrics registries mounted\n")
@@ -417,7 +393,7 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 		rec.Len(), rec.Evicted(), sampled, discarded)
 }
 
-// --- /seriesz and /graphz ---------------------------------------------------
+// --- /seriesz ---------------------------------------------------------------
 
 func (s *Server) handleSeriesz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
@@ -434,60 +410,6 @@ func (s *Server) handleSeriesz(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(struct {
 		Series []tsdb.Series `json:"series"`
 	}{Series: series})
-}
-
-// graphzMaxCharts caps one /graphz page; narrow with ?match= to see more.
-const graphzMaxCharts = 24
-
-// classSuffix strips the per-class infix so class variants of one metric
-// group onto the same chart.
-var classSuffix = regexp.MustCompile(`_class_\d+`)
-
-func (s *Server) handleGraphz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	store := s.store
-	s.mu.Unlock()
-	if store == nil {
-		http.Error(w, "graphz: no time-series store configured", http.StatusNotFound)
-		return
-	}
-	q := r.URL.Query()
-	width, height := 640, 220
-	if v, err := strconv.Atoi(q.Get("w")); err == nil && v > 0 {
-		width = v
-	}
-	if v, err := strconv.Atoi(q.Get("h")); err == nil && v > 0 {
-		height = v
-	}
-	series := store.Snapshot(q.Get("match"))
-
-	// Group per-class variants of one metric onto a single multi-line chart:
-	// "broker.db.queue_wait_class_2.mean" charts with its base series under
-	// the group title "broker.db.queue_wait.mean".
-	groups := make(map[string][]tsdb.Series)
-	var order []string
-	for _, sr := range series {
-		key := classSuffix.ReplaceAllString(sr.Name, "")
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], sr)
-	}
-	sort.Strings(order)
-	if len(order) > graphzMaxCharts {
-		order = order[:graphzMaxCharts]
-	}
-
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprintf(w, "<!DOCTYPE html>\n<html><head><title>graphz</title></head>\n")
-	fmt.Fprintf(w, "<body style=\"background:#f9f9f7;margin:16px;font-family:system-ui,-apple-system,'Segoe UI',sans-serif\">\n")
-	if len(order) == 0 {
-		fmt.Fprintf(w, "<p style=\"color:#52514e\">no series yet — is the sampler running?</p>\n")
-	}
-	for _, key := range order {
-		fmt.Fprintf(w, "<div style=\"margin-bottom:12px\">%s</div>\n", tsdb.ChartSVG(key, groups[key], width, height))
-	}
-	fmt.Fprintf(w, "</body></html>\n")
 }
 
 // --- / (index) and the row pages ----------------------------------------------
@@ -515,16 +437,10 @@ func (s *Server) pages() []pageInfo {
 		{"/debug/pprof/", "standard net/http/pprof profiling handlers"},
 	}
 	if s.store != nil {
-		out = append(out,
-			pageInfo{"/seriesz", "raw time-series snapshots as JSON"},
-			pageInfo{"/graphz", "SVG charts over the recorded time series"},
-		)
+		out = append(out, pageInfo{"/seriesz", "raw time-series snapshots as JSON"})
 	}
 	if s.events != nil {
 		out = append(out, pageInfo{"/eventz", "fleet event timeline: lease churn, breaker flips, limit cuts, drains"})
-	}
-	if s.federator != nil {
-		out = append(out, pageInfo{"/fleetz", "fleet topology: pool members with scrape freshness, staleness, and builds"})
 	}
 	for page := range s.rows {
 		out = append(out, pageInfo{page, rowPages[page]})

@@ -15,8 +15,6 @@ import (
 	"servicebroker/internal/registry"
 	"servicebroker/internal/resilience"
 	"servicebroker/internal/sketch"
-	"servicebroker/internal/slo"
-	"servicebroker/internal/trace"
 	"servicebroker/internal/tsdb"
 	"servicebroker/internal/txn"
 )
@@ -106,33 +104,6 @@ func TestRowPagesGolden(t *testing.T) {
 				"  #1   key=\"movie-42\" count=90(±2) rate=7.50/s hit_ratio=0.889 mean=2ms p95=3.5ms\n"},
 		{"hotz idle coalescing", "/hotz", []source{{"db", func(w io.Writer, _ int) { broker.CoalesceStats{}.WriteRow(w, "db") }}},
 			"service=db coalesce: flights=0 coalesced=0 shared=0 inflight=0 backend_trips_saved=0.0%\n"},
-		{"sloz", "/sloz", []source{{"db", func(w io.Writer, _ int) {
-			slo.Status{
-				FastWindow: 5 * time.Minute, SlowWindow: time.Hour,
-				Classes: []slo.ClassStatus{
-					{Class: 1, State: "page", Since: at, LatencyTarget: 50 * time.Millisecond,
-						Latency:      slo.ObjectiveStatus{Goal: 0.99, FastBurn: 14.5, SlowBurn: 2.25, Budget: 0},
-						Availability: slo.ObjectiveStatus{Goal: 0.999, FastBurn: 0.5, SlowBurn: 0.125, Budget: 0.875},
-						FastTotal:    400, SlowTotal: 4800,
-						Stages: []slo.StageShare{
-							{Stage: trace.StageBackend, Total: 1500 * time.Millisecond, Share: 0.75},
-							{Stage: trace.StageQueue, Total: 500 * time.Millisecond, Share: 0.25},
-						}},
-					{Class: 2, State: "ok", Since: at, LatencyTarget: 200 * time.Millisecond,
-						Latency:      slo.ObjectiveStatus{Goal: 0.95, Budget: 1},
-						Availability: slo.ObjectiveStatus{Goal: 0.99, Budget: 1}},
-				},
-			}.WriteRows(w, "db")
-		}}},
-			"service=db fast_window=5m0s slow_window=1h0m0s\n" +
-				"  class=1 state=page since=2026-08-05T12:00:00Z requests(fast/slow)=400/4800\n" +
-				"    latency: target=50ms goal=0.990 burn(fast/slow)=14.50/2.25 budget=0.000\n" +
-				"    availability: goal=0.999 burn(fast/slow)=0.50/0.12 budget=0.875\n" +
-				"    stage=backend share=0.750 total=1.5s\n" +
-				"    stage=queue share=0.250 total=500ms\n" +
-				"  class=2 state=ok since=2026-08-05T12:00:00Z requests(fast/slow)=0/0\n" +
-				"    latency: target=200ms goal=0.950 burn(fast/slow)=0.00/0.00 budget=1.000\n" +
-				"    availability: goal=0.990 burn(fast/slow)=0.00/0.00 budget=1.000\n"},
 		{"txnz", "/txnz", []source{
 			{"supply", func(w io.Writer, _ int) { txn.Snapshot{Completed: 1}.WriteRows(w, "supply", nil) }},
 			{"db", func(w io.Writer, _ int) {
@@ -203,7 +174,7 @@ func TestIndexListsExactlyWhatIsRegistered(t *testing.T) {
 			t.Errorf("GET %s with no source = %d, want 404", page, code)
 		}
 	}
-	for _, p := range []string{"/seriesz", "/graphz", "/eventz", "/fleetz", "/nonsense"} {
+	for _, p := range []string{"/seriesz", "/eventz", "/nonsense"} {
 		if code, _ := fetch(t, s, p); code != 404 {
 			t.Errorf("GET %s with nothing behind it = %d, want 404", p, code)
 		}
@@ -211,10 +182,7 @@ func TestIndexListsExactlyWhatIsRegistered(t *testing.T) {
 
 	s.SetTSDB(tsdb.New(0))
 	s.SetEventLog(fleet.NewLog(0, nil))
-	fed := fleet.NewFederator(fleet.FederatorConfig{})
-	defer fed.Close()
-	s.SetFederator(fed)
-	registered := []string{"/seriesz", "/graphz", "/eventz", "/fleetz"}
+	registered := []string{"/seriesz", "/eventz"}
 	for page := range rowPages {
 		if page == "/txnz" {
 			continue // stays unregistered

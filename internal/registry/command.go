@@ -10,8 +10,8 @@
 // lines, parsed strictly (reject, don't clamp) by the one fuzzed parser in
 // this package:
 //
-//	REGISTER   <service> <addr> <ttl_ms> <outstanding> <threshold> <queuelen> <hot|cool> [admin=<addr>]
-//	RENEW      <service> <addr> <ttl_ms> <outstanding> <threshold> <queuelen> <hot|cool> [admin=<addr>]
+//	REGISTER   <service> <addr> <ttl_ms> <outstanding> <threshold> <queuelen> <hot|cool>
+//	RENEW      <service> <addr> <ttl_ms> <outstanding> <threshold> <queuelen> <hot|cool>
 //	DEREGISTER <service> <addr>
 //
 // REGISTER and RENEW carry the broker's current load summary, so the front
@@ -19,10 +19,7 @@
 // admission check both work from data no older than one renewal interval,
 // with no separate reporting channel. A plain-text format keeps the listener
 // thread cheap — the paper notes the centralized model's scalability hinges
-// on how little work per update the listener does. The optional trailing
-// admin=<host:port> field advertises the member's admin HTTP plane so a fleet
-// federator can scrape /metrics and /buildz without separate configuration;
-// lines without it parse exactly as before.
+// on how little work per update the listener does.
 package registry
 
 import (
@@ -74,10 +71,6 @@ type Command struct {
 	// Load is the load summary REGISTER/RENEW carry (Service is filled
 	// from the command); zero for DEREGISTER.
 	Load broker.LoadReport
-	// AdminAddr optionally advertises the member's admin-plane HTTP address
-	// (the trailing "admin=<host:port>" field on REGISTER/RENEW) for fleet
-	// federation scraping. Empty when the member runs no admin plane.
-	AdminAddr string
 }
 
 // Bounds the parser enforces. Commands arrive over the listener's
@@ -106,12 +99,8 @@ func FormatCommand(c Command) string {
 	if c.Load.Hot {
 		state = "hot"
 	}
-	line := fmt.Sprintf("%s %s %s %d %d %d %d %s", c.Verb, c.Service, c.Addr, c.TTL/time.Millisecond,
+	return fmt.Sprintf("%s %s %s %d %d %d %d %s", c.Verb, c.Service, c.Addr, c.TTL/time.Millisecond,
 		c.Load.Outstanding, c.Load.Threshold, c.Load.QueueLen, state)
-	if c.AdminAddr != "" {
-		line += " admin=" + c.AdminAddr
-	}
-	return line
 }
 
 // parseCounter decodes one non-negative bounded integer field, refusing
@@ -191,21 +180,20 @@ func ParseCommand(line string) (Command, error) {
 	if len(fields) == 0 {
 		return Command{}, fmt.Errorf("registry: empty command")
 	}
-	// REGISTER/RENEW take exactly 8 fields, or 9 with the optional trailing
-	// admin=<addr>; DEREGISTER takes exactly 3.
+	// REGISTER/RENEW take exactly 8 fields; DEREGISTER takes exactly 3.
 	var c Command
-	want, optional := 8, 1
+	want := 8
 	switch fields[0] {
 	case "REGISTER":
 		c.Verb = VerbRegister
 	case "RENEW":
 		c.Verb = VerbRenew
 	case "DEREGISTER":
-		c.Verb, want, optional = VerbDeregister, 3, 0
+		c.Verb, want = VerbDeregister, 3
 	default:
 		return Command{}, fmt.Errorf("registry: unknown verb %q", fields[0])
 	}
-	if len(fields) < want || len(fields) > want+optional {
+	if len(fields) != want {
 		return Command{}, fmt.Errorf("registry: bad %s command %q (want %d fields, got %d)",
 			c.Verb, line, want, len(fields))
 	}
@@ -231,13 +219,6 @@ func ParseCommand(line string) (Command, error) {
 	}
 	if c.Load, err = parseLoad(c.Service, fields[4:]); err != nil {
 		return Command{}, fmt.Errorf("registry: bad command %q: %w", line, err)
-	}
-	if len(fields) == 9 {
-		v, ok := strings.CutPrefix(fields[8], "admin=")
-		if !ok || !validAddr(v) {
-			return Command{}, fmt.Errorf("registry: bad admin address %q", fields[8])
-		}
-		c.AdminAddr = v
 	}
 	return c, nil
 }

@@ -26,10 +26,6 @@ type RegistrarConfig struct {
 	// Load, when set, supplies the load summary piggybacked on each
 	// REGISTER/RENEW; nil sends zeros.
 	Load func() broker.LoadReport
-	// AdminAddr, when set, advertises the member's admin-plane HTTP address
-	// on each REGISTER/RENEW (the admin= field) so a fleet federator can
-	// scrape it without separate configuration.
-	AdminAddr string
 }
 
 // Registrar keeps one broker's lease alive at one front end: REGISTER on
@@ -87,11 +83,8 @@ func (r *Registrar) loop() {
 // on loss: a missed RENEW just shortens the margin before expiry).
 func (r *Registrar) send(v Verb) {
 	cmd := Command{Verb: v, Service: r.cfg.Service, Addr: r.cfg.Addr, TTL: r.cfg.TTL}
-	if v != VerbDeregister {
-		cmd.AdminAddr = r.cfg.AdminAddr
-		if r.cfg.Load != nil {
-			cmd.Load = r.cfg.Load()
-		}
+	if v != VerbDeregister && r.cfg.Load != nil {
+		cmd.Load = r.cfg.Load()
 	}
 	cmd.Load.Service = r.cfg.Service
 	_, _ = r.conn.Write([]byte(FormatCommand(cmd)))

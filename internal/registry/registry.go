@@ -30,10 +30,6 @@ type Member struct {
 	Renewals int
 	// Load is the summary piggybacked on the latest REGISTER/RENEW.
 	Load broker.LoadReport
-	// AdminAddr is the admin-plane HTTP address the member advertised on
-	// its latest REGISTER/RENEW (the optional admin= field), so a fleet
-	// federator can scrape it. Empty when the member advertises none.
-	AdminAddr string
 }
 
 // PoolView is one row of pool state as rendered on /poolz (WritePool). It
@@ -65,8 +61,7 @@ type PoolView struct {
 }
 
 // WritePool renders one pool's views as /poolz rows, or a "(no members)"
-// line for an empty pool. It is the only renderer of a PoolView: /fleetz
-// shows the same rows.
+// line for an empty pool. It is the only renderer of a PoolView.
 func WritePool(w io.Writer, pool string, views []PoolView) {
 	if len(views) == 0 {
 		fmt.Fprintf(w, "pool=%s (no members)\n", pool)
@@ -201,9 +196,6 @@ func (r *Registry) admit(cmd Command, now time.Time) {
 		m.LastSeen = now
 		m.Expires = now.Add(cmd.TTL)
 		m.Load = cmd.Load
-		if cmd.AdminAddr != "" {
-			m.AdminAddr = cmd.AdminAddr
-		}
 		if cmd.Verb == VerbRenew {
 			m.Renewals++
 			count(r.renewals)
@@ -229,7 +221,6 @@ func (r *Registry) admit(cmd Command, now time.Time) {
 		LastSeen:   now,
 		Expires:    now.Add(cmd.TTL),
 		Load:       cmd.Load,
-		AdminAddr:  cmd.AdminAddr,
 	}
 	delete(r.tombstones[cmd.Service], cmd.Addr)
 	count(r.registrations)
@@ -324,34 +315,6 @@ func (r *Registry) Members(service string) []Member {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
-}
-
-// FleetMembers returns every live member that advertised an admin-plane
-// address, as federator member infos (Name is the gateway address, matching
-// /poolz rows and /tracez broker tags). It is the natural Discover hook for
-// a fleet.Federator: membership follows the leases with no extra config.
-func (r *Registry) FleetMembers() []fleet.MemberInfo {
-	now := r.cfg.Clock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []fleet.MemberInfo
-	for _, svc := range r.members {
-		for _, m := range svc {
-			if m.AdminAddr != "" && now.Before(m.Expires) {
-				out = append(out, fleet.MemberInfo{Name: m.Addr, AdminAddr: m.AdminAddr})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	// A member hosting several services appears once per service in the
-	// table; collapse duplicates (same gateway, same admin plane).
-	dedup := out[:0]
-	for i, m := range out {
-		if i == 0 || m != out[i-1] {
-			dedup = append(dedup, m)
-		}
-	}
-	return dedup
 }
 
 // Snapshot returns every row the registry knows about — live members and

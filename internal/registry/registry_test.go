@@ -133,35 +133,6 @@ func TestRegistryLateRenewAfterLapseCountsExpiryAndRejoin(t *testing.T) {
 	}
 }
 
-func TestRegistryFleetMembers(t *testing.T) {
-	clock := newFakeClock()
-	r := reg(clock, nil)
-
-	// A member without an admin plane never appears in the fleet view.
-	r.Apply(registerCmd("search", "127.0.0.1:7101", time.Second))
-	withAdmin := registerCmd("search", "127.0.0.1:7102", time.Second)
-	withAdmin.AdminAddr = "127.0.0.1:9102"
-	r.Apply(withAdmin)
-	got := r.FleetMembers()
-	if len(got) != 1 || got[0].Name != "127.0.0.1:7102" || got[0].AdminAddr != "127.0.0.1:9102" {
-		t.Fatalf("FleetMembers = %+v, want only 7102 with its admin addr", got)
-	}
-
-	// The same gateway serving two services dedupes to one scrape target.
-	dup := registerCmd("cart", "127.0.0.1:7102", time.Second)
-	dup.AdminAddr = "127.0.0.1:9102"
-	r.Apply(dup)
-	if got = r.FleetMembers(); len(got) != 1 {
-		t.Fatalf("duplicate admin addr not collapsed: %+v", got)
-	}
-
-	// Lapsed leases drop out without waiting for Reconcile.
-	clock.Advance(time.Second)
-	if got = r.FleetMembers(); len(got) != 0 {
-		t.Fatalf("lapsed lease still scraped: %+v", got)
-	}
-}
-
 func TestRegistryPublishesLeaseEvents(t *testing.T) {
 	clock := newFakeClock()
 	r := reg(clock, nil)

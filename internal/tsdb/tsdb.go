@@ -1,8 +1,8 @@
 // Package tsdb is a tiny in-process time-series store for the admin plane.
 // A Sampler walks mounted metrics.Registry views on a ticker and appends one
-// point per metric to a bounded per-series ring, so /seriesz and /graphz can
-// show the live shape of a run — the peak-then-decline curves the paper's
-// figures plot offline — without any external monitoring system.
+// point per metric to a bounded per-series ring, so /seriesz can show the
+// live shape of a run — the peak-then-decline curves the paper's figures
+// plot offline — without any external monitoring system.
 //
 // Series are derived from registry views as follows:
 //

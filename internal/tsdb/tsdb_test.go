@@ -1,9 +1,7 @@
 package tsdb
 
 import (
-	"encoding/xml"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -111,72 +109,4 @@ func TestStartSamplesOnTicker(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("ticker never sampled the mounted registry")
-}
-
-// chartPoints builds a two-point series ending now.
-func chartPoints(name string, vals ...float64) Series {
-	base := time.Now().Add(-time.Minute).UnixMilli()
-	s := Series{Name: name}
-	for i, v := range vals {
-		s.Points = append(s.Points, Point{Unix: base + int64(i)*1000, V: v})
-	}
-	return s
-}
-
-func TestChartSVGWellFormed(t *testing.T) {
-	series := []Series{
-		chartPoints("broker.db.queue_wait.mean_class_1", 0.01, 0.02, 0.04),
-		chartPoints("broker.db.queue_wait.mean_class_2", 0.02, 0.05, 0.03),
-	}
-	svg := ChartSVG("broker.db.queue_wait.mean", series, 640, 220)
-
-	// Well-formed XML, one polyline per series, native tooltips present.
-	if err := xml.Unmarshal([]byte(svg), new(struct{})); err != nil {
-		t.Fatalf("SVG is not well-formed XML: %v\n%s", err, svg)
-	}
-	if !strings.HasPrefix(svg, `<svg xmlns="http://www.w3.org/2000/svg"`) {
-		t.Fatalf("missing svg root: %.80s", svg)
-	}
-	if got := strings.Count(svg, "<polyline"); got != 2 {
-		t.Fatalf("%d polylines, want 2", got)
-	}
-	if !strings.Contains(svg, "<title>") {
-		t.Error("no <title> hover tooltips")
-	}
-	// Fixed-order palette assignment and a legend for >= 2 series.
-	if !strings.Contains(svg, seriesPalette[0]) || !strings.Contains(svg, seriesPalette[1]) {
-		t.Error("first two palette slots not used")
-	}
-	if !strings.Contains(svg, "class 1") || !strings.Contains(svg, "class 2") {
-		t.Error("legend labels for per-class series missing")
-	}
-}
-
-func TestChartSVGEmptyAndFolded(t *testing.T) {
-	empty := ChartSVG("nothing", nil, 640, 220)
-	if !strings.Contains(empty, "no data yet") {
-		t.Error("empty chart lacks placeholder text")
-	}
-	if err := xml.Unmarshal([]byte(empty), new(struct{})); err != nil {
-		t.Fatalf("empty SVG not well-formed: %v", err)
-	}
-
-	var many []Series
-	for i := 0; i < MaxChartSeries+3; i++ {
-		many = append(many, chartPoints(fmt.Sprintf("m.series_%d", i), 1, 2))
-	}
-	folded := ChartSVG("m", many, 640, 220)
-	if got := strings.Count(folded, "<polyline"); got != MaxChartSeries {
-		t.Fatalf("%d polylines, want %d (rest folded)", got, MaxChartSeries)
-	}
-	if !strings.Contains(folded, "+3 more") {
-		t.Error("folded series note missing")
-	}
-}
-
-func TestChartSVGSinglePointUsesMarker(t *testing.T) {
-	svg := ChartSVG("one", []Series{chartPoints("m.v", 5)}, 640, 220)
-	if !strings.Contains(svg, "<circle") {
-		t.Error("single-point series should render a visible marker")
-	}
 }

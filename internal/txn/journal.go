@@ -2,6 +2,7 @@ package txn
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,8 +19,9 @@ import (
 // still answered with the first outcome instead of re-executing.
 //
 // The on-disk format is one JSON object per line ("\n"-terminated), appended
-// only. Key is the composite IdemKey (txn \x1f step \x1f access key);
-// Payload round-trips through JSON's base64 encoding.
+// only; a record counts once its newline is written. Key is the composite
+// IdemKey (txn \x1f step \x1f access key); Payload round-trips through
+// JSON's base64 encoding.
 type JournalRecord struct {
 	Key      string `json:"key"`
 	Status   int    `json:"status"`
@@ -29,8 +31,8 @@ type JournalRecord struct {
 
 // Journal is an append-only transaction journal. Appends are flushed to the
 // file before returning, so every record survives a process crash; a torn
-// final line (the process died mid-write) is tolerated and skipped by
-// Replay. Safe for concurrent use.
+// final line (the process died mid-write) is skipped by Replay and cut off
+// by the next OpenJournal. Safe for concurrent use.
 type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -40,16 +42,48 @@ type Journal struct {
 	closed   bool
 }
 
-// OpenJournal opens (creating if needed) the append-only journal at path.
-// With fsync true every append is additionally fdatasync'd, surviving power
-// loss at a heavy latency cost; false (the usual choice) survives process
-// crashes — the flush leaves the data with the kernel.
+// OpenJournal opens (creating if needed) the append-only journal at path,
+// first cutting any torn tail back to the last newline so the next record
+// starts on a line of its own. With fsync true every append is additionally
+// fdatasync'd, surviving power loss at a heavy latency cost; false (the usual
+// choice) survives process crashes — the flush leaves the data with the
+// kernel.
 func OpenJournal(path string, fsync bool) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("txn: open journal: %w", err)
 	}
+	if err := cutTornTail(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("txn: cut torn journal tail: %w", err)
+	}
 	return &Journal{f: f, w: bufio.NewWriter(f), sync: fsync}, nil
+}
+
+// cutTornTail truncates f just after its last newline, dropping the
+// unterminated bytes a crash mid-append leaves behind.
+func cutTornTail(f *os.File) error {
+	info, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	end, keep := info.Size(), int64(0)
+	buf := make([]byte, 4096)
+	for off := end; off > 0; {
+		n := min(off, int64(len(buf)))
+		off -= n
+		if _, err := f.ReadAt(buf[:n], off); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			keep = off + int64(i) + 1
+			break
+		}
+	}
+	if keep == end {
+		return nil
+	}
+	return f.Truncate(keep)
 }
 
 // ErrJournalClosed is returned by Append after Close.
@@ -119,7 +153,7 @@ func (j *Journal) Close() error {
 
 // ReplayJournal reads the journal at path, invoking fn for each intact
 // record in append order, and returns how many records were replayed. A
-// missing file replays zero records (first boot); a torn or corrupt final
+// missing file replays zero records (first boot); an unterminated final
 // line — the signature of a crash mid-append — is skipped silently, but
 // corruption anywhere earlier is an error (the file is damaged, not torn).
 func ReplayJournal(path string, fn func(JournalRecord)) (int, error) {
@@ -140,21 +174,17 @@ func ReplayJournal(path string, fn func(JournalRecord)) (int, error) {
 		if err != nil && !atEOF {
 			return n, fmt.Errorf("txn: read journal: %w", err)
 		}
-		if len(line) > 0 {
-			var rec JournalRecord
-			if uerr := json.Unmarshal(line, &rec); uerr != nil {
-				if atEOF || !hasNewline(line) {
-					// Torn tail from a crash mid-append: replay what we have.
-					return n, nil
-				}
-				return n, fmt.Errorf("txn: journal record %d corrupt: %w", n+1, uerr)
-			}
-			fn(rec)
-			n++
-		}
 		if atEOF {
+			// Empty, or a torn tail from a crash mid-append: the records
+			// before it are all there is.
 			return n, nil
 		}
+		var rec JournalRecord
+		if uerr := json.Unmarshal(line, &rec); uerr != nil {
+			return n, fmt.Errorf("txn: journal record %d corrupt: %w", n+1, uerr)
+		}
+		fn(rec)
+		n++
 	}
 }
 
@@ -168,8 +198,4 @@ func RestoreTable(path string, table *IdemTable) (int, error) {
 			Payload:  rec.Payload,
 		})
 	})
-}
-
-func hasNewline(line []byte) bool {
-	return len(line) > 0 && line[len(line)-1] == '\n'
 }

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -102,6 +103,46 @@ func TestReplayTornTailSkipped(t *testing.T) {
 	}
 }
 
+// A crash mid-append leaves a newline-less tail. The next life replays past
+// it and reopens the journal; its first append must start on a line of its
+// own, or the glued record corrupts the journal for the life after.
+func TestJournalAppendAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "txn.journal")
+	j, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Append(JournalRecord{Key: "intact", Status: 1})
+	j.Close()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"key":"torn","sta`)
+	f.Close()
+
+	if n, err := ReplayJournal(path, func(JournalRecord) {}); err != nil || n != 1 {
+		t.Fatalf("replay after the crash: n=%d err=%v, want 1 record", n, err)
+	}
+	j, err = OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(JournalRecord{Key: "after", Status: 1}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	var keys []string
+	n, err := ReplayJournal(path, func(r JournalRecord) { keys = append(keys, r.Key) })
+	if err != nil {
+		t.Fatalf("replay after the next life: %v", err)
+	}
+	if n != 2 || strings.Join(keys, ",") != "intact,after" {
+		t.Fatalf("replayed %v (n=%d), want [intact after]", keys, n)
+	}
+}
+
 func TestReplayMidFileCorruptionErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "txn.journal")
 	content := `{"key":"ok","status":1}` + "\n" +
@@ -155,4 +196,65 @@ func TestRestoreTableReArmsIdempotency(t *testing.T) {
 	if out.Status != 1 || out.Fidelity != qos.FidelityFull || string(out.Payload) != "charged $42" {
 		t.Fatalf("restored outcome = %+v", out)
 	}
+}
+
+// FuzzReplayJournal writes b as a journal file: replay must not panic,
+// whatever the bytes. It then builds a valid journal from b's "|"-separated
+// pieces, cuts it at byte cut, and runs the next life on the cut file: after
+// OpenJournal and one Append, replay must succeed, hand back every record
+// whose line the cut left whole, and end with the appended one.
+func FuzzReplayJournal(f *testing.F) {
+	f.Add([]byte(`{"key":"intact","status":1}`+"\n"+`{"key":"torn","sta`), uint16(40))
+	f.Add([]byte("hold|charge|ship"), uint16(0))
+	f.Add([]byte("hold|charge|ship"), uint16(30))
+	f.Add([]byte("a|\x00\xff\n|c"), uint16(1000))
+	f.Add([]byte("garbage not json\n{}\n"), uint16(5))
+	f.Fuzz(func(t *testing.T, b []byte, cut uint16) {
+		dir := t.TempDir()
+		raw := filepath.Join(dir, "raw")
+		if err := os.WriteFile(raw, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _ = ReplayJournal(raw, func(JournalRecord) {})
+
+		path := filepath.Join(dir, "journal")
+		j, err := OpenJournal(path, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, piece := range bytes.Split(b, []byte("|")) {
+			if err := j.Append(JournalRecord{Key: string(piece), Status: i, Payload: piece}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		whole, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := int(cut) % (len(whole) + 1)
+		if err := os.WriteFile(path, whole[:at], 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		last := JournalRecord{Key: "next life", Status: 7, Payload: []byte("after")}
+		if j, err = OpenJournal(path, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(last); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		var got []JournalRecord
+		n, err := ReplayJournal(path, func(r JournalRecord) { got = append(got, r) })
+		if err != nil {
+			t.Fatalf("replay after a cut at %d of %d bytes: %v", at, len(whole), err)
+		}
+		if want := bytes.Count(whole[:at], []byte("\n")) + 1; n != want {
+			t.Fatalf("replayed %d records after a cut at %d of %d bytes, want %d", n, at, len(whole), want)
+		}
+		if r := got[n-1]; r.Key != last.Key || r.Status != last.Status || string(r.Payload) != "after" {
+			t.Fatalf("last replayed record = %+v, want %+v", r, last)
+		}
+	})
 }

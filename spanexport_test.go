@@ -3,7 +3,6 @@ package servicebroker
 import (
 	"context"
 	"encoding/json"
-	"encoding/xml"
 	"fmt"
 	"strings"
 	"sync"
@@ -134,8 +133,8 @@ func TestSpanExportAcrossProcesses(t *testing.T) {
 
 // TestAdminPlaneLiveSeries drives traffic in two QoS classes through the
 // full chain, samples the time-series store the way brokerd's ticker does,
-// and checks /seriesz, /graphz (valid SVG with per-class queue-wait and
-// drop-ratio charts), and /buildz.
+// and checks /seriesz (the per-class queue-wait and drop-ratio groups) and
+// /buildz.
 func TestAdminPlaneLiveSeries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
@@ -228,36 +227,29 @@ func TestAdminPlaneLiveSeries(t *testing.T) {
 		t.Error("?match=drop_ratio did not filter out queue_wait series")
 	}
 
-	// /graphz: charts for the queue-wait and per-class drop-ratio groups,
-	// every embedded SVG well-formed.
-	gBody := httpGet(t, base+"/graphz?match=broker.db.")
-	for _, want := range []string{"broker.db.queue_wait.mean", "broker.db.drop_ratio"} {
-		if !strings.Contains(gBody, want) {
-			t.Errorf("/graphz missing chart group %q", want)
+	// The queue-wait and per-class drop-ratio groups on /seriesz?match=:
+	// each holds at least two populated series, the class variants of one
+	// metric side by side.
+	var scoped struct {
+		Series []tsdb.Series `json:"series"`
+	}
+	if err := json.Unmarshal([]byte(httpGet(t, base+"/seriesz?match=broker.db.")), &scoped); err != nil {
+		t.Fatalf("seriesz?match JSON: %v", err)
+	}
+	var queueWait, dropRatio int
+	for _, sr := range scoped.Series {
+		switch {
+		case !strings.HasPrefix(sr.Name, "broker.db."):
+			t.Errorf("?match=broker.db. returned %q", sr.Name)
+		case len(sr.Points) == 0:
+		case strings.HasPrefix(sr.Name, "broker.db.queue_wait") && strings.HasSuffix(sr.Name, ".mean"):
+			queueWait++
+		case strings.HasPrefix(sr.Name, "broker.db.drop_ratio_class_"):
+			dropRatio++
 		}
 	}
-	svgs := 0
-	for rest := gBody; ; {
-		i := strings.Index(rest, "<svg")
-		if i < 0 {
-			break
-		}
-		j := strings.Index(rest[i:], "</svg>")
-		if j < 0 {
-			t.Fatal("unterminated <svg> block in /graphz")
-		}
-		one := rest[i : i+j+len("</svg>")]
-		if err := xml.Unmarshal([]byte(one), new(struct{})); err != nil {
-			t.Fatalf("/graphz SVG not well-formed: %v\n%s", err, one)
-		}
-		svgs++
-		rest = rest[i+j:]
-	}
-	if svgs < 2 {
-		t.Fatalf("/graphz embedded %d SVGs, want >= 2:\n%.400s", svgs, gBody)
-	}
-	if !strings.Contains(gBody, "<polyline") {
-		t.Error("/graphz charts carry no polylines (no sampled points?)")
+	if queueWait < 2 || dropRatio < 2 {
+		t.Errorf("/seriesz groups: %d populated queue-wait means and %d drop ratios, want >= 2 each", queueWait, dropRatio)
 	}
 
 	// /buildz reports process identity.
