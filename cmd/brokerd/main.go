@@ -23,22 +23,23 @@
 // admits against the load the leases carry. With -admin the process serves
 // the obs admin plane over HTTP; its index at / lists the pages (/metrics,
 // /tracez, /loadz, /breakerz, /limitz, /healthz, pprof, and one page per
-// analytics or transaction feature switched on). The -retries, -retry-base,
-// -breaker-failures, -breaker-cooldown, and -serve-stale flags configure the
-// fault-tolerance layer (see DESIGN.md §8): transient backend errors are retried with capped backoff,
-// replicas trip per-replica circuit breakers, and -serve-stale answers
-// from expired cache entries at low fidelity when the backend is down.
+// analytics or transaction feature switched on). The -retries,
+// -breaker-failures and -serve-stale flags configure the fault-tolerance
+// layer (see DESIGN.md §8): transient backend errors are retried with capped
+// backoff from 10ms, replicas trip per-replica circuit breakers that probe
+// again after 1s, and -serve-stale answers from expired cache entries at low
+// fidelity when the backend is down.
 //
-// The overload subsystem (DESIGN.md §9) is configured with -limit-min,
-// -limit-max, and -latency-target (AIMD admission limit replacing the
-// static -threshold when -limit-max > 0), -sojourn-budget (per-class queue
-// wait budgets with CoDel-style eviction), and -drain-timeout (how long
-// SIGTERM waits for accepted requests before forcing exit). The live limit
-// appears on the admin plane at /limitz.
+// The overload subsystem (DESIGN.md §9) is configured with -limit-max and
+// -latency-target (AIMD admission limit, floor 1, replacing the static
+// -threshold when -limit-max > 0), -sojourn-budget (per-class queue wait
+// budgets with CoDel-style eviction), and -drain-timeout (how long SIGTERM
+// waits for accepted requests before forcing exit). The live limit appears
+// on the admin plane at /limitz.
 //
 // Request clustering (DESIGN.md §10) is enabled with -cluster N (degree of
 // clustering; the combiner follows the backend kind — repeated-query for
-// db/cgi, MGET for web) and -cluster-wait (gather window). Adding
+// db/cgi, MGET for web; a batch waits up to 2ms to fill). Adding
 // -adaptive-degree M makes the degree self-tuning: a hill-climbing
 // controller walks [1, M] tracking the response-time minimum as backend
 // capacity shifts, with the live degree on /metrics and /seriesz as
@@ -55,7 +56,8 @@
 // replay their recorded first outcome instead of re-executing (-idem-ttl
 // bounds how long an outcome is held); -txn-journal makes recorded outcomes
 // crash-safe — each service appends to <path>.<service> and a restarted
-// brokerd re-arms its idempotency table from the journal before serving.
+// brokerd re-arms its idempotency table from the journal before serving. A
+// failed append counts in txn_journal_errors_total and shows on /eventz.
 // Active transactions and idempotency accounting appear on /txnz.
 package main
 
@@ -84,7 +86,6 @@ import (
 	"servicebroker/internal/sketch"
 	"servicebroker/internal/trace"
 	"servicebroker/internal/tsdb"
-	"servicebroker/internal/txn"
 )
 
 // exportBuffer bounds the recently finished traces held for span export to
@@ -111,21 +112,16 @@ type config struct {
 	cacheSize       int
 	cacheTTL        time.Duration
 	clusterDegree   int
-	clusterWait     time.Duration
 	adaptiveDegree  int
 	registerTo      string
 	leaseTTL        time.Duration
 	admin           string
 	retries         int
-	retryBase       time.Duration
 	breakerFailures int
-	breakerCooldown time.Duration
 	serveStale      bool
 	traceSample     float64
 	traceSlow       time.Duration
-	traceSeed       uint64
 	sampleEvery     time.Duration
-	limitMin        int
 	limitMax        int
 	latencyTarget   time.Duration
 	sojournBudget   time.Duration
@@ -148,21 +144,16 @@ func main() {
 	flag.IntVar(&cfg.cacheSize, "cache", 0, "result cache entries (0 disables caching)")
 	flag.DurationVar(&cfg.cacheTTL, "cache-ttl", 30*time.Second, "result cache TTL")
 	flag.IntVar(&cfg.clusterDegree, "cluster", 0, "degree of clustering: max compatible requests combined into one backend access (0 disables)")
-	flag.DurationVar(&cfg.clusterWait, "cluster-wait", 2*time.Millisecond, "how long a batch waits to fill after its first request (with -cluster)")
 	flag.IntVar(&cfg.adaptiveDegree, "adaptive-degree", 0, "self-tune the clustering degree over [1, N] with a hill-climbing controller; 0 keeps -cluster static")
 	flag.StringVar(&cfg.registerTo, "register-to", "", "self-register hosted services at this front-end lease listener (UDP address)")
 	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 3*time.Second, "lease duration requested with -register-to (renewed every ttl/3)")
 	flag.StringVar(&cfg.admin, "admin", "", "admin HTTP address for /metrics, /tracez, /loadz, /breakerz (empty disables)")
 	flag.IntVar(&cfg.retries, "retries", 2, "retries after a failed backend access (0 disables retrying)")
-	flag.DurationVar(&cfg.retryBase, "retry-base", 10*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")
 	flag.IntVar(&cfg.breakerFailures, "breaker-failures", 5, "consecutive failures that open a replica's circuit breaker")
-	flag.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", time.Second, "how long an open breaker waits before half-open probes")
 	flag.BoolVar(&cfg.serveStale, "serve-stale", false, "serve expired cache entries at low fidelity when the backend is unreachable")
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 1, "fraction of healthy traces retained in the ring (errors, drops, and slow traces always kept)")
 	flag.DurationVar(&cfg.traceSlow, "trace-slow", 0, "latency above which a healthy trace is always retained (0 disables)")
-	flag.Uint64Var(&cfg.traceSeed, "trace-seed", 1, "deterministic tail-sampling seed (share across processes for consistent decisions)")
 	flag.DurationVar(&cfg.sampleEvery, "sample-every", time.Second, "time-series sampling interval for /seriesz")
-	flag.IntVar(&cfg.limitMin, "limit-min", 1, "adaptive admission limit floor (with -limit-max)")
 	flag.IntVar(&cfg.limitMax, "limit-max", 0, "adaptive admission limit ceiling; 0 keeps the static -threshold")
 	flag.DurationVar(&cfg.latencyTarget, "latency-target", 0, "completion latency the adaptive limiter treats as congestion (0 reacts to failures only)")
 	flag.DurationVar(&cfg.sojournBudget, "sojourn-budget", 0, "class-1 queue-wait budget; queued requests over their class budget are shed early (0 disables)")
@@ -187,6 +178,21 @@ func run(cfg config) error {
 	if len(cfg.services) == 0 {
 		return fmt.Errorf("at least one -service is required")
 	}
+	// A negative count would otherwise reach a package that reads it as
+	// "use the default": -retries -1 would retry twice.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"-retries", cfg.retries}, {"-breaker-failures", cfg.breakerFailures},
+		{"-workers", cfg.workers}, {"-cache", cfg.cacheSize},
+		{"-cluster", cfg.clusterDegree}, {"-adaptive-degree", cfg.adaptiveDegree},
+		{"-hotkeys", cfg.hotkeys}, {"-idem", cfg.idemCap},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must not be negative, got %d", f.name, f.v)
+		}
+	}
 
 	// One trace recorder is shared by every hosted broker so /tracez shows
 	// the whole process; its registry's names are already fully qualified
@@ -199,10 +205,12 @@ func run(cfg config) error {
 	tracer := trace.NewRecorder(
 		trace.WithMetrics(traceReg),
 		trace.WithExport(exportBuffer),
+		// The front end samples with the same seed, so both keep the same
+		// healthy traces.
 		trace.WithSampler(&trace.Sampler{
 			SlowThreshold: cfg.traceSlow,
 			Fraction:      cfg.traceSample,
-			Seed:          cfg.traceSeed,
+			Seed:          1,
 		}),
 	)
 	var events *fleet.Log
@@ -227,15 +235,9 @@ func run(cfg config) error {
 	}
 
 	brokers := make(map[string]*broker.Broker, len(cfg.services))
-	var journals []*txn.Journal
 	defer func() {
 		for _, b := range brokers {
 			b.Close()
-		}
-		// Journals close after the brokers: a draining worker may still record
-		// an outcome while its broker shuts down.
-		for _, j := range journals {
-			j.Close()
 		}
 	}()
 
@@ -269,7 +271,7 @@ func run(cfg config) error {
 		}
 		if cfg.clusterDegree > 0 {
 			if comb := combinerFor(kind); comb != nil {
-				opts = append(opts, broker.WithClustering(comb, cfg.clusterDegree, cfg.clusterWait))
+				opts = append(opts, broker.WithClustering(comb, cfg.clusterDegree, 0))
 				if cfg.adaptiveDegree > 0 {
 					opts = append(opts, broker.WithAdaptiveDegree(cluster.AdaptiveConfig{
 						MaxDegree: cfg.adaptiveDegree,
@@ -282,7 +284,6 @@ func run(cfg config) error {
 		}
 		if cfg.limitMax > 0 {
 			opts = append(opts, broker.WithAdaptiveLimit(overload.Config{
-				Min:           cfg.limitMin,
 				Max:           cfg.limitMax,
 				LatencyTarget: cfg.latencyTarget,
 			}))
@@ -298,38 +299,8 @@ func run(cfg config) error {
 		}
 		if cfg.txn {
 			opts = append(opts, broker.WithTransactions())
-			if cfg.txnTTL > 0 {
-				opts = append(opts, broker.WithTransactionTTL(cfg.txnTTL))
-			}
 			if cfg.idemCap > 0 {
-				if cfg.txnJournal != "" {
-					// Crash-safe idempotency: restore the journal into the
-					// table first (a restarted broker answers replayed keys
-					// without re-executing), then append every newly recorded
-					// outcome.
-					jpath := cfg.txnJournal + "." + name
-					table := txn.NewIdemTable(cfg.idemCap, cfg.idemTTL)
-					restored, err := txn.RestoreTable(jpath, table)
-					if err != nil {
-						return fmt.Errorf("txn journal %s: %w", jpath, err)
-					}
-					journal, err := txn.OpenJournal(jpath, false)
-					if err != nil {
-						return fmt.Errorf("txn journal %s: %w", jpath, err)
-					}
-					journals = append(journals, journal)
-					table.OnRecord(func(key string, out txn.Outcome) {
-						if err := journal.AppendOutcome(key, out); err != nil {
-							slog.Warn("txn journal append failed", "err", err)
-						}
-					})
-					if restored > 0 {
-						slog.Info("idempotency journal restored", "service", name, "outcomes", restored)
-					}
-					opts = append(opts, broker.WithSharedIdempotency(table))
-				} else {
-					opts = append(opts, broker.WithIdempotency(cfg.idemCap, cfg.idemTTL))
-				}
+				opts = append(opts, broker.WithIdempotency(cfg.idemCap, cfg.idemTTL))
 			}
 		}
 		if events != nil {
@@ -344,6 +315,21 @@ func run(cfg config) error {
 			return fmt.Errorf("broker %s: %w", name, err)
 		}
 		brokers[name] = b
+		if cfg.txn {
+			b.Tracker().SetTTL(cfg.txnTTL)
+		}
+		if cfg.txnJournal != "" {
+			// Restored before the gateway serves: a restarted broker answers
+			// replayed keys without re-executing.
+			jpath := cfg.txnJournal + "." + name
+			restored, err := b.OpenJournal(jpath)
+			if err != nil {
+				return fmt.Errorf("txn journal %s: %w", jpath, err)
+			}
+			if restored > 0 {
+				slog.Info("idempotency journal restored", "service", name, "outcomes", restored)
+			}
+		}
 		if adminSrv != nil {
 			adminSrv.MountRegistry("broker."+name+".", b.Metrics())
 			for page, render := range b.AdminPages(name) {
@@ -468,11 +454,9 @@ func resilienceConfig(cfg config) resilience.Config {
 	return resilience.Config{
 		Retry: resilience.RetryConfig{
 			MaxAttempts: cfg.retries + 1,
-			BaseDelay:   cfg.retryBase,
 		},
 		Breaker: resilience.BreakerConfig{
 			FailureThreshold: cfg.breakerFailures,
-			Cooldown:         cfg.breakerCooldown,
 		},
 		ServeStale: cfg.serveStale,
 	}

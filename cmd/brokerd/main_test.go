@@ -1,7 +1,11 @@
 package main
 
 import (
+	"os"
+	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -58,6 +62,51 @@ func TestMakeConnector(t *testing.T) {
 func TestRunRequiresService(t *testing.T) {
 	if err := run(config{listen: "127.0.0.1:0", threshold: 20, classes: 3, workers: 4}); err == nil {
 		t.Fatal("run without services succeeded")
+	}
+}
+
+// A negative count is refused before any socket opens. Each package below
+// would otherwise read it as "use the default" or "off": -retries -1 became
+// two retries, -breaker-failures -3 a threshold of 5.
+func TestRunRejectsNegativeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		set  func(*config)
+	}{
+		{"-retries", func(c *config) { c.retries = -1 }},
+		{"-breaker-failures", func(c *config) { c.breakerFailures = -3 }},
+		{"-workers", func(c *config) { c.workers = -1 }},
+		{"-cache", func(c *config) { c.cacheSize = -1 }},
+		{"-cluster", func(c *config) { c.clusterDegree = -1 }},
+		{"-adaptive-degree", func(c *config) { c.adaptiveDegree = -1 }},
+		{"-hotkeys", func(c *config) { c.hotkeys = -1 }},
+		{"-idem", func(c *config) { c.idemCap = -1 }},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			cfg := config{
+				services: serviceFlags{"cgi:cgi:127.0.0.1:1"}, listen: "127.0.0.1:0",
+				threshold: 20, classes: 3, workers: 4, retries: 2, breakerFailures: 5,
+				drainTimeout: time.Second,
+			}
+			tc.set(&cfg)
+			up := make(chan struct{}, 1)
+			testHookGatewayUp = func(string) { up <- struct{}{} }
+			defer func() { testHookGatewayUp = nil }()
+			done := make(chan error, 1)
+			go func() { done <- run(cfg) }()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), tc.flag) {
+					t.Fatalf("run = %v, want an error naming %s", err, tc.flag)
+				}
+			case <-up:
+				syscall.Kill(os.Getpid(), syscall.SIGTERM)
+				<-done
+				t.Fatalf("brokerd served with a negative %s", tc.flag)
+			case <-time.After(5 * time.Second):
+				t.Fatal("run neither failed nor served")
+			}
+		})
 	}
 }
 

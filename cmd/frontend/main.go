@@ -70,7 +70,6 @@ func main() {
 		admin       = flag.String("admin", "", "admin HTTP address for /metrics, /tracez (empty disables)")
 		traceSample = flag.Float64("trace-sample", 1, "fraction of healthy traces retained in the ring (errors, drops, and slow traces always kept)")
 		traceSlow   = flag.Duration("trace-slow", 0, "latency above which a healthy trace is always retained (0 disables)")
-		traceSeed   = flag.Uint64("trace-seed", 1, "deterministic tail-sampling seed (share across processes for consistent decisions)")
 		sampleEvery = flag.Duration("sample-every", time.Second, "time-series sampling interval for /seriesz")
 		drainTO     = flag.Duration("drain-timeout", 5*time.Second, "how long SIGTERM/SIGINT waits for in-flight requests to finish")
 		hotkeys     = flag.Int("hotkeys", 0, "track the top-N hottest request payloads for /hotz (0 disables)")
@@ -78,7 +77,8 @@ func main() {
 	flag.Var(&routes, "route", "route spec pattern=service (repeatable)")
 	flag.Parse()
 
-	sampler := &trace.Sampler{SlowThreshold: *traceSlow, Fraction: *traceSample, Seed: *traceSeed}
+	// brokerd samples with the same seed, so both keep the same healthy traces.
+	sampler := &trace.Sampler{SlowThreshold: *traceSlow, Fraction: *traceSample, Seed: 1}
 	if err := run(*model, *addr, *gateway, *listenAddr, *registryOn, *registryLsn, *maxClients, routes, *admin, sampler, *sampleEvery, *drainTO, *hotkeys); err != nil {
 		slog.Error("frontend failed", "err", err)
 		os.Exit(1)

@@ -93,9 +93,9 @@ func runPurchases(integrity bool) (out outcome, err error) {
 		// monitor vendor (the paper's broker-to-broker state exchange), and
 		// the warehouse broker suppresses duplicate effects.
 		tracker = txn.NewTracker()
-		opts = append(opts, broker.WithSharedTransactions(tracker))
+		opts = append(opts, broker.WithTransactions(tracker))
 		whOpts = append(whOpts,
-			broker.WithSharedTransactions(tracker),
+			broker.WithTransactions(tracker),
 			broker.WithIdempotency(1024, time.Minute))
 	}
 	monitors, err := broker.New(monitorVendor, opts...)

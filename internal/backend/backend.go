@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -61,12 +60,7 @@ type DelayConnector struct {
 
 	initOnce sync.Once
 	slots    chan struct{}
-	calls    atomic.Int64
 }
-
-// Calls reports how many Do exchanges reached this backend — the trip count
-// experiments compare against issued requests to show coalescing savings.
-func (d *DelayConnector) Calls() int64 { return d.calls.Load() }
 
 var _ Connector = (*DelayConnector)(nil)
 
@@ -106,7 +100,6 @@ func (s *delaySession) Do(ctx context.Context, payload []byte) ([]byte, error) {
 		return nil, ErrServiceClosed
 	}
 	p := s.parent
-	p.calls.Add(1)
 	if p.slots != nil {
 		select {
 		case p.slots <- struct{}{}:

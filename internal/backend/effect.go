@@ -59,15 +59,8 @@ func (c *EffectConnector) Mutations() int64 {
 	return c.mutations
 }
 
-// Holds returns the units currently held for sku. After every transaction
-// has committed or compensated, a correct run leaves zero holds.
-func (c *EffectConnector) Holds(sku string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.holds[sku]
-}
-
-// TotalHolds sums outstanding holds across all SKUs.
+// TotalHolds sums outstanding holds across all SKUs. After every
+// transaction has committed or compensated, a correct run leaves zero.
 func (c *EffectConnector) TotalHolds() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -76,13 +69,6 @@ func (c *EffectConnector) TotalHolds() int {
 		n += h
 	}
 	return n
-}
-
-// Purchased returns the units purchased for sku.
-func (c *EffectConnector) Purchased(sku string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.purchased[sku]
 }
 
 type effectSession struct{ c *EffectConnector }

@@ -22,15 +22,14 @@ func TestEffectConnectorLifecycle(t *testing.T) {
 	if _, err := do("HOLD sku-1 2"); err != nil {
 		t.Fatal(err)
 	}
-	if c.Holds("sku-1") != 2 || c.Mutations() != 1 {
-		t.Fatalf("after hold: holds=%d mutations=%d", c.Holds("sku-1"), c.Mutations())
+	if c.TotalHolds() != 2 || c.Mutations() != 1 {
+		t.Fatalf("after hold: holds=%d mutations=%d", c.TotalHolds(), c.Mutations())
 	}
 	if _, err := do("PURCHASE sku-1 2"); err != nil {
 		t.Fatal(err)
 	}
-	if c.Holds("sku-1") != 0 || c.Purchased("sku-1") != 2 || c.Mutations() != 2 {
-		t.Fatalf("after purchase: holds=%d purchased=%d mutations=%d",
-			c.Holds("sku-1"), c.Purchased("sku-1"), c.Mutations())
+	if c.TotalHolds() != 0 || c.Mutations() != 2 {
+		t.Fatalf("after purchase: holds=%d mutations=%d", c.TotalHolds(), c.Mutations())
 	}
 
 	// Reads are not mutations.

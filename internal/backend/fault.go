@@ -68,13 +68,6 @@ func (f *FaultConnector) SetDown(down bool) {
 	f.mu.Unlock()
 }
 
-// Down reports whether the replica is currently forced down.
-func (f *FaultConnector) Down() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.down
-}
-
 // Stats reports how many Do calls the connector has seen and how many of
 // them were failed or hung by injection.
 func (f *FaultConnector) Stats() (doCalls, failures int) {

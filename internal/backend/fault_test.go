@@ -50,9 +50,6 @@ func TestFaultConnectorSetDown(t *testing.T) {
 	if _, err := f.Connect(context.Background()); !errors.Is(err, ErrReplicaDown) {
 		t.Fatalf("Connect on downed replica = %v, want ErrReplicaDown", err)
 	}
-	if !f.Down() {
-		t.Fatal("Down() = false")
-	}
 
 	f.SetDown(false)
 	if out, err := s.Do(context.Background(), []byte("q")); err != nil || string(out) != "done:q" {

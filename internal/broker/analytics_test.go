@@ -14,7 +14,7 @@ import (
 func TestHotKeyTrackingThroughBroker(t *testing.T) {
 	b := newBroker(t, echoConnector("cgi"),
 		WithCache(64, 0),
-		WithHotKeys(sketch.Config{TopK: 8, Shards: 2}))
+		WithHotKeys(sketch.Config{TopK: 8}))
 
 	// "hot" is requested 20 times: first a miss filled from the backend,
 	// then fresh hits; "cold-*" once each.
@@ -55,7 +55,7 @@ func TestHotKeyTrackingThroughBroker(t *testing.T) {
 }
 
 func TestHotKeyTrackingWithoutCache(t *testing.T) {
-	b := newBroker(t, echoConnector("cgi"), WithHotKeys(sketch.Config{TopK: 4, Shards: 1}))
+	b := newBroker(t, echoConnector("cgi"), WithHotKeys(sketch.Config{TopK: 4}))
 	for i := 0; i < 5; i++ {
 		b.Handle(context.Background(), &Request{Payload: []byte("q"), Class: qos.Class1})
 	}

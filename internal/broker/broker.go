@@ -152,12 +152,12 @@ type Broker struct {
 	results  *cache.Cache
 	batcher  *cluster.Batcher
 	tracker  *txn.Tracker
-	txnTTL   time.Duration
 	contract map[qos.Class]*qos.Contract
 
 	// The two uses of the single-flight table; a nil table disables the stage.
 	idem    *txn.IdemTable // keyed mutations (WithIdempotency): outcomes remembered
 	flights *txn.IdemTable // identical reads (WithCoalescing): outcomes only shared
+	journal *txn.Journal   // OpenJournal's append handle; closed by Close
 
 	// workload analytics (WithHotKeys)
 	hotkeys *sketch.Tracker
@@ -270,8 +270,8 @@ func WithClustering(combiner cluster.Combiner, degree int, maxWait time.Duration
 
 // WithAdaptiveDegree makes the clustering batcher self-tuning: the degree
 // passed to WithClustering becomes the starting point of a hill-climbing
-// walk over [cfg.MinDegree, cfg.MaxDegree] that tracks the response-time
-// minimum as backend capacity shifts (the paper's Figure-7 U-curve). Must be
+// walk over [1, cfg.MaxDegree] that tracks the response-time minimum as
+// backend capacity shifts (the paper's Figure-7 U-curve). Must be
 // combined with WithClustering; the live degree is exported as the
 // "cluster_degree_current" gauge.
 func WithAdaptiveDegree(cfg cluster.AdaptiveConfig) Option {
@@ -282,42 +282,28 @@ func WithAdaptiveDegree(cfg cluster.AdaptiveConfig) Option {
 }
 
 // WithTransactions enables transaction tracking and step-based priority
-// escalation.
-func WithTransactions() Option {
+// escalation. With no argument the broker keeps its own tracker, and counts
+// the transactions that tracker's TTL sweep abandons (Tracker().SetTTL) in
+// txn_abandoned_total. One shared tracker may be passed instead: the paper
+// notes that "if service brokers are enabled to communicate with each other,
+// they can exchange state information to ensure that transactions involving
+// different backend servers are properly protected" — a step observed at one
+// broker then escalates the transaction's later accesses at every broker. A
+// shared tracker's TTL and abandon hook belong to whoever made it.
+func WithTransactions(shared ...*txn.Tracker) Option {
 	return func(b *Broker) error {
-		b.tracker = txn.NewTracker()
-		return nil
-	}
-}
-
-// WithSharedTransactions enables transaction escalation against a tracker
-// shared with other brokers. The paper notes that "if service brokers are
-// enabled to communicate with each other, they can exchange state
-// information to ensure that transactions involving different backend
-// servers are properly protected" — a shared tracker lets a step observed
-// at one broker escalate the transaction's later accesses at every broker.
-func WithSharedTransactions(tracker *txn.Tracker) Option {
-	return func(b *Broker) error {
-		if tracker == nil {
+		switch {
+		case len(shared) > 1:
+			return errors.New("broker: at most one shared tracker")
+		case len(shared) == 1 && shared[0] == nil:
 			return errors.New("broker: nil shared tracker")
+		case len(shared) == 1:
+			b.tracker = shared[0]
+		default:
+			b.tracker = txn.NewTracker()
+			abandoned := b.reg.Counter("txn_abandoned_total")
+			b.tracker.OnAbandon(func(txn.State) { abandoned.Inc() })
 		}
-		b.tracker = tracker
-		return nil
-	}
-}
-
-// WithTransactionTTL bounds how long an idle transaction may stay active:
-// a transaction not observed for d is abandoned by the tracker's sweep — its
-// registered compensations run in reverse order and the broker's
-// txn_abandoned_total counter is incremented. Requires WithTransactions or
-// WithSharedTransactions. Without a TTL the active table would grow without
-// bound as clients crash between steps.
-func WithTransactionTTL(d time.Duration) Option {
-	return func(b *Broker) error {
-		if d <= 0 {
-			return errors.New("broker: transaction TTL must be positive")
-		}
-		b.txnTTL = d
 		return nil
 	}
 }
@@ -325,28 +311,13 @@ func WithTransactionTTL(d time.Duration) Option {
 // WithIdempotency attaches a broker-side idempotency table: a request
 // carrying a (TxnID, TxnStep, IdemKey) triple executes its backend effect at
 // most once, and any duplicate — a wire retransmission to another socket, or
-// a frontend pool failing the request over after the first broker crashed
-// post-execution — is answered with the recorded first outcome. capacity ≤ 0
+// a frontend pool failing the request over to another gateway of the same
+// broker — is answered with the recorded first outcome. capacity ≤ 0
 // selects txn.DefaultIdemCapacity; ttl ≤ 0 keeps outcomes until evicted by
-// capacity.
+// capacity. OpenJournal makes the recorded outcomes survive a restart.
 func WithIdempotency(capacity int, ttl time.Duration) Option {
 	return func(b *Broker) error {
 		b.idem = txn.NewIdemTable(capacity, ttl)
-		return nil
-	}
-}
-
-// WithSharedIdempotency uses an idempotency table shared with other brokers.
-// Like WithSharedTransactions, this is the paper's brokers "exchanging state
-// information": a pool member that receives the failover re-send of an access
-// another member already executed answers from the shared table instead of
-// re-executing.
-func WithSharedIdempotency(table *txn.IdemTable) Option {
-	return func(b *Broker) error {
-		if table == nil {
-			return errors.New("broker: nil shared idempotency table")
-		}
-		b.idem = table
 		return nil
 	}
 }
@@ -362,14 +333,6 @@ func WithContract(class qos.Class, rate float64, burst int) Option {
 			b.contract = make(map[qos.Class]*qos.Contract)
 		}
 		b.contract[class] = qos.NewContract(rate, burst)
-		return nil
-	}
-}
-
-// WithMetrics directs broker counters into reg.
-func WithMetrics(reg *metrics.Registry) Option {
-	return func(b *Broker) error {
-		b.reg = reg
 		return nil
 	}
 }
@@ -509,14 +472,6 @@ func New(connector backend.Connector, opts ...Option) (_ *Broker, err error) {
 		return nil, errors.New("broker: WithPrefetch requires WithCache")
 	}
 	b.m = newInstruments(b)
-	if b.txnTTL > 0 {
-		if b.tracker == nil {
-			return nil, errors.New("broker: WithTransactionTTL requires WithTransactions")
-		}
-		b.tracker.SetTTL(b.txnTTL)
-		abandoned := b.reg.Counter("txn_abandoned_total")
-		b.tracker.OnAbandon(func(txn.State) { abandoned.Inc() })
-	}
 
 	if b.cacheCap > 0 {
 		copts := []cache.Option{cache.WithDefaultTTL(b.cacheTTL)}
@@ -652,6 +607,39 @@ func (b *Broker) IdemStats() (txn.IdemStats, bool) {
 		return txn.IdemStats{}, false
 	}
 	return b.idem.Stats(), true
+}
+
+// OpenJournal makes the idempotency table's recorded outcomes crash-safe. It
+// restores the journal at path into the table, so a restarted broker answers
+// replayed keys without re-executing, then appends every newly recorded
+// outcome to it. An append that fails is counted in txn_journal_errors_total
+// and published on the fleet timeline; the outcome still stands in memory.
+// Call it before the broker serves; Close closes the journal once the
+// workers have stopped. It returns how many outcomes were restored.
+func (b *Broker) OpenJournal(path string) (int, error) {
+	if b.idem == nil {
+		return 0, errors.New("broker: OpenJournal requires WithIdempotency")
+	}
+	if b.journal != nil {
+		return 0, errors.New("broker: journal already open")
+	}
+	restored, err := txn.RestoreTable(path, b.idem)
+	if err != nil {
+		return 0, err
+	}
+	j, err := txn.OpenJournal(path, false)
+	if err != nil {
+		return 0, err
+	}
+	b.journal = j
+	failures := b.reg.Counter("txn_journal_errors_total")
+	b.idem.OnRecord(func(key string, out txn.Outcome) {
+		if err := j.AppendOutcome(key, out); err != nil {
+			failures.Inc()
+			b.publish(fleet.KindJournalError, "", "idempotency journal append failed: "+err.Error())
+		}
+	})
+	return restored, nil
 }
 
 // BreakerSnapshots returns the per-replica circuit-breaker states, or nil
@@ -791,8 +779,8 @@ func (b *Broker) Drain(ctx context.Context) error {
 	}
 }
 
-// Close stops the prefetcher, workers, and batcher, and releases backend
-// sessions. In-flight jobs complete first.
+// Close stops the prefetcher, workers, and batcher, releases backend
+// sessions, and closes the journal. In-flight jobs complete first.
 func (b *Broker) Close() error {
 	var err error
 	b.stopOnce.Do(func() {
@@ -808,6 +796,9 @@ func (b *Broker) Close() error {
 			b.batcher.Close()
 		}
 		err = b.closeBackend()
+		if b.journal != nil {
+			err = errors.Join(err, b.journal.Close())
+		}
 	})
 	return err
 }

@@ -559,8 +559,8 @@ func TestSharedTransactionTracker(t *testing.T) {
 	// accesses at another broker sharing the tracker.
 	shared := txn.NewTracker()
 	monitors := newBroker(t, slowConnector("monitors", 150*time.Millisecond),
-		WithThreshold(3, 3), WithWorkers(1), WithSharedTransactions(shared))
-	cards := newBroker(t, echoConnector("cards"), WithSharedTransactions(shared))
+		WithThreshold(3, 3), WithWorkers(1), WithTransactions(shared))
+	cards := newBroker(t, echoConnector("cards"), WithTransactions(shared))
 
 	// Advance the transaction at the cards broker.
 	if resp := cards.Handle(context.Background(), &Request{
@@ -606,8 +606,11 @@ func TestSharedTransactionTracker(t *testing.T) {
 }
 
 func TestWithSharedTransactionsValidation(t *testing.T) {
-	if _, err := New(echoConnector("x"), WithSharedTransactions(nil)); err == nil {
+	if _, err := New(echoConnector("x"), WithTransactions(nil)); err == nil {
 		t.Fatal("nil shared tracker accepted")
+	}
+	if _, err := New(echoConnector("x"), WithTransactions(txn.NewTracker(), txn.NewTracker())); err == nil {
+		t.Fatal("two shared trackers accepted")
 	}
 }
 

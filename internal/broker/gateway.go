@@ -7,10 +7,8 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"servicebroker/internal/qos"
 	"servicebroker/internal/trace"
 	"servicebroker/internal/wire"
 )
@@ -21,9 +19,12 @@ import (
 // several per-service brokers; requests route on the message's Service
 // field.
 type Gateway struct {
-	brokers  map[string]*Broker // fixed at construction
-	server   *wire.Server
-	identity atomic.Value // string; see SetIdentity
+	brokers map[string]*Broker // fixed at construction
+	server  *wire.Server
+	// identity is stamped on traced responses: the UDP listen address,
+	// which is how frontend pools address members, so stitched traces line
+	// up with /poolz rows.
+	identity string
 }
 
 // NewGateway starts a gateway on addr ("127.0.0.1:0" for ephemeral) serving
@@ -50,8 +51,7 @@ func NewGatewayConn(pc net.PacketConn, brokers map[string]*Broker) (*Gateway, er
 	}
 	// Every field handle reads is set before the server exists: it answers
 	// from the moment it is started.
-	g := &Gateway{brokers: make(map[string]*Broker, len(brokers))}
-	g.identity.Store(pc.LocalAddr().String())
+	g := &Gateway{brokers: make(map[string]*Broker, len(brokers)), identity: pc.LocalAddr().String()}
 	for name, b := range brokers {
 		if b == nil {
 			return nil, fmt.Errorf("broker: nil broker for service %q", name)
@@ -65,16 +65,6 @@ func NewGatewayConn(pc net.PacketConn, brokers map[string]*Broker) (*Gateway, er
 	g.server = srv
 	return g, nil
 }
-
-// SetIdentity overrides the identity stamped on traced responses. The
-// default — the gateway's UDP listen address — matches how frontend pools
-// address members, which is what makes stitched traces line up with /poolz
-// rows; override it only when the advertised address differs from the bound
-// one (NAT, 0.0.0.0 binds).
-func (g *Gateway) SetIdentity(id string) { g.identity.Store(id) }
-
-// Identity reports the identity stamped on responses.
-func (g *Gateway) Identity() string { return g.identity.Load().(string) }
 
 // Addr returns the gateway's UDP address.
 func (g *Gateway) Addr() net.Addr { return g.server.Addr() }
@@ -138,7 +128,7 @@ func (g *Gateway) handle(ctx context.Context, _ net.Addr, m *wire.Message) *wire
 		if t, ok := b.tracer.TakeExport(trace.ID(m.TraceID)); ok {
 			out.Spans = exportSpans(t.Spans)
 		}
-		out.BrokerID = g.Identity()
+		out.BrokerID = g.identity
 	}
 	return out
 }
@@ -286,13 +276,4 @@ func (c *Client) Multi(ctx context.Context, services []string, reqs []*Request) 
 		}
 	}
 	return responses, nil
-}
-
-// ClassTimeout derives a sensible wire-level timeout for a class: paper
-// clients wait longer for high-fidelity service. Exposed for loadgen reuse.
-func ClassTimeout(base time.Duration, class qos.Class) time.Duration {
-	if class < 1 {
-		class = 1
-	}
-	return base * time.Duration(class)
 }

@@ -3,12 +3,15 @@ package broker
 import (
 	"context"
 	"fmt"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"servicebroker/internal/backend"
+	"servicebroker/internal/fleet"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/txn"
 )
@@ -62,31 +65,6 @@ func TestIdempotentReplayReturnsFirstOutcome(t *testing.T) {
 	b.Handle(context.Background(), idemReq("t1", 2, "mail-receipt", "SEND ..."))
 	if executions.Load() != 2 {
 		t.Fatalf("distinct key executed %d times total, want 2", executions.Load())
-	}
-}
-
-func TestIdempotencySharedAcrossBrokers(t *testing.T) {
-	// The pool-failover path: attempt 1 executes at broker A, the answer is
-	// lost, and the frontend re-sends to broker B. With a shared table B
-	// replays A's outcome instead of re-executing.
-	var executions atomic.Int64
-	table := txn.NewIdemTable(64, 0)
-	tracker := txn.NewTracker()
-	a := newBroker(t, countingConnector("db", &executions),
-		WithSharedTransactions(tracker), WithSharedIdempotency(table))
-	bb := newBroker(t, countingConnector("db", &executions),
-		WithSharedTransactions(tracker), WithSharedIdempotency(table))
-
-	r1 := a.Handle(context.Background(), idemReq("t1", 2, "charge", "UPDATE ..."))
-	r2 := bb.Handle(context.Background(), idemReq("t1", 2, "charge", "UPDATE ..."))
-	if r1.Status != StatusOK || r2.Status != StatusOK {
-		t.Fatalf("statuses: %v / %v", r1.Status, r2.Status)
-	}
-	if string(r1.Payload) != string(r2.Payload) {
-		t.Fatalf("failover replay diverged: %q vs %q", r1.Payload, r2.Payload)
-	}
-	if executions.Load() != 1 {
-		t.Fatalf("effect executed %d times across the pool, want 1", executions.Load())
 	}
 }
 
@@ -201,11 +179,12 @@ func TestShedKeyedRequestReleasesSlot(t *testing.T) {
 	}
 }
 
-// The txn_abandoned_total counter: a broker with a transaction TTL aborts
-// idle transactions and counts them.
+// The txn_abandoned_total counter: the TTL sweep of a broker's own tracker
+// aborts idle transactions and the broker counts them. A broker on a shared
+// tracker leaves its abandon hook to the tracker's owner.
 func TestBrokerAbandonsIdleTransactions(t *testing.T) {
-	b := newBroker(t, echoConnector("db"),
-		WithTransactions(), WithTransactionTTL(20*time.Millisecond))
+	b := newBroker(t, echoConnector("db"), WithTransactions())
+	b.Tracker().SetTTL(20 * time.Millisecond)
 	b.Handle(context.Background(), &Request{Payload: []byte("Q"), Class: 1, TxnID: "t1", TxnStep: 1})
 	if b.Tracker().ActiveCount() != 1 {
 		t.Fatal("transaction not active")
@@ -218,11 +197,55 @@ func TestBrokerAbandonsIdleTransactions(t *testing.T) {
 	if b.Metrics().Counter("txn_abandoned_total").Value() != 1 {
 		t.Fatal("txn_abandoned_total not counted")
 	}
+
+	var owned int
+	shared := txn.NewTracker()
+	shared.SetTTL(20 * time.Millisecond)
+	shared.OnAbandon(func(txn.State) { owned++ })
+	sb := newBroker(t, echoConnector("db"), WithTransactions(shared))
+	sb.Handle(context.Background(), &Request{Payload: []byte("Q"), Class: 1, TxnID: "t2", TxnStep: 1})
+	time.Sleep(30 * time.Millisecond)
+	shared.Sweep()
+	if owned != 1 {
+		t.Fatalf("owner's abandon hook ran %d times, want 1", owned)
+	}
 }
 
-func TestTransactionTTLRequiresTracker(t *testing.T) {
-	if _, err := New(echoConnector("db"), WithTransactionTTL(time.Second)); err == nil {
-		t.Fatal("WithTransactionTTL without WithTransactions accepted")
+// A journal append that fails leaves the outcome standing in memory and is
+// counted and put on the fleet timeline.
+func TestJournalAppendErrorCountedAndPublished(t *testing.T) {
+	var executions atomic.Int64
+	events := fleet.NewLog(0, nil)
+	b := newBroker(t, countingConnector("db", &executions),
+		WithTransactions(), WithIdempotency(64, 0), WithFleetEvents(events))
+	if _, err := b.OpenJournal(filepath.Join(t.TempDir(), "journal")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.OpenJournal(filepath.Join(t.TempDir(), "again")); err == nil {
+		t.Fatal("second journal accepted")
+	}
+	// The file goes away underneath the broker.
+	b.journal.Close()
+
+	r1 := b.Handle(context.Background(), idemReq("t1", 1, "hold", "UPDATE ..."))
+	r2 := b.Handle(context.Background(), idemReq("t1", 1, "hold", "UPDATE ..."))
+	if r1.Status != StatusOK || string(r2.Payload) != string(r1.Payload) || executions.Load() != 1 {
+		t.Fatalf("outcome lost with the journal: %+v / %+v, %d executions", r1, r2, executions.Load())
+	}
+	if got := b.Metrics().Counter("txn_journal_errors_total").Value(); got != 1 {
+		t.Fatalf("txn_journal_errors_total = %d, want 1", got)
+	}
+	evs := events.Snapshot(0)
+	if len(evs) != 1 || evs[0].Kind != fleet.KindJournalError || evs[0].Service != "db" ||
+		!strings.Contains(evs[0].Detail, "journal closed") {
+		t.Fatalf("events = %+v, want one journal_error for db", evs)
+	}
+}
+
+func TestOpenJournalRequiresIdempotency(t *testing.T) {
+	b := newBroker(t, echoConnector("db"), WithTransactions())
+	if _, err := b.OpenJournal(filepath.Join(t.TempDir(), "journal")); err == nil {
+		t.Fatal("journal without an idempotency table accepted")
 	}
 }
 

@@ -3,11 +3,11 @@
 //
 // Brokers see every query and response for their service, so popular results
 // (the paper's movie-schedule example) can be served without touching the
-// backend. The cache bounds memory by entry count and by an optional byte
-// budget, evicting least-recently-used entries first; entries also carry a
-// time-to-live after which normal Get lookups treat them as absent, while
-// GetStale can still read them — the degraded-mode path that lets a broker
-// answer with the best data it has when the backend is unreachable.
+// backend. The cache bounds memory by entry count, evicting least-recently-
+// used entries first; entries also carry a time-to-live after which normal
+// Get lookups treat them as absent, while GetStale can still read them — the
+// degraded-mode path that lets a broker answer with the best data it has
+// when the backend is unreachable.
 //
 // Internally the cache is split into power-of-two shards keyed by an FNV-1a
 // hash so concurrent hits on different keys take different locks — the
@@ -57,11 +57,8 @@ type ShardStats struct {
 // Cache is a concurrency-safe sharded LRU cache with per-entry TTL. Use New
 // to create one.
 type Cache struct {
-	maxEntries int
-	maxBytes   int64
 	defaultTTL time.Duration
 	now        func() time.Time
-	shardCount int // requested via WithShards; 0 = auto
 	onAccess   func(key string, hit bool)
 
 	shards []*shard
@@ -72,20 +69,19 @@ type Cache struct {
 }
 
 // shard is one lock domain: a slab of entries linked into an LRU list by
-// slot index, a key → slot index, and a byte budget. The slab grows by
-// append until the shard is full; after that a put that evicts reuses the
-// evicted entry's slot, so a miss that fills the cache allocates nothing
-// but what the caller keeps. Mutating stats are atomics so Stats can
+// slot index, a key → slot index, and the bytes its values hold. The slab
+// grows by append until the shard is full; after that a put that evicts
+// reuses the evicted entry's slot, so a miss that fills the cache allocates
+// nothing but what the caller keeps. Mutating stats are atomics so Stats can
 // aggregate without a lock sweep on the counters (Entries/Bytes still take
 // the shard lock briefly).
 type shard struct {
 	mu         sync.Mutex
 	maxEntries int
-	maxBytes   int64
 	slots      []entry          // at most maxEntries
 	index      map[string]int32 // key → slot
 	head, tail int32            // most / least recently used slot
-	free       int32            // slots given up by Delete or the byte budget, chained by next
+	free       int32            // slots given up by Delete, chained by next
 	bytes      int64
 
 	hits, misses, evictions, expired, staleHits atomic.Int64
@@ -111,12 +107,6 @@ type optionFunc func(*Cache)
 
 func (f optionFunc) apply(c *Cache) { f(c) }
 
-// WithMaxBytes bounds the total size of cached values. Zero (the default)
-// means no byte bound.
-func WithMaxBytes(n int64) Option {
-	return optionFunc(func(c *Cache) { c.maxBytes = n })
-}
-
 // WithDefaultTTL sets the TTL applied by Put. Zero (the default) means
 // entries never expire.
 func WithDefaultTTL(ttl time.Duration) Option {
@@ -126,13 +116,6 @@ func WithDefaultTTL(ttl time.Duration) Option {
 // WithClock overrides the time source, for deterministic tests.
 func WithClock(now func() time.Time) Option {
 	return optionFunc(func(c *Cache) { c.now = now })
-}
-
-// WithShards overrides the automatic shard count. n is rounded down to a
-// power of two and clamped to [1, maxEntries]. Use 1 to force the exact
-// single-list LRU (the pre-sharding behaviour).
-func WithShards(n int) Option {
-	return optionFunc(func(c *Cache) { c.shardCount = n })
 }
 
 // WithAccessHook registers fn to observe every Get/GetStale lookup: fn is
@@ -145,45 +128,19 @@ func WithAccessHook(fn func(key string, hit bool)) Option {
 	return optionFunc(func(c *Cache) { c.onAccess = fn })
 }
 
-// maxAutoShards bounds the automatic shard count; past ~16 lock domains the
-// broker's worker parallelism, not the cache, is the limit.
-const maxAutoShards = 16
+// maxShards bounds the shard count; past ~16 lock domains the broker's
+// worker parallelism, not the cache, is the limit.
+const maxShards = 16
 
-// minShardBytes is the smallest per-shard byte budget the auto-sizer will
-// accept: below this, splitting a byte-bounded cache makes eviction order
-// diverge wildly from a global LRU for no contention benefit.
-const minShardBytes = 1024
-
-// floorPow2 returns the largest power of two ≤ n (n ≥ 1).
-func floorPow2(n int) int {
-	p := 1
-	for p*2 <= n {
-		p *= 2
+// shardCount sizes the shard array: the largest power of two that keeps at
+// least 16 entries per shard, capped at maxShards. Small caches — which is
+// what the exact-LRU tests use — come out as a single shard.
+func shardCount(maxEntries int) int {
+	n := 1
+	for n*2 <= min(maxShards, maxEntries/maxShards) {
+		n *= 2
 	}
-	return p
-}
-
-// pickShardCount sizes the shard array: the largest power of two that keeps
-// at least 16 entries and minShardBytes of budget per shard, capped at
-// maxAutoShards. Small caches — which is what the exact-LRU tests and the
-// tiny byte-bound configurations use — come out as a single shard.
-func (c *Cache) pickShardCount() int {
-	n := c.shardCount
-	if n <= 0 {
-		n = min(maxAutoShards, c.maxEntries/maxAutoShards)
-		if c.maxBytes > 0 {
-			for n > 1 && c.maxBytes/int64(n) < minShardBytes {
-				n /= 2
-			}
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > c.maxEntries {
-		n = c.maxEntries
-	}
-	return floorPow2(n)
+	return n
 }
 
 // New creates a cache holding at most maxEntries entries. maxEntries must be
@@ -192,30 +149,21 @@ func New(maxEntries int, opts ...Option) *Cache {
 	if maxEntries <= 0 {
 		panic("cache: maxEntries must be positive")
 	}
-	c := &Cache{
-		maxEntries: maxEntries,
-		now:        time.Now,
-	}
+	c := &Cache{now: time.Now}
 	for _, o := range opts {
 		o.apply(c)
 	}
-	n := c.pickShardCount()
+	n := shardCount(maxEntries)
 	c.mask = uint32(n - 1)
 	c.shards = make([]*shard, n)
 	for i := range c.shards {
 		s := &shard{
 			// Integer division under-allocates the remainder, keeping the
-			// global entry/byte invariants strict: Σ per-shard ≤ global.
+			// global entry invariant strict: Σ per-shard ≤ global.
 			// Slot indices are int32, which caps a shard there.
 			maxEntries: min(maxEntries/n, math.MaxInt32),
 		}
 		s.reset()
-		if c.maxBytes > 0 {
-			s.maxBytes = c.maxBytes / int64(n)
-		}
-		if s.maxEntries < 1 {
-			s.maxEntries = 1
-		}
 		c.shards[i] = s
 	}
 	return c
@@ -333,7 +281,6 @@ func (c *Cache) PutTTL(key string, value []byte, ttl time.Duration) {
 		s.index[key] = i
 		s.bytes += int64(len(value))
 	}
-	s.evictOverBudget()
 	s.mu.Unlock()
 }
 
@@ -361,15 +308,6 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Clear removes every entry but keeps the statistics.
-func (c *Cache) Clear() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		s.reset()
-		s.mu.Unlock()
-	}
-}
-
 // Stats returns a snapshot of the cache counters, aggregated over shards.
 func (c *Cache) Stats() Stats {
 	var out Stats
@@ -394,9 +332,6 @@ func (c *Cache) ShardStats() []ShardStats {
 	}
 	return out
 }
-
-// Shards returns the number of lock domains the cache was built with.
-func (c *Cache) Shards() int { return len(c.shards) }
 
 // snapshot reads one shard's counters.
 func (s *shard) snapshot() Stats {
@@ -444,7 +379,7 @@ func (c *Cache) isExpired(e *entry) bool {
 	return !e.expires.IsZero() && c.now().After(e.expires)
 }
 
-// reset empties the shard. Caller holds s.mu, or owns s.
+// reset empties the shard. Caller owns s.
 func (s *shard) reset() {
 	s.slots, s.index = nil, make(map[string]int32)
 	s.head, s.tail, s.free = noSlot, noSlot, noSlot
@@ -452,8 +387,8 @@ func (s *shard) reset() {
 }
 
 // slot returns a slot for a new entry: the least recently used entry's when
-// the shard is full (evicting it), else one Delete or the byte budget gave
-// up, else a new one at the end of the slab. Caller holds s.mu.
+// the shard is full (evicting it), else one Delete gave up, else a new one
+// at the end of the slab. Caller holds s.mu.
 func (s *shard) slot() int32 {
 	switch {
 	case len(s.index) >= s.maxEntries:
@@ -468,15 +403,6 @@ func (s *shard) slot() int32 {
 	}
 	s.slots = append(s.slots, entry{})
 	return int32(len(s.slots) - 1)
-}
-
-// evictOverBudget drops LRU entries until the byte budget holds. Caller
-// holds s.mu.
-func (s *shard) evictOverBudget() {
-	for s.maxBytes > 0 && s.bytes > s.maxBytes && s.tail != noSlot {
-		s.release(s.tail)
-		s.evictions.Add(1)
-	}
 }
 
 // drop takes slot i's entry out of the LRU list and the index. Caller holds

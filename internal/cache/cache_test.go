@@ -65,19 +65,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestByteBoundEviction(t *testing.T) {
-	c := New(100, WithMaxBytes(10))
-	c.Put("a", []byte("12345"))
-	c.Put("b", []byte("67890"))
-	c.Put("c", []byte("x")) // pushes total to 11 bytes, evicting a
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("a survived byte-bound eviction")
-	}
-	if got := c.Stats().Bytes; got > 10 {
-		t.Fatalf("bytes = %d, want ≤10", got)
-	}
-}
-
 func TestTTLExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
@@ -152,22 +139,6 @@ func TestDelete(t *testing.T) {
 	}
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("entry present after delete")
-	}
-}
-
-func TestClearKeepsStats(t *testing.T) {
-	c := New(4)
-	c.Put("k", []byte("v"))
-	c.Get("k")
-	c.Clear()
-	if c.Len() != 0 {
-		t.Fatal("Clear left entries")
-	}
-	if c.Stats().Hits != 1 {
-		t.Fatal("Clear dropped stats")
-	}
-	if c.Stats().Bytes != 0 {
-		t.Fatal("Clear left byte accounting")
 	}
 }
 

@@ -9,11 +9,10 @@ import (
 )
 
 // model is the cache's specification as a recency-sorted slice (index 0 is
-// the most recently used): TTL, LRU, GetStale and the byte budget, with none
-// of the cache's indexing.
+// the most recently used): TTL, LRU and GetStale, with none of the cache's
+// indexing.
 type model struct {
 	max     int
-	budget  int64
 	now     time.Time
 	entries []modelEntry
 	stats   Stats
@@ -65,7 +64,7 @@ func (m *model) put(key string, value []byte, ttl time.Duration) {
 		m.entries = slices.Delete(m.entries, i, i+1)
 	}
 	m.entries = slices.Insert(m.entries, 0, e)
-	for len(m.entries) > m.max || (m.budget > 0 && m.bytes() > m.budget && len(m.entries) > 0) {
+	for len(m.entries) > m.max {
 		m.entries = m.entries[:len(m.entries)-1]
 		m.stats.Evictions++
 	}
@@ -95,24 +94,21 @@ func (m *model) keys() []string {
 }
 
 // TestCacheMatchesModel runs 300 seeded schedules of Put, PutTTL, Get,
-// GetStale, Delete, Clear and clock advances against a single-shard cache
-// and the model, comparing every observable after every step.
+// GetStale, Delete and clock advances against a single-shard cache (every
+// cache under 32 entries has one shard) and the model, comparing every
+// observable after every step.
 func TestCacheMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := &model{max: 1 + rng.Intn(6), now: time.Unix(1000, 0)}
-		if rng.Intn(2) == 0 {
-			m.budget = int64(4 + rng.Intn(16))
-		}
 		ttl := time.Duration(rng.Intn(4)) * time.Second
-		c := New(m.max, WithShards(1), WithMaxBytes(m.budget), WithDefaultTTL(ttl),
-			WithClock(func() time.Time { return m.now }))
+		c := New(m.max, WithDefaultTTL(ttl), WithClock(func() time.Time { return m.now }))
 		for step := 0; step < 200; step++ {
 			fail := func(format string, args ...any) {
 				t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
 			}
 			key := fmt.Sprintf("k%d", rng.Intn(8))
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(19); {
 			case op < 6:
 				v := make([]byte, rng.Intn(7))
 				rng.Read(v)
@@ -139,11 +135,8 @@ func TestCacheMatchesModel(t *testing.T) {
 				if got, want := c.Delete(key), m.delete(key); got != want {
 					fail("Delete(%s) = %v, model %v", key, got, want)
 				}
-			case op < 19:
-				m.now = m.now.Add(time.Duration(rng.Intn(3)) * time.Second)
 			default:
-				c.Clear()
-				m.entries = nil
+				m.now = m.now.Add(time.Duration(rng.Intn(3)) * time.Second)
 			}
 			m.stats.Entries, m.stats.Bytes = len(m.entries), m.bytes()
 			if got := c.Len(); got != len(m.entries) {

@@ -13,9 +13,8 @@ import (
 // minimum online instead of requiring the operator to pick the degree by
 // hand.
 type AdaptiveConfig struct {
-	// MinDegree is the lower clamp of the walk (default 1).
-	MinDegree int
-	// MaxDegree is the upper clamp of the walk (required, ≥ MinDegree).
+	// MaxDegree is the upper clamp of the walk (required, ≥ 1); the lower
+	// clamp is always 1.
 	MaxDegree int
 	// Step is how far the degree moves per epoch decision (default 1).
 	Step int
@@ -32,9 +31,6 @@ type AdaptiveConfig struct {
 
 // withDefaults fills zero fields and validates the result.
 func (c AdaptiveConfig) withDefaults() (AdaptiveConfig, error) {
-	if c.MinDegree == 0 {
-		c.MinDegree = 1
-	}
 	if c.Step == 0 {
 		c.Step = 1
 	}
@@ -45,11 +41,8 @@ func (c AdaptiveConfig) withDefaults() (AdaptiveConfig, error) {
 		c.Hysteresis = 0.05
 	}
 	switch {
-	case c.MinDegree < 1:
-		return c, fmt.Errorf("cluster: adaptive MinDegree must be ≥ 1, got %d", c.MinDegree)
-	case c.MaxDegree < c.MinDegree:
-		return c, fmt.Errorf("cluster: adaptive MaxDegree must be ≥ MinDegree (%d), got %d",
-			c.MinDegree, c.MaxDegree)
+	case c.MaxDegree < 1:
+		return c, fmt.Errorf("cluster: adaptive MaxDegree must be ≥ 1, got %d", c.MaxDegree)
 	case c.Step < 1:
 		return c, fmt.Errorf("cluster: adaptive Step must be ≥ 1, got %d", c.Step)
 	case c.EpochBatches < 1:
@@ -84,7 +77,7 @@ func (c AdaptiveConfig) withDefaults() (AdaptiveConfig, error) {
 // minimum the probes alternate cheaply across the flat bottom; off the
 // minimum they re-engage the climb.
 //
-// The degree clamps to [MinDegree, MaxDegree]; hitting a clamp reverses
+// The degree clamps to [1, MaxDegree]; hitting a clamp reverses
 // the direction so the next useful move points back into range. Because
 // the U-curve is unimodal, a reversed overshoot always lands the walk on
 // the descending side again, so the controller converges to a ±Step orbit
@@ -123,8 +116,8 @@ func (a *adaptiveController) init(degree int) error {
 	}
 	a.cfg = cfg
 	a.cur = degree
-	if a.cur < cfg.MinDegree {
-		a.cur = cfg.MinDegree
+	if a.cur < 1 {
+		a.cur = 1
 	}
 	if a.cur > cfg.MaxDegree {
 		a.cur = cfg.MaxDegree
@@ -214,8 +207,8 @@ func (a *adaptiveController) observe(sojournSum time.Duration, size int) (degree
 // judged epoch is produced entirely at the new degree. Callers hold mu.
 func (a *adaptiveController) move() int {
 	a.cur += a.dir * a.cfg.Step
-	if a.cur <= a.cfg.MinDegree {
-		a.cur = a.cfg.MinDegree
+	if a.cur <= 1 {
+		a.cur = 1
 		a.dir = 1
 	} else if a.cur >= a.cfg.MaxDegree {
 		a.cur = a.cfg.MaxDegree

@@ -37,7 +37,7 @@ func TestAdaptiveConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("withDefaults: %v", err)
 	}
-	if cfg.MinDegree != 1 || cfg.Step != 1 || cfg.EpochBatches != 16 || cfg.Hysteresis != 0.05 {
+	if cfg.Step != 1 || cfg.EpochBatches != 16 || cfg.Hysteresis != 0.05 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
 }
@@ -45,8 +45,7 @@ func TestAdaptiveConfigDefaults(t *testing.T) {
 func TestAdaptiveConfigValidation(t *testing.T) {
 	bad := []AdaptiveConfig{
 		{},                               // MaxDegree missing
-		{MaxDegree: 4, MinDegree: 8},     // Max < Min
-		{MaxDegree: 8, MinDegree: -1},    // negative min
+		{MaxDegree: -4},                  // negative max
 		{MaxDegree: 8, Step: -2},         // negative step
 		{MaxDegree: 8, EpochBatches: -1}, // negative epoch
 		{MaxDegree: 8, Hysteresis: 1.5},  // band ≥ 1
@@ -166,10 +165,10 @@ func TestAdaptiveHoldsInsideHysteresis(t *testing.T) {
 	}
 }
 
-// TestAdaptiveClampsToRange: the walk never leaves [MinDegree, MaxDegree]
-// even under adversarial samples that always reward the previous move.
+// TestAdaptiveClampsToRange: the walk never leaves [1, MaxDegree] even
+// under adversarial samples that always reward the previous move.
 func TestAdaptiveClampsToRange(t *testing.T) {
-	a := &adaptiveController{cfg: AdaptiveConfig{MinDegree: 2, MaxDegree: 6, EpochBatches: 1, Step: 3}}
+	a := &adaptiveController{cfg: AdaptiveConfig{MaxDegree: 6, EpochBatches: 1, Step: 3}}
 	if err := a.init(4); err != nil {
 		t.Fatalf("init: %v", err)
 	}
@@ -177,8 +176,8 @@ func TestAdaptiveClampsToRange(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		lat = lat * 9 / 10 // monotonically "better": keep pushing the same way
 		deg, _ := a.observe(lat, 1)
-		if deg < 2 || deg > 6 {
-			t.Fatalf("degree %d escaped [2, 6] at step %d", deg, i)
+		if deg < 1 || deg > 6 {
+			t.Fatalf("degree %d escaped [1, 6] at step %d", deg, i)
 		}
 	}
 }

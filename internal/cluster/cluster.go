@@ -200,7 +200,7 @@ func WithMetrics(reg *metrics.Registry) BatcherOption {
 
 // WithAdaptiveDegree enables the self-tuning degree controller (see
 // adaptive.go): the degree passed to NewBatcher becomes the starting point
-// of a hill-climbing walk over [cfg.MinDegree, cfg.MaxDegree], and the
+// of a hill-climbing walk over [1, cfg.MaxDegree], and the
 // gather window scales with the current degree. The live degree is exported
 // as the "cluster_degree_current" gauge.
 func WithAdaptiveDegree(cfg AdaptiveConfig) BatcherOption {

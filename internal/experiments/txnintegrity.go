@@ -120,9 +120,9 @@ func runTxnIntegrityMode(ctx context.Context, cfg TxnIntegrityConfig, integrity 
 	var tracker *txn.Tracker
 	if integrity {
 		tracker = txn.NewTracker()
-		vendorOpts = append(vendorOpts, broker.WithSharedTransactions(tracker))
+		vendorOpts = append(vendorOpts, broker.WithTransactions(tracker))
 		supplyOpts = append(supplyOpts,
-			broker.WithSharedTransactions(tracker),
+			broker.WithTransactions(tracker),
 			broker.WithIdempotency(4096, time.Minute))
 	}
 	vendor, err := broker.New(vendorConn, vendorOpts...)

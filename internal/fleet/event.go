@@ -1,8 +1,8 @@
 // Package fleet is the fleet event timeline of the observability plane:
 // Log, a bounded ring (/eventz) of lease expiry/rejoin, breaker
-// transitions, AIMD limit cuts and drain start/stop, published through a
-// small hook API that the registry, pool and broker call into, with
-// trace-ID links back to /tracez.
+// transitions, AIMD limit cuts, drain start/stop and journal append
+// failures, published through a small hook API that the registry, pool and
+// broker call into, with trace-ID links back to /tracez.
 //
 // The package is stdlib-only and depends only on internal/metrics, so every
 // subsystem that wants to publish events can import it without cycles.
@@ -42,6 +42,9 @@ const (
 	// reports "draining" between them.
 	KindDrainStart Kind = "drain_start"
 	KindDrainStop  Kind = "drain_stop"
+	// KindJournalError marks an idempotency outcome the broker recorded in
+	// memory but could not append to its crash-safe journal.
+	KindJournalError Kind = "journal_error"
 )
 
 // Event is one entry on the fleet timeline.

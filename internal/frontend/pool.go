@@ -43,11 +43,6 @@ type PoolConfig struct {
 	Metrics *metrics.Registry
 	// WireOpts apply to every member client dialed by the pool.
 	WireOpts []wire.ClientOption
-	// Events, when set, receives fleet timeline entries for routing
-	// decisions: failovers, breaker transitions, stale serves — each linked
-	// to the triggering request's trace ID when it was traced. Nil disables
-	// event publishing (every Log method is nil-safe).
-	Events *fleet.Log
 }
 
 // DefaultAttemptTimeout caps one member attempt during failover.
@@ -110,7 +105,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		cfg.AttemptTimeout = DefaultAttemptTimeout
 	}
 	p := &Pool{
-		cfg: cfg, members: make(map[string]*poolMember), events: cfg.Events,
+		cfg: cfg, members: make(map[string]*poolMember),
 		stale: cache.New(staleEntries, cache.WithDefaultTTL(staleTTL)),
 	}
 	if m := cfg.Metrics; m != nil {
@@ -145,8 +140,10 @@ func (p *Pool) registry() *registry.Registry {
 }
 
 // SetEvents attaches (or replaces) the fleet event log the pool publishes
-// routing decisions into; the deployment models call this when fleet
-// observability is enabled after the pool is built.
+// routing decisions into: failovers, breaker transitions and stale serves,
+// each linked to the triggering request's trace ID when it was traced. The
+// deployment models call this when fleet observability is enabled after the
+// pool is built; without it nothing is published.
 func (p *Pool) SetEvents(l *fleet.Log) {
 	p.mu.Lock()
 	p.events = l

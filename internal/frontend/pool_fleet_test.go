@@ -61,7 +61,8 @@ func TestPoolFailoverStitchesTraceAndPublishesEvents(t *testing.T) {
 	reg.Apply(registry.Command{Verb: registry.VerbRegister, Service: "db", Addr: g2.Addr().String(),
 		TTL: time.Hour, Load: broker.LoadReport{Service: "db", Outstanding: 8, Threshold: 16}})
 	events := fleet.NewLog(32, nil)
-	p := fastPool(t, PoolConfig{Registry: reg, Metrics: metrics.NewRegistry(), Events: events})
+	p := fastPool(t, PoolConfig{Registry: reg, Metrics: metrics.NewRegistry()})
+	p.SetEvents(events)
 	if err := g1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +116,9 @@ func TestPoolTraceMergeUnderMemberLoss(t *testing.T) {
 	g := poolGateway(t, "one")
 	events := fleet.NewLog(32, nil)
 	p := fastPool(t, PoolConfig{Gateways: []string{g.Addr().String()},
-		Metrics: metrics.NewRegistry(), Events: events,
+		Metrics: metrics.NewRegistry(),
 		Breaker: resilience.BreakerConfig{FailureThreshold: 1000}})
+	p.SetEvents(events)
 
 	rec := trace.NewRecorder()
 	// Seed the stale cache while the member is alive.

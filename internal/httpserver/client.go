@@ -141,11 +141,6 @@ func (c *Client) Get(path string, query map[string]string) (*Response, error) {
 	return c.roundTrip(&Request{Method: "GET", Path: path, Query: query, Header: c.header})
 }
 
-// Post issues POST path with a body.
-func (c *Client) Post(path string, body []byte) (*Response, error) {
-	return c.roundTrip(&Request{Method: "POST", Path: path, Header: c.header, Body: body})
-}
-
 // MGet issues one MGET request for several URIs and returns the per-URI
 // parts in order.
 func (c *Client) MGet(uris []string) ([]MGetPart, error) {

@@ -49,7 +49,7 @@ func TestPostBody(t *testing.T) {
 	cli := NewClient(srv.Addr().String())
 	defer cli.Close()
 	payload := bytes.Repeat([]byte("x"), 10000)
-	resp, err := cli.Post("/echo", payload)
+	resp, err := cli.roundTrip(&Request{Method: "POST", Path: "/echo", Body: payload})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,34 +262,6 @@ func TestMGetCountsAsOneRequestUnderMaxClients(t *testing.T) {
 		t.Fatalf("MGET of 3 took %v; parts should run sequentially in one slot", elapsed)
 	}
 }
-
-func TestAccessLog(t *testing.T) {
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	logW := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	srv, err := NewServer("127.0.0.1:0", WithAccessLog(logW))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.Handle("/x", func(req *Request) *Response { return Text("ok") })
-	cli := NewClient(srv.Addr().String())
-	defer cli.Close()
-	cli.Get("/x", nil)
-	mu.Lock()
-	defer mu.Unlock()
-	if !strings.Contains(buf.String(), "GET /x 200") {
-		t.Fatalf("access log = %q", buf.String())
-	}
-}
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 func TestBadRequestLine(t *testing.T) {
 	srv := startServer(t)

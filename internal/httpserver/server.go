@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"servicebroker/internal/metrics"
 	"servicebroker/internal/netsvc"
@@ -42,40 +41,21 @@ func WithMaxClients(n int) ServerOption {
 	})
 }
 
-// WithAccessLog writes one line per request to w.
-func WithAccessLog(w io.Writer) ServerOption {
-	return serverOptionFunc(func(s *Server) { s.accessLog = w })
-}
-
-// WithHTTPMetrics directs server counters into reg.
-func WithHTTPMetrics(reg *metrics.Registry) ServerOption {
-	return serverOptionFunc(func(s *Server) { s.reg = reg })
-}
-
-// WithReadTimeout bounds how long the server waits for the next request on
-// a keep-alive connection.
-func WithReadTimeout(d time.Duration) ServerOption {
-	return serverOptionFunc(func(s *Server) { s.readTimeout = d })
-}
-
 // Server is a minimal HTTP/1.1 server with path-prefix routing and MGET
 // support. Use NewServer, register handlers with Handle, and Close when
 // done.
 type Server struct {
-	svc         *netsvc.Server
-	slots       chan struct{}
-	accessLog   io.Writer
-	reg         *metrics.Registry
-	readTimeout time.Duration
+	svc   *netsvc.Server
+	slots chan struct{}
+	reg   *metrics.Registry
 
-	// Metric handles, resolved once the options have chosen reg.
+	// Metric handles, resolved once in NewServer.
 	requests, notFound, panics *metrics.Counter
 	active                     *metrics.Gauge
 	requestTime                *metrics.Histogram
 
 	mu       sync.Mutex
 	handlers map[string]Handler // exact path or prefix ending in '/'
-	logMu    sync.Mutex
 }
 
 // NewServer listens on addr and begins serving. Handlers may be registered
@@ -166,21 +146,14 @@ func (s *Server) session(conn net.Conn) {
 			// do not start reading another.
 			return
 		}
-		if s.readTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.readTimeout))
-		}
 		if err := readRequest(r, req, &head); err != nil {
 			if errors.Is(err, errBadRequest) || errors.Is(err, errHeadTooLarge) {
 				writeResponse(w, Error(400, err.Error()), true)
 			}
 			return
 		}
-		if s.readTimeout > 0 {
-			conn.SetReadDeadline(time.Time{})
-		}
 
 		resp, keepAlive := s.dispatch(req)
-		s.logRequest(conn, req, resp)
 		wantClose := strings.EqualFold(req.Header["connection"], "close") || !keepAlive
 		if err := writeResponse(w, resp, wantClose); err != nil || wantClose {
 			return
@@ -236,16 +209,6 @@ func (s *Server) serveOne(req *Request) (resp *Response) {
 		resp = Error(500, "handler returned nil")
 	}
 	return resp
-}
-
-func (s *Server) logRequest(conn net.Conn, req *Request, resp *Response) {
-	if s.accessLog == nil {
-		return
-	}
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	fmt.Fprintf(s.accessLog, "%s %s %s %d %d\n",
-		conn.RemoteAddr(), req.Method, req.Path, resp.Status, len(resp.Body))
 }
 
 // ReadRequest parses one request from r.

@@ -21,28 +21,6 @@ func TestDirectoryLen(t *testing.T) {
 	}
 }
 
-func TestBindDelay(t *testing.T) {
-	const delay = 30 * time.Millisecond
-	d := newTestDir(t)
-	srv, err := NewServer(d, "127.0.0.1:0", WithBindDelay(delay))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Connect(srv.Addr().String(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	start := time.Now()
-	if err := cli.Bind("cn=web", "web"); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < delay {
-		t.Fatalf("bind took %v, want ≥ %v", elapsed, delay)
-	}
-}
-
 func TestCustomBindCredentials(t *testing.T) {
 	d := newTestDir(t)
 	srv, err := NewServer(d, "127.0.0.1:0", WithBindCredentials("cn=admin", "hunter2"))

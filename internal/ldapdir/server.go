@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"time"
 
 	"servicebroker/internal/netsvc"
 )
@@ -52,18 +51,12 @@ func WithBindCredentials(user, pass string) ServerOption {
 	return serverOptionFunc(func(s *Server) { s.user, s.pass = user, pass })
 }
 
-// WithBindDelay adds artificial cost to the BIND round trip.
-func WithBindDelay(d time.Duration) ServerOption {
-	return serverOptionFunc(func(s *Server) { s.bindDelay = d })
-}
-
 // Server exposes a Directory over the line protocol.
 type Server struct {
 	svc *netsvc.Server
 	dir *Directory
 
 	user, pass string
-	bindDelay  time.Duration
 }
 
 // NewServer serves dir on addr.
@@ -127,9 +120,6 @@ func (s *Server) session(conn net.Conn) {
 func (s *Server) command(w *bufio.Writer, bound *bool, cmd, rest string) (string, error) {
 	switch verb := strings.ToUpper(cmd); {
 	case verb == "BIND":
-		if s.bindDelay > 0 {
-			time.Sleep(s.bindDelay)
-		}
 		if user, pass, _ := strings.Cut(rest, " "); user != s.user || pass != s.pass {
 			return "", ErrBindFailed
 		}

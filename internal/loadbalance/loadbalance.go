@@ -100,7 +100,6 @@ type ReplicaSet struct {
 
 	mu          sync.Mutex
 	outstanding []int
-	served      []int
 	breakers    []*resilience.Breaker // nil until EnableBreakers
 	closed      bool
 }
@@ -117,7 +116,6 @@ func NewReplicaSet(policy Policy, poolCapacity int, connectors ...backend.Connec
 	rs := &ReplicaSet{
 		policy:      policy,
 		outstanding: make([]int, len(connectors)),
-		served:      make([]int, len(connectors)),
 	}
 	for _, c := range connectors {
 		pool, err := backend.NewPool(c, poolCapacity)
@@ -197,7 +195,6 @@ func (rs *ReplicaSet) Do(ctx context.Context, payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	rs.outstanding[idx]++
-	rs.served[idx]++
 	breaker := rs.breakerLocked(idx)
 	rs.mu.Unlock()
 
@@ -256,15 +253,6 @@ func (rs *ReplicaSet) breakerLocked(idx int) *resilience.Breaker {
 		return nil
 	}
 	return rs.breakers[idx]
-}
-
-// Served returns how many requests each replica has been assigned.
-func (rs *ReplicaSet) Served() []int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	out := make([]int, len(rs.served))
-	copy(out, rs.served)
-	return out
 }
 
 // Outstanding returns the current in-flight counts.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,6 +12,18 @@ import (
 	"servicebroker/internal/backend"
 	"servicebroker/internal/resilience"
 )
+
+// countingConn counts the accesses that reach it, each taking delay.
+func countingConn(name string, delay time.Duration, n *atomic.Int64) backend.Connector {
+	return &backend.FuncConnector{
+		ServiceName: name,
+		DoFn: func(_ context.Context, payload []byte) ([]byte, error) {
+			n.Add(1)
+			time.Sleep(delay)
+			return append([]byte("done:"), payload...), nil
+		},
+	}
+}
 
 // echoConn is an instant in-process connector for breaker tests.
 func echoConn(name string) backend.Connector {
@@ -88,10 +101,9 @@ func TestPoliciesAlwaysValidProperty(t *testing.T) {
 }
 
 func TestReplicaSetDistributes(t *testing.T) {
-	mk := func(name string) backend.Connector {
-		return &backend.DelayConnector{ServiceName: name, ProcessTime: 5 * time.Millisecond}
-	}
-	rs, err := NewReplicaSet(&RoundRobin{}, 2, mk("r0"), mk("r1"), mk("r2"))
+	served := make([]atomic.Int64, 3)
+	rs, err := NewReplicaSet(&RoundRobin{}, 2, countingConn("r0", 5*time.Millisecond, &served[0]),
+		countingConn("r1", 5*time.Millisecond, &served[1]), countingConn("r2", 5*time.Millisecond, &served[2]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +119,11 @@ func TestReplicaSetDistributes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	served := rs.Served()
 	total := 0
-	for i, n := range served {
+	for i := range served {
+		n := int(served[i].Load())
 		if n == 0 {
-			t.Errorf("replica %d served nothing: %v", i, served)
+			t.Errorf("replica %d served nothing", i)
 		}
 		total += n
 	}
@@ -126,9 +138,9 @@ func TestReplicaSetDistributes(t *testing.T) {
 }
 
 func TestReplicaSetLeastOutstandingAvoidsBusyReplica(t *testing.T) {
-	slow := &backend.DelayConnector{ServiceName: "slow", ProcessTime: 200 * time.Millisecond}
-	fast := &backend.DelayConnector{ServiceName: "fast"}
-	rs, err := NewReplicaSet(LeastOutstanding{}, 2, slow, fast)
+	var slowServed, fastServed atomic.Int64
+	rs, err := NewReplicaSet(LeastOutstanding{}, 2,
+		countingConn("slow", 200*time.Millisecond, &slowServed), countingConn("fast", 0, &fastServed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +160,8 @@ func TestReplicaSetLeastOutstandingAvoidsBusyReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	served := rs.Served()
-	if served[1] != 5 {
-		t.Fatalf("served = %v, want all 5 on the idle replica", served)
+	if n := fastServed.Load(); n != 5 {
+		t.Fatalf("idle replica served %d, want all 5", n)
 	}
 	<-done
 }
@@ -226,8 +237,8 @@ func TestReplicaSetBreakerEjectsDeadReplica(t *testing.T) {
 	if snaps[0].State != resilience.StateOpen || snaps[1].State != resilience.StateClosed {
 		t.Fatalf("breaker states = %v/%v, want open/closed", snaps[0].State, snaps[1].State)
 	}
-	if served := rs.Served(); served[1] != 7 {
-		t.Fatalf("healthy replica served %d, want 7", served[1])
+	if snaps[1].Successes != 7 {
+		t.Fatalf("healthy replica served %d, want 7", snaps[1].Successes)
 	}
 }
 
@@ -246,7 +257,7 @@ func TestReplicaSetHalfOpenReadmitsRecoveredReplica(t *testing.T) {
 	defer rs.Close()
 	var transitions []resilience.State
 	rs.EnableBreakers(resilience.BreakerConfig{
-		FailureThreshold: 1, Cooldown: time.Second, SuccessThreshold: 1, Clock: now,
+		FailureThreshold: 1, Cooldown: time.Second, Clock: now,
 	}, func(replica int, name string, from, to resilience.State) {
 		if replica == 0 {
 			transitions = append(transitions, to)
@@ -268,8 +279,8 @@ func TestReplicaSetHalfOpenReadmitsRecoveredReplica(t *testing.T) {
 	if snaps := rs.BreakerSnapshots(); snaps[0].State != resilience.StateClosed {
 		t.Fatalf("state = %v after successful probe, want closed", snaps[0].State)
 	}
-	if served := rs.Served(); served[0] != 2 {
-		t.Fatalf("recovered replica served %d, want 2 (including the probe)", served[0])
+	if sn := rs.BreakerSnapshots()[0]; sn.Successes+sn.Failures != 2 {
+		t.Fatalf("recovered replica served %d, want 2 (including the probe)", sn.Successes+sn.Failures)
 	}
 	want := []resilience.State{resilience.StateOpen, resilience.StateHalfOpen, resilience.StateClosed}
 	if len(transitions) != len(want) {

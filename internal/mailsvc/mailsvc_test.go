@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestStoreDeliverAndList(t *testing.T) {
@@ -118,9 +117,9 @@ func TestSeqNumbersProperty(t *testing.T) {
 	}
 }
 
-func startMail(t *testing.T, opts ...ServerOption) (*Server, *Client) {
+func startMail(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	srv, err := NewServer(NewStore(), "127.0.0.1:0", opts...)
+	srv, err := NewServer(NewStore(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,24 +180,6 @@ func TestProtocolErrors(t *testing.T) {
 	// The session survives all of the above.
 	if err := cli.Send("ok@x.com", []string{"b@x.com"}, "fine"); err != nil {
 		t.Fatalf("session dead: %v", err)
-	}
-}
-
-func TestHeloDelay(t *testing.T) {
-	const d = 30 * time.Millisecond
-	srv, err := NewServer(NewStore(), "127.0.0.1:0", WithHeloDelay(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	start := time.Now()
-	cli, err := Connect(srv.Addr().String(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if elapsed := time.Since(start); elapsed < d {
-		t.Fatalf("connect took %v, want ≥ %v", elapsed, d)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"time"
 
 	"servicebroker/internal/netsvc"
 )
@@ -42,36 +41,18 @@ const (
 	maxRecipients   = 100
 )
 
-// ServerOption configures a Server.
-type ServerOption interface {
-	apply(*Server)
-}
-
-type serverOptionFunc func(*Server)
-
-func (f serverOptionFunc) apply(s *Server) { f(s) }
-
-// WithHeloDelay adds artificial cost to the HELO round trip.
-func WithHeloDelay(d time.Duration) ServerOption {
-	return serverOptionFunc(func(s *Server) { s.heloDelay = d })
-}
-
 // Server exposes a Store over the mailsvc protocol.
 type Server struct {
-	svc       *netsvc.Server
-	store     *Store
-	heloDelay time.Duration
+	svc   *netsvc.Server
+	store *Store
 }
 
 // NewServer serves store on addr.
-func NewServer(store *Store, addr string, opts ...ServerOption) (*Server, error) {
+func NewServer(store *Store, addr string) (*Server, error) {
 	if store == nil {
 		return nil, errors.New("mailsvc: nil store")
 	}
 	s := &Server{store: store}
-	for _, o := range opts {
-		o.apply(s)
-	}
 	svc, err := netsvc.Listen(addr, s.session)
 	if err != nil {
 		return nil, fmt.Errorf("mailsvc: listen %s: %w", addr, err)
@@ -126,9 +107,6 @@ func (s *Server) session(conn net.Conn) {
 			say("221 bye")
 			return
 		case v == "HELO":
-			if s.heloDelay > 0 {
-				time.Sleep(s.heloDelay)
-			}
 			greeted = true
 			say("250 hello")
 		case !greeted && (v == "MAIL" || v == "LIST" || v == "RETR"):

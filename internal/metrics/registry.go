@@ -129,24 +129,6 @@ func (r *Registry) View() View {
 	return v
 }
 
-// Dump renders every metric, sorted by name, one per line.
-func (r *Registry) Dump() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var lines []string
-	for name, c := range r.counters {
-		lines = append(lines, fmt.Sprintf("counter %s = %d", name, c.Value()))
-	}
-	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s = %d", name, g.Value()))
-	}
-	for name, h := range r.histograms {
-		lines = append(lines, fmt.Sprintf("histogram %s: %s", name, h.Snapshot()))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
 // Point is one (x, y) sample of a figure series, e.g. x = number of clients,
 // y = mean processing time in paper seconds.
 type Point struct {
@@ -181,20 +163,6 @@ func (s *Series) MinY() Point {
 	best := s.Points[0]
 	for _, p := range s.Points[1:] {
 		if p.Y < best.Y {
-			best = p
-		}
-	}
-	return best
-}
-
-// MaxY returns the point with the largest Y, or a zero Point if empty.
-func (s *Series) MaxY() Point {
-	if len(s.Points) == 0 {
-		return Point{}
-	}
-	best := s.Points[0]
-	for _, p := range s.Points[1:] {
-		if p.Y > best.Y {
 			best = p
 		}
 	}

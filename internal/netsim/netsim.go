@@ -3,7 +3,7 @@
 // the front-end web server: low, stable latency) from loosely coupled ones
 // (reached across a WAN: higher latency and jitter, occasional loss). The
 // reproduction runs everything over loopback, so this package injects those
-// conditions deterministically by wrapping net.Conn and net.Listener.
+// conditions deterministically by wrapping net.Conn.
 //
 // A Profile describes one link. Wrap accepted or dialed connections with
 // Conn to apply it. The Pipe helper builds an in-memory full-duplex
@@ -127,27 +127,6 @@ func (c *Conn) Write(b []byte) (int, error) {
 
 // Profile returns the link profile in effect.
 func (c *Conn) Profile() Profile { return c.profile }
-
-// Listener wraps a net.Listener so every accepted connection carries the
-// profile.
-type Listener struct {
-	net.Listener
-	profile Profile
-}
-
-// NewListener wraps l with the given profile.
-func NewListener(l net.Listener, p Profile) *Listener {
-	return &Listener{Listener: l, profile: p}
-}
-
-// Accept waits for the next connection and wraps it.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return NewConn(c, l.profile), nil
-}
 
 // Dialer dials through a profile. A zero Dialer dials with net.Dial and the
 // Perfect profile.

@@ -196,40 +196,6 @@ func TestBandwidthCapSlowsReads(t *testing.T) {
 	}
 }
 
-func TestListenerWrapsAccepted(t *testing.T) {
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewListener(inner, LAN)
-	defer l.Close()
-
-	go func() {
-		c, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			return
-		}
-		c.Write([]byte("ping"))
-		c.Close()
-	}()
-
-	conn, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, ok := conn.(*Conn); !ok {
-		t.Fatalf("accepted conn has type %T, want *netsim.Conn", conn)
-	}
-	buf := make([]byte, 4)
-	if _, err := conn.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "ping" {
-		t.Fatalf("read %q, want ping", buf)
-	}
-}
-
 func TestDialer(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -21,14 +21,6 @@ type Gate struct {
 	dropOut bool
 }
 
-// PartitionInbound makes datagrams destined for the host vanish (it can
-// still send) when on is true.
-func (g *Gate) PartitionInbound(on bool) {
-	g.mu.Lock()
-	g.dropIn = on
-	g.mu.Unlock()
-}
-
 // PartitionOutbound makes datagrams leaving the host vanish (it can still
 // receive) when on is true.
 func (g *Gate) PartitionOutbound(on bool) {

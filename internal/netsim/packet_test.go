@@ -36,28 +36,6 @@ func recvWithin(t *testing.T, pc net.PacketConn, d time.Duration) (string, bool)
 	return string(buf[:n]), true
 }
 
-func TestPacketConnGateInbound(t *testing.T) {
-	sender, rawRecv, recvAddr := packetPair(t)
-	gate := &Gate{}
-	recv := NewPacketConn(rawRecv, Perfect, gate)
-
-	gate.PartitionInbound(true)
-	if _, err := sender.WriteTo([]byte("lost"), recvAddr); err != nil {
-		t.Fatal(err)
-	}
-	if msg, ok := recvWithin(t, recv, 100*time.Millisecond); ok {
-		t.Fatalf("gated-in datagram delivered: %q", msg)
-	}
-
-	gate.PartitionInbound(false)
-	if _, err := sender.WriteTo([]byte("through"), recvAddr); err != nil {
-		t.Fatal(err)
-	}
-	if msg, ok := recvWithin(t, recv, time.Second); !ok || msg != "through" {
-		t.Fatalf("ungated datagram not delivered (got %q, ok=%v)", msg, ok)
-	}
-}
-
 func TestPacketConnGateOutbound(t *testing.T) {
 	rawSender, recv, recvAddr := packetPair(t)
 	gate := &Gate{}

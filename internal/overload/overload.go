@@ -22,6 +22,11 @@ import (
 	"time"
 )
 
+// backoff is the multiplicative cut factor. The additive raise is one per
+// limit's worth of healthy completions: each adds 1/limit, one step per
+// "round trip" of the pipeline.
+const backoff = 0.7
+
 // Config parameterizes a Limiter. The zero value is not usable; call
 // (Config).withDefaults via NewLimiter.
 type Config struct {
@@ -38,13 +43,6 @@ type Config struct {
 	// than this is treated as a congestion signal even when it succeeded.
 	// Zero disables latency-based cutting (only failures cut).
 	LatencyTarget time.Duration
-	// Increase is the additive raise applied per window of healthy
-	// completions: each healthy completion adds Increase/limit, so the
-	// limit grows by about Increase per limit's worth of completions —
-	// one additive step per "round trip" of the pipeline. Defaults to 1.
-	Increase float64
-	// Backoff is the multiplicative cut factor in (0, 1); defaults to 0.7.
-	Backoff float64
 	// CutWindow rate-limits multiplicative cuts: congestion signals inside
 	// the window after a cut are counted but do not cut again, so one slow
 	// burst (which congests every in-flight request at once) costs one
@@ -71,12 +69,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Initial > c.Max {
 		c.Initial = c.Max
-	}
-	if c.Increase <= 0 {
-		c.Increase = 1
-	}
-	if c.Backoff <= 0 || c.Backoff >= 1 {
-		c.Backoff = 0.7
 	}
 	if c.CutWindow <= 0 {
 		c.CutWindow = 100 * time.Millisecond
@@ -147,7 +139,7 @@ func (l *Limiter) Observe(latency time.Duration, ok bool) {
 		return
 	}
 	l.healthy++
-	l.limit += l.cfg.Increase / l.limit
+	l.limit += 1 / l.limit
 	if max := float64(l.cfg.Max); l.limit > max {
 		l.limit = max
 	}
@@ -173,7 +165,7 @@ func (l *Limiter) cutLocked() {
 	}
 	l.lastCut = now
 	l.cuts++
-	l.limit *= l.cfg.Backoff
+	l.limit *= backoff
 	if min := float64(l.cfg.Min); l.limit < min {
 		l.limit = min
 	}

@@ -89,22 +89,22 @@ func TestAdditiveIncrease(t *testing.T) {
 }
 
 func TestMultiplicativeCutOnLatencyBreach(t *testing.T) {
-	l, clk := newTestLimiter(t, Config{Min: 2, Max: 100, Initial: 100, LatencyTarget: 10 * time.Millisecond, Backoff: 0.5, CutWindow: 100 * time.Millisecond})
+	l, clk := newTestLimiter(t, Config{Min: 2, Max: 100, Initial: 100, LatencyTarget: 10 * time.Millisecond, CutWindow: 100 * time.Millisecond})
 	l.Observe(50*time.Millisecond, true) // slow but successful → cut
-	if got := l.Limit(); got != 50 {
-		t.Fatalf("after one cut, limit = %d, want 50", got)
+	if got := l.Limit(); got != 70 {
+		t.Fatalf("after one cut, limit = %d, want 70", got)
 	}
 	// Inside the cut window further breaches are coalesced.
 	l.Observe(50*time.Millisecond, true)
 	l.Observe(0, false)
-	if got := l.Limit(); got != 50 {
-		t.Fatalf("cut applied inside window: limit = %d, want 50", got)
+	if got := l.Limit(); got != 70 {
+		t.Fatalf("cut applied inside window: limit = %d, want 70", got)
 	}
 	// After the window the next breach cuts again.
 	clk.Advance(150 * time.Millisecond)
 	l.Observe(0, false)
-	if got := l.Limit(); got != 25 {
-		t.Fatalf("after second cut, limit = %d, want 25", got)
+	if got := l.Limit(); got != 49 {
+		t.Fatalf("after second cut, limit = %d, want 49", got)
 	}
 	s := l.Snapshot()
 	if s.Cuts != 2 || s.Breaches != 4 {
@@ -113,7 +113,7 @@ func TestMultiplicativeCutOnLatencyBreach(t *testing.T) {
 }
 
 func TestCutFloorsAtMin(t *testing.T) {
-	l, clk := newTestLimiter(t, Config{Min: 3, Max: 100, Initial: 4, Backoff: 0.1, CutWindow: time.Millisecond})
+	l, clk := newTestLimiter(t, Config{Min: 3, Max: 100, Initial: 4, CutWindow: time.Millisecond})
 	for i := 0; i < 10; i++ {
 		l.Overload()
 		clk.Advance(10 * time.Millisecond)
@@ -136,14 +136,14 @@ func TestZeroLatencyTargetIgnoresSlowSuccess(t *testing.T) {
 }
 
 func TestOnChangeFires(t *testing.T) {
-	l, clk := newTestLimiter(t, Config{Min: 1, Max: 100, Initial: 100, Backoff: 0.5, CutWindow: time.Millisecond})
+	l, clk := newTestLimiter(t, Config{Min: 1, Max: 100, Initial: 100, CutWindow: time.Millisecond})
 	var got []int
 	l.OnChange(func(n int) { got = append(got, n) })
 	l.Overload()
 	clk.Advance(10 * time.Millisecond)
 	l.Overload()
-	if len(got) != 2 || got[0] != 50 || got[1] != 25 {
-		t.Fatalf("OnChange values = %v, want [50 25]", got)
+	if len(got) != 2 || got[0] != 70 || got[1] != 49 {
+		t.Fatalf("OnChange values = %v, want [70 49]", got)
 	}
 }
 
@@ -178,7 +178,7 @@ func TestConcurrentUse(t *testing.T) {
 // congestion episode and checks it climbs back: the paper's "peak then
 // decline" behavior needs the decline to be temporary.
 func TestRecoversAfterTransientOverload(t *testing.T) {
-	l, clk := newTestLimiter(t, Config{Min: 2, Max: 64, Initial: 64, LatencyTarget: 10 * time.Millisecond, Backoff: 0.5, CutWindow: 50 * time.Millisecond})
+	l, clk := newTestLimiter(t, Config{Min: 2, Max: 64, Initial: 64, LatencyTarget: 10 * time.Millisecond, CutWindow: 50 * time.Millisecond})
 	for i := 0; i < 6; i++ {
 		l.Observe(time.Second, true)
 		clk.Advance(60 * time.Millisecond)

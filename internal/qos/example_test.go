@@ -12,7 +12,7 @@ func ExampleThresholdPolicy() {
 	p := qos.NewThresholdPolicy(20, 3)
 	for c := qos.Class1; c <= qos.Class3; c++ {
 		fmt.Printf("%v: limit %d, admitted at 10 outstanding: %v\n",
-			c, p.Limit(c), p.Admit(c, 10))
+			c, p.Limit(c), p.AdmitAt(c, 10, p.Threshold))
 	}
 	// Output:
 	// QoS 1: limit 20, admitted at 10 outstanding: true

@@ -100,13 +100,9 @@ func (p *ThresholdPolicy) LimitAt(c Class, threshold int) int {
 	return int(float64(threshold) * p.Share(c))
 }
 
-// Admit reports whether a request of class c may be forwarded while
-// `outstanding` requests are already in flight to the backend.
-func (p *ThresholdPolicy) Admit(c Class, outstanding int) bool {
-	return p.AdmitAt(c, outstanding, p.Threshold)
-}
-
-// AdmitAt is Admit evaluated at an effective threshold.
+// AdmitAt reports whether a request of class c may be forwarded while
+// `outstanding` requests are already in flight to the backend, at the
+// effective threshold (the static Threshold, or an adaptive limiter's).
 func (p *ThresholdPolicy) AdmitAt(c Class, outstanding, threshold int) bool {
 	return outstanding < p.LimitAt(c, threshold)
 }
@@ -203,11 +199,4 @@ func (c *Contract) Allow() bool {
 	}
 	c.tokens--
 	return true
-}
-
-// Tokens returns the current token balance (diagnostics and tests).
-func (c *Contract) Tokens() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tokens
 }

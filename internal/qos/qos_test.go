@@ -47,20 +47,20 @@ func TestThresholdPolicyAdmit(t *testing.T) {
 	p := NewThresholdPolicy(20, 3)
 	// Light load: everyone admitted (paper: no drops below 20 clients).
 	for c := Class1; c <= Class3; c++ {
-		if !p.Admit(c, 0) {
+		if !p.AdmitAt(c, 0, p.Threshold) {
 			t.Errorf("Admit(%v, 0) = false", c)
 		}
 	}
 	// At 10 outstanding, class 3 (limit 6) is shed, classes 1-2 admitted.
-	if p.Admit(Class3, 10) {
+	if p.AdmitAt(Class3, 10, p.Threshold) {
 		t.Error("class 3 admitted at 10 outstanding")
 	}
-	if !p.Admit(Class2, 10) || !p.Admit(Class1, 10) {
+	if !p.AdmitAt(Class2, 10, p.Threshold) || !p.AdmitAt(Class1, 10, p.Threshold) {
 		t.Error("class 1/2 shed at 10 outstanding")
 	}
 	// At threshold, nobody is admitted.
 	for c := Class1; c <= Class3; c++ {
-		if p.Admit(c, 20) {
+		if p.AdmitAt(c, 20, p.Threshold) {
 			t.Errorf("Admit(%v, 20) = true", c)
 		}
 	}
@@ -75,11 +75,11 @@ func TestThresholdPolicySheddingIsMonotoneInClass(t *testing.T) {
 		k := int(classes%5) + 1
 		p := NewThresholdPolicy(th, k)
 		c := Class(int(class)%k + 1)
-		if !p.Admit(c, int(load)) {
+		if !p.AdmitAt(c, int(load), p.Threshold) {
 			return true
 		}
 		for hc := Class1; hc < c; hc++ {
-			if !p.Admit(hc, int(load)) {
+			if !p.AdmitAt(hc, int(load), p.Threshold) {
 				return false
 			}
 		}
@@ -167,9 +167,13 @@ func TestContractTokensCappedAtBurst(t *testing.T) {
 	c.SetClock(func() time.Time { return now })
 	c.Allow()
 	now = now.Add(time.Hour)
-	c.Allow() // triggers refill
-	if got := c.Tokens(); got > 5 {
-		t.Fatalf("tokens = %g, want ≤ burst 5", got)
+	// An hour refills far more than the burst; only the burst is usable.
+	allowed := 0
+	for c.Allow() {
+		allowed++
+	}
+	if allowed != 5 {
+		t.Fatalf("allowed %d after a long idle, want the burst of 5", allowed)
 	}
 }
 

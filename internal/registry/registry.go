@@ -92,9 +92,6 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Logger, when set, records membership transitions.
 	Logger *slog.Logger
-	// TombstoneFor bounds how long an expired member is remembered (for
-	// rejoin detection and /poolz display). Zero means 1 minute.
-	TombstoneFor time.Duration
 	// Events, when set, receives fleet timeline entries for every
 	// membership transition (join, rejoin, expiry, leave). Nil disables
 	// event publishing (every Log method is nil-safe).
@@ -132,13 +129,14 @@ const (
 	maxTrackedServices = 256
 )
 
+// tombstoneFor bounds how long an expired member is remembered, for rejoin
+// detection and /poolz display.
+const tombstoneFor = time.Minute
+
 // New builds a Registry from cfg.
 func New(cfg Config) *Registry {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
-	}
-	if cfg.TombstoneFor <= 0 {
-		cfg.TombstoneFor = time.Minute
 	}
 	r := &Registry{
 		cfg:        cfg,
@@ -286,7 +284,7 @@ func (r *Registry) Reconcile() int {
 	}
 	for service, ts := range r.tombstones {
 		for addr, at := range ts {
-			if now.Sub(at) > r.cfg.TombstoneFor {
+			if now.Sub(at) > tombstoneFor {
 				delete(ts, addr)
 			}
 		}

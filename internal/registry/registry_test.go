@@ -17,7 +17,7 @@ func (c *fakeClock) Now() time.Time          { return c.now }
 func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{now: time.Unix(1_700_000_000, 0)} }
 func reg(c *fakeClock, m *metrics.Registry) *Registry {
-	return New(Config{Clock: c.Now, Metrics: m, TombstoneFor: time.Minute})
+	return New(Config{Clock: c.Now, Metrics: m})
 }
 
 func registerCmd(service, addr string, ttl time.Duration) Command {
@@ -173,7 +173,7 @@ func TestRegistryTombstonesPruned(t *testing.T) {
 	clock.Advance(2 * time.Minute)
 	r.Reconcile()
 	if got := r.Snapshot(); len(got) != 0 {
-		t.Fatalf("tombstone survived past TombstoneFor: %+v", got)
+		t.Fatalf("tombstone survived past tombstoneFor: %+v", got)
 	}
 }
 

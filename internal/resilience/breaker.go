@@ -43,11 +43,6 @@ type BreakerConfig struct {
 	// Cooldown is how long an open breaker rejects traffic before
 	// admitting half-open probes (default 1s).
 	Cooldown time.Duration
-	// SuccessThreshold is the number of successful half-open probes that
-	// close the breaker (default 1).
-	SuccessThreshold int
-	// MaxProbes bounds concurrent half-open probes (default 1).
-	MaxProbes int
 	// Clock overrides the time source, for deterministic tests.
 	Clock func() time.Time
 	// OnTransition, when non-nil, is called after every state change.
@@ -63,12 +58,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = time.Second
-	}
-	if c.SuccessThreshold <= 0 {
-		c.SuccessThreshold = 1
-	}
-	if c.MaxProbes <= 0 {
-		c.MaxProbes = 1
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -110,9 +99,8 @@ type Breaker struct {
 
 	mu         sync.Mutex
 	state      State
-	failures   int // consecutive, while closed
-	probes     int // in-flight, while half-open
-	successes  int // successful probes, while half-open
+	failures   int  // consecutive, while closed
+	probing    bool // the one half-open probe is in flight
 	lastChange time.Time
 	opens      int64
 	totalOK    int64
@@ -138,8 +126,8 @@ func (b *Breaker) State() State {
 }
 
 // Candidate reports, without changing state, whether a request may be
-// attempted now: closed, half-open with a free probe slot, or open with the
-// cooldown elapsed.
+// attempted now: closed, half-open with no probe in flight, or open with
+// the cooldown elapsed.
 func (b *Breaker) Candidate() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -149,7 +137,7 @@ func (b *Breaker) Candidate() bool {
 	case StateOpen:
 		return b.cfg.Clock().Sub(b.lastChange) >= b.cfg.Cooldown
 	default:
-		return b.probes < b.cfg.MaxProbes
+		return !b.probing
 	}
 }
 
@@ -166,13 +154,12 @@ func (b *Breaker) Acquire() bool {
 	case StateOpen:
 		if b.cfg.Clock().Sub(b.lastChange) >= b.cfg.Cooldown {
 			fire = b.transitionLocked(StateHalfOpen)
-			b.successes = 0
-			b.probes = 1
+			b.probing = true
 			ok = true
 		}
 	case StateHalfOpen:
-		if b.probes < b.cfg.MaxProbes {
-			b.probes++
+		if !b.probing {
+			b.probing = true
 			ok = true
 		}
 	}
@@ -185,8 +172,7 @@ func (b *Breaker) Acquire() bool {
 
 // Done reports the outcome of an acquired attempt and drives the state
 // machine: threshold consecutive failures open a closed breaker; a failed
-// probe reopens a half-open one; SuccessThreshold successful probes close
-// it.
+// probe reopens a half-open one; a successful probe closes it.
 func (b *Breaker) Done(err error) {
 	fail := CountsAsBreakerFailure(err)
 	var fire func()
@@ -207,18 +193,13 @@ func (b *Breaker) Done(err error) {
 			b.failures = 0
 		}
 	case StateHalfOpen:
-		if b.probes > 0 {
-			b.probes--
-		}
+		b.probing = false
 		switch {
 		case fail:
 			fire = b.openLocked()
 		case err == nil:
-			b.successes++
-			if b.successes >= b.cfg.SuccessThreshold {
-				fire = b.transitionLocked(StateClosed)
-				b.failures = 0
-			}
+			fire = b.transitionLocked(StateClosed)
+			b.failures = 0
 		}
 		// A cancelled probe is neutral: neither closes nor reopens.
 	case StateOpen:
@@ -250,8 +231,7 @@ func (b *Breaker) Snapshot() Snapshot {
 func (b *Breaker) openLocked() func() {
 	fire := b.transitionLocked(StateOpen)
 	b.opens++
-	b.probes = 0
-	b.successes = 0
+	b.probing = false
 	return fire
 }
 

@@ -63,7 +63,7 @@ func TestBreakerHalfOpenProbeClosesOnSuccess(t *testing.T) {
 	clk := newFakeClock()
 	var transitions []State
 	b := NewBreaker("r0", BreakerConfig{
-		FailureThreshold: 1, Cooldown: time.Second, SuccessThreshold: 1, Clock: clk.now,
+		FailureThreshold: 1, Cooldown: time.Second, Clock: clk.now,
 		OnTransition: func(_, to State) { transitions = append(transitions, to) },
 	})
 	attempt(b, errors.New("reset"))
@@ -84,7 +84,7 @@ func TestBreakerHalfOpenProbeClosesOnSuccess(t *testing.T) {
 		t.Fatalf("state = %v, want half-open", b.State())
 	}
 	if b.Acquire() {
-		t.Fatal("second concurrent probe admitted with MaxProbes 1")
+		t.Fatal("second concurrent probe admitted")
 	}
 	b.Done(nil)
 	if b.State() != StateClosed {
@@ -125,7 +125,7 @@ func TestBreakerHalfOpenProbeReopensOnFailure(t *testing.T) {
 
 func TestBreakerNeutralOutcomes(t *testing.T) {
 	clk := newFakeClock()
-	b := NewBreaker("r0", BreakerConfig{FailureThreshold: 1, Cooldown: time.Second, SuccessThreshold: 1, Clock: clk.now})
+	b := NewBreaker("r0", BreakerConfig{FailureThreshold: 1, Cooldown: time.Second, Clock: clk.now})
 	// Caller cancellation while closed neither trips nor resets.
 	attempt(b, context.Canceled)
 	if b.State() != StateClosed {

@@ -67,7 +67,7 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// Classify is the default error classifier: errors marked Permanent and
+// Classify is the retry classifier: errors marked Permanent and
 // context errors (the caller's budget is gone) are permanent; everything
 // else — connection resets, refused connects, injected faults, simulated
 // drops — is presumed a transient transport failure and retryable.
@@ -98,16 +98,13 @@ type RetryConfig struct {
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt (default 10ms).
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff growth (default 1s).
-	MaxDelay time.Duration
-	// Multiplier is the exponential growth factor (default 2).
-	Multiplier float64
 	// Seed makes the jitter stream deterministic; 0 selects a fixed
 	// default so runs are reproducible by default.
 	Seed int64
-	// Classify overrides the error classifier (default Classify).
-	Classify func(error) ErrorClass
 }
+
+// maxDelay caps the backoff, which doubles per failed attempt.
+const maxDelay = time.Second
 
 func (c RetryConfig) withDefaults() RetryConfig {
 	if c.MaxAttempts <= 0 {
@@ -116,17 +113,8 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	if c.BaseDelay <= 0 {
 		c.BaseDelay = 10 * time.Millisecond
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = time.Second
-	}
-	if c.Multiplier <= 1 {
-		c.Multiplier = 2
-	}
 	if c.Seed == 0 {
 		c.Seed = 42
-	}
-	if c.Classify == nil {
-		c.Classify = Classify
 	}
 	return c
 }
@@ -152,15 +140,15 @@ func NewRetryer(cfg RetryConfig) *Retryer {
 func (r *Retryer) MaxAttempts() int { return r.cfg.MaxAttempts }
 
 // Backoff returns the wait after the attempt-th failure (1-based):
-// min(MaxDelay, BaseDelay·Multiplier^(attempt-1)) scaled by a jitter factor
+// min(maxDelay, BaseDelay·2^(attempt-1)) scaled by a jitter factor
 // in [0.5, 1] drawn from the seeded stream.
 func (r *Retryer) Backoff(attempt int) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
-	d := float64(r.cfg.BaseDelay) * math.Pow(r.cfg.Multiplier, float64(attempt-1))
-	if d > float64(r.cfg.MaxDelay) {
-		d = float64(r.cfg.MaxDelay)
+	d := float64(r.cfg.BaseDelay) * math.Pow(2, float64(attempt-1))
+	if d > float64(maxDelay) {
+		d = float64(maxDelay)
 	}
 	r.mu.Lock()
 	f := 0.5 + 0.5*r.rng.Float64()
@@ -189,7 +177,7 @@ func (r *Retryer) Do(ctx context.Context, op func(context.Context) ([]byte, erro
 			return body, attempt, nil
 		}
 		lastErr = err
-		if attempt >= r.cfg.MaxAttempts || r.cfg.Classify(err) == ClassPermanent {
+		if attempt >= r.cfg.MaxAttempts || Classify(err) == ClassPermanent {
 			return nil, attempt, err
 		}
 		wait := r.Backoff(attempt)

@@ -135,14 +135,14 @@ func TestRetryerCancelledContext(t *testing.T) {
 }
 
 func TestBackoffDeterministicAndCapped(t *testing.T) {
-	cfg := RetryConfig{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Seed: 7}
+	cfg := RetryConfig{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, Seed: 7}
 	a, b := NewRetryer(cfg), NewRetryer(cfg)
 	for attempt := 1; attempt <= 8; attempt++ {
 		da, db := a.Backoff(attempt), b.Backoff(attempt)
 		if da != db {
 			t.Fatalf("attempt %d: same seed produced %v vs %v", attempt, da, db)
 		}
-		if da > 80*time.Millisecond {
+		if da > maxDelay {
 			t.Fatalf("attempt %d: backoff %v exceeds cap", attempt, da)
 		}
 		if da < 5*time.Millisecond {

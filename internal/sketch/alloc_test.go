@@ -10,7 +10,7 @@ import (
 // not allocate. CI's bench-smoke job runs these as an alloc-regression gate.
 
 func TestRecordAccessAllocFree(t *testing.T) {
-	tr := NewTracker(Config{TopK: 16, Shards: 4})
+	tr := NewTracker(Config{TopK: 16})
 	keys := make([]string, 64)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
@@ -26,7 +26,7 @@ func TestRecordAccessAllocFree(t *testing.T) {
 }
 
 func TestRecordLatencyAllocFree(t *testing.T) {
-	tr := NewTracker(Config{TopK: 16, Shards: 4})
+	tr := NewTracker(Config{TopK: 16})
 	keys := make([]string, 16)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)

@@ -160,9 +160,8 @@ func TestEstimateSkew(t *testing.T) {
 func TestTrackerSnapshotMergesShards(t *testing.T) {
 	now := time.Unix(1000, 0)
 	tr := NewTracker(Config{
-		TopK:   16,
-		Shards: 4,
-		Clock:  func() time.Time { return now },
+		TopK:  16,
+		Clock: func() time.Time { return now },
 	})
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 30000; i++ {
@@ -221,7 +220,7 @@ func TestTrackerSnapshotMergesShards(t *testing.T) {
 }
 
 func TestTrackerConcurrentAccess(t *testing.T) {
-	tr := NewTracker(Config{TopK: 32, Shards: 8})
+	tr := NewTracker(Config{TopK: 32})
 	var wg sync.WaitGroup
 	const goroutines = 8
 	const perG = 5000

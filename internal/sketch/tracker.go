@@ -11,19 +11,20 @@ import (
 	"servicebroker/internal/trace"
 )
 
+// A Tracker has trackerShards lock stripes (a power of two), each with a
+// cmsWidth×cmsDepth count-min sketch: 16 KiB of counters per shard.
+const (
+	trackerShards = 8
+	cmsWidth      = 1024
+	cmsDepth      = 4
+)
+
 // Config sizes a Tracker. The zero value selects the defaults below.
 type Config struct {
 	// TopK is the number of hot keys a Snapshot reports (default 64). Each
 	// shard tracks proportionally more candidates so key-space skew across
 	// shards cannot silently drop a hot key.
 	TopK int
-	// Width and Depth set the per-shard count-min geometry (defaults
-	// 1024×4 — 16 KiB of counters per shard).
-	Width int
-	Depth int
-	// Shards is the number of lock stripes, rounded down to a power of two
-	// (default 8).
-	Shards int
 	// Clock overrides the time source for deterministic tests.
 	Clock func() time.Time
 }
@@ -32,20 +33,6 @@ func (c Config) withDefaults() Config {
 	if c.TopK < 1 {
 		c.TopK = 64
 	}
-	if c.Width < 1 {
-		c.Width = 1024
-	}
-	if c.Depth < 1 {
-		c.Depth = 4
-	}
-	if c.Shards < 1 {
-		c.Shards = 8
-	}
-	p := 1
-	for p*2 <= c.Shards {
-		p *= 2
-	}
-	c.Shards = p
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
@@ -159,18 +146,18 @@ func NewTracker(cfg Config) *Tracker {
 	cfg = cfg.withDefaults()
 	t := &Tracker{
 		cfg:    cfg,
-		shards: make([]trackerShard, cfg.Shards),
-		mask:   uint32(cfg.Shards - 1),
+		shards: make([]trackerShard, trackerShards),
+		mask:   trackerShards - 1,
 		start:  cfg.Clock(),
 	}
 	// Per-shard candidate capacity: twice the fair share, minimum 4, so an
 	// uneven key hash cannot evict a genuinely hot key before the merge.
-	per := 2 * cfg.TopK / cfg.Shards
+	per := 2 * cfg.TopK / trackerShards
 	if per < 4 {
 		per = 4
 	}
 	for i := range t.shards {
-		t.shards[i].cms = NewCountMin(cfg.Width, cfg.Depth)
+		t.shards[i].cms = NewCountMin(cmsWidth, cmsDepth)
 		t.shards[i].top = NewTopK(per)
 	}
 	return t

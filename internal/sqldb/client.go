@@ -26,7 +26,6 @@ type ConnectOption interface {
 type connectConfig struct {
 	user, pass string
 	timeout    time.Duration
-	dial       func(network, address string) (net.Conn, error)
 }
 
 type connectOptionFunc func(*connectConfig)
@@ -43,11 +42,6 @@ func WithDialTimeout(d time.Duration) ConnectOption {
 	return connectOptionFunc(func(c *connectConfig) { c.timeout = d })
 }
 
-// WithDialer substitutes the TCP dialer, e.g. to route through netsim.
-func WithDialer(dial func(network, address string) (net.Conn, error)) ConnectOption {
-	return connectOptionFunc(func(c *connectConfig) { c.dial = dial })
-}
-
 // ErrConnClosed is returned by operations on a closed Conn.
 var ErrConnClosed = errors.New("sqldb: connection closed")
 
@@ -62,13 +56,7 @@ func Connect(addr string, opts ...ConnectOption) (*Conn, error) {
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	dial := cfg.dial
-	if dial == nil {
-		dial = func(network, address string) (net.Conn, error) {
-			return net.DialTimeout(network, address, cfg.timeout)
-		}
-	}
-	nc, err := dial("tcp", addr)
+	nc, err := net.DialTimeout("tcp", addr, cfg.timeout)
 	if err != nil {
 		return nil, fmt.Errorf("sqldb: dial %s: %w", addr, err)
 	}
@@ -78,12 +66,6 @@ func Connect(addr string, opts ...ConnectOption) (*Conn, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// ConnectConn performs the client handshake over an existing transport
-// (tests use netsim pipes).
-func ConnectConn(nc net.Conn, user, pass string) (*Conn, error) {
-	return handshake(nc, user, pass)
 }
 
 func handshake(nc net.Conn, user, pass string) (*Conn, error) {
@@ -147,26 +129,6 @@ func (c *Conn) Query(sql []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("%w: unexpected frame %d", ErrProtocol, t)
 	}
-}
-
-// Ping round-trips a heartbeat frame.
-func (c *Conn) Ping() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrConnClosed
-	}
-	if err := c.bc.send(c.bc.start(framePing)); err != nil {
-		return err
-	}
-	t, _, err := c.bc.recv()
-	if err != nil {
-		return err
-	}
-	if t != framePong {
-		return fmt.Errorf("%w: expected pong, got frame %d", ErrProtocol, t)
-	}
-	return nil
 }
 
 // Close sends a quit frame (best effort) and closes the transport.

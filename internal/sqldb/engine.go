@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -195,29 +194,6 @@ func (e *Engine) ExecStmt(stmt Statement) (*ResultSet, error) {
 	default:
 		return nil, fmt.Errorf("sqldb: unsupported statement %T", stmt)
 	}
-}
-
-// TableNames lists the tables in lexical order.
-func (e *Engine) TableNames() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	names := make([]string, 0, len(e.tables))
-	for n := range e.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// RowCount returns the number of rows in a table.
-func (e *Engine) RowCount(name string) (int, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	t, err := e.table(name)
-	if err != nil {
-		return 0, err
-	}
-	return len(t.rows), nil
 }
 
 // table resolves a table by name. Caller holds the lock.

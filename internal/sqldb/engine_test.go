@@ -162,8 +162,8 @@ func TestDelete(t *testing.T) {
 	if rs.Affected != 3 {
 		t.Fatalf("affected = %d, want 3", rs.Affected)
 	}
-	if n, _ := e.RowCount("movies"); n != 2 {
-		t.Fatalf("rows = %d, want 2", n)
+	if tb, _ := e.table("movies"); len(tb.rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(tb.rows))
 	}
 }
 
@@ -308,8 +308,8 @@ func TestDropTable(t *testing.T) {
 	if _, err := e.Exec("SELECT * FROM movies"); !errors.Is(err, ErrNoSuchTable) {
 		t.Fatalf("select after drop err = %v", err)
 	}
-	if names := e.TableNames(); len(names) != 0 {
-		t.Fatalf("tables = %v", names)
+	if len(e.tables) != 0 {
+		t.Fatalf("tables = %v", e.tables)
 	}
 }
 
@@ -486,9 +486,9 @@ func TestLoadRecordsFixture(t *testing.T) {
 	if err := LoadRecords(e, 5000); err != nil {
 		t.Fatal(err)
 	}
-	n, err := e.RowCount(RecordsTable)
-	if err != nil || n != 5000 {
-		t.Fatalf("rows = %d, %v", n, err)
+	tb, err := e.table(RecordsTable)
+	if err != nil || len(tb.rows) != 5000 {
+		t.Fatalf("table %s: %v", RecordsTable, err)
 	}
 	// Queries from the random generator must execute.
 	rng := rand.New(rand.NewSource(1))

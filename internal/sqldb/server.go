@@ -49,11 +49,6 @@ func WithExecSlots(n int) ServerOption {
 	})
 }
 
-// WithServerMetrics directs server counters into the given registry.
-func WithServerMetrics(reg *metrics.Registry) ServerOption {
-	return serverOptionFunc(func(s *Server) { s.reg = reg })
-}
-
 // Server exposes an Engine over the sqldb wire protocol.
 type Server struct {
 	svc    *netsvc.Server
@@ -64,7 +59,7 @@ type Server struct {
 	queryDelay     time.Duration
 	execSlots      chan struct{}
 	reg            *metrics.Registry
-	// Handles into reg, resolved once the options have chosen it.
+	// Handles into reg, resolved once in NewServer.
 	connections, authFailures, queries, queryErrors *metrics.Counter
 	queryTime                                       *metrics.Histogram
 }

@@ -59,24 +59,6 @@ type ChaosHooks struct {
 	PartitionOut func(member int, on bool)
 }
 
-// RollingKill builds the canonical availability schedule: starting at
-// start, each member in [0, members) crashes in turn every interval and
-// stays down for downFor. With downFor < interval at most one member is
-// down at any instant, so an N-replica pool should ride through the whole
-// roll.
-func RollingKill(members int, start, interval, downFor time.Duration) []ChaosEvent {
-	events := make([]ChaosEvent, 0, members)
-	for i := 0; i < members; i++ {
-		events = append(events, ChaosEvent{
-			At:       start + time.Duration(i)*interval,
-			Member:   i,
-			Action:   ActionCrash,
-			Duration: downFor,
-		})
-	}
-	return events
-}
-
 // chaosStep is one expanded timeline entry: a fault onset or a recovery.
 type chaosStep struct {
 	at      time.Duration

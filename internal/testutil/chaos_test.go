@@ -8,24 +8,6 @@ import (
 	"time"
 )
 
-func TestRollingKillShape(t *testing.T) {
-	events := RollingKill(3, 100*time.Millisecond, 200*time.Millisecond, 150*time.Millisecond)
-	want := []ChaosEvent{
-		{At: 100 * time.Millisecond, Member: 0, Action: ActionCrash, Duration: 150 * time.Millisecond},
-		{At: 300 * time.Millisecond, Member: 1, Action: ActionCrash, Duration: 150 * time.Millisecond},
-		{At: 500 * time.Millisecond, Member: 2, Action: ActionCrash, Duration: 150 * time.Millisecond},
-	}
-	if !reflect.DeepEqual(events, want) {
-		t.Fatalf("RollingKill = %+v, want %+v", events, want)
-	}
-	// downFor < interval ⇒ member i recovers before member i+1 dies.
-	for i := 0; i < len(events)-1; i++ {
-		if events[i].At+events[i].Duration >= events[i+1].At {
-			t.Fatalf("members %d and %d down simultaneously", events[i].Member, events[i+1].Member)
-		}
-	}
-}
-
 // record runs the schedule and returns the hook firing order as strings.
 func record(t *testing.T, events []ChaosEvent) []string {
 	t.Helper()
@@ -77,7 +59,10 @@ func TestRunChaosHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	fired := false
-	RunChaos(ctx, RollingKill(2, time.Hour, time.Hour, time.Minute), ChaosHooks{
+	RunChaos(ctx, []ChaosEvent{
+		{At: time.Hour, Member: 0, Action: ActionCrash, Duration: time.Minute},
+		{At: 2 * time.Hour, Member: 1, Action: ActionCrash, Duration: time.Minute},
+	}, ChaosHooks{
 		Crash: func(int) { fired = true },
 	})
 	if fired {

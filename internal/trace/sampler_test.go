@@ -66,7 +66,6 @@ func TestRecorderTailSamplingBurst(t *testing.T) {
 	)
 	run := func(seed uint64) (kept map[ID]bool, sampled, discarded uint64, rec *Recorder) {
 		rec = NewRecorder(
-			WithCapacity(total+1),
 			WithSampler(&Sampler{SlowThreshold: 100 * time.Millisecond, Fraction: fraction, Seed: seed}),
 		)
 		for i := 1; i <= total; i++ {

@@ -92,19 +92,6 @@ func mix64(x uint64) uint64 {
 // String renders the ID as 16 lowercase hex digits (zero-padded).
 func (id ID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
 
-// ParseID parses the hex form produced by String. The empty string and "0"
-// parse to the zero ID.
-func ParseID(s string) (ID, error) {
-	if s == "" {
-		return 0, nil
-	}
-	v, err := strconv.ParseUint(s, 16, 64)
-	if err != nil {
-		return 0, fmt.Errorf("trace: bad id %q: %w", s, err)
-	}
-	return ID(v), nil
-}
-
 // Stage names one segment of the brokered request path.
 type Stage string
 
@@ -197,11 +184,6 @@ type Recorder struct {
 
 // RecorderOption configures a Recorder.
 type RecorderOption func(*Recorder)
-
-// WithCapacity bounds the completed-trace ring (default DefaultRingCapacity).
-func WithCapacity(n int) RecorderOption {
-	return func(r *Recorder) { r.ring = NewRing(n) }
-}
 
 // WithMetrics aggregates per-stage durations into reg under names
 // "trace.<service>.<stage>" (histogram), "trace.<service>.<stage>.class_<c>"
@@ -351,17 +333,6 @@ func (a *Active) ID() ID {
 	return a.t.ID
 }
 
-// SetClass records the request's effective QoS class (it may change after
-// Start, e.g. transaction escalation).
-func (a *Active) SetClass(class int) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.t.Class = class
-	a.mu.Unlock()
-}
-
 // SetStatus records the request's disposition ("ok", "dropped", "error").
 func (a *Active) SetStatus(status string) {
 	if a == nil {
@@ -477,18 +448,6 @@ func (f Filter) matches(t Trace) bool {
 		return false
 	}
 	return true
-}
-
-// StageBreakdown sums span durations by stage across a set of traces —
-// the per-stage view the paper's evaluation (§V) reasons about.
-func StageBreakdown(traces []Trace) map[Stage]time.Duration {
-	out := make(map[Stage]time.Duration)
-	for _, t := range traces {
-		for _, sp := range t.Spans {
-			out[sp.Stage] += sp.Duration()
-		}
-	}
-	return out
 }
 
 // FormatDuration renders d compactly for /tracez output (3 significant

@@ -217,18 +217,6 @@ func (s *Store) record(name string, unix int64, v float64) {
 	r.add(Point{Unix: unix, V: v})
 }
 
-// Names returns every tracked series name, sorted.
-func (s *Store) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.series))
-	for n := range s.series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Get returns one series' points oldest-first, with ok=false for an unknown
 // name.
 func (s *Store) Get(name string) (Series, bool) {

@@ -22,7 +22,7 @@ func TestSampleNowDerivesSeries(t *testing.T) {
 
 	series, ok := s.Get("broker.db.requests")
 	if !ok {
-		t.Fatalf("counter series missing; have %v", s.Names())
+		t.Fatalf("counter series missing; have %v", s.series)
 	}
 	if len(series.Points) != 2 || series.Points[0].V != 5 || series.Points[1].V != 7 {
 		t.Fatalf("counter points = %+v", series.Points)
@@ -89,7 +89,7 @@ func TestMaxSeriesCap(t *testing.T) {
 		s.AddProbe(fmt.Sprintf("series_%d", i), func() (float64, bool) { return float64(i), true })
 	}
 	s.SampleNow()
-	if n := len(s.Names()); n != MaxSeries {
+	if n := len(s.series); n != MaxSeries {
 		t.Fatalf("tracking %d series, want cap %d", n, MaxSeries)
 	}
 }

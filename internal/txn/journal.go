@@ -34,12 +34,11 @@ type JournalRecord struct {
 // final line (the process died mid-write) is skipped by Replay and cut off
 // by the next OpenJournal. Safe for concurrent use.
 type Journal struct {
-	mu       sync.Mutex
-	f        *os.File
-	w        *bufio.Writer
-	sync     bool
-	appended int
-	closed   bool
+	mu     sync.Mutex
+	f      *os.File
+	w      *bufio.Writer
+	sync   bool
+	closed bool
 }
 
 // OpenJournal opens (creating if needed) the append-only journal at path,
@@ -114,7 +113,6 @@ func (j *Journal) Append(rec JournalRecord) error {
 			return fmt.Errorf("txn: journal sync: %w", err)
 		}
 	}
-	j.appended++
 	return nil
 }
 
@@ -126,13 +124,6 @@ func (j *Journal) AppendOutcome(key string, out Outcome) error {
 		Fidelity: int(out.Fidelity),
 		Payload:  out.Payload,
 	})
-}
-
-// Appended returns how many records this handle has written.
-func (j *Journal) Appended() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appended
 }
 
 // Close flushes and closes the journal file.

@@ -293,16 +293,6 @@ func (t *Tracker) Observe(id string, step int) (State, error) {
 	return cp, nil
 }
 
-// Touch refreshes a transaction's idle clock without counting an access
-// (compensation registration and idempotent replays use it).
-func (t *Tracker) Touch(id string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.active[id]; ok {
-		s.LastSeen = t.now()
-	}
-}
-
 // RegisterCompensation records an undo action for a completed step of an
 // active transaction. On Abort the registered compensations run in reverse
 // registration order (last completed step undone first — saga order). name

@@ -19,8 +19,8 @@ import (
 
 // txnMember is one broker-pool replica for the transaction chaos test: its
 // gateway socket can be crashed and rebound on a pinned address while the
-// broker (and the tracker/idempotency state it shares with its peers)
-// survives — the mid-transaction crash+failover case.
+// broker behind it (and the tracker and idempotency table every member's
+// gateway reaches) survives — the mid-transaction crash+failover case.
 type txnMember struct {
 	t      *testing.T
 	broker *broker.Broker
@@ -82,9 +82,9 @@ func (m *txnMember) close() {
 
 // TestTxnIntegrityChaos proves exactly-once transaction effects end to end
 // through real sockets: an HTTP front end routes tagged requests (txn, step,
-// idem query parameters) across a two-member broker pool whose members share
-// a transaction tracker and a journal-backed idempotency table over one
-// effect-counting warehouse. The test injects duplicate delivery, a
+// idem query parameters) across a two-member broker pool whose gateways front
+// one broker: one transaction tracker and one journal-backed idempotency
+// table over one effect-counting warehouse. The test injects duplicate delivery, a
 // mid-step-2 member crash with failover, and a broker restart that re-arms
 // its idempotency state from the journal — and at the end the
 // backend-observed mutation count equals the logically issued count, every
@@ -99,38 +99,26 @@ func TestTxnIntegrityChaos(t *testing.T) {
 	const service = "supply"
 	ctx := context.Background()
 
-	// One warehouse, one tracker, one idempotency table — shared by both
-	// pool members (the paper's brokers "exchange state information").
-	// Recorded outcomes append to a journal for the restart phase.
+	// One warehouse, one tracker, one idempotency table, reached through
+	// both pool members' gateways. Recorded outcomes append to a journal for
+	// the restart phase.
 	store := &backend.EffectConnector{ServiceName: service}
 	tracker := txn.NewTracker()
-	table := txn.NewIdemTable(1024, time.Minute)
 	journalPath := filepath.Join(t.TempDir(), "supply.journal")
-	journal, err := txn.OpenJournal(journalPath, false)
+	pooled, err := broker.New(store,
+		broker.WithThreshold(64, 4),
+		broker.WithTransactions(tracker),
+		broker.WithIdempotency(1024, time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer journal.Close()
-	table.OnRecord(func(key string, out txn.Outcome) {
-		if err := journal.AppendOutcome(key, out); err != nil {
-			t.Errorf("journal append: %v", err)
-		}
-	})
-
-	newPoolBroker := func() *broker.Broker {
-		b, err := broker.New(store,
-			broker.WithThreshold(64, 4),
-			broker.WithSharedTransactions(tracker),
-			broker.WithSharedIdempotency(table))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { b.Close() })
-		return b
+	t.Cleanup(func() { pooled.Close() })
+	if _, err := pooled.OpenJournal(journalPath); err != nil {
+		t.Fatal(err)
 	}
 	members := []*txnMember{
-		newTxnMember(t, service, newPoolBroker()),
-		newTxnMember(t, service, newPoolBroker()),
+		newTxnMember(t, service, pooled),
+		newTxnMember(t, service, pooled),
 	}
 
 	fe, err := frontend.NewDistributed("127.0.0.1:0",
@@ -250,7 +238,7 @@ func TestTxnIntegrityChaos(t *testing.T) {
 	// Phase 2 — crash mid-step-2 with failover. The hold executes, the
 	// member pool crashes one replica, and the duplicate is re-delivered:
 	// the pool must fail over (late transaction steps try every member) and
-	// the shared idempotency table must replay, not re-execute.
+	// the idempotency table must replay, not re-execute.
 	const crashTxn, crashSKU = "purchase-crash", "sku-crash"
 	mustOK(step(crashTxn, 1, "GET "+crashSKU, ""))
 	first := mustOK(step(crashTxn, 2, "HOLD "+crashSKU+" 1", "hold"))
@@ -278,23 +266,22 @@ func TestTxnIntegrityChaos(t *testing.T) {
 
 	// Phase 3 — crash-safe recovery: a freshly started broker restores the
 	// journal and answers a replayed idempotency key without touching the
-	// backend, exactly as brokerd -txn-journal does on boot.
-	restored := txn.NewIdemTable(1024, time.Minute)
-	n, err := txn.RestoreTable(journalPath, restored)
+	// backend, through the same OpenJournal brokerd -txn-journal calls.
+	restarted, err := broker.New(store,
+		broker.WithThreshold(64, 4),
+		broker.WithTransactions(),
+		broker.WithIdempotency(1024, time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	n, err := restarted.OpenJournal(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 {
 		t.Fatal("journal restored 0 outcomes")
 	}
-	restarted, err := broker.New(store,
-		broker.WithThreshold(64, 4),
-		broker.WithTransactions(),
-		broker.WithSharedIdempotency(restored))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restarted.Close()
 	mutationsBefore = store.Mutations()
 	replay := restarted.Handle(ctx, &broker.Request{
 		Payload: []byte("HOLD " + crashSKU + " 1"), Class: qos.Class3,
@@ -318,6 +305,9 @@ func TestTxnIntegrityChaos(t *testing.T) {
 	}
 	if got := store.TotalHolds(); got != 0 {
 		t.Fatalf("orphaned holds: %d", got)
+	}
+	if got := pooled.Metrics().Counter("txn_journal_errors_total").Value(); got != 0 {
+		t.Fatalf("%d journal appends failed", got)
 	}
 	if !strings.Contains(string(first.Body), "hold ok") {
 		t.Fatalf("unexpected hold response body: %q", first.Body)
