@@ -32,8 +32,7 @@
 //
 // The overload subsystem (DESIGN.md §9) is configured with -limit-max and
 // -latency-target (AIMD admission limit, floor 1, replacing the static
-// -threshold when -limit-max > 0), -sojourn-budget (per-class queue wait
-// budgets with CoDel-style eviction), and -drain-timeout (how long SIGTERM
+// -threshold when -limit-max > 0) and -drain-timeout (how long SIGTERM
 // waits for accepted requests before forcing exit). The live limit appears
 // on the admin plane at /limitz.
 //
@@ -63,6 +62,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -124,7 +124,6 @@ type config struct {
 	sampleEvery     time.Duration
 	limitMax        int
 	latencyTarget   time.Duration
-	sojournBudget   time.Duration
 	drainTimeout    time.Duration
 	hotkeys         int
 	coalesce        bool
@@ -156,7 +155,6 @@ func main() {
 	flag.DurationVar(&cfg.sampleEvery, "sample-every", time.Second, "time-series sampling interval for /seriesz")
 	flag.IntVar(&cfg.limitMax, "limit-max", 0, "adaptive admission limit ceiling; 0 keeps the static -threshold")
 	flag.DurationVar(&cfg.latencyTarget, "latency-target", 0, "completion latency the adaptive limiter treats as congestion (0 reacts to failures only)")
-	flag.DurationVar(&cfg.sojournBudget, "sojourn-budget", 0, "class-1 queue-wait budget; queued requests over their class budget are shed early (0 disables)")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 5*time.Second, "how long SIGTERM/SIGINT waits for in-flight requests to finish")
 	flag.IntVar(&cfg.hotkeys, "hotkeys", 0, "track the top-N hottest request keys per broker for /hotz (0 disables)")
 	flag.BoolVar(&cfg.coalesce, "coalesce", false, "single-flight identical in-flight cacheable queries so N duplicates cost one backend trip")
@@ -178,20 +176,24 @@ func run(cfg config) error {
 	if len(cfg.services) == 0 {
 		return fmt.Errorf("at least one -service is required")
 	}
-	// A negative count would otherwise reach a package that reads it as
-	// "use the default": -retries -1 would retry twice.
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"-retries", cfg.retries}, {"-breaker-failures", cfg.breakerFailures},
-		{"-workers", cfg.workers}, {"-cache", cfg.cacheSize},
-		{"-cluster", cfg.clusterDegree}, {"-adaptive-degree", cfg.adaptiveDegree},
-		{"-hotkeys", cfg.hotkeys}, {"-idem", cfg.idemCap},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("%s must not be negative, got %d", f.name, f.v)
-		}
+	// A negative count or duration would otherwise reach a package that reads
+	// it as "use the default", "off" or "forever": -retries -1 would retry
+	// twice, -cache-ttl -1s never expire, -drain-timeout -1s cut in-flight
+	// requests at SIGTERM.
+	if err := errors.Join(
+		nonNegative("-retries", cfg.retries), nonNegative("-breaker-failures", cfg.breakerFailures),
+		nonNegative("-workers", cfg.workers), nonNegative("-cache", cfg.cacheSize),
+		nonNegative("-cluster", cfg.clusterDegree), nonNegative("-adaptive-degree", cfg.adaptiveDegree),
+		nonNegative("-hotkeys", cfg.hotkeys), nonNegative("-idem", cfg.idemCap),
+		nonNegative("-cache-ttl", cfg.cacheTTL), nonNegative("-lease-ttl", cfg.leaseTTL),
+		nonNegative("-trace-slow", cfg.traceSlow), nonNegative("-sample-every", cfg.sampleEvery),
+		nonNegative("-latency-target", cfg.latencyTarget), nonNegative("-drain-timeout", cfg.drainTimeout),
+		nonNegative("-txn-ttl", cfg.txnTTL), nonNegative("-idem-ttl", cfg.idemTTL),
+	); err != nil {
+		return err
+	}
+	if !(cfg.traceSample >= 0 && cfg.traceSample <= 1) {
+		return fmt.Errorf("-trace-sample must be in [0, 1], got %v", cfg.traceSample)
 	}
 
 	// One trace recorder is shared by every hosted broker so /tracez shows
@@ -287,9 +289,6 @@ func run(cfg config) error {
 				Max:           cfg.limitMax,
 				LatencyTarget: cfg.latencyTarget,
 			}))
-		}
-		if cfg.sojournBudget > 0 {
-			opts = append(opts, broker.WithSojournBudget(cfg.sojournBudget))
 		}
 		if cfg.hotkeys > 0 {
 			opts = append(opts, broker.WithHotKeys(sketch.Config{TopK: cfg.hotkeys}))
@@ -438,6 +437,14 @@ func run(cfg config) error {
 		}
 	}
 	slog.Info("drained")
+	return nil
+}
+
+// nonNegative refuses a negative flag value, naming the flag.
+func nonNegative[T int | time.Duration](flag string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("%s must not be negative, got %v", flag, v)
+	}
 	return nil
 }
 

@@ -82,31 +82,61 @@ func TestRunRejectsNegativeCounts(t *testing.T) {
 		{"-hotkeys", func(c *config) { c.hotkeys = -1 }},
 		{"-idem", func(c *config) { c.idemCap = -1 }},
 	} {
-		t.Run(tc.flag, func(t *testing.T) {
-			cfg := config{
-				services: serviceFlags{"cgi:cgi:127.0.0.1:1"}, listen: "127.0.0.1:0",
-				threshold: 20, classes: 3, workers: 4, retries: 2, breakerFailures: 5,
-				drainTimeout: time.Second,
-			}
-			tc.set(&cfg)
-			up := make(chan struct{}, 1)
-			testHookGatewayUp = func(string) { up <- struct{}{} }
-			defer func() { testHookGatewayUp = nil }()
-			done := make(chan error, 1)
-			go func() { done <- run(cfg) }()
-			select {
-			case err := <-done:
-				if err == nil || !strings.Contains(err.Error(), tc.flag) {
-					t.Fatalf("run = %v, want an error naming %s", err, tc.flag)
-				}
-			case <-up:
-				syscall.Kill(os.Getpid(), syscall.SIGTERM)
-				<-done
-				t.Fatalf("brokerd served with a negative %s", tc.flag)
-			case <-time.After(5 * time.Second):
-				t.Fatal("run neither failed nor served")
-			}
-		})
+		t.Run(tc.flag, func(t *testing.T) { mustRefuse(t, tc.flag, tc.set) })
+	}
+}
+
+// A negative duration, or a sample fraction outside [0, 1], is refused before
+// any socket opens too. Otherwise -drain-timeout -1s cut in-flight requests at
+// SIGTERM, -cache-ttl -1s and -idem-ttl -1s kept entries forever, -lease-ttl
+// and -sample-every silently became their defaults, and -txn-ttl -1s turned
+// the abandonment sweep off.
+func TestRunRejectsNegativeDurations(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		set  func(*config)
+	}{
+		{"-cache-ttl", func(c *config) { c.cacheTTL = -time.Second }},
+		{"-lease-ttl", func(c *config) { c.leaseTTL = -time.Second }},
+		{"-trace-slow", func(c *config) { c.traceSlow = -time.Second }},
+		{"-sample-every", func(c *config) { c.sampleEvery = -time.Second }},
+		{"-latency-target", func(c *config) { c.latencyTarget = -time.Second }},
+		{"-drain-timeout", func(c *config) { c.drainTimeout = -time.Second }},
+		{"-txn-ttl", func(c *config) { c.txnTTL = -time.Second }},
+		{"-idem-ttl", func(c *config) { c.idemTTL = -time.Second }},
+		{"-trace-sample", func(c *config) { c.traceSample = -0.5 }},
+		{"-trace-sample", func(c *config) { c.traceSample = 1.5 }},
+	} {
+		t.Run(tc.flag, func(t *testing.T) { mustRefuse(t, tc.flag, tc.set) })
+	}
+}
+
+// mustRefuse runs brokerd with one flag set out of range and expects run to
+// fail naming the flag, without ever serving.
+func mustRefuse(t *testing.T, flag string, set func(*config)) {
+	t.Helper()
+	cfg := config{
+		services: serviceFlags{"cgi:cgi:127.0.0.1:1"}, listen: "127.0.0.1:0",
+		threshold: 20, classes: 3, workers: 4, retries: 2, breakerFailures: 5,
+		drainTimeout: time.Second,
+	}
+	set(&cfg)
+	up := make(chan struct{}, 1)
+	testHookGatewayUp = func(string) { up <- struct{}{} }
+	defer func() { testHookGatewayUp = nil }()
+	done := make(chan error, 1)
+	go func() { done <- run(cfg) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), flag) {
+			t.Fatalf("run = %v, want an error naming %s", err, flag)
+		}
+	case <-up:
+		syscall.Kill(os.Getpid(), syscall.SIGTERM)
+		<-done
+		t.Fatalf("brokerd served with %s out of range", flag)
+	case <-time.After(5 * time.Second):
+		t.Fatal("run neither failed nor served")
 	}
 }
 

@@ -90,7 +90,7 @@ var table = []experiment{
 	{"table4", "drop ratios at broker 3 (Table IV)", dropView(2)},
 	{"ablations", "design choices the paper argues qualitatively in §III", runAblations},
 	{"overload", "static threshold vs adaptive admission under a step overload",
-		plain(experiments.DefaultOverloadConfig, experiments.RunOverloadAblation, nil)},
+		plain(experiments.DefaultOverloadConfig, experiments.RunOverloadAblation, overloadChecks)},
 	{"hotkey", "hot-key detection across a popularity flip",
 		plain(experiments.DefaultHotkeyConfig, experiments.RunHotkeyDetection, nil)},
 	{"failover", "replicated broker pool vs single broker under a chaos schedule",
@@ -392,6 +392,20 @@ func fig7aChecks(res *experiments.AdaptiveClusteringResult) []check {
 				fmt.Sprintf("%.2fx (ended at d=%d, best d=%d)", p.AdaptiveVsBest, p.AdaptiveDegreeEnd, p.BestDegree)})
 	}
 	return checks
+}
+
+// overloadChecks: the flood hurts the premium class under the static
+// threshold, the AIMD limiter hurts it less, and the limit it settles on lies
+// strictly between 0 and the static threshold.
+func overloadChecks(res *experiments.OverloadResult) []check {
+	static, adaptive := res.Static.MedianDegradationRatio, res.Adaptive.MedianDegradationRatio
+	return []check{
+		{"static median degradation >= 1.5x", static >= 1.5, fmt.Sprintf("%.2fx", static)},
+		{"adaptive median degradation below static", adaptive < static,
+			fmt.Sprintf("adaptive %.2fx, static %.2fx", adaptive, static)},
+		{"adaptive final limit in (0, threshold)", res.Adaptive.FinalLimit > 0 && res.Adaptive.FinalLimit < res.Threshold,
+			fmt.Sprintf("limit %d, threshold %d", res.Adaptive.FinalLimit, res.Threshold)},
+	}
 }
 
 func failoverChecks(res *experiments.FailoverResult) []check {

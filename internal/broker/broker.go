@@ -79,8 +79,8 @@ const (
 	StatusDropped
 	// StatusError means the backend or broker failed.
 	StatusError
-	// StatusShed means overload control shed the request (adaptive limit
-	// reached, sojourn budget expired, or the broker is draining): the
+	// StatusShed means overload control shed the request (threshold or
+	// adaptive limit reached, or the broker is draining): the
 	// condition is transient, and the response carries a retry-after hint.
 	StatusShed
 )
@@ -170,10 +170,9 @@ type Broker struct {
 	retryer    *resilience.Retryer
 	serveStale bool
 
-	// overload control (WithAdaptiveLimit / WithSojournBudget)
-	limitCfg    *overload.Config
-	limiter     *overload.Limiter
-	sojournBase time.Duration
+	// overload control (WithAdaptiveLimit)
+	limitCfg *overload.Config
+	limiter  *overload.Limiter
 
 	queue   *qos.Queue[*job]
 	workers int
@@ -421,17 +420,6 @@ func WithAdaptiveLimit(cfg overload.Config) Option {
 	}
 }
 
-// WithSojournBudget enables CoDel-style queue eviction: a queued request of
-// class c is shed once it has waited longer than base × (Classes-c+1), so
-// low-priority requests are answered early with the paper's low-fidelity
-// message instead of rotting in queue. base ≤ 0 disables eviction.
-func WithSojournBudget(base time.Duration) Option {
-	return func(b *Broker) error {
-		b.sojournBase = base
-		return nil
-	}
-}
-
 // WithPrefetch registers a periodic prefetcher: every interval, while the
 // broker is below lowWater outstanding requests, each payload produced by
 // source is fetched from the backend and cached (requires WithCache).
@@ -571,10 +559,6 @@ func New(connector backend.Connector, opts ...Option) (_ *Broker, err error) {
 		capacity = max(capacity, b.limiter.Snapshot().Max)
 	}
 	b.queue = qos.NewQueue[*job](capacity)
-	if b.sojournBase > 0 {
-		b.m.sojournEvictions, b.m.queueSojourn = b.reg.Counter("sojourn_evictions"), b.reg.Histogram("queue_sojourn")
-		b.queue.SetSojourn(b.sojournBudget, b.evictExpired)
-	}
 	for i := 0; i < b.workers; i++ {
 		b.wg.Add(1)
 		go b.worker()

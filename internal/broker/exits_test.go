@@ -281,24 +281,6 @@ func TestEveryExitIsOneDisposition(t *testing.T) {
 				mustStatus(t, rig.b.Handle(bg, idemReq("t1", 1, "k", "U")), StatusError)
 			}},
 
-		// Class 1 may queue for 150 ms, class 3 for 50: the first request only
-		// has to reach an idle worker in time, on however busy a host.
-		{name: "sojourn eviction", opts: []Option{WithWorkers(1), WithSojournBudget(50 * time.Millisecond)},
-			want: map[string]int64{"ok": 1, "shed": 1},
-			run: func(t *testing.T, rig *exitRig) {
-				first := rig.inflight(bg, &Request{Payload: []byte("a"), Class: qos.Class1})
-				queued := make(chan *Response, 1)
-				go func() { queued <- rig.b.Handle(bg, &Request{Payload: []byte("b"), Class: qos.Class3}) }()
-				rig.waitFor("the second request to queue", func() bool { return rig.b.queue.Len() == 1 })
-				time.Sleep(60 * time.Millisecond) // past class 3's budget
-				close(rig.g.release)              // the worker's next Pop sweeps it out
-				mustStatus(t, <-first, StatusOK)
-				mustStatus(t, <-queued, StatusShed)
-				if got := rig.b.Metrics().Counter("sojourn_evictions").Value(); got != 1 {
-					t.Fatalf("sojourn_evictions = %d, want 1", got)
-				}
-			}},
-
 		{name: "expired in queue", opts: []Option{WithWorkers(1)}, want: map[string]int64{"ok": 1, "error": 1},
 			run: func(t *testing.T, rig *exitRig) {
 				first := rig.inflight(bg, read("a"))

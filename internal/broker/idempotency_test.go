@@ -248,31 +248,3 @@ func TestOpenJournalRequiresIdempotency(t *testing.T) {
 		t.Fatal("journal without an idempotency table accepted")
 	}
 }
-
-// Escalated-class sojourn budgets: a step-3 access of a low base class must
-// be queued — and sojourn-budgeted — at the escalated class, giving it the
-// longer wait budget of the higher class rather than the base class's short
-// one.
-func TestEscalatedClassUsesEscalatedSojournBudget(t *testing.T) {
-	b := newBroker(t, echoConnector("db"),
-		WithThreshold(20, 3), WithTransactions(), WithSojournBudget(10*time.Millisecond))
-
-	base := qos.Class(3)
-	esc := txn.EscalatedClass(base, 3)
-	if esc >= base {
-		t.Fatalf("step 3 did not escalate class %v (got %v)", base, esc)
-	}
-	if got, want := b.sojournBudget(esc), b.sojournBudget(base); got <= want {
-		t.Fatalf("escalated budget %v not longer than base budget %v", got, want)
-	}
-	// End to end: the job is queued at the escalated class, so the sojourn
-	// callback sees the escalated budget. Verified structurally above and
-	// behaviorally here: a step-3 request of the lowest class completes even
-	// when its base-class budget would already have expired in queue.
-	r := b.Handle(context.Background(), &Request{
-		Payload: []byte("Q"), Class: base, TxnID: "t1", TxnStep: 3,
-	})
-	if r.Status != StatusOK {
-		t.Fatalf("escalated request: %+v", r)
-	}
-}

@@ -11,18 +11,16 @@ import (
 // request path never looks a metric up by name (a registry lookup takes the
 // registry's mutex and formats the per-class names).
 type instruments struct {
-	requests, completed, dropped, shed          *metrics.Counter
-	idemHits, idemCoalesced                     *metrics.Counter
-	cacheHits, coalesceFlights, coalesced       *metrics.Counter
-	degradedReplies, busyReplies                *metrics.Counter
-	sojournEvictions, expiredInQueue            *metrics.Counter
-	retries, backendErrors, degradedServes      *metrics.Counter
-	prefetched, prefetchSkipped, prefetchErrors *metrics.Counter
+	requests, completed, dropped, shed           *metrics.Counter
+	idemHits, idemCoalesced                      *metrics.Counter
+	cacheHits, coalesceFlights, coalesced        *metrics.Counter
+	degradedReplies, busyReplies, expiredInQueue *metrics.Counter
+	retries, backendErrors, degradedServes       *metrics.Counter
+	prefetched, prefetchSkipped, prefetchErrors  *metrics.Counter
 
 	outstanding, queueLen *metrics.Gauge
 
-	queueSojourn, queueWait, processingTime *metrics.Histogram
-	clusterTime, backendRTT                 *metrics.Histogram
+	queueWait, processingTime, clusterTime, backendRTT *metrics.Histogram
 
 	// class holds the per-class handles, class c at index c-1.
 	class []classInstruments
@@ -58,8 +56,8 @@ func newInstruments(b *Broker) instruments {
 		class:           make([]classInstruments, b.policy.Classes),
 	}
 	// An optional stage's handles exist only when the stage does, so /metrics
-	// lists no series for a feature that is off. New registers clustering's,
-	// the sojourn budget's and the prefetcher's where it switches those on.
+	// lists no series for a feature that is off. New registers clustering's
+	// and the prefetcher's where it switches those on.
 	if b.idem != nil {
 		m.idemHits, m.idemCoalesced = reg.Counter("idem_hits"), reg.Counter("idem_coalesced")
 	}

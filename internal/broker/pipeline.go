@@ -104,7 +104,7 @@ func (b *Broker) Handle(ctx context.Context, req *Request) *Response {
 // escalate settles the request's class, here and nowhere else: an invalid
 // class, or one above the policy's class count, is the lowest class, and from
 // there later transaction steps gain priority (paper §III). Every later stage
-// — share, contract, queue, sojourn budget, counters — sees 1..Classes.
+// — share, contract, queue, counters — sees 1..Classes.
 func (b *Broker) escalate(r *flow) error {
 	if !r.class.Valid() || int(r.class) > b.policy.Classes {
 		r.class = qos.Class(b.policy.Classes)
@@ -316,7 +316,6 @@ var (
 	refusedContract  = newRefusal("contract exceeded")
 	refusedDraining  = newRefusal("draining")
 	refusedThreshold = newRefusal("threshold exceeded")
-	refusedSojourn   = newRefusal("sojourn budget exceeded")
 )
 
 // refuse builds the immediate low-fidelity answer for a request the broker
@@ -351,24 +350,6 @@ func (b *Broker) retryAfterHint() time.Duration {
 	)
 	limit := max(b.effectiveThreshold(), 1)
 	return min(base*time.Duration(1+b.queue.Len()/limit), maxHint)
-}
-
-// sojournBudget is the per-class queue-wait budget: with k classes, class c
-// may wait base × (k-c+1), so the lowest class is shed first — the paper's
-// priority order applied to time in queue, not just admission.
-func (b *Broker) sojournBudget(c qos.Class) time.Duration {
-	return b.sojournBase * time.Duration(b.policy.Classes-int(c)+1)
-}
-
-// evictExpired sheds a job whose queue wait exceeded its class budget. It
-// runs outside the queue lock, on whichever Push or Pop noticed the expiry.
-func (b *Broker) evictExpired(j *job, _ qos.Class, wait time.Duration) {
-	b.m.sojournEvictions.Inc()
-	b.m.queueSojourn.ObserveTrace(wait, uint64(j.tr.ID()))
-	b.congested()
-	j.tr.Span(trace.StageQueue, j.queued, time.Now(), "sojourn evicted")
-	b.release()
-	j.resp <- b.finish(&j.flow, b.refuse(&j.flow, StatusShed, refusedSojourn))
 }
 
 // congested tells the adaptive limiter, when there is one, that the broker

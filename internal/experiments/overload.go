@@ -3,13 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"servicebroker/internal/backend"
 	"servicebroker/internal/broker"
+	"servicebroker/internal/metrics"
 	"servicebroker/internal/overload"
 	"servicebroker/internal/qos"
 )
@@ -18,9 +18,8 @@ import (
 // backend is hit with a sudden low-priority flood while sequential
 // high-priority probes measure the latency a premium client experiences.
 // The same scenario runs twice — once with the paper's static threshold and
-// once with the adaptive overload subsystem (AIMD admission limit plus
-// sojourn-time queue dropping) — so the benefit of self-tuning admission is
-// a single ratio comparison.
+// once with the AIMD admission limiter — so the benefit of self-tuning
+// admission is a single ratio comparison.
 type OverloadConfig struct {
 	// ProcessTime is the backend's bounded per-request processing time.
 	ProcessTime time.Duration
@@ -48,8 +47,6 @@ type OverloadConfig struct {
 	LimitMin int
 	// CutWindow rate-limits the limiter's multiplicative cuts.
 	CutWindow time.Duration
-	// SojournBudget is the adaptive mode's class-1 queue-wait budget.
-	SojournBudget time.Duration
 }
 
 // DefaultOverloadConfig returns the ablation defaults; quick shrinks probe
@@ -67,7 +64,6 @@ func DefaultOverloadConfig(quick bool) OverloadConfig {
 		LatencyTarget: 6 * time.Millisecond,
 		LimitMin:      2,
 		CutWindow:     30 * time.Millisecond,
-		SojournBudget: 10 * time.Millisecond,
 	}
 	if quick {
 		cfg.Probes = 60
@@ -93,9 +89,8 @@ type OverloadMode struct {
 	FloodIssued int64 `json:"flood_issued"`
 	FloodOK     int64 `json:"flood_ok"`
 	FloodShed   int64 `json:"flood_shed"`
-	// Broker-side overload counters.
-	ShedTotal        int64 `json:"shed_total"`
-	SojournEvictions int64 `json:"sojourn_evictions"`
+	// ShedTotal is the broker's shed_total counter.
+	ShedTotal int64 `json:"shed_total"`
 	// FinalLimit is the adaptive limit when the flood ended (0 = static).
 	FinalLimit int `json:"final_limit"`
 	// LimitCuts counts multiplicative decreases the limiter applied.
@@ -112,20 +107,6 @@ type OverloadResult struct {
 	LatencyTargetMs float64      `json:"latency_target_ms"`
 	Static          OverloadMode `json:"static"`
 	Adaptive        OverloadMode `json:"adaptive"`
-}
-
-// percentile returns the pct-th percentile of the samples (which it sorts
-// in place).
-func percentile(samples []time.Duration, pct int) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	idx := len(samples) * pct / 100
-	if idx >= len(samples) {
-		idx = len(samples) - 1
-	}
-	return samples[idx]
 }
 
 // RunOverloadAblation measures high-priority probe latency through a broker
@@ -153,15 +134,12 @@ func RunOverloadAblation(ctx context.Context, cfg OverloadConfig) (*OverloadResu
 			broker.WithWorkers(cfg.Workers),
 		}
 		if adaptive {
-			opts = append(opts,
-				broker.WithAdaptiveLimit(overload.Config{
-					Min:           cfg.LimitMin,
-					Max:           cfg.Threshold,
-					LatencyTarget: cfg.LatencyTarget,
-					CutWindow:     cfg.CutWindow,
-				}),
-				broker.WithSojournBudget(cfg.SojournBudget),
-			)
+			opts = append(opts, broker.WithAdaptiveLimit(overload.Config{
+				Min:           cfg.LimitMin,
+				Max:           cfg.Threshold,
+				LatencyTarget: cfg.LatencyTarget,
+				CutWindow:     cfg.CutWindow,
+			}))
 		}
 		b, err := broker.New(conn, opts...)
 		if err != nil {
@@ -169,7 +147,7 @@ func RunOverloadAblation(ctx context.Context, cfg OverloadConfig) (*OverloadResu
 		}
 		defer b.Close()
 
-		probe := func(i int) (time.Duration, error) {
+		probe := func(i int, into *metrics.Histogram) error {
 			start := time.Now()
 			resp := b.Handle(ctx, &broker.Request{
 				Payload: []byte(fmt.Sprintf("probe-%d", i)),
@@ -177,19 +155,20 @@ func RunOverloadAblation(ctx context.Context, cfg OverloadConfig) (*OverloadResu
 				NoCache: true,
 			})
 			if resp.Status == broker.StatusError {
-				return 0, fmt.Errorf("%s probe: %v", name, resp.Err)
+				return fmt.Errorf("%s probe: %v", name, resp.Err)
 			}
-			return time.Since(start), nil
+			into.Observe(time.Since(start))
+			return nil
 		}
 
 		// Phase 1 — calm: sequential probes establish the unloaded baseline.
-		unloaded := make([]time.Duration, 0, cfg.Probes)
+		// A histogram keeps 16,384 raw samples, far more than the probes, so
+		// its percentiles are exact here.
+		var unloaded, loaded metrics.Histogram
 		for i := 0; i < cfg.Probes; i++ {
-			d, err := probe(i)
-			if err != nil {
+			if err := probe(i, &unloaded); err != nil {
 				return nil, err
 			}
-			unloaded = append(unloaded, d)
 			time.Sleep(cfg.ProbeGap)
 		}
 
@@ -240,31 +219,28 @@ func RunOverloadAblation(ctx context.Context, cfg OverloadConfig) (*OverloadResu
 			floodWG.Wait()
 			return nil, ctx.Err()
 		}
-		loaded := make([]time.Duration, 0, cfg.Probes)
 		for i := 0; i < cfg.Probes; i++ {
-			d, err := probe(cfg.Probes + i)
-			if err != nil {
+			if err := probe(cfg.Probes+i, &loaded); err != nil {
 				stopFlood()
 				floodWG.Wait()
 				return nil, err
 			}
-			loaded = append(loaded, d)
 			time.Sleep(cfg.ProbeGap)
 		}
 		stopFlood()
 		floodWG.Wait()
 
+		calm, flood := unloaded.Snapshot(), loaded.Snapshot()
 		mode := &OverloadMode{
 			Name:              name,
-			UnloadedP50Micros: float64(percentile(unloaded, 50)) / float64(time.Microsecond),
-			UnloadedP95Micros: float64(percentile(unloaded, 95)) / float64(time.Microsecond),
-			LoadedP50Micros:   float64(percentile(loaded, 50)) / float64(time.Microsecond),
-			LoadedP95Micros:   float64(percentile(loaded, 95)) / float64(time.Microsecond),
+			UnloadedP50Micros: float64(calm.P50) / float64(time.Microsecond),
+			UnloadedP95Micros: float64(calm.P95) / float64(time.Microsecond),
+			LoadedP50Micros:   float64(flood.P50) / float64(time.Microsecond),
+			LoadedP95Micros:   float64(flood.P95) / float64(time.Microsecond),
 			FloodIssued:       issued.Load(),
 			FloodOK:           floodOK.Load(),
 			FloodShed:         floodShed.Load(),
 			ShedTotal:         b.Metrics().Counter("shed_total").Value(),
-			SojournEvictions:  b.Metrics().Counter("sojourn_evictions").Value(),
 		}
 		if mode.UnloadedP95Micros > 0 {
 			mode.DegradationRatio = mode.LoadedP95Micros / mode.UnloadedP95Micros

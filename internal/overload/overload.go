@@ -147,7 +147,7 @@ func (l *Limiter) Observe(latency time.Duration, ok bool) {
 }
 
 // Overload feeds an out-of-band congestion signal: a circuit breaker
-// opening, a request expiring in queue, a sojourn eviction storm. It cuts
+// opening, or a request expiring in queue. It cuts
 // the limit under the same CutWindow rate limit as Observe.
 func (l *Limiter) Overload() {
 	l.mu.Lock()

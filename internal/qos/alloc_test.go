@@ -3,7 +3,6 @@ package qos
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestQueuePushPopZeroAllocs pins the admission queue's hot path: once a
@@ -33,38 +32,6 @@ func TestQueuePushPopZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Push+TryPop = %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// TestQueueSojournFreshPathZeroAllocs: enabling sojourn eviction must not
-// add allocations while nothing is actually expiring (the common case — the
-// eviction slice only materializes when items are shed).
-func TestQueueSojournFreshPathZeroAllocs(t *testing.T) {
-	q := NewQueue[int](1024)
-	q.SetSojourn(
-		func(Class) time.Duration { return time.Hour },
-		func(int, Class, time.Duration) {},
-	)
-	for i := 0; i < 512; i++ {
-		if err := q.Push(Class1, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for {
-		if _, _, ok := q.TryPop(); !ok {
-			break
-		}
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := q.Push(Class1, 7); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, ok := q.TryPop(); !ok {
-			t.Fatal("queue empty after push")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("sojourn-enabled Push+TryPop = %.1f allocs/op, want 0", allocs)
 	}
 }
 

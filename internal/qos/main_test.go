@@ -6,7 +6,6 @@ import (
 	"servicebroker/internal/testutil"
 )
 
-// TestMain fails the package if any test leaks a goroutine — the queue's
-// callback and sojourn-sweep contracts run user code that must not strand
-// waiters.
+// TestMain fails the package if any test leaks a goroutine — a Pop blocked
+// on a queue nobody closes would strand its waiter.
 func TestMain(m *testing.M) { testutil.VerifyMain(m) }

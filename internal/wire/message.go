@@ -37,8 +37,8 @@ const (
 	// StatusError marks a backend or broker failure; the payload carries
 	// the error text.
 	StatusError
-	// StatusShed marks a request shed by overload control (adaptive limit
-	// exceeded, sojourn budget expired, or broker draining) rather than by
+	// StatusShed marks a request shed by overload control (threshold or
+	// adaptive limit exceeded, or broker draining) rather than by
 	// QoS policy: the condition is transient and the response usually
 	// carries a retry-after hint.
 	StatusShed

@@ -50,8 +50,7 @@ func TestAdaptiveOverloadEndToEnd(t *testing.T) {
 			Max:           threshold,
 			LatencyTarget: 6 * time.Millisecond,
 			CutWindow:     20 * time.Millisecond,
-		}),
-		broker.WithSojournBudget(15*time.Millisecond))
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
