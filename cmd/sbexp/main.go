@@ -494,16 +494,6 @@ func runAblations(ctx context.Context, e *env) (report, error) {
 		mc.CentralizedAborts, mc.ListenerUpdates)
 	result["deployment_models"] = mc
 
-	fmt.Fprintln(&b, "\nAblation — failover: one of three replicas killed mid-run")
-	fo, err := experiments.RunFailoverAblation(ctx, requests)
-	if err != nil {
-		return report{}, err
-	}
-	fmt.Fprintf(&b, "  baseline (no resilience): %d ok, %d errors\n", fo.BaselineOK, fo.BaselineErrors)
-	fmt.Fprintf(&b, "  resilient (retry+breaker): %d ok, %d errors (breaker opens: %d)\n",
-		fo.ResilientOK, fo.ResilientErrors, fo.BreakerOpens)
-	result["replica_failover"] = fo
-
 	// The clustering win grows as backend capacity shrinks: "clustering must
 	// be configured according to the backend server's capacity".
 	fmt.Fprintf(&b, "\nAblation — clustering vs backend capacity (%d rows, %d clients)\n", capacity.Records, capacity.Concurrency)

@@ -5,12 +5,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"servicebroker/internal/backend"
 	"servicebroker/internal/broker"
+	"servicebroker/internal/experiments"
 	"servicebroker/internal/frontend"
 	"servicebroker/internal/httpserver"
 	"servicebroker/internal/obs"
@@ -19,104 +19,21 @@ import (
 	"servicebroker/internal/testutil"
 )
 
-// haMember is one replicated broker behind the HA front end: a gateway
-// socket plus a lease registrar, both of which a "crash" destroys without
-// deregistering (the lease must lapse at the front end, like a real crash).
-type haMember struct {
-	t      *testing.T
-	broker *broker.Broker
-	addr   string // pinned host:port, stable across crash/restart
-
-	mu  sync.Mutex
-	gw  *broker.Gateway
-	rgr *registry.Registrar
-}
-
-func newHAMember(t *testing.T, service string) *haMember {
+// newHAMember starts one replicated broker behind a crashable gateway.
+func newHAMember(t *testing.T, service string) (*broker.Broker, *experiments.ChaosMember) {
 	t.Helper()
 	b, err := broker.New(&backend.DelayConnector{ServiceName: service, ProcessTime: time.Millisecond},
 		broker.WithThreshold(64, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := broker.NewGateway("127.0.0.1:0", map[string]*broker.Broker{service: b})
+	t.Cleanup(func() { b.Close() })
+	m, err := experiments.NewChaosMember(b, service)
 	if err != nil {
-		b.Close()
 		t.Fatal(err)
 	}
-	m := &haMember{t: t, broker: b, gw: gw, addr: gw.Addr().String()}
-	t.Cleanup(m.close)
-	return m
-}
-
-// register starts lease renewal toward the front end's lease listener.
-func (m *haMember) register(service, target string, ttl time.Duration) {
-	m.t.Helper()
-	rgr, err := registry.NewRegistrar(registry.RegistrarConfig{
-		Service:  service,
-		Addr:     m.addr,
-		Target:   target,
-		TTL:      ttl,
-		Interval: ttl / 3,
-		Load:     m.broker.Load,
-	})
-	if err != nil {
-		m.t.Fatal(err)
-	}
-	m.mu.Lock()
-	m.rgr = rgr
-	m.mu.Unlock()
-}
-
-// crash kills the member without deregistering: renewals stop (the lease
-// lapses at the front end) and the gateway socket closes (peers see refused).
-func (m *haMember) crash() {
-	m.mu.Lock()
-	gw, rgr := m.gw, m.rgr
-	m.gw, m.rgr = nil, nil
-	m.mu.Unlock()
-	if rgr != nil {
-		rgr.Abandon()
-	}
-	if gw != nil {
-		gw.Close()
-	}
-}
-
-// restart rebinds the gateway on its pinned address (retrying briefly on the
-// rebind race) and re-registers its lease.
-func (m *haMember) restart(service, target string, ttl time.Duration) {
-	m.t.Helper()
-	var gw *broker.Gateway
-	var err error
-	for attempt := 0; attempt < 50; attempt++ {
-		gw, err = broker.NewGateway(m.addr, map[string]*broker.Broker{service: m.broker})
-		if err == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err != nil {
-		m.t.Fatalf("rebind %s: %v", m.addr, err)
-	}
-	m.mu.Lock()
-	m.gw = gw
-	m.mu.Unlock()
-	m.register(service, target, ttl)
-}
-
-func (m *haMember) close() {
-	m.mu.Lock()
-	gw, rgr := m.gw, m.rgr
-	m.gw, m.rgr = nil, nil
-	m.mu.Unlock()
-	if rgr != nil {
-		rgr.Close()
-	}
-	if gw != nil {
-		gw.Close()
-	}
-	m.broker.Close()
+	t.Cleanup(m.Close)
+	return b, m
 }
 
 // TestBrokerPoolFailover drives the broker-tier HA path end to end through
@@ -136,12 +53,16 @@ func TestBrokerPoolFailover(t *testing.T) {
 		leaseTTL = 250 * time.Millisecond
 	)
 
-	members := []*haMember{newHAMember(t, service), newHAMember(t, service), newHAMember(t, service)}
+	brokers := make([]*broker.Broker, 3)
+	members := make([]*experiments.ChaosMember, 3)
+	for i := range members {
+		brokers[i], members[i] = newHAMember(t, service)
+	}
 
 	// Member 0 doubles as the static -gateway seed (how cmd/frontend boots
 	// before any lease arrives); 1 and 2 are discovered purely via leases.
 	fe, err := frontend.NewDistributed("127.0.0.1:0",
-		members[0].addr,
+		members[0].Addr,
 		[]frontend.Route{{Pattern: "/db", Service: service, DefaultClass: qos.Class3}})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +80,9 @@ func TestBrokerPoolFailover(t *testing.T) {
 		registry.WritePool(w, "frontend", fe.PoolStatus())
 	})
 	for _, m := range members {
-		m.register(service, lsn.Addr(), leaseTTL)
+		if err := m.Lease(lsn.Addr(), leaseTTL); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	cli := httpserver.NewClient(fe.Addr(), httpserver.WithPersistent(1))
@@ -217,7 +140,7 @@ func TestBrokerPoolFailover(t *testing.T) {
 	// address order), so the very next requests must fail over off it.
 	victim := members[0]
 	for _, m := range members[1:] {
-		if m.addr < victim.addr {
+		if m.Addr < victim.Addr {
 			victim = m
 		}
 	}
@@ -225,7 +148,7 @@ func TestBrokerPoolFailover(t *testing.T) {
 	// Hard-crash it and keep premium traffic flowing for longer than the
 	// lease TTL + reconcile interval: every request must fail over to the
 	// survivors.
-	victim.crash()
+	victim.Crash()
 	crashUntil := time.Now().Add(leaseTTL + time.Second)
 	for time.Now().Before(crashUntil) {
 		premium()
@@ -237,7 +160,7 @@ func TestBrokerPoolFailover(t *testing.T) {
 	// crash forced are visible on the pool counters.
 	body := waitPoolz("expired row for crashed member", func(b string) bool {
 		for _, line := range strings.Split(b, "\n") {
-			if strings.Contains(line, "addr="+victim.addr) && strings.Contains(line, "state=expired") {
+			if strings.Contains(line, "addr="+victim.Addr) && strings.Contains(line, "state=expired") {
 				return true
 			}
 		}
@@ -252,10 +175,12 @@ func TestBrokerPoolFailover(t *testing.T) {
 
 	// Restart on the same address: the lease re-registers, counts as a
 	// rejoin, and the member returns to live rotation on /poolz.
-	victim.restart(service, lsn.Addr(), leaseTTL)
+	if err := victim.Restart(); err != nil {
+		t.Fatal(err)
+	}
 	waitPoolz("crashed member live again", func(b string) bool {
 		for _, line := range strings.Split(b, "\n") {
-			if strings.Contains(line, "addr="+victim.addr) &&
+			if strings.Contains(line, "addr="+victim.Addr) &&
 				strings.Contains(line, "source=lease") && strings.Contains(line, "state=live") {
 				return true
 			}
@@ -269,8 +194,9 @@ func TestBrokerPoolFailover(t *testing.T) {
 
 	// Chaos-soak mode: tear everything down and verify no goroutine leaked.
 	if os.Getenv("CHAOS_LEAK_CHECK") == "1" {
-		for _, m := range members {
-			m.close()
+		for i, m := range members {
+			m.Close()
+			brokers[i].Close()
 		}
 		cli.Close()
 		fe.Close()

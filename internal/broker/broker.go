@@ -193,6 +193,15 @@ type Broker struct {
 	batcherOpts []cluster.BatcherOption // WithClustering's wait, WithAdaptiveDegree
 	cacheCap    int                     // 0 unless WithCache
 	cacheTTL    time.Duration
+	replicaSpec *replicaSpec // nil unless WithReplicas
+}
+
+// replicaSpec records WithReplicas' arguments; New builds the replica set
+// once WithResilience's breaker configuration is known.
+type replicaSpec struct {
+	policy     loadbalance.Policy
+	capacity   int
+	connectors []backend.Connector
 }
 
 // Option configures a Broker.
@@ -378,23 +387,21 @@ func WithTracer(rec *trace.Recorder) Option {
 }
 
 // WithReplicas routes backend accesses across replicated connectors under a
-// load-balancing policy instead of a single connector.
+// load-balancing policy instead of a single connector. Every replica gets a
+// circuit breaker (WithResilience's cfg.Breaker, else the defaults), so the
+// load balancer fails over away from unhealthy replicas and probes them back
+// in.
 func WithReplicas(policy loadbalance.Policy, poolCapacity int, connectors ...backend.Connector) Option {
 	return func(b *Broker) error {
-		rs, err := loadbalance.NewReplicaSet(policy, poolCapacity, connectors...)
-		if err != nil {
-			return err
-		}
-		b.replicas = rs
+		b.replicaSpec = &replicaSpec{policy: policy, capacity: poolCapacity, connectors: connectors}
 		return nil
 	}
 }
 
 // WithResilience wraps the backend access path in the fault-tolerance layer:
 // session Do/Connect failures are retried under cfg.Retry's capped backoff
-// within the request's deadline budget; with WithReplicas, every replica
-// gets a circuit breaker (cfg.Breaker) so the load balancer fails over away
-// from unhealthy replicas and probes them back in; and with cfg.ServeStale
+// within the request's deadline budget; with WithReplicas, cfg.Breaker
+// configures every replica's circuit breaker; and with cfg.ServeStale
 // plus WithCache, a request whose retries and replicas are exhausted is
 // answered from stale cache state at qos.FidelityLow — the paper's immediate
 // low-fidelity message — instead of an error.
@@ -471,12 +478,22 @@ func New(connector backend.Connector, opts ...Option) (_ *Broker, err error) {
 	}
 
 	switch {
-	case b.replicas != nil:
-		b.name = b.replicas.Name()
+	case b.replicaSpec != nil:
 		if connector != nil {
 			return nil, errors.New("broker: pass nil connector with WithReplicas")
 		}
-		b.do = b.replicas.Do
+		var breaker resilience.BreakerConfig
+		if b.resCfg != nil {
+			breaker = b.resCfg.Breaker
+		}
+		spec := b.replicaSpec
+		rs, err := loadbalance.NewReplicaSet(spec.policy, spec.capacity, breaker, b.breakerMoved, spec.connectors...)
+		if err != nil {
+			return nil, err
+		}
+		b.replicas = rs
+		b.name = rs.Name()
+		b.do = rs.Do
 	case connector != nil:
 		b.name = connector.Name()
 		pool, err := backend.NewPool(connector, b.workers)
@@ -519,26 +536,6 @@ func New(connector backend.Connector, opts ...Option) (_ *Broker, err error) {
 	if b.resCfg != nil {
 		b.retryer = resilience.NewRetryer(b.resCfg.Retry)
 		b.serveStale = b.resCfg.ServeStale
-		if b.replicas != nil {
-			// Breaker state is mirrored into the registry so /metrics
-			// shows it: gauge value 0 = closed, 1 = half-open, 2 = open.
-			b.replicas.EnableBreakers(b.resCfg.Breaker,
-				func(replica int, name string, from, to resilience.State) {
-					b.reg.Gauge(fmt.Sprintf("breaker_state_replica_%d", replica)).Set(int64(to))
-					if to == resilience.StateOpen {
-						b.reg.Counter("breaker_opens_total").Inc()
-						// An opening breaker means a replica is failing:
-						// that is a congestion signal for admission too.
-						b.congested()
-						b.publish(fleet.KindBreakerOpen, name,
-							fmt.Sprintf("backend replica %d breaker opened (%s -> %s)", replica, from, to))
-					}
-					if from == resilience.StateHalfOpen && to == resilience.StateClosed {
-						b.publish(fleet.KindBreakerClose, name,
-							fmt.Sprintf("backend replica %d probe succeeded, breaker closed", replica))
-					}
-				})
-		}
 	}
 
 	if b.combiner != nil {
@@ -626,9 +623,27 @@ func (b *Broker) OpenJournal(path string) (int, error) {
 	return restored, nil
 }
 
+// breakerMoved observes a replica breaker's transition. Breaker state is
+// mirrored into the registry so /metrics shows it: gauge value 0 = closed,
+// 1 = half-open, 2 = open.
+func (b *Broker) breakerMoved(replica int, name string, from, to resilience.State) {
+	b.reg.Gauge(fmt.Sprintf("breaker_state_replica_%d", replica)).Set(int64(to))
+	if to == resilience.StateOpen {
+		b.reg.Counter("breaker_opens_total").Inc()
+		// An opening breaker means a replica is failing: that is a
+		// congestion signal for admission too.
+		b.congested()
+		b.publish(fleet.KindBreakerOpen, name,
+			fmt.Sprintf("backend replica %d breaker opened (%s -> %s)", replica, from, to))
+	}
+	if from == resilience.StateHalfOpen && to == resilience.StateClosed {
+		b.publish(fleet.KindBreakerClose, name,
+			fmt.Sprintf("backend replica %d probe succeeded, breaker closed", replica))
+	}
+}
+
 // BreakerSnapshots returns the per-replica circuit-breaker states, or nil
-// unless both WithReplicas and WithResilience are configured. The obs admin
-// server's /breakerz page renders these.
+// without WithReplicas. The obs admin server's /breakerz page renders these.
 func (b *Broker) BreakerSnapshots() []resilience.Snapshot {
 	if b.replicas == nil {
 		return nil

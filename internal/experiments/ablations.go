@@ -16,7 +16,6 @@ import (
 	"servicebroker/internal/metrics"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/registry"
-	"servicebroker/internal/resilience"
 	"servicebroker/internal/workload"
 )
 
@@ -420,87 +419,5 @@ func RunPrefetchAblation(ctx context.Context, fetchCost time.Duration, bursts, p
 		NoPrefetchHit:  noHit,
 		PrefetchHit:    yesHit,
 		Prefetched:     prefetched,
-	}, nil
-}
-
-// FailoverAblationResult compares a baseline broker (no fault tolerance)
-// against a resilient one (retries + per-replica breakers) when one of
-// three replicas dies mid-run.
-type FailoverAblationResult struct {
-	// BaselineErrors / ResilientErrors count requests answered StatusError.
-	BaselineErrors  int `json:"baseline_errors"`
-	ResilientErrors int `json:"resilient_errors"`
-	// BaselineOK / ResilientOK count full-fidelity successes.
-	BaselineOK  int `json:"baseline_ok"`
-	ResilientOK int `json:"resilient_ok"`
-	// BreakerOpens is the resilient arm's breaker_opens_total.
-	BreakerOpens int64 `json:"breaker_opens"`
-}
-
-// RunFailoverAblation sends sequential requests through three replicas,
-// killing replica 0 after a third of them. The baseline arm keeps routing
-// to the dead replica (least-outstanding ties break toward it), so its
-// errors quantify what the resilience layer removes; the resilient arm must
-// hide the failure entirely behind retry + breaker failover.
-func RunFailoverAblation(ctx context.Context, requests int) (*FailoverAblationResult, error) {
-	if requests < 3 {
-		return nil, fmt.Errorf("experiments: failover ablation needs ≥ 3 requests")
-	}
-	run := func(resilient bool) (okCount, errCount int, opens int64, err error) {
-		faults := make([]*backend.FaultConnector, 3)
-		connectors := make([]backend.Connector, 3)
-		for i := range faults {
-			faults[i] = &backend.FaultConnector{
-				Inner: &backend.DelayConnector{ServiceName: "db", ProcessTime: time.Millisecond},
-			}
-			connectors[i] = faults[i]
-		}
-		opts := []broker.Option{
-			broker.WithReplicas(loadbalance.LeastOutstanding{}, 2, connectors...),
-			broker.WithThreshold(16, 1),
-			broker.WithWorkers(2),
-		}
-		if resilient {
-			opts = append(opts, broker.WithResilience(resilience.Config{
-				Retry:   resilience.RetryConfig{MaxAttempts: 4, BaseDelay: time.Millisecond},
-				Breaker: resilience.BreakerConfig{FailureThreshold: 3, Cooldown: time.Minute},
-			}))
-		}
-		b, err := broker.New(nil, opts...)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		defer b.Close()
-		for i := 0; i < requests; i++ {
-			if err := ctx.Err(); err != nil {
-				return 0, 0, 0, err
-			}
-			if i == requests/3 {
-				faults[0].SetDown(true)
-			}
-			resp := b.Handle(ctx, &broker.Request{Payload: []byte("q"), Class: qos.Class1, NoCache: true})
-			if resp.Status == broker.StatusOK {
-				okCount++
-			} else {
-				errCount++
-			}
-		}
-		return okCount, errCount, b.Metrics().Counter("breaker_opens_total").Value(), nil
-	}
-
-	baseOK, baseErr, _, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	resOK, resErr, opens, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	return &FailoverAblationResult{
-		BaselineErrors:  baseErr,
-		ResilientErrors: resErr,
-		BaselineOK:      baseOK,
-		ResilientOK:     resOK,
-		BreakerOpens:    opens,
 	}, nil
 }

@@ -354,30 +354,6 @@ func TestPrefetchAblation(t *testing.T) {
 	}
 }
 
-func TestFailoverAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment testbed")
-	}
-	res, err := RunFailoverAblation(context.Background(), 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The baseline keeps routing to the dead replica; the resilience layer
-	// must remove every one of those errors.
-	if res.BaselineErrors == 0 {
-		t.Fatalf("baseline errors = 0, expected the dead replica to surface: %+v", res)
-	}
-	if res.ResilientErrors != 0 {
-		t.Fatalf("resilient errors = %d, want 0: %+v", res.ResilientErrors, res)
-	}
-	if res.ResilientOK != 60 {
-		t.Fatalf("resilient OK = %d, want 60", res.ResilientOK)
-	}
-	if res.BreakerOpens != 1 {
-		t.Fatalf("breaker opens = %d, want 1", res.BreakerOpens)
-	}
-}
-
 func TestOverloadAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment testbed")

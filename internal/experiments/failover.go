@@ -62,10 +62,10 @@ type FailoverConfig struct {
 	// arrive, answers vanish); zero PartitionFor disables it.
 	PartitionAt  time.Duration
 	PartitionFor time.Duration
-	// Lease timings for the replicated mode.
-	LeaseTTL      time.Duration
-	RenewInterval time.Duration
-	Reconcile     time.Duration
+	// Lease timings for the replicated mode; members renew every third of
+	// the TTL.
+	LeaseTTL  time.Duration
+	Reconcile time.Duration
 	// Failover timings: one member attempt is cut short after
 	// AttemptTimeout; the wire client retransmits after Retransmit, up to
 	// WireAttempts sends.
@@ -99,7 +99,6 @@ func DefaultFailoverConfig(quick bool) FailoverConfig {
 		PartitionAt:      5000 * time.Millisecond,
 		PartitionFor:     500 * time.Millisecond,
 		LeaseTTL:         300 * time.Millisecond,
-		RenewInterval:    100 * time.Millisecond,
 		Reconcile:        50 * time.Millisecond,
 		AttemptTimeout:   120 * time.Millisecond,
 		Retransmit:       25 * time.Millisecond,
@@ -166,49 +165,39 @@ type FailoverResult struct {
 	CollapseRatio float64      `json:"collapse_ratio"` // pool / single availability
 }
 
-// chaosMember is one broker replica under chaos control: its gateway socket
-// and registrar can be killed and rebuilt on the same address, while its
-// netsim gate (shared across restarts) injects the silent faults.
-type chaosMember struct {
-	index   int
-	service string
-	target  string // lease listener addr; empty = no registration
-	cfg     FailoverConfig
-	broker  *broker.Broker
-	gate    *netsim.Gate
-	addr    string // pinned host:port, stable across crash/restart
+// ChaosMember is one broker replica under chaos control: a gateway for the
+// caller's broker on a pinned address, optionally holding a lease at a front
+// end. Crash closes the socket and abandons the lease, so the front end
+// must see it lapse; Restart rebinds the same address and leases again.
+// Its netsim gate, shared across restarts, injects the silent faults.
+type ChaosMember struct {
+	Addr string // pinned host:port, stable across crash/restart
 
-	mu  sync.Mutex
-	gw  *broker.Gateway
-	rgr *registry.Registrar
+	gate    *netsim.Gate
+	broker  *broker.Broker
+	service string
+
+	mu     sync.Mutex
+	gw     *broker.Gateway
+	rgr    *registry.Registrar
+	target string // lease listener addr; empty = no lease
+	ttl    time.Duration
 }
 
-// newChaosMember boots one replica: backend, broker, gated gateway socket,
-// and (when target is set) a lease registrar advertising the gateway.
-func newChaosMember(i int, target string, cfg FailoverConfig) (*chaosMember, error) {
-	// Threshold well above the closed-loop population: this ablation is
-	// about crash failover, and QoS shedding on the survivors would blur
-	// the availability signal with admission policy.
-	b, err := broker.New(&backend.DelayConnector{
-		ServiceName: cfg.Service,
-		ProcessTime: cfg.ProcessTime,
-	}, broker.WithThreshold(64, 4))
-	if err != nil {
+// NewChaosMember serves b as service on a gateway bound to a fresh
+// loopback port. The caller keeps owning b.
+func NewChaosMember(b *broker.Broker, service string) (*ChaosMember, error) {
+	m := &ChaosMember{gate: &netsim.Gate{}, broker: b, service: service}
+	if err := m.bind("127.0.0.1:0"); err != nil {
 		return nil, err
 	}
-	m := &chaosMember{index: i, service: cfg.Service, target: target, cfg: cfg,
-		broker: b, gate: &netsim.Gate{}}
-	if err := m.start("127.0.0.1:0"); err != nil {
-		m.broker.Close()
-		return nil, err
-	}
+	m.Addr = m.gw.Addr().String()
 	return m, nil
 }
 
-// start binds addr (retrying briefly on a restart race for the pinned port),
-// wraps the socket with the member's fault gate, and brings up the gateway
-// and registrar.
-func (m *chaosMember) start(addr string) error {
+// bind listens on addr (retrying briefly on a restart race for the pinned
+// port) and brings up the gateway behind the member's fault gate.
+func (m *ChaosMember) bind(addr string) error {
 	var pc net.PacketConn
 	var err error
 	for attempt := 0; attempt < 50; attempt++ {
@@ -227,31 +216,36 @@ func (m *chaosMember) start(addr string) error {
 		pc.Close()
 		return err
 	}
-	var rgr *registry.Registrar
-	if m.target != "" {
-		rgr, err = registry.NewRegistrar(registry.RegistrarConfig{
-			Service:  m.service,
-			Addr:     gw.Addr().String(),
-			Target:   m.target,
-			TTL:      m.cfg.LeaseTTL,
-			Interval: m.cfg.RenewInterval,
-			Load:     m.broker.Load,
-		})
-		if err != nil {
-			gw.Close()
-			return err
-		}
-	}
 	m.mu.Lock()
-	m.gw, m.rgr, m.addr = gw, rgr, gw.Addr().String()
+	m.gw = gw
 	m.mu.Unlock()
 	return nil
 }
 
-// crash kills the member the hard way: the registrar stops renewing without
+// Lease registers the member at the lease listener target with the given
+// TTL, renewed every third of it; Restart registers again.
+func (m *ChaosMember) Lease(target string, ttl time.Duration) error {
+	rgr, err := registry.NewRegistrar(registry.RegistrarConfig{
+		Service:  m.service,
+		Addr:     m.Addr,
+		Target:   target,
+		TTL:      ttl,
+		Interval: ttl / 3,
+		Load:     m.broker.Load,
+	})
+	if err != nil {
+		return err
+	}
+	m.mu.Lock()
+	m.rgr, m.target, m.ttl = rgr, target, ttl
+	m.mu.Unlock()
+	return nil
+}
+
+// Crash kills the member the hard way: the registrar stops renewing without
 // deregistering (the lease must lapse at the front end) and the socket
 // closes (peers see ICMP port-unreachable — the fast detection case).
-func (m *chaosMember) crash() {
+func (m *ChaosMember) Crash() {
 	m.mu.Lock()
 	gw, rgr := m.gw, m.rgr
 	m.gw, m.rgr = nil, nil
@@ -264,13 +258,24 @@ func (m *chaosMember) crash() {
 	}
 }
 
-// restart rebinds the member on its original address and re-registers.
-func (m *chaosMember) restart() error {
-	return m.start(m.addr)
+// Restart rebinds the member on its pinned address and leases again if it
+// held a lease.
+func (m *ChaosMember) Restart() error {
+	if err := m.bind(m.Addr); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	target, ttl := m.target, m.ttl
+	m.mu.Unlock()
+	if target == "" {
+		return nil
+	}
+	return m.Lease(target, ttl)
 }
 
-// close tears the member down gracefully at end of run.
-func (m *chaosMember) close() {
+// Close tears the member down gracefully: the lease is withdrawn and the
+// gateway closed. The broker is the caller's to close.
+func (m *ChaosMember) Close() {
 	m.mu.Lock()
 	gw, rgr := m.gw, m.rgr
 	m.gw, m.rgr = nil, nil
@@ -281,7 +286,6 @@ func (m *chaosMember) close() {
 	if gw != nil {
 		gw.Close()
 	}
-	m.broker.Close()
 }
 
 // failoverSchedule expands the config into chaos events for poolSize
@@ -335,14 +339,26 @@ func runFailoverMode(ctx context.Context, cfg FailoverConfig, name string, poolS
 		target = listener.Addr()
 	}
 
-	members := make([]*chaosMember, poolSize)
+	members := make([]*ChaosMember, poolSize)
 	for i := range members {
-		cm, err := newChaosMember(i, target, cfg)
+		// Threshold well above the closed-loop population: this ablation is
+		// about crash failover, and QoS shedding on the survivors would blur
+		// the availability signal with admission policy.
+		b, err := broker.New(&backend.DelayConnector{ServiceName: cfg.Service, ProcessTime: cfg.ProcessTime},
+			broker.WithThreshold(64, 4))
 		if err != nil {
 			return mode, err
 		}
-		members[i] = cm
-		defer cm.close()
+		defer b.Close()
+		if members[i], err = NewChaosMember(b, cfg.Service); err != nil {
+			return mode, err
+		}
+		defer members[i].Close()
+		if target != "" {
+			if err := members[i].Lease(target, cfg.LeaseTTL); err != nil {
+				return mode, err
+			}
+		}
 	}
 
 	pcfg := frontend.PoolConfig{
@@ -359,7 +375,7 @@ func runFailoverMode(ctx context.Context, cfg FailoverConfig, name string, poolS
 		},
 	}
 	if poolSize == 1 {
-		pcfg.Gateways = []string{members[0].addr}
+		pcfg.Gateways = []string{members[0].Addr}
 	} else {
 		// Wait for every initial REGISTER to land before measuring.
 		deadline := time.Now().Add(2 * time.Second)
@@ -388,9 +404,9 @@ func runFailoverMode(ctx context.Context, cfg FailoverConfig, name string, poolS
 	go func() {
 		defer chaosDone.Done()
 		testutil.RunChaos(runCtx, failoverSchedule(cfg, poolSize), testutil.ChaosHooks{
-			Crash: func(i int) { members[i].crash() },
+			Crash: func(i int) { members[i].Crash() },
 			Restart: func(i int) {
-				if err := members[i].restart(); err != nil && restartErr == nil {
+				if err := members[i].Restart(); err != nil && restartErr == nil {
 					restartErr = err
 				}
 			},

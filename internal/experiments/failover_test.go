@@ -5,6 +5,9 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"servicebroker/internal/backend"
+	"servicebroker/internal/broker"
 )
 
 func TestRunBrokerFailover(t *testing.T) {
@@ -45,18 +48,23 @@ func TestRunBrokerFailover(t *testing.T) {
 // A member whose pinned port is taken while it is down cannot rebind; the
 // restart must say so instead of leaving the member silently down.
 func TestChaosMemberRestartReportsRebindFailure(t *testing.T) {
-	m, err := newChaosMember(0, "", DefaultFailoverConfig(true))
+	b, err := broker.New(&backend.DelayConnector{ServiceName: "db"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.close()
-	m.crash()
-	squatter, err := net.ListenPacket("udp", m.addr)
+	defer b.Close()
+	m, err := NewChaosMember(b, "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	m.Crash()
+	squatter, err := net.ListenPacket("udp", m.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer squatter.Close()
-	if err := m.restart(); err == nil {
+	if err := m.Restart(); err == nil {
 		t.Fatal("restart on a held port reported no error")
 	}
 }

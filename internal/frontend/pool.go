@@ -70,6 +70,8 @@ type poolMember struct {
 
 	mu        sync.Mutex
 	cli       caller // a *broker.Client outside tests
+	inflight  int    // calls holding cli; counted for non-static members only
+	forgotten bool   // no live lease named it and the pool dropped it
 	failures  int64
 	failovers int64
 	lastErr   string
@@ -96,7 +98,8 @@ type Pool struct {
 // NewPool builds a pool. At least one static gateway or a registry must be
 // configured. Static members are dialed eagerly (so a bad address fails
 // construction, like DialGateway); discovered members are dialed on first
-// use.
+// use, and closed and forgotten once no live lease names them and no call
+// is using them.
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	if len(cfg.Gateways) == 0 && cfg.Registry == nil {
 		return nil, errors.New("frontend: pool needs static gateways or a registry")
@@ -158,7 +161,9 @@ func (p *Pool) eventLog() *fleet.Log {
 	return p.events
 }
 
-// member returns (creating if needed) the bookkeeping entry for addr.
+// member returns (creating if needed) the bookkeeping entry for addr. The
+// static gateways are created by NewPool, so a member created later is
+// never static.
 func (p *Pool) member(addr string, static bool) *poolMember {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -171,25 +176,68 @@ func (p *Pool) member(addr string, static bool) *poolMember {
 		}
 		p.members[addr] = m
 	}
-	if static {
-		m.static = true
-	}
 	return m
 }
 
-// clientFor lazily dials a member's gateway client.
+// errForgotten is clientFor's answer for a member the pool dropped after the
+// call picked it: the call moves on instead of re-dialing it.
+var errForgotten = errors.New("frontend: pool member forgotten")
+
+// clientFor lazily dials a member's gateway client and counts the call that
+// will use it; release ends that use.
 func (p *Pool) clientFor(m *poolMember) (caller, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.cli != nil {
-		return m.cli, nil
+	if m.forgotten {
+		return nil, errForgotten
 	}
-	cli, err := broker.DialGateway(m.addr, p.cfg.WireOpts...)
-	if err != nil {
-		return nil, err
+	if m.cli == nil {
+		cli, err := broker.DialGateway(m.addr, p.cfg.WireOpts...)
+		if err != nil {
+			return nil, err
+		}
+		m.cli = cli
 	}
-	m.cli = cli
-	return cli, nil
+	if !m.static {
+		m.inflight++
+	}
+	return m.cli, nil
+}
+
+// release ends a use of the client clientFor handed out.
+func release(m *poolMember) {
+	if m.static {
+		return
+	}
+	m.mu.Lock()
+	m.inflight--
+	m.mu.Unlock()
+}
+
+// forget closes and drops every non-static member that no live lease in
+// reg names and that no call is using.
+func (p *Pool) forget(reg *registry.Registry) {
+	var gone []caller
+	p.mu.Lock()
+	for addr, m := range p.members {
+		if m.static || reg.Live(addr) {
+			continue
+		}
+		m.mu.Lock()
+		if m.inflight == 0 {
+			m.forgotten = true
+			if m.cli != nil {
+				gone = append(gone, m.cli)
+				m.cli = nil
+			}
+			delete(p.members, addr)
+		}
+		m.mu.Unlock()
+	}
+	p.mu.Unlock()
+	for _, cli := range gone {
+		cli.Close()
+	}
 }
 
 // candidate is one routing choice with its selection weight.
@@ -242,6 +290,7 @@ func (p *Pool) candidates(service string) (cands []candidate, live int) {
 			s.load, s.hasLoad = m.Load, true
 			seeds[m.Addr] = s
 		}
+		p.forget(reg)
 	}
 	all := make([]candidate, 0, len(seeds))
 	for _, s := range seeds {
@@ -318,9 +367,13 @@ func (p *Pool) Do(ctx context.Context, service string, req *broker.Request) (*br
 		cand := cands[i]
 		attemptStart := time.Now()
 		cli, err := p.clientFor(cand.member)
+		if errors.Is(err, errForgotten) {
+			continue
+		}
 		acquired := false
 		if err == nil && i < live {
 			if acquired = cand.member.breaker.Acquire(); !acquired {
+				release(cand.member)
 				// Raced open since the Candidate check. That costs no
 				// attempt, and a premium request comes back to the member
 				// with the other open ones.
@@ -347,6 +400,7 @@ func (p *Pool) Do(ctx context.Context, service string, req *broker.Request) (*br
 		}
 		attemptCtx, cancel := p.attemptContext(ctx, deadline, hasDeadline, len(cands), left)
 		resp, err := cli.Do(attemptCtx, service, req)
+		release(cand.member)
 		if cancel != nil {
 			cancel()
 		}

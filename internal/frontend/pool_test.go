@@ -3,7 +3,9 @@ package frontend
 import (
 	"context"
 	"errors"
+	"net"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -283,5 +285,71 @@ func TestPoolPremiumTriesEveryMember(t *testing.T) {
 	}
 	if want := []string{addrs[2], addrs[3]}; !slices.Equal(sent, want) {
 		t.Fatalf("class-3 request was sent to %v, want two live members: %v", sent, want)
+	}
+}
+
+// TestPoolForgetsMembersWhoseLeaseIsGone routes to 50 leased members, lets
+// their leases lapse on the registry's clock, and makes one more call: only
+// the static and the still-leased members remain, the forgotten members'
+// clients are closed, and a call that picked one before it was forgotten
+// does not dial it again.
+func TestPoolForgetsMembersWhoseLeaseIsGone(t *testing.T) {
+	static := poolGateway(t, "static")
+	live := poolGateway(t, "live")
+	var mu sync.Mutex
+	now := time.Unix(1000, 0)
+	reg := registry.New(registry.Config{Clock: func() time.Time { mu.Lock(); defer mu.Unlock(); return now }})
+	// The live member reports itself busy, so calls try it last.
+	reg.Apply(registry.Command{Verb: registry.VerbRegister, Service: "db", Addr: live.Addr().String(), TTL: time.Hour,
+		Load: broker.LoadReport{Service: "db", Outstanding: 16, Threshold: 16}})
+	// The leased members are sockets that never answer: every call to
+	// them times out after one short attempt.
+	var leased []string
+	for i := 0; i < 50; i++ {
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pc.Close() })
+		leased = append(leased, pc.LocalAddr().String())
+		reg.Apply(registry.Command{Verb: registry.VerbRegister, Service: "db", Addr: leased[i], TTL: time.Minute})
+	}
+	p := fastPool(t, PoolConfig{Gateways: []string{static.Addr().String()}, Registry: reg, AttemptTimeout: time.Millisecond})
+
+	// A premium call tries every member before it gives up, so one call
+	// dials all 50; its outcome does not matter here.
+	p.Do(context.Background(), "db", &broker.Request{Payload: []byte("x"), Class: qos.Class1})
+	var clients []caller
+	for _, addr := range leased {
+		m := p.members[addr]
+		if m == nil || m.cli == nil {
+			t.Fatalf("leased member %s was never dialed", addr)
+		}
+		clients = append(clients, m.cli)
+	}
+	picked := p.members[leased[0]]
+
+	mu.Lock()
+	now = now.Add(2 * time.Minute)
+	mu.Unlock()
+	p.Do(context.Background(), "db", &broker.Request{Payload: []byte("x"), Class: qos.Class3})
+
+	var kept []string
+	for addr := range p.members {
+		kept = append(kept, addr)
+	}
+	slices.Sort(kept)
+	want := []string{static.Addr().String(), live.Addr().String()}
+	slices.Sort(want)
+	if !slices.Equal(kept, want) {
+		t.Fatalf("pool members after the leases lapsed = %v, want the static and the live one %v", kept, want)
+	}
+	for i, cli := range clients {
+		if _, err := cli.Do(context.Background(), "db", &broker.Request{Payload: []byte("x")}); !errors.Is(err, wire.ErrClientClosed) {
+			t.Fatalf("client of forgotten member %s: Do = %v, want %v", leased[i], err, wire.ErrClientClosed)
+		}
+	}
+	if cli, err := p.clientFor(picked); err == nil || cli != nil {
+		t.Fatalf("a call that picked a forgotten member got client %v, error %v; want no client and an error", cli, err)
 	}
 }

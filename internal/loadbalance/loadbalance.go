@@ -6,10 +6,10 @@
 //
 // Policies pick a replica index given the per-replica outstanding counts; a
 // ReplicaSet maintains those counts and composes a policy with a set of
-// backend connectors. With EnableBreakers the set becomes health-aware:
-// replicas whose circuit breaker is open are ejected from the candidate set
-// until their cooldown elapses, at which point half-open probes decide
-// whether they are re-admitted — automatic failover to healthy replicas.
+// backend connectors. Every replica has a circuit breaker: a replica whose
+// breaker is open is ejected from the candidate set until its cooldown
+// elapses, at which point half-open probes decide whether it is re-admitted
+// — automatic failover to healthy replicas.
 package loadbalance
 
 import (
@@ -91,22 +91,28 @@ func (r *Random) Pick(outstanding []int) int {
 func (r *Random) Name() string { return "random" }
 
 // ReplicaSet distributes requests across replicated backends using a
-// policy, maintaining accurate outstanding counts and per-replica session
-// pools. Use NewReplicaSet; Close releases the pools.
+// policy, maintaining accurate outstanding counts, per-replica session pools
+// and per-replica circuit breakers. Use NewReplicaSet; Close releases the
+// pools.
 type ReplicaSet struct {
-	policy Policy
-	pools  []*backend.Pool
-	names  []string
+	policy   Policy
+	pools    []*backend.Pool
+	names    []string
+	breakers []*resilience.Breaker
 
 	mu          sync.Mutex
 	outstanding []int
-	breakers    []*resilience.Breaker // nil until EnableBreakers
 	closed      bool
 }
 
 // NewReplicaSet pools each connector (poolCapacity persistent sessions per
-// replica) under the given policy.
-func NewReplicaSet(policy Policy, poolCapacity int, connectors ...backend.Connector) (*ReplicaSet, error) {
+// replica) under the given policy and gives each replica a circuit breaker
+// built from cfg (zero fields take the resilience defaults). notify, when
+// non-nil, observes every breaker transition (replica index, name, and
+// states); it may fire while the set's internal lock is held and must not
+// call back into the ReplicaSet.
+func NewReplicaSet(policy Policy, poolCapacity int, cfg resilience.BreakerConfig,
+	notify func(replica int, name string, from, to resilience.State), connectors ...backend.Connector) (*ReplicaSet, error) {
 	if policy == nil {
 		return nil, errors.New("loadbalance: nil policy")
 	}
@@ -117,56 +123,32 @@ func NewReplicaSet(policy Policy, poolCapacity int, connectors ...backend.Connec
 		policy:      policy,
 		outstanding: make([]int, len(connectors)),
 	}
-	for _, c := range connectors {
+	for i, c := range connectors {
 		pool, err := backend.NewPool(c, poolCapacity)
 		if err != nil {
+			rs.Close()
 			return nil, fmt.Errorf("loadbalance: pool: %w", err)
 		}
+		replica, name := i, c.Name()
+		bc := cfg
+		if notify != nil {
+			bc.OnTransition = func(from, to resilience.State) { notify(replica, name, from, to) }
+		}
 		rs.pools = append(rs.pools, pool)
-		rs.names = append(rs.names, c.Name())
+		rs.names = append(rs.names, name)
+		rs.breakers = append(rs.breakers, resilience.NewBreaker(fmt.Sprintf("%s#%d", name, replica), bc))
 	}
 	return rs, nil
-}
-
-// EnableBreakers equips every replica with a circuit breaker so Do ejects
-// unhealthy replicas from the candidate set and probes them back in. notify,
-// when non-nil, observes every breaker transition (replica index, name, and
-// states); it may fire while the set's internal lock is held and must not
-// call back into the ReplicaSet. EnableBreakers must be called before the
-// first Do; repeated calls are no-ops.
-func (rs *ReplicaSet) EnableBreakers(cfg resilience.BreakerConfig,
-	notify func(replica int, name string, from, to resilience.State)) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.breakers != nil {
-		return
-	}
-	rs.breakers = make([]*resilience.Breaker, len(rs.pools))
-	for i := range rs.pools {
-		replica, name := i, rs.names[i]
-		c := cfg
-		if notify != nil {
-			c.OnTransition = func(from, to resilience.State) { notify(replica, name, from, to) }
-		}
-		rs.breakers[i] = resilience.NewBreaker(fmt.Sprintf("%s#%d", name, replica), c)
-	}
 }
 
 // Name returns the replicated service's name (the first connector's name —
 // replicas of one service share it).
 func (rs *ReplicaSet) Name() string { return rs.names[0] }
 
-// BreakerSnapshots returns the per-replica breaker states, or nil when
-// EnableBreakers was never called.
+// BreakerSnapshots returns the per-replica breaker states.
 func (rs *ReplicaSet) BreakerSnapshots() []resilience.Snapshot {
-	rs.mu.Lock()
-	breakers := rs.breakers
-	rs.mu.Unlock()
-	if breakers == nil {
-		return nil
-	}
-	out := make([]resilience.Snapshot, len(breakers))
-	for i, b := range breakers {
+	out := make([]resilience.Snapshot, len(rs.breakers))
+	for i, b := range rs.breakers {
 		out[i] = b.Snapshot()
 	}
 	return out
@@ -180,9 +162,9 @@ var ErrClosed = errors.New("loadbalance: replica set closed")
 // breaker cooldown. It classifies as retryable.
 var ErrNoHealthyReplica = errors.New("loadbalance: no healthy replica (all breakers open)")
 
-// Do routes one request to a replica chosen by the policy. With breakers
-// enabled, only replicas whose breaker admits traffic are candidates, and
-// the outcome of the access is reported back to the chosen breaker.
+// Do routes one request to a replica chosen by the policy. Only replicas
+// whose breaker admits traffic are candidates, and the outcome of the access
+// is reported back to the chosen breaker.
 func (rs *ReplicaSet) Do(ctx context.Context, payload []byte) ([]byte, error) {
 	rs.mu.Lock()
 	if rs.closed {
@@ -195,7 +177,6 @@ func (rs *ReplicaSet) Do(ctx context.Context, payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	rs.outstanding[idx]++
-	breaker := rs.breakerLocked(idx)
 	rs.mu.Unlock()
 
 	defer func() {
@@ -204,22 +185,13 @@ func (rs *ReplicaSet) Do(ctx context.Context, payload []byte) ([]byte, error) {
 		rs.mu.Unlock()
 	}()
 	out, doErr := rs.pools[idx].Do(ctx, payload)
-	if breaker != nil {
-		breaker.Done(doErr)
-	}
+	rs.breakers[idx].Done(doErr)
 	return out, doErr
 }
 
 // pickLocked chooses a replica index, restricting the policy's candidates to
 // replicas whose breaker admits traffic. Caller holds rs.mu.
 func (rs *ReplicaSet) pickLocked() (int, error) {
-	if rs.breakers == nil {
-		idx := rs.policy.Pick(append([]int(nil), rs.outstanding...))
-		if idx < 0 || idx >= len(rs.pools) {
-			return 0, fmt.Errorf("loadbalance: policy %s picked invalid replica %d", rs.policy.Name(), idx)
-		}
-		return idx, nil
-	}
 	candidates := make([]int, 0, len(rs.pools))
 	for i, b := range rs.breakers {
 		if b.Candidate() {
@@ -245,27 +217,6 @@ func (rs *ReplicaSet) pickLocked() (int, error) {
 	}
 	return 0, ErrNoHealthyReplica
 }
-
-// breakerLocked returns replica idx's breaker (nil when breakers are
-// disabled). Caller holds rs.mu.
-func (rs *ReplicaSet) breakerLocked(idx int) *resilience.Breaker {
-	if rs.breakers == nil {
-		return nil
-	}
-	return rs.breakers[idx]
-}
-
-// Outstanding returns the current in-flight counts.
-func (rs *ReplicaSet) Outstanding() []int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	out := make([]int, len(rs.outstanding))
-	copy(out, rs.outstanding)
-	return out
-}
-
-// Size returns the number of replicas.
-func (rs *ReplicaSet) Size() int { return len(rs.pools) }
 
 // Close releases every replica pool.
 func (rs *ReplicaSet) Close() error {

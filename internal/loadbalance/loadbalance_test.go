@@ -102,7 +102,7 @@ func TestPoliciesAlwaysValidProperty(t *testing.T) {
 
 func TestReplicaSetDistributes(t *testing.T) {
 	served := make([]atomic.Int64, 3)
-	rs, err := NewReplicaSet(&RoundRobin{}, 2, countingConn("r0", 5*time.Millisecond, &served[0]),
+	rs, err := NewReplicaSet(&RoundRobin{}, 2, resilience.BreakerConfig{}, nil, countingConn("r0", 5*time.Millisecond, &served[0]),
 		countingConn("r1", 5*time.Millisecond, &served[1]), countingConn("r2", 5*time.Millisecond, &served[2]))
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,9 @@ func TestReplicaSetDistributes(t *testing.T) {
 	if total != 9 {
 		t.Fatalf("total served = %d, want 9", total)
 	}
-	for i, n := range rs.Outstanding() {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	for i, n := range rs.outstanding {
 		if n != 0 {
 			t.Fatalf("replica %d outstanding = %d after completion", i, n)
 		}
@@ -139,7 +141,7 @@ func TestReplicaSetDistributes(t *testing.T) {
 
 func TestReplicaSetLeastOutstandingAvoidsBusyReplica(t *testing.T) {
 	var slowServed, fastServed atomic.Int64
-	rs, err := NewReplicaSet(LeastOutstanding{}, 2,
+	rs, err := NewReplicaSet(LeastOutstanding{}, 2, resilience.BreakerConfig{}, nil,
 		countingConn("slow", 200*time.Millisecond, &slowServed), countingConn("fast", 0, &fastServed))
 	if err != nil {
 		t.Fatal(err)
@@ -167,19 +169,19 @@ func TestReplicaSetLeastOutstandingAvoidsBusyReplica(t *testing.T) {
 }
 
 func TestReplicaSetValidation(t *testing.T) {
-	if _, err := NewReplicaSet(nil, 1, &backend.DelayConnector{}); err == nil {
+	if _, err := NewReplicaSet(nil, 1, resilience.BreakerConfig{}, nil, &backend.DelayConnector{}); err == nil {
 		t.Fatal("nil policy accepted")
 	}
-	if _, err := NewReplicaSet(&RoundRobin{}, 1); err == nil {
+	if _, err := NewReplicaSet(&RoundRobin{}, 1, resilience.BreakerConfig{}, nil); err == nil {
 		t.Fatal("zero replicas accepted")
 	}
-	if _, err := NewReplicaSet(&RoundRobin{}, 0, &backend.DelayConnector{}); err == nil {
+	if _, err := NewReplicaSet(&RoundRobin{}, 0, resilience.BreakerConfig{}, nil, &backend.DelayConnector{}); err == nil {
 		t.Fatal("zero pool capacity accepted")
 	}
 }
 
 func TestReplicaSetClose(t *testing.T) {
-	rs, err := NewReplicaSet(&RoundRobin{}, 1, &backend.DelayConnector{ServiceName: "x"})
+	rs, err := NewReplicaSet(&RoundRobin{}, 1, resilience.BreakerConfig{}, nil, &backend.DelayConnector{ServiceName: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +192,8 @@ func TestReplicaSetClose(t *testing.T) {
 		t.Fatal("Do succeeded after Close")
 	}
 	rs.Close() // idempotent
-	if rs.Size() != 1 {
-		t.Fatalf("size = %d", rs.Size())
+	if len(rs.pools) != 1 {
+		t.Fatalf("size = %d", len(rs.pools))
 	}
 }
 
@@ -201,7 +203,7 @@ func (f fixedPolicy) Pick([]int) int { return f.idx }
 func (f fixedPolicy) Name() string   { return "fixed" }
 
 func TestReplicaSetRejectsInvalidPick(t *testing.T) {
-	rs, err := NewReplicaSet(fixedPolicy{idx: 5}, 1, &backend.DelayConnector{ServiceName: "x"})
+	rs, err := NewReplicaSet(fixedPolicy{idx: 5}, 1, resilience.BreakerConfig{}, nil, &backend.DelayConnector{ServiceName: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +217,12 @@ func TestReplicaSetBreakerEjectsDeadReplica(t *testing.T) {
 	dead := &backend.FaultConnector{Inner: echoConn("dead")}
 	dead.SetDown(true)
 	alive := echoConn("alive")
-	rs, err := NewReplicaSet(LeastOutstanding{}, 2, dead, alive)
+	rs, err := NewReplicaSet(LeastOutstanding{}, 2,
+		resilience.BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour}, nil, dead, alive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	rs.EnableBreakers(resilience.BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour}, nil)
 
 	// LeastOutstanding ties break to replica 0 (dead); after 3 failures
 	// the breaker opens and every access lands on the healthy replica.
@@ -250,19 +252,18 @@ func TestReplicaSetHalfOpenReadmitsRecoveredReplica(t *testing.T) {
 
 	flaky := &backend.FaultConnector{Inner: echoConn("flaky")}
 	flaky.SetDown(true)
-	rs, err := NewReplicaSet(LeastOutstanding{}, 2, flaky, echoConn("steady"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
 	var transitions []resilience.State
-	rs.EnableBreakers(resilience.BreakerConfig{
+	rs, err := NewReplicaSet(LeastOutstanding{}, 2, resilience.BreakerConfig{
 		FailureThreshold: 1, Cooldown: time.Second, Clock: now,
 	}, func(replica int, name string, from, to resilience.State) {
 		if replica == 0 {
 			transitions = append(transitions, to)
 		}
-	})
+	}, flaky, echoConn("steady"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
 
 	rs.Do(context.Background(), []byte("q")) // trips replica 0's breaker
 	if snaps := rs.BreakerSnapshots(); snaps[0].State != resilience.StateOpen {
@@ -293,36 +294,17 @@ func TestReplicaSetAllBreakersOpen(t *testing.T) {
 	b := &backend.FaultConnector{Inner: echoConn("b")}
 	a.SetDown(true)
 	b.SetDown(true)
-	rs, err := NewReplicaSet(LeastOutstanding{}, 1, a, b)
+	rs, err := NewReplicaSet(LeastOutstanding{}, 1,
+		resilience.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour}, nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	rs.EnableBreakers(resilience.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour}, nil)
 
 	for i := 0; i < 2; i++ { // trip both breakers
 		rs.Do(context.Background(), []byte("q"))
 	}
 	if _, err := rs.Do(context.Background(), []byte("q")); !errors.Is(err, ErrNoHealthyReplica) {
 		t.Fatalf("Do with all breakers open = %v, want ErrNoHealthyReplica", err)
-	}
-}
-
-func TestReplicaSetWithoutBreakersKeepsRoutingToDeadReplica(t *testing.T) {
-	dead := &backend.FaultConnector{Inner: echoConn("dead")}
-	dead.SetDown(true)
-	rs, err := NewReplicaSet(LeastOutstanding{}, 1, dead, echoConn("alive"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	errs := 0
-	for i := 0; i < 10; i++ {
-		if _, err := rs.Do(context.Background(), []byte("q")); err != nil {
-			errs++
-		}
-	}
-	if errs != 10 {
-		t.Fatalf("errors = %d, want 10 (no health awareness without breakers)", errs)
 	}
 }

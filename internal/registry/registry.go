@@ -315,6 +315,19 @@ func (r *Registry) Members(service string) []Member {
 	return out
 }
 
+// Live reports whether addr holds a live lease for any service.
+func (r *Registry) Live(addr string) bool {
+	now := r.cfg.Clock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, svc := range r.members {
+		if m := svc[addr]; m != nil && now.Before(m.Expires) {
+			return true
+		}
+	}
+	return false
+}
+
 // Snapshot returns every row the registry knows about — live members and
 // not-yet-forgotten tombstones — as PoolViews for /poolz.
 func (r *Registry) Snapshot() []PoolView {

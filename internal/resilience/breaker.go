@@ -253,8 +253,10 @@ func (b *Breaker) transitionLocked(to State) func() {
 type Config struct {
 	// Retry parameterizes the per-request retry loop.
 	Retry RetryConfig
-	// Breaker parameterizes the per-replica circuit breakers (applied
-	// only when the broker routes across replicas).
+	// Breaker parameterizes the circuit breaker every replica of a
+	// replicated broker carries (zero fields take the defaults, also when
+	// the broker has no Config at all). A single-connector broker has no
+	// breaker.
 	Breaker BreakerConfig
 	// ServeStale lets the broker answer with an expired cache entry at
 	// low fidelity when retries and replicas are exhausted — the paper's

@@ -10,12 +10,11 @@ import (
 type ChaosAction int
 
 // Fault kinds. Crash closes the member's socket (peers see ICMP
-// port-unreachable → fast failure detection); Hang and the partitions flip
+// port-unreachable → fast failure detection); Hang and the partition flip
 // netsim gates (traffic vanishes silently — the slow case).
 const (
 	ActionCrash ChaosAction = iota + 1
 	ActionHang
-	ActionPartitionIn  // member stops hearing the network
 	ActionPartitionOut // member's answers stop leaving
 )
 
@@ -26,8 +25,6 @@ func (a ChaosAction) String() string {
 		return "crash"
 	case ActionHang:
 		return "hang"
-	case ActionPartitionIn:
-		return "partition-in"
 	case ActionPartitionOut:
 		return "partition-out"
 	default:
@@ -52,10 +49,9 @@ type ChaosHooks struct {
 	// Crash kills the member (close its socket); Restart brings it back.
 	Crash   func(member int)
 	Restart func(member int)
-	// Hang/PartitionIn/PartitionOut flip the corresponding gate; on=true at
-	// fault time, on=false at recovery.
+	// Hang/PartitionOut flip the corresponding gate; on=true at fault time,
+	// on=false at recovery.
 	Hang         func(member int, on bool)
-	PartitionIn  func(member int, on bool)
 	PartitionOut func(member int, on bool)
 }
 
@@ -128,10 +124,6 @@ func fire(step chaosStep, hooks ChaosHooks) {
 	case ActionHang:
 		if hooks.Hang != nil {
 			hooks.Hang(m, !step.recover)
-		}
-	case ActionPartitionIn:
-		if hooks.PartitionIn != nil {
-			hooks.PartitionIn(m, !step.recover)
 		}
 	case ActionPartitionOut:
 		if hooks.PartitionOut != nil {

@@ -28,7 +28,6 @@ func record(t *testing.T, events []ChaosEvent) []string {
 		Crash:        func(m int) { add("crash", m) },
 		Restart:      func(m int) { add("restart", m) },
 		Hang:         onoff("hang"),
-		PartitionIn:  onoff("pin"),
 		PartitionOut: onoff("pout"),
 	})
 	return got
@@ -40,13 +39,13 @@ func TestRunChaosDeterministicOrder(t *testing.T) {
 	events := []ChaosEvent{
 		{At: 10 * time.Millisecond, Member: 1, Action: ActionHang, Duration: 20 * time.Millisecond},
 		{At: 10 * time.Millisecond, Member: 0, Action: ActionCrash, Duration: 20 * time.Millisecond},
-		{At: 30 * time.Millisecond, Member: 2, Action: ActionPartitionIn, Duration: 10 * time.Millisecond},
+		{At: 30 * time.Millisecond, Member: 2, Action: ActionHang, Duration: 10 * time.Millisecond},
 		{At: 30 * time.Millisecond, Member: 2, Action: ActionPartitionOut, Duration: 10 * time.Millisecond},
 	}
 	want := []string{
 		"crash:0", "hang-on:1",
-		"restart:0", "hang-off:1", "pin-on:2", "pout-on:2",
-		"pin-off:2", "pout-off:2",
+		"restart:0", "hang-off:1", "hang-on:2", "pout-on:2",
+		"hang-off:2", "pout-off:2",
 	}
 	for run := 0; run < 3; run++ {
 		if got := record(t, events); !reflect.DeepEqual(got, want) {

@@ -11,74 +11,12 @@ import (
 
 	"servicebroker/internal/backend"
 	"servicebroker/internal/broker"
+	"servicebroker/internal/experiments"
 	"servicebroker/internal/frontend"
 	"servicebroker/internal/httpserver"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/txn"
 )
-
-// txnMember is one broker-pool replica for the transaction chaos test: its
-// gateway socket can be crashed and rebound on a pinned address while the
-// broker behind it (and the tracker and idempotency table every member's
-// gateway reaches) survives — the mid-transaction crash+failover case.
-type txnMember struct {
-	t      *testing.T
-	broker *broker.Broker
-	addr   string
-
-	mu sync.Mutex
-	gw *broker.Gateway
-}
-
-func newTxnMember(t *testing.T, service string, b *broker.Broker) *txnMember {
-	t.Helper()
-	gw, err := broker.NewGateway("127.0.0.1:0", map[string]*broker.Broker{service: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := &txnMember{t: t, broker: b, gw: gw, addr: gw.Addr().String()}
-	t.Cleanup(m.close)
-	return m
-}
-
-func (m *txnMember) crash() {
-	m.mu.Lock()
-	gw := m.gw
-	m.gw = nil
-	m.mu.Unlock()
-	if gw != nil {
-		gw.Close()
-	}
-}
-
-func (m *txnMember) restart(service string) {
-	m.t.Helper()
-	var gw *broker.Gateway
-	var err error
-	for attempt := 0; attempt < 50; attempt++ {
-		gw, err = broker.NewGateway(m.addr, map[string]*broker.Broker{service: m.broker})
-		if err == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err != nil {
-		m.t.Fatalf("rebind %s: %v", m.addr, err)
-	}
-	m.mu.Lock()
-	m.gw = gw
-	m.mu.Unlock()
-}
-
-func (m *txnMember) close() {
-	m.mu.Lock()
-	gw := m.gw
-	m.gw = nil
-	m.mu.Unlock()
-	if gw != nil {
-		gw.Close()
-	}
-}
 
 // TestTxnIntegrityChaos proves exactly-once transaction effects end to end
 // through real sockets: an HTTP front end routes tagged requests (txn, step,
@@ -116,13 +54,18 @@ func TestTxnIntegrityChaos(t *testing.T) {
 	if _, err := pooled.OpenJournal(journalPath); err != nil {
 		t.Fatal(err)
 	}
-	members := []*txnMember{
-		newTxnMember(t, service, pooled),
-		newTxnMember(t, service, pooled),
+	// Two pool members, each a crashable gateway in front of the one broker:
+	// crashing a gateway loses the socket, not the broker's state.
+	members := make([]*experiments.ChaosMember, 2)
+	for i := range members {
+		if members[i], err = experiments.NewChaosMember(pooled, service); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(members[i].Close)
 	}
 
 	fe, err := frontend.NewDistributed("127.0.0.1:0",
-		members[0].addr+"|"+members[1].addr,
+		members[0].Addr+"|"+members[1].Addr,
 		[]frontend.Route{{Pattern: "/supply", Service: service, DefaultClass: qos.Class3}})
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +187,7 @@ func TestTxnIntegrityChaos(t *testing.T) {
 	first := mustOK(step(crashTxn, 2, "HOLD "+crashSKU+" 1", "hold"))
 	logical++
 	mutationsBefore := store.Mutations()
-	members[0].crash()
+	members[0].Crash()
 	redelivered := mustOK(step(crashTxn, 2, "HOLD "+crashSKU+" 1", "hold"))
 	if string(redelivered.Body) != string(first.Body) {
 		t.Fatalf("post-crash duplicate diverged: %q vs %q", redelivered.Body, first.Body)
@@ -262,7 +205,9 @@ func TestTxnIntegrityChaos(t *testing.T) {
 	if err := tracker.Complete(crashTxn); err != nil {
 		t.Fatal(err)
 	}
-	members[0].restart(service)
+	if err := members[0].Restart(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Phase 3 — crash-safe recovery: a freshly started broker restores the
 	// journal and answers a replayed idempotency key without touching the
