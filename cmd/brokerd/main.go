@@ -51,11 +51,11 @@
 // Transaction integrity (DESIGN.md §14): -txn tracks multi-step transactions
 // per broker and escalates late steps' priority; -txn-ttl sweeps abandoned
 // transactions (aborting them and running their compensations); -idem N arms
-// a bounded idempotency table so retried or failed-over mutating accesses
-// replay their recorded first outcome instead of re-executing (-idem-ttl
-// bounds how long an outcome is held); -txn-journal makes recorded outcomes
-// crash-safe — each service appends to <path>.<service> and a restarted
-// brokerd re-arms its idempotency table from the journal before serving. A
+// an idempotency table of N recorded outcomes, so a retried or failed-over
+// mutating access within min(-idem-ttl, N ÷ keyed-write rate) of the first
+// replays its outcome instead of re-executing; -txn-journal makes recorded
+// outcomes crash-safe — each service appends to <path>.<service> and a
+// restarted brokerd re-arms its table from the journal before serving. A
 // failed append counts in txn_journal_errors_total and shows on /eventz.
 // Active transactions and idempotency accounting appear on /txnz.
 package main
@@ -160,8 +160,8 @@ func main() {
 	flag.BoolVar(&cfg.coalesce, "coalesce", false, "single-flight identical in-flight cacheable queries so N duplicates cost one backend trip")
 	flag.BoolVar(&cfg.txn, "txn", false, "track multi-step transactions and escalate late steps' priority")
 	flag.DurationVar(&cfg.txnTTL, "txn-ttl", 0, "abort+compensate transactions idle longer than this (0 disables the abandonment sweep)")
-	flag.IntVar(&cfg.idemCap, "idem", 0, "idempotency-table entries per broker; duplicate tagged accesses replay their first outcome (0 disables, requires -txn)")
-	flag.DurationVar(&cfg.idemTTL, "idem-ttl", 5*time.Minute, "how long a recorded idempotent outcome is held")
+	flag.IntVar(&cfg.idemCap, "idem", 0, "recorded outcomes the idempotency table holds per broker; a duplicate tagged access within min(-idem-ttl, N ÷ keyed-write rate) replays its first outcome, and past N the oldest is forgotten and counted in idem_evicted_live_total (0 disables, requires -txn)")
+	flag.DurationVar(&cfg.idemTTL, "idem-ttl", 5*time.Minute, "how long a recorded outcome is held, unless -idem's capacity forgets it first (0 = until then)")
 	flag.StringVar(&cfg.txnJournal, "txn-journal", "", "crash-safe outcome journal path prefix; each service appends to <path>.<service> and restores it on startup (requires -idem)")
 	flag.Var(&cfg.services, "service", "broker spec name:kind:addr[|addr...] (repeatable)")
 	flag.Parse()

@@ -68,6 +68,24 @@ func TestIdempotentReplayReturnsFirstOutcome(t *testing.T) {
 	}
 }
 
+// TestForgottenOutcomeCountedOnMetrics: past capacity the oldest outcome is
+// forgotten, its duplicate re-executes, and idem_evicted_live_total says so.
+func TestForgottenOutcomeCountedOnMetrics(t *testing.T) {
+	var executions atomic.Int64
+	b := newBroker(t, countingConnector("db", &executions),
+		WithTransactions(), WithIdempotency(2, 0))
+	for _, key := range []string{"a", "b", "c", "c"} {
+		b.Handle(context.Background(), idemReq("t1", 2, key, "UPDATE ..."))
+	}
+	if n := b.Metrics().Counter("idem_evicted_live_total").Value(); n != 1 || executions.Load() != 3 {
+		t.Fatalf("idem_evicted_live_total = %d after %d executions, want 1 after 3", n, executions.Load())
+	}
+	b.Handle(context.Background(), idemReq("t1", 2, "a", "UPDATE ..."))
+	if st, _ := b.IdemStats(); executions.Load() != 4 || st.Evicted != 2 {
+		t.Fatalf("forgotten outcome: %d executions, evicted %d; want 4 and 2", executions.Load(), st.Evicted)
+	}
+}
+
 func TestConcurrentDuplicatesCoalesce(t *testing.T) {
 	var executions atomic.Int64
 	slow := &backend.FuncConnector{

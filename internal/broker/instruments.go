@@ -60,6 +60,7 @@ func newInstruments(b *Broker) instruments {
 	// and the prefetcher's where it switches those on.
 	if b.idem != nil {
 		m.idemHits, m.idemCoalesced = reg.Counter("idem_hits"), reg.Counter("idem_coalesced")
+		b.idem.CountEvictions(reg.Counter("idem_evicted_live_total"))
 	}
 	if b.flights != nil {
 		m.coalesceFlights, m.coalesced = reg.Counter("coalesce_flights_total"), reg.Counter("coalesced_total")

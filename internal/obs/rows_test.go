@@ -113,11 +113,11 @@ func TestRowPagesGolden(t *testing.T) {
 					},
 					Completed: 4, Aborted: 2, Abandoned: 1, CompensationsRun: 3, CompensationsFailed: 1, TTL: 30 * time.Second,
 				}.WriteRows(w, "db", &txn.IdemStats{
-					Size: 1, Capacity: 32, TTL: 5 * time.Minute, Hits: 2, Coalesced: 1, Recorded: 3, Restored: 1, Evicted: 4})
+					Size: 1, Capacity: 32, TTL: 5 * time.Minute, Hits: 2, Coalesced: 1, Recorded: 3, Restored: 1, Expired: 5, Evicted: 4})
 			}},
 		},
 			"service=db active=1 completed=4 aborted=2 abandoned=1 compensations(run/failed)=3/1 ttl=30s\n" +
-				"  idempotency: size=1/32 ttl=300s hits=2 coalesced=1 recorded=3 restored=1 evicted=4\n" +
+				"  idempotency: size=1/32 ttl=300s hits=2 coalesced=1 recorded=3 restored=1 expired=5 evicted=4\n" +
 				"  txn=order-7 step=2 age=1.5s idle=250µs accesses=3 compensations=1\n" +
 				"service=supply active=0 completed=1 aborted=0 abandoned=0 compensations(run/failed)=0/0 ttl=none\n"},
 	} {

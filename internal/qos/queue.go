@@ -11,15 +11,25 @@ var (
 	ErrQueueFull   = errors.New("qos: queue full")
 )
 
-// fifo is one class's queue: the live items are items[head:].
-type fifo[T any] struct {
-	items []T
+// FIFO is an unbounded first-in first-out list, empty at its zero value and
+// not safe for concurrent use: one class of a Queue, or txn.IdemTable's records.
+type FIFO[T any] struct {
+	items []T // the live items are items[head:]
 	head  int
 }
 
-// pop removes the oldest item of a non-empty fifo. A dead prefix as long as
+// Push appends item at the tail.
+func (f *FIFO[T]) Push(item T) { f.items = append(f.items, item) }
+
+// Len returns the number of items held.
+func (f *FIFO[T]) Len() int { return len(f.items) - f.head }
+
+// Peek returns the oldest item of a non-empty FIFO without removing it.
+func (f *FIFO[T]) Peek() T { return f.items[f.head] }
+
+// Pop removes the oldest item of a non-empty FIFO. A dead prefix as long as
 // the live tail is copied over (amortised constant): the array never grows.
-func (f *fifo[T]) pop() T {
+func (f *FIFO[T]) Pop() T {
 	var zero T
 	item := f.items[f.head]
 	f.items[f.head] = zero
@@ -41,7 +51,7 @@ func (f *fifo[T]) pop() T {
 type Queue[T any] struct {
 	mu             sync.Mutex
 	wake           sync.Cond // on mu: Push signals, Close broadcasts
-	classes        []fifo[T] // class c at index c-1; grows to the highest class pushed
+	classes        []FIFO[T] // class c at index c-1; grows to the highest class pushed
 	size, capacity int
 	closed         bool
 }
@@ -60,9 +70,9 @@ func NewQueue[T any](capacity int) *Queue[T] {
 // held; ok is false when the queue is empty.
 func (q *Queue[T]) take() (item T, c Class, ok bool) {
 	for i := range q.classes {
-		if f := &q.classes[i]; f.head < len(f.items) {
+		if f := &q.classes[i]; f.Len() > 0 {
 			q.size--
-			return f.pop(), Class(i + 1), true
+			return f.Pop(), Class(i + 1), true
 		}
 	}
 	return item, 0, false
@@ -83,10 +93,9 @@ func (q *Queue[T]) Push(c Class, item T) error {
 		return ErrQueueFull
 	}
 	for len(q.classes) < int(c) {
-		q.classes = append(q.classes, fifo[T]{})
+		q.classes = append(q.classes, FIFO[T]{})
 	}
-	f := &q.classes[c-1]
-	f.items = append(f.items, item)
+	q.classes[c-1].Push(item)
 	q.size++
 	q.wake.Signal()
 	return nil

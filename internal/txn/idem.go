@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"servicebroker/internal/metrics"
 	"servicebroker/internal/qos"
 )
 
@@ -48,14 +49,14 @@ type idemEntry struct {
 	state idemState
 	out   Outcome
 	ready chan struct{} // nil until someone waits
-	at    time.Time     // record time, drives TTL expiry and FIFO eviction
+	at    time.Time     // record time, drives TTL expiry
 
 	owner, waiter Ticket
 }
 
 // IdemStats is the table's point-in-time accounting for /txnz and tests.
 type IdemStats struct {
-	Size      int
+	Size      int // pending flights plus recorded outcomes
 	Capacity  int
 	TTL       time.Duration
 	Hits      int64 // duplicates answered from a recorded outcome
@@ -64,7 +65,8 @@ type IdemStats struct {
 	Shared    int64 // coalesced duplicates answered with the owner's outcome
 	Recorded  int64 // outcomes recorded by Complete
 	Restored  int64 // outcomes re-armed from a journal
-	Evicted   int64 // entries removed by capacity or TTL pressure
+	Expired   int64 // recorded outcomes that outlived the TTL
+	Evicted   int64 // live outcomes forgotten to keep the capacity bound
 }
 
 // IdemTable is the brokers' single-flight table: the first arrival for a key
@@ -84,16 +86,12 @@ type IdemStats struct {
 //     cache.
 //   - Cancel settles with nothing, and the waiters run for real.
 //
-// A table may be shared by several brokers (the paper's brokers "exchange
-// state information to ensure that transactions involving different backend
-// servers are properly protected"); sharing is what covers the pool-failover
-// path where attempt one executed but its broker crashed before answering.
-//
 // IdemTable is safe for concurrent use. Use NewIdemTable.
 type IdemTable struct {
 	mu      sync.Mutex
-	entries map[string]*idemEntry
-	order   []string // recorded keys, oldest first; lazily compacted against entries
+	entries map[string]*idemEntry // pending flights and recorded outcomes
+	fifo    qos.FIFO[*idemEntry]  // every record, oldest first; see trimLocked
+	held    int                   // recorded outcomes in entries, ≤ cap
 	cap     int
 	ttl     time.Duration
 	now     func() time.Time
@@ -105,8 +103,9 @@ type IdemTable struct {
 	coalesced int64
 	recorded  int64
 	restored  int64
-	evicted   int64
-	shared    atomic.Int64 // bumped by waiters, outside mu
+	expired   int64
+	evicted   *metrics.Counter // see CountEvictions
+	shared    atomic.Int64     // bumped by waiters, outside mu
 }
 
 // DefaultIdemCapacity bounds the table when the caller passes capacity ≤ 0.
@@ -115,6 +114,8 @@ const DefaultIdemCapacity = 4096
 // NewIdemTable builds a table holding at most capacity recorded outcomes
 // (≤ 0 selects DefaultIdemCapacity), each kept for ttl after insertion
 // (ttl ≤ 0 means entries never expire — capacity still bounds the table).
+// At capacity a record forgets the oldest live outcome, counted in Evicted.
+// Pending flights count against nothing and are never evicted.
 func NewIdemTable(capacity int, ttl time.Duration) *IdemTable {
 	if capacity <= 0 {
 		capacity = DefaultIdemCapacity
@@ -124,6 +125,7 @@ func NewIdemTable(capacity int, ttl time.Duration) *IdemTable {
 		cap:     capacity,
 		ttl:     ttl,
 		now:     time.Now,
+		evicted: new(metrics.Counter),
 	}
 }
 
@@ -141,6 +143,15 @@ func (t *IdemTable) OnRecord(fn func(key string, out Outcome)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.onRecord = fn
+}
+
+// CountEvictions makes c the table's count of live outcomes forgotten at
+// capacity (IdemStats.Evicted): the broker's idem_evicted_live_total.
+func (t *IdemTable) CountEvictions(c *metrics.Counter) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c.Add(t.evicted.Value())
+	t.evicted = c
 }
 
 // Ticket is the caller's handle on one Acquire that did not hit a recorded
@@ -179,6 +190,8 @@ func (t *IdemTable) Acquire(key string) (Outcome, bool, *Ticket) {
 			return e.out, true, nil
 		}
 		// Recorded but expired: the window closed; treat as first arrival.
+		t.expired++
+		t.held--
 	}
 	e := &idemEntry{t: t, key: key, state: idemPending}
 	e.owner = Ticket{e: e, owner: true}
@@ -267,6 +280,11 @@ func (t *IdemTable) Restore(key string, out Outcome) {
 	if e, ok := t.entries[key]; ok && e.state == idemPending {
 		e.state, e.out = idemDone, out
 		e.wake()
+	} else if ok { // a recorded outcome, replaced: its FIFO slot goes stale
+		if t.expiredLocked(e, t.now()) {
+			t.expired++
+		}
+		t.held--
 	}
 	e := &idemEntry{t: t, key: key, state: idemDone, out: out}
 	t.entries[key] = e
@@ -306,7 +324,8 @@ func (t *IdemTable) Stats() IdemStats {
 		Shared:    t.shared.Load(),
 		Recorded:  t.recorded,
 		Restored:  t.restored,
-		Evicted:   t.evicted,
+		Expired:   t.expired,
+		Evicted:   t.evicted.Value(),
 	}
 }
 
@@ -315,48 +334,31 @@ func (t *IdemTable) expiredLocked(e *idemEntry, now time.Time) bool {
 	return t.ttl > 0 && now.Sub(e.at) > t.ttl
 }
 
-// recordLocked stamps a done entry that is in the table, queues it for FIFO
-// eviction and restores the capacity bound. Caller holds t.mu.
+// recordLocked stamps, queues and trims a done entry. Caller holds t.mu.
 func (t *IdemTable) recordLocked(e *idemEntry) {
 	e.at = t.now()
-	t.order = append(t.order, e.key)
-	t.evictOverCapLocked()
+	t.fifo.Push(e)
+	t.held++
+	t.trimLocked(e.at)
 }
 
-// evictOverCapLocked sheds expired and oldest *recorded* entries until the
-// table fits its capacity. Pending entries are never evicted — they are
-// bounded by the brokers' outstanding work, and evicting one would strand
-// its coalesced waiters. Caller holds t.mu.
-func (t *IdemTable) evictOverCapLocked() {
-	now := t.now()
-	// Drop expired recorded entries first, regardless of capacity pressure.
-	if t.ttl > 0 && len(t.entries) > t.cap/2 {
-		for key, e := range t.entries {
-			if e.state == idemDone && t.expiredLocked(e, now) {
-				delete(t.entries, key)
-				t.evicted++
+// trimLocked pops the FIFO's head until it is a live outcome within capacity;
+// expired outcomes are a prefix, as record times never decrease. A stale
+// slot, whose key moved on to another entry, was counted when it moved.
+func (t *IdemTable) trimLocked(now time.Time) {
+	for t.fifo.Len() > 0 {
+		if e := t.fifo.Peek(); t.entries[e.key] == e {
+			switch {
+			case t.expiredLocked(e, now):
+				t.expired++
+			case t.held > t.cap:
+				t.evicted.Inc()
+			default:
+				return
 			}
+			delete(t.entries, e.key)
+			t.held--
 		}
+		t.fifo.Pop()
 	}
-	// FIFO over record order: evict the oldest recorded entries while over
-	// capacity, and drop the slots of entries that are already gone once
-	// they outnumber the live set enough to matter.
-	over := len(t.entries) > t.cap
-	if !over && len(t.order) < 2*len(t.entries)+16 {
-		return
-	}
-	kept := t.order[:0]
-	for _, key := range t.order {
-		e, ok := t.entries[key]
-		if !ok || e.state != idemDone {
-			continue
-		}
-		if len(t.entries) > t.cap {
-			delete(t.entries, key)
-			t.evicted++
-			continue
-		}
-		kept = append(kept, key)
-	}
-	t.order = kept
 }

@@ -230,6 +230,35 @@ func TestPendingEntriesNeverEvicted(t *testing.T) {
 	}
 }
 
+// TestInFlightWritesDoNotCrowdOutOutcomes: capacity bounds recorded outcomes,
+// so writes still in flight push none of them out.
+func TestInFlightWritesDoNotCrowdOutOutcomes(t *testing.T) {
+	tbl := NewIdemTable(4, 0)
+	record := func(key string) {
+		_, _, tk := tbl.Acquire(key)
+		tk.Complete(Outcome{Status: 1})
+	}
+	for i := 0; i < 4; i++ {
+		record(fmt.Sprintf("done%d", i))
+	}
+	for i := 0; i < 3; i++ {
+		tbl.Acquire(fmt.Sprintf("pending%d", i))
+	}
+	record("done4")
+	kept := 0
+	for i := 0; i < 5; i++ {
+		if _, ok := tbl.Lookup(fmt.Sprintf("done%d", i)); ok {
+			kept++
+		}
+	}
+	if st := tbl.Stats(); kept != 4 || st.Evicted != 1 {
+		t.Fatalf("%d of 5 outcomes kept, evicted = %d; want 4 kept, 1 evicted", kept, st.Evicted)
+	}
+	if _, ok := tbl.Lookup("done0"); ok {
+		t.Fatal("the oldest outcome survived past capacity")
+	}
+}
+
 func TestIdemTableConcurrentDuplicates(t *testing.T) {
 	tbl := NewIdemTable(64, 0)
 	const dups = 32
@@ -313,5 +342,52 @@ func TestIdemTableAllocHotPath(t *testing.T) {
 	})
 	if flights > 1 {
 		t.Fatalf("unwaited flight allocates %.1f objects/op, want 1", flights)
+	}
+
+	// Recording at capacity evicts the oldest outcome and costs the new
+	// entry alone: the FIFO's array stops growing once it is warm.
+	full := NewIdemTable(64, time.Minute)
+	keys := make([]string, 4*64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	i := 0
+	recordNext := func() {
+		_, _, tk := full.Acquire(keys[i%len(keys)])
+		tk.Complete(Outcome{Status: 1})
+		i++
+	}
+	for range keys {
+		recordNext()
+	}
+	if records := testing.AllocsPerRun(1000, recordNext); records > 1 {
+		t.Fatalf("a record at capacity allocates %.1f objects/op, want 1", records)
+	}
+}
+
+// BenchmarkIdemRecordFull is one keyed write — Acquire on a fresh key, then
+// Complete — on a table already holding its DefaultIdemCapacity outcomes, so
+// every record evicts the oldest. CI fails it above 20 µs/op.
+func BenchmarkIdemRecordFull(b *testing.B) {
+	for _, ttl := range []time.Duration{0, 5 * time.Minute} {
+		b.Run("ttl="+ttl.String(), func(b *testing.B) {
+			tbl := NewIdemTable(DefaultIdemCapacity, ttl)
+			keys := make([]string, 4*DefaultIdemCapacity)
+			for i := range keys {
+				keys[i] = IdemKey("t", i, "hold")
+			}
+			record := func(i int) {
+				_, _, tk := tbl.Acquire(keys[i%len(keys)])
+				tk.Complete(Outcome{Status: 1})
+			}
+			for i := 0; i < DefaultIdemCapacity; i++ {
+				record(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				record(DefaultIdemCapacity + i)
+			}
+		})
 	}
 }

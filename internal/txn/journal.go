@@ -29,14 +29,13 @@ type JournalRecord struct {
 	Payload  []byte `json:"payload,omitempty"`
 }
 
-// Journal is an append-only transaction journal. Appends are flushed to the
-// file before returning, so every record survives a process crash; a torn
+// Journal is an append-only transaction journal. Each append is one write to
+// the file before it returns, so every record survives a process crash; a torn
 // final line (the process died mid-write) is skipped by Replay and cut off
 // by the next OpenJournal. Safe for concurrent use.
 type Journal struct {
 	mu     sync.Mutex
 	f      *os.File
-	w      *bufio.Writer
 	sync   bool
 	closed bool
 }
@@ -45,7 +44,7 @@ type Journal struct {
 // first cutting any torn tail back to the last newline so the next record
 // starts on a line of its own. With fsync true every append is additionally
 // fdatasync'd, surviving power loss at a heavy latency cost; false (the usual
-// choice) survives process crashes — the flush leaves the data with the
+// choice) survives process crashes — the write leaves the data with the
 // kernel.
 func OpenJournal(path string, fsync bool) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
@@ -56,7 +55,7 @@ func OpenJournal(path string, fsync bool) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("txn: cut torn journal tail: %w", err)
 	}
-	return &Journal{f: f, w: bufio.NewWriter(f), sync: fsync}, nil
+	return &Journal{f: f, sync: fsync}, nil
 }
 
 // cutTornTail truncates f just after its last newline, dropping the
@@ -88,7 +87,7 @@ func cutTornTail(f *os.File) error {
 // ErrJournalClosed is returned by Append after Close.
 var ErrJournalClosed = errors.New("txn: journal closed")
 
-// Append writes one record and flushes it.
+// Append writes one record.
 func (j *Journal) Append(rec JournalRecord) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
@@ -99,14 +98,8 @@ func (j *Journal) Append(rec JournalRecord) error {
 	if j.closed {
 		return ErrJournalClosed
 	}
-	if _, err := j.w.Write(line); err != nil {
+	if _, err := j.f.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("txn: journal append: %w", err)
-	}
-	if err := j.w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("txn: journal append: %w", err)
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("txn: journal flush: %w", err)
 	}
 	if j.sync {
 		if err := j.f.Sync(); err != nil {
@@ -126,7 +119,7 @@ func (j *Journal) AppendOutcome(key string, out Outcome) error {
 	})
 }
 
-// Close flushes and closes the journal file.
+// Close closes the journal file.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -134,12 +127,7 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	ferr := j.w.Flush()
-	cerr := j.f.Close()
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
+	return j.f.Close()
 }
 
 // ReplayJournal reads the journal at path, invoking fn for each intact
