@@ -614,8 +614,8 @@ func (b *Broker) OpenJournal(path string) (int, error) {
 	}
 	b.journal = j
 	failures := b.reg.Counter("txn_journal_errors_total")
-	b.idem.OnRecord(func(key string, out txn.Outcome) {
-		if err := j.AppendOutcome(key, out); err != nil {
+	b.idem.OnRecord(func(key string, out txn.Outcome, at time.Time) {
+		if err := j.AppendOutcome(key, out, at); err != nil {
 			failures.Inc()
 			b.publish(fleet.KindJournalError, "", "idempotency journal append failed: "+err.Error())
 		}

@@ -260,6 +260,38 @@ func TestJournalAppendErrorCountedAndPublished(t *testing.T) {
 	}
 }
 
+// A restart replays the whole journal, so a table smaller than the journal
+// pushes out again what its previous life already forgot and counted; those
+// are not live evictions, and idem_evicted_live_total stays 0.
+func TestJournalReplayIsNotALiveEviction(t *testing.T) {
+	const records, capacity = 40000, 4096
+	path := filepath.Join(t.TempDir(), "journal")
+	j, err := txn.OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Now()
+	for i := 0; i < records; i++ {
+		if err := j.AppendOutcome(fmt.Sprintf("t%d\x1f1\x1fhold", i), txn.Outcome{Status: 1}, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	b := newBroker(t, echoConnector("db"), WithTransactions(), WithIdempotency(capacity, time.Hour))
+	n, err := b.OpenJournal(path)
+	if err != nil || n != records {
+		t.Fatalf("OpenJournal = %d, %v; want %d restored", n, err, records)
+	}
+	if got := b.Metrics().Counter("idem_evicted_live_total").Value(); got != 0 {
+		t.Fatalf("idem_evicted_live_total = %d after a replay, want 0", got)
+	}
+	st, _ := b.IdemStats()
+	if st.Size != capacity || st.Restored != records || st.Evicted != 0 || st.ReplayEvicted != records-capacity {
+		t.Fatalf("after replay: %+v; want %d held and %d replay-evicted", st, capacity, records-capacity)
+	}
+}
+
 func TestOpenJournalRequiresIdempotency(t *testing.T) {
 	b := newBroker(t, echoConnector("db"), WithTransactions())
 	if _, err := b.OpenJournal(filepath.Join(t.TempDir(), "journal")); err == nil {

@@ -34,6 +34,51 @@ func (rs *ResultSet) String() string {
 	return string(table)
 }
 
+// A sink receives one statement's result as the engine produces it: affected
+// for a write, or columns and then each row for a SELECT. Neither the names
+// nor a row's cells outlive the call. A collecting sink builds the ResultSet
+// that Exec returns; the server's appends the result's frameResult body to
+// body, allocating nothing but its growth. The engine calls a sink only once
+// the statement can no longer fail.
+type sink struct {
+	collect bool
+	rs      *ResultSet // collect: the result
+	cells   []Value    // collect: the backing array of the rows still to come
+	body    []byte     // otherwise: the frameResult body so far
+}
+
+// affected takes a write's (or DDL's) count of affected rows.
+func (k *sink) affected(n int) {
+	if k.collect {
+		k.rs = &ResultSet{Affected: n}
+		return
+	}
+	k.body = appendHead(k.body, n, nil, 0)
+}
+
+// columns takes a SELECT's column names and the number of rows to follow.
+func (k *sink) columns(names []string, nrows int) {
+	if k.collect {
+		k.rs = &ResultSet{Columns: slices.Clone(names), Rows: make([][]Value, 0, nrows)}
+		k.cells = make([]Value, nrows*len(names)) // every row is a window of one backing array
+		return
+	}
+	k.body = appendHead(k.body, 0, names, nrows)
+}
+
+// row takes one row's cells.
+func (k *sink) row(cells []Value) {
+	if k.collect {
+		w := len(cells)
+		row := k.cells[:w:w]
+		copy(row, cells)
+		k.cells = k.cells[w:]
+		k.rs.Rows = append(k.rs.Rows, row)
+		return
+	}
+	k.body = appendRow(k.body, cells)
+}
+
 // Engine errors.
 var (
 	ErrNoSuchTable   = errors.New("sqldb: no such table")
@@ -123,11 +168,21 @@ func NewEngine() *Engine {
 // of a parse of its shape that no other execution holds. Table, column and
 // index resolution stay per execution, so nothing invalidates a parse.
 func (e *Engine) Exec(sql string) (*ResultSet, error) {
+	out := sink{collect: true}
+	if err := e.exec(sql, &out); err != nil {
+		return nil, err
+	}
+	return out.rs, nil
+}
+
+// exec executes one SQL statement into out: Exec's work, shared with the
+// server, which renders the result straight into its reply frame.
+func (e *Engine) exec(sql string, out *sink) error {
 	var tokBuf [32]token
 	var keyBuf [256]byte // a longer statement spills to the heap
 	toks, err := appendTokens(tokBuf[:0], sql)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	key := appendShape(keyBuf[:0], toks)
 	e.shapeMu.RLock()
@@ -139,11 +194,11 @@ func (e *Engine) Exec(sql string) (*ResultSet, error) {
 	default:
 		stmt, binds, err := parse(slices.Clone(toks)) // the parser would take tokBuf to the heap
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch stmt.(type) {
 		case *CreateTable, *CreateIndex, *DropTable:
-			return e.ExecStmt(stmt) // DDL is rare, and CREATE TABLE keeps its Columns
+			return e.execStmt(stmt, out) // DDL is rare, and CREATE TABLE keeps its Columns
 		}
 		in = &instance{stmt: stmt, binds: binds}
 		if free == nil && len(sql) <= maxShapeText {
@@ -166,34 +221,50 @@ func (e *Engine) Exec(sql string) (*ResultSet, error) {
 	for _, t := range toks {
 		if t.kind == tokNumber || t.kind == tokString {
 			if err := in.binds[k](t); err != nil {
-				return nil, err
+				return err
 			}
 			k++
 		}
 	}
-	return e.ExecStmt(in.stmt)
+	return e.execStmt(in.stmt, out)
 }
 
 // ExecStmt executes a parsed statement.
 func (e *Engine) ExecStmt(stmt Statement) (*ResultSet, error) {
-	switch s := stmt.(type) {
-	case *CreateTable:
-		return e.createTable(s)
-	case *CreateIndex:
-		return e.createIndex(s)
-	case *DropTable:
-		return e.dropTable(s)
-	case *Insert:
-		return e.insert(s)
-	case *Select:
-		return e.query(s)
-	case *Update:
-		return e.update(s)
-	case *Delete:
-		return e.delete(s)
-	default:
-		return nil, fmt.Errorf("sqldb: unsupported statement %T", stmt)
+	out := sink{collect: true}
+	if err := e.execStmt(stmt, &out); err != nil {
+		return nil, err
 	}
+	return out.rs, nil
+}
+
+// execStmt executes a parsed statement into out.
+func (e *Engine) execStmt(stmt Statement, out *sink) error {
+	var n int
+	var err error
+	switch s := stmt.(type) {
+	case *Select:
+		return e.query(s, out)
+	case *CreateTable:
+		err = e.createTable(s)
+	case *CreateIndex:
+		err = e.createIndex(s)
+	case *DropTable:
+		err = e.dropTable(s)
+	case *Insert:
+		n, err = e.insert(s)
+	case *Update:
+		n, err = e.update(s)
+	case *Delete:
+		n, err = e.delete(s)
+	default:
+		return fmt.Errorf("sqldb: unsupported statement %T", stmt)
+	}
+	if err != nil {
+		return err
+	}
+	out.affected(n)
+	return nil
 }
 
 // table resolves a table by name. Caller holds the lock.
@@ -214,15 +285,15 @@ func (t *table) column(name string) (int, error) {
 	return ci, nil
 }
 
-func (e *Engine) createTable(s *CreateTable) (*ResultSet, error) {
+func (e *Engine) createTable(s *CreateTable) error {
 	if len(s.Columns) == 0 {
-		return nil, errors.New("sqldb: table needs at least one column")
+		return errors.New("sqldb: table needs at least one column")
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	key := strings.ToLower(s.Name)
 	if _, ok := e.tables[key]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrTableExists, s.Name)
+		return fmt.Errorf("%w: %s", ErrTableExists, s.Name)
 	}
 	t := &table{
 		name:    s.Name,
@@ -234,12 +305,12 @@ func (e *Engine) createTable(s *CreateTable) (*ResultSet, error) {
 	for i, c := range s.Columns {
 		lc := strings.ToLower(c.Name)
 		if _, dup := t.colIdx[lc]; dup {
-			return nil, fmt.Errorf("sqldb: duplicate column %s", c.Name)
+			return fmt.Errorf("sqldb: duplicate column %s", c.Name)
 		}
 		t.colIdx[lc] = i
 		if c.PrimaryKey {
 			if t.pkCol != -1 {
-				return nil, errors.New("sqldb: multiple primary keys")
+				return errors.New("sqldb: multiple primary keys")
 			}
 			t.pkCol = i
 		}
@@ -248,35 +319,35 @@ func (e *Engine) createTable(s *CreateTable) (*ResultSet, error) {
 		t.reindex(t.pkCol)
 	}
 	e.tables[key] = t
-	return &ResultSet{}, nil
+	return nil
 }
 
-func (e *Engine) createIndex(s *CreateIndex) (*ResultSet, error) {
+func (e *Engine) createIndex(s *CreateIndex) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t, err := e.table(s.Table)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ci, err := t.column(s.Column)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if _, exists := t.indexes[ci]; !exists {
 		t.reindex(ci)
 	}
-	return &ResultSet{}, nil
+	return nil
 }
 
-func (e *Engine) dropTable(s *DropTable) (*ResultSet, error) {
+func (e *Engine) dropTable(s *DropTable) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	key := strings.ToLower(s.Name)
 	if _, ok := e.tables[key]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Name)
+		return fmt.Errorf("%w: %s", ErrNoSuchTable, s.Name)
 	}
 	delete(e.tables, key)
-	return &ResultSet{}, nil
+	return nil
 }
 
 // reindex builds column ci's hash index from the rows. Caller holds the
@@ -293,12 +364,12 @@ func (t *table) reindex(ci int) {
 	t.indexes[ci] = ix
 }
 
-func (e *Engine) insert(s *Insert) (*ResultSet, error) {
+func (e *Engine) insert(s *Insert) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t, err := e.table(s.Table)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	// Resolve the column order for the VALUES tuples.
 	order := make([]int, 0, len(t.columns))
@@ -310,13 +381,13 @@ func (e *Engine) insert(s *Insert) (*ResultSet, error) {
 		for _, name := range s.Columns {
 			ci, err := t.column(name)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			order = append(order, ci)
 		}
 	}
 	if len(t.rows)+len(s.Rows) > math.MaxInt32 {
-		return nil, fmt.Errorf("sqldb: table %s is full", t.name) // the indexes hold positions as int32
+		return 0, fmt.Errorf("sqldb: table %s is full", t.name) // the indexes hold positions as int32
 	}
 	rows := make([][]Value, len(s.Rows))
 	var pending map[string]bool // primary keys of this statement's own rows
@@ -325,20 +396,20 @@ func (e *Engine) insert(s *Insert) (*ResultSet, error) {
 	}
 	for i, tuple := range s.Rows {
 		if len(tuple) != len(order) {
-			return nil, fmt.Errorf("%w: got %d values for %d columns", ErrColumnCount, len(tuple), len(order))
+			return 0, fmt.Errorf("%w: got %d values for %d columns", ErrColumnCount, len(tuple), len(order))
 		}
 		row := make([]Value, len(t.columns))
 		for j, v := range tuple {
 			cv, err := coerce(v, t.columns[order[j]].Type)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			row[order[j]] = cv
 		}
 		if t.pkCol != -1 {
 			pk := formatValue(row[t.pkCol])
 			if _, held := t.indexes[t.pkCol].chains[pk]; held || pending[pk] {
-				return nil, fmt.Errorf("%w: %s", ErrDuplicateKey, pk)
+				return 0, fmt.Errorf("%w: %s", ErrDuplicateKey, pk)
 			}
 			pending[pk] = true
 		}
@@ -350,15 +421,15 @@ func (e *Engine) insert(s *Insert) (*ResultSet, error) {
 			ix.add(formatValue(row[ci]))
 		}
 	}
-	return &ResultSet{Affected: len(rows)}, nil
+	return len(rows), nil
 }
 
-func (e *Engine) update(s *Update) (*ResultSet, error) {
+func (e *Engine) update(s *Update) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t, err := e.table(s.Table)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	type setOp struct {
 		ci  int
@@ -374,21 +445,21 @@ func (e *Engine) update(s *Update) (*ResultSet, error) {
 	for _, col := range cols {
 		ci, err := t.column(col)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		cv, err := coerce(s.Set[col], t.columns[ci].Type)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		ops = append(ops, setOp{ci: ci, val: cv})
 	}
 	var buf [stackRows]int
 	positions, err := t.matching(s.Where, buf[:0])
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if len(positions) == 0 {
-		return &ResultSet{}, nil
+		return 0, nil
 	}
 	for _, op := range ops {
 		if op.ci != t.pkCol {
@@ -399,7 +470,7 @@ func (e *Engine) update(s *Update) (*ResultSet, error) {
 		pk := formatValue(op.val)
 		holder, held := t.indexes[t.pkCol].chains[pk]
 		if len(positions) > 1 || (held && int(holder.first) != positions[0]) {
-			return nil, fmt.Errorf("%w: %s", ErrDuplicateKey, pk)
+			return 0, fmt.Errorf("%w: %s", ErrDuplicateKey, pk)
 		}
 	}
 	for _, pos := range positions {
@@ -412,23 +483,23 @@ func (e *Engine) update(s *Update) (*ResultSet, error) {
 			t.reindex(op.ci)
 		}
 	}
-	return &ResultSet{Affected: len(positions)}, nil
+	return len(positions), nil
 }
 
-func (e *Engine) delete(s *Delete) (*ResultSet, error) {
+func (e *Engine) delete(s *Delete) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t, err := e.table(s.Table)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	var buf [stackRows]int
 	positions, err := t.matching(s.Where, buf[:0])
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if len(positions) == 0 {
-		return &ResultSet{}, nil
+		return 0, nil
 	}
 	// Close the gaps: move each run of kept rows between two deleted
 	// positions down over the rows deleted before it.
@@ -446,22 +517,22 @@ func (e *Engine) delete(s *Delete) (*ResultSet, error) {
 	for ci := range t.indexes {
 		t.reindex(ci)
 	}
-	return &ResultSet{Affected: len(positions)}, nil
+	return len(positions), nil
 }
 
-func (e *Engine) query(s *Select) (*ResultSet, error) {
+func (e *Engine) query(s *Select, out *sink) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	t, err := e.table(s.Table)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var buf [stackRows]int
 	positions, err := t.matching(s.Where, buf[:0])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return project(s, t, positions)
+	return projectInto(s, t, positions, out)
 }
 
 const stackRows = 64 // matched positions held on the stack; a point or range read matches fewer
@@ -540,13 +611,28 @@ func indexableEq(where Expr, t *table) (ix *index, v Value) {
 	return ix, cv
 }
 
-// project applies ORDER BY, aggregates, column projection, and LIMIT to the
-// matched row positions, which it may reorder.
+// project collects what projectInto hands its sink into a ResultSet. The
+// engine's reference model (engine_model_test.go) projects through it.
 func project(s *Select, t *table, matched []int) (*ResultSet, error) {
+	out := sink{collect: true}
+	if err := projectInto(s, t, matched, &out); err != nil {
+		return nil, err
+	}
+	return out.rs, nil
+}
+
+// maxStackWidth is the widest result whose column names, column positions
+// and row cells live on the stack; a wider one spills to the heap.
+const maxStackWidth = 16
+
+// projectInto applies ORDER BY, aggregates, column projection, and LIMIT to
+// the matched row positions, which it may reorder, and hands the result to out
+// in one walk of the rows. Every column is resolved before out sees anything.
+func projectInto(s *Select, t *table, matched []int, out *sink) error {
 	if s.OrderBy != "" {
 		ci, err := t.column(s.OrderBy)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		slices.SortStableFunc(matched, func(a, b int) int {
 			c := compare(t.rows[a][ci], t.rows[b][ci])
@@ -558,29 +644,30 @@ func project(s *Select, t *table, matched []int) (*ResultSet, error) {
 	}
 
 	if isAggregate(s.Items) {
-		return aggregate(s, t, matched)
+		return aggregate(s, t, matched, out)
 	}
 
 	// Resolve the projection once.
-	var buf [16]int
-	cols, indices := make([]string, 0, len(s.Items)), buf[:0]
+	var nameBuf [maxStackWidth]string
+	var indexBuf [maxStackWidth]int
+	names, indices := nameBuf[:0], indexBuf[:0]
 	for _, item := range s.Items {
 		if item.Star {
 			for i, c := range t.columns {
-				cols = append(cols, c.Name)
+				names = append(names, c.Name)
 				indices = append(indices, i)
 			}
 			continue
 		}
 		ci, err := t.column(item.Column)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		name := item.Column
 		if item.Alias != "" {
 			name = item.Alias
 		}
-		cols = append(cols, name)
+		names = append(names, name)
 		indices = append(indices, ci)
 	}
 
@@ -588,17 +675,17 @@ func project(s *Select, t *table, matched []int) (*ResultSet, error) {
 	if limit < 0 || limit > len(matched) {
 		limit = len(matched)
 	}
-	// Every row is a window of one backing array.
-	width := len(indices)
-	out, cells := make([][]Value, limit), make([]Value, limit*width)
-	for r, pos := range matched[:limit] {
-		row := cells[r*width : (r+1)*width : (r+1)*width]
-		for i, ci := range indices {
-			row[i] = t.rows[pos][ci]
+	out.columns(names, limit)
+	var cellBuf [maxStackWidth]Value
+	cells := cellBuf[:0]
+	for _, pos := range matched[:limit] {
+		cells = cells[:0]
+		for _, ci := range indices {
+			cells = append(cells, t.rows[pos][ci])
 		}
-		out[r] = row
+		out.row(cells)
 	}
-	return &ResultSet{Columns: cols, Rows: out}, nil
+	return nil
 }
 
 func isAggregate(items []SelectItem) bool {
@@ -610,34 +697,39 @@ func isAggregate(items []SelectItem) bool {
 	return false
 }
 
-func aggregate(s *Select, t *table, matched []int) (*ResultSet, error) {
-	cols := make([]string, len(s.Items))
-	row := make([]Value, len(s.Items))
-	for i, item := range s.Items {
+// aggregate folds the matched rows into the one row of s's aggregates and
+// hands it to out once every aggregate has succeeded.
+func aggregate(s *Select, t *table, matched []int, out *sink) error {
+	var nameBuf [maxStackWidth]string
+	var cellBuf [maxStackWidth]Value
+	names, cells := nameBuf[:0], cellBuf[:0]
+	for _, item := range s.Items {
 		if item.Agg == AggNone {
-			return nil, errors.New("sqldb: mixing aggregates and plain columns is not supported")
+			return errors.New("sqldb: mixing aggregates and plain columns is not supported")
 		}
 		name := item.Alias
 		if name == "" {
 			name = aggName(item.Agg)
 		}
-		cols[i] = name
+		names = append(names, name)
 
 		if item.Agg == AggCount && item.Star {
-			row[i] = int64(len(matched))
+			cells = append(cells, int64(len(matched)))
 			continue
 		}
 		ci, err := t.column(item.Column)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v, err := foldAgg(item.Agg, t, matched, ci)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		row[i] = v
+		cells = append(cells, v)
 	}
-	return &ResultSet{Columns: cols, Rows: [][]Value{row}}, nil
+	out.columns(names, 1)
+	out.row(cells)
+	return nil
 }
 
 func aggName(a AggFunc) string {

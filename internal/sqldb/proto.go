@@ -56,36 +56,48 @@ func appendString[T string | []byte](buf []byte, s T) []byte {
 //	affected[4] ncols[2] (len[4] name)×ncols nrows[4] (len[4] text)×(nrows×ncols)
 //
 // Each cell is its value's text form and a NULL cell the length nullCell with
-// no text. The server writes it straight from the engine's ResultSet; the
-// client and ResultSet.String render it with appendTable.
+// no text. The server writes it while the engine walks the rows (sink), with
+// appendHead and appendRow; the client and ResultSet.String render it with
+// appendTable.
 const nullCell = math.MaxUint32
 
 var nullText = []byte("NULL")
 
 // appendResult appends rs's frameResult body to dst.
 func appendResult(dst []byte, rs *ResultSet) ([]byte, error) {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(rs.Affected))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(rs.Columns)))
-	for _, c := range rs.Columns {
-		dst = appendString(dst, c)
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rs.Rows)))
+	dst = appendHead(dst, rs.Affected, rs.Columns, len(rs.Rows))
 	for _, row := range rs.Rows {
 		if len(row) != len(rs.Columns) {
 			return nil, fmt.Errorf("%w: row width %d != %d columns", ErrProtocol, len(row), len(rs.Columns))
 		}
-		for _, v := range row {
-			at := len(dst)
-			dst = append(dst, 0, 0, 0, 0)
-			if v == nil {
-				binary.BigEndian.PutUint32(dst[at:], nullCell)
-				continue
-			}
-			dst = appendValue(dst, v)
-			binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
-		}
+		dst = appendRow(dst, row)
 	}
 	return dst, nil
+}
+
+// appendHead appends a frameResult body's fields before its cells to dst.
+func appendHead(dst []byte, affected int, cols []string, nrows int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(affected))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(cols)))
+	for _, c := range cols {
+		dst = appendString(dst, c)
+	}
+	return binary.BigEndian.AppendUint32(dst, uint32(nrows))
+}
+
+// appendRow appends one row's cells to dst.
+func appendRow(dst []byte, row []Value) []byte {
+	for _, v := range row {
+		at := len(dst)
+		dst = append(dst, 0, 0, 0, 0)
+		if v == nil {
+			binary.BigEndian.PutUint32(dst[at:], nullCell)
+			continue
+		}
+		dst = appendValue(dst, v)
+		binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	}
+	return dst
 }
 
 // readText splits the length-prefixed text at the front of buf from the rest;

@@ -527,6 +527,8 @@ func TestServerCloseTerminatesSessions(t *testing.T) {
 	srv.Close() // idempotent
 }
 
+// Readers render their replies under the engine's read lock while a writer
+// updates the table beside them.
 func TestConcurrentClients(t *testing.T) {
 	srv := startServer(t)
 	var wg sync.WaitGroup
@@ -540,13 +542,17 @@ func TestConcurrentClients(t *testing.T) {
 				return
 			}
 			defer conn.Close()
+			sql, want := "SELECT v FROM kv WHERE k = 1", "v\none\n"
+			if i == 0 {
+				sql, want = "UPDATE kv SET v = 'two' WHERE k = 2", "OK, 1 row(s) affected"
+			}
 			for j := 0; j < 20; j++ {
-				got, err := conn.Query([]byte("SELECT v FROM kv WHERE k = 1"))
+				got, err := conn.Query([]byte(sql))
 				if err != nil {
 					t.Errorf("client %d query %d: %v", i, j, err)
 					return
 				}
-				if string(got) != "v\none\n" {
+				if string(got) != want {
 					t.Errorf("client %d query %d: %q", i, j, got)
 					return
 				}

@@ -173,15 +173,15 @@ func (s *Server) respond(bc *bufferedConn, sql string) bool {
 	if s.queryDelay > 0 {
 		time.Sleep(s.queryDelay)
 	}
-	rs, err := s.engine.Exec(sql)
+	// The result goes from the rows into the reply frame under the engine's
+	// read lock, with no ResultSet between them. A statement that fails
+	// leaves the begun frame unsent.
+	out := sink{body: bc.start(frameResult)}
+	err := s.engine.exec(sql, &out)
 	timer.ObserveDuration()
 	if err != nil {
 		s.queryErrors.Inc()
 		return bc.send(appendString(bc.start(frameError), err.Error())) == nil
 	}
-	frame, err := appendResult(bc.start(frameResult), rs)
-	if err != nil {
-		return bc.send(appendString(bc.start(frameError), err.Error())) == nil
-	}
-	return bc.send(frame) == nil
+	return bc.send(out.body) == nil
 }

@@ -67,6 +67,9 @@ type IdemStats struct {
 	Restored  int64 // outcomes re-armed from a journal
 	Expired   int64 // recorded outcomes that outlived the TTL
 	Evicted   int64 // live outcomes forgotten to keep the capacity bound
+	// Outcomes a Restore pushed out at capacity: a journal replay re-enacts
+	// evictions its previous life already counted, so they are not Evicted.
+	ReplayEvicted int64
 }
 
 // IdemTable is the brokers' single-flight table: the first arrival for a key
@@ -92,11 +95,12 @@ type IdemTable struct {
 	entries map[string]*idemEntry // pending flights and recorded outcomes
 	fifo    qos.FIFO[*idemEntry]  // every record, oldest first; see trimLocked
 	held    int                   // recorded outcomes in entries, ≤ cap
+	last    time.Time             // the newest record time pushed on fifo
 	cap     int
 	ttl     time.Duration
 	now     func() time.Time
 
-	onRecord func(key string, out Outcome)
+	onRecord func(key string, out Outcome, at time.Time)
 
 	hits      int64
 	flights   int64
@@ -105,6 +109,7 @@ type IdemTable struct {
 	restored  int64
 	expired   int64
 	evicted   *metrics.Counter // see CountEvictions
+	replayed  int64            // ReplayEvicted
 	shared    atomic.Int64     // bumped by waiters, outside mu
 }
 
@@ -137,9 +142,9 @@ func (t *IdemTable) SetClock(now func() time.Time) {
 }
 
 // OnRecord registers a callback invoked (outside table locks) for every
-// outcome recorded via Complete — the journal append hook. Restored entries
-// do not fire it (they came *from* the journal).
-func (t *IdemTable) OnRecord(fn func(key string, out Outcome)) {
+// outcome recorded via Complete, with its record time — the journal append
+// hook. Restored entries do not fire it (they came *from* the journal).
+func (t *IdemTable) OnRecord(fn func(key string, out Outcome, at time.Time)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.onRecord = fn
@@ -185,7 +190,7 @@ func (t *IdemTable) Acquire(key string) (Outcome, bool, *Ticket) {
 			t.coalesced++
 			return Outcome{}, false, &e.waiter
 		}
-		if !t.expiredLocked(e, t.now()) {
+		if !t.expiredLocked(e.at, t.now()) {
 			t.hits++
 			return e.out, true, nil
 		}
@@ -248,18 +253,20 @@ func (tk *Ticket) settle(state idemState, out Outcome, record bool) {
 		return
 	}
 	e.state, e.out = state, out
-	var fn func(string, Outcome)
+	var fn func(string, Outcome, time.Time)
 	if record {
-		t.recordLocked(e)
+		now := t.now()
+		t.recordLocked(e, now, now, false)
 		t.recorded++
 		fn = t.onRecord
 	} else {
 		delete(t.entries, e.key)
 	}
+	at := e.at
 	e.wake()
 	t.mu.Unlock()
 	if fn != nil {
-		fn(e.key, out)
+		fn(e.key, out, at)
 	}
 }
 
@@ -270,26 +277,36 @@ func (e *idemEntry) wake() {
 	}
 }
 
-// Restore re-arms a recorded outcome from a journal (brokerd restart).
-// Idempotent: a later record for the same key wins, matching journal replay
-// order. Restored entries do not fire OnRecord. An in-flight first execution
-// for the key is overtaken: its waiters wake with the restored outcome.
-func (t *IdemTable) Restore(key string, out Outcome) {
+// Restore re-arms an outcome recorded at time at from a journal (brokerd
+// restart), reporting whether it did: an outcome that has outlived the TTL
+// is skipped and counted nowhere. A zero at means now. The outcome expires
+// at + TTL, as it would have without the restart. Idempotent: a later record
+// for the same key wins, matching journal replay order. Restored entries do
+// not fire OnRecord. An in-flight first execution for the key is overtaken:
+// its waiters wake with the restored outcome.
+func (t *IdemTable) Restore(key string, out Outcome, at time.Time) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	now := t.now()
+	if at.IsZero() {
+		at = now
+	} else if t.expiredLocked(at, now) {
+		return false
+	}
 	if e, ok := t.entries[key]; ok && e.state == idemPending {
 		e.state, e.out = idemDone, out
 		e.wake()
 	} else if ok { // a recorded outcome, replaced: its FIFO slot goes stale
-		if t.expiredLocked(e, t.now()) {
+		if t.expiredLocked(e.at, now) {
 			t.expired++
 		}
 		t.held--
 	}
 	e := &idemEntry{t: t, key: key, state: idemDone, out: out}
 	t.entries[key] = e
-	t.recordLocked(e)
+	t.recordLocked(e, at, now, true)
 	t.restored++
+	return true
 }
 
 // Lookup returns the recorded outcome for key, if any (and not expired).
@@ -297,7 +314,7 @@ func (t *IdemTable) Lookup(key string) (Outcome, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, ok := t.entries[key]
-	if !ok || e.state != idemDone || t.expiredLocked(e, t.now()) {
+	if !ok || e.state != idemDone || t.expiredLocked(e.at, t.now()) {
 		return Outcome{}, false
 	}
 	return e.out, true
@@ -326,31 +343,41 @@ func (t *IdemTable) Stats() IdemStats {
 		Restored:  t.restored,
 		Expired:   t.expired,
 		Evicted:   t.evicted.Value(),
+
+		ReplayEvicted: t.replayed,
 	}
 }
 
-// expiredLocked reports whether a done entry has outlived the TTL.
-func (t *IdemTable) expiredLocked(e *idemEntry, now time.Time) bool {
-	return t.ttl > 0 && now.Sub(e.at) > t.ttl
+// expiredLocked reports whether an outcome recorded at time at has outlived
+// the TTL.
+func (t *IdemTable) expiredLocked(at, now time.Time) bool {
+	return t.ttl > 0 && now.Sub(at) > t.ttl
 }
 
-// recordLocked stamps, queues and trims a done entry. Caller holds t.mu.
-func (t *IdemTable) recordLocked(e *idemEntry) {
-	e.at = t.now()
+// recordLocked stamps a done entry with at, raised to the newest record time
+// so that record times never decrease along the FIFO, then queues it and
+// trims as of now. replay says a Restore records it. Caller holds t.mu.
+func (t *IdemTable) recordLocked(e *idemEntry, at, now time.Time, replay bool) {
+	if at.Before(t.last) {
+		at = t.last
+	}
+	e.at, t.last = at, at
 	t.fifo.Push(e)
 	t.held++
-	t.trimLocked(e.at)
+	t.trimLocked(now, replay)
 }
 
 // trimLocked pops the FIFO's head until it is a live outcome within capacity;
 // expired outcomes are a prefix, as record times never decrease. A stale
 // slot, whose key moved on to another entry, was counted when it moved.
-func (t *IdemTable) trimLocked(now time.Time) {
+func (t *IdemTable) trimLocked(now time.Time, replay bool) {
 	for t.fifo.Len() > 0 {
 		if e := t.fifo.Peek(); t.entries[e.key] == e {
 			switch {
-			case t.expiredLocked(e, now):
+			case t.expiredLocked(e.at, now):
 				t.expired++
+			case t.held > t.cap && replay:
+				t.replayed++
 			case t.held > t.cap:
 				t.evicted.Inc()
 			default:

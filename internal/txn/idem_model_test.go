@@ -17,6 +17,7 @@ type idemModel struct {
 	ttl        time.Duration
 	pending    map[string]*mflight
 	recs       []mrec
+	last       time.Time // the newest record time
 	st         IdemStats
 	overwrites int64 // restores over a live outcome: replaced, not forgotten
 }
@@ -56,8 +57,15 @@ func (m *idemModel) drop(key string, now time.Time) (live bool) {
 	return live
 }
 
-func (m *idemModel) record(key string, out Outcome, now time.Time) {
-	m.recs = append(m.recs, mrec{key, out, now})
+// record appends key's outcome, recorded at at but no earlier than the
+// newest record, then drops what has expired by now and, oldest first, what
+// exceeds the capacity, counting it in evicted.
+func (m *idemModel) record(key string, out Outcome, at, now time.Time, evicted *int64) {
+	if at.Before(m.last) {
+		at = m.last
+	}
+	m.last = at
+	m.recs = append(m.recs, mrec{key, out, at})
 	for _, r := range slices.Clone(m.recs) {
 		if m.expired(r, now) {
 			m.drop(r.key, now)
@@ -65,7 +73,7 @@ func (m *idemModel) record(key string, out Outcome, now time.Time) {
 	}
 	for len(m.recs) > m.cap {
 		m.recs = m.recs[1:]
-		m.st.Evicted++
+		*evicted++
 	}
 }
 
@@ -74,7 +82,9 @@ func (m *idemModel) record(key string, out Outcome, now time.Time) {
 // model side by side, comparing every observable after every step: one owner
 // per key, waiters get the owner's outcome or nothing, recorded outcomes stay
 // within capacity, and every outcome that leaves is counted once, as expired
-// or as evicted.
+// or as evicted (live or by a replay). A restored outcome keeps its record
+// time: one that has expired is skipped, and one that has not expires when
+// it would have without the restart.
 func TestIdemTableAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		runIdemSchedule(t, seed)
@@ -130,7 +140,7 @@ func runIdemSchedule(t *testing.T, seed int64) {
 		}
 		if recorded := st.Size - len(m.pending); recorded > m.cap {
 			fail("%d recorded outcomes held, capacity %d", recorded, m.cap)
-		} else if st.Recorded+st.Restored-m.overwrites != int64(recorded)+st.Expired+st.Evicted {
+		} else if st.Recorded+st.Restored-m.overwrites != int64(recorded)+st.Expired+st.Evicted+st.ReplayEvicted {
 			fail("outcomes unaccounted for: %+v, %d held, %d overwritten", st, recorded, m.overwrites)
 		}
 	}
@@ -179,7 +189,7 @@ func runIdemSchedule(t *testing.T, seed int64) {
 				}
 				if kind == 0 {
 					m.st.Recorded++
-					m.record(o.f.key, out, now)
+					m.record(o.f.key, out, now, now, &m.st.Evicted)
 				}
 			}
 			switch kind {
@@ -214,9 +224,26 @@ func runIdemSchedule(t *testing.T, seed int64) {
 				m.st.Shared++
 			}
 			waiters = slices.Delete(waiters, i, i+1)
-		case op < 85: // Restore from a journal
+		case op < 85: // Restore from a journal, recorded now (a record without a time) or earlier
 			k := keys[rng.Intn(len(keys))]
 			out := newOutcome()
+			var at time.Time
+			if rng.Intn(3) > 0 {
+				at = now.Add(-time.Duration(rng.Intn(20000)) * time.Millisecond)
+			}
+			restored := tbl.Restore(k, out, at)
+			if !at.IsZero() && m.expired(mrec{at: at}, now) {
+				if restored {
+					fail("Restore(%s) of an outcome expired for %v: restored", k, now.Sub(at)-m.ttl)
+				}
+				break
+			}
+			if !restored {
+				fail("Restore(%s) of a live outcome: skipped", k)
+			}
+			if at.IsZero() {
+				at = now
+			}
 			if f, ok := m.pending[k]; ok {
 				f.settled, f.out = true, &out
 				delete(m.pending, k)
@@ -224,8 +251,7 @@ func runIdemSchedule(t *testing.T, seed int64) {
 				m.overwrites++
 			}
 			m.st.Restored++
-			m.record(k, out, now)
-			tbl.Restore(k, out)
+			m.record(k, out, at, now, &m.st.ReplayEvicted)
 		default:
 			now = now.Add(time.Duration(rng.Intn(7000)) * time.Millisecond)
 		}

@@ -139,7 +139,7 @@ func TestNonOwnerCompleteIsNoop(t *testing.T) {
 
 func TestRestoreReArmsOutcome(t *testing.T) {
 	tbl := NewIdemTable(16, 0)
-	tbl.Restore("k", Outcome{Status: 1, Payload: []byte("journaled")})
+	tbl.Restore("k", Outcome{Status: 1, Payload: []byte("journaled")}, time.Time{})
 	out, hit, _ := tbl.Acquire("k")
 	if !hit || string(out.Payload) != "journaled" {
 		t.Fatalf("restored outcome not served: hit=%v out=%+v", hit, out)
@@ -152,8 +152,8 @@ func TestRestoreReArmsOutcome(t *testing.T) {
 func TestRestoreDoesNotFireOnRecord(t *testing.T) {
 	tbl := NewIdemTable(16, 0)
 	fired := 0
-	tbl.OnRecord(func(string, Outcome) { fired++ })
-	tbl.Restore("k", Outcome{Status: 1})
+	tbl.OnRecord(func(string, Outcome, time.Time) { fired++ })
+	tbl.Restore("k", Outcome{Status: 1}, time.Time{})
 	if fired != 0 {
 		t.Fatal("Restore fired OnRecord — journal replay would re-journal")
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"time"
 
 	"servicebroker/internal/qos"
 )
@@ -21,12 +22,15 @@ import (
 // The on-disk format is one JSON object per line ("\n"-terminated), appended
 // only; a record counts once its newline is written. Key is the composite
 // IdemKey (txn \x1f step \x1f access key); Payload round-trips through
-// JSON's base64 encoding.
+// JSON's base64 encoding. At is the outcome's record time in Unix
+// nanoseconds, so a replayed outcome expires when it would have without the
+// restart; a record without it restores as recorded at replay time.
 type JournalRecord struct {
 	Key      string `json:"key"`
 	Status   int    `json:"status"`
 	Fidelity int    `json:"fidelity"`
 	Payload  []byte `json:"payload,omitempty"`
+	At       int64  `json:"at,omitempty"`
 }
 
 // Journal is an append-only transaction journal. Each append is one write to
@@ -109,13 +113,15 @@ func (j *Journal) Append(rec JournalRecord) error {
 	return nil
 }
 
-// AppendOutcome journals one idempotency outcome under its composite key.
-func (j *Journal) AppendOutcome(key string, out Outcome) error {
+// AppendOutcome journals one idempotency outcome, recorded at time at, under
+// its composite key.
+func (j *Journal) AppendOutcome(key string, out Outcome, at time.Time) error {
 	return j.Append(JournalRecord{
 		Key:      key,
 		Status:   out.Status,
 		Fidelity: int(out.Fidelity),
 		Payload:  out.Payload,
+		At:       at.UnixNano(),
 	})
 }
 
@@ -168,13 +174,19 @@ func ReplayJournal(path string, fn func(JournalRecord)) (int, error) {
 }
 
 // RestoreTable replays the journal at path into table, returning the number
-// of outcomes re-armed — the brokerd restart path in one call.
+// of outcomes re-armed (expired ones are skipped) — the brokerd restart path
+// in one call.
 func RestoreTable(path string, table *IdemTable) (int, error) {
-	return ReplayJournal(path, func(rec JournalRecord) {
-		table.Restore(rec.Key, Outcome{
-			Status:   rec.Status,
-			Fidelity: qos.Fidelity(rec.Fidelity),
-			Payload:  rec.Payload,
-		})
+	restored := 0
+	_, err := ReplayJournal(path, func(rec JournalRecord) {
+		var at time.Time
+		if rec.At != 0 {
+			at = time.Unix(0, rec.At)
+		}
+		out := Outcome{Status: rec.Status, Fidelity: qos.Fidelity(rec.Fidelity), Payload: rec.Payload}
+		if table.Restore(rec.Key, out, at) {
+			restored++
+		}
 	})
+	return restored, err
 }

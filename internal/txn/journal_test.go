@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"servicebroker/internal/qos"
 )
@@ -169,8 +170,8 @@ func TestRestoreTableReArmsIdempotency(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := NewIdemTable(16, 0)
-	tbl.OnRecord(func(key string, out Outcome) {
-		if err := j.AppendOutcome(key, out); err != nil {
+	tbl.OnRecord(func(key string, out Outcome, at time.Time) {
+		if err := j.AppendOutcome(key, out, at); err != nil {
 			t.Errorf("journal append: %v", err)
 		}
 	})
@@ -193,6 +194,68 @@ func TestRestoreTableReArmsIdempotency(t *testing.T) {
 	if out.Status != 1 || out.Fidelity != qos.FidelityFull || string(out.Payload) != "charged $42" {
 		t.Fatalf("restored outcome = %+v", out)
 	}
+}
+
+// A restarted table keeps each journaled outcome's record time: an outcome
+// that expired before the restart is not replayed, a live one expires when it
+// would have without the restart, a record time that runs backwards is
+// raised to the one before it, and a record without a time (an older
+// journal's) restores as recorded at replay time.
+func TestRestoreTableKeepsRecordTimes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "txn.journal")
+	j, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1000, 0)
+	clock := func() time.Time { return now }
+	tbl := NewIdemTable(16, time.Minute)
+	tbl.SetClock(clock)
+	tbl.OnRecord(func(key string, out Outcome, at time.Time) {
+		if err := j.AppendOutcome(key, out, at); err != nil {
+			t.Errorf("journal append: %v", err)
+		}
+	})
+	record := func(key string) {
+		_, _, tk := tbl.Acquire(key)
+		tk.Complete(Outcome{Status: 1, Payload: []byte(key)})
+	}
+	record("old") // at 1000
+	now = time.Unix(1050, 0)
+	record("young")
+	for _, rec := range []JournalRecord{
+		{Key: "skewed", Status: 1, At: time.Unix(1040, 0).UnixNano()},
+		{Key: "untimed", Status: 1},
+	} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	now = time.Unix(1070, 0) // the restart: "old" is 70 s old, past the 60 s TTL
+	tbl2 := NewIdemTable(16, time.Minute)
+	tbl2.SetClock(clock)
+	n, err := RestoreTable(path, tbl2)
+	if err != nil || n != 3 {
+		t.Fatalf("restore: n=%d err=%v, want 3 outcomes", n, err)
+	}
+	if st := tbl2.Stats(); st.Size != 3 || st.Restored != 3 || st.Expired != 0 || st.Evicted != 0 || st.ReplayEvicted != 0 {
+		t.Fatalf("after restore: %+v", st)
+	}
+	live := func(at int64, want map[string]bool) {
+		t.Helper()
+		now = time.Unix(at, 0)
+		for key, ok := range want {
+			if _, got := tbl2.Lookup(key); got != ok {
+				t.Errorf("at %d: Lookup(%s) = %v, want %v", at, key, got, ok)
+			}
+		}
+	}
+	live(1070, map[string]bool{"old": false, "young": true, "skewed": true, "untimed": true})
+	live(1105, map[string]bool{"young": true, "skewed": true, "untimed": true})
+	live(1111, map[string]bool{"young": false, "skewed": false, "untimed": true})
+	live(1131, map[string]bool{"untimed": false})
 }
 
 // FuzzReplayJournal writes b as a journal file: replay must not panic,

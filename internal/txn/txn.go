@@ -112,9 +112,9 @@ func (s Snapshot) WriteRows(w io.Writer, service string, idem *IdemStats) {
 		service, len(s.Active), s.Completed, s.Aborted, s.Abandoned,
 		s.CompensationsRun, s.CompensationsFailed, formatTTL(s.TTL))
 	if idem != nil {
-		fmt.Fprintf(w, "  idempotency: size=%d/%d ttl=%s hits=%d coalesced=%d recorded=%d restored=%d expired=%d evicted=%d\n",
+		fmt.Fprintf(w, "  idempotency: size=%d/%d ttl=%s hits=%d coalesced=%d recorded=%d restored=%d expired=%d evicted=%d replay_evicted=%d\n",
 			idem.Size, idem.Capacity, formatTTL(idem.TTL),
-			idem.Hits, idem.Coalesced, idem.Recorded, idem.Restored, idem.Expired, idem.Evicted)
+			idem.Hits, idem.Coalesced, idem.Recorded, idem.Restored, idem.Expired, idem.Evicted, idem.ReplayEvicted)
 	}
 	for _, a := range s.Active {
 		fmt.Fprintf(w, "  txn=%s step=%d age=%s idle=%s accesses=%d compensations=%d\n",
