@@ -89,46 +89,93 @@ var (
 	ErrNotComparable = errors.New("sqldb: incomparable operands")
 )
 
-// table is one in-memory table. The primary key and every CREATE INDEX
-// column have a hash index for equality lookups.
+// table is one in-memory table. Its rows lie end to end in one cell array,
+// len(columns) cells a row, so a row costs its cells and no slice header of
+// its own. The primary key and every CREATE INDEX column have a hash index
+// for equality lookups.
 //
 // A hash index is correct whenever the engine's lock is free: it chains every
-// row's position under the text form of that row's column value. Each
-// mutating statement restores that before it unlocks, so a reader never finds
-// an index to repair.
+// row's position under that row's column value. Each mutating statement
+// restores that before it unlocks, so a reader never finds an index to
+// repair.
 type table struct {
 	name    string
 	columns []ColumnDef
 	colIdx  map[string]int
-	pkCol   int // -1 when no primary key
-	rows    [][]Value
+	pkCol   int            // -1 when no primary key
+	cells   []Value        // row pos is cells[pos*w : pos*w+w], w = len(columns)
 	indexes map[int]*index // by column index
 }
 
-// index is a hash index on one column: for each value (text form), the chain
-// of the row positions holding it, ascending. The chains are threaded through
-// one array, so a value costs a map entry of two int32s and a row four bytes;
-// a slice per value would cost the 42,000-key primary index a slice header
-// and an allocation per row.
+// nrows returns the number of rows.
+func (t *table) nrows() int { return len(t.cells) / len(t.columns) }
+
+// row returns row pos's cells, capped so that an append cannot reach the
+// next row.
+func (t *table) row(pos int) []Value {
+	w := len(t.columns)
+	return t.cells[pos*w : pos*w+w : pos*w+w]
+}
+
+// index is a hash index on one column: for each value, the chain of the row
+// positions holding it, ascending. The chains are threaded through one array,
+// so a value costs a map entry and a row four bytes; a slice per value would
+// cost the 42,000-key primary index a slice header and an allocation per row.
+//
+// A value keys its chain as itself, never as its text: an INT column's
+// values key ints (16 bytes an entry), every other value, NULL included,
+// keys vals as the row's own cell, so no key is allocated. Two values of the
+// column's type are one key when compare calls them equal: -0 and 0 are one
+// key, NULL and 'NULL' two, and NaN, which no key would ever find again, is
+// refused by coerce.
 type index struct {
-	chains map[string]chain
-	next   []int32 // next[pos] is the position after pos in its chain, or -1
+	ints map[int64]chain // an INT column's non-NULL values; nil on any other column
+	vals map[Value]chain // every other value
+	next []int32         // next[pos] is the position after pos in its chain, or -1
 }
 
 type chain struct{ first, last int32 }
 
-// add puts the next row, the one at position len(ix.next), under key.
-func (ix *index) add(key string) {
+// newIndex returns an empty index for a column of type typ, sized for
+// distinct values and rows rows.
+func newIndex(typ ColType, distinct, rows int) *index {
+	ix := &index{next: make([]int32, 0, rows)}
+	if typ == TypeInt {
+		ix.ints = make(map[int64]chain, distinct)
+		ix.vals = make(map[Value]chain)
+	} else {
+		ix.vals = make(map[Value]chain, distinct)
+	}
+	return ix
+}
+
+// lookup returns the chain of the rows holding v, a value coerced to the
+// column's type.
+func (ix *index) lookup(v Value) (chain, bool) {
+	if n, ok := v.(int64); ok && ix.ints != nil {
+		c, held := ix.ints[n]
+		return c, held
+	}
+	c, held := ix.vals[v]
+	return c, held
+}
+
+// add puts the next row, the one at position len(ix.next), under its value v.
+func (ix *index) add(v Value) {
 	pos := int32(len(ix.next))
 	ix.next = append(ix.next, -1)
-	c, ok := ix.chains[key]
+	c, ok := ix.lookup(v)
 	if ok {
 		ix.next[c.last] = pos
 	} else {
 		c.first = pos
 	}
 	c.last = pos
-	ix.chains[key] = c
+	if n, isInt := v.(int64); isInt && ix.ints != nil {
+		ix.ints[n] = c
+	} else {
+		ix.vals[v] = c
+	}
 }
 
 // Engine is the in-memory database. It is safe for concurrent use; reads
@@ -355,11 +402,12 @@ func (e *Engine) dropTable(s *DropTable) error {
 func (t *table) reindex(ci int) {
 	distinct := 0
 	if old := t.indexes[ci]; old != nil {
-		distinct = len(old.chains)
+		distinct = len(old.ints) + len(old.vals)
 	}
-	ix := &index{chains: make(map[string]chain, distinct), next: make([]int32, 0, len(t.rows))}
-	for _, row := range t.rows {
-		ix.add(formatValue(row[ci]))
+	n := t.nrows()
+	ix := newIndex(t.columns[ci].Type, distinct, n)
+	for pos := range n {
+		ix.add(t.row(pos)[ci])
 	}
 	t.indexes[ci] = ix
 }
@@ -386,19 +434,20 @@ func (e *Engine) insert(s *Insert) (int, error) {
 			order = append(order, ci)
 		}
 	}
-	if len(t.rows)+len(s.Rows) > math.MaxInt32 {
+	if t.nrows()+len(s.Rows) > math.MaxInt32 {
 		return 0, fmt.Errorf("sqldb: table %s is full", t.name) // the indexes hold positions as int32
 	}
-	rows := make([][]Value, len(s.Rows))
-	var pending map[string]bool // primary keys of this statement's own rows
+	w := len(t.columns)
+	staged := make([]Value, len(s.Rows)*w) // the new rows, appended to the table at once
+	var pending map[Value]bool             // primary keys of this statement's own rows
 	if t.pkCol != -1 {
-		pending = make(map[string]bool, len(s.Rows))
+		pending = make(map[Value]bool, len(s.Rows))
 	}
 	for i, tuple := range s.Rows {
 		if len(tuple) != len(order) {
 			return 0, fmt.Errorf("%w: got %d values for %d columns", ErrColumnCount, len(tuple), len(order))
 		}
-		row := make([]Value, len(t.columns))
+		row := staged[i*w : i*w+w]
 		for j, v := range tuple {
 			cv, err := coerce(v, t.columns[order[j]].Type)
 			if err != nil {
@@ -407,21 +456,20 @@ func (e *Engine) insert(s *Insert) (int, error) {
 			row[order[j]] = cv
 		}
 		if t.pkCol != -1 {
-			pk := formatValue(row[t.pkCol])
-			if _, held := t.indexes[t.pkCol].chains[pk]; held || pending[pk] {
-				return 0, fmt.Errorf("%w: %s", ErrDuplicateKey, pk)
+			pk := row[t.pkCol]
+			if _, held := t.indexes[t.pkCol].lookup(pk); held || pending[pk] {
+				return 0, fmt.Errorf("%w: %s", ErrDuplicateKey, formatValue(pk))
 			}
 			pending[pk] = true
 		}
-		rows[i] = row
 	}
-	for _, row := range rows {
-		t.rows = append(t.rows, row)
-		for ci, ix := range t.indexes {
-			ix.add(formatValue(row[ci]))
+	t.cells = append(t.cells, staged...)
+	for ci, ix := range t.indexes {
+		for i := range s.Rows {
+			ix.add(staged[i*w+ci])
 		}
 	}
-	return len(rows), nil
+	return len(s.Rows), nil
 }
 
 func (e *Engine) update(s *Update) (int, error) {
@@ -467,15 +515,15 @@ func (e *Engine) update(s *Update) (int, error) {
 		}
 		// Every matched row takes this key: it must be one row, and no other
 		// row may hold the key already.
-		pk := formatValue(op.val)
-		holder, held := t.indexes[t.pkCol].chains[pk]
+		holder, held := t.indexes[t.pkCol].lookup(op.val)
 		if len(positions) > 1 || (held && int(holder.first) != positions[0]) {
-			return 0, fmt.Errorf("%w: %s", ErrDuplicateKey, pk)
+			return 0, fmt.Errorf("%w: %s", ErrDuplicateKey, formatValue(op.val))
 		}
 	}
 	for _, pos := range positions {
+		row := t.row(pos)
 		for _, op := range ops {
-			t.rows[pos][op.ci] = op.val
+			row[op.ci] = op.val
 		}
 	}
 	for _, op := range ops {
@@ -501,18 +549,19 @@ func (e *Engine) delete(s *Delete) (int, error) {
 	if len(positions) == 0 {
 		return 0, nil
 	}
-	// Close the gaps: move each run of kept rows between two deleted
-	// positions down over the rows deleted before it.
-	w := positions[0]
+	// Close the gaps: move the cells of each run of kept rows between two
+	// deleted positions down over the rows deleted before it.
+	w, n := len(t.columns), t.nrows()
+	kept := positions[0] * w
 	for i, pos := range positions {
-		end := len(t.rows)
+		end := n
 		if i+1 < len(positions) {
 			end = positions[i+1]
 		}
-		w += copy(t.rows[w:], t.rows[pos+1:end])
+		kept += copy(t.cells[kept:], t.cells[(pos+1)*w:end*w])
 	}
-	clear(t.rows[w:]) // release references past the new length
-	t.rows = t.rows[:w]
+	clear(t.cells[kept:]) // release references past the new length
+	t.cells = t.cells[:kept]
 	// Positions shifted, so every index is rebuilt.
 	for ci := range t.indexes {
 		t.reindex(ci)
@@ -542,8 +591,8 @@ const stackRows = 64 // matched positions held on the stack; a point or range re
 // find their rows here. Caller holds at least the read lock.
 func (t *table) matching(where Expr, matched []int) ([]int, error) {
 	pos, via := t.candidates(where)
-	for pos >= 0 && pos < len(t.rows) {
-		ok, err := evalBool(where, t, t.rows[pos])
+	for n := t.nrows(); pos >= 0 && pos < n; {
+		ok, err := evalBool(where, t, t.row(pos))
 		if err != nil {
 			return nil, err
 		}
@@ -574,8 +623,7 @@ func (t *table) candidates(where Expr) (first int, via *index) {
 		return t.candidates(l.R)
 	}
 	if via, v := indexableEq(where, t); via != nil {
-		var key [32]byte // any number's text; a longer string spills to the heap
-		if c, held := via.chains[string(appendValue(key[:0], v))]; held {
+		if c, held := via.lookup(v); held {
 			return int(c.first), via
 		}
 		return -1, via
@@ -635,7 +683,7 @@ func projectInto(s *Select, t *table, matched []int, out *sink) error {
 			return err
 		}
 		slices.SortStableFunc(matched, func(a, b int) int {
-			c := compare(t.rows[a][ci], t.rows[b][ci])
+			c := compare(t.row(a)[ci], t.row(b)[ci])
 			if s.Desc {
 				return -c
 			}
@@ -680,8 +728,9 @@ func projectInto(s *Select, t *table, matched []int, out *sink) error {
 	cells := cellBuf[:0]
 	for _, pos := range matched[:limit] {
 		cells = cells[:0]
+		row := t.row(pos)
 		for _, ci := range indices {
-			cells = append(cells, t.rows[pos][ci])
+			cells = append(cells, row[ci])
 		}
 		out.row(cells)
 	}
@@ -754,7 +803,7 @@ func foldAgg(a AggFunc, t *table, matched []int, ci int) (Value, error) {
 	case AggCount:
 		n := int64(0)
 		for _, pos := range matched {
-			v := t.rows[pos][ci]
+			v := t.row(pos)[ci]
 			if v != nil {
 				n++
 			}
@@ -764,7 +813,7 @@ func foldAgg(a AggFunc, t *table, matched []int, ci int) (Value, error) {
 		sum := 0.0
 		n := 0
 		for _, pos := range matched {
-			v := t.rows[pos][ci]
+			v := t.row(pos)[ci]
 			if v == nil {
 				continue
 			}
@@ -785,7 +834,7 @@ func foldAgg(a AggFunc, t *table, matched []int, ci int) (Value, error) {
 	case AggMin, AggMax:
 		var best Value
 		for _, pos := range matched {
-			v := t.rows[pos][ci]
+			v := t.row(pos)[ci]
 			if v == nil {
 				continue
 			}

@@ -9,8 +9,9 @@ import (
 )
 
 // model is the reference the engine is compared against: one slice of rows,
-// always scanned, no index. A mutation is applied to a copy that replaces the
-// rows only once the whole statement and a primary-key scan have succeeded.
+// always scanned, no index, with keys told apart by compare. A mutation is
+// applied to a copy that replaces the rows only once the whole statement and
+// a primary-key scan have succeeded.
 // It shares the engine's evaluator, coercion and projection and none of its
 // selection, mutation or index code.
 type model struct{ t *table }
@@ -32,7 +33,8 @@ func (m *model) exec(stmt Statement) (*ResultSet, error) {
 	}
 	var matched []int
 	var next [][]Value
-	for pos, row := range t.rows {
+	for pos := range t.nrows() {
+		row := t.row(pos)
 		ok, err := evalBool(where, t, row)
 		if err != nil {
 			return nil, err
@@ -70,27 +72,29 @@ func (m *model) exec(stmt Statement) (*ResultSet, error) {
 			}
 		}
 	}
-	seen := map[string]bool{}
-	for _, row := range next {
+	var cells []Value
+	for i, row := range next {
 		for ci, c := range t.columns {
 			var err error
 			if row[ci], err = coerce(row[ci], c.Type); err != nil {
 				return nil, err
 			}
 		}
-		pk := formatValue(row[t.pkCol])
-		if seen[pk] {
-			return nil, ErrDuplicateKey
+		for _, earlier := range next[:i] {
+			if compare(earlier[t.pkCol], row[t.pkCol]) == 0 {
+				return nil, ErrDuplicateKey
+			}
 		}
-		seen[pk] = true
+		cells = append(cells, row...)
 	}
-	t.rows = next
+	t.cells = cells
 	return rs, nil
 }
 
 // modelStatement draws one statement over t(id INT PRIMARY KEY, k INT,
 // s TEXT, f FLOAT) from small value domains, so keys collide and predicates
-// match often. k and s gain an index mid-sequence; f never has one. The
+// match often. k, s and f gain an index mid-sequence; f's domain holds 0.0
+// and -0.0, which compare calls equal and its index must too. The
 // unknown column sits only under an OR: there every row is evaluated with or
 // without an index, so whether the statement fails cannot depend on the plan.
 func modelStatement(rng *rand.Rand) string {
@@ -98,9 +102,9 @@ func modelStatement(rng *rand.Rand) string {
 	id := func() string { return fmt.Sprint(rng.Intn(12)) }
 	k := func() string { return pick("0", "1", "2", "3", "NULL") }
 	str := func() string { return pick("'a'", "'b'", "'c'", "NULL") }
-	f := func() string { return pick("0.5", "1", "2.5") }
+	f := func() string { return pick("0.0", "-0.0", "0.5", "1", "2.5") }
 	pred := func() string {
-		switch rng.Intn(12) {
+		switch rng.Intn(13) {
 		case 0:
 			return "id = " + id()
 		case 1:
@@ -123,6 +127,8 @@ func modelStatement(rng *rand.Rand) string {
 			return "k = " + k() + " OR id = " + id()
 		case 10:
 			return "(k = " + k() + " AND nosuch = 2) OR f = " + f()
+		case 11:
+			return "f = " + f()
 		default:
 			return "NOT (s = " + str() + ")"
 		}
@@ -146,7 +152,7 @@ func modelStatement(rng *rand.Rand) string {
 	case 9, 10:
 		return "DELETE FROM t WHERE " + pred()
 	case 11:
-		return "CREATE INDEX i ON t (" + pick("k", "s", "nosuch") + ")"
+		return "CREATE INDEX i ON t (" + pick("k", "s", "f", "nosuch") + ")"
 	case 12:
 		return "SELECT COUNT(*), MIN(k), SUM(f) FROM t WHERE " + pred()
 	case 13:

@@ -13,7 +13,9 @@
 package sqldb
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -48,9 +50,14 @@ type Value interface{}
 
 // coerce converts v to the column type, returning an error for impossible
 // conversions. A value of the column's type comes back as is, not re-boxed.
+// NaN is no number an INT or FLOAT column holds: it equals nothing, so no
+// index would find it again.
 func coerce(v Value, t ColType) (Value, error) {
 	if v == nil {
 		return nil, nil
+	}
+	if f, ok := v.(float64); ok && math.IsNaN(f) && t != TypeText {
+		return nil, fmt.Errorf("sqldb: cannot coerce NaN to %v", t)
 	}
 	switch t {
 	case TypeInt:
@@ -74,7 +81,7 @@ func coerce(v Value, t ColType) (Value, error) {
 			return v, nil
 		case string:
 			f, err := strconv.ParseFloat(x, 64)
-			if err != nil {
+			if err != nil || math.IsNaN(f) {
 				return nil, fmt.Errorf("sqldb: cannot coerce %q to FLOAT", x)
 			}
 			return f, nil
@@ -93,7 +100,9 @@ func coerce(v Value, t ColType) (Value, error) {
 }
 
 // compare orders two values: -1, 0, or 1. NULL sorts before everything.
-// Numeric types compare numerically across int/float; strings compare
+// Two ints compare exactly; any other two numbers compare as floats, as
+// cmp.Compare does: -0 equals 0, and a NaN (only a literal can be one) sorts
+// before every other number and equals only NaN. Strings compare
 // lexicographically. Mixed string/number comparisons compare the string
 // forms, matching the engine's permissive coercion.
 func compare(a, b Value) int {
@@ -106,17 +115,15 @@ func compare(a, b Value) int {
 	if b == nil {
 		return 1
 	}
+	if ai, ok := a.(int64); ok {
+		if bi, ok := b.(int64); ok {
+			return cmp.Compare(ai, bi)
+		}
+	}
 	af, aIsNum := toFloat(a)
 	bf, bIsNum := toFloat(b)
 	if aIsNum && bIsNum {
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(af, bf)
 	}
 	return strings.Compare(formatValue(a), formatValue(b))
 }
