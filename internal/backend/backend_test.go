@@ -273,9 +273,9 @@ func TestSQLSessionHonorsRepeatDirective(t *testing.T) {
 // TestSQLSessionAllocs is the alloc-regression gate for the broker's database
 // access (matched by CI's -run 'Alloc' step): sqlSession.Do against a
 // loopback sqldb.Server, client and server together, each budget the measured
-// value. The server renders a result from the engine's rows straight into its
-// reply frame, so of the engine's allocations only the boxed literals (an
-// int64 under 256 is free) and an UPDATE's SET list remain. The session adds
+// value. The server renders a result from the engine's typed columns straight
+// into its reply frame, so of the engine's allocations only the boxed
+// literals (an int64 under 256 is free) remain. The session adds
 // only the query text on the server and the rendered table the broker keeps;
 // one more is the test's own payload. The range read is the benchmark's
 // shape, 15 rows.
@@ -301,7 +301,7 @@ func TestSQLSessionAllocs(t *testing.T) {
 	}{
 		{"SELECT id, name FROM records WHERE id = 12345", "12345\trecord-012345", 2, 4},
 		{"SELECT id, name, score FROM records WHERE category = 62 AND score BETWEEN 389 AND 427", "", 16, 5},
-		{"UPDATE records SET score = 12.345 WHERE id = 41999", "OK, 1 row(s) affected", 1, 6},
+		{"UPDATE records SET score = 12.345 WHERE id = 41999", "OK, 1 row(s) affected", 1, 5},
 	} {
 		out, err := s.Do(context.Background(), []byte(tc.sql))
 		if err != nil {

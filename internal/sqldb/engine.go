@@ -37,9 +37,9 @@ func (rs *ResultSet) String() string {
 // A sink receives one statement's result as the engine produces it: affected
 // for a write, or columns and then each row for a SELECT. Neither the names
 // nor a row's cells outlive the call. A collecting sink builds the ResultSet
-// that Exec returns; the server's appends the result's frameResult body to
-// body, allocating nothing but its growth. The engine calls a sink only once
-// the statement can no longer fail.
+// that Exec returns, boxing each cell into a Value; the server's appends the
+// result's frameResult body to body, allocating nothing but its growth. The
+// engine calls a sink only once the statement can no longer fail.
 type sink struct {
 	collect bool
 	rs      *ResultSet // collect: the result
@@ -67,16 +67,20 @@ func (k *sink) columns(names []string, nrows int) {
 }
 
 // row takes one row's cells.
-func (k *sink) row(cells []Value) {
+func (k *sink) row(cells []cell) {
 	if k.collect {
 		w := len(cells)
 		row := k.cells[:w:w]
-		copy(row, cells)
+		for i, c := range cells {
+			row[i] = c.value()
+		}
 		k.cells = k.cells[w:]
 		k.rs.Rows = append(k.rs.Rows, row)
 		return
 	}
-	k.body = appendRow(k.body, cells)
+	for _, c := range cells {
+		k.body = appendCell(k.body, c)
+	}
 }
 
 // Engine errors.
@@ -89,10 +93,10 @@ var (
 	ErrNotComparable = errors.New("sqldb: incomparable operands")
 )
 
-// table is one in-memory table. Its rows lie end to end in one cell array,
-// len(columns) cells a row, so a row costs its cells and no slice header of
-// its own. The primary key and every CREATE INDEX column have a hash index
-// for equality lookups.
+// table is one in-memory table, stored by column: cols[ci] holds column
+// ci's value of every row, in row order, so a row is a position and costs its
+// typed values and nothing more. The primary key and every CREATE INDEX
+// column have a hash index for equality lookups.
 //
 // A hash index is correct whenever the engine's lock is free: it chains every
 // row's position under that row's column value. Each mutating statement
@@ -102,19 +106,130 @@ type table struct {
 	name    string
 	columns []ColumnDef
 	colIdx  map[string]int
-	pkCol   int            // -1 when no primary key
-	cells   []Value        // row pos is cells[pos*w : pos*w+w], w = len(columns)
-	indexes map[int]*index // by column index
+	pkCol   int      // -1 when no primary key
+	cols    []column // by column index
+	n       int      // rows
 }
 
 // nrows returns the number of rows.
-func (t *table) nrows() int { return len(t.cells) / len(t.columns) }
+func (t *table) nrows() int { return t.n }
 
-// row returns row pos's cells, capped so that an append cannot reach the
-// next row.
-func (t *table) row(pos int) []Value {
-	w := len(t.columns)
-	return t.cells[pos*w : pos*w+w : pos*w+w]
+// column is one column's values, a typed vector: ints for an INT column,
+// floats for a FLOAT one, strs for a TEXT one, and the other two nil. A NULL
+// row holds the zero value and a set bit in nulls, which stays nil until the
+// column holds a NULL and then reaches the word of its last NULL row, so a
+// column without NULLs pays nothing for them.
+type column struct {
+	typ    ColType
+	ints   []int64
+	floats []float64
+	strs   []string
+	nulls  []uint64 // bit pos%64 of word pos/64 is set when row pos is NULL
+	index  *index   // nil when the column has none
+}
+
+// null reports whether row pos is NULL.
+func (c *column) null(pos int) bool {
+	w := pos / 64
+	return w < len(c.nulls) && c.nulls[w]&(1<<(pos%64)) != 0
+}
+
+// cell returns row pos's value.
+func (c *column) cell(pos int) cell {
+	if c.null(pos) {
+		return cell{}
+	}
+	switch c.typ {
+	case TypeInt:
+		return cell{kind: TypeInt, n: c.ints[pos]}
+	case TypeFloat:
+		return cell{kind: TypeFloat, f: c.floats[pos]}
+	default:
+		return cell{kind: TypeText, s: c.strs[pos]}
+	}
+}
+
+// set stores v, NULL or a value of the column's type, at row pos.
+func (c *column) set(pos int, v cell) {
+	switch c.typ {
+	case TypeInt:
+		c.ints[pos] = v.n
+	case TypeFloat:
+		c.floats[pos] = v.f
+	default:
+		c.strs[pos] = v.s
+	}
+	c.setNull(pos, v.kind == 0)
+}
+
+// setNull sets or clears row pos's NULL bit.
+func (c *column) setNull(pos int, null bool) {
+	w, bit := pos/64, uint64(1)<<(pos%64)
+	switch {
+	case null:
+		if w >= len(c.nulls) {
+			c.nulls = append(c.nulls, make([]uint64, w+1-len(c.nulls))...)
+		}
+		c.nulls[w] |= bit
+	case w < len(c.nulls):
+		c.nulls[w] &^= bit
+	}
+}
+
+// grow lengthens the column by k rows, for set to fill.
+func (c *column) grow(k int) {
+	switch c.typ {
+	case TypeInt:
+		c.ints = slices.Grow(c.ints, k)[:len(c.ints)+k]
+	case TypeFloat:
+		c.floats = slices.Grow(c.floats, k)[:len(c.floats)+k]
+	default:
+		c.strs = slices.Grow(c.strs, k)[:len(c.strs)+k]
+	}
+}
+
+// remove deletes the rows at positions, ascending and not empty; the rows
+// after each move up, their NULL bits with them.
+func (c *column) remove(positions []int) {
+	switch c.typ {
+	case TypeInt:
+		c.ints = closeGaps(c.ints, positions)
+	case TypeFloat:
+		c.floats = closeGaps(c.floats, positions)
+	default:
+		c.strs = closeGaps(c.strs, positions)
+	}
+	if c.nulls == nil {
+		return
+	}
+	old := c.nulls
+	c.nulls = nil
+	for pos, kept := 0, 0; pos < len(old)*64; pos++ {
+		if len(positions) > 0 && positions[0] == pos {
+			positions = positions[1:]
+			continue
+		}
+		if old[pos/64]&(1<<(pos%64)) != 0 {
+			c.setNull(kept, true)
+		}
+		kept++
+	}
+}
+
+// closeGaps deletes the elements at positions, ascending and not empty, from
+// s: each run of kept elements between two deleted ones moves down over the
+// elements deleted before it.
+func closeGaps[T any](s []T, positions []int) []T {
+	kept := positions[0]
+	for i, pos := range positions {
+		end := len(s)
+		if i+1 < len(positions) {
+			end = positions[i+1]
+		}
+		kept += copy(s[kept:], s[pos+1:end])
+	}
+	clear(s[kept:]) // release strings past the new length
+	return s[:kept]
 }
 
 // index is a hash index on one column: for each value, the chain of the row
@@ -122,16 +237,18 @@ func (t *table) row(pos int) []Value {
 // so a value costs a map entry and a row four bytes; a slice per value would
 // cost the 42,000-key primary index a slice header and an allocation per row.
 //
-// A value keys its chain as itself, never as its text: an INT column's
-// values key ints (16 bytes an entry), every other value, NULL included,
-// keys vals as the row's own cell, so no key is allocated. Two values of the
+// A value keys its chain as itself, in the map of its column's type, and NULL
+// has a chain of its own, so no key is boxed or formatted. Two values of the
 // column's type are one key when compare calls them equal: -0 and 0 are one
-// key, NULL and 'NULL' two, and NaN, which no key would ever find again, is
-// refused by coerce.
+// FLOAT key, as == has them, NULL and 'NULL' two, and NaN, which no key would
+// ever find again, is refused by coerce.
 type index struct {
-	ints map[int64]chain // an INT column's non-NULL values; nil on any other column
-	vals map[Value]chain // every other value
-	next []int32         // next[pos] is the position after pos in its chain, or -1
+	ints    map[int64]chain   // an INT column's values
+	floats  map[float64]chain // a FLOAT column's
+	strs    map[string]chain  // a TEXT column's
+	null    chain             // the NULL rows, when hasNull
+	hasNull bool
+	next    []int32 // next[pos] is the position after pos in its chain, or -1
 }
 
 type chain struct{ first, last int32 }
@@ -140,28 +257,35 @@ type chain struct{ first, last int32 }
 // distinct values and rows rows.
 func newIndex(typ ColType, distinct, rows int) *index {
 	ix := &index{next: make([]int32, 0, rows)}
-	if typ == TypeInt {
+	switch typ {
+	case TypeInt:
 		ix.ints = make(map[int64]chain, distinct)
-		ix.vals = make(map[Value]chain)
-	} else {
-		ix.vals = make(map[Value]chain, distinct)
+	case TypeFloat:
+		ix.floats = make(map[float64]chain, distinct)
+	default:
+		ix.strs = make(map[string]chain, distinct)
 	}
 	return ix
 }
 
-// lookup returns the chain of the rows holding v, a value coerced to the
+// lookup returns the chain of the rows holding v, NULL or a value of the
 // column's type.
-func (ix *index) lookup(v Value) (chain, bool) {
-	if n, ok := v.(int64); ok && ix.ints != nil {
-		c, held := ix.ints[n]
-		return c, held
+func (ix *index) lookup(v cell) (c chain, held bool) {
+	switch v.kind {
+	case TypeInt:
+		c, held = ix.ints[v.n]
+	case TypeFloat:
+		c, held = ix.floats[v.f]
+	case TypeText:
+		c, held = ix.strs[v.s]
+	default:
+		c, held = ix.null, ix.hasNull
 	}
-	c, held := ix.vals[v]
 	return c, held
 }
 
 // add puts the next row, the one at position len(ix.next), under its value v.
-func (ix *index) add(v Value) {
+func (ix *index) add(v cell) {
 	pos := int32(len(ix.next))
 	ix.next = append(ix.next, -1)
 	c, ok := ix.lookup(v)
@@ -171,10 +295,15 @@ func (ix *index) add(v Value) {
 		c.first = pos
 	}
 	c.last = pos
-	if n, isInt := v.(int64); isInt && ix.ints != nil {
-		ix.ints[n] = c
-	} else {
-		ix.vals[v] = c
+	switch v.kind {
+	case TypeInt:
+		ix.ints[v.n] = c
+	case TypeFloat:
+		ix.floats[v.f] = c
+	case TypeText:
+		ix.strs[v.s] = c
+	default:
+		ix.null, ix.hasNull = c, true
 	}
 }
 
@@ -347,9 +476,10 @@ func (e *Engine) createTable(s *CreateTable) error {
 		columns: s.Columns,
 		colIdx:  make(map[string]int, len(s.Columns)),
 		pkCol:   -1,
-		indexes: make(map[int]*index),
+		cols:    make([]column, len(s.Columns)),
 	}
 	for i, c := range s.Columns {
+		t.cols[i].typ = c.Type
 		lc := strings.ToLower(c.Name)
 		if _, dup := t.colIdx[lc]; dup {
 			return fmt.Errorf("sqldb: duplicate column %s", c.Name)
@@ -380,7 +510,7 @@ func (e *Engine) createIndex(s *CreateIndex) error {
 	if err != nil {
 		return err
 	}
-	if _, exists := t.indexes[ci]; !exists {
+	if t.cols[ci].index == nil {
 		t.reindex(ci)
 	}
 	return nil
@@ -400,16 +530,16 @@ func (e *Engine) dropTable(s *DropTable) error {
 // reindex builds column ci's hash index from the rows. Caller holds the
 // write lock.
 func (t *table) reindex(ci int) {
+	col := &t.cols[ci]
 	distinct := 0
-	if old := t.indexes[ci]; old != nil {
-		distinct = len(old.ints) + len(old.vals)
+	if old := col.index; old != nil {
+		distinct = len(old.ints) + len(old.floats) + len(old.strs)
 	}
-	n := t.nrows()
-	ix := newIndex(t.columns[ci].Type, distinct, n)
-	for pos := range n {
-		ix.add(t.row(pos)[ci])
+	ix := newIndex(col.typ, distinct, t.n)
+	for pos := range t.n {
+		ix.add(col.cell(pos))
 	}
-	t.indexes[ci] = ix
+	col.index = ix
 }
 
 func (e *Engine) insert(s *Insert) (int, error) {
@@ -438,10 +568,10 @@ func (e *Engine) insert(s *Insert) (int, error) {
 		return 0, fmt.Errorf("sqldb: table %s is full", t.name) // the indexes hold positions as int32
 	}
 	w := len(t.columns)
-	staged := make([]Value, len(s.Rows)*w) // the new rows, appended to the table at once
-	var pending map[Value]bool             // primary keys of this statement's own rows
+	staged := make([]cell, len(s.Rows)*w) // the new rows, appended to the table at once
+	var pending map[cell]bool             // primary keys of this statement's own rows
 	if t.pkCol != -1 {
-		pending = make(map[Value]bool, len(s.Rows))
+		pending = make(map[cell]bool, len(s.Rows))
 	}
 	for i, tuple := range s.Rows {
 		if len(tuple) != len(order) {
@@ -457,19 +587,33 @@ func (e *Engine) insert(s *Insert) (int, error) {
 		}
 		if t.pkCol != -1 {
 			pk := row[t.pkCol]
-			if _, held := t.indexes[t.pkCol].lookup(pk); held || pending[pk] {
-				return 0, fmt.Errorf("%w: %s", ErrDuplicateKey, formatValue(pk))
+			if _, held := t.cols[t.pkCol].index.lookup(pk); held || pending[pk] {
+				return 0, fmt.Errorf("%w: %s", ErrDuplicateKey, pk.text())
 			}
 			pending[pk] = true
 		}
 	}
-	t.cells = append(t.cells, staged...)
-	for ci, ix := range t.indexes {
-		for i := range s.Rows {
-			ix.add(staged[i*w+ci])
+	t.appendRows(staged)
+	return len(s.Rows), nil
+}
+
+// appendRows appends staged's rows, len(t.cols) cells a row and each cell
+// NULL or of its column's type, to the columns and their indexes.
+func (t *table) appendRows(staged []cell) {
+	w := len(t.cols)
+	k := len(staged) / w
+	for ci := range t.cols {
+		col := &t.cols[ci]
+		col.grow(k)
+		for i := range k {
+			v := staged[i*w+ci]
+			col.set(t.n+i, v)
+			if col.index != nil {
+				col.index.add(v)
+			}
 		}
 	}
-	return len(s.Rows), nil
+	t.n += k
 }
 
 func (e *Engine) update(s *Update) (int, error) {
@@ -481,15 +625,15 @@ func (e *Engine) update(s *Update) (int, error) {
 	}
 	type setOp struct {
 		ci  int
-		val Value
+		val cell
 	}
 	var names [8]string
-	cols := names[:0]
+	var opBuf [8]setOp
+	cols, ops := names[:0], opBuf[:0]
 	for col := range s.Set {
 		cols = append(cols, col)
 	}
 	slices.Sort(cols) // not map order: the same error, and winner of two spellings, every run
-	ops := make([]setOp, 0, len(s.Set))
 	for _, col := range cols {
 		ci, err := t.column(col)
 		if err != nil {
@@ -515,19 +659,18 @@ func (e *Engine) update(s *Update) (int, error) {
 		}
 		// Every matched row takes this key: it must be one row, and no other
 		// row may hold the key already.
-		holder, held := t.indexes[t.pkCol].lookup(op.val)
+		holder, held := t.cols[t.pkCol].index.lookup(op.val)
 		if len(positions) > 1 || (held && int(holder.first) != positions[0]) {
-			return 0, fmt.Errorf("%w: %s", ErrDuplicateKey, formatValue(op.val))
-		}
-	}
-	for _, pos := range positions {
-		row := t.row(pos)
-		for _, op := range ops {
-			row[op.ci] = op.val
+			return 0, fmt.Errorf("%w: %s", ErrDuplicateKey, op.val.text())
 		}
 	}
 	for _, op := range ops {
-		if _, indexed := t.indexes[op.ci]; indexed {
+		for _, pos := range positions {
+			t.cols[op.ci].set(pos, op.val)
+		}
+	}
+	for _, op := range ops {
+		if t.cols[op.ci].index != nil {
 			t.reindex(op.ci)
 		}
 	}
@@ -549,22 +692,15 @@ func (e *Engine) delete(s *Delete) (int, error) {
 	if len(positions) == 0 {
 		return 0, nil
 	}
-	// Close the gaps: move the cells of each run of kept rows between two
-	// deleted positions down over the rows deleted before it.
-	w, n := len(t.columns), t.nrows()
-	kept := positions[0] * w
-	for i, pos := range positions {
-		end := n
-		if i+1 < len(positions) {
-			end = positions[i+1]
-		}
-		kept += copy(t.cells[kept:], t.cells[(pos+1)*w:end*w])
+	for ci := range t.cols {
+		t.cols[ci].remove(positions)
 	}
-	clear(t.cells[kept:]) // release references past the new length
-	t.cells = t.cells[:kept]
+	t.n -= len(positions)
 	// Positions shifted, so every index is rebuilt.
-	for ci := range t.indexes {
-		t.reindex(ci)
+	for ci := range t.cols {
+		if t.cols[ci].index != nil {
+			t.reindex(ci)
+		}
 	}
 	return len(positions), nil
 }
@@ -590,13 +726,15 @@ const stackRows = 64 // matched positions held on the stack; a point or range re
 // ascending. It is the one row-selection path: SELECT, UPDATE and DELETE all
 // find their rows here. Caller holds at least the read lock.
 func (t *table) matching(where Expr, matched []int) ([]int, error) {
-	pos, via := t.candidates(where)
-	for n := t.nrows(); pos >= 0 && pos < n; {
-		ok, err := evalBool(where, t, t.row(pos))
-		if err != nil {
-			return nil, err
-		}
-		if ok {
+	var nodes [maxStackPred]pnode
+	var args [maxStackPred]operand
+	p, err := t.compile(where, predicate{nodes: nodes[:0], args: args[:0]})
+	if err != nil {
+		return nil, err
+	}
+	pos, via := p.candidates(0)
+	for pos >= 0 && pos < t.n {
+		if p.holds(0, pos) {
 			matched = append(matched, pos)
 		}
 		if via == nil {
@@ -608,55 +746,229 @@ func (t *table) matching(where Expr, matched []int) ([]int, error) {
 	return matched, nil
 }
 
-// candidates narrows where to the rows worth checking: the first of them and
-// the index whose chain leads to the rest. Walking the top-level ANDs left to
-// right, it picks the chain of the first `col = literal` conjunct over an
-// indexed column (first is -1 when no row holds the literal); with no such
-// conjunct via is nil, and every row from 0 on must be checked. Candidates
-// are always re-checked against the full WHERE clause, so the choice only
-// affects performance.
-func (t *table) candidates(where Expr) (first int, via *index) {
-	if l, ok := where.(*Logical); ok && l.Op == OpAnd {
-		if first, via = t.candidates(l.L); via != nil {
-			return first, via
-		}
-		return t.candidates(l.R)
-	}
-	if via, v := indexableEq(where, t); via != nil {
-		if c, held := via.lookup(v); held {
-			return int(c.first), via
-		}
-		return -1, via
-	}
-	return 0, nil
+// maxStackPred is the number of nodes, and of operands, a WHERE clause
+// compiles into on the stack; a larger clause spills to the heap.
+const maxStackPred = 8
+
+// A predicate is a WHERE clause compiled against a table for one statement:
+// a node per boolean expression, node 0 the whole clause, and an operand per
+// value, each column resolved and each literal unboxed once. Evaluating it
+// against a row reads the row's typed cells, looks no name up, boxes nothing
+// and cannot fail.
+type predicate struct {
+	nodes []pnode
+	args  []operand
 }
 
-// indexableEq recognizes `col = literal` (either side) over an indexed
-// column and returns that index and the literal coerced to the column's
-// type, or a nil index.
-func indexableEq(where Expr, t *table) (ix *index, v Value) {
-	cmp, isCmp := where.(*Cmp)
-	if !isCmp || cmp.Op != OpEq {
-		return nil, nil
+type pnode struct {
+	kind    pkind
+	op      CmpOp  // pCmp
+	a, b    int32  // pAnd, pOr: the child nodes; pNot: the child, in a; otherwise the operands args[a:b]
+	pattern string // pLike
+}
+
+type pkind uint8
+
+const (
+	pTrue pkind = iota // no WHERE clause
+	pAnd
+	pOr
+	pNot
+	pCmp // pCmp and the kinds after it take operands
+	pBetween
+	pIn
+	pLike
+)
+
+// An operand is a column or, when col is nil, a literal.
+type operand struct {
+	col *column
+	lit cell
+}
+
+// at returns the operand's value in row pos.
+func (o *operand) at(pos int) cell {
+	if o.col != nil {
+		return o.col.cell(pos)
 	}
-	colExpr, litExpr := cmp.L, cmp.R
-	if _, isCol := colExpr.(*ColRef); !isCol {
-		colExpr, litExpr = cmp.R, cmp.L
+	return o.lit
+}
+
+// compile appends the nodes and operands of e, which may be nil, to p; e's
+// node is the first it appends.
+func (t *table) compile(e Expr, p predicate) (predicate, error) {
+	at := len(p.nodes)
+	p.nodes = append(p.nodes, pnode{})
+	var n pnode
+	var err error
+	switch x := e.(type) {
+	case nil:
+		n.kind = pTrue
+	case *Logical:
+		switch x.Op {
+		case OpAnd:
+			n.kind = pAnd
+		case OpOr:
+			n.kind = pOr
+		default:
+			return p, fmt.Errorf("sqldb: unknown logical op %d", x.Op)
+		}
+		n.a = int32(len(p.nodes))
+		if p, err = t.compile(x.L, p); err != nil {
+			return p, err
+		}
+		n.b = int32(len(p.nodes))
+		p, err = t.compile(x.R, p)
+	case *Not:
+		n.kind, n.a = pNot, int32(len(p.nodes))
+		p, err = t.compile(x.E, p)
+	case *Cmp:
+		if x.Op < OpEq || x.Op > OpGe {
+			return p, fmt.Errorf("sqldb: unknown comparison op %d", x.Op)
+		}
+		n.kind, n.op, n.a = pCmp, x.Op, int32(len(p.args))
+		p, err = t.operands(p, x.L, x.R)
+	case *Between:
+		n.kind, n.a = pBetween, int32(len(p.args))
+		p, err = t.operands(p, x.E, x.Lo, x.Hi)
+	case *In:
+		n.kind, n.a = pIn, int32(len(p.args))
+		if p, err = t.operands(p, x.E); err == nil {
+			p, err = t.operands(p, x.List...)
+		}
+	case *Like:
+		n.kind, n.a, n.pattern = pLike, int32(len(p.args)), x.Pattern
+		p, err = t.operands(p, x.E)
+	default:
+		return p, fmt.Errorf("sqldb: expression %T is not boolean", e)
 	}
-	col, isCol := colExpr.(*ColRef)
-	lit, isLit := litExpr.(*Literal)
-	if !isCol || !isLit {
-		return nil, nil
-	}
-	ci, exists := t.colIdx[strings.ToLower(col.Name)]
-	if ix = t.indexes[ci]; !exists || ix == nil {
-		return nil, nil
-	}
-	cv, err := coerce(lit.Val, t.columns[ci].Type)
 	if err != nil {
-		return nil, nil
+		return p, err
 	}
-	return ix, cv
+	if n.kind >= pCmp { // the kinds that take operands: theirs end here
+		n.b = int32(len(p.args))
+	}
+	p.nodes[at] = n
+	return p, nil
+}
+
+// operands appends es, each a column reference or a literal, to p's
+// operands.
+func (t *table) operands(p predicate, es ...Expr) (predicate, error) {
+	for _, e := range es {
+		switch x := e.(type) {
+		case *ColRef:
+			ci, err := t.column(x.Name)
+			if err != nil {
+				return p, err
+			}
+			p.args = append(p.args, operand{col: &t.cols[ci]})
+		case *Literal:
+			p.args = append(p.args, operand{lit: cellOf(x.Val)})
+		default:
+			return p, fmt.Errorf("sqldb: expression %T is not a value", e)
+		}
+	}
+	return p, nil
+}
+
+// holds evaluates node i against row pos.
+func (p *predicate) holds(i int32, pos int) bool {
+	n := &p.nodes[i]
+	switch n.kind {
+	case pAnd:
+		return p.holds(n.a, pos) && p.holds(n.b, pos)
+	case pOr:
+		return p.holds(n.a, pos) || p.holds(n.b, pos)
+	case pNot:
+		return !p.holds(n.a, pos)
+	case pCmp:
+		l, r := p.args[n.a].at(pos), p.args[n.a+1].at(pos)
+		// SQL three-valued logic collapsed to two: NULL comparisons are
+		// false except = NULL / != NULL which test for null-ness.
+		if l.kind == 0 || r.kind == 0 {
+			switch n.op {
+			case OpEq:
+				return l.kind == 0 && r.kind == 0
+			case OpNe:
+				return (l.kind == 0) != (r.kind == 0)
+			default:
+				return false
+			}
+		}
+		c := compare(l, r)
+		switch n.op {
+		case OpEq:
+			return c == 0
+		case OpNe:
+			return c != 0
+		case OpLt:
+			return c < 0
+		case OpLe:
+			return c <= 0
+		case OpGt:
+			return c > 0
+		default: // OpGe: compile admits no other
+			return c >= 0
+		}
+	case pBetween:
+		v, lo, hi := p.args[n.a].at(pos), p.args[n.a+1].at(pos), p.args[n.a+2].at(pos)
+		if v.kind == 0 || lo.kind == 0 || hi.kind == 0 {
+			return false
+		}
+		return compare(v, lo) >= 0 && compare(v, hi) <= 0
+	case pIn:
+		v := p.args[n.a].at(pos)
+		for k := n.a + 1; k < n.b; k++ {
+			lv := p.args[k].at(pos)
+			if v.kind == 0 && lv.kind == 0 {
+				return true
+			}
+			if v.kind != 0 && lv.kind != 0 && compare(v, lv) == 0 {
+				return true
+			}
+		}
+		return false
+	case pLike:
+		v := p.args[n.a].at(pos)
+		return v.kind != 0 && likeMatch(v.text(), n.pattern)
+	}
+	return true // pTrue
+}
+
+// candidates narrows node i to the rows worth checking: the first of them
+// and the index whose chain leads to the rest. Walking the top-level ANDs
+// left to right, it picks the chain of the first `col = literal` conjunct
+// over an indexed column (first is -1 when no row holds the literal); with
+// no such conjunct via is nil, and every row from 0 on must be checked.
+// Candidates are always re-checked against the full WHERE clause, so the
+// choice only affects performance.
+func (p *predicate) candidates(i int32) (first int, via *index) {
+	n := &p.nodes[i]
+	switch {
+	case n.kind == pAnd:
+		if first, via = p.candidates(n.a); via != nil {
+			return first, via
+		}
+		return p.candidates(n.b)
+	case n.kind == pCmp && n.op == OpEq:
+		col, lit := p.args[n.a], p.args[n.a+1]
+		if col.col == nil {
+			col, lit = lit, col
+		}
+		if col.col == nil || lit.col != nil || col.col.index == nil {
+			break
+		}
+		v, err := cast(lit.lit, col.col.typ)
+		if err != nil {
+			break
+		}
+		if c, held := col.col.index.lookup(v); held {
+			return int(c.first), col.col.index
+		}
+		return -1, col.col.index
+	}
+	return 0, nil
 }
 
 // project collects what projectInto hands its sink into a ResultSet. The
@@ -682,8 +994,9 @@ func projectInto(s *Select, t *table, matched []int, out *sink) error {
 		if err != nil {
 			return err
 		}
+		col := &t.cols[ci]
 		slices.SortStableFunc(matched, func(a, b int) int {
-			c := compare(t.row(a)[ci], t.row(b)[ci])
+			c := compare(col.cell(a), col.cell(b))
 			if s.Desc {
 				return -c
 			}
@@ -697,13 +1010,13 @@ func projectInto(s *Select, t *table, matched []int, out *sink) error {
 
 	// Resolve the projection once.
 	var nameBuf [maxStackWidth]string
-	var indexBuf [maxStackWidth]int
-	names, indices := nameBuf[:0], indexBuf[:0]
+	var colBuf [maxStackWidth]*column
+	names, cols := nameBuf[:0], colBuf[:0]
 	for _, item := range s.Items {
 		if item.Star {
 			for i, c := range t.columns {
 				names = append(names, c.Name)
-				indices = append(indices, i)
+				cols = append(cols, &t.cols[i])
 			}
 			continue
 		}
@@ -716,7 +1029,7 @@ func projectInto(s *Select, t *table, matched []int, out *sink) error {
 			name = item.Alias
 		}
 		names = append(names, name)
-		indices = append(indices, ci)
+		cols = append(cols, &t.cols[ci])
 	}
 
 	limit := s.Limit
@@ -724,13 +1037,12 @@ func projectInto(s *Select, t *table, matched []int, out *sink) error {
 		limit = len(matched)
 	}
 	out.columns(names, limit)
-	var cellBuf [maxStackWidth]Value
+	var cellBuf [maxStackWidth]cell
 	cells := cellBuf[:0]
 	for _, pos := range matched[:limit] {
 		cells = cells[:0]
-		row := t.row(pos)
-		for _, ci := range indices {
-			cells = append(cells, row[ci])
+		for _, col := range cols {
+			cells = append(cells, col.cell(pos))
 		}
 		out.row(cells)
 	}
@@ -750,7 +1062,7 @@ func isAggregate(items []SelectItem) bool {
 // hands it to out once every aggregate has succeeded.
 func aggregate(s *Select, t *table, matched []int, out *sink) error {
 	var nameBuf [maxStackWidth]string
-	var cellBuf [maxStackWidth]Value
+	var cellBuf [maxStackWidth]cell
 	names, cells := nameBuf[:0], cellBuf[:0]
 	for _, item := range s.Items {
 		if item.Agg == AggNone {
@@ -763,14 +1075,14 @@ func aggregate(s *Select, t *table, matched []int, out *sink) error {
 		names = append(names, name)
 
 		if item.Agg == AggCount && item.Star {
-			cells = append(cells, int64(len(matched)))
+			cells = append(cells, cell{kind: TypeInt, n: int64(len(matched))})
 			continue
 		}
 		ci, err := t.column(item.Column)
 		if err != nil {
 			return err
 		}
-		v, err := foldAgg(item.Agg, t, matched, ci)
+		v, err := foldAgg(item.Agg, &t.cols[ci], matched)
 		if err != nil {
 			return err
 		}
@@ -798,47 +1110,47 @@ func aggName(a AggFunc) string {
 	}
 }
 
-func foldAgg(a AggFunc, t *table, matched []int, ci int) (Value, error) {
+func foldAgg(a AggFunc, col *column, matched []int) (cell, error) {
 	switch a {
 	case AggCount:
 		n := int64(0)
 		for _, pos := range matched {
-			v := t.row(pos)[ci]
-			if v != nil {
+			if !col.null(pos) {
 				n++
 			}
 		}
-		return n, nil
+		return cell{kind: TypeInt, n: n}, nil
 	case AggSum, AggAvg:
 		sum := 0.0
 		n := 0
 		for _, pos := range matched {
-			v := t.row(pos)[ci]
-			if v == nil {
+			switch v := col.cell(pos); v.kind {
+			case 0:
 				continue
+			case TypeInt:
+				sum += float64(v.n)
+			case TypeFloat:
+				sum += v.f
+			default:
+				return cell{}, fmt.Errorf("sqldb: %s over non-numeric column", aggName(a))
 			}
-			f, ok := toFloat(v)
-			if !ok {
-				return nil, fmt.Errorf("sqldb: %s over non-numeric column", aggName(a))
-			}
-			sum += f
 			n++
 		}
 		if a == AggSum {
-			return sum, nil
+			return cell{kind: TypeFloat, f: sum}, nil
 		}
 		if n == 0 {
-			return nil, nil
+			return cell{}, nil
 		}
-		return sum / float64(n), nil
+		return cell{kind: TypeFloat, f: sum / float64(n)}, nil
 	case AggMin, AggMax:
-		var best Value
+		var best cell
 		for _, pos := range matched {
-			v := t.row(pos)[ci]
-			if v == nil {
+			v := col.cell(pos)
+			if v.kind == 0 {
 				continue
 			}
-			if best == nil {
+			if best.kind == 0 {
 				best = v
 				continue
 			}
@@ -849,129 +1161,6 @@ func foldAgg(a AggFunc, t *table, matched []int, ci int) (Value, error) {
 		}
 		return best, nil
 	default:
-		return nil, fmt.Errorf("sqldb: unknown aggregate %d", a)
-	}
-}
-
-// evalBool evaluates a WHERE expression; nil means "all rows".
-func evalBool(e Expr, t *table, row []Value) (bool, error) {
-	if e == nil {
-		return true, nil
-	}
-	switch x := e.(type) {
-	case *Logical:
-		l, err := evalBool(x.L, t, row)
-		if err != nil {
-			return false, err
-		}
-		if x.Op == OpAnd && !l {
-			return false, nil
-		}
-		if x.Op == OpOr && l {
-			return true, nil
-		}
-		return evalBool(x.R, t, row)
-	case *Not:
-		v, err := evalBool(x.E, t, row)
-		return !v, err
-	case *Cmp:
-		l, err := evalValue(x.L, t, row)
-		if err != nil {
-			return false, err
-		}
-		r, err := evalValue(x.R, t, row)
-		if err != nil {
-			return false, err
-		}
-		// SQL three-valued logic collapsed to two: NULL comparisons are
-		// false except = NULL / != NULL which test for null-ness.
-		if l == nil || r == nil {
-			switch x.Op {
-			case OpEq:
-				return l == nil && r == nil, nil
-			case OpNe:
-				return (l == nil) != (r == nil), nil
-			default:
-				return false, nil
-			}
-		}
-		c := compare(l, r)
-		switch x.Op {
-		case OpEq:
-			return c == 0, nil
-		case OpNe:
-			return c != 0, nil
-		case OpLt:
-			return c < 0, nil
-		case OpLe:
-			return c <= 0, nil
-		case OpGt:
-			return c > 0, nil
-		case OpGe:
-			return c >= 0, nil
-		}
-		return false, fmt.Errorf("sqldb: unknown comparison op %d", x.Op)
-	case *Between:
-		v, err := evalValue(x.E, t, row)
-		if err != nil {
-			return false, err
-		}
-		lo, err := evalValue(x.Lo, t, row)
-		if err != nil {
-			return false, err
-		}
-		hi, err := evalValue(x.Hi, t, row)
-		if err != nil {
-			return false, err
-		}
-		if v == nil || lo == nil || hi == nil {
-			return false, nil
-		}
-		return compare(v, lo) >= 0 && compare(v, hi) <= 0, nil
-	case *In:
-		v, err := evalValue(x.E, t, row)
-		if err != nil {
-			return false, err
-		}
-		for _, le := range x.List {
-			lv, err := evalValue(le, t, row)
-			if err != nil {
-				return false, err
-			}
-			if v == nil && lv == nil {
-				return true, nil
-			}
-			if v != nil && lv != nil && compare(v, lv) == 0 {
-				return true, nil
-			}
-		}
-		return false, nil
-	case *Like:
-		v, err := evalValue(x.E, t, row)
-		if err != nil {
-			return false, err
-		}
-		if v == nil {
-			return false, nil
-		}
-		return likeMatch(formatValue(v), x.Pattern), nil
-	default:
-		return false, fmt.Errorf("sqldb: expression %T is not boolean", e)
-	}
-}
-
-// evalValue evaluates a value expression against a row.
-func evalValue(e Expr, t *table, row []Value) (Value, error) {
-	switch x := e.(type) {
-	case *ColRef:
-		ci, ok := t.colIdx[strings.ToLower(x.Name)]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.name, x.Name)
-		}
-		return row[ci], nil
-	case *Literal:
-		return x.Val, nil
-	default:
-		return nil, fmt.Errorf("sqldb: expression %T is not a value", e)
+		return cell{}, fmt.Errorf("sqldb: unknown aggregate %d", a)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -12,8 +13,9 @@ import (
 // always scanned, no index, with keys told apart by compare. A mutation is
 // applied to a copy that replaces the rows only once the whole statement and
 // a primary-key scan have succeeded.
-// It shares the engine's evaluator, coercion and projection and none of its
-// selection, mutation or index code.
+// It shares the engine's predicate compiler and evaluator, coercion,
+// projection and column vectors, and none of its selection, mutation or
+// index code.
 type model struct{ t *table }
 
 func (m *model) exec(stmt Statement) (*ResultSet, error) {
@@ -31,19 +33,23 @@ func (m *model) exec(stmt Statement) (*ResultSet, error) {
 	case *Delete:
 		where = s.Where
 	}
+	p, err := t.compile(where, predicate{})
+	if err != nil {
+		return nil, err
+	}
 	var matched []int
 	var next [][]Value
 	for pos := range t.nrows() {
-		row := t.row(pos)
-		ok, err := evalBool(where, t, row)
-		if err != nil {
-			return nil, err
-		}
+		ok := p.holds(0, pos)
 		if ok {
 			matched = append(matched, pos)
 		}
 		if !(ok && deleting) {
-			next = append(next, append([]Value(nil), row...))
+			row := make([]Value, len(t.cols))
+			for ci := range t.cols {
+				row[ci] = t.cols[ci].cell(pos).value()
+			}
+			next = append(next, row)
 		}
 	}
 	rs := &ResultSet{Affected: len(matched)}
@@ -72,39 +78,49 @@ func (m *model) exec(stmt Statement) (*ResultSet, error) {
 			}
 		}
 	}
-	var cells []Value
+	rows := make([][]cell, len(next))
 	for i, row := range next {
+		rows[i] = make([]cell, len(t.columns))
 		for ci, c := range t.columns {
-			var err error
-			if row[ci], err = coerce(row[ci], c.Type); err != nil {
+			if rows[i][ci], err = coerce(row[ci], c.Type); err != nil {
 				return nil, err
 			}
 		}
-		for _, earlier := range next[:i] {
-			if compare(earlier[t.pkCol], row[t.pkCol]) == 0 {
+		for _, earlier := range rows[:i] {
+			if compare(earlier[t.pkCol], rows[i][t.pkCol]) == 0 {
 				return nil, ErrDuplicateKey
 			}
 		}
-		cells = append(cells, row...)
 	}
-	t.cells = cells
+	for ci := range t.cols {
+		col := column{typ: t.cols[ci].typ}
+		col.grow(len(rows))
+		for pos, row := range rows {
+			col.set(pos, row[ci])
+		}
+		t.cols[ci] = col
+	}
+	t.n = len(rows)
 	return rs, nil
 }
 
 // modelStatement draws one statement over t(id INT PRIMARY KEY, k INT,
 // s TEXT, f FLOAT) from small value domains, so keys collide and predicates
 // match often. k, s and f gain an index mid-sequence; f's domain holds 0.0
-// and -0.0, which compare calls equal and its index must too. The
-// unknown column sits only under an OR: there every row is evaluated with or
-// without an index, so whether the statement fails cannot depend on the plan.
+// and -0.0, which compare calls equal and its index must too. k holds 2^53
+// and 2^53+1, which one float64 rounds together, and is compared with float
+// literals; f is given 2^53+1, which it stores as 2^53. The unknown column
+// sits only under an OR, where a plan could skip it: compile resolves every
+// column before any row is read.
 func modelStatement(rng *rand.Rand) string {
 	pick := func(options ...string) string { return options[rng.Intn(len(options))] }
 	id := func() string { return fmt.Sprint(rng.Intn(12)) }
-	k := func() string { return pick("0", "1", "2", "3", "NULL") }
+	k := func() string { return pick("0", "1", "2", "3", "NULL", "9007199254740992", "9007199254740993") }
+	kf := func() string { return pick("1.0", "2.5", "9007199254740992.0", "9007199254740994.0") }
 	str := func() string { return pick("'a'", "'b'", "'c'", "NULL") }
-	f := func() string { return pick("0.0", "-0.0", "0.5", "1", "2.5") }
+	f := func() string { return pick("0.0", "-0.0", "0.5", "1", "2.5", "9007199254740993") }
 	pred := func() string {
-		switch rng.Intn(13) {
+		switch rng.Intn(14) {
 		case 0:
 			return "id = " + id()
 		case 1:
@@ -129,6 +145,8 @@ func modelStatement(rng *rand.Rand) string {
 			return "(k = " + k() + " AND nosuch = 2) OR f = " + f()
 		case 11:
 			return "f = " + f()
+		case 12:
+			return "k " + pick("=", "<", ">=") + " " + kf()
 		default:
 			return "NOT (s = " + str() + ")"
 		}
@@ -174,7 +192,7 @@ func TestEngineMatchesModel(t *testing.T) {
 		ref := NewEngine()
 		mustExec(t, ref, create)
 		m := &model{t: ref.tables["t"]}
-		m.t.indexes = nil
+		m.t.cols[m.t.pkCol].index = nil
 
 		step, stmt, sql := 0, create, create
 		fail := func(format string, args ...any) {
@@ -215,9 +233,14 @@ func TestEngineMatchesModel(t *testing.T) {
 	}
 }
 
+// sqlLiteral spells v as a literal the lexer reads back: a float in
+// positional notation, since it takes no exponent.
 func sqlLiteral(v Value) string {
-	if s, ok := v.(string); ok {
-		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+	switch x := v.(type) {
+	case string:
+		return "'" + strings.ReplaceAll(x, "'", "''") + "'"
+	case float64:
+		return strconv.FormatFloat(x, 'f', -1, 64)
 	}
 	return formatValue(v)
 }

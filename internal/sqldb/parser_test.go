@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -429,6 +430,11 @@ func TestCoerce(t *testing.T) {
 		{int64(5), TypeText, "5", false},
 		{2.5, TypeText, "2.5", false},
 		{nil, TypeInt, nil, false},
+		{-2.5, TypeInt, int64(-2), false},
+		{1e300, TypeInt, nil, true},
+		{-0x1p63, TypeInt, int64(math.MinInt64), false},
+		{math.Inf(-1), TypeInt, nil, true},
+		{math.Inf(1), TypeFloat, math.Inf(1), false},
 	}
 	for _, tt := range tests {
 		got, err := coerce(tt.v, tt.t)
@@ -436,7 +442,7 @@ func TestCoerce(t *testing.T) {
 			t.Errorf("coerce(%v, %v) err = %v, want err=%v", tt.v, tt.t, err, tt.err)
 			continue
 		}
-		if !tt.err && got != tt.want {
+		if !tt.err && got.value() != tt.want {
 			t.Errorf("coerce(%v, %v) = %v, want %v", tt.v, tt.t, got, tt.want)
 		}
 	}
@@ -453,12 +459,21 @@ func TestCompare(t *testing.T) {
 		{int64(1), int64(2), -1},
 		{int64(2), 2.0, 0},
 		{2.5, int64(2), 1},
+		{int64(9007199254740993), 9007199254740992.0, 1},
+		{9007199254740992.0, int64(9007199254740993), -1},
+		{int64(-3), -2.5, -1},
+		{int64(0), math.Copysign(0, -1), 0},
+		{int64(math.MaxInt64), 0x1p63, -1},
+		{int64(math.MinInt64), -0x1p63, 0},
+		{int64(1), math.NaN(), 1},
+		{int64(10), "9", -1},
+		{2.5, "2.5", 0},
 		{"a", "b", -1},
 		{"b", "a", 1},
 		{"a", "a", 0},
 	}
 	for _, tt := range tests {
-		if got := compare(tt.a, tt.b); got != tt.want {
+		if got := compare(cellOf(tt.a), cellOf(tt.b)); got != tt.want {
 			t.Errorf("compare(%v, %v) = %d, want %d", tt.a, tt.b, got, tt.want)
 		}
 	}

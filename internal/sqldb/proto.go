@@ -57,7 +57,7 @@ func appendString[T string | []byte](buf []byte, s T) []byte {
 //
 // Each cell is its value's text form and a NULL cell the length nullCell with
 // no text. The server writes it while the engine walks the rows (sink), with
-// appendHead and appendRow; the client and ResultSet.String render it with
+// appendHead and appendCell; the client and ResultSet.String render it with
 // appendTable.
 const nullCell = math.MaxUint32
 
@@ -70,7 +70,9 @@ func appendResult(dst []byte, rs *ResultSet) ([]byte, error) {
 		if len(row) != len(rs.Columns) {
 			return nil, fmt.Errorf("%w: row width %d != %d columns", ErrProtocol, len(row), len(rs.Columns))
 		}
-		dst = appendRow(dst, row)
+		for _, v := range row {
+			dst = appendCell(dst, cellOf(v))
+		}
 	}
 	return dst, nil
 }
@@ -85,18 +87,16 @@ func appendHead(dst []byte, affected int, cols []string, nrows int) []byte {
 	return binary.BigEndian.AppendUint32(dst, uint32(nrows))
 }
 
-// appendRow appends one row's cells to dst.
-func appendRow(dst []byte, row []Value) []byte {
-	for _, v := range row {
-		at := len(dst)
-		dst = append(dst, 0, 0, 0, 0)
-		if v == nil {
-			binary.BigEndian.PutUint32(dst[at:], nullCell)
-			continue
-		}
-		dst = appendValue(dst, v)
-		binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+// appendCell appends one cell to dst: its text, or the NULL marker.
+func appendCell(dst []byte, c cell) []byte {
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	if c.kind == 0 {
+		binary.BigEndian.PutUint32(dst[at:], nullCell)
+		return dst
 	}
+	dst = appendText(dst, c)
+	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	return dst
 }
 

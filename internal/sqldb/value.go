@@ -48,95 +48,168 @@ func (t ColType) String() string {
 // Value is a single cell: int64, float64, string, or nil (SQL NULL).
 type Value interface{}
 
-// coerce converts v to the column type, returning an error for impossible
-// conversions. A value of the column's type comes back as is, not re-boxed.
-// NaN is no number an INT or FLOAT column holds: it equals nothing, so no
-// index would find it again.
-func coerce(v Value, t ColType) (Value, error) {
-	if v == nil {
-		return nil, nil
+// A cell is one value held unboxed: kind is the type of the field that holds
+// it (TypeInt n, TypeFloat f, TypeText s), and 0 is NULL. The engine stores,
+// compares and renders cells; only Exec's ResultSet boxes them into Values.
+type cell struct {
+	kind ColType
+	n    int64
+	f    float64
+	s    string
+}
+
+// cellOf unboxes v. A value of any other Go type becomes the text it prints
+// as.
+func cellOf(v Value) cell {
+	switch x := v.(type) {
+	case nil:
+		return cell{}
+	case int64:
+		return cell{kind: TypeInt, n: x}
+	case float64:
+		return cell{kind: TypeFloat, f: x}
+	case string:
+		return cell{kind: TypeText, s: x}
+	default:
+		return cell{kind: TypeText, s: formatValue(v)}
 	}
-	if f, ok := v.(float64); ok && math.IsNaN(f) && t != TypeText {
-		return nil, fmt.Errorf("sqldb: cannot coerce NaN to %v", t)
+}
+
+// value boxes c.
+func (c cell) value() Value {
+	switch c.kind {
+	case TypeInt:
+		return c.n
+	case TypeFloat:
+		return c.f
+	case TypeText:
+		return c.s
+	default:
+		return nil
+	}
+}
+
+// appendText appends c's text, formatValue's text of its value, to dst.
+func appendText(dst []byte, c cell) []byte {
+	switch c.kind {
+	case TypeInt:
+		return strconv.AppendInt(dst, c.n, 10)
+	case TypeFloat:
+		return strconv.AppendFloat(dst, c.f, 'g', -1, 64)
+	case TypeText:
+		return append(dst, c.s...)
+	default:
+		return append(dst, "NULL"...)
+	}
+}
+
+// text returns c's text.
+func (c cell) text() string {
+	if c.kind == TypeText {
+		return c.s
+	}
+	return string(appendText(nil, c))
+}
+
+// coerce converts v to the column type, returning an error for impossible
+// conversions.
+func coerce(v Value, t ColType) (cell, error) {
+	switch v.(type) {
+	case nil, int64, float64, string:
+		return cast(cellOf(v), t)
+	}
+	return cell{}, fmt.Errorf("sqldb: unsupported value %T for %v", v, t)
+}
+
+// cast converts c to type t. NaN is no number an INT or FLOAT column holds:
+// it equals nothing, so no index would find it again. Nor is a float outside
+// int64's range, infinities included, an INT.
+func cast(c cell, t ColType) (cell, error) {
+	if c.kind == 0 {
+		return c, nil
+	}
+	if c.kind == TypeFloat && math.IsNaN(c.f) && t != TypeText {
+		return cell{}, fmt.Errorf("sqldb: cannot coerce NaN to %v", t)
+	}
+	if c.kind == t {
+		return c, nil
 	}
 	switch t {
 	case TypeInt:
-		switch x := v.(type) {
-		case int64:
-			return v, nil
-		case float64:
-			return int64(x), nil
-		case string:
-			n, err := strconv.ParseInt(x, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sqldb: cannot coerce %q to INT", x)
+		if c.kind == TypeFloat {
+			if c.f < -(1<<63) || c.f >= 1<<63 {
+				return cell{}, fmt.Errorf("sqldb: %v is out of range for INT", c.f)
 			}
-			return n, nil
+			return cell{kind: TypeInt, n: int64(c.f)}, nil
 		}
+		n, err := strconv.ParseInt(c.s, 10, 64)
+		if err != nil {
+			return cell{}, fmt.Errorf("sqldb: cannot coerce %q to INT", c.s)
+		}
+		return cell{kind: TypeInt, n: n}, nil
 	case TypeFloat:
-		switch x := v.(type) {
-		case int64:
-			return float64(x), nil
-		case float64:
-			return v, nil
-		case string:
-			f, err := strconv.ParseFloat(x, 64)
-			if err != nil || math.IsNaN(f) {
-				return nil, fmt.Errorf("sqldb: cannot coerce %q to FLOAT", x)
-			}
-			return f, nil
+		if c.kind == TypeInt {
+			return cell{kind: TypeFloat, f: float64(c.n)}, nil
 		}
+		f, err := strconv.ParseFloat(c.s, 64)
+		if err != nil || math.IsNaN(f) {
+			return cell{}, fmt.Errorf("sqldb: cannot coerce %q to FLOAT", c.s)
+		}
+		return cell{kind: TypeFloat, f: f}, nil
 	case TypeText:
-		switch x := v.(type) {
-		case int64:
-			return strconv.FormatInt(x, 10), nil
-		case float64:
-			return strconv.FormatFloat(x, 'g', -1, 64), nil
-		case string:
-			return v, nil
-		}
+		return cell{kind: TypeText, s: c.text()}, nil
 	}
-	return nil, fmt.Errorf("sqldb: unsupported value %T for %v", v, t)
+	return cell{}, fmt.Errorf("sqldb: cannot coerce %s to %v", c.text(), t)
 }
 
-// compare orders two values: -1, 0, or 1. NULL sorts before everything.
-// Two ints compare exactly; any other two numbers compare as floats, as
-// cmp.Compare does: -0 equals 0, and a NaN (only a literal can be one) sorts
-// before every other number and equals only NaN. Strings compare
-// lexicographically. Mixed string/number comparisons compare the string
-// forms, matching the engine's permissive coercion.
-func compare(a, b Value) int {
-	if a == nil && b == nil {
+// compare orders two cells: -1, 0, or 1. NULL sorts before everything.
+// Numbers compare exactly, an INT against a FLOAT included: -0 equals 0,
+// and a NaN (only a literal can be one) sorts before every other number and
+// equals only NaN, as cmp.Compare has it. Strings compare
+// lexicographically. Mixed string/number comparisons compare the text forms,
+// matching the engine's permissive coercion.
+func compare(a, b cell) int {
+	switch {
+	case a.kind == 0 && b.kind == 0:
 		return 0
+	case a.kind == 0:
+		return -1
+	case b.kind == 0:
+		return 1
+	case a.kind == TypeInt && b.kind == TypeInt:
+		return cmp.Compare(a.n, b.n)
+	case a.kind == TypeFloat && b.kind == TypeFloat:
+		return cmp.Compare(a.f, b.f)
+	case a.kind == TypeInt && b.kind == TypeFloat:
+		return compareIntFloat(a.n, b.f)
+	case a.kind == TypeFloat && b.kind == TypeInt:
+		return -compareIntFloat(b.n, a.f)
+	case a.kind == TypeText && b.kind == TypeText:
+		return strings.Compare(a.s, b.s)
 	}
-	if a == nil {
+	var buf [32]byte // a number's text fits
+	if a.kind == TypeText {
+		return strings.Compare(a.s, string(appendText(buf[:0], b)))
+	}
+	return strings.Compare(string(appendText(buf[:0], a)), b.s)
+}
+
+// compareIntFloat orders n against f exactly, with no rounding of n to a
+// float64: 2^53+1 is above 2^53.
+func compareIntFloat(n int64, f float64) int {
+	switch {
+	case -1<<53 <= n && n <= 1<<53: // float64(n) is exact
+		return cmp.Compare(float64(n), f)
+	case math.IsNaN(f) || f < -(1<<63):
+		return 1
+	case f >= 1<<63:
 		return -1
 	}
-	if b == nil {
-		return 1
+	whole := math.Trunc(f) // in int64's range: converts exactly
+	if c := cmp.Compare(n, int64(whole)); c != 0 {
+		return c
 	}
-	if ai, ok := a.(int64); ok {
-		if bi, ok := b.(int64); ok {
-			return cmp.Compare(ai, bi)
-		}
-	}
-	af, aIsNum := toFloat(a)
-	bf, bIsNum := toFloat(b)
-	if aIsNum && bIsNum {
-		return cmp.Compare(af, bf)
-	}
-	return strings.Compare(formatValue(a), formatValue(b))
-}
-
-func toFloat(v Value) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
-	default:
-		return 0, false
-	}
+	return cmp.Compare(whole, f) // n == whole: a fraction decides
 }
 
 // formatValue renders a value the way result sets and error messages print
@@ -153,19 +226,6 @@ func formatValue(v Value) string {
 		return x
 	default:
 		return fmt.Sprintf("%v", x)
-	}
-}
-
-// appendValue appends formatValue's text of v to dst, without allocating for
-// a number.
-func appendValue(dst []byte, v Value) []byte {
-	switch x := v.(type) {
-	case int64:
-		return strconv.AppendInt(dst, x, 10)
-	case float64:
-		return strconv.AppendFloat(dst, x, 'g', -1, 64)
-	default:
-		return append(dst, formatValue(v)...)
 	}
 }
 
