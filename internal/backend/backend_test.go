@@ -273,12 +273,12 @@ func TestSQLSessionHonorsRepeatDirective(t *testing.T) {
 // TestSQLSessionAllocs is the alloc-regression gate for the broker's database
 // access (matched by CI's -run 'Alloc' step): sqlSession.Do against a
 // loopback sqldb.Server, client and server together, each budget the measured
-// value. The server renders a result from the engine's typed columns straight
-// into its reply frame, so of the engine's allocations only the boxed
-// literals (an int64 under 256 is free) remain. The session adds
-// only the query text on the server and the rendered table the broker keeps;
-// one more is the test's own payload. The range read is the benchmark's
-// shape, 15 rows.
+// value. The server executes the query frame's bytes where they arrived and
+// renders a result from the engine's typed columns straight into its reply
+// frame; a statement of a cached shape with only numeric literals allocates
+// nothing on the server. What is left is the rendered table the broker keeps
+// and the test's own payload. The range read is the benchmark's shape, 15
+// rows.
 func TestSQLSessionAllocs(t *testing.T) {
 	engine := sqldb.NewEngine()
 	if err := sqldb.LoadRecords(engine, sqldb.PaperRecordCount); err != nil {
@@ -299,9 +299,9 @@ func TestSQLSessionAllocs(t *testing.T) {
 		lines     int
 		budget    float64
 	}{
-		{"SELECT id, name FROM records WHERE id = 12345", "12345\trecord-012345", 2, 4},
-		{"SELECT id, name, score FROM records WHERE category = 62 AND score BETWEEN 389 AND 427", "", 16, 5},
-		{"UPDATE records SET score = 12.345 WHERE id = 41999", "OK, 1 row(s) affected", 1, 5},
+		{"SELECT id, name FROM records WHERE id = 12345", "12345\trecord-012345", 2, 2},
+		{"SELECT id, name, score FROM records WHERE category = 62 AND score BETWEEN 389 AND 427", "", 16, 2},
+		{"UPDATE records SET score = 12.345 WHERE id = 41999", "OK, 1 row(s) affected", 1, 2},
 	} {
 		out, err := s.Do(context.Background(), []byte(tc.sql))
 		if err != nil {

@@ -84,7 +84,7 @@ func (*Select) stmt() {}
 // Update is UPDATE table SET col = val, ... [WHERE expr].
 type Update struct {
 	Table string
-	Set   map[string]Value
+	Set   map[string]*Literal
 	Where Expr
 }
 
@@ -108,8 +108,10 @@ type ColRef struct{ Name string }
 
 func (*ColRef) expr() {}
 
-// Literal is a constant value.
-type Literal struct{ Val Value }
+// Literal is a constant value, held unboxed as the lexer read it: the parser
+// makes one of a number, a string or NULL, and a statement of the same shape
+// rebinds it in place.
+type Literal struct{ val cell }
 
 func (*Literal) expr() {}
 

@@ -345,22 +345,27 @@ func NewEngine() *Engine {
 // index resolution stay per execution, so nothing invalidates a parse.
 func (e *Engine) Exec(sql string) (*ResultSet, error) {
 	out := sink{collect: true}
-	if err := e.exec(sql, &out); err != nil {
+	if err := exec(e, sql, &out); err != nil {
 		return nil, err
 	}
 	return out.rs, nil
 }
 
 // exec executes one SQL statement into out: Exec's work, shared with the
-// server, which renders the result straight into its reply frame.
-func (e *Engine) exec(sql string, out *sink) error {
+// server, which passes the query frame's bytes and renders the result
+// straight into its reply frame. A statement of a cached shape is lexed,
+// keyed and bound from sql itself: its tokens hold offsets and unboxed
+// literals, so with no text literal it allocates nothing here. Only a new
+// shape makes a string of sql, the one its parse keeps; nothing else exec
+// keeps refers to sql, which the server overwrites with its next frame.
+func exec[T string | []byte](e *Engine, sql T, out *sink) error {
 	var tokBuf [32]token
 	var keyBuf [256]byte // a longer statement spills to the heap
 	toks, err := appendTokens(tokBuf[:0], sql)
 	if err != nil {
 		return err
 	}
-	key := appendShape(keyBuf[:0], toks)
+	key := appendShape(keyBuf[:0], sql, toks)
 	e.shapeMu.RLock()
 	free := e.shapes[string(key)] // nil for a new shape: never ready
 	e.shapeMu.RUnlock()
@@ -368,7 +373,7 @@ func (e *Engine) exec(sql string, out *sink) error {
 	select {
 	case in = <-free:
 	default:
-		stmt, binds, err := parse(slices.Clone(toks)) // the parser would take tokBuf to the heap
+		stmt, binds, err := parse(string(sql), slices.Clone(toks)) // the parser would take tokBuf to the heap
 		if err != nil {
 			return err
 		}
@@ -639,7 +644,7 @@ func (e *Engine) update(s *Update) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		cv, err := coerce(s.Set[col], t.columns[ci].Type)
+		cv, err := cast(s.Set[col].val, t.columns[ci].Type)
 		if err != nil {
 			return 0, err
 		}
@@ -864,7 +869,7 @@ func (t *table) operands(p predicate, es ...Expr) (predicate, error) {
 			}
 			p.args = append(p.args, operand{col: &t.cols[ci]})
 		case *Literal:
-			p.args = append(p.args, operand{lit: cellOf(x.Val)})
+			p.args = append(p.args, operand{lit: x.val})
 		default:
 			return p, fmt.Errorf("sqldb: expression %T is not a value", e)
 		}

@@ -65,7 +65,8 @@ func (m *model) exec(stmt Statement) (*ResultSet, error) {
 			next = append(next, append([]Value(nil), tuple...))
 		}
 	case *Update:
-		for col, v := range s.Set {
+		for col, lit := range s.Set {
+			v := lit.val.value()
 			ci, err := t.column(col)
 			if err != nil {
 				return nil, err

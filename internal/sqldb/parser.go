@@ -11,7 +11,7 @@ func Parse(sql string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt, _, err := parse(toks)
+	stmt, _, err := parse(sql, toks)
 	return stmt, err
 }
 
@@ -19,24 +19,35 @@ func Parse(sql string) (Statement, error) {
 // shape, in place of one literal of a parse, rechecking what the parser did.
 type binder func(token) error
 
-// parse builds the statement toks spell and the binders of its number and
-// string tokens, in token order.
-func parse(toks []token) (Statement, []binder, error) {
-	p := &parser{toks: toks}
+// parse builds the statement toks, the tokens of src, spell and the binders
+// of its number and string tokens, in token order. The statement's names are
+// substrings of src.
+func parse(src string, toks []token) (Statement, []binder, error) {
+	p := &parser{src: src, toks: toks}
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, nil, err
 	}
 	if !p.at(tokEOF, "") {
-		return nil, nil, fmt.Errorf("sqldb: trailing input at %d: %q", p.peek().pos, p.peek().val)
+		return nil, nil, fmt.Errorf("sqldb: trailing input at %d: %q", p.peek().pos, p.text(p.peek()))
 	}
 	return stmt, p.binds, nil
 }
 
 type parser struct {
+	src   string
 	toks  []token
 	i     int
 	binds []binder
+}
+
+// text returns t's spelling: a keyword's or symbol's val, otherwise the
+// source text, a string's with its quotes.
+func (p *parser) text(t token) string {
+	if t.val != "" {
+		return t.val
+	}
+	return p.src[t.pos:t.end]
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -75,7 +86,7 @@ func (p *parser) expect(kind tokenKind, val string) (token, error) {
 	if want == "" {
 		want = fmt.Sprintf("token kind %d", kind)
 	}
-	return token{}, fmt.Errorf("sqldb: expected %s at %d, got %q", want, t.pos, t.val)
+	return token{}, fmt.Errorf("sqldb: expected %s at %d, got %q", want, t.pos, p.text(t))
 }
 
 func (p *parser) ident() (string, error) {
@@ -84,16 +95,16 @@ func (p *parser) ident() (string, error) {
 	// column named "key" would arrive as an identifier anyway; true
 	// keywords are rejected).
 	if t.kind != tokIdent {
-		return "", fmt.Errorf("sqldb: expected identifier at %d, got %q", t.pos, t.val)
+		return "", fmt.Errorf("sqldb: expected identifier at %d, got %q", t.pos, p.text(t))
 	}
 	p.next()
-	return t.val, nil
+	return p.text(t), nil
 }
 
 func (p *parser) parseStatement() (Statement, error) {
 	t := p.peek()
 	if t.kind != tokKeyword {
-		return nil, fmt.Errorf("sqldb: expected statement keyword at %d, got %q", t.pos, t.val)
+		return nil, fmt.Errorf("sqldb: expected statement keyword at %d, got %q", t.pos, p.text(t))
 	}
 	switch t.val {
 	case "CREATE":
@@ -140,7 +151,7 @@ func (p *parser) parseCreate() (Statement, error) {
 			case "TEXT":
 				typ = TypeText
 			default:
-				return nil, fmt.Errorf("sqldb: unknown column type %q at %d", tt.val, tt.pos)
+				return nil, fmt.Errorf("sqldb: unknown column type %q at %d", p.text(tt), tt.pos)
 			}
 			def := ColumnDef{Name: colName, Type: typ}
 			if p.accept(tokKeyword, "PRIMARY") {
@@ -237,11 +248,11 @@ func (p *parser) parseInsert() (Statement, error) {
 		var row []Value
 		for {
 			r, i := len(ins.Rows), len(row)
-			v, err := p.literal(func(v Value) { ins.Rows[r][i] = v })
+			v, err := p.literal(func(v cell) { ins.Rows[r][i] = v.value() })
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, v)
+			row = append(row, v.value())
 			if p.accept(tokSymbol, ",") {
 				continue
 			}
@@ -261,7 +272,7 @@ func (p *parser) parseInsert() (Statement, error) {
 
 // literal parses a constant: number, string, or NULL. A number's or string's
 // binder hands the value to set, which stores it where the parse put it.
-func (p *parser) literal(set func(Value)) (Value, error) {
+func (p *parser) literal(set func(cell)) (cell, error) {
 	t := p.next()
 	switch t.kind {
 	case tokNumber, tokString:
@@ -269,10 +280,18 @@ func (p *parser) literal(set func(Value)) (Value, error) {
 		return t.lit, nil
 	case tokKeyword:
 		if t.val == "NULL" {
-			return nil, nil
+			return cell{}, nil
 		}
 	}
-	return nil, fmt.Errorf("sqldb: expected literal at %d, got %q", t.pos, t.val)
+	return cell{}, fmt.Errorf("sqldb: expected literal at %d, got %q", t.pos, p.text(t))
+}
+
+// literalExpr parses a constant into a Literal, which its binder rebinds.
+func (p *parser) literalExpr() (*Literal, error) {
+	lit := &Literal{}
+	var err error
+	lit.val, err = p.literal(func(v cell) { lit.val = v })
+	return lit, err
 }
 
 var aggNames = map[string]AggFunc{
@@ -335,11 +354,10 @@ func (p *parser) parseSelect() (Statement, error) {
 
 // limit reads LIMIT's operand, a non-negative integer.
 func limit(t token) (int, error) {
-	n, isInt := t.lit.(int64)
-	if !isInt || n < 0 {
+	if t.lit.kind != TypeInt || t.lit.n < 0 { // only an INT number's lit is an INT
 		return 0, fmt.Errorf("sqldb: LIMIT needs a non-negative integer at %d", t.pos)
 	}
-	return int(n), nil
+	return int(t.lit.n), nil
 }
 
 func (p *parser) selectItem() (SelectItem, error) {
@@ -404,7 +422,7 @@ func (p *parser) parseUpdate() (Statement, error) {
 	if _, err := p.expect(tokKeyword, "SET"); err != nil {
 		return nil, err
 	}
-	upd := &Update{Table: table, Set: map[string]Value{}}
+	upd := &Update{Table: table, Set: map[string]*Literal{}}
 	for {
 		col, err := p.ident()
 		if err != nil {
@@ -413,11 +431,9 @@ func (p *parser) parseUpdate() (Statement, error) {
 		if _, err := p.expect(tokSymbol, "="); err != nil {
 			return nil, err
 		}
-		v, err := p.literal(func(v Value) { upd.Set[col] = v })
-		if err != nil {
+		if upd.Set[col], err = p.literalExpr(); err != nil {
 			return nil, err
 		}
-		upd.Set[col] = v
 		if p.accept(tokSymbol, ",") {
 			continue
 		}
@@ -576,12 +592,12 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if t.kind != tokString {
 			return nil, fmt.Errorf("sqldb: LIKE needs a string pattern at %d", t.pos)
 		}
-		like := &Like{E: operand, Pattern: t.val}
-		p.binds = append(p.binds, func(t token) error { like.Pattern = t.val; return nil }) // the key makes t a string
+		like := &Like{E: operand, Pattern: t.lit.s}
+		p.binds = append(p.binds, func(t token) error { like.Pattern = t.lit.s; return nil }) // the key makes t a string
 		e = like
 
 	default:
-		return nil, fmt.Errorf("sqldb: expected predicate at %d, got %q", t.pos, t.val)
+		return nil, fmt.Errorf("sqldb: expected predicate at %d, got %q", t.pos, p.text(t))
 	}
 	if negate {
 		return &Not{E: e}, nil
@@ -594,19 +610,15 @@ func (p *parser) parseOperand() (Expr, error) {
 	switch t.kind {
 	case tokIdent:
 		p.next()
-		return &ColRef{Name: t.val}, nil
+		return &ColRef{Name: p.text(t)}, nil
 	case tokNumber, tokString:
-		lit := &Literal{}
-		var err error
-		lit.Val, err = p.literal(func(v Value) { lit.Val = v })
-		return lit, err
+		return p.literalExpr()
 	case tokKeyword:
 		if t.val == "NULL" {
-			p.next()
-			return &Literal{Val: nil}, nil
+			return p.literalExpr()
 		}
 	}
-	return nil, fmt.Errorf("sqldb: expected column or literal at %d, got %q", t.pos, t.val)
+	return nil, fmt.Errorf("sqldb: expected column or literal at %d, got %q", t.pos, p.text(t))
 }
 
 // MustParse parses sql and panics on error; intended for tests and fixture

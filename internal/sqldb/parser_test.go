@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -33,8 +34,8 @@ func TestLexStringEscapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].val != "it's" {
-		t.Fatalf("string = %q, want it's", toks[0].val)
+	if toks[0].lit.s != "it's" {
+		t.Fatalf("string = %q, want it's", toks[0].lit.s)
 	}
 }
 
@@ -51,7 +52,7 @@ func TestLexNegativeNumbers(t *testing.T) {
 	}
 	var found bool
 	for _, tok := range toks {
-		if tok.kind == tokNumber && tok.num == -5 && tok.isInt {
+		if tok.kind == tokNumber && tok.lit == (cell{kind: TypeInt, n: -5}) {
 			found = true
 		}
 	}
@@ -63,6 +64,29 @@ func TestLexNegativeNumbers(t *testing.T) {
 func TestLexBadCharacter(t *testing.T) {
 	if _, err := lex("SELECT @ FROM t"); err == nil {
 		t.Fatal("lexed '@'")
+	}
+}
+
+// Outside quotes the lexer reads ASCII only: a byte from 0x80 on is refused
+// with its offset, so no UTF-8 character is split into a name byte and a
+// space or letter. Inside quotes every byte is kept.
+func TestLexRefusesNonASCIIOutsideQuotes(t *testing.T) {
+	for _, tc := range []struct{ sql, err string }{
+		{"CREATE TABLE t (\u0160a INT, b INT)", "sqldb: byte 0xc5 outside a quoted string at 16"},
+		{"CREATE TABLE t (\u0160 INT)", "sqldb: byte 0xc5 outside a quoted string at 16"},
+		{"SELECT a FROM t WHERE b\u0085= 2", "sqldb: byte 0xc2 outside a quoted string at 23"},
+		{"SELECT a FROM t WHERE b =\u00a02", "sqldb: byte 0xc2 outside a quoted string at 25"},
+		{"SELECT \xff FROM t", "sqldb: byte 0xff outside a quoted string at 7"},
+	} {
+		if _, err := Parse(tc.sql); err == nil || err.Error() != tc.err {
+			t.Errorf("Parse(%q) err = %v, want %s", tc.sql, err, tc.err)
+		}
+	}
+	e := NewEngine()
+	mustExec(t, e, "CREATE TABLE t (a INT, b TEXT)")
+	mustExec(t, e, "INSERT INTO t VALUES (1, '\u0160a\u00a0\u0085')")
+	if rs := mustExec(t, e, "SELECT a FROM t WHERE b = '\u0160a\u00a0\u0085'"); len(rs.Rows) != 1 {
+		t.Fatalf("quoted UTF-8 read back %v, want one row", rs.Rows)
 	}
 }
 
@@ -149,7 +173,7 @@ func TestParseSelectInLikeNot(t *testing.T) {
 func TestParseUpdate(t *testing.T) {
 	stmt := MustParse("UPDATE t SET a = 1, b = 'two' WHERE id = 3")
 	upd := stmt.(*Update)
-	if upd.Set["a"] != int64(1) || upd.Set["b"] != "two" {
+	if upd.Set["a"].val != (cell{kind: TypeInt, n: 1}) || upd.Set["b"].val != (cell{kind: TypeText, s: "two"}) {
 		t.Fatalf("set %+v", upd.Set)
 	}
 	if upd.Where == nil {
@@ -266,24 +290,41 @@ func TestIntegerLiteralsAreExact(t *testing.T) {
 	}
 }
 
-// variant renders toks, the tokens of a statement, with every literal changed
-// to another of its kind: a statement of the same shape with other values.
-func variant(toks []token) string {
+// parseInt agrees with strconv.ParseInt on a literal's text, at and past
+// both ends of int64's range included.
+func TestParseIntMatchesStrconv(t *testing.T) {
+	for _, text := range []string{
+		"0", "-0", "007", "42", "-42", "9007199254740993",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808",
+		"-9223372036854775809", "18446744073709551615", "18446744073709551616",
+		"99999999999999999999", "-99999999999999999999",
+	} {
+		n, ok := parseInt([]byte(text))
+		want, err := strconv.ParseInt(text, 10, 64)
+		if ok != (err == nil) || ok && n != want {
+			t.Errorf("parseInt(%s) = %d, %v; strconv: %d, %v", text, n, ok, want, err)
+		}
+	}
+}
+
+// variant renders toks, the tokens of sql, with every literal changed to
+// another of its kind: a statement of the same shape with other values.
+func variant(sql string, toks []token) string {
 	var b strings.Builder
 	for _, t := range toks {
 		switch {
 		case t.kind == tokString:
-			b.WriteString(sqlLiteral(t.val + "x'"))
-		case t.kind == tokNumber && t.isInt:
-			b.WriteString(strconv.FormatInt(t.lit.(int64)^1, 10))
+			b.WriteString(sqlLiteral(t.lit.s + "x'"))
+		case t.kind == tokNumber && t.lit.kind == TypeInt:
+			b.WriteString(strconv.FormatInt(t.lit.n^1, 10))
 		case t.kind == tokNumber:
-			f := strconv.FormatFloat(t.num+0.5, 'f', -1, 64)
+			f := strconv.FormatFloat(t.lit.f+0.5, 'f', -1, 64)
 			if !strings.Contains(f, ".") {
 				f += ".0"
 			}
 			b.WriteString(f)
 		default:
-			b.WriteString(t.val)
+			b.WriteString(sql[t.pos:t.end])
 		}
 		b.WriteByte(' ')
 	}
@@ -312,33 +353,36 @@ func outcomeDiff(got *ResultSet, gotErr error, want *ResultSet, wantErr error) s
 	return ""
 }
 
+// fuzzSeeds are the statements the benchmark workloads and the fixture
+// issue, and a few the lexer or the engine once got wrong.
+var fuzzSeeds = []string{
+	"CREATE TABLE records (id INT PRIMARY KEY, category INT, score FLOAT, name TEXT)",
+	"CREATE INDEX records_category ON records (category)",
+	"SELECT id, name FROM records WHERE id = 2",
+	"SELECT id, score FROM records WHERE id = 1",
+	"SELECT id, name, score, category FROM records",
+	"UPDATE records SET score = 12.345 WHERE id = 1",
+	"SELECT id, name, score FROM records WHERE category = 42 AND score BETWEEN 100 AND 140",
+	RepeatQuery("SELECT id FROM records WHERE category = 3", 5),
+	"INSERT INTO records VALUES (3, 7, 1.5, 'record-000003'), (0, 1, 2, 'dup')",
+	"DELETE FROM records WHERE id IN (0, 2) OR name LIKE 'record-%1'",
+	"UPDATE records SET id = 1 WHERE id = 2",
+	"SELECT COUNT(*), AVG(score) AS mean FROM records WHERE NOT (id <> 1) ORDER BY name DESC LIMIT 1",
+	"DROP TABLE records",
+	"INSERT INTO records VALUES (9007199254740993, 1, 2.5, 'x')",
+	"SELECT id FROM records WHERE id = 99999999999999999999",
+	"INSERT INTO records VALUES (9007199254740992, 0, 0.5, 'a'), (9007199254740993, 0, 0.5, 'b')",
+	"SELECT name FROM records WHERE name LIKE 'it''s%' ORDER BY score LIMIT 0",
+	"UPDATE records SET score = -1.5, name = NULL WHERE category > -3",
+}
+
 // FuzzParse: the lexer and parser never panic, and a statement that parses
 // executes against a three-row fixture without panicking. Then a variant of
 // the same shape with other literals executes through the parse Exec kept of
 // the first, and must agree, as must the table after it, with a twin engine
-// that parses every statement afresh. Seeds are the statements the benchmark
-// workloads and the fixture issue.
+// that parses every statement afresh.
 func FuzzParse(f *testing.F) {
-	for _, sql := range []string{
-		"CREATE TABLE records (id INT PRIMARY KEY, category INT, score FLOAT, name TEXT)",
-		"CREATE INDEX records_category ON records (category)",
-		"SELECT id, name FROM records WHERE id = 2",
-		"SELECT id, score FROM records WHERE id = 1",
-		"SELECT id, name, score, category FROM records",
-		"UPDATE records SET score = 12.345 WHERE id = 1",
-		"SELECT id, name, score FROM records WHERE category = 42 AND score BETWEEN 100 AND 140",
-		RepeatQuery("SELECT id FROM records WHERE category = 3", 5),
-		"INSERT INTO records VALUES (3, 7, 1.5, 'record-000003'), (0, 1, 2, 'dup')",
-		"DELETE FROM records WHERE id IN (0, 2) OR name LIKE 'record-%1'",
-		"UPDATE records SET id = 1 WHERE id = 2",
-		"SELECT COUNT(*), AVG(score) AS mean FROM records WHERE NOT (id <> 1) ORDER BY name DESC LIMIT 1",
-		"DROP TABLE records",
-		"INSERT INTO records VALUES (9007199254740993, 1, 2.5, 'x')",
-		"SELECT id FROM records WHERE id = 99999999999999999999",
-		"INSERT INTO records VALUES (9007199254740992, 0, 0.5, 'a'), (9007199254740993, 0, 0.5, 'b')",
-		"SELECT name FROM records WHERE name LIKE 'it''s%' ORDER BY score LIMIT 0",
-		"UPDATE records SET score = -1.5, name = NULL WHERE category > -3",
-	} {
+	for _, sql := range fuzzSeeds {
 		f.Add(sql)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
@@ -346,12 +390,12 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, _, err := parse(toks); err != nil {
+		if _, _, err := parse(sql, toks); err != nil {
 			return
 		}
-		other := variant(toks)
+		other := variant(sql, toks)
 		otherToks, err := lex(other)
-		if key, otherKey := appendShape(nil, toks), appendShape(nil, otherToks); err != nil || string(otherKey) != string(key) {
+		if key, otherKey := appendShape(nil, sql, toks), appendShape(nil, other, otherToks); err != nil || string(otherKey) != string(key) {
 			t.Fatalf("variant %q of %q: %v, key %q, want %q", other, sql, err, otherKey, key)
 		}
 		cached, fresh := NewEngine(), NewEngine()
@@ -368,6 +412,57 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzExecBytes: exec of a statement's bytes, as the server executes a query
+// frame, renders the reply body that exec of its string renders, or fails
+// with the same error, first on an engine that has not seen its shape and
+// then on one that has it cached. The bytes sit in one buffer that is
+// overwritten after every execution, as the server's next frame overwrites
+// it, so a parse or a row that kept them would show in a later round or in
+// the final table.
+func FuzzExecBytes(f *testing.F) {
+	for _, sql := range fuzzSeeds {
+		f.Add(sql)
+	}
+	for _, sql := range []string{
+		"CREATE TABLE t (\u0160a INT, b INT)",
+		"SELECT id FROM records WHERE category\u0085= 2",
+		"UPDATE records SET name = '\u0160\u00a0' WHERE id = 1",
+	} {
+		f.Add(sql)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		fromString, fromBytes := NewEngine(), NewEngine()
+		for _, e := range []*Engine{fromString, fromBytes} {
+			if err := LoadRecords(e, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf []byte
+		for _, s := range []string{sql, sql, "SELECT * FROM records"} {
+			want, wantErr := execBody(fromString, s)
+			buf = append(buf[:0], s...)
+			got, gotErr := execBody(fromBytes, buf)
+			for i := range buf {
+				buf[i] = '?'
+			}
+			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("%q, after %q: bytes error %v, string error %v", s, sql, gotErr, wantErr)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%q, after %q: bytes reply %q, string reply %q", s, sql, got, want)
+			}
+		}
+	})
+}
+
+// execBody executes sql as the server does, returning the reply body it
+// renders.
+func execBody[T string | []byte](e *Engine, sql T) ([]byte, error) {
+	var out sink
+	err := exec(e, sql, &out)
+	return out.body, err
 }
 
 func TestLikeMatch(t *testing.T) {

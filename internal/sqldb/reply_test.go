@@ -99,7 +99,7 @@ func TestReplyFrameMatchesExec(t *testing.T) {
 				sql = setup[step]
 			}
 			var got, want bytes.Buffer
-			if !srv.respond(newBufferedConn(&got), sql) {
+			if !srv.respond(newBufferedConn(&got), []byte(sql)) {
 				t.Fatalf("seed %d step %d: %s: respond ended the session", seed, step, sql)
 			}
 			bc := newBufferedConn(&want)

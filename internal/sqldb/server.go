@@ -151,7 +151,7 @@ func (s *Server) session(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			if !s.respond(bc, string(sql)) {
+			if !s.respond(bc, sql) {
 				return
 			}
 		default:
@@ -161,9 +161,9 @@ func (s *Server) session(conn net.Conn) {
 	}
 }
 
-// respond executes one query and writes the reply, reporting whether the
-// session should continue.
-func (s *Server) respond(bc *bufferedConn, sql string) bool {
+// respond executes one query, sql, read from bc's receive buffer, and writes
+// the reply, reporting whether the session should continue.
+func (s *Server) respond(bc *bufferedConn, sql []byte) bool {
 	if s.execSlots != nil {
 		s.execSlots <- struct{}{}
 		defer func() { <-s.execSlots }()
@@ -173,11 +173,12 @@ func (s *Server) respond(bc *bufferedConn, sql string) bool {
 	if s.queryDelay > 0 {
 		time.Sleep(s.queryDelay)
 	}
-	// The result goes from the rows into the reply frame under the engine's
-	// read lock, with no ResultSet between them. A statement that fails
-	// leaves the begun frame unsent.
+	// The engine reads the statement from the frame's bytes, and the result
+	// goes from the rows into the reply frame under the engine's read lock,
+	// with no ResultSet between them. A statement that fails leaves the
+	// begun frame unsent.
 	out := sink{body: bc.start(frameResult)}
-	err := s.engine.exec(sql, &out)
+	err := exec(s.engine, sql, &out)
 	timer.ObserveDuration()
 	if err != nil {
 		s.queryErrors.Inc()

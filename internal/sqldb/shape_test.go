@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -78,4 +79,51 @@ func TestShapeCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// Statements executed from one byte buffer, overwritten in place by the next
+// statement and scribbled over after each, as the server's receive buffer
+// is: a new shape, the same shape with other literals, text literals written
+// into the table, and then the first statements' text again. Every reply
+// must be a fresh parse's on a twin engine, so neither a kept parse nor the
+// table refers to the buffer.
+func TestExecFromBytesKeepsNoBuffer(t *testing.T) {
+	steps := []string{
+		"CREATE TABLE t (id INT PRIMARY KEY, name TEXT, f FLOAT)",
+		"INSERT INTO t VALUES (1, 'alpha', 1.5)",
+		"INSERT INTO t VALUES (2, 'bravo', 2.5)",
+		"SELECT id, name, f FROM t WHERE name = 'alpha' AND id >= 1",
+		"SELECT id, name, f FROM t WHERE name = 'bravo' AND id >= 2",
+		"UPDATE t SET name = 'delta' WHERE id = 1",
+		"UPDATE t SET name = 'hotel' WHERE id = 2",
+		"SELECT id, name, f FROM t WHERE name LIKE 'alp%'",
+		"SELECT id, name, f FROM t WHERE name LIKE 'del%'",
+		"INSERT INTO t VALUES (1, 'alpha', 1.5)",
+		"SELECT id, name, f FROM t WHERE name = 'alpha' AND id >= 1",
+		"SELECT * FROM t ORDER BY id",
+	}
+	e, fresh := NewEngine(), NewEngine()
+	buf := make([]byte, 0, 64)
+	for _, sql := range steps {
+		buf = append(buf[:0], sql...)
+		got, gotErr := execBody(e, buf)
+		buf = buf[:cap(buf)]
+		for i := range buf {
+			buf[i] = '?'
+		}
+		rs, wantErr := execFresh(fresh, sql)
+		var want []byte
+		if wantErr == nil {
+			want, wantErr = appendResult(nil, rs)
+		}
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s: error %v, fresh parse %v", sql, gotErr, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: reply %q, fresh parse %q", sql, got, want)
+		}
+	}
+	if len(e.shapes) != 5 { // CREATE TABLE is not cached
+		t.Errorf("%d shapes cached, want 5", len(e.shapes))
+	}
 }
