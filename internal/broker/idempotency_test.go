@@ -13,6 +13,7 @@ import (
 	"servicebroker/internal/backend"
 	"servicebroker/internal/fleet"
 	"servicebroker/internal/qos"
+	"servicebroker/internal/testutil"
 	"servicebroker/internal/txn"
 )
 
@@ -201,13 +202,19 @@ func TestShedKeyedRequestReleasesSlot(t *testing.T) {
 // aborts idle transactions and the broker counts them. A broker on a shared
 // tracker leaves its abandon hook to the tracker's owner.
 func TestBrokerAbandonsIdleTransactions(t *testing.T) {
+	advance := testutil.FakeClock(t)
 	b := newBroker(t, echoConnector("db"), WithTransactions())
 	b.Tracker().SetTTL(20 * time.Millisecond)
 	b.Handle(context.Background(), &Request{Payload: []byte("Q"), Class: 1, TxnID: "t1", TxnStep: 1})
 	if b.Tracker().ActiveCount() != 1 {
 		t.Fatal("transaction not active")
 	}
-	time.Sleep(30 * time.Millisecond)
+	advance(20 * time.Millisecond)
+	b.Tracker().Sweep()
+	if b.Tracker().ActiveCount() != 1 {
+		t.Fatal("transaction idle for exactly its TTL was abandoned")
+	}
+	advance(time.Nanosecond)
 	b.Tracker().Sweep()
 	if b.Tracker().ActiveCount() != 0 {
 		t.Fatal("idle transaction survived the sweep")
@@ -222,7 +229,12 @@ func TestBrokerAbandonsIdleTransactions(t *testing.T) {
 	shared.OnAbandon(func(txn.State) { owned++ })
 	sb := newBroker(t, echoConnector("db"), WithTransactions(shared))
 	sb.Handle(context.Background(), &Request{Payload: []byte("Q"), Class: 1, TxnID: "t2", TxnStep: 1})
-	time.Sleep(30 * time.Millisecond)
+	advance(20 * time.Millisecond)
+	shared.Sweep()
+	if owned != 0 {
+		t.Fatalf("owner's abandon hook ran %d times at exactly the TTL, want 0", owned)
+	}
+	advance(time.Nanosecond)
 	shared.Sweep()
 	if owned != 1 {
 		t.Fatalf("owner's abandon hook ran %d times, want 1", owned)

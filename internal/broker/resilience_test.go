@@ -20,6 +20,7 @@ import (
 	"servicebroker/internal/qos"
 	"servicebroker/internal/resilience"
 	"servicebroker/internal/sqldb"
+	"servicebroker/internal/testutil"
 )
 
 // faultyReplicas builds n FaultConnectors around instant echo backends.
@@ -45,6 +46,7 @@ func connectors(faults []*backend.FaultConnector) []backend.Connector {
 // remaining replicas (retry hops off the dead one within a single request),
 // and after recovery a half-open probe re-admits the replica.
 func TestKillOneReplicaFailsOverWithZeroErrors(t *testing.T) {
+	advance := testutil.FakeClock(t)
 	faults := faultyReplicas(3)
 	b, err := broker.New(nil,
 		broker.WithReplicas(loadbalance.LeastOutstanding{}, 2, connectors(faults)...),
@@ -86,21 +88,19 @@ func TestKillOneReplicaFailsOverWithZeroErrors(t *testing.T) {
 		t.Fatalf("breaker_state_replica_0 gauge = %d, want %d", got, int64(resilience.StateOpen))
 	}
 
-	// Revive the replica; after the cooldown a half-open probe re-admits it.
+	// Revive the replica. Short of the cooldown its breaker still refuses
+	// it; at the cooldown the next request probes it half-open, and the
+	// success re-admits it.
 	faults[0].SetDown(false)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
+	for _, step := range []time.Duration{50*time.Millisecond - time.Nanosecond, time.Nanosecond} {
+		advance(step)
 		resp := b.Handle(context.Background(), &broker.Request{Payload: []byte("q"), Class: qos.Class1, NoCache: true})
 		if resp.Status != broker.StatusOK {
 			t.Fatalf("post-recovery request = %+v", resp)
 		}
-		if s := b.BreakerSnapshots()[0]; s.State == resilience.StateClosed && s.Successes > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica 0 not re-admitted: %+v", b.BreakerSnapshots()[0])
-		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	if s := b.BreakerSnapshots()[0]; s.State != resilience.StateClosed || s.Successes != 1 {
+		t.Fatalf("replica 0 not re-admitted by one probe at the cooldown: %+v", s)
 	}
 }
 
@@ -110,6 +110,7 @@ func TestKillOneReplicaFailsOverWithZeroErrors(t *testing.T) {
 // qos.FidelityLow instead of erroring, and the admin plane reflects the
 // breaker state and the retry/degraded counters.
 func TestTotalOutageServesStaleAtLowFidelity(t *testing.T) {
+	advance := testutil.FakeClock(t)
 	faults := faultyReplicas(2)
 	b, err := broker.New(nil,
 		broker.WithReplicas(loadbalance.LeastOutstanding{}, 2, connectors(faults)...),
@@ -130,7 +131,7 @@ func TestTotalOutageServesStaleAtLowFidelity(t *testing.T) {
 	if resp := b.Handle(context.Background(), req()); resp.Status != broker.StatusOK || resp.Fidelity != qos.FidelityFull {
 		t.Fatalf("prime = %+v", resp)
 	}
-	time.Sleep(30 * time.Millisecond)
+	advance(20*time.Millisecond + time.Nanosecond)
 	for _, f := range faults {
 		f.SetDown(true)
 	}

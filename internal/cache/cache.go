@@ -24,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"servicebroker/internal/clock"
 )
 
 // Stats summarizes cache effectiveness.
@@ -58,7 +60,6 @@ type ShardStats struct {
 // to create one.
 type Cache struct {
 	defaultTTL time.Duration
-	now        func() time.Time
 	onAccess   func(key string, hit bool)
 
 	shards []*shard
@@ -113,11 +114,6 @@ func WithDefaultTTL(ttl time.Duration) Option {
 	return optionFunc(func(c *Cache) { c.defaultTTL = ttl })
 }
 
-// WithClock overrides the time source, for deterministic tests.
-func WithClock(now func() time.Time) Option {
-	return optionFunc(func(c *Cache) { c.now = now })
-}
-
 // WithAccessHook registers fn to observe every Get/GetStale lookup: fn is
 // called with the key and whether the lookup was a fresh hit (stale reads
 // and misses report false). The hook runs outside the shard lock on the
@@ -149,7 +145,7 @@ func New(maxEntries int, opts ...Option) *Cache {
 	if maxEntries <= 0 {
 		panic("cache: maxEntries must be positive")
 	}
-	c := &Cache{now: time.Now}
+	c := &Cache{}
 	for _, o := range opts {
 		o.apply(c)
 	}
@@ -263,7 +259,7 @@ func (c *Cache) Put(key string, value []byte) {
 func (c *Cache) PutTTL(key string, value []byte, ttl time.Duration) {
 	var expires time.Time
 	if ttl > 0 {
-		expires = c.now().Add(ttl)
+		expires = clock.Now().Add(ttl)
 	}
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -376,7 +372,7 @@ func (c *Cache) Keys() []string {
 
 // isExpired reports whether e is past its TTL.
 func (c *Cache) isExpired(e *entry) bool {
-	return !e.expires.IsZero() && c.now().After(e.expires)
+	return !e.expires.IsZero() && clock.Now().After(e.expires)
 }
 
 // reset empties the shard. Caller owns s.

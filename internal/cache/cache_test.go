@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"servicebroker/internal/testutil"
 )
 
 func TestPutGet(t *testing.T) {
@@ -66,14 +68,13 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	c := New(4, WithClock(clock), WithDefaultTTL(10*time.Second))
+	advance := testutil.FakeClock(t)
+	c := New(4, WithDefaultTTL(10*time.Second))
 	c.Put("k", []byte("v"))
 	if _, ok := c.Get("k"); !ok {
 		t.Fatal("entry missing before expiry")
 	}
-	now = now.Add(11 * time.Second)
+	advance(11 * time.Second)
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("entry still present after TTL")
 	}
@@ -87,9 +88,8 @@ func TestTTLExpiry(t *testing.T) {
 }
 
 func TestGetStale(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	c := New(4, WithClock(clock), WithDefaultTTL(10*time.Second))
+	advance := testutil.FakeClock(t)
+	c := New(4, WithDefaultTTL(10*time.Second))
 	c.Put("k", []byte("v"))
 
 	// Fresh entry: GetStale behaves like Get.
@@ -101,7 +101,7 @@ func TestGetStale(t *testing.T) {
 	}
 
 	// Expired entry: Get misses but GetStale still serves it.
-	now = now.Add(11 * time.Second)
+	advance(11 * time.Second)
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("Get served an expired entry")
 	}
@@ -119,10 +119,10 @@ func TestGetStale(t *testing.T) {
 }
 
 func TestPutTTLOverridesDefault(t *testing.T) {
-	now := time.Unix(0, 0)
-	c := New(4, WithClock(func() time.Time { return now }), WithDefaultTTL(time.Second))
+	advance := testutil.FakeClock(t)
+	c := New(4, WithDefaultTTL(time.Second))
 	c.PutTTL("forever", []byte("v"), 0) // never expires
-	now = now.Add(time.Hour)
+	advance(time.Hour)
 	if _, ok := c.Get("forever"); !ok {
 		t.Fatal("ttl=0 entry expired; want immortal")
 	}
@@ -269,16 +269,15 @@ func TestAccessHook(t *testing.T) {
 		hit bool
 	}
 	var got []access
+	advance := testutil.FakeClock(t)
 	c := New(8,
 		WithDefaultTTL(50*time.Millisecond),
 		WithAccessHook(func(key string, hit bool) { got = append(got, access{key, hit}) }))
-	now := time.Unix(0, 0)
-	WithClock(func() time.Time { return now }).apply(c)
 
 	c.Get("a") // miss
 	c.Put("a", []byte("v"))
 	c.Get("a") // fresh hit
-	now = now.Add(time.Second)
+	advance(time.Second)
 	c.Get("a")      // expired -> miss
 	c.GetStale("a") // stale read -> not a fresh hit
 	c.Put("b", []byte("v"))

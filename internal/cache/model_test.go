@@ -6,6 +6,9 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"servicebroker/internal/clock"
+	"servicebroker/internal/testutil"
 )
 
 // model is the cache's specification as a recency-sorted slice (index 0 is
@@ -13,7 +16,6 @@ import (
 // indexing.
 type model struct {
 	max     int
-	now     time.Time
 	entries []modelEntry
 	stats   Stats
 }
@@ -28,7 +30,9 @@ func (m *model) find(key string) int {
 	return slices.IndexFunc(m.entries, func(e modelEntry) bool { return e.key == key })
 }
 
-func (m *model) expired(e modelEntry) bool { return !e.expires.IsZero() && m.now.After(e.expires) }
+func (m *model) expired(e modelEntry) bool {
+	return !e.expires.IsZero() && clock.Now().After(e.expires)
+}
 
 func (m *model) promote(i int) {
 	e := m.entries[i]
@@ -58,7 +62,7 @@ func (m *model) get(key string, stale bool) ([]byte, bool) {
 func (m *model) put(key string, value []byte, ttl time.Duration) {
 	e := modelEntry{key: key, value: value}
 	if ttl > 0 {
-		e.expires = m.now.Add(ttl)
+		e.expires = clock.Now().Add(ttl)
 	}
 	if i := m.find(key); i >= 0 {
 		m.entries = slices.Delete(m.entries, i, i+1)
@@ -100,9 +104,10 @@ func (m *model) keys() []string {
 func TestCacheMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := &model{max: 1 + rng.Intn(6), now: time.Unix(1000, 0)}
+		advance := testutil.FakeClock(t)
+		m := &model{max: 1 + rng.Intn(6)}
 		ttl := time.Duration(rng.Intn(4)) * time.Second
-		c := New(m.max, WithDefaultTTL(ttl), WithClock(func() time.Time { return m.now }))
+		c := New(m.max, WithDefaultTTL(ttl))
 		for step := 0; step < 200; step++ {
 			fail := func(format string, args ...any) {
 				t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
@@ -136,7 +141,7 @@ func TestCacheMatchesModel(t *testing.T) {
 					fail("Delete(%s) = %v, model %v", key, got, want)
 				}
 			default:
-				m.now = m.now.Add(time.Duration(rng.Intn(3)) * time.Second)
+				advance(time.Duration(rng.Intn(3)) * time.Second)
 			}
 			m.stats.Entries, m.stats.Bytes = len(m.entries), m.bytes()
 			if got := c.Len(); got != len(m.entries) {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"servicebroker/internal/testutil"
 )
 
 func TestAutoShardCount(t *testing.T) {
@@ -97,13 +99,13 @@ func TestShardedCapacityInvariant(t *testing.T) {
 // TestShardedTTLAndStale: TTL expiry and the GetStale degraded path work
 // identically through the sharded structure.
 func TestShardedTTLAndStale(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New(1024, WithClock(func() time.Time { return now }))
+	advance := testutil.FakeClock(t)
+	c := New(1024)
 	c.PutTTL("k", []byte("v"), time.Second)
 	if _, ok := c.Get("k"); !ok {
 		t.Fatal("fresh entry missing")
 	}
-	now = now.Add(2 * time.Second)
+	advance(2 * time.Second)
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("expired entry served by Get")
 	}

@@ -5,16 +5,18 @@ import (
 	"errors"
 	"net"
 	"slices"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"servicebroker/internal/backend"
 	"servicebroker/internal/broker"
+	"servicebroker/internal/clock"
 	"servicebroker/internal/metrics"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/registry"
 	"servicebroker/internal/resilience"
+	"servicebroker/internal/testutil"
 	"servicebroker/internal/wire"
 )
 
@@ -220,27 +222,33 @@ func (failingCaller) Close() error { return nil }
 // attempt — while a low class stops after two live members.
 func TestPoolPremiumTriesEveryMember(t *testing.T) {
 	addrs := []string{"10.0.0.1:1", "10.0.0.2:1", "10.0.0.3:1", "10.0.0.4:1", "10.0.0.5:1"}
+	// Every breaker reads the one clock, and from newPool through the call
+	// that follows the reads come in a fixed order: the trips of addrs[0]
+	// and addrs[1], their candidate checks, then the attempt on addrs[1]. To
+	// the fourth read (addrs[1]'s candidate check) the cooldown looks
+	// elapsed, to the fifth (its attempt) it does not: the breaker races open
+	// in between. Had the candidate check refused addrs[1], the fifth read
+	// would come after the first send.
 	epoch := time.Unix(1000, 0)
+	var reads atomic.Int32
 	var sent []string
 	var deadlines map[string]time.Time
+	raced := false
+	t.Cleanup(clock.Set(func() time.Time {
+		switch reads.Add(1) {
+		case 4:
+			return epoch.Add(2 * time.Hour)
+		case 5:
+			raced = len(sent) == 0
+		}
+		return epoch
+	}))
 	newPool := func() *Pool {
-		sent, deadlines = nil, make(map[string]time.Time)
+		sent, deadlines, raced = nil, make(map[string]time.Time), false
+		reads.Store(0)
 		p := &Pool{cfg: PoolConfig{Gateways: addrs, AttemptTimeout: time.Hour}, members: make(map[string]*poolMember)}
 		for _, addr := range addrs {
-			cfg := resilience.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour, Clock: func() time.Time { return epoch }}
-			if addr == addrs[1] {
-				// Tripping the breaker below reads the clock once. To the next
-				// reader (the candidate check) the cooldown looks elapsed, to
-				// the one after (the attempt) it does not: the breaker races
-				// open in between.
-				reads := 0
-				cfg.Clock = func() time.Time {
-					if reads++; reads == 2 {
-						return epoch.Add(2 * time.Hour)
-					}
-					return epoch
-				}
-			}
+			cfg := resilience.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour}
 			m := &poolMember{addr: addr, static: true, breaker: resilience.NewBreaker(addr, cfg), cli: failingCaller{addr, &sent, deadlines}}
 			if addr == addrs[0] || addr == addrs[1] {
 				m.breaker.Acquire()
@@ -250,8 +258,16 @@ func TestPoolPremiumTriesEveryMember(t *testing.T) {
 		}
 		return p
 	}
+	do := func(ctx context.Context, class qos.Class) error {
+		t.Helper()
+		_, err := newPool().Do(ctx, "db", &broker.Request{Payload: []byte("x"), Class: class})
+		if !raced {
+			t.Fatal("addrs[1] did not race open between its candidate check and its attempt")
+		}
+		return err
+	}
 
-	if _, err := newPool().Do(context.Background(), "db", &broker.Request{Payload: []byte("x"), Class: qos.Class1}); err == nil {
+	if err := do(context.Background(), qos.Class1); err == nil {
 		t.Fatal("premium request succeeded against an all-failing pool")
 	}
 	want := []string{addrs[2], addrs[3], addrs[4], addrs[0], addrs[1]}
@@ -265,7 +281,7 @@ func TestPoolPremiumTriesEveryMember(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithDeadline(context.Background(), start.Add(time.Minute))
 	defer cancel()
-	if _, err := newPool().Do(ctx, "db", &broker.Request{Payload: []byte("x"), Class: qos.Class1}); err == nil {
+	if err := do(ctx, qos.Class1); err == nil {
 		t.Fatal("premium request with a deadline succeeded against an all-failing pool")
 	}
 	if !slices.Equal(sent, want) {
@@ -280,7 +296,7 @@ func TestPoolPremiumTriesEveryMember(t *testing.T) {
 		}
 	}
 
-	if _, err := newPool().Do(context.Background(), "db", &broker.Request{Payload: []byte("x"), Class: qos.Class3}); err == nil {
+	if err := do(context.Background(), qos.Class3); err == nil {
 		t.Fatal("class-3 request succeeded against an all-failing pool")
 	}
 	if want := []string{addrs[2], addrs[3]}; !slices.Equal(sent, want) {
@@ -296,9 +312,8 @@ func TestPoolPremiumTriesEveryMember(t *testing.T) {
 func TestPoolForgetsMembersWhoseLeaseIsGone(t *testing.T) {
 	static := poolGateway(t, "static")
 	live := poolGateway(t, "live")
-	var mu sync.Mutex
-	now := time.Unix(1000, 0)
-	reg := registry.New(registry.Config{Clock: func() time.Time { mu.Lock(); defer mu.Unlock(); return now }})
+	advance := testutil.FakeClock(t)
+	reg := registry.New(registry.Config{})
 	// The live member reports itself busy, so calls try it last.
 	reg.Apply(registry.Command{Verb: registry.VerbRegister, Service: "db", Addr: live.Addr().String(), TTL: time.Hour,
 		Load: broker.LoadReport{Service: "db", Outstanding: 16, Threshold: 16}})
@@ -329,9 +344,7 @@ func TestPoolForgetsMembersWhoseLeaseIsGone(t *testing.T) {
 	}
 	picked := p.members[leased[0]]
 
-	mu.Lock()
-	now = now.Add(2 * time.Minute)
-	mu.Unlock()
+	advance(2 * time.Minute)
 	p.Do(context.Background(), "db", &broker.Request{Payload: []byte("x"), Class: qos.Class3})
 
 	var kept []string

@@ -11,6 +11,7 @@ import (
 
 	"servicebroker/internal/backend"
 	"servicebroker/internal/resilience"
+	"servicebroker/internal/testutil"
 )
 
 // countingConn counts the accesses that reach it, each taking delay.
@@ -245,16 +246,12 @@ func TestReplicaSetBreakerEjectsDeadReplica(t *testing.T) {
 }
 
 func TestReplicaSetHalfOpenReadmitsRecoveredReplica(t *testing.T) {
-	clock := time.Unix(1000, 0)
-	var mu sync.Mutex
-	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
-	advance := func(d time.Duration) { mu.Lock(); clock = clock.Add(d); mu.Unlock() }
-
+	advance := testutil.FakeClock(t)
 	flaky := &backend.FaultConnector{Inner: echoConn("flaky")}
 	flaky.SetDown(true)
 	var transitions []resilience.State
 	rs, err := NewReplicaSet(LeastOutstanding{}, 2, resilience.BreakerConfig{
-		FailureThreshold: 1, Cooldown: time.Second, Clock: now,
+		FailureThreshold: 1, Cooldown: time.Second,
 	}, func(replica int, name string, from, to resilience.State) {
 		if replica == 0 {
 			transitions = append(transitions, to)

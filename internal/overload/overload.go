@@ -20,6 +20,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"servicebroker/internal/clock"
 )
 
 // backoff is the multiplicative cut factor. The additive raise is one per
@@ -81,7 +83,6 @@ type Limiter struct {
 	mu    sync.Mutex
 	cfg   Config
 	limit float64
-	now   func() time.Time
 
 	lastCut   time.Time
 	healthy   int64 // completions under the latency target
@@ -98,16 +99,9 @@ func NewLimiter(cfg Config) (*Limiter, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Limiter{cfg: cfg, limit: float64(cfg.Initial), now: time.Now}
+	l := &Limiter{cfg: cfg, limit: float64(cfg.Initial)}
 	l.lastLimit = cfg.Initial
 	return l, nil
-}
-
-// SetClock overrides the limiter's time source (deterministic tests).
-func (l *Limiter) SetClock(now func() time.Time) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.now = now
 }
 
 // OnChange registers a callback invoked (under the limiter's lock, keep it
@@ -159,7 +153,7 @@ func (l *Limiter) Overload() {
 // CutWindow. Caller holds l.mu.
 func (l *Limiter) cutLocked() {
 	l.breaches++
-	now := l.now()
+	now := clock.Now()
 	if !l.lastCut.IsZero() && now.Sub(l.lastCut) < l.cfg.CutWindow {
 		return
 	}

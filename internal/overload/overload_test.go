@@ -4,39 +4,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"servicebroker/internal/testutil"
 )
 
-// fakeClock is a manually advanced time source.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Unix(1000, 0)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-}
-
-func newTestLimiter(t *testing.T, cfg Config) (*Limiter, *fakeClock) {
+func newTestLimiter(t *testing.T, cfg Config) (l *Limiter, advance func(time.Duration)) {
 	t.Helper()
 	l, err := NewLimiter(cfg)
 	if err != nil {
 		t.Fatalf("NewLimiter: %v", err)
 	}
-	clk := newFakeClock()
-	l.SetClock(clk.Now)
-	return l, clk
+	return l, testutil.FakeClock(t)
 }
 
 func TestDefaultsAndValidation(t *testing.T) {
@@ -89,7 +67,7 @@ func TestAdditiveIncrease(t *testing.T) {
 }
 
 func TestMultiplicativeCutOnLatencyBreach(t *testing.T) {
-	l, clk := newTestLimiter(t, Config{Min: 2, Max: 100, Initial: 100, LatencyTarget: 10 * time.Millisecond, CutWindow: 100 * time.Millisecond})
+	l, advance := newTestLimiter(t, Config{Min: 2, Max: 100, Initial: 100, LatencyTarget: 10 * time.Millisecond, CutWindow: 100 * time.Millisecond})
 	l.Observe(50*time.Millisecond, true) // slow but successful → cut
 	if got := l.Limit(); got != 70 {
 		t.Fatalf("after one cut, limit = %d, want 70", got)
@@ -101,7 +79,7 @@ func TestMultiplicativeCutOnLatencyBreach(t *testing.T) {
 		t.Fatalf("cut applied inside window: limit = %d, want 70", got)
 	}
 	// After the window the next breach cuts again.
-	clk.Advance(150 * time.Millisecond)
+	advance(150 * time.Millisecond)
 	l.Observe(0, false)
 	if got := l.Limit(); got != 49 {
 		t.Fatalf("after second cut, limit = %d, want 49", got)
@@ -113,10 +91,10 @@ func TestMultiplicativeCutOnLatencyBreach(t *testing.T) {
 }
 
 func TestCutFloorsAtMin(t *testing.T) {
-	l, clk := newTestLimiter(t, Config{Min: 3, Max: 100, Initial: 4, CutWindow: time.Millisecond})
+	l, advance := newTestLimiter(t, Config{Min: 3, Max: 100, Initial: 4, CutWindow: time.Millisecond})
 	for i := 0; i < 10; i++ {
 		l.Overload()
-		clk.Advance(10 * time.Millisecond)
+		advance(10 * time.Millisecond)
 	}
 	if got := l.Limit(); got != 3 {
 		t.Fatalf("limit fell below Min: got %d", got)
@@ -136,11 +114,11 @@ func TestZeroLatencyTargetIgnoresSlowSuccess(t *testing.T) {
 }
 
 func TestOnChangeFires(t *testing.T) {
-	l, clk := newTestLimiter(t, Config{Min: 1, Max: 100, Initial: 100, CutWindow: time.Millisecond})
+	l, advance := newTestLimiter(t, Config{Min: 1, Max: 100, Initial: 100, CutWindow: time.Millisecond})
 	var got []int
 	l.OnChange(func(n int) { got = append(got, n) })
 	l.Overload()
-	clk.Advance(10 * time.Millisecond)
+	advance(10 * time.Millisecond)
 	l.Overload()
 	if len(got) != 2 || got[0] != 70 || got[1] != 49 {
 		t.Fatalf("OnChange values = %v, want [70 49]", got)
@@ -178,10 +156,10 @@ func TestConcurrentUse(t *testing.T) {
 // congestion episode and checks it climbs back: the paper's "peak then
 // decline" behavior needs the decline to be temporary.
 func TestRecoversAfterTransientOverload(t *testing.T) {
-	l, clk := newTestLimiter(t, Config{Min: 2, Max: 64, Initial: 64, LatencyTarget: 10 * time.Millisecond, CutWindow: 50 * time.Millisecond})
+	l, advance := newTestLimiter(t, Config{Min: 2, Max: 64, Initial: 64, LatencyTarget: 10 * time.Millisecond, CutWindow: 50 * time.Millisecond})
 	for i := 0; i < 6; i++ {
 		l.Observe(time.Second, true)
-		clk.Advance(60 * time.Millisecond)
+		advance(60 * time.Millisecond)
 	}
 	low := l.Limit()
 	if low >= 16 {

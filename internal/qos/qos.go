@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"servicebroker/internal/clock"
 )
 
 // Class identifies a QoS class. Class 1 is the highest priority; larger
@@ -158,7 +160,6 @@ type Contract struct {
 	burst  float64
 	tokens float64
 	last   time.Time
-	now    func() time.Time
 }
 
 // NewContract creates a contract allowing `rate` requests per second with
@@ -170,15 +171,7 @@ func NewContract(rate float64, burst int) *Contract {
 	if burst <= 0 {
 		panic("qos: contract burst must be positive")
 	}
-	return &Contract{rate: rate, burst: float64(burst), tokens: float64(burst), now: time.Now}
-}
-
-// SetClock overrides the contract's time source, for deterministic tests.
-func (c *Contract) SetClock(now func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = now
-	c.last = time.Time{}
+	return &Contract{rate: rate, burst: float64(burst), tokens: float64(burst)}
 }
 
 // Allow consumes one token if available, reporting whether the request is
@@ -186,7 +179,7 @@ func (c *Contract) SetClock(now func() time.Time) {
 func (c *Contract) Allow() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
+	now := clock.Now()
 	if !c.last.IsZero() {
 		c.tokens += now.Sub(c.last).Seconds() * c.rate
 		if c.tokens > c.burst {

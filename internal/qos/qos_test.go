@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"servicebroker/internal/testutil"
 )
 
 func TestClassValid(t *testing.T) {
@@ -143,16 +145,15 @@ func TestFidelityString(t *testing.T) {
 }
 
 func TestContractBurstThenRefill(t *testing.T) {
-	now := time.Unix(0, 0)
+	advance := testutil.FakeClock(t)
 	c := NewContract(10, 2) // 10 req/s, burst 2
-	c.SetClock(func() time.Time { return now })
 	if !c.Allow() || !c.Allow() {
 		t.Fatal("burst tokens unavailable")
 	}
 	if c.Allow() {
 		t.Fatal("third request within burst allowed")
 	}
-	now = now.Add(100 * time.Millisecond) // refills one token at 10/s
+	advance(100 * time.Millisecond) // refills one token at 10/s
 	if !c.Allow() {
 		t.Fatal("token not refilled after 100ms")
 	}
@@ -162,11 +163,10 @@ func TestContractBurstThenRefill(t *testing.T) {
 }
 
 func TestContractTokensCappedAtBurst(t *testing.T) {
-	now := time.Unix(0, 0)
+	advance := testutil.FakeClock(t)
 	c := NewContract(100, 5)
-	c.SetClock(func() time.Time { return now })
 	c.Allow()
-	now = now.Add(time.Hour)
+	advance(time.Hour)
 	// An hour refills far more than the burst; only the burst is usable.
 	allowed := 0
 	for c.Allow() {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"servicebroker/internal/broker"
+	"servicebroker/internal/clock"
 	"servicebroker/internal/fleet"
 	"servicebroker/internal/metrics"
 )
@@ -85,8 +86,6 @@ func WritePool(w io.Writer, pool string, views []PoolView) {
 
 // Config parameterizes a Registry. The zero value is usable.
 type Config struct {
-	// Clock substitutes a time source for tests; nil means time.Now.
-	Clock func() time.Time
 	// Metrics, when set, receives broker_pool_size gauges and lease_*
 	// counters.
 	Metrics *metrics.Registry
@@ -135,9 +134,6 @@ const tombstoneFor = time.Minute
 
 // New builds a Registry from cfg.
 func New(cfg Config) *Registry {
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
 	r := &Registry{
 		cfg:        cfg,
 		members:    make(map[string]map[string]*Member),
@@ -165,7 +161,7 @@ func (r *Registry) SetEvents(l *fleet.Log) {
 
 // Apply folds one parsed command into the membership table.
 func (r *Registry) Apply(cmd Command) {
-	now := r.cfg.Clock()
+	now := clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch cmd.Verb {
@@ -259,7 +255,7 @@ func (r *Registry) withdraw(cmd Command, now time.Time) {
 // runs — it exists to emit expiry transitions (metrics, logs, tombstones)
 // promptly and to bound the tables.
 func (r *Registry) Reconcile() int {
-	now := r.cfg.Clock()
+	now := clock.Now()
 	expired := 0
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -301,7 +297,7 @@ func (r *Registry) Reconcile() int {
 // Members returns the live members for a service, lapsed leases filtered
 // out, sorted by address for deterministic iteration.
 func (r *Registry) Members(service string) []Member {
-	now := r.cfg.Clock()
+	now := clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	svc := r.members[service]
@@ -317,7 +313,7 @@ func (r *Registry) Members(service string) []Member {
 
 // Live reports whether addr holds a live lease for any service.
 func (r *Registry) Live(addr string) bool {
-	now := r.cfg.Clock()
+	now := clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, svc := range r.members {
@@ -331,7 +327,7 @@ func (r *Registry) Live(addr string) bool {
 // Snapshot returns every row the registry knows about — live members and
 // not-yet-forgotten tombstones — as PoolViews for /poolz.
 func (r *Registry) Snapshot() []PoolView {
-	now := r.cfg.Clock()
+	now := clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []PoolView

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"servicebroker/internal/broker"
+	"servicebroker/internal/clock"
+	"servicebroker/internal/testutil"
 )
 
 // leaseModel is the reference the registry is checked against: one deadline
@@ -60,8 +62,8 @@ func runLeaseSchedule(t *testing.T, seed int64) {
 	}
 	services := []string{"db", "dir", "mail"}[:2+rng.Intn(2)]
 	addrs := []string{"10.0.0.1:7101", "10.0.0.2:7101", "10.0.0.3:7101", "10.0.0.4:7101"}[:3+rng.Intn(2)]
-	clock := newFakeClock()
-	r := reg(clock, nil)
+	advance := testutil.FakeClock(t)
+	r := New(Config{})
 	m := leaseModel{}
 
 	// Durations are multiples of 10ms, so the clock often lands exactly on a
@@ -90,7 +92,7 @@ func runLeaseSchedule(t *testing.T, seed int64) {
 				fail(step, "Reconcile expired %d leases, model %d", got, want)
 			}
 		default:
-			clock.Advance(tick(rng.Intn(16)))
+			advance(tick(rng.Intn(16)))
 			now = clock.Now()
 		}
 

@@ -8,17 +8,8 @@ import (
 	"servicebroker/internal/broker"
 	"servicebroker/internal/fleet"
 	"servicebroker/internal/metrics"
+	"servicebroker/internal/testutil"
 )
-
-// fakeClock is a manually advanced time source.
-type fakeClock struct{ now time.Time }
-
-func (c *fakeClock) Now() time.Time          { return c.now }
-func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
-func newFakeClock() *fakeClock               { return &fakeClock{now: time.Unix(1_700_000_000, 0)} }
-func reg(c *fakeClock, m *metrics.Registry) *Registry {
-	return New(Config{Clock: c.Now, Metrics: m})
-}
 
 func registerCmd(service, addr string, ttl time.Duration) Command {
 	return Command{Verb: VerbRegister, Service: service, Addr: addr, TTL: ttl,
@@ -26,9 +17,9 @@ func registerCmd(service, addr string, ttl time.Duration) Command {
 }
 
 func TestRegistryLifecycle(t *testing.T) {
-	clock := newFakeClock()
+	advance := testutil.FakeClock(t)
 	m := metrics.NewRegistry()
-	r := reg(clock, m)
+	r := New(Config{Metrics: m})
 
 	r.Apply(registerCmd("search", "127.0.0.1:7101", time.Second))
 	r.Apply(registerCmd("search", "127.0.0.1:7102", time.Second))
@@ -40,9 +31,9 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 
 	// Renewal extends the lease past the original expiry.
-	clock.Advance(800 * time.Millisecond)
+	advance(800 * time.Millisecond)
 	r.Apply(Command{Verb: VerbRenew, Service: "search", Addr: "127.0.0.1:7101", TTL: time.Second})
-	clock.Advance(500 * time.Millisecond) // 7101 renewed 500ms ago; 7102 lapsed at 1s
+	advance(500 * time.Millisecond) // 7101 renewed 500ms ago; 7102 lapsed at 1s
 	members := r.Members("search")
 	if len(members) != 1 || members[0].Addr != "127.0.0.1:7101" {
 		t.Fatalf("after partial expiry: members = %+v, want only 7101", members)
@@ -93,8 +84,8 @@ func TestRegistryLifecycle(t *testing.T) {
 func TestRegistryRenewAdmitsUnknownMember(t *testing.T) {
 	// A front-end restart empties the table; the first RENEW from each
 	// broker must rebuild the pool.
-	clock := newFakeClock()
-	r := reg(clock, nil)
+	testutil.FakeClock(t)
+	r := New(Config{})
 	r.Apply(Command{Verb: VerbRenew, Service: "search", Addr: "127.0.0.1:7101", TTL: time.Second})
 	if got := len(r.Members("search")); got != 1 {
 		t.Fatalf("RENEW of unknown member admitted %d members, want 1", got)
@@ -104,21 +95,21 @@ func TestRegistryRenewAdmitsUnknownMember(t *testing.T) {
 func TestRegistryMembersFilterWithoutReconcile(t *testing.T) {
 	// Lapsed leases must disappear from Members even if Reconcile never
 	// runs: routing correctness cannot depend on loop granularity.
-	clock := newFakeClock()
-	r := reg(clock, nil)
+	advance := testutil.FakeClock(t)
+	r := New(Config{})
 	r.Apply(registerCmd("search", "127.0.0.1:7101", time.Second))
-	clock.Advance(time.Second)
+	advance(time.Second)
 	if got := len(r.Members("search")); got != 0 {
 		t.Fatalf("lapsed lease still visible: %d members, want 0", got)
 	}
 }
 
 func TestRegistryLateRenewAfterLapseCountsExpiryAndRejoin(t *testing.T) {
-	clock := newFakeClock()
+	advance := testutil.FakeClock(t)
 	m := metrics.NewRegistry()
-	r := reg(clock, m)
+	r := New(Config{Metrics: m})
 	r.Apply(registerCmd("search", "127.0.0.1:7101", time.Second))
-	clock.Advance(2 * time.Second)
+	advance(2 * time.Second)
 	// The broker hung, never deregistered, and now renews: the lapse is an
 	// expiry+rejoin even though Reconcile never saw it.
 	r.Apply(Command{Verb: VerbRenew, Service: "search", Addr: "127.0.0.1:7101", TTL: time.Second})
@@ -134,13 +125,13 @@ func TestRegistryLateRenewAfterLapseCountsExpiryAndRejoin(t *testing.T) {
 }
 
 func TestRegistryPublishesLeaseEvents(t *testing.T) {
-	clock := newFakeClock()
-	r := reg(clock, nil)
+	advance := testutil.FakeClock(t)
+	r := New(Config{})
 	events := fleet.NewLog(16, nil)
 	r.SetEvents(events)
 
 	r.Apply(registerCmd("search", "127.0.0.1:7101", time.Second))
-	clock.Advance(2 * time.Second)
+	advance(2 * time.Second)
 	r.Reconcile()
 	r.Apply(registerCmd("search", "127.0.0.1:7101", time.Second))
 	r.Apply(Command{Verb: VerbDeregister, Service: "search", Addr: "127.0.0.1:7101"})
@@ -162,15 +153,15 @@ func TestRegistryPublishesLeaseEvents(t *testing.T) {
 }
 
 func TestRegistryTombstonesPruned(t *testing.T) {
-	clock := newFakeClock()
-	r := reg(clock, nil)
+	advance := testutil.FakeClock(t)
+	r := New(Config{})
 	r.Apply(registerCmd("search", "127.0.0.1:7101", time.Second))
-	clock.Advance(2 * time.Second)
+	advance(2 * time.Second)
 	r.Reconcile()
 	if len(r.Snapshot()) != 1 {
 		t.Fatal("tombstone missing right after expiry")
 	}
-	clock.Advance(2 * time.Minute)
+	advance(2 * time.Minute)
 	r.Reconcile()
 	if got := r.Snapshot(); len(got) != 0 {
 		t.Fatalf("tombstone survived past tombstoneFor: %+v", got)
@@ -178,8 +169,8 @@ func TestRegistryTombstonesPruned(t *testing.T) {
 }
 
 func TestRegistryBoundsTables(t *testing.T) {
-	clock := newFakeClock()
-	r := reg(clock, nil)
+	testutil.FakeClock(t)
+	r := New(Config{})
 	for i := 0; i < maxTrackedMembers+50; i++ {
 		r.Apply(registerCmd("search", addrN(i), time.Minute))
 	}

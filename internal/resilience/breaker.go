@@ -5,6 +5,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"servicebroker/internal/clock"
 )
 
 // State is a circuit breaker's position in the classic three-state machine.
@@ -43,8 +45,6 @@ type BreakerConfig struct {
 	// Cooldown is how long an open breaker rejects traffic before
 	// admitting half-open probes (default 1s).
 	Cooldown time.Duration
-	// Clock overrides the time source, for deterministic tests.
-	Clock func() time.Time
 	// OnTransition, when non-nil, is called after every state change.
 	// It runs outside the breaker's lock but must not block; it may be
 	// invoked while a caller (e.g. a ReplicaSet) holds its own locks, so
@@ -58,9 +58,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	return c
 }
@@ -135,7 +132,7 @@ func (b *Breaker) Candidate() bool {
 	case StateClosed:
 		return true
 	case StateOpen:
-		return b.cfg.Clock().Sub(b.lastChange) >= b.cfg.Cooldown
+		return clock.Since(b.lastChange) >= b.cfg.Cooldown
 	default:
 		return !b.probing
 	}
@@ -152,7 +149,7 @@ func (b *Breaker) Acquire() bool {
 	case StateClosed:
 		ok = true
 	case StateOpen:
-		if b.cfg.Clock().Sub(b.lastChange) >= b.cfg.Cooldown {
+		if clock.Since(b.lastChange) >= b.cfg.Cooldown {
 			fire = b.transitionLocked(StateHalfOpen)
 			b.probing = true
 			ok = true
@@ -240,7 +237,7 @@ func (b *Breaker) openLocked() func() {
 func (b *Breaker) transitionLocked(to State) func() {
 	from := b.state
 	b.state = to
-	b.lastChange = b.cfg.Clock()
+	b.lastChange = clock.Now()
 	if b.cfg.OnTransition == nil || from == to {
 		return nil
 	}

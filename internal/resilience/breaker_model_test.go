@@ -7,6 +7,9 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"servicebroker/internal/clock"
+	"servicebroker/internal/testutil"
 )
 
 // breakerModel is the reference the breaker is checked against: the three
@@ -93,12 +96,12 @@ func runBreakerSchedule(t *testing.T, seed int64) {
 		t.Helper()
 		t.Fatalf("seed %d step %d: "+format, append([]any{seed, step}, args...)...)
 	}
-	clk := newFakeClock()
+	advance := testutil.FakeClock(t)
 	m := &breakerModel{threshold: 1 + rng.Intn(4), cooldown: time.Duration(1+rng.Intn(3)) * time.Second}
 	m.sn.Name = "r0"
 	var moves []State
 	b := NewBreaker("r0", BreakerConfig{
-		FailureThreshold: m.threshold, Cooldown: m.cooldown, Clock: clk.now,
+		FailureThreshold: m.threshold, Cooldown: m.cooldown,
 		OnTransition: func(_, to State) { moves = append(moves, to) },
 	})
 	errs := []error{nil, errors.New("backend down"), context.Canceled}
@@ -109,7 +112,7 @@ func runBreakerSchedule(t *testing.T, seed int64) {
 		switch op := rng.Intn(100); {
 		case op < 40:
 			was := m.sn.State
-			got, want := b.Acquire(), m.acquire(clk.now())
+			got, want := b.Acquire(), m.acquire(clock.Now())
 			if got != want {
 				fail("Acquire = %v in %v, model %v", got, was, want)
 			}
@@ -125,15 +128,15 @@ func runBreakerSchedule(t *testing.T, seed int64) {
 			}
 			err := errs[rng.Intn(len(errs))]
 			b.Done(err)
-			m.done(err, clk.now())
+			m.done(err, clock.Now())
 			inFlight--
 		default:
-			clk.advance(time.Duration(rng.Int63n(int64(m.cooldown))))
+			advance(time.Duration(rng.Int63n(int64(m.cooldown))))
 		}
 		if got := b.State(); got != m.sn.State {
 			fail("State = %v, model %v", got, m.sn.State)
 		}
-		if got, want := b.Candidate(), m.candidate(clk.now()); got != want {
+		if got, want := b.Candidate(), m.candidate(clock.Now()); got != want {
 			fail("Candidate = %v in %v, model %v", got, m.sn.State, want)
 		}
 		if got := b.Snapshot(); got != m.sn {

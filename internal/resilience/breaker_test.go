@@ -5,14 +5,10 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"servicebroker/internal/testutil"
 )
 
-// fakeClock is a manually advanced time source.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
 func attempt(b *Breaker, err error) (acquired bool) {
 	if !b.Acquire() {
 		return false
@@ -22,8 +18,8 @@ func attempt(b *Breaker, err error) (acquired bool) {
 }
 
 func TestBreakerOpensAtThreshold(t *testing.T) {
-	clk := newFakeClock()
-	b := NewBreaker("r0", BreakerConfig{FailureThreshold: 3, Cooldown: time.Second, Clock: clk.now})
+	testutil.FakeClock(t)
+	b := NewBreaker("r0", BreakerConfig{FailureThreshold: 3, Cooldown: time.Second})
 	fail := errors.New("reset")
 	for i := 0; i < 2; i++ {
 		if !attempt(b, fail) {
@@ -60,10 +56,10 @@ func TestBreakerSuccessResetsFailureCount(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeClosesOnSuccess(t *testing.T) {
-	clk := newFakeClock()
+	advance := testutil.FakeClock(t)
 	var transitions []State
 	b := NewBreaker("r0", BreakerConfig{
-		FailureThreshold: 1, Cooldown: time.Second, Clock: clk.now,
+		FailureThreshold: 1, Cooldown: time.Second,
 		OnTransition: func(_, to State) { transitions = append(transitions, to) },
 	})
 	attempt(b, errors.New("reset"))
@@ -73,7 +69,7 @@ func TestBreakerHalfOpenProbeClosesOnSuccess(t *testing.T) {
 	if b.Candidate() {
 		t.Fatal("open breaker is a candidate before cooldown")
 	}
-	clk.advance(time.Second)
+	advance(time.Second)
 	if !b.Candidate() {
 		t.Fatal("cooled-down breaker should be a probe candidate")
 	}
@@ -102,10 +98,10 @@ func TestBreakerHalfOpenProbeClosesOnSuccess(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeReopensOnFailure(t *testing.T) {
-	clk := newFakeClock()
-	b := NewBreaker("r0", BreakerConfig{FailureThreshold: 1, Cooldown: time.Second, Clock: clk.now})
+	advance := testutil.FakeClock(t)
+	b := NewBreaker("r0", BreakerConfig{FailureThreshold: 1, Cooldown: time.Second})
 	attempt(b, errors.New("reset"))
-	clk.advance(time.Second)
+	advance(time.Second)
 	if !b.Acquire() {
 		t.Fatal("probe rejected")
 	}
@@ -124,15 +120,15 @@ func TestBreakerHalfOpenProbeReopensOnFailure(t *testing.T) {
 }
 
 func TestBreakerNeutralOutcomes(t *testing.T) {
-	clk := newFakeClock()
-	b := NewBreaker("r0", BreakerConfig{FailureThreshold: 1, Cooldown: time.Second, Clock: clk.now})
+	advance := testutil.FakeClock(t)
+	b := NewBreaker("r0", BreakerConfig{FailureThreshold: 1, Cooldown: time.Second})
 	// Caller cancellation while closed neither trips nor resets.
 	attempt(b, context.Canceled)
 	if b.State() != StateClosed {
 		t.Fatalf("state = %v, want closed", b.State())
 	}
 	attempt(b, errors.New("reset"))
-	clk.advance(time.Second)
+	advance(time.Second)
 	if !b.Acquire() {
 		t.Fatal("probe rejected")
 	}
@@ -150,8 +146,7 @@ func TestBreakerNeutralOutcomes(t *testing.T) {
 }
 
 func TestBreakerSnapshot(t *testing.T) {
-	clk := newFakeClock()
-	b := NewBreaker("db#1", BreakerConfig{FailureThreshold: 2, Clock: clk.now})
+	b := NewBreaker("db#1", BreakerConfig{FailureThreshold: 2})
 	attempt(b, nil)
 	attempt(b, errors.New("reset"))
 	snap := b.Snapshot()

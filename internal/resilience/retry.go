@@ -7,7 +7,7 @@
 // from unhealthy replicas and probe them back in.
 //
 // The package is stdlib-only and fully deterministic under test: jitter is
-// seeded and the breaker clock is injectable.
+// seeded and the breaker reads package clock.
 package resilience
 
 import (

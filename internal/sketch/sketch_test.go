@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"servicebroker/internal/testutil"
 )
 
 func TestCountMinNeverUndercounts(t *testing.T) {
@@ -158,11 +160,8 @@ func TestEstimateSkew(t *testing.T) {
 }
 
 func TestTrackerSnapshotMergesShards(t *testing.T) {
-	now := time.Unix(1000, 0)
-	tr := NewTracker(Config{
-		TopK:  16,
-		Clock: func() time.Time { return now },
-	})
+	advance := testutil.FakeClock(t)
+	tr := NewTracker(Config{TopK: 16})
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 30000; i++ {
 		var k string
@@ -175,7 +174,7 @@ func TestTrackerSnapshotMergesShards(t *testing.T) {
 		tr.RecordAccess(k, hit)
 		tr.RecordLatency(k, time.Duration(rng.Intn(5000))*time.Microsecond)
 	}
-	now = now.Add(10 * time.Second)
+	advance(10 * time.Second)
 	snap := tr.Snapshot()
 
 	if snap.TotalAccesses != 30000 {

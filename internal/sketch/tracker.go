@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"servicebroker/internal/clock"
 	"servicebroker/internal/trace"
 )
 
@@ -25,16 +26,11 @@ type Config struct {
 	// shard tracks proportionally more candidates so key-space skew across
 	// shards cannot silently drop a hot key.
 	TopK int
-	// Clock overrides the time source for deterministic tests.
-	Clock func() time.Time
 }
 
 func (c Config) withDefaults() Config {
 	if c.TopK < 1 {
 		c.TopK = 64
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	return c
 }
@@ -148,7 +144,7 @@ func NewTracker(cfg Config) *Tracker {
 		cfg:    cfg,
 		shards: make([]trackerShard, trackerShards),
 		mask:   trackerShards - 1,
-		start:  cfg.Clock(),
+		start:  clock.Now(),
 	}
 	// Per-shard candidate capacity: twice the fair share, minimum 4, so an
 	// uneven key hash cannot evict a genuinely hot key before the merge.
@@ -239,7 +235,7 @@ func (t *Tracker) Snapshot() Snapshot {
 		entries = entries[:t.cfg.TopK]
 	}
 
-	elapsed := t.cfg.Clock().Sub(t.start)
+	elapsed := clock.Since(t.start)
 	secs := elapsed.Seconds()
 	snap := Snapshot{
 		Keys:          make([]HotKey, 0, len(entries)),

@@ -976,16 +976,6 @@ func (p *predicate) candidates(i int32) (first int, via *index) {
 	return 0, nil
 }
 
-// project collects what projectInto hands its sink into a ResultSet. The
-// engine's reference model (engine_model_test.go) projects through it.
-func project(s *Select, t *table, matched []int) (*ResultSet, error) {
-	out := sink{collect: true}
-	if err := projectInto(s, t, matched, &out); err != nil {
-		return nil, err
-	}
-	return out.rs, nil
-}
-
 // maxStackWidth is the widest result whose column names, column positions
 // and row cells live on the stack; a wider one spills to the heap.
 const maxStackWidth = 16

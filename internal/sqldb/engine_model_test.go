@@ -18,6 +18,15 @@ import (
 // index code.
 type model struct{ t *table }
 
+// project collects what projectInto hands its sink into a ResultSet.
+func project(s *Select, t *table, matched []int) (*ResultSet, error) {
+	out := sink{collect: true}
+	if err := projectInto(s, t, matched, &out); err != nil {
+		return nil, err
+	}
+	return out.rs, nil
+}
+
 func (m *model) exec(stmt Statement) (*ResultSet, error) {
 	t := m.t
 	var where Expr

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Parse turns one SQL statement into its AST.
@@ -619,14 +618,4 @@ func (p *parser) parseOperand() (Expr, error) {
 		}
 	}
 	return nil, fmt.Errorf("sqldb: expected column or literal at %d, got %q", t.pos, p.text(t))
-}
-
-// MustParse parses sql and panics on error; intended for tests and fixture
-// setup.
-func MustParse(sql string) Statement {
-	s, err := Parse(sql)
-	if err != nil {
-		panic(fmt.Sprintf("MustParse(%s): %v", strings.TrimSpace(sql), err))
-	}
-	return s
 }

@@ -11,6 +11,15 @@ import (
 	"testing/quick"
 )
 
+// MustParse parses sql and panics on error.
+func MustParse(sql string) Statement {
+	s, err := Parse(sql)
+	if err != nil {
+		panic(fmt.Sprintf("MustParse(%s): %v", strings.TrimSpace(sql), err))
+	}
+	return s
+}
+
 func TestLexBasics(t *testing.T) {
 	toks, err := lex("SELECT id, name FROM t WHERE score >= 3.5 AND name LIKE 'a%'")
 	if err != nil {

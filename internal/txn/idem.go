@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"servicebroker/internal/clock"
 	"servicebroker/internal/metrics"
 	"servicebroker/internal/qos"
 )
@@ -98,7 +99,6 @@ type IdemTable struct {
 	last    time.Time             // the newest record time pushed on fifo
 	cap     int
 	ttl     time.Duration
-	now     func() time.Time
 
 	onRecord func(key string, out Outcome, at time.Time)
 
@@ -129,16 +129,8 @@ func NewIdemTable(capacity int, ttl time.Duration) *IdemTable {
 		entries: make(map[string]*idemEntry),
 		cap:     capacity,
 		ttl:     ttl,
-		now:     time.Now,
 		evicted: new(metrics.Counter),
 	}
-}
-
-// SetClock overrides the table's time source (deterministic tests).
-func (t *IdemTable) SetClock(now func() time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.now = now
 }
 
 // OnRecord registers a callback invoked (outside table locks) for every
@@ -190,7 +182,7 @@ func (t *IdemTable) Acquire(key string) (Outcome, bool, *Ticket) {
 			t.coalesced++
 			return Outcome{}, false, &e.waiter
 		}
-		if !t.expiredLocked(e.at, t.now()) {
+		if !t.expiredLocked(e.at, clock.Now()) {
 			t.hits++
 			return e.out, true, nil
 		}
@@ -255,7 +247,7 @@ func (tk *Ticket) settle(state idemState, out Outcome, record bool) {
 	e.state, e.out = state, out
 	var fn func(string, Outcome, time.Time)
 	if record {
-		now := t.now()
+		now := clock.Now()
 		t.recordLocked(e, now, now, false)
 		t.recorded++
 		fn = t.onRecord
@@ -287,7 +279,7 @@ func (e *idemEntry) wake() {
 func (t *IdemTable) Restore(key string, out Outcome, at time.Time) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := t.now()
+	now := clock.Now()
 	if at.IsZero() {
 		at = now
 	} else if t.expiredLocked(at, now) {
@@ -314,7 +306,7 @@ func (t *IdemTable) Lookup(key string) (Outcome, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, ok := t.entries[key]
-	if !ok || e.state != idemDone || t.expiredLocked(e.at, t.now()) {
+	if !ok || e.state != idemDone || t.expiredLocked(e.at, clock.Now()) {
 		return Outcome{}, false
 	}
 	return e.out, true

@@ -7,6 +7,9 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"servicebroker/internal/clock"
+	"servicebroker/internal/testutil"
 )
 
 // idemModel is the reference the table is checked against: open flights in a
@@ -98,13 +101,12 @@ func runIdemSchedule(t *testing.T, seed int64) {
 		t.Helper()
 		t.Fatalf("seed %d step %d: "+format, append([]any{seed, step}, args...)...)
 	}
-	now := time.Unix(1000, 0)
+	advance := testutil.FakeClock(t)
 	m := &idemModel{cap: 1 + rng.Intn(5), pending: map[string]*mflight{}}
 	if rng.Intn(2) == 0 {
 		m.ttl = 10 * time.Second
 	}
 	tbl := NewIdemTable(m.cap, m.ttl)
-	tbl.SetClock(func() time.Time { return now })
 	m.st.Capacity, m.st.TTL = m.cap, m.ttl
 
 	keys := make([]string, 2+rng.Intn(8))
@@ -133,7 +135,7 @@ func runIdemSchedule(t *testing.T, seed int64) {
 		for _, k := range keys {
 			out, ok := tbl.Lookup(k)
 			i := m.find(k)
-			wantOK := i >= 0 && !m.expired(m.recs[i], now)
+			wantOK := i >= 0 && !m.expired(m.recs[i], clock.Now())
 			if ok != wantOK || ok && out.Status != m.recs[i].out.Status {
 				fail("Lookup(%s) = (%d, %v), model ok %v", k, out.Status, ok, wantOK)
 			}
@@ -159,14 +161,14 @@ func runIdemSchedule(t *testing.T, seed int64) {
 				waiters = append(waiters, held{tk, f})
 				break
 			}
-			if i := m.find(k); i >= 0 && !m.expired(m.recs[i], now) {
+			if i := m.find(k); i >= 0 && !m.expired(m.recs[i], clock.Now()) {
 				m.st.Hits++
 				if !hit || out.Status != m.recs[i].out.Status {
 					fail("Acquire(%s) = (%d, hit %v), model replays %d", k, out.Status, hit, m.recs[i].out.Status)
 				}
 				break
 			}
-			m.drop(k, now)
+			m.drop(k, clock.Now())
 			m.st.Flights++
 			if hit || tk == nil || !tk.Owner() {
 				fail("Acquire(%s) on a free key: hit %v ticket %v", k, hit, tk)
@@ -189,7 +191,7 @@ func runIdemSchedule(t *testing.T, seed int64) {
 				}
 				if kind == 0 {
 					m.st.Recorded++
-					m.record(o.f.key, out, now, now, &m.st.Evicted)
+					m.record(o.f.key, out, clock.Now(), clock.Now(), &m.st.Evicted)
 				}
 			}
 			switch kind {
@@ -229,12 +231,12 @@ func runIdemSchedule(t *testing.T, seed int64) {
 			out := newOutcome()
 			var at time.Time
 			if rng.Intn(3) > 0 {
-				at = now.Add(-time.Duration(rng.Intn(20000)) * time.Millisecond)
+				at = clock.Now().Add(-time.Duration(rng.Intn(20000)) * time.Millisecond)
 			}
 			restored := tbl.Restore(k, out, at)
-			if !at.IsZero() && m.expired(mrec{at: at}, now) {
+			if !at.IsZero() && m.expired(mrec{at: at}, clock.Now()) {
 				if restored {
-					fail("Restore(%s) of an outcome expired for %v: restored", k, now.Sub(at)-m.ttl)
+					fail("Restore(%s) of an outcome expired for %v: restored", k, clock.Now().Sub(at)-m.ttl)
 				}
 				break
 			}
@@ -242,18 +244,18 @@ func runIdemSchedule(t *testing.T, seed int64) {
 				fail("Restore(%s) of a live outcome: skipped", k)
 			}
 			if at.IsZero() {
-				at = now
+				at = clock.Now()
 			}
 			if f, ok := m.pending[k]; ok {
 				f.settled, f.out = true, &out
 				delete(m.pending, k)
-			} else if m.drop(k, now) {
+			} else if m.drop(k, clock.Now()) {
 				m.overwrites++
 			}
 			m.st.Restored++
-			m.record(k, out, at, now, &m.st.ReplayEvicted)
+			m.record(k, out, at, clock.Now(), &m.st.ReplayEvicted)
 		default:
-			now = now.Add(time.Duration(rng.Intn(7000)) * time.Millisecond)
+			advance(time.Duration(rng.Intn(7000)) * time.Millisecond)
 		}
 		check()
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"servicebroker/internal/qos"
+	"servicebroker/internal/testutil"
 )
 
 func TestIdemKeyComposite(t *testing.T) {
@@ -165,16 +166,15 @@ func TestRestoreDoesNotFireOnRecord(t *testing.T) {
 }
 
 func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(100, 0)
+	advance := testutil.FakeClock(t)
 	tbl := NewIdemTable(16, time.Minute)
-	tbl.SetClock(func() time.Time { return now })
 
 	_, _, tk := tbl.Acquire("k")
 	tk.Complete(Outcome{Status: 1})
 	if _, ok := tbl.Lookup("k"); !ok {
 		t.Fatal("fresh outcome missing")
 	}
-	now = now.Add(2 * time.Minute)
+	advance(2 * time.Minute)
 	if _, ok := tbl.Lookup("k"); ok {
 		t.Fatal("expired outcome still served")
 	}

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"servicebroker/internal/clock"
 	"servicebroker/internal/qos"
+	"servicebroker/internal/testutil"
 )
 
 func TestJournalAppendReplayRoundTrip(t *testing.T) {
@@ -207,10 +209,8 @@ func TestRestoreTableKeepsRecordTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
+	advance := testutil.FakeClock(t)
 	tbl := NewIdemTable(16, time.Minute)
-	tbl.SetClock(clock)
 	tbl.OnRecord(func(key string, out Outcome, at time.Time) {
 		if err := j.AppendOutcome(key, out, at); err != nil {
 			t.Errorf("journal append: %v", err)
@@ -221,7 +221,7 @@ func TestRestoreTableKeepsRecordTimes(t *testing.T) {
 		tk.Complete(Outcome{Status: 1, Payload: []byte(key)})
 	}
 	record("old") // at 1000
-	now = time.Unix(1050, 0)
+	advance(50 * time.Second)
 	record("young")
 	for _, rec := range []JournalRecord{
 		{Key: "skewed", Status: 1, At: time.Unix(1040, 0).UnixNano()},
@@ -233,9 +233,8 @@ func TestRestoreTableKeepsRecordTimes(t *testing.T) {
 	}
 	j.Close()
 
-	now = time.Unix(1070, 0) // the restart: "old" is 70 s old, past the 60 s TTL
+	advance(20 * time.Second) // the restart: "old" is 70 s old, past the 60 s TTL
 	tbl2 := NewIdemTable(16, time.Minute)
-	tbl2.SetClock(clock)
 	n, err := RestoreTable(path, tbl2)
 	if err != nil || n != 3 {
 		t.Fatalf("restore: n=%d err=%v, want 3 outcomes", n, err)
@@ -245,7 +244,7 @@ func TestRestoreTableKeepsRecordTimes(t *testing.T) {
 	}
 	live := func(at int64, want map[string]bool) {
 		t.Helper()
-		now = time.Unix(at, 0)
+		advance(time.Unix(at, 0).Sub(clock.Now()))
 		for key, ok := range want {
 			if _, got := tbl2.Lookup(key); got != ok {
 				t.Errorf("at %d: Lookup(%s) = %v, want %v", at, key, got, ok)

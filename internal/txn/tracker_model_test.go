@@ -10,6 +10,9 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"servicebroker/internal/clock"
+	"servicebroker/internal/testutil"
 )
 
 // trackerModel is the reference the tracker is checked against: active
@@ -74,11 +77,10 @@ func runTrackerSchedule(t *testing.T, seed int64) {
 		t.Helper()
 		t.Fatalf("seed %d step %d: "+format, append([]any{seed, step}, args...)...)
 	}
-	now := time.Unix(1000, 0)
+	advance := testutil.FakeClock(t)
 	m := &trackerModel{ttl: 10 * time.Second, active: map[string]*State{},
 		comps: map[string][]int{}, failing: map[int]bool{}}
 	tr := NewTracker()
-	tr.SetClock(func() time.Time { return now })
 	tr.SetTTL(m.ttl)
 	var abandoned []string
 	tr.OnAbandon(func(s State) { abandoned = append(abandoned, s.ID) })
@@ -128,12 +130,12 @@ func runTrackerSchedule(t *testing.T, seed int64) {
 		switch op := rng.Intn(100); {
 		case op < 30:
 			st := 1 + rng.Intn(4)
-			if m.ttl > 0 && now.Sub(m.lastSweep) > m.ttl/4 {
-				runs = m.sweep(now)
+			if m.ttl > 0 && clock.Now().Sub(m.lastSweep) > m.ttl/4 {
+				runs = m.sweep(clock.Now())
 			}
 			s, ok := m.active[id]
 			if !ok {
-				s = &State{ID: id, Step: st, Started: now, LastSeen: now}
+				s = &State{ID: id, Step: st, Started: clock.Now(), LastSeen: clock.Now()}
 				m.active[id] = s
 			}
 			var want State
@@ -141,7 +143,7 @@ func runTrackerSchedule(t *testing.T, seed int64) {
 			if st < s.Step {
 				wantErr = ErrBadStep
 			} else {
-				s.Step, s.LastSeen = st, now
+				s.Step, s.LastSeen = st, clock.Now()
 				s.Accesses++
 				want = *s
 			}
@@ -155,7 +157,7 @@ func runTrackerSchedule(t *testing.T, seed int64) {
 			if s, ok := m.active[id]; ok {
 				m.comps[id] = append(m.comps[id], c)
 				s.Compensations++
-				s.LastSeen = now
+				s.LastSeen = clock.Now()
 			} else {
 				wantErr = ErrUnknownTxn
 			}
@@ -185,7 +187,7 @@ func runTrackerSchedule(t *testing.T, seed int64) {
 				fail("Abort(%s) = %v, model %v", id, err, wantErr)
 			}
 		case op < 76:
-			runs = m.sweep(now)
+			runs = m.sweep(clock.Now())
 			var got, want []string
 			for _, s := range tr.Sweep() {
 				got = append(got, s.ID)
@@ -199,7 +201,7 @@ func runTrackerSchedule(t *testing.T, seed int64) {
 				fail("Sweep = %v, model %v", got, want)
 			}
 		case op < 80:
-			runs = m.sweep(now)
+			runs = m.sweep(clock.Now())
 			snap := tr.Snapshot()
 			want := Snapshot{Completed: m.completed, Aborted: m.aborted, Abandoned: m.abandoned,
 				CompensationsRun: m.run, CompensationsFailed: m.fail, TTL: m.ttl}
@@ -210,7 +212,7 @@ func runTrackerSchedule(t *testing.T, seed int64) {
 				fail("Snapshot = %+v, model %+v", snap, want)
 			}
 		default:
-			now = now.Add(time.Duration(rng.Intn(6000)) * time.Millisecond)
+			advance(time.Duration(rng.Intn(6000)) * time.Millisecond)
 		}
 
 		checkRuns(ran[start:], runs)

@@ -32,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"servicebroker/internal/clock"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/trace"
 )
@@ -137,7 +138,6 @@ type Tracker struct {
 	mu     sync.Mutex
 	active map[string]*State
 	comps  map[string][]compensation
-	now    func() time.Time
 
 	// ttl is the idle limit after which an active transaction counts as
 	// abandoned; 0 disables sweeping. lastSweep rate-limits the lazy sweep
@@ -161,7 +161,6 @@ func NewTracker() *Tracker {
 	return &Tracker{
 		active:   make(map[string]*State),
 		comps:    make(map[string][]compensation),
-		now:      time.Now,
 		forgetAt: untimedCap,
 	}
 }
@@ -197,13 +196,6 @@ func (t *Tracker) insertLocked(id string, step int, now time.Time) *State {
 	}
 	t.forgetAt = max(untimedCap, 2*len(t.active))
 	return s
-}
-
-// SetClock overrides the tracker's time source (deterministic tests).
-func (t *Tracker) SetClock(now func() time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.now = now
 }
 
 // SetTTL enables (or, with d ≤ 0, disables) abandonment sweeping: an active
@@ -248,12 +240,12 @@ func (t *Tracker) Begin(id string) error {
 	defer t.mu.Unlock()
 	if s, ok := t.active[id]; ok {
 		if s.Step <= 1 {
-			s.LastSeen = t.now()
+			s.LastSeen = clock.Now()
 			return nil
 		}
 		return fmt.Errorf("txn: %s already active at step %d", id, s.Step)
 	}
-	t.insertLocked(id, 1, t.now())
+	t.insertLocked(id, 1, clock.Now())
 	return nil
 }
 
@@ -268,7 +260,7 @@ func (t *Tracker) Observe(id string, step int) (State, error) {
 		return State{}, fmt.Errorf("%w: %d", ErrBadStep, step)
 	}
 	t.mu.Lock()
-	now := t.now()
+	now := clock.Now()
 	// Lazy abandonment sweep: at most one scan per TTL/4 so the hot path
 	// stays O(1) amortized while abandoned state still gets bounded.
 	var abandoned []abortWork
@@ -309,7 +301,7 @@ func (t *Tracker) RegisterCompensation(id string, step int, name string, fn Comp
 	}
 	t.comps[id] = append(t.comps[id], compensation{step: step, name: name, fn: fn})
 	s.Compensations++
-	s.LastSeen = t.now()
+	s.LastSeen = clock.Now()
 	return nil
 }
 
@@ -426,7 +418,7 @@ func (t *Tracker) Sweep() []State {
 		t.mu.Unlock()
 		return nil
 	}
-	work := t.collectAbandonedLocked(t.now())
+	work := t.collectAbandonedLocked(clock.Now())
 	t.mu.Unlock()
 	t.finishAborts(work, true)
 	out := make([]State, 0, len(work))
@@ -476,7 +468,7 @@ func (t *Tracker) Abandoned() int {
 func (t *Tracker) Snapshot() Snapshot {
 	t.mu.Lock()
 	var work []abortWork
-	now := t.now()
+	now := clock.Now()
 	if t.ttl > 0 {
 		work = t.collectAbandonedLocked(now)
 	}

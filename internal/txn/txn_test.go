@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"servicebroker/internal/qos"
+	"servicebroker/internal/testutil"
 )
 
 func TestBeginObserveComplete(t *testing.T) {
@@ -292,9 +293,8 @@ func TestConcurrentBeginObserveRace(t *testing.T) {
 // stay in the active table forever. With a TTL set, a sweep aborts them,
 // counts them as abandoned, runs their compensations, and fires OnAbandon.
 func TestAbandonmentSweep(t *testing.T) {
-	now := time.Unix(1000, 0)
+	advance := testutil.FakeClock(t)
 	tr := NewTracker()
-	tr.SetClock(func() time.Time { return now })
 	tr.SetTTL(time.Minute)
 
 	var abandoned []string
@@ -308,11 +308,11 @@ func TestAbandonmentSweep(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(30 * time.Second)
+	advance(30 * time.Second)
 	tr.Observe("fresh", 1)
 
 	// "stale" is now 70s idle, "fresh" 40s — only stale is past the TTL.
-	now = now.Add(40 * time.Second)
+	advance(40 * time.Second)
 	tr.Observe("fresh", 2) // refresh and trigger the lazy sweep
 
 	if tr.ActiveCount() != 1 {
@@ -339,7 +339,7 @@ func TestAbandonmentSweep(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		tr.Observe(fmt.Sprintf("ghost-%d", i), 1)
 	}
-	now = now.Add(2 * time.Minute)
+	advance(2 * time.Minute)
 	tr.Sweep()
 	if tr.ActiveCount() != 0 {
 		t.Fatalf("active = %d after full sweep, want 0", tr.ActiveCount())
@@ -354,9 +354,8 @@ func TestAbandonmentSweep(t *testing.T) {
 // is not aborting — nothing runs and nothing counts — and a transaction with
 // a compensation to run is never forgotten this way.
 func TestUntimedTrackerForgetsLeastRecentlySeen(t *testing.T) {
-	now := time.Unix(1000, 0)
+	advance := testutil.FakeClock(t)
 	tr := NewTracker()
-	tr.SetClock(func() time.Time { now = now.Add(time.Millisecond); return now })
 	tr.Observe("held", 1)
 	ran := false
 	if err := tr.RegisterCompensation("held", 1, "undo", func(context.Context) error {
@@ -366,6 +365,7 @@ func TestUntimedTrackerForgetsLeastRecentlySeen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10000; i++ {
+		advance(time.Millisecond)
 		if _, err := tr.Observe(fmt.Sprintf("one-shot-%d", i), 1); err != nil {
 			t.Fatal(err)
 		}
@@ -475,11 +475,10 @@ func TestRegisterCompensationErrors(t *testing.T) {
 }
 
 func TestSnapshotRows(t *testing.T) {
-	now := time.Unix(2000, 0)
+	advance := testutil.FakeClock(t)
 	tr := NewTracker()
-	tr.SetClock(func() time.Time { return now })
 	tr.Observe("old", 1)
-	now = now.Add(10 * time.Second)
+	advance(10 * time.Second)
 	tr.Observe("new", 3)
 	tr.RegisterCompensation("new", 3, "undo", func(context.Context) error { return nil })
 	tr.Complete("old")
