@@ -162,8 +162,8 @@ func RunOverloadAblation(ctx context.Context, cfg OverloadConfig) (*OverloadResu
 		}
 
 		// Phase 1 — calm: sequential probes establish the unloaded baseline.
-		// A histogram keeps 16,384 raw samples, far more than the probes, so
-		// its percentiles are exact here.
+		// A histogram's percentiles are within 1/32 of the probes' exact
+		// ones, far finer than the degradation ratios the checks compare.
 		var unloaded, loaded metrics.Histogram
 		for i := 0; i < cfg.Probes; i++ {
 			if err := probe(i, &unloaded); err != nil {

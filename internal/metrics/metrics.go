@@ -3,17 +3,18 @@
 // framework to record the measurements the paper's evaluation reports
 // (response times, completion counts, drop ratios).
 //
-// The package is dependency-free and allocation-conscious: a Histogram uses
-// fixed log-scaled buckets plus a bounded reservoir of raw samples so that
-// experiment harnesses can compute exact means and percentiles for the
-// figure-sized populations used in the paper (tens of thousands of requests)
-// without unbounded memory growth.
+// The package is dependency-free and allocation-conscious. A Histogram keeps
+// an exact count, sum, min and max, and a fixed log-linear grid of counts
+// (16 sub-buckets per power of two of nanoseconds, 6,528 bytes allocated on
+// the first observation), whatever the number of observations. Quantiles
+// come from the grid: min and max exactly at q = 0 and q = 1, otherwise
+// within 1/32 of the exact sample quantile (for samples under 208 days),
+// independent of arrival order.
 package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,14 +62,19 @@ func (g *Gauge) Dec() int64 { return g.v.Add(-1) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// reservoirSize bounds the raw-sample reservoir kept by a Histogram. 16384
-// samples give exact percentiles for the paper's populations (≤ a few
-// thousand requests per run) and statistically solid ones beyond that.
-const reservoirSize = 16384
-
-// bucketCount is the number of log-scaled buckets: bucket i covers
-// [2^i, 2^(i+1)) microseconds, i in [0, bucketCount).
+// bucketCount is the number of log-scaled exposition buckets: bucket i
+// covers [2^i, 2^(i+1)) microseconds, i in [0, bucketCount).
 const bucketCount = 40
+
+// The quantile grid: 2^gridBits linear sub-buckets per power of two of
+// nanoseconds, so a grid bucket is at most 1/16 of its lower bound wide;
+// below 32 ns every nanosecond has its own bucket. The gridSize buckets
+// cover durations below 2^54 ns (about 208 days); longer ones share the top
+// bucket.
+const (
+	gridBits = 4
+	gridSize = (54 - gridBits + 1) << gridBits
+)
 
 // Exemplar pairs a bucket's most recent observation with the trace that
 // produced it, so a latency bucket on /metrics links to a concrete /tracez
@@ -79,9 +85,10 @@ type Exemplar struct {
 	Value   time.Duration
 }
 
-// Histogram records duration observations. It keeps log-scaled bucket counts
-// (always exact for counts) plus a reservoir of raw samples for precise
-// quantiles. The zero value is ready to use.
+// Histogram records duration observations: exact count, sum, min and max,
+// exact log-scaled exposition bucket counts, and a fixed grid of counts for
+// quantiles. Its size does not depend on the number of observations. The
+// zero value is ready to use.
 type Histogram struct {
 	mu      sync.Mutex
 	count   int64
@@ -92,11 +99,9 @@ type Histogram struct {
 	// exemplars holds, per bucket, the most recent traced observation that
 	// landed there (zero TraceID when the bucket has only untraced samples).
 	exemplars [bucketCount]Exemplar
-	// reservoir holds up to reservoirSize raw samples; once full it degrades
-	// to uniform reservoir sampling using a deterministic LCG so experiment
-	// runs are reproducible.
-	reservoir []time.Duration
-	rng       uint64
+	// grid counts observations per gridIndex; allocated on the first
+	// observation, so a histogram nothing observes stays small.
+	grid *[gridSize]int64
 }
 
 // Observe records one duration. Negative durations are clamped to zero.
@@ -126,28 +131,27 @@ func (h *Histogram) observe(d time.Duration, traceID uint64) {
 	if traceID != 0 {
 		h.exemplars[b] = Exemplar{TraceID: traceID, Value: d}
 	}
-	if len(h.reservoir) < reservoirSize {
-		h.reservoir = append(h.reservoir, d)
-		return
+	if h.grid == nil {
+		h.grid = new([gridSize]int64)
 	}
-	// Vitter's algorithm R with a deterministic LCG.
-	h.rng = h.rng*6364136223846793005 + 1442695040888963407
-	idx := h.rng % uint64(h.count)
-	if idx < reservoirSize {
-		h.reservoir[idx] = d
-	}
+	h.grid[gridIndex(d)]++
 }
 
 func bucketFor(d time.Duration) int {
-	us := d.Microseconds()
-	if us <= 1 {
-		return 0
-	}
-	b := int(math.Log2(float64(us)))
-	if b >= bucketCount {
-		b = bucketCount - 1
-	}
-	return b
+	return min(bits.Len64(uint64(d.Microseconds())|1)-1, bucketCount-1)
+}
+
+// gridIndex is d's grid bucket: the top gridBits+1 bits of d in
+// nanoseconds, offset by how far they were shifted down.
+func gridIndex(d time.Duration) int {
+	shift := max(bits.Len64(uint64(d))-gridBits-1, 0)
+	return min(shift<<gridBits+int(d>>shift), gridSize-1)
+}
+
+// gridMid is the middle of grid bucket i, gridIndex's inverse.
+func gridMid(i int) time.Duration {
+	shift := max(i>>gridBits-1, 0)
+	return time.Duration(i-shift<<gridBits)<<shift + (1<<shift-1)/2
 }
 
 // Count returns the number of observations.
@@ -188,24 +192,33 @@ func (h *Histogram) Max() time.Duration {
 	return h.max
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) from the raw-sample
-// reservoir, or 0 if the histogram is empty. q outside [0,1] is clamped.
+// Quantile returns the q-quantile (0 ≤ q ≤ 1), or 0 if the histogram is
+// empty. q outside [0,1] is clamped. q = 0 and q = 1 give Min and Max
+// exactly; any other q gives the sample of rank ⌊q·(n−1)⌋ to within 1/32.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.reservoir) == 0 {
+	return h.quantileLocked(min(max(q, 0), 1))
+}
+
+// quantileLocked walks the grid to the bucket holding the sample of rank
+// ⌊q·(n−1)⌋ and returns the bucket's middle clamped to [min, max]; the
+// lowest and highest ranks are min and max themselves. Caller holds h.mu.
+func (h *Histogram) quantileLocked(q float64) time.Duration {
+	rank := int64(q * float64(h.count-1))
+	switch {
+	case h.count == 0:
 		return 0
+	case rank == 0:
+		return h.min
+	case rank == h.count-1:
+		return h.max
 	}
-	sorted := make([]time.Duration, len(h.reservoir))
-	copy(sorted, h.reservoir)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return quantileOf(sorted, q)
+	i := 0
+	for ; rank >= h.grid[i]; i++ {
+		rank -= h.grid[i]
+	}
+	return min(max(gridMid(i), h.min), h.max)
 }
 
 // Snapshot is an immutable copy of a Histogram's summary statistics,
@@ -227,10 +240,8 @@ type Snapshot struct {
 	Exemplars []Exemplar
 }
 
-// Snapshot returns the current summary statistics. The whole snapshot is
-// computed under a single lock acquisition with a single sort of the sample
-// reservoir, so one scrape does not re-copy and re-sort the 16K-sample
-// reservoir once per quantile.
+// Snapshot returns the current summary statistics under one lock
+// acquisition.
 func (h *Histogram) Snapshot() Snapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -239,6 +250,9 @@ func (h *Histogram) Snapshot() Snapshot {
 		Sum:       h.sum,
 		Min:       h.min,
 		Max:       h.max,
+		P50:       h.quantileLocked(0.50),
+		P95:       h.quantileLocked(0.95),
+		P99:       h.quantileLocked(0.99),
 		Buckets:   make([]int64, bucketCount),
 		Exemplars: make([]Exemplar, bucketCount),
 	}
@@ -247,20 +261,7 @@ func (h *Histogram) Snapshot() Snapshot {
 	if h.count > 0 {
 		s.Mean = h.sum / time.Duration(h.count)
 	}
-	if len(h.reservoir) > 0 {
-		sorted := make([]time.Duration, len(h.reservoir))
-		copy(sorted, h.reservoir)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		s.P50 = quantileOf(sorted, 0.50)
-		s.P95 = quantileOf(sorted, 0.95)
-		s.P99 = quantileOf(sorted, 0.99)
-	}
 	return s
-}
-
-// quantileOf indexes a pre-sorted sample slice; q must be in [0, 1].
-func quantileOf(sorted []time.Duration, q float64) time.Duration {
-	return sorted[int(q*float64(len(sorted)-1))]
 }
 
 // String renders the snapshot in a compact single-line form suitable for
@@ -280,8 +281,9 @@ func (h *Histogram) Reset() {
 	h.max = 0
 	h.buckets = [bucketCount]int64{}
 	h.exemplars = [bucketCount]Exemplar{}
-	h.reservoir = h.reservoir[:0]
-	h.rng = 0
+	if h.grid != nil {
+		*h.grid = [gridSize]int64{}
+	}
 }
 
 // NumBuckets reports the number of log-scaled histogram buckets.
@@ -291,23 +293,7 @@ const NumBuckets = bucketCount
 // microseconds. The final bucket is unbounded above (it absorbs every larger
 // observation), matching Prometheus's +Inf bucket.
 func BucketUpperBound(i int) time.Duration {
-	if i < 0 {
-		i = 0
-	}
-	if i >= bucketCount {
-		i = bucketCount - 1
-	}
-	return time.Duration(1<<uint(i+1)) * time.Microsecond
-}
-
-// Buckets returns a copy of the log-scaled bucket counts. Bucket i counts
-// observations in [2^i, 2^(i+1)) microseconds.
-func (h *Histogram) Buckets() []int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]int64, bucketCount)
-	copy(out, h.buckets[:])
-	return out
+	return time.Microsecond << (min(max(i, 0), bucketCount-1) + 1)
 }
 
 // Timer measures one interval against a Histogram.

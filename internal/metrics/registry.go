@@ -92,6 +92,17 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// Forget removes the metric registered under name, whatever its kind, so a
+// name taken from outside input does not outlive what it measured.
+func (r *Registry) Forget(name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.kinds, name)
+	delete(r.counters, name)
+	delete(r.gauges, name)
+	delete(r.histograms, name)
+}
+
 // View is a point-in-time export of a registry's metrics, keyed by name.
 // Histogram values are full snapshots (including bucket counts) so renderers
 // such as the obs admin server can emit Prometheus-style exposition without

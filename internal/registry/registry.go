@@ -237,10 +237,7 @@ func (r *Registry) withdraw(cmd Command, now time.Time) {
 	}
 	delete(svc, cmd.Addr)
 	if len(svc) == 0 {
-		delete(r.members, cmd.Service)
-		if r.cfg.Metrics != nil {
-			r.cfg.Metrics.Gauge("broker_pool_size_" + cmd.Service).Set(0)
-		}
+		r.forgetService(cmd.Service)
 	}
 	r.tombstone(cmd.Service, cmd.Addr, now)
 	count(r.deregs)
@@ -272,10 +269,7 @@ func (r *Registry) Reconcile() int {
 			r.event(fleet.KindLeaseExpired, service, addr, "lease lapsed without renewal")
 		}
 		if len(svc) == 0 {
-			delete(r.members, service)
-			if r.cfg.Metrics != nil {
-				r.cfg.Metrics.Gauge("broker_pool_size_" + service).Set(0)
-			}
+			r.forgetService(service)
 		}
 	}
 	for service, ts := range r.tombstones {
@@ -433,6 +427,16 @@ func (r *Registry) tombstone(service, addr string, now time.Time) {
 	}
 	if len(ts) < maxTrackedMembers {
 		ts[addr] = now
+	}
+}
+
+// forgetService drops a service left with no members, and its gauge: the
+// names come from datagrams, so a gauge kept at 0 for each would grow the
+// metrics without bound. Caller holds r.mu.
+func (r *Registry) forgetService(service string) {
+	delete(r.members, service)
+	if r.cfg.Metrics != nil {
+		r.cfg.Metrics.Forget("broker_pool_size_" + service)
 	}
 }
 

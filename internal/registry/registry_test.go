@@ -2,6 +2,7 @@ package registry
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,6 +187,37 @@ func TestRegistryBoundsTables(t *testing.T) {
 	}
 	if len(svcs) != maxTrackedServices {
 		t.Fatalf("service table grew to %d, want cap %d", len(svcs), maxTrackedServices)
+	}
+}
+
+// Service names arrive in datagrams, so a service that empties, by
+// deregistration or by expiry, takes its broker_pool_size_<service> gauge
+// with it; only live services keep one.
+func TestRegistryForgetsGaugesOfEmptiedServices(t *testing.T) {
+	advance := testutil.FakeClock(t)
+	m := metrics.NewRegistry()
+	r := New(Config{Metrics: m})
+	const pairs = 5000
+	for i := 0; i < pairs; i++ {
+		r.Apply(registerCmd(serviceN(i), "127.0.0.1:7101", time.Minute))
+		r.Apply(Command{Verb: VerbDeregister, Service: serviceN(i), Addr: "127.0.0.1:7101"})
+	}
+	for i := pairs; i < pairs+maxTrackedServices; i++ {
+		r.Apply(registerCmd(serviceN(i), "127.0.0.1:7101", time.Second))
+	}
+	advance(2 * time.Second)
+	r.Reconcile()
+	r.Apply(registerCmd("live", "127.0.0.1:7101", time.Minute))
+	r.Reconcile()
+	gauges := 0
+	for name := range m.View().Gauges {
+		if strings.HasPrefix(name, "broker_pool_size_") {
+			gauges++
+		}
+	}
+	if gauges != 1 || m.Gauge("broker_pool_size_live").Value() != 1 {
+		t.Fatalf("%d per-service gauges after %d emptied services, want only broker_pool_size_live = 1",
+			gauges, pairs+maxTrackedServices)
 	}
 }
 

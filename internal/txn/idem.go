@@ -94,7 +94,7 @@ type IdemStats struct {
 type IdemTable struct {
 	mu      sync.Mutex
 	entries map[string]*idemEntry // pending flights and recorded outcomes
-	fifo    qos.FIFO[*idemEntry]  // every record, oldest first; see trimLocked
+	fifo    qos.FIFO[*idemEntry]  // records oldest first; see trimLocked, compactLocked
 	held    int                   // recorded outcomes in entries, ≤ cap
 	last    time.Time             // the newest record time pushed on fifo
 	cap     int
@@ -347,8 +347,9 @@ func (t *IdemTable) expiredLocked(at, now time.Time) bool {
 }
 
 // recordLocked stamps a done entry with at, raised to the newest record time
-// so that record times never decrease along the FIFO, then queues it and
-// trims as of now. replay says a Restore records it. Caller holds t.mu.
+// so that record times never decrease along the FIFO, then queues it, trims
+// as of now and compacts when due. replay says a Restore records it. Caller
+// holds t.mu.
 func (t *IdemTable) recordLocked(e *idemEntry, at, now time.Time, replay bool) {
 	if at.Before(t.last) {
 		at = t.last
@@ -357,6 +358,22 @@ func (t *IdemTable) recordLocked(e *idemEntry, at, now time.Time, replay bool) {
 	t.fifo.Push(e)
 	t.held++
 	t.trimLocked(now, replay)
+	if t.fifo.Len() > 2*t.held {
+		t.compactLocked()
+	}
+}
+
+// compactLocked drops every stale slot from the FIFO, keeping the live ones
+// in order. A replay that restores keys again behind a live head leaves
+// stale slots the trim never reaches; run once they outnumber the live
+// ones, this keeps the FIFO within twice the capacity at O(1) per record
+// amortised. Caller holds t.mu.
+func (t *IdemTable) compactLocked() {
+	for n := t.fifo.Len(); n > 0; n-- {
+		if e := t.fifo.Pop(); t.entries[e.key] == e {
+			t.fifo.Push(e)
+		}
+	}
 }
 
 // trimLocked pops the FIFO's head until it is a live outcome within capacity;

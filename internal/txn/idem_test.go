@@ -165,6 +165,28 @@ func TestRestoreDoesNotFireOnRecord(t *testing.T) {
 	}
 }
 
+// A replay that restores one key again and again behind a live head leaves
+// a stale FIFO slot per restore; they are dropped as they pile up, so the
+// FIFO stays within twice the capacity whatever the journal's length.
+func TestRestoreAgainBehindLiveHeadKeepsFIFOBounded(t *testing.T) {
+	for _, ttl := range []time.Duration{0, time.Hour} {
+		testutil.FakeClock(t)
+		const capacity = 4
+		tbl := NewIdemTable(capacity, ttl)
+		tbl.Restore("B", Outcome{Status: 1}, time.Time{})
+		for i := 0; i < 10000; i++ {
+			tbl.Restore("A", Outcome{Status: 1, Payload: []byte{byte(i)}}, time.Time{})
+			if n := tbl.fifo.Len(); n > 2*capacity+1 {
+				t.Fatalf("ttl %v: FIFO holds %d slots after %d restores of A, want ≤ %d", ttl, n, i+1, 2*capacity+1)
+			}
+		}
+		out, ok := tbl.Lookup("A")
+		if _, okB := tbl.Lookup("B"); !ok || !okB || out.Payload[0] != byte(9999%256) {
+			t.Fatalf("ttl %v: after the replay A = %+v (%v), B present %v; want the last A and B", ttl, out, ok, okB)
+		}
+	}
+}
+
 func TestTTLExpiry(t *testing.T) {
 	advance := testutil.FakeClock(t)
 	tbl := NewIdemTable(16, time.Minute)
