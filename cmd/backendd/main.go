@@ -33,7 +33,6 @@ import (
 	"servicebroker/internal/obs"
 	"servicebroker/internal/sketch"
 	"servicebroker/internal/sqldb"
-	"servicebroker/internal/tsdb"
 )
 
 func main() {
@@ -169,16 +168,11 @@ func run(kind, addr string, records int, handshake, delay time.Duration, maxClie
 	if admin != "" {
 		adminSrv = obs.New()
 		adminSrv.MountRegistry("backend."+kind+".", reg)
-		store := tsdb.New(0)
-		store.Mount("backend."+kind+".", reg)
 		if hk != nil {
 			adminSrv.AddRows("/hotz", "backend."+kind, func(w io.Writer, limit int) {
 				hk.Snapshot().WriteRows(w, "backend."+kind, limit)
 			})
 		}
-		adminSrv.SetTSDB(store)
-		store.Start(time.Second)
-		defer store.Close()
 		if err := adminSrv.Start(admin); err != nil {
 			return err
 		}

@@ -2,12 +2,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -17,7 +17,6 @@ import (
 	"servicebroker/internal/broker"
 	"servicebroker/internal/httpserver"
 	"servicebroker/internal/qos"
-	"servicebroker/internal/tsdb"
 )
 
 func adminGet(t *testing.T, url string) (int, string) {
@@ -34,9 +33,9 @@ func adminGet(t *testing.T, url string) (int, string) {
 // TestAdminPlaneUnderOverload runs brokerd in-process with every admin
 // feature on and a backend a sixth as fast as the offered load. The index
 // lists the broker's row pages (and not /poolz, which nothing in a brokerd
-// feeds), every listed page answers, and the drop-ratio series on /seriesz
-// counts threshold refusals — they are StatusShed, which the probe read as
-// zero when it divided dropped_class_<k> alone.
+// feeds), every listed page answers, and class 3's refusals on /metrics,
+// shed_class_3 + dropped_class_3, count every threshold refusal: those are
+// StatusShed, which dropped_class_<k> alone reads as zero.
 func TestAdminPlaneUnderOverload(t *testing.T) {
 	be, err := httpserver.NewServer("127.0.0.1:0")
 	if err != nil {
@@ -63,7 +62,6 @@ func TestAdminPlaneUnderOverload(t *testing.T) {
 		threshold:    4,
 		classes:      3,
 		workers:      1,
-		sampleEvery:  10 * time.Millisecond,
 		drainTimeout: 5 * time.Second,
 		cacheSize:    64,
 		cacheTTL:     time.Minute,
@@ -85,7 +83,7 @@ func TestAdminPlaneUnderOverload(t *testing.T) {
 			}
 		}
 	}
-	for _, page := range []string{"/loadz", "/breakerz", "/limitz", "/hotz", "/txnz", "/eventz", "/seriesz"} {
+	for _, page := range []string{"/loadz", "/breakerz", "/limitz", "/hotz", "/txnz", "/eventz"} {
 		if !listed[page] {
 			t.Errorf("index does not list %s:\n%s", page, index)
 		}
@@ -125,26 +123,29 @@ func TestAdminPlaneUnderOverload(t *testing.T) {
 	}
 	wg.Wait()
 	if shed == 0 {
-		t.Fatal("the overload shed nothing; the probe has nothing to count")
+		t.Fatal("the overload shed nothing; /metrics has nothing to count")
 	}
 
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		_, body := adminGet(t, base+"/seriesz?match=drop_ratio_class_3")
-		var doc struct {
-			Series []tsdb.Series `json:"series"`
-		}
-		if err := json.Unmarshal([]byte(body), &doc); err != nil {
-			t.Fatalf("/seriesz: %v\n%s", err, body)
-		}
-		if len(doc.Series) == 1 && len(doc.Series[0].Points) > 0 {
-			last := doc.Series[0].Points[len(doc.Series[0].Points)-1].V
-			if want := float64(shed) / 12; last == want {
-				break
+		_, body := adminGet(t, base+"/metrics")
+		counter := func(name string) int {
+			for _, line := range strings.Split(body, "\n") {
+				if v, ok := strings.CutPrefix(line, name+" "); ok {
+					n, _ := strconv.Atoi(v)
+					return n
+				}
 			}
+			return -1
+		}
+		requests := counter("broker_cgi_requests_class_3")
+		refused := counter("broker_cgi_shed_class_3") + counter("broker_cgi_dropped_class_3")
+		if requests == 12 && refused == shed {
+			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("drop_ratio_class_3 never read %d/12 after %d shed replies:\n%s", shed, shed, body)
+			t.Fatalf("class 3 on /metrics: requests=%d shed+dropped=%d, want 12 and %d shed replies:\n%s",
+				requests, refused, shed, body)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -41,7 +41,7 @@
 // db/cgi, MGET for web; a batch waits up to 2ms to fill). Adding
 // -adaptive-degree M makes the degree self-tuning: a hill-climbing
 // controller walks [1, M] tracking the response-time minimum as backend
-// capacity shifts, with the live degree on /metrics and /seriesz as
+// capacity shifts, with the live degree on /metrics as
 // cluster_degree_current.
 //
 // Workload analytics (DESIGN.md §11): -hotkeys N tracks the top-N hottest
@@ -80,12 +80,10 @@ import (
 	"servicebroker/internal/metrics"
 	"servicebroker/internal/obs"
 	"servicebroker/internal/overload"
-	"servicebroker/internal/qos"
 	"servicebroker/internal/registry"
 	"servicebroker/internal/resilience"
 	"servicebroker/internal/sketch"
 	"servicebroker/internal/trace"
-	"servicebroker/internal/tsdb"
 )
 
 // exportBuffer bounds the recently finished traces held for span export to
@@ -121,7 +119,6 @@ type config struct {
 	serveStale      bool
 	traceSample     float64
 	traceSlow       time.Duration
-	sampleEvery     time.Duration
 	limitMax        int
 	latencyTarget   time.Duration
 	drainTimeout    time.Duration
@@ -152,7 +149,6 @@ func main() {
 	flag.BoolVar(&cfg.serveStale, "serve-stale", false, "serve expired cache entries at low fidelity when the backend is unreachable")
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 1, "fraction of healthy traces retained in the ring (errors, drops, and slow traces always kept)")
 	flag.DurationVar(&cfg.traceSlow, "trace-slow", 0, "latency above which a healthy trace is always retained (0 disables)")
-	flag.DurationVar(&cfg.sampleEvery, "sample-every", time.Second, "time-series sampling interval for /seriesz")
 	flag.IntVar(&cfg.limitMax, "limit-max", 0, "adaptive admission limit ceiling; 0 keeps the static -threshold")
 	flag.DurationVar(&cfg.latencyTarget, "latency-target", 0, "completion latency the adaptive limiter treats as congestion (0 reacts to failures only)")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 5*time.Second, "how long SIGTERM/SIGINT waits for in-flight requests to finish")
@@ -186,9 +182,9 @@ func run(cfg config) error {
 		nonNegative("-cluster", cfg.clusterDegree), nonNegative("-adaptive-degree", cfg.adaptiveDegree),
 		nonNegative("-hotkeys", cfg.hotkeys), nonNegative("-idem", cfg.idemCap),
 		nonNegative("-cache-ttl", cfg.cacheTTL), nonNegative("-lease-ttl", cfg.leaseTTL),
-		nonNegative("-trace-slow", cfg.traceSlow), nonNegative("-sample-every", cfg.sampleEvery),
-		nonNegative("-latency-target", cfg.latencyTarget), nonNegative("-drain-timeout", cfg.drainTimeout),
-		nonNegative("-txn-ttl", cfg.txnTTL), nonNegative("-idem-ttl", cfg.idemTTL),
+		nonNegative("-trace-slow", cfg.traceSlow), nonNegative("-latency-target", cfg.latencyTarget),
+		nonNegative("-drain-timeout", cfg.drainTimeout), nonNegative("-txn-ttl", cfg.txnTTL),
+		nonNegative("-idem-ttl", cfg.idemTTL),
 	); err != nil {
 		return err
 	}
@@ -202,7 +198,6 @@ func run(cfg config) error {
 	// needs its export buffer to ship spans back to the front end even when
 	// the admin plane is off — and tail sampling gates only ring retention.
 	var adminSrv *obs.Server
-	var store *tsdb.Store
 	traceReg := metrics.NewRegistry()
 	tracer := trace.NewRecorder(
 		trace.WithMetrics(traceReg),
@@ -220,9 +215,6 @@ func run(cfg config) error {
 		adminSrv = obs.New()
 		adminSrv.SetRecorder(tracer)
 		adminSrv.MountRegistry("", traceReg)
-		store = tsdb.New(0)
-		store.Mount("", traceReg)
-		adminSrv.SetTSDB(store)
 		// Every hosted broker shares one event timeline: limit cuts, breaker
 		// flips and drains all land on /eventz.
 		events = fleet.NewLog(0, traceReg)
@@ -334,35 +326,7 @@ func run(cfg config) error {
 			for page, render := range b.AdminPages(name) {
 				adminSrv.AddRows(page, name, render)
 			}
-			if cfg.cacheSize > 0 {
-				adminSrv.MountView("broker."+name+".", b.CacheShardView)
-			}
-		}
-		if store != nil {
-			store.Mount("broker."+name+".", b.Metrics())
-			for class := qos.Class(1); int(class) <= cfg.classes; class++ {
-				store.AddProbe(fmt.Sprintf("broker.%s.drop_ratio_class_%d", name, class), func() (float64, bool) {
-					return b.RefusedRatio(class)
-				})
-			}
-			if cfg.hotkeys > 0 {
-				// Snapshotting also refreshes the hotkey_* gauges already
-				// mounted from the broker registry.
-				store.AddProbe("broker."+name+".hotkey_skew", func() (float64, bool) {
-					snap, ok := b.HotKeySnapshot()
-					if !ok || snap.TotalAccesses == 0 {
-						return 0, false
-					}
-					return snap.Skew, true
-				})
-				store.AddProbe("broker."+name+".hotkey_top10_share", func() (float64, bool) {
-					snap, ok := b.HotKeySnapshot()
-					if !ok || snap.TotalAccesses == 0 {
-						return 0, false
-					}
-					return snap.TopShare(10), true
-				})
-			}
+			adminSrv.MountView("broker."+name+".", b.ScrapeView)
 		}
 	}
 
@@ -404,10 +368,6 @@ func run(cfg config) error {
 			registrars = append(registrars, r)
 		}
 		slog.Info("lease registration up", "target", cfg.registerTo, "ttl", cfg.leaseTTL)
-	}
-	if store != nil {
-		store.Start(cfg.sampleEvery)
-		defer store.Close()
 	}
 
 	slog.Info("gateway up", "addr", gw.Addr().String(), "services", gw.Services())

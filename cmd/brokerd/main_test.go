@@ -89,8 +89,8 @@ func TestRunRejectsNegativeCounts(t *testing.T) {
 // A negative duration, or a sample fraction outside [0, 1], is refused before
 // any socket opens too. Otherwise -drain-timeout -1s cut in-flight requests at
 // SIGTERM, -cache-ttl -1s and -idem-ttl -1s kept entries forever, -lease-ttl
-// and -sample-every silently became their defaults, and -txn-ttl -1s turned
-// the abandonment sweep off.
+// silently became its default, and -txn-ttl -1s turned the abandonment sweep
+// off.
 func TestRunRejectsNegativeDurations(t *testing.T) {
 	for _, tc := range []struct {
 		flag string
@@ -99,7 +99,6 @@ func TestRunRejectsNegativeDurations(t *testing.T) {
 		{"-cache-ttl", func(c *config) { c.cacheTTL = -time.Second }},
 		{"-lease-ttl", func(c *config) { c.leaseTTL = -time.Second }},
 		{"-trace-slow", func(c *config) { c.traceSlow = -time.Second }},
-		{"-sample-every", func(c *config) { c.sampleEvery = -time.Second }},
 		{"-latency-target", func(c *config) { c.latencyTarget = -time.Second }},
 		{"-drain-timeout", func(c *config) { c.drainTimeout = -time.Second }},
 		{"-txn-ttl", func(c *config) { c.txnTTL = -time.Second }},

@@ -45,7 +45,6 @@ import (
 	"servicebroker/internal/obs"
 	"servicebroker/internal/sketch"
 	"servicebroker/internal/trace"
-	"servicebroker/internal/tsdb"
 )
 
 type routeFlags []string
@@ -70,7 +69,6 @@ func main() {
 		admin       = flag.String("admin", "", "admin HTTP address for /metrics, /tracez (empty disables)")
 		traceSample = flag.Float64("trace-sample", 1, "fraction of healthy traces retained in the ring (errors, drops, and slow traces always kept)")
 		traceSlow   = flag.Duration("trace-slow", 0, "latency above which a healthy trace is always retained (0 disables)")
-		sampleEvery = flag.Duration("sample-every", time.Second, "time-series sampling interval for /seriesz")
 		drainTO     = flag.Duration("drain-timeout", 5*time.Second, "how long SIGTERM/SIGINT waits for in-flight requests to finish")
 		hotkeys     = flag.Int("hotkeys", 0, "track the top-N hottest request payloads for /hotz (0 disables)")
 	)
@@ -79,13 +77,13 @@ func main() {
 
 	// brokerd samples with the same seed, so both keep the same healthy traces.
 	sampler := &trace.Sampler{SlowThreshold: *traceSlow, Fraction: *traceSample, Seed: 1}
-	if err := run(*model, *addr, *gateway, *listenAddr, *registryOn, *registryLsn, *maxClients, routes, *admin, sampler, *sampleEvery, *drainTO, *hotkeys); err != nil {
+	if err := run(*model, *addr, *gateway, *listenAddr, *registryOn, *registryLsn, *maxClients, routes, *admin, sampler, *drainTO, *hotkeys); err != nil {
 		slog.Error("frontend failed", "err", err)
 		os.Exit(1)
 	}
 }
 
-func run(model, addr, gateway, listenAddr string, registryOn bool, registryListen string, maxClients int, routeSpecs routeFlags, admin string, sampler *trace.Sampler, sampleEvery, drainTimeout time.Duration, hotkeys int) error {
+func run(model, addr, gateway, listenAddr string, registryOn bool, registryListen string, maxClients int, routeSpecs routeFlags, admin string, sampler *trace.Sampler, drainTimeout time.Duration, hotkeys int) error {
 	if gateway == "" {
 		return fmt.Errorf("-gateway is required")
 	}
@@ -144,8 +142,8 @@ func run(model, addr, gateway, listenAddr string, registryOn bool, registryListe
 	}
 
 	// The admin plane: the front end's row pages (/poolz, and /hotz when it
-	// has it), its registries and trace recorder, their time series, and the
-	// event timeline the pool and registry feed (/eventz).
+	// has it), its registries and trace recorder, and the event timeline the
+	// pool and registry feed (/eventz).
 	var adminSrv *obs.Server
 	if admin != "" {
 		adminSrv = obs.New()
@@ -158,26 +156,11 @@ func run(model, addr, gateway, listenAddr string, registryOn bool, registryListe
 		adminSrv.SetRecorder(rec)
 		adminSrv.MountRegistry("", traceReg)
 		adminSrv.MountRegistry("frontend.", fe.Metrics())
-		store := tsdb.New(0)
-		defer store.Close()
-		store.Mount("", traceReg)
-		store.Mount("frontend.", fe.Metrics())
-		if hk != nil {
-			store.AddProbe("frontend.hotkey_skew", func() (float64, bool) {
-				snap := hk.Snapshot()
-				if snap.TotalAccesses == 0 {
-					return 0, false
-				}
-				return snap.Skew, true
-			})
-		}
 		// The pool and registry publish failover, breaker, and lease events
 		// into one timeline.
 		events := fleet.NewLog(0, fe.Metrics())
 		fe.EnableFleet(events)
 		adminSrv.SetEventLog(events)
-		adminSrv.SetTSDB(store)
-		store.Start(sampleEvery)
 		if err := adminSrv.Start(admin); err != nil {
 			return err
 		}

@@ -40,7 +40,6 @@ import (
 	"servicebroker/internal/obs"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/sketch"
-	"servicebroker/internal/tsdb"
 	"servicebroker/internal/workload"
 )
 
@@ -54,7 +53,7 @@ func main() {
 	flag.IntVar(&cfg.classes, "classes", 3, "webstone: QoS classes")
 	flag.DurationVar(&cfg.duration, "duration", 30*time.Second, "webstone: run duration")
 	flag.DurationVar(&cfg.think, "think", time.Second, "webstone: per-client think time")
-	flag.StringVar(&cfg.admin, "admin", "", "admin HTTP address for /metrics, /seriesz (empty disables)")
+	flag.StringVar(&cfg.admin, "admin", "", "admin HTTP address for /metrics (empty disables)")
 	flag.Float64Var(&cfg.zipf, "zipf", 0, "key-popularity skew s > 0 draws keys Zipf(s)-distributed; the sampled key id replaces every {key} in the URL query")
 	flag.IntVar(&cfg.zipfKeys, "zipf-keys", 1000, "zipf: size of the key universe")
 	flag.IntVar(&cfg.hotkeys, "hotkeys", 0, "with -zipf: track the top-N hottest sampled keys client-side for -admin /hotz (0 disables)")
@@ -241,11 +240,6 @@ func run(cfg runConfig) error {
 		if hk != nil {
 			adminSrv.AddRows("/hotz", "client", func(w io.Writer, limit int) { hk.Snapshot().WriteRows(w, "client", limit) })
 		}
-		store := tsdb.New(0)
-		store.Mount("client.", reg)
-		adminSrv.SetTSDB(store)
-		store.Start(time.Second)
-		defer store.Close()
 		if err := adminSrv.Start(admin); err != nil {
 			return err
 		}

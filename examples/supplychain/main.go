@@ -180,8 +180,10 @@ func runPurchases(integrity bool) (out outcome, err error) {
 		}
 		logicalMutations++ // two deliveries, one logical hold
 		if tracker != nil {
+			// A refusal (txn.ErrSagaLimit: too many open sagas on an
+			// untimed tracker) would leave this hold with no undo.
 			if err := tracker.RegisterCompensation(txnID, 2, "release-hold", release(sku)); err != nil {
-				return out, err
+				return out, fmt.Errorf("%s: hold %s has no compensation: %w", txnID, sku, err)
 			}
 		}
 		// Step 3: return to the congested monitor vendor to match the held

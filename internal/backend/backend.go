@@ -255,20 +255,6 @@ func (p *Pool) Do(ctx context.Context, payload []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Dials reports how many sessions the pool has established.
-func (p *Pool) Dials() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dials
-}
-
-// IdleCount reports the pooled session count.
-func (p *Pool) IdleCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.idle)
-}
-
 // Close closes all idle sessions and marks the pool closed.
 func (p *Pool) Close() error {
 	p.mu.Lock()

@@ -579,3 +579,17 @@ func TestWebConnectorQueryPreserved(t *testing.T) {
 		t.Fatalf("out = %q, %v", out, err)
 	}
 }
+
+// Dials reports how many sessions the pool has established.
+func (p *Pool) Dials() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.dials
+}
+
+// IdleCount reports the pooled session count.
+func (p *Pool) IdleCount() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.idle)
+}

@@ -54,8 +54,8 @@ func TestAdaptiveDegreeThroughBroker(t *testing.T) {
 	if deg < 1 || deg > 8 {
 		t.Fatalf("ClusterDegree = %d escaped [1, 8]", deg)
 	}
-	// The live degree gauge rides in the broker registry so /metrics and
-	// /seriesz pick it up with no extra wiring.
+	// The live degree gauge rides in the broker registry so /metrics picks
+	// it up with no extra wiring.
 	if g := b.Metrics().Gauge("cluster_degree_current").Value(); g != int64(deg) {
 		t.Fatalf("cluster_degree_current gauge = %d, ClusterDegree = %d", g, deg)
 	}
@@ -69,7 +69,7 @@ func TestCacheShardView(t *testing.T) {
 			t.Fatalf("resp = %+v", resp)
 		}
 	}
-	view := b.CacheShardView()
+	view := b.ScrapeView()
 	for _, name := range []string{"cache_shard0_hits", "cache_shard0_misses", "cache_shard0_stale_hits"} {
 		if _, ok := view.Counters[name]; !ok {
 			t.Fatalf("view has no counter %s: %v", name, view.Counters)
@@ -89,7 +89,7 @@ func TestCacheShardView(t *testing.T) {
 	}
 
 	plain := newBroker(t, echoConnector("db"))
-	if got := plain.CacheShardView(); len(got.Counters)+len(got.Gauges) != 0 {
-		t.Fatalf("CacheShardView without cache = %v, want empty", got)
+	if got := plain.ScrapeView(); len(got.Counters)+len(got.Gauges) != 0 {
+		t.Fatalf("ScrapeView without cache = %v, want empty", got)
 	}
 }

@@ -32,9 +32,8 @@ func (st CoalesceStats) WriteRow(w io.Writer, service string) {
 // Rows are labelled with service (brokerd's -service name, which need not be
 // the connector's). limit is the page's ?n= parameter; only /hotz ranks rows.
 //
-// Rendering /hotz and /txnz snapshots their subsystem, which also refreshes
-// its gauges and runs the transaction abandonment sweep — scraping keeps an
-// idle broker honest.
+// Rendering /txnz snapshots the tracker, which runs the transaction
+// abandonment sweep — scraping keeps an idle broker honest.
 func (b *Broker) AdminPages(service string) map[string]func(w io.Writer, limit int) {
 	pages := map[string]func(io.Writer, int){
 		"/loadz": func(w io.Writer, _ int) { fmt.Fprintln(w, b.Load().Row()) },
@@ -77,24 +76,37 @@ func (b *Broker) AdminPages(service string) map[string]func(w io.Writer, limit i
 	return pages
 }
 
-// CacheShardView returns the result cache's per-shard counters as a metrics
-// view — cache_shard<N>_{hits,misses,evictions,expired,stale_hits} counters
-// and cache_shard<N>_{entries,bytes} gauges — so /metrics makes key-space
-// skew across the cache's lock domains visible. Empty without WithCache.
-func (b *Broker) CacheShardView() metrics.View {
+// ScrapeView returns the broker's values that are read off its subsystems
+// rather than kept in its registry, computed once per /metrics scrape so they
+// are current with no other reader polling: the result cache's per-shard
+// counters (cache_shard<N>_{hits,misses,evictions,expired,stale_hits}) and
+// gauges (cache_shard<N>_{entries,bytes}), which make key-space skew across
+// the cache's lock domains visible; with WithHotKeys the hotkey_tracked,
+// hotkey_skew_x100, hotkey_memory_bytes and hotkey_top10_share_x100 gauges;
+// with WithCoalescing the coalesce_inflight gauge. Empty when the broker has
+// none of the three.
+func (b *Broker) ScrapeView() metrics.View {
 	v := metrics.View{Counters: make(map[string]int64), Gauges: make(map[string]int64)}
-	if b.results == nil {
-		return v
+	if b.results != nil {
+		for _, st := range b.results.ShardStats() {
+			p := fmt.Sprintf("cache_shard%d_", st.Shard)
+			v.Counters[p+"hits"] = st.Hits
+			v.Counters[p+"misses"] = st.Misses
+			v.Counters[p+"evictions"] = st.Evictions
+			v.Counters[p+"expired"] = st.Expired
+			v.Counters[p+"stale_hits"] = st.StaleHits
+			v.Gauges[p+"entries"] = int64(st.Entries)
+			v.Gauges[p+"bytes"] = st.Bytes
+		}
 	}
-	for _, st := range b.results.ShardStats() {
-		p := fmt.Sprintf("cache_shard%d_", st.Shard)
-		v.Counters[p+"hits"] = st.Hits
-		v.Counters[p+"misses"] = st.Misses
-		v.Counters[p+"evictions"] = st.Evictions
-		v.Counters[p+"expired"] = st.Expired
-		v.Counters[p+"stale_hits"] = st.StaleHits
-		v.Gauges[p+"entries"] = int64(st.Entries)
-		v.Gauges[p+"bytes"] = st.Bytes
+	if snap, ok := b.HotKeySnapshot(); ok {
+		v.Gauges["hotkey_tracked"] = int64(len(snap.Keys))
+		v.Gauges["hotkey_skew_x100"] = int64(snap.Skew * 100)
+		v.Gauges["hotkey_memory_bytes"] = int64(snap.MemoryBytes)
+		v.Gauges["hotkey_top10_share_x100"] = int64(snap.TopShare(10) * 100)
+	}
+	if st, ok := b.CoalesceStats(); ok {
+		v.Gauges["coalesce_inflight"] = int64(st.Inflight)
 	}
 	return v
 }

@@ -2,10 +2,15 @@ package broker
 
 import (
 	"context"
+	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"servicebroker/internal/backend"
+	"servicebroker/internal/obs"
 	"servicebroker/internal/overload"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/sketch"
@@ -49,7 +54,7 @@ func TestHotKeyTrackingThroughBroker(t *testing.T) {
 	if snap.MemoryBytes <= 0 {
 		t.Fatal("MemoryBytes not reported")
 	}
-	if b.Metrics().Gauge("hotkey_tracked").Value() == 0 {
+	if b.ScrapeView().Gauges["hotkey_tracked"] == 0 {
 		t.Fatal("hotkey_tracked gauge not published")
 	}
 }
@@ -120,5 +125,86 @@ func TestAdminPagesFollowFeatures(t *testing.T) {
 	}
 	if len(pages) != 5 {
 		t.Errorf("full broker pages = %d, want 5: %v", len(pages), pages)
+	}
+}
+
+// metricValue returns the value of one sample line in a /metrics body.
+func metricValue(t *testing.T, body, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no %s:\n%s", name, body)
+	return 0
+}
+
+// The hot-key and coalescing gauges on /metrics are computed by the scrape
+// itself: with nothing else reading the broker (no /hotz render, no
+// HotKeySnapshot or CoalesceStats call) they still show the tracked keys and
+// the flight that is open right now, and the flight's end on the next scrape.
+func TestMetricsCurrentWithNoOtherReader(t *testing.T) {
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	b := newBroker(t, &backend.FuncConnector{
+		ServiceName: "db",
+		DoFn: func(_ context.Context, p []byte) ([]byte, error) {
+			if string(p) == "hold" {
+				started <- struct{}{}
+				<-release
+			}
+			return p, nil
+		},
+	}, WithCache(64, 0), WithHotKeys(sketch.Config{TopK: 8}), WithCoalescing(), WithWorkers(4))
+	// Cleanups run last-in first-out: a failed check releases the held
+	// flight before the broker's Close waits for it.
+	var once sync.Once
+	finish := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(finish)
+	admin := obs.New()
+	admin.MountRegistry("broker.db.", b.Metrics())
+	admin.MountView("broker.db.", b.ScrapeView)
+	scrape := func() string {
+		rec := httptest.NewRecorder()
+		admin.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		return rec.Body.String()
+	}
+
+	for i := 0; i < 5; i++ {
+		if resp := b.Handle(context.Background(), &Request{Payload: []byte("hot"), Class: qos.Class1}); resp.Status != StatusOK {
+			t.Fatalf("resp = %+v", resp)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp := b.Handle(context.Background(), &Request{Payload: []byte("hold"), Class: qos.Class1}); resp.Status != StatusOK {
+				t.Errorf("resp = %+v", resp)
+			}
+		}()
+	}
+	<-started
+
+	body := scrape()
+	if n := metricValue(t, body, "broker_db_hotkey_tracked"); n == 0 {
+		t.Errorf("broker_db_hotkey_tracked = 0 after 5 requests for one key")
+	}
+	if n := metricValue(t, body, "broker_db_hotkey_memory_bytes"); n <= 0 {
+		t.Errorf("broker_db_hotkey_memory_bytes = %d", n)
+	}
+	if n := metricValue(t, body, "broker_db_coalesce_inflight"); n != 1 {
+		t.Errorf("broker_db_coalesce_inflight = %d with one flight open, want 1", n)
+	}
+
+	finish()
+	wg.Wait()
+	if n := metricValue(t, scrape(), "broker_db_coalesce_inflight"); n != 0 {
+		t.Errorf("broker_db_coalesce_inflight = %d after the flight ended, want 0", n)
 	}
 }

@@ -249,8 +249,8 @@ func WithCache(capacity int, ttl time.Duration) Option {
 // every cache access records the key's frequency and hit/miss into a
 // fixed-memory lock-striped sketch tracker, and completed requests attribute
 // their latency to tracked hot keys. The snapshot is surfaced via
-// HotKeySnapshot (the obs /hotz page) and the hotkey_* gauges. A zero cfg
-// selects the sketch defaults (top-64 keys, ~150 KiB).
+// HotKeySnapshot (the obs /hotz page) and ScrapeView's hotkey_* gauges. A
+// zero cfg selects the sketch defaults (top-64 keys, ~150 KiB).
 func WithHotKeys(cfg sketch.Config) Option {
 	return func(b *Broker) error {
 		b.hotkeys = sketch.NewTracker(cfg)
@@ -710,29 +710,21 @@ func (b *Broker) LimitSnapshot() (overload.Snapshot, bool) {
 }
 
 // HotKeySnapshot returns the merged hot-key view; ok is false unless
-// WithHotKeys is configured. Each call also refreshes the hotkey_* gauges,
-// so periodic scrapers (obs, tsdb probes) keep them current.
+// WithHotKeys is configured.
 func (b *Broker) HotKeySnapshot() (sketch.Snapshot, bool) {
 	if b.hotkeys == nil {
 		return sketch.Snapshot{}, false
 	}
-	snap := b.hotkeys.Snapshot()
-	b.reg.Gauge("hotkey_tracked").Set(int64(len(snap.Keys)))
-	b.reg.Gauge("hotkey_skew_x100").Set(int64(snap.Skew * 100))
-	b.reg.Gauge("hotkey_memory_bytes").Set(int64(snap.MemoryBytes))
-	b.reg.Gauge("hotkey_top10_share_x100").Set(int64(snap.TopShare(10) * 100))
-	return snap, true
+	return b.hotkeys.Snapshot(), true
 }
 
 // CoalesceStats returns the single-flight coalescing accounting; ok is
-// false unless WithCoalescing is configured. Each call also refreshes the
-// coalesce_inflight gauge for periodic scrapers.
+// false unless WithCoalescing is configured.
 func (b *Broker) CoalesceStats() (CoalesceStats, bool) {
 	if b.flights == nil {
 		return CoalesceStats{}, false
 	}
 	st := b.flights.Stats()
-	b.reg.Gauge("coalesce_inflight").Set(int64(st.Size))
 	return CoalesceStats{Flights: st.Flights, Coalesced: st.Coalesced, Shared: st.Shared, Inflight: st.Size}, true
 }
 

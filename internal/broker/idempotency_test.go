@@ -206,17 +206,16 @@ func TestBrokerAbandonsIdleTransactions(t *testing.T) {
 	b := newBroker(t, echoConnector("db"), WithTransactions())
 	b.Tracker().SetTTL(20 * time.Millisecond)
 	b.Handle(context.Background(), &Request{Payload: []byte("Q"), Class: 1, TxnID: "t1", TxnStep: 1})
-	if b.Tracker().ActiveCount() != 1 {
+	// Snapshot runs the sweep before it lists the active transactions.
+	if len(b.Tracker().Snapshot().Active) != 1 {
 		t.Fatal("transaction not active")
 	}
 	advance(20 * time.Millisecond)
-	b.Tracker().Sweep()
-	if b.Tracker().ActiveCount() != 1 {
+	if len(b.Tracker().Snapshot().Active) != 1 {
 		t.Fatal("transaction idle for exactly its TTL was abandoned")
 	}
 	advance(time.Nanosecond)
-	b.Tracker().Sweep()
-	if b.Tracker().ActiveCount() != 0 {
+	if len(b.Tracker().Snapshot().Active) != 0 {
 		t.Fatal("idle transaction survived the sweep")
 	}
 	if b.Metrics().Counter("txn_abandoned_total").Value() != 1 {
@@ -230,12 +229,12 @@ func TestBrokerAbandonsIdleTransactions(t *testing.T) {
 	sb := newBroker(t, echoConnector("db"), WithTransactions(shared))
 	sb.Handle(context.Background(), &Request{Payload: []byte("Q"), Class: 1, TxnID: "t2", TxnStep: 1})
 	advance(20 * time.Millisecond)
-	shared.Sweep()
+	shared.Snapshot()
 	if owned != 0 {
 		t.Fatalf("owner's abandon hook ran %d times at exactly the TTL, want 0", owned)
 	}
 	advance(time.Nanosecond)
-	shared.Sweep()
+	shared.Snapshot()
 	if owned != 1 {
 		t.Fatalf("owner's abandon hook ran %d times, want 1", owned)
 	}

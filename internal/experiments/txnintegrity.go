@@ -210,8 +210,10 @@ func runTxnIntegrityMode(ctx context.Context, cfg TxnIntegrityConfig, integrity 
 			continue
 		}
 		if tracker != nil {
+			// A refusal (txn.ErrSagaLimit: too many open sagas on an
+			// untimed tracker) would leave this hold with no undo.
 			if err := tracker.RegisterCompensation(txnID, 2, "release-hold", release(sku)); err != nil {
-				return mode, err
+				return mode, fmt.Errorf("%s: hold %s has no compensation: %w", txnID, sku, err)
 			}
 		}
 		// Step 3 goes back through the congested vendor channel to match the

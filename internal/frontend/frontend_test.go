@@ -129,16 +129,17 @@ func TestSharedBehaviours(t *testing.T) {
 				if err != nil || resp.Status != 200 {
 					t.Fatalf("resp = %+v, %v", resp, err)
 				}
-				if s, ok := b.Tracker().Lookup("order-7"); !ok || s.Step != 3 {
-					t.Fatalf("tracker state = %+v, %v", s, ok)
-				}
 				// A txn tag with a missing/garbage step defaults to step 1.
 				resp, err = cli.Get("/db", map[string]string{"q": "browse", "qos": "3", "txn": "order-8"})
 				if err != nil || resp.Status != 200 {
 					t.Fatalf("resp = %+v, %v", resp, err)
 				}
-				if s, ok := b.Tracker().Lookup("order-8"); !ok || s.Step != 1 {
-					t.Fatalf("tracker state = %+v, %v", s, ok)
+				steps := make(map[string]int)
+				for _, a := range b.Tracker().Snapshot().Active {
+					steps[a.ID] = a.Step
+				}
+				if steps["order-7"] != 3 || steps["order-8"] != 1 {
+					t.Fatalf("tracker steps = %v, want order-7 at 3 and order-8 at 1", steps)
 				}
 			}},
 		{name: "tracing", run: func(t *testing.T, _ model, d *Distributed, _ *broker.Broker, cli *httpserver.Client) {

@@ -101,3 +101,12 @@ func FuzzReadResponse(f *testing.F) {
 		}
 	})
 }
+
+// ReadRequest parses one request from r into a fresh Request.
+func ReadRequest(r *bufio.Reader) (*Request, error) {
+	req := &Request{Header: map[string]string{}, Query: map[string]string{}}
+	if err := readRequest(r, req, new([]byte)); err != nil {
+		return nil, err
+	}
+	return req, nil
+}

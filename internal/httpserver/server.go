@@ -211,15 +211,6 @@ func (s *Server) serveOne(req *Request) (resp *Response) {
 	return resp
 }
 
-// ReadRequest parses one request from r.
-func ReadRequest(r *bufio.Reader) (*Request, error) {
-	req := &Request{Header: map[string]string{}, Query: map[string]string{}}
-	if err := readRequest(r, req, new([]byte)); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
 // readRequest parses one request from r into req, clearing and refilling its
 // maps, with *head as the buffer the head is read into.
 func readRequest(r *bufio.Reader, req *Request, head *[]byte) error {

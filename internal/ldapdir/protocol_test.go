@@ -268,3 +268,9 @@ func TestNewServerNilDirectory(t *testing.T) {
 		t.Fatal("nil directory accepted")
 	}
 }
+
+// WithBindCredentials sets the accepted BIND user/password (default
+// "cn=web"/"web").
+func WithBindCredentials(user, pass string) ServerOption {
+	return serverOptionFunc(func(s *Server) { s.user, s.pass = user, pass })
+}

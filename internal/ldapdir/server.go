@@ -45,12 +45,6 @@ type serverOptionFunc func(*Server)
 
 func (f serverOptionFunc) apply(s *Server) { f(s) }
 
-// WithBindCredentials sets the accepted BIND user/password (default
-// "cn=web"/"web").
-func WithBindCredentials(user, pass string) ServerOption {
-	return serverOptionFunc(func(s *Server) { s.user, s.pass = user, pass })
-}
-
 // Server exposes a Directory over the line protocol.
 type Server struct {
 	svc *netsvc.Server

@@ -32,9 +32,8 @@ var (
 // Store is the in-memory mailbox store, safe for concurrent use. The zero
 // value is not usable; call NewStore.
 type Store struct {
-	mu        sync.RWMutex
-	boxes     map[string][]Message
-	delivered int
+	mu    sync.RWMutex
+	boxes map[string][]Message
 }
 
 // NewStore returns an empty store.
@@ -68,7 +67,6 @@ func (s *Store) Deliver(from string, to []string, body string) (int, error) {
 		key := strings.ToLower(rcpt)
 		msg := Message{From: from, To: rcpt, Body: body, Seq: len(s.boxes[key]) + 1}
 		s.boxes[key] = append(s.boxes[key], msg)
-		s.delivered++
 	}
 	return len(to), nil
 }
@@ -100,11 +98,4 @@ func (s *Store) Retr(user string, seq int) (Message, error) {
 		return Message{}, fmt.Errorf("%w: %s/%d", ErrNoMessage, user, seq)
 	}
 	return box[seq-1], nil
-}
-
-// Delivered returns the total number of deliveries (across mailboxes).
-func (s *Store) Delivered() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.delivered
 }

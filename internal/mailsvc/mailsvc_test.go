@@ -22,8 +22,8 @@ func TestStoreDeliverAndList(t *testing.T) {
 	if msgs[0].From != "a@x.com" || msgs[0].Body != "hello" || msgs[0].Seq != 1 {
 		t.Fatalf("msg = %+v", msgs[0])
 	}
-	if s.Delivered() != 2 {
-		t.Fatalf("Delivered = %d", s.Delivered())
+	if msgs, err := s.List("c@x.com"); err != nil || len(msgs) != 1 {
+		t.Fatalf("List(c) = %v, %v", msgs, err)
 	}
 }
 

@@ -223,8 +223,8 @@ func TestBodyOverCapEndsSession(t *testing.T) {
 	if grew >= maxMessageBytes+1<<20 {
 		t.Errorf("a 16 MiB body allocated %d bytes", grew)
 	}
-	if n := srv.store.Delivered(); n != 0 {
-		t.Errorf("%d deliveries of a refused body", n)
+	if msgs, err := srv.store.List("b@x.com"); !errors.Is(err, ErrNoMailbox) {
+		t.Errorf("a refused body was delivered: %v, %v", msgs, err)
 	}
 }
 

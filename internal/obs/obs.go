@@ -4,14 +4,14 @@
 // "path<TAB>description" line per page the process serves.
 //
 // A few pages are the server's own and take a whole object: /metrics
-// (MountRegistry, MountView), /tracez (SetRecorder), /seriesz (SetTSDB),
-// /eventz (SetEventLog), plus /healthz, /buildz and /debug/pprof/. Every
-// other page is a row page, and there is one rule for those: a subsystem
-// that has rows for a page registers a renderer with AddRows, and the page
-// exists — and is listed on the index — exactly when something has
-// registered for it. The text of a row belongs to the package
-// that owns the snapshot type (broker, registry, resilience, overload, sketch,
-// txn, frontend); this package imports none of them.
+// (MountRegistry, MountView), /tracez (SetRecorder), /eventz (SetEventLog),
+// plus /healthz, /buildz and /debug/pprof/. Every other page is a row page,
+// and there is one rule for those: a subsystem that has rows for a page
+// registers a renderer with AddRows, and the page exists — and is listed on
+// the index — exactly when something has registered for it. The text of a
+// row belongs to the package that owns the snapshot type (broker, registry,
+// resilience, overload, sketch, txn, frontend); this package imports none of
+// them.
 //
 // The server is stdlib-only and safe to mount in front of live registries:
 // rendering works from point-in-time snapshots, never from live metric
@@ -20,7 +20,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -37,7 +36,6 @@ import (
 	"servicebroker/internal/fleet"
 	"servicebroker/internal/metrics"
 	"servicebroker/internal/trace"
-	"servicebroker/internal/tsdb"
 )
 
 // Server is the admin endpoint. The zero value is not usable; call New.
@@ -51,7 +49,6 @@ type Server struct {
 	mounts   []mount
 	rec      *trace.Recorder
 	rows     map[string][]rowSource // row page path → its sources
-	store    *tsdb.Store
 	events   *fleet.Log
 	draining bool
 
@@ -82,7 +79,6 @@ func New() *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/buildz", s.handleBuildz)
 	s.mux.HandleFunc("/tracez", s.handleTracez)
-	s.mux.HandleFunc("/seriesz", s.handleSeriesz)
 	s.mux.HandleFunc("/eventz", s.handleEventz)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -121,13 +117,6 @@ func (s *Server) MountView(prefix string, fn func() metrics.View) {
 func (s *Server) SetRecorder(rec *trace.Recorder) {
 	s.mu.Lock()
 	s.rec = rec
-	s.mu.Unlock()
-}
-
-// SetTSDB wires the time-series store backing /seriesz.
-func (s *Server) SetTSDB(store *tsdb.Store) {
-	s.mu.Lock()
-	s.store = store
 	s.mu.Unlock()
 }
 
@@ -393,25 +382,6 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 		rec.Len(), rec.Evicted(), sampled, discarded)
 }
 
-// --- /seriesz ---------------------------------------------------------------
-
-func (s *Server) handleSeriesz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	store := s.store
-	s.mu.Unlock()
-	if store == nil {
-		http.Error(w, "seriesz: no time-series store configured", http.StatusNotFound)
-		return
-	}
-	series := store.Snapshot(r.URL.Query().Get("match"))
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(struct {
-		Series []tsdb.Series `json:"series"`
-	}{Series: series})
-}
-
 // --- / (index) and the row pages ----------------------------------------------
 
 // pageInfo is one admin page for the index: its path and a one-line
@@ -435,9 +405,6 @@ func (s *Server) pages() []pageInfo {
 		{"/metrics", "Prometheus-style exposition of every mounted metrics registry"},
 		{"/tracez", "recent completed traces with per-stage latency breakdowns"},
 		{"/debug/pprof/", "standard net/http/pprof profiling handlers"},
-	}
-	if s.store != nil {
-		out = append(out, pageInfo{"/seriesz", "raw time-series snapshots as JSON"})
 	}
 	if s.events != nil {
 		out = append(out, pageInfo{"/eventz", "fleet event timeline: lease churn, breaker flips, limit cuts, drains"})

@@ -15,7 +15,6 @@ import (
 	"servicebroker/internal/registry"
 	"servicebroker/internal/resilience"
 	"servicebroker/internal/sketch"
-	"servicebroker/internal/tsdb"
 	"servicebroker/internal/txn"
 )
 
@@ -174,15 +173,14 @@ func TestIndexListsExactlyWhatIsRegistered(t *testing.T) {
 			t.Errorf("GET %s with no source = %d, want 404", page, code)
 		}
 	}
-	for _, p := range []string{"/seriesz", "/eventz", "/nonsense"} {
+	for _, p := range []string{"/eventz", "/nonsense"} {
 		if code, _ := fetch(t, s, p); code != 404 {
 			t.Errorf("GET %s with nothing behind it = %d, want 404", p, code)
 		}
 	}
 
-	s.SetTSDB(tsdb.New(0))
 	s.SetEventLog(fleet.NewLog(0, nil))
-	registered := []string{"/seriesz", "/eventz"}
+	registered := []string{"/eventz"}
 	for page := range rowPages {
 		if page == "/txnz" {
 			continue // stays unregistered

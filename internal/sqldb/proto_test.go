@@ -567,3 +567,9 @@ func TestNewServerRejectsNilEngine(t *testing.T) {
 		t.Fatal("NewServer(nil) succeeded")
 	}
 }
+
+// WithCredentials sets the username/password the handshake requires
+// (defaults to "web"/"web").
+func WithCredentials(user, pass string) ServerOption {
+	return serverOptionFunc(func(s *Server) { s.user, s.pass = user, pass })
+}

@@ -19,12 +19,6 @@ type serverOptionFunc func(*Server)
 
 func (f serverOptionFunc) apply(s *Server) { f(s) }
 
-// WithCredentials sets the username/password the handshake requires
-// (defaults to "web"/"web").
-func WithCredentials(user, pass string) ServerOption {
-	return serverOptionFunc(func(s *Server) { s.user, s.pass = user, pass })
-}
-
 // WithHandshakeDelay adds an artificial cost to connection establishment,
 // modelling expensive auth/TLS setup. The experiments use it to control the
 // connection-setup overhead the API model pays per request.

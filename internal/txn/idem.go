@@ -301,17 +301,6 @@ func (t *IdemTable) Restore(key string, out Outcome, at time.Time) bool {
 	return true
 }
 
-// Lookup returns the recorded outcome for key, if any (and not expired).
-func (t *IdemTable) Lookup(key string) (Outcome, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[key]
-	if !ok || e.state != idemDone || t.expiredLocked(e.at, clock.Now()) {
-		return Outcome{}, false
-	}
-	return e.out, true
-}
-
 // Len returns the number of live entries (pending + recorded).
 func (t *IdemTable) Len() int {
 	t.mu.Lock()

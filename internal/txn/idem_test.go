@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"servicebroker/internal/clock"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/testutil"
 )
@@ -412,4 +413,15 @@ func BenchmarkIdemRecordFull(b *testing.B) {
 			}
 		})
 	}
+}
+
+// Lookup returns the recorded outcome for key, if any (and not expired).
+func (t *IdemTable) Lookup(key string) (Outcome, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.entries[key]
+	if !ok || e.state != idemDone || t.expiredLocked(e.at, clock.Now()) {
+		return Outcome{}, false
+	}
+	return e.out, true
 }

@@ -17,7 +17,8 @@
 //   - abandonment sweeps: the active table is TTL'd, so a transaction whose
 //     client vanished mid-flight is eventually aborted (compensations and
 //     all) instead of leaking forever; with no TTL, the least recently seen
-//     transactions holding no compensation are forgotten past untimedCap;
+//     transactions holding no compensation are forgotten past untimedCap,
+//     and at most half that many may hold compensations;
 //   - an idempotency table plus crash-safe journal (idem.go, journal.go):
 //     retried or failed-over mutating accesses are answered with the
 //     recorded first outcome instead of re-executing the backend effect.
@@ -145,9 +146,6 @@ type Tracker struct {
 	ttl       time.Duration
 	lastSweep time.Time
 	onAbandon func(State)
-	// forgetAt is the active count past which insertLocked forgets, with no
-	// TTL; a pass sets it to twice what it left, so passes stay amortised.
-	forgetAt int
 
 	completed   int
 	aborted     int
@@ -159,26 +157,27 @@ type Tracker struct {
 // NewTracker returns an empty tracker with abandonment sweeping disabled.
 func NewTracker() *Tracker {
 	return &Tracker{
-		active:   make(map[string]*State),
-		comps:    make(map[string][]compensation),
-		forgetAt: untimedCap,
+		active: make(map[string]*State),
+		comps:  make(map[string][]compensation),
 	}
 }
 
 // untimedCap bounds the active table when no TTL is set. A broker uses the
 // tracker for step monotonicity and /txnz, so a transaction that never
-// completes and holds no compensation can go once newer ones crowd it out;
-// one that holds compensations stays until it completes or aborts.
+// completes and holds no compensation can go once newer ones crowd it out.
+// One that holds compensations stays until it completes or aborts, so at most
+// untimedCap/2 may hold them (RegisterCompensation refuses past that): a
+// forget pass then always frees at least half the table.
 const untimedCap = 4096
 
 // insertLocked starts tracking id and, with no TTL, forgets the least
 // recently seen other transactions holding no compensation once the table
-// passes forgetAt, down to half of untimedCap. Forgetting is not aborting: no
+// passes untimedCap, down to half of it. Forgetting is not aborting: no
 // compensation runs and no counter moves. Caller holds t.mu.
 func (t *Tracker) insertLocked(id string, step int, now time.Time) *State {
 	s := &State{ID: id, Step: step, Started: now, LastSeen: now}
 	t.active[id] = s
-	if t.ttl > 0 || len(t.active) <= t.forgetAt {
+	if t.ttl > 0 || len(t.active) <= untimedCap {
 		return s
 	}
 	var idle []*State
@@ -194,14 +193,13 @@ func (t *Tracker) insertLocked(id string, step int, now time.Time) *State {
 		}
 		delete(t.active, a.ID)
 	}
-	t.forgetAt = max(untimedCap, 2*len(t.active))
 	return s
 }
 
 // SetTTL enables (or, with d ≤ 0, disables) abandonment sweeping: an active
 // transaction idle for longer than d is aborted by the next sweep, its
 // compensations run, and the abandoned counter incremented. Sweeps piggyback
-// on Observe (rate-limited) and Snapshot; Sweep forces one.
+// on Observe (rate-limited) and Snapshot.
 func (t *Tracker) SetTTL(d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -224,30 +222,10 @@ func (t *Tracker) OnAbandon(fn func(State)) {
 var (
 	ErrUnknownTxn = errors.New("txn: unknown transaction")
 	ErrBadStep    = errors.New("txn: step must not decrease")
+	// ErrSagaLimit refuses a first compensation, with no TTL, while
+	// untimedCap/2 transactions already hold compensations.
+	ErrSagaLimit = errors.New("txn: too many transactions hold compensations")
 )
-
-// Begin starts tracking a transaction at step 1. Begin is idempotent against
-// a transaction that already exists at step 1 — brokers learn about
-// transactions from tagged requests, so a tagged access racing ahead of the
-// client's explicit Begin must not fail it. Beginning a transaction that has
-// progressed past step 1 is still an error: that is a duplicate ID, not a
-// race on first sight.
-func (t *Tracker) Begin(id string) error {
-	if id == "" {
-		return errors.New("txn: empty id")
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.active[id]; ok {
-		if s.Step <= 1 {
-			s.LastSeen = clock.Now()
-			return nil
-		}
-		return fmt.Errorf("txn: %s already active at step %d", id, s.Step)
-	}
-	t.insertLocked(id, 1, clock.Now())
-	return nil
-}
 
 // Observe records one access for transaction id at the given step,
 // creating the transaction on first sight (brokers learn about transactions
@@ -288,7 +266,9 @@ func (t *Tracker) Observe(id string, step int) (State, error) {
 // RegisterCompensation records an undo action for a completed step of an
 // active transaction. On Abort the registered compensations run in reverse
 // registration order (last completed step undone first — saga order). name
-// labels the action in AbortReport and /txnz accounting.
+// labels the action in AbortReport and /txnz accounting. With no TTL, a
+// transaction's first compensation is refused with ErrSagaLimit while
+// untimedCap/2 others hold compensations: nothing would ever release them.
 func (t *Tracker) RegisterCompensation(id string, step int, name string, fn CompensationFunc) error {
 	if fn == nil {
 		return errors.New("txn: nil compensation")
@@ -298,6 +278,10 @@ func (t *Tracker) RegisterCompensation(id string, step int, name string, fn Comp
 	s, ok := t.active[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownTxn, id)
+	}
+	// t.comps holds an entry for exactly the transactions with compensations.
+	if s.Compensations == 0 && t.ttl <= 0 && len(t.comps) >= untimedCap/2 {
+		return fmt.Errorf("%w: %d, none expiring", ErrSagaLimit, len(t.comps))
 	}
 	t.comps[id] = append(t.comps[id], compensation{step: step, name: name, fn: fn})
 	s.Compensations++
@@ -408,43 +392,6 @@ func (t *Tracker) finishAborts(work []abortWork, abandoned bool) {
 			onAbandon(w.state)
 		}
 	}
-}
-
-// Sweep forces one abandonment sweep and returns the states it aborted. A
-// no-op (nil) when SetTTL has not enabled sweeping.
-func (t *Tracker) Sweep() []State {
-	t.mu.Lock()
-	if t.ttl <= 0 {
-		t.mu.Unlock()
-		return nil
-	}
-	work := t.collectAbandonedLocked(clock.Now())
-	t.mu.Unlock()
-	t.finishAborts(work, true)
-	out := make([]State, 0, len(work))
-	for _, w := range work {
-		out = append(out, w.state)
-	}
-	return out
-}
-
-// Lookup returns a copy of a transaction's state.
-func (t *Tracker) Lookup(id string) (*State, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s, ok := t.active[id]
-	if !ok {
-		return nil, false
-	}
-	cp := *s
-	return &cp, true
-}
-
-// ActiveCount returns the number of in-flight transactions.
-func (t *Tracker) ActiveCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.active)
 }
 
 // Stats returns (completed, aborted) totals. Abandoned transactions count as

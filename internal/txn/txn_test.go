@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"servicebroker/internal/clock"
 	"servicebroker/internal/qos"
 	"servicebroker/internal/testutil"
 )
@@ -38,7 +39,7 @@ func TestBeginObserveComplete(t *testing.T) {
 	if completed != 1 || aborted != 0 {
 		t.Fatalf("stats = %d, %d", completed, aborted)
 	}
-	if tr.ActiveCount() != 0 {
+	if len(tr.Snapshot().Active) != 0 {
 		t.Fatal("transaction still active after complete")
 	}
 }
@@ -49,7 +50,7 @@ func TestObserveCreatesImplicitly(t *testing.T) {
 	if err != nil || s.Step != 2 {
 		t.Fatalf("observe = %+v, %v", s, err)
 	}
-	if tr.ActiveCount() != 1 {
+	if len(tr.Snapshot().Active) != 1 {
 		t.Fatal("implicit transaction not tracked")
 	}
 }
@@ -107,7 +108,7 @@ func TestStepFailureMidTransaction(t *testing.T) {
 	if err := tr.Abort("order-7"); err != nil {
 		t.Fatal(err)
 	}
-	if tr.ActiveCount() != 0 {
+	if len(tr.Snapshot().Active) != 0 {
 		t.Fatal("aborted transaction still active")
 	}
 	completed, aborted := tr.Stats()
@@ -283,8 +284,8 @@ func TestConcurrentBeginObserveRace(t *testing.T) {
 		if observeErr != nil {
 			t.Fatalf("round %d: Observe failed: %v", round, observeErr)
 		}
-		if tr.ActiveCount() != 1 {
-			t.Fatalf("round %d: active = %d, want 1", round, tr.ActiveCount())
+		if len(tr.Snapshot().Active) != 1 {
+			t.Fatalf("round %d: active = %d, want 1", round, len(tr.Snapshot().Active))
 		}
 	}
 }
@@ -315,8 +316,8 @@ func TestAbandonmentSweep(t *testing.T) {
 	advance(40 * time.Second)
 	tr.Observe("fresh", 2) // refresh and trigger the lazy sweep
 
-	if tr.ActiveCount() != 1 {
-		t.Fatalf("active = %d after sweep, want 1", tr.ActiveCount())
+	if len(tr.Snapshot().Active) != 1 {
+		t.Fatalf("active = %d after sweep, want 1", len(tr.Snapshot().Active))
 	}
 	if _, ok := tr.Lookup("stale"); ok {
 		t.Fatal("abandoned transaction still active")
@@ -341,16 +342,17 @@ func TestAbandonmentSweep(t *testing.T) {
 	}
 	advance(2 * time.Minute)
 	tr.Sweep()
-	if tr.ActiveCount() != 0 {
-		t.Fatalf("active = %d after full sweep, want 0", tr.ActiveCount())
+	if len(tr.Snapshot().Active) != 0 {
+		t.Fatalf("active = %d after full sweep, want 0", len(tr.Snapshot().Active))
 	}
 	if got := tr.Abandoned(); got != 502 {
 		t.Fatalf("Abandoned() = %d, want 502", got)
 	}
 }
 
-// With no TTL the tracker still stays bounded: past 4,096 transactions it
-// forgets the least recently seen of those holding no compensation. Forgetting
+// With no TTL the tracker still stays bounded: past untimedCap (4,096)
+// transactions it forgets the least recently seen of those holding no
+// compensation, down to half of that. Forgetting
 // is not aborting — nothing runs and nothing counts — and a transaction with
 // a compensation to run is never forgotten this way.
 func TestUntimedTrackerForgetsLeastRecentlySeen(t *testing.T) {
@@ -370,7 +372,7 @@ func TestUntimedTrackerForgetsLeastRecentlySeen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := tr.ActiveCount(); n > 4096 {
+	if n := len(tr.Snapshot().Active); n > 4096 {
 		t.Fatalf("active = %d after 10,000 one-step transactions, want ≤ 4,096", n)
 	}
 	if _, ok := tr.Lookup("held"); !ok {
@@ -387,6 +389,53 @@ func TestUntimedTrackerForgetsLeastRecentlySeen(t *testing.T) {
 	}
 }
 
+// With no TTL nothing releases a transaction holding a compensation, so the
+// holders are bounded instead: past untimedCap/2 of them a first
+// compensation is refused with ErrSagaLimit, and 10,000 never-completed
+// transactions of one compensation each leave the table within untimedCap.
+// A holder is never forgotten, and one that completes frees its slot.
+func TestUntimedTrackerBoundsCompensationHolders(t *testing.T) {
+	advance := testutil.FakeClock(t)
+	tr := NewTracker()
+	undo := func(context.Context) error { return nil }
+	refused := 0
+	for i := 0; i < 10000; i++ {
+		advance(time.Millisecond)
+		id := fmt.Sprintf("saga-%d", i)
+		if _, err := tr.Observe(id, 1); err != nil {
+			t.Fatal(err)
+		}
+		switch err := tr.RegisterCompensation(id, 1, "undo", undo); {
+		case errors.Is(err, ErrSagaLimit):
+			refused++
+		case err != nil:
+			t.Fatal(err)
+		}
+	}
+	if want := 10000 - untimedCap/2; refused != want {
+		t.Fatalf("refused %d compensations, want %d", refused, want)
+	}
+	if n := len(tr.Snapshot().Active); n > untimedCap {
+		t.Fatalf("active = %d after 10,000 open sagas, want ≤ %d", n, untimedCap)
+	}
+	if len(tr.comps) != untimedCap/2 {
+		t.Fatalf("%d undo stacks held, want %d", len(tr.comps), untimedCap/2)
+	}
+	if _, ok := tr.Lookup("saga-0"); !ok {
+		t.Fatal("transaction holding a compensation was forgotten")
+	}
+	// A second compensation for a holder is not a new holder.
+	if err := tr.RegisterCompensation("saga-0", 2, "undo", undo); err != nil {
+		t.Fatalf("second compensation of a holder: %v", err)
+	}
+	if err := tr.Complete("saga-1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.RegisterCompensation("saga-9999", 1, "undo", undo); err != nil {
+		t.Fatalf("compensation after a holder completed: %v", err)
+	}
+}
+
 // Sweep with no TTL configured is a no-op.
 func TestSweepDisabledByDefault(t *testing.T) {
 	tr := NewTracker()
@@ -394,7 +443,7 @@ func TestSweepDisabledByDefault(t *testing.T) {
 	if got := tr.Sweep(); got != nil {
 		t.Fatalf("Sweep() = %v with no TTL, want nil", got)
 	}
-	if tr.ActiveCount() != 1 {
+	if len(tr.Snapshot().Active) != 1 {
 		t.Fatal("transaction vanished without a TTL")
 	}
 }
@@ -524,4 +573,57 @@ func TestConcurrentObserves(t *testing.T) {
 	if completed != 4 || aborted != 4 {
 		t.Fatalf("stats = %d, %d; want 4, 4", completed, aborted)
 	}
+}
+
+// Begin starts tracking a transaction at step 1. Begin is idempotent against
+// a transaction that already exists at step 1 — brokers learn about
+// transactions from tagged requests, so a tagged access racing ahead of the
+// client's explicit Begin must not fail it. Beginning a transaction that has
+// progressed past step 1 is still an error: that is a duplicate ID, not a
+// race on first sight.
+func (t *Tracker) Begin(id string) error {
+	if id == "" {
+		return errors.New("txn: empty id")
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s, ok := t.active[id]; ok {
+		if s.Step <= 1 {
+			s.LastSeen = clock.Now()
+			return nil
+		}
+		return fmt.Errorf("txn: %s already active at step %d", id, s.Step)
+	}
+	t.insertLocked(id, 1, clock.Now())
+	return nil
+}
+
+// Sweep forces one abandonment sweep and returns the states it aborted. A
+// no-op (nil) when SetTTL has not enabled sweeping.
+func (t *Tracker) Sweep() []State {
+	t.mu.Lock()
+	if t.ttl <= 0 {
+		t.mu.Unlock()
+		return nil
+	}
+	work := t.collectAbandonedLocked(clock.Now())
+	t.mu.Unlock()
+	t.finishAborts(work, true)
+	out := make([]State, 0, len(work))
+	for _, w := range work {
+		out = append(out, w.state)
+	}
+	return out
+}
+
+// Lookup returns a copy of a transaction's state.
+func (t *Tracker) Lookup(id string) (*State, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s, ok := t.active[id]
+	if !ok {
+		return nil, false
+	}
+	cp := *s
+	return &cp, true
 }

@@ -2,7 +2,6 @@ package servicebroker
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -19,7 +18,6 @@ import (
 	"servicebroker/internal/resilience"
 	"servicebroker/internal/sqldb"
 	"servicebroker/internal/trace"
-	"servicebroker/internal/tsdb"
 )
 
 // newDBBackend starts a small SQL backend for integration tests.
@@ -131,11 +129,10 @@ func TestSpanExportAcrossProcesses(t *testing.T) {
 	}
 }
 
-// TestAdminPlaneLiveSeries drives traffic in two QoS classes through the
-// full chain, samples the time-series store the way brokerd's ticker does,
-// and checks /seriesz (the per-class queue-wait and drop-ratio groups) and
-// /buildz.
-func TestAdminPlaneLiveSeries(t *testing.T) {
+// TestAdminPlaneClassMetrics drives traffic in two QoS classes through the
+// full chain and checks /metrics for each class's queue-wait histogram and
+// refusal counters, the per-stage trace histograms, and /buildz.
+func TestAdminPlaneClassMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
@@ -164,26 +161,11 @@ func TestAdminPlaneLiveSeries(t *testing.T) {
 	defer fe.Close()
 	fe.EnableTracing(rec)
 
-	// The store wired as cmd/brokerd does: broker registry plus per-class
-	// drop-ratio probes derived from its counters.
-	store := tsdb.New(0)
-	store.Mount("", traceReg)
-	store.Mount("broker.db.", b.Metrics())
-	reg := b.Metrics()
-	for class := 1; class <= 2; class++ {
-		dropped := reg.Counter(fmt.Sprintf("dropped_class_%d", class))
-		requests := reg.Counter(fmt.Sprintf("requests_class_%d", class))
-		store.AddProbe(fmt.Sprintf("broker.db.drop_ratio_class_%d", class), func() (float64, bool) {
-			total := requests.Value()
-			if total == 0 {
-				return 0, false
-			}
-			return float64(dropped.Value()) / float64(total), true
-		})
-	}
-
+	// Mounted as cmd/brokerd does.
 	adminSrv := obs.New()
-	adminSrv.SetTSDB(store)
+	adminSrv.MountRegistry("", traceReg)
+	adminSrv.MountRegistry("broker.db.", b.Metrics())
+	adminSrv.MountView("broker.db.", b.ScrapeView)
 	if err := adminSrv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -198,58 +180,31 @@ func TestAdminPlaneLiveSeries(t *testing.T) {
 		if resp, err := cli.Get("/db", q); err != nil || resp.Status != 200 {
 			t.Fatalf("request %d: %+v, %v", i, resp, err)
 		}
-		store.SampleNow()
 	}
 
-	// /seriesz: JSON with the queue-wait and drop-ratio series populated.
-	var got struct {
-		Series []tsdb.Series `json:"series"`
-	}
-	if err := json.Unmarshal([]byte(httpGet(t, base+"/seriesz")), &got); err != nil {
-		t.Fatalf("seriesz JSON: %v", err)
-	}
-	byName := make(map[string]tsdb.Series)
-	for _, sr := range got.Series {
-		byName[sr.Name] = sr
-	}
-	for _, want := range []string{
-		"broker.db.queue_wait.mean",
-		"broker.db.queue_wait_class_1.mean",
-		"broker.db.drop_ratio_class_1",
-		"broker.db.drop_ratio_class_2",
-		"trace.db.backend.count",
-	} {
-		if sr, ok := byName[want]; !ok || len(sr.Points) == 0 {
-			t.Errorf("/seriesz missing populated series %q (have %d series)", want, len(got.Series))
+	// /metrics: three requests in each class, every one queued and none
+	// refused, and the broker's backend stage in the trace histograms.
+	samples := make(map[string]string)
+	for _, line := range strings.Split(httpGet(t, base+"/metrics"), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			samples[name] = v
 		}
 	}
-	if filtered := httpGet(t, base+"/seriesz?match=drop_ratio"); strings.Contains(filtered, "queue_wait") {
-		t.Error("?match=drop_ratio did not filter out queue_wait series")
-	}
-
-	// The queue-wait and per-class drop-ratio groups on /seriesz?match=:
-	// each holds at least two populated series, the class variants of one
-	// metric side by side.
-	var scoped struct {
-		Series []tsdb.Series `json:"series"`
-	}
-	if err := json.Unmarshal([]byte(httpGet(t, base+"/seriesz?match=broker.db.")), &scoped); err != nil {
-		t.Fatalf("seriesz?match JSON: %v", err)
-	}
-	var queueWait, dropRatio int
-	for _, sr := range scoped.Series {
-		switch {
-		case !strings.HasPrefix(sr.Name, "broker.db."):
-			t.Errorf("?match=broker.db. returned %q", sr.Name)
-		case len(sr.Points) == 0:
-		case strings.HasPrefix(sr.Name, "broker.db.queue_wait") && strings.HasSuffix(sr.Name, ".mean"):
-			queueWait++
-		case strings.HasPrefix(sr.Name, "broker.db.drop_ratio_class_"):
-			dropRatio++
+	for class := 1; class <= 2; class++ {
+		for name, want := range map[string]string{
+			"requests_class_%d":         "3",
+			"queue_wait_class_%d_count": "3",
+			"dropped_class_%d":          "0",
+			"shed_class_%d":             "0",
+		} {
+			name = "broker_db_" + fmt.Sprintf(name, class)
+			if got := samples[name]; got != want {
+				t.Errorf("/metrics %s = %q, want %q", name, got, want)
+			}
 		}
 	}
-	if queueWait < 2 || dropRatio < 2 {
-		t.Errorf("/seriesz groups: %d populated queue-wait means and %d drop ratios, want >= 2 each", queueWait, dropRatio)
+	if got := samples["trace_db_backend_count"]; got == "" || got == "0" {
+		t.Errorf("/metrics trace_db_backend_count = %q, want a count of backend spans", got)
 	}
 
 	// /buildz reports process identity.
