@@ -10,8 +10,13 @@
 //	backendd -kind db     -addr 127.0.0.1:7001 -records 42000
 //	backendd -kind dir    -addr 127.0.0.1:7002
 //	backendd -kind mail   -addr 127.0.0.1:7003
-//	backendd -kind cgi    -addr 127.0.0.1:7004 -delay 1s -maxclients 5
+//	backendd -kind cgi    -addr 127.0.0.1:7004 -delay 20ms -maxclients 5
 //	backendd -kind supply -addr 127.0.0.1:7005
+//
+// The cgi default -delay (20ms) stays well under the front end's 150 ms
+// per-attempt wire budget, so a default frontend → brokerd → backendd chain
+// answers; a delay past that budget makes every request through the front
+// end time out.
 package main
 
 import (
@@ -41,7 +46,7 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:0", "listen address")
 		records    = flag.Int("records", sqldb.PaperRecordCount, "db: fixture row count")
 		handshake  = flag.Duration("handshake", 0, "db: artificial connection handshake cost")
-		delay      = flag.Duration("delay", time.Second, "cgi: bounded processing time")
+		delay      = flag.Duration("delay", 20*time.Millisecond, "cgi: bounded processing time (keep under the front end's 150ms attempt budget)")
 		maxClients = flag.Int("maxclients", 5, "cgi: max simultaneous requests")
 		admin      = flag.String("admin", "", "admin HTTP address for /metrics, /healthz, pprof (empty disables)")
 		drainTO    = flag.Duration("drain-timeout", 5*time.Second, "cgi: how long SIGTERM/SIGINT waits for in-flight requests to finish")

@@ -16,11 +16,15 @@
 // budgets would be tiny) collapse to one shard, preserving exact global LRU
 // order; larger caches trade exact cross-shard eviction order for lock
 // spreading, which is the standard sharded-LRU compromise.
+//
+// Each shard keeps its entries in one slab and finds them through an
+// open-addressed table of slot numbers, not a Go map: a map under put/evict
+// churn grows to several times its live keys, while the table stays at
+// two to four int32 cells per entry whatever the traffic.
 package cache
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,39 +68,43 @@ type Cache struct {
 
 	shards []*shard
 	mask   uint32
-	// seq is a global access clock: entries are stamped on insert and
-	// promotion so Keys can report recency order across shards.
-	seq atomic.Uint64
 }
 
 // shard is one lock domain: a slab of entries linked into an LRU list by
-// slot index, a key → slot index, and the bytes its values hold. The slab
-// grows by append until the shard is full; after that a put that evicts
-// reuses the evicted entry's slot, so a miss that fills the cache allocates
-// nothing but what the caller keeps. Mutating stats are atomics so Stats can
-// aggregate without a lock sweep on the counters (Entries/Bytes still take
-// the shard lock briefly).
+// slot index, an open-addressed index of those slots, and the bytes its
+// values hold. The slab grows, never past maxEntries, until the shard is
+// full; after that a put that evicts reuses the evicted entry's slot, so a
+// miss that fills the cache allocates nothing but what the caller keeps.
+// Every slot in the slab holds a live entry. Mutating stats are atomics so
+// Stats can aggregate without a lock sweep on the counters (Entries/Bytes
+// still take the shard lock briefly).
 type shard struct {
 	mu         sync.Mutex
 	maxEntries int
-	slots      []entry          // at most maxEntries
-	index      map[string]int32 // key → slot
-	head, tail int32            // most / least recently used slot
-	free       int32            // slots given up by Delete, chained by next
+	slots      []entry // at most maxEntries
+	// index is a linear-probing table of slot+1 (0 is an empty cell) whose
+	// length is a power of two at least twice len(slots), so its load stays
+	// at ½ or below. A key's home cell is the top bits of its hash (shift
+	// is 32 − log2(len(index))); the low bits picked the shard.
+	index      []int32
+	shift      uint8
+	head, tail int32 // most / least recently used slot
 	bytes      int64
 
 	hits, misses, evictions, expired, staleHits atomic.Int64
 }
 
-// noSlot ends the LRU list and the free chain.
+// noSlot ends the LRU list.
 const noSlot int32 = -1
+
+// minIndexBits sizes a fresh shard's index: 1<<minIndexBits cells.
+const minIndexBits = 3
 
 type entry struct {
 	key        string
 	value      []byte
-	expires    time.Time // zero means never
-	seq        uint64    // global access clock at last promotion
-	prev, next int32     // LRU neighbours toward head / tail
+	expires    int64 // Unix ns; 0 means never
+	prev, next int32 // LRU neighbours toward head / tail
 }
 
 // Option configures a Cache.
@@ -153,29 +161,29 @@ func New(maxEntries int, opts ...Option) *Cache {
 	c.mask = uint32(n - 1)
 	c.shards = make([]*shard, n)
 	for i := range c.shards {
-		s := &shard{
+		c.shards[i] = &shard{
 			// Integer division under-allocates the remainder, keeping the
 			// global entry invariant strict: Σ per-shard ≤ global.
 			// Slot indices are int32, which caps a shard there.
 			maxEntries: min(maxEntries/n, math.MaxInt32),
+			index:      make([]int32, 1<<minIndexBits),
+			shift:      32 - minIndexBits,
+			head:       noSlot,
+			tail:       noSlot,
 		}
-		s.reset()
-		c.shards[i] = s
 	}
 	return c
 }
 
-// shardFor hashes key (inline FNV-1a, allocation-free) onto a shard.
-func (c *Cache) shardFor(key string) *shard {
-	if c.mask == 0 {
-		return c.shards[0]
-	}
+// hash is FNV-1a over key, inline and allocation-free. Its low bits pick
+// the shard and its high bits the home cell in that shard's index.
+func hash(key string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return c.shards[h&c.mask]
+	return h
 }
 
 // Get returns the cached value for key. The returned slice is shared with
@@ -183,17 +191,18 @@ func (c *Cache) shardFor(key string) *shard {
 // a miss but are retained (bounded by the LRU limits) so GetStale can still
 // serve them when the backend is unavailable.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	s := c.shardFor(key)
+	h := hash(key)
+	s := c.shards[h&c.mask]
 	s.mu.Lock()
-	i, ok := s.index[key]
-	if !ok {
+	i, _ := s.find(key, h)
+	if i == noSlot {
 		s.mu.Unlock()
 		s.misses.Add(1)
 		c.access(key, false)
 		return nil, false
 	}
 	e := &s.slots[i]
-	if c.isExpired(e) {
+	if e.isExpired() {
 		s.mu.Unlock()
 		s.expired.Add(1)
 		s.misses.Add(1)
@@ -201,7 +210,6 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	s.moveToFront(i)
-	e.seq = c.seq.Add(1)
 	v := e.value
 	s.mu.Unlock()
 	s.hits.Add(1)
@@ -223,17 +231,18 @@ func (c *Cache) access(key string, hit bool) {
 // and keeps its LRU position. The returned slice is shared with the cache
 // and must not be modified.
 func (c *Cache) GetStale(key string) ([]byte, bool) {
-	s := c.shardFor(key)
+	h := hash(key)
+	s := c.shards[h&c.mask]
 	s.mu.Lock()
-	i, ok := s.index[key]
-	if !ok {
+	i, _ := s.find(key, h)
+	if i == noSlot {
 		s.mu.Unlock()
 		s.misses.Add(1)
 		c.access(key, false)
 		return nil, false
 	}
 	e := &s.slots[i]
-	if c.isExpired(e) {
+	if e.isExpired() {
 		v := e.value
 		s.mu.Unlock()
 		s.staleHits.Add(1)
@@ -241,7 +250,6 @@ func (c *Cache) GetStale(key string) ([]byte, bool) {
 		return v, true
 	}
 	s.moveToFront(i)
-	e.seq = c.seq.Add(1)
 	v := e.value
 	s.mu.Unlock()
 	s.hits.Add(1)
@@ -257,51 +265,27 @@ func (c *Cache) Put(key string, value []byte) {
 // PutTTL stores value under key with an explicit TTL; ttl ≤ 0 means the
 // entry never expires.
 func (c *Cache) PutTTL(key string, value []byte, ttl time.Duration) {
-	var expires time.Time
+	var expires int64
 	if ttl > 0 {
-		expires = clock.Now().Add(ttl)
+		expires = clock.Now().Add(ttl).UnixNano()
 	}
-	s := c.shardFor(key)
+	h := hash(key)
+	s := c.shards[h&c.mask]
 	s.mu.Lock()
-	if i, ok := s.index[key]; ok {
+	if i, _ := s.find(key, h); i != noSlot {
 		e := &s.slots[i]
 		s.bytes += int64(len(value)) - int64(len(e.value))
 		e.value = value
 		e.expires = expires
-		e.seq = c.seq.Add(1)
 		s.moveToFront(i)
 	} else {
 		i := s.slot()
-		s.slots[i] = entry{key: key, value: value, expires: expires, seq: c.seq.Add(1)}
+		s.slots[i] = entry{key: key, value: value, expires: expires}
 		s.pushFront(i)
-		s.index[key] = i
+		s.insert(i, h)
 		s.bytes += int64(len(value))
 	}
 	s.mu.Unlock()
-}
-
-// Delete removes key if present, reporting whether it was there.
-func (c *Cache) Delete(key string) bool {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i, ok := s.index[key]
-	if ok {
-		s.release(i)
-	}
-	return ok
-}
-
-// Len returns the number of live entries (including any not yet observed to
-// be expired).
-func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += len(s.index)
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // Stats returns a snapshot of the cache counters, aggregated over shards.
@@ -332,7 +316,7 @@ func (c *Cache) ShardStats() []ShardStats {
 // snapshot reads one shard's counters.
 func (s *shard) snapshot() Stats {
 	s.mu.Lock()
-	entries, bytes := len(s.index), s.bytes
+	entries, bytes := len(s.slots), s.bytes
 	s.mu.Unlock()
 	return Stats{
 		Hits:      s.hits.Load(),
@@ -345,77 +329,92 @@ func (s *shard) snapshot() Stats {
 	}
 }
 
-// Keys returns the cached keys from most to least recently used, merged
-// across shards by the global access clock. Intended for tests and
-// diagnostics.
-func (c *Cache) Keys() []string {
-	type stamped struct {
-		key string
-		seq uint64
-	}
-	var all []stamped
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for i := s.head; i != noSlot; i = s.slots[i].next {
-			e := &s.slots[i]
-			all = append(all, stamped{key: e.key, seq: e.seq})
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq > all[j].seq })
-	out := make([]string, len(all))
-	for i, st := range all {
-		out[i] = st.key
-	}
-	return out
-}
-
 // isExpired reports whether e is past its TTL.
-func (c *Cache) isExpired(e *entry) bool {
-	return !e.expires.IsZero() && clock.Now().After(e.expires)
+func (e *entry) isExpired() bool {
+	return e.expires != 0 && clock.Now().UnixNano() > e.expires
 }
 
-// reset empties the shard. Caller owns s.
-func (s *shard) reset() {
-	s.slots, s.index = nil, make(map[string]int32)
-	s.head, s.tail, s.free = noSlot, noSlot, noSlot
-	s.bytes = 0
+// find returns the slot holding key, whose hash is h, and the index cell
+// that points at it; noSlot and the empty cell that ends key's probe run
+// when key is absent. Caller holds s.mu.
+func (s *shard) find(key string, h uint32) (int32, int) {
+	mask := len(s.index) - 1
+	for pos := int(h >> s.shift); ; pos = (pos + 1) & mask {
+		v := s.index[pos]
+		if v == 0 {
+			return noSlot, pos
+		}
+		if s.slots[v-1].key == key {
+			return v - 1, pos
+		}
+	}
+}
+
+// insert points the first empty cell of h's probe run at slot i, doubling
+// the index first when the slab has outgrown half of it. Caller holds s.mu.
+func (s *shard) insert(i int32, h uint32) {
+	if 2*len(s.slots) > len(s.index) {
+		s.index = make([]int32, 2*len(s.index))
+		s.shift--
+		for j := range s.slots {
+			if int32(j) != i {
+				s.place(int32(j), hash(s.slots[j].key))
+			}
+		}
+	}
+	s.place(i, h)
+}
+
+// place points the first empty cell of h's probe run at slot i. Caller
+// holds s.mu.
+func (s *shard) place(i int32, h uint32) {
+	mask := len(s.index) - 1
+	pos := int(h >> s.shift)
+	for s.index[pos] != 0 {
+		pos = (pos + 1) & mask
+	}
+	s.index[pos] = i + 1
+}
+
+// remove empties index cell pos by backward-shift deletion: each later
+// cell of the probe run that may sit at or before the hole moves into it,
+// so no lookup ever meets a gap inside its run and no tombstone is left.
+// Caller holds s.mu.
+func (s *shard) remove(pos int) {
+	mask := len(s.index) - 1
+	for j := (pos + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
+		home := int(hash(s.slots[s.index[j]-1].key) >> s.shift)
+		// The cell at j may move to the hole unless its home lies
+		// cyclically in (pos, j].
+		if (j-home)&mask >= (j-pos)&mask {
+			s.index[pos] = s.index[j]
+			pos = j
+		}
+	}
+	s.index[pos] = 0
 }
 
 // slot returns a slot for a new entry: the least recently used entry's when
-// the shard is full (evicting it), else one Delete gave up, else a new one
-// at the end of the slab. Caller holds s.mu.
+// the shard is full (evicting it), else a new one at the end of the slab.
+// The slab doubles, but never past maxEntries. Caller holds s.mu.
 func (s *shard) slot() int32 {
-	switch {
-	case len(s.index) >= s.maxEntries:
+	if len(s.slots) >= s.maxEntries {
 		i := s.tail
-		s.drop(i)
+		e := &s.slots[i]
+		_, pos := s.find(e.key, hash(e.key))
+		s.remove(pos)
+		s.unlink(i)
+		s.bytes -= int64(len(e.value))
 		s.evictions.Add(1)
 		return i
-	case s.free != noSlot:
-		i := s.free
-		s.free = s.slots[i].next
-		return i
 	}
-	s.slots = append(s.slots, entry{})
+	if len(s.slots) == cap(s.slots) {
+		grown := make([]entry, len(s.slots), min(max(2*cap(s.slots), 4), s.maxEntries))
+		copy(grown, s.slots)
+		s.slots = grown
+	}
+	s.slots = s.slots[:len(s.slots)+1]
 	return int32(len(s.slots) - 1)
-}
-
-// drop takes slot i's entry out of the LRU list and the index. Caller holds
-// s.mu.
-func (s *shard) drop(i int32) {
-	e := &s.slots[i]
-	s.unlink(i)
-	delete(s.index, e.key)
-	s.bytes -= int64(len(e.value))
-}
-
-// release drops slot i's entry, lets go of its key and value, and chains
-// the slot onto the free list. Caller holds s.mu.
-func (s *shard) release(i int32) {
-	s.drop(i)
-	s.slots[i] = entry{next: s.free}
-	s.free = i
 }
 
 // pushFront links slot i in as the most recently used. Caller holds s.mu.

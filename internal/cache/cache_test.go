@@ -39,8 +39,8 @@ func TestUpdateExistingKey(t *testing.T) {
 	if string(got) != "new value" {
 		t.Fatalf("Get = %q, want new value", got)
 	}
-	if n := c.Len(); n != 1 {
-		t.Fatalf("Len = %d, want 1", n)
+	if n := c.Stats().Entries; n != 1 {
+		t.Fatalf("Entries = %d, want 1", n)
 	}
 	if b := c.Stats().Bytes; b != int64(len("new value")) {
 		t.Fatalf("Bytes = %d, want %d", b, len("new value"))
@@ -128,27 +128,13 @@ func TestPutTTLOverridesDefault(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	c := New(4)
-	c.Put("k", []byte("v"))
-	if !c.Delete("k") {
-		t.Fatal("Delete(k) = false, want true")
-	}
-	if c.Delete("k") {
-		t.Fatal("second Delete(k) = true, want false")
-	}
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("entry present after delete")
-	}
-}
-
 func TestKeysMRUOrder(t *testing.T) {
 	c := New(4)
 	c.Put("a", nil)
 	c.Put("b", nil)
 	c.Put("c", nil)
 	c.Get("a")
-	keys := c.Keys()
+	keys := lruKeys(t, c)
 	want := []string{"a", "c", "b"}
 	for i := range want {
 		if keys[i] != want[i] {
@@ -203,7 +189,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 		c := New(m)
 		for _, k := range keys {
 			c.Put(fmt.Sprintf("k%d", k), []byte{k})
-			if c.Len() > m {
+			if c.Stats().Entries > m {
 				return false
 			}
 		}
@@ -237,19 +223,13 @@ func TestByteAccountingProperty(t *testing.T) {
 	f := func(ops []struct {
 		Key uint8
 		Val []byte
-		Del bool
 	}) bool {
 		c := New(8)
 		for _, op := range ops {
-			k := fmt.Sprintf("k%d", op.Key%12)
-			if op.Del {
-				c.Delete(k)
-			} else {
-				c.Put(k, op.Val)
-			}
+			c.Put(fmt.Sprintf("k%d", op.Key%12), op.Val)
 		}
 		var want int64
-		for _, k := range c.Keys() {
+		for _, k := range lruKeys(t, c) {
 			v, ok := c.Get(k)
 			if !ok {
 				return false
@@ -296,4 +276,21 @@ func TestAccessHook(t *testing.T) {
 			t.Fatalf("access[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
+}
+
+// lruKeys returns a single-shard cache's keys from most to least recently
+// used, walking the shard's LRU list.
+func lruKeys(t *testing.T, c *Cache) []string {
+	t.Helper()
+	if len(c.shards) != 1 {
+		t.Fatalf("lruKeys needs a single-shard cache, got %d shards", len(c.shards))
+	}
+	s := c.shards[0]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var keys []string
+	for i := s.head; i != noSlot; i = s.slots[i].next {
+		keys = append(keys, s.slots[i].key)
+	}
+	return keys
 }

@@ -74,14 +74,6 @@ func (m *model) put(key string, value []byte, ttl time.Duration) {
 	}
 }
 
-func (m *model) delete(key string) bool {
-	i := m.find(key)
-	if i >= 0 {
-		m.entries = slices.Delete(m.entries, i, i+1)
-	}
-	return i >= 0
-}
-
 func (m *model) bytes() (n int64) {
 	for _, e := range m.entries {
 		n += int64(len(e.value))
@@ -97,23 +89,37 @@ func (m *model) keys() []string {
 	return out
 }
 
-// TestCacheMatchesModel runs 300 seeded schedules of Put, PutTTL, Get,
-// GetStale, Delete and clock advances against a single-shard cache (every
-// cache under 32 entries has one shard) and the model, comparing every
-// observable after every step.
+// TestCacheMatchesModel runs seeded schedules of Put, PutTTL, Get,
+// GetStale and clock advances against a single-shard cache (every cache
+// under 32 entries has one shard) and the model, comparing every observable
+// after every step. Seeds 1–300 draw 8 keys into a capacity of 1–6. Seeds
+// 301–450 draw 20 keys in three groups that share the top six bits of their
+// hash (home cell last, first and middle at every index length up to 64)
+// into a capacity of 4–19: they pile into one probe run that wraps past the
+// end of the index and merges with the others, so evictions and re-puts
+// delete from and insert into the middle of it.
 func TestCacheMatchesModel(t *testing.T) {
-	for seed := int64(1); seed <= 300; seed++ {
+	spread := make([]string, 8)
+	for i := range spread {
+		spread[i] = fmt.Sprintf("k%d", i)
+	}
+	colliding := collidingKeys(map[uint32]int{63: 10, 0: 6, 31: 4})
+	for seed := int64(1); seed <= 450; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		advance := testutil.FakeClock(t)
-		m := &model{max: 1 + rng.Intn(6)}
+		keys, max := spread, 1+rng.Intn(6)
+		if seed > 300 {
+			keys, max = colliding, 4+rng.Intn(16)
+		}
+		m := &model{max: max}
 		ttl := time.Duration(rng.Intn(4)) * time.Second
 		c := New(m.max, WithDefaultTTL(ttl))
 		for step := 0; step < 200; step++ {
 			fail := func(format string, args ...any) {
 				t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
 			}
-			key := fmt.Sprintf("k%d", rng.Intn(8))
-			switch op := rng.Intn(19); {
+			key := keys[rng.Intn(len(keys))]
+			switch op := rng.Intn(17); {
 			case op < 6:
 				v := make([]byte, rng.Intn(7))
 				rng.Read(v)
@@ -136,23 +142,33 @@ func TestCacheMatchesModel(t *testing.T) {
 				if gok != mok || string(gv) != string(mv) {
 					fail("get(%s, stale=%v) = %q, %v; model %q, %v", key, stale, gv, gok, mv, mok)
 				}
-			case op < 18:
-				if got, want := c.Delete(key), m.delete(key); got != want {
-					fail("Delete(%s) = %v, model %v", key, got, want)
-				}
 			default:
 				advance(time.Duration(rng.Intn(3)) * time.Second)
 			}
 			m.stats.Entries, m.stats.Bytes = len(m.entries), m.bytes()
-			if got := c.Len(); got != len(m.entries) {
-				fail("Len = %d, model %d", got, len(m.entries))
-			}
-			if got, want := c.Keys(), m.keys(); !slices.Equal(got, want) {
-				fail("Keys = %v, model %v", got, want)
+			if got, want := lruKeys(t, c), m.keys(); !slices.Equal(got, want) {
+				fail("keys = %v, model %v", got, want)
 			}
 			if got := c.Stats(); got != m.stats {
 				fail("Stats = %+v, model %+v", got, m.stats)
 			}
 		}
 	}
+}
+
+// collidingKeys returns, for each top-six-bit hash value in want, that many
+// keys whose hash starts with it.
+func collidingKeys(want map[uint32]int) []string {
+	var keys []string
+	for i := 0; len(want) > 0; i++ {
+		k := fmt.Sprintf("p%d", i)
+		top := hash(k) >> 26
+		if want[top] > 0 {
+			keys = append(keys, k)
+			if want[top]--; want[top] == 0 {
+				delete(want, top)
+			}
+		}
+	}
+	return keys
 }

@@ -3,6 +3,8 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -58,30 +60,6 @@ func TestShardStatsAggregate(t *testing.T) {
 	}
 }
 
-// TestKeysMRUAcrossShards: the global access clock must give Keys recency
-// order even when the entries live in different shards.
-func TestKeysMRUAcrossShards(t *testing.T) {
-	c := New(1024)
-	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
-	for _, k := range keys {
-		c.Put(k, []byte(k))
-	}
-	// Touch in a known order; most recent access should list first.
-	c.Get("beta")
-	c.Get("delta")
-	c.Get("alpha")
-	got := c.Keys()
-	want := []string{"alpha", "delta", "beta", "epsilon", "gamma"}
-	if len(got) != len(want) {
-		t.Fatalf("Keys() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Keys() = %v, want %v", got, want)
-		}
-	}
-}
-
 // TestShardedCapacityInvariant: the global entry bound holds under random
 // churn regardless of hash skew, because per-shard caps under-allocate.
 func TestShardedCapacityInvariant(t *testing.T) {
@@ -90,8 +68,8 @@ func TestShardedCapacityInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 5000; i++ {
 		c.Put(fmt.Sprintf("key-%d", rng.Intn(2000)), make([]byte, rng.Intn(64)))
-		if n := c.Len(); n > maxEntries {
-			t.Fatalf("Len() = %d exceeds maxEntries %d at op %d", n, maxEntries, i)
+		if n := c.Stats().Entries; n > maxEntries {
+			t.Fatalf("Entries = %d exceeds maxEntries %d at op %d", n, maxEntries, i)
 		}
 	}
 }
@@ -119,9 +97,8 @@ func TestShardedTTLAndStale(t *testing.T) {
 	}
 }
 
-// TestCacheHitAllocs is the ISSUE's regression gate: a cache hit must cost
-// at most one allocation (it costs zero — the lookup, promotion, and stat
-// update are all allocation-free).
+// TestCacheHitAllocs pins the hit path at zero allocations: the lookup,
+// promotion and stat update are all allocation-free.
 func TestCacheHitAllocs(t *testing.T) {
 	c := New(1024)
 	c.Put("hot-key", []byte("hot-value"))
@@ -130,8 +107,8 @@ func TestCacheHitAllocs(t *testing.T) {
 			t.Fatal("hit path missed")
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("cache hit = %.1f allocs/op, budget 1", allocs)
+	if allocs > 0 {
+		t.Fatalf("cache hit = %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -163,6 +140,68 @@ func TestCachePutAllocs(t *testing.T) {
 	updating := testing.AllocsPerRun(1000, func() { c.Put(keys[n], value) })
 	if updating > 0 {
 		t.Errorf("updating Put = %.1f allocs/op, want 0", updating)
+	}
+}
+
+// TestCacheRetainedBytesPerEntry bounds what a full cache keeps per entry
+// beyond its keys' and values' own bytes — slot, index cells and any slack —
+// after churn: 10⁶ puts of distinct keys into 4,096 entries. A Go map key
+// index read about 203 B here: under put/evict churn a map grows to several
+// times its live keys.
+func TestCacheRetainedBytesPerEntry(t *testing.T) {
+	const entries, puts, budget = 4096, 1_000_000, 96
+	var before, after runtime.MemStats
+	// Twice: a sync.Pool keeps its contents through one collection.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := New(entries)
+	for i := 0; i < puts; i++ {
+		// 16-byte keys and 32-byte values fill their size classes exactly,
+		// so the allocator rounds none of the bytes counted below.
+		c.Put(fmt.Sprintf("key-%012d", i), make([]byte, 32))
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	st := c.Stats()
+	if st.Entries != entries {
+		t.Fatalf("entries = %d, want a full cache of %d", st.Entries, entries)
+	}
+	payload := int64(st.Entries)*16 + st.Bytes
+	perEntry := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)-payload) / float64(st.Entries)
+	t.Logf("%.1f B per entry beyond keys and values", perEntry)
+	if perEntry > budget {
+		t.Fatalf("%.1f B per entry beyond keys and values, budget %d", perEntry, budget)
+	}
+}
+
+// TestIndexProbeLength: the broker's point-read keys spread over each
+// shard's index well enough that a hit takes at most two probes on average.
+func TestIndexProbeLength(t *testing.T) {
+	const entries = 4096
+	c := New(entries)
+	key := func(n int) string { return "SELECT id, name FROM records WHERE id = " + strconv.Itoa(n) }
+	for n := 1; n <= entries; n++ {
+		c.Put(key(n), nil)
+	}
+	var found, probes int
+	for n := 1; n <= entries; n++ {
+		k := key(n)
+		h := hash(k)
+		s := c.shards[h&c.mask]
+		if i, pos := s.find(k, h); i != noSlot {
+			// Probes run from the home cell to the key's, wrapping.
+			found, probes = found+1, probes+(pos-int(h>>s.shift))&(len(s.index)-1)+1
+		}
+	}
+	if found != c.Stats().Entries {
+		t.Fatalf("probing found %d keys, cache holds %d", found, c.Stats().Entries)
+	}
+	mean := float64(probes) / float64(found)
+	t.Logf("%d keys held, %.3f probes per hit", found, mean)
+	if mean > 2 {
+		t.Fatalf("%.3f probes per hit, want at most 2", mean)
 	}
 }
 

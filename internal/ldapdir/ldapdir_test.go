@@ -304,10 +304,10 @@ func TestParseScope(t *testing.T) {
 }
 
 // startTestServer builds a directory, serves it, and returns a bound client.
-func startTestServer(t *testing.T, opts ...ServerOption) (*Server, *Client) {
+func startTestServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
 	d := newTestDir(t)
-	srv, err := NewServer(d, "127.0.0.1:0", opts...)
+	srv, err := NewServer(d, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,11 @@ func TestDirectoryLen(t *testing.T) {
 
 func TestCustomBindCredentials(t *testing.T) {
 	d := newTestDir(t)
-	srv, err := NewServer(d, "127.0.0.1:0", WithBindCredentials("cn=admin", "hunter2"))
+	srv, err := NewServer(d, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.user, srv.pass = "cn=admin", "hunter2"
 	defer srv.Close()
 	cli, err := Connect(srv.Addr().String(), 0)
 	if err != nil {
@@ -267,10 +268,4 @@ func TestNewServerNilDirectory(t *testing.T) {
 	if _, err := NewServer(nil, "127.0.0.1:0"); err == nil {
 		t.Fatal("nil directory accepted")
 	}
-}
-
-// WithBindCredentials sets the accepted BIND user/password (default
-// "cn=web"/"web").
-func WithBindCredentials(user, pass string) ServerOption {
-	return serverOptionFunc(func(s *Server) { s.user, s.pass = user, pass })
 }

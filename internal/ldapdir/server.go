@@ -36,15 +36,6 @@ var ErrNotBound = errors.New("ldapdir: not bound")
 // ErrBindFailed is returned for bad credentials.
 var ErrBindFailed = errors.New("ldapdir: bind failed")
 
-// ServerOption configures a Server.
-type ServerOption interface {
-	apply(*Server)
-}
-
-type serverOptionFunc func(*Server)
-
-func (f serverOptionFunc) apply(s *Server) { f(s) }
-
 // Server exposes a Directory over the line protocol.
 type Server struct {
 	svc *netsvc.Server
@@ -54,14 +45,11 @@ type Server struct {
 }
 
 // NewServer serves dir on addr.
-func NewServer(dir *Directory, addr string, opts ...ServerOption) (*Server, error) {
+func NewServer(dir *Directory, addr string) (*Server, error) {
 	if dir == nil {
 		return nil, errors.New("ldapdir: nil directory")
 	}
 	s := &Server{dir: dir, user: "cn=web", pass: "web"}
-	for _, o := range opts {
-		o.apply(s)
-	}
 	svc, err := netsvc.Listen(addr, s.session)
 	if err != nil {
 		return nil, fmt.Errorf("ldapdir: listen %s: %w", addr, err)
