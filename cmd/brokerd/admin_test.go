@@ -35,7 +35,8 @@ func adminGet(t *testing.T, url string) (int, string) {
 // lists the broker's row pages (and not /poolz, which nothing in a brokerd
 // feeds), every listed page answers, and class 3's refusals on /metrics,
 // shed_class_3 + dropped_class_3, count every threshold refusal: those are
-// StatusShed, which dropped_class_<k> alone reads as zero.
+// StatusShed, which dropped_class_<k> alone reads as zero. The adaptive
+// admission limit is read on /metrics too, as limit_current.
 func TestAdminPlaneUnderOverload(t *testing.T) {
 	be, err := httpserver.NewServer("127.0.0.1:0")
 	if err != nil {
@@ -60,6 +61,7 @@ func TestAdminPlaneUnderOverload(t *testing.T) {
 		listen:       "127.0.0.1:0",
 		admin:        admin,
 		threshold:    4,
+		limitMax:     4,
 		classes:      3,
 		workers:      1,
 		drainTimeout: 5 * time.Second,
@@ -83,7 +85,7 @@ func TestAdminPlaneUnderOverload(t *testing.T) {
 			}
 		}
 	}
-	for _, page := range []string{"/loadz", "/breakerz", "/limitz", "/hotz", "/txnz", "/eventz"} {
+	for _, page := range []string{"/loadz", "/breakerz", "/hotz", "/txnz", "/eventz"} {
 		if !listed[page] {
 			t.Errorf("index does not list %s:\n%s", page, index)
 		}
@@ -141,6 +143,9 @@ func TestAdminPlaneUnderOverload(t *testing.T) {
 		requests := counter("broker_cgi_requests_class_3")
 		refused := counter("broker_cgi_shed_class_3") + counter("broker_cgi_dropped_class_3")
 		if requests == 12 && refused == shed {
+			if limit := counter("broker_cgi_limit_current"); limit < 1 || limit > 4 {
+				t.Fatalf("broker_cgi_limit_current = %d, want the adaptive limit within [1, 4]", limit)
+			}
 			break
 		}
 		if time.Now().After(deadline) {

@@ -22,7 +22,7 @@
 // crashed member ages out when its lease lapses, and a centralized front end
 // admits against the load the leases carry. With -admin the process serves
 // the obs admin plane over HTTP; its index at / lists the pages (/metrics,
-// /tracez, /loadz, /breakerz, /limitz, /healthz, pprof, and one page per
+// /tracez, /loadz, /breakerz, /healthz, pprof, and one page per
 // analytics or transaction feature switched on). The -retries,
 // -breaker-failures and -serve-stale flags configure the fault-tolerance
 // layer (see DESIGN.md §8): transient backend errors are retried with capped
@@ -34,7 +34,7 @@
 // -latency-target (AIMD admission limit, floor 1, replacing the static
 // -threshold when -limit-max > 0) and -drain-timeout (how long SIGTERM
 // waits for accepted requests before forcing exit). The live limit appears
-// on the admin plane at /limitz.
+// on the admin plane's /metrics as broker_<service>_limit_current.
 //
 // Request clustering (DESIGN.md §10) is enabled with -cluster N (degree of
 // clustering; the combiner follows the backend kind — repeated-query for

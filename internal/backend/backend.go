@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 )
@@ -273,12 +272,4 @@ func (p *Pool) Close() error {
 		}
 	}
 	return firstErr
-}
-
-// SplitCommand splits a textual service payload into the command word and
-// the remainder, a convention shared by the dir and mail payload syntaxes.
-func SplitCommand(payload []byte) (cmd, rest string) {
-	text := strings.TrimSpace(string(payload))
-	cmd, rest, _ = strings.Cut(text, " ")
-	return strings.ToUpper(cmd), strings.TrimSpace(rest)
 }

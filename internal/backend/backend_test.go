@@ -402,6 +402,70 @@ func TestMailConnectorEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDirConnectorRefusesLineBreaks: a payload holding CR or LF would reach
+// the server as two commands; it is refused whole, and the session's next
+// request gets its own reply.
+func TestDirConnectorRefusesLineBreaks(t *testing.T) {
+	dir := ldapdir.NewDirectory()
+	for _, dn := range []string{"dc=example", "ou=users,dc=example"} {
+		parsed, _ := ldapdir.ParseDN(dn)
+		if err := dir.Add(parsed, map[string][]string{"objectclass": {"top"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := ldapdir.NewServer(dir, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	s, err := (&DirConnector{Addr: srv.Addr().String()}).Connect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	smuggle := "ADD cn=a,ou=users,dc=example objectclass=person\r\nADD cn=b,ou=users,dc=example objectclass=person"
+	if _, err := s.Do(ctx, []byte(smuggle)); !resilience.IsPermanent(err) {
+		t.Fatalf("smuggling payload: err = %v, want a permanent error", err)
+	}
+	if out, err := s.Do(ctx, []byte("SEARCH dc=example sub (|(cn=a)(cn=b))")); err != nil || len(out) != 0 {
+		t.Fatalf("after the refusal: SEARCH = %q, %v; want nothing added", out, err)
+	}
+	if out, err := s.Do(ctx, []byte("SEARCH ou=users,dc=example base")); err != nil || string(out) != "dn: ou=users,dc=example\nobjectclass: top\nou: users\n\n" {
+		t.Fatalf("next request: SEARCH = %q, %v", out, err)
+	}
+}
+
+// TestMailConnectorRefusesLineBreaks: as for the directory, a payload with a
+// line break is refused whole: nothing reads another mailbox, and the
+// session's next request gets its own reply.
+func TestMailConnectorRefusesLineBreaks(t *testing.T) {
+	srv, err := mailsvc.NewServer(mailsvc.NewStore(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	s, err := (&MailConnector{Addr: srv.Addr().String()}).Connect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	for _, payload := range []string{"SEND a@x.com b@x.com secret for b", "SEND a@x.com c@x.com hi c"} {
+		if _, err := s.Do(ctx, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, smuggle := range []string{"LIST c@x.com\r\nRETR b@x.com 1", "SEND a@x.com\r\nRETR b@x.com 1 x"} {
+		if out, err := s.Do(ctx, []byte(smuggle)); !resilience.IsPermanent(err) {
+			t.Fatalf("%q = %q, %v; want a permanent error", smuggle, out, err)
+		}
+	}
+	if out, err := s.Do(ctx, []byte("LIST c@x.com")); err != nil || string(out) != "1 a@x.com 4\n" {
+		t.Fatalf("next request: LIST = %q, %v", out, err)
+	}
+}
+
 // TestServerErrorRepliesArePermanent: a request the backend itself refuses
 // would be refused again, so retrying it cannot help and the replica that
 // answered is healthy.
@@ -490,17 +554,6 @@ func TestWebConnectorDefaultName(t *testing.T) {
 	c := &WebConnector{Addr: "127.0.0.1:1"}
 	if c.Name() != "web" {
 		t.Fatalf("name = %q", c.Name())
-	}
-}
-
-func TestSplitCommand(t *testing.T) {
-	cmd, rest := SplitCommand([]byte("  search dc=example sub "))
-	if cmd != "SEARCH" || rest != "dc=example sub" {
-		t.Fatalf("SplitCommand = %q, %q", cmd, rest)
-	}
-	cmd, rest = SplitCommand([]byte("PING"))
-	if cmd != "PING" || rest != "" {
-		t.Fatalf("SplitCommand = %q, %q", cmd, rest)
 	}
 }
 

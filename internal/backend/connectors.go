@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"strings"
 	"time"
 
 	"servicebroker/internal/httpserver"
 	"servicebroker/internal/ldapdir"
 	"servicebroker/internal/mailsvc"
+	"servicebroker/internal/netsvc"
 	"servicebroker/internal/resilience"
 	"servicebroker/internal/sqldb"
 )
@@ -116,85 +116,16 @@ func (c *DirConnector) Connect(ctx context.Context) (Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cli, err := ldapdir.Connect(c.Addr, c.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
 	user, pass := c.User, c.Pass
 	if user == "" {
 		user, pass = "cn=web", "web"
 	}
-	if err := cli.Bind(user, pass); err != nil {
-		cli.Close()
+	cli, err := ldapdir.Connect(c.Addr, c.DialTimeout, user, pass)
+	if err != nil {
 		return nil, err
 	}
-	return &dirSession{cli: cli}, nil
+	return &lineSession{cli: cli, errServer: ldapdir.ErrServer}, nil
 }
-
-type dirSession struct {
-	cli *ldapdir.Client
-}
-
-func (s *dirSession) Do(ctx context.Context, payload []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cmd, rest := SplitCommand(payload)
-	switch cmd {
-	case "SEARCH":
-		fields := strings.SplitN(rest, " ", 3)
-		if len(fields) < 2 {
-			return nil, resilience.Permanent(fmt.Errorf("backend: SEARCH needs base and scope"))
-		}
-		scope, err := ldapdir.ParseScope(fields[1])
-		if err != nil {
-			return nil, resilience.Permanent(err)
-		}
-		filter := ""
-		if len(fields) == 3 {
-			filter = fields[2]
-		}
-		entries, err := s.cli.Search(fields[0], scope, filter)
-		if err != nil {
-			return nil, refusal(err, ldapdir.ErrServer)
-		}
-		var b strings.Builder
-		for _, e := range entries {
-			fmt.Fprintf(&b, "dn: %s\n", e.DN)
-			for name, vals := range e.Attrs {
-				for _, v := range vals {
-					fmt.Fprintf(&b, "%s: %s\n", name, v)
-				}
-			}
-			b.WriteByte('\n')
-		}
-		return []byte(b.String()), nil
-	case "ADD", "MODIFY":
-		dn, attrText, _ := strings.Cut(rest, " ")
-		attrs, err := ldapdir.ParseAttrList(attrText)
-		if err != nil {
-			return nil, resilience.Permanent(err)
-		}
-		if cmd == "ADD" {
-			err = s.cli.Add(dn, attrs)
-		} else {
-			err = s.cli.Modify(dn, attrs)
-		}
-		if err != nil {
-			return nil, refusal(err, ldapdir.ErrServer)
-		}
-		return []byte("ok"), nil
-	case "DEL":
-		if err := s.cli.Delete(rest); err != nil {
-			return nil, refusal(err, ldapdir.ErrServer)
-		}
-		return []byte("ok"), nil
-	default:
-		return nil, resilience.Permanent(fmt.Errorf("backend: unknown dir command %q", cmd))
-	}
-}
-
-func (s *dirSession) Close() error { return s.cli.Close() }
 
 // MailConnector reaches a mailsvc server. Payload syntax:
 //
@@ -220,63 +151,38 @@ func (c *MailConnector) Connect(ctx context.Context) (Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &mailSession{cli: cli}, nil
+	return &lineSession{cli: cli, errServer: mailsvc.ErrServer}, nil
 }
 
-type mailSession struct {
-	cli *mailsvc.Client
+// lineSession is a directory or mail session. Its client relays each
+// payload's reply; the server's own error reply (errServer) and the client's
+// refusal to send a payload are permanent.
+type lineSession struct {
+	cli interface {
+		Do(payload []byte) ([]byte, error)
+		Close() error
+	}
+	errServer error
 }
 
-func (s *mailSession) Do(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *lineSession) Do(ctx context.Context, payload []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cmd, rest := SplitCommand(payload)
-	switch cmd {
-	case "SEND":
-		from, rest, _ := strings.Cut(rest, " ")
-		toList, body, _ := strings.Cut(rest, " ")
-		if from == "" || toList == "" {
-			return nil, resilience.Permanent(fmt.Errorf("backend: SEND <from> <to,...> <body>"))
-		}
-		if err := s.cli.Send(from, strings.Split(toList, ","), body); err != nil {
-			return nil, refusal(err, mailsvc.ErrServer)
-		}
-		return []byte("sent"), nil
-	case "LIST":
-		sums, err := s.cli.List(rest)
-		if err != nil {
-			return nil, refusal(err, mailsvc.ErrServer)
-		}
-		var b strings.Builder
-		for _, m := range sums {
-			fmt.Fprintf(&b, "%d %s %d\n", m.Seq, m.From, m.Size)
-		}
-		return []byte(b.String()), nil
-	case "RETR":
-		user, seqText, _ := strings.Cut(rest, " ")
-		seq, err := strconv.Atoi(strings.TrimSpace(seqText))
-		if err != nil {
-			return nil, resilience.Permanent(fmt.Errorf("backend: RETR needs a sequence number: %w", err))
-		}
-		body, err := s.cli.Retr(user, seq)
-		if err != nil {
-			return nil, refusal(err, mailsvc.ErrServer)
-		}
-		return []byte(body), nil
-	default:
-		return nil, resilience.Permanent(fmt.Errorf("backend: unknown mail command %q", cmd))
-	}
+	out, err := s.cli.Do(payload)
+	return out, refusal(err, s.errServer, netsvc.ErrRefused)
 }
 
-func (s *mailSession) Close() error { return s.cli.Close() }
+func (s *lineSession) Close() error { return s.cli.Close() }
 
-// refusal marks err Permanent when it wraps sentinel, a backend's own error
-// reply: the server refused the payload, would refuse it again, and is
-// healthy.
-func refusal(err, sentinel error) error {
-	if errors.Is(err, sentinel) {
-		return resilience.Permanent(err)
+// refusal marks err Permanent when it wraps one of refusals, the backend's
+// own error reply or the client's refusal of the payload: the payload would
+// be refused again, and the server is healthy.
+func refusal(err error, refusals ...error) error {
+	for _, r := range refusals {
+		if errors.Is(err, r) {
+			return resilience.Permanent(err)
+		}
 	}
 	return err
 }

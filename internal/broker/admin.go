@@ -27,8 +27,8 @@ func (st CoalesceStats) WriteRow(w io.Writer, service string) {
 }
 
 // AdminPages returns a row renderer for every admin page this broker has
-// something to say on, keyed by page path: /loadz, /breakerz and /limitz
-// always, /hotz and /txnz when the feature behind them was configured.
+// something to say on, keyed by page path: /loadz and /breakerz always,
+// /hotz and /txnz when the feature behind them was configured.
 // Rows are labelled with service (brokerd's -service name, which need not be
 // the connector's). limit is the page's ?n= parameter; only /hotz ranks rows.
 //
@@ -44,13 +44,6 @@ func (b *Broker) AdminPages(service string) map[string]func(w io.Writer, limit i
 			}
 			for _, sn := range snaps {
 				sn.WriteRow(w, service)
-			}
-		},
-		"/limitz": func(w io.Writer, _ int) {
-			if sn, ok := b.LimitSnapshot(); ok {
-				sn.WriteRow(w, service)
-			} else {
-				fmt.Fprintf(w, "service=%s static threshold (adaptive limiting disabled)\n", service)
 			}
 		},
 	}

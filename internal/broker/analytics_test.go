@@ -91,7 +91,6 @@ func TestAdminPagesFollowFeatures(t *testing.T) {
 	want := map[string]string{
 		"/loadz":    "service=db outstanding=0 threshold=20 queue=0 hot=false\n",
 		"/breakerz": "service=orders breakers disabled\n",
-		"/limitz":   "service=orders static threshold (adaptive limiting disabled)\n",
 	}
 	if len(bare) != len(want) {
 		t.Fatalf("bare broker pages = %v, want exactly %v", bare, want)
@@ -113,9 +112,8 @@ func TestAdminPagesFollowFeatures(t *testing.T) {
 	}
 	pages := pageBodies(full, "orders")
 	for page, wants := range map[string][]string{
-		"/limitz": {"service=orders limit=", " min=2 max=32 "},
-		"/hotz":   {"service=orders coalesce: flights=", "service=orders accesses=1 ", `key="hold sku-1"`},
-		"/txnz":   {"service=orders active=1 ", "  idempotency: size=1/8 ", "  txn=order-7 step=2 "},
+		"/hotz": {"service=orders coalesce: flights=", "service=orders accesses=1 ", `key="hold sku-1"`},
+		"/txnz": {"service=orders active=1 ", "  idempotency: size=1/8 ", "  txn=order-7 step=2 "},
 	} {
 		for _, w := range wants {
 			if !strings.Contains(pages[page], w) {
@@ -123,8 +121,16 @@ func TestAdminPagesFollowFeatures(t *testing.T) {
 			}
 		}
 	}
-	if len(pages) != 5 {
-		t.Errorf("full broker pages = %d, want 5: %v", len(pages), pages)
+	if len(pages) != 4 {
+		t.Errorf("full broker pages = %d, want 4: %v", len(pages), pages)
+	}
+	// The adaptive limit is read on /metrics, not on a page of its own.
+	admin := obs.New()
+	admin.MountRegistry("broker.orders.", full.Metrics())
+	rec := httptest.NewRecorder()
+	admin.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if n := metricValue(t, rec.Body.String(), "broker_orders_limit_current"); n < 2 || n > 32 {
+		t.Errorf("broker_orders_limit_current = %d, want within [2, 32]", n)
 	}
 }
 

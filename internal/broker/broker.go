@@ -701,7 +701,7 @@ func (b *Broker) effectiveThreshold() int {
 }
 
 // LimitSnapshot returns the adaptive limiter's state; ok is false when the
-// broker runs on a static threshold. The obs /limitz page renders these.
+// broker runs on a static threshold.
 func (b *Broker) LimitSnapshot() (overload.Snapshot, bool) {
 	if b.limiter == nil {
 		return overload.Snapshot{}, false

@@ -1,177 +1,93 @@
 package ldapdir
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"servicebroker/internal/netsvc"
 )
 
-// Client is a connection to an ldapdir server. Operations on one Client are
-// serialized. Use Connect, then Bind before other operations.
+// Client is a bound session with an ldapdir server. It is not safe for
+// concurrent use.
 type Client struct {
-	mu     sync.Mutex
-	conn   net.Conn
-	r      *bufio.Reader
-	w      *bufio.Writer
-	closed bool
+	line *netsvc.Client
 }
-
-// ErrClientClosed is returned by operations on a closed client.
-var ErrClientClosed = errors.New("ldapdir: client closed")
 
 // ErrServer wraps the server's "-ERR" reply to a command: the server refused
 // it, and the session is still good.
 var ErrServer = errors.New("ldapdir: server")
 
-// Connect dials an ldapdir server and consumes the greeting. A zero timeout
-// waits as long as the system allows.
-func Connect(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+// Connect dials an ldapdir server, reads its greeting and binds as user. A
+// zero timeout waits as long as the system allows.
+func Connect(addr string, timeout time.Duration, user, pass string) (*Client, error) {
+	line, err := netsvc.Dial(addr, timeout, "+OK")
 	if err != nil {
-		return nil, fmt.Errorf("ldapdir: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("ldapdir: %w", err)
 	}
-	c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
-	line, err := c.readLine()
-	if err != nil {
-		conn.Close()
+	c := &Client{line: line}
+	if _, err := c.run("BIND", user+" "+pass); err != nil {
+		line.Close()
 		return nil, err
-	}
-	if !strings.HasPrefix(line, "+OK") {
-		conn.Close()
-		return nil, fmt.Errorf("ldapdir: unexpected greeting %q", line)
 	}
 	return c, nil
 }
 
-func (c *Client) readLine() (string, error) {
-	line, err := netsvc.ReadLine(c.r)
-	if err != nil {
-		return "", fmt.Errorf("ldapdir: read: %w", err)
+// Do sends one request in the server's own syntax — SEARCH, ADD, MODIFY or
+// DEL; any other verb is refused before anything is written — and renders
+// the reply: for SEARCH one block per entry, "dn: <dn>" and then
+// "<name>: <value>" per attribute value, each block ended by an empty line;
+// "ok" for the others.
+func (c *Client) Do(payload []byte) ([]byte, error) {
+	verb, rest := netsvc.SplitCommand(payload)
+	switch verb {
+	case "SEARCH", "ADD", "MODIFY", "DEL":
+		return c.run(verb, rest)
 	}
-	return line, nil
+	return nil, fmt.Errorf("%w: unknown directory command %q", netsvc.ErrRefused, verb)
 }
 
-// command sends one line and returns the first response line.
-func (c *Client) command(format string, args ...interface{}) (string, error) {
-	if c.closed {
-		return "", ErrClientClosed
+// run sends one command and renders its reply as Do describes.
+func (c *Client) run(verb, rest string) ([]byte, error) {
+	if err := c.line.Send(verb + " " + rest); err != nil {
+		return nil, fmt.Errorf("ldapdir: %w", err)
 	}
-	fmt.Fprintf(c.w, format+"\r\n", args...)
-	if err := c.w.Flush(); err != nil {
-		return "", fmt.Errorf("ldapdir: write: %w", err)
-	}
-	return c.readLine()
-}
-
-// checkOK converts "-ERR ..." into an error.
-func checkOK(line string) error {
-	if strings.HasPrefix(line, "+OK") {
-		return nil
-	}
-	return fmt.Errorf("%w: %s", ErrServer, strings.TrimPrefix(line, "-ERR "))
-}
-
-// exec runs a command whose reply is one status line.
-func (c *Client) exec(format string, args ...interface{}) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	line, err := c.command(format, args...)
-	if err != nil {
-		return err
-	}
-	return checkOK(line)
-}
-
-// Bind authenticates the session.
-func (c *Client) Bind(user, pass string) error { return c.exec("BIND %s %s", user, pass) }
-
-// Search runs a search and returns the matching entries.
-func (c *Client) Search(base string, scope Scope, filter string) ([]*Entry, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	scopeName := map[Scope]string{ScopeBase: "base", ScopeOne: "one", ScopeSub: "sub"}[scope]
-	if scopeName == "" {
-		return nil, ErrNotEmptyScope
-	}
-	line, err := c.command("SEARCH %s %s %s", base, scopeName, filter)
-	if err != nil {
-		return nil, err
-	}
-	var entries []*Entry
-	var cur *Entry
+	out := []byte{}
+	entry := false
 	for {
-		switch {
-		case strings.HasPrefix(line, "*ENTRY "):
-			dn, err := ParseDN(strings.TrimPrefix(line, "*ENTRY "))
-			if err != nil {
-				return nil, err
-			}
-			cur = &Entry{DN: dn, Attrs: make(map[string][]string)}
-			entries = append(entries, cur)
-		case strings.HasPrefix(line, "*ATTR "):
-			if cur == nil {
-				return nil, errors.New("ldapdir: attribute before entry")
-			}
-			rest := strings.TrimPrefix(line, "*ATTR ")
-			name, val, ok := strings.Cut(rest, " ")
-			if !ok {
-				return nil, fmt.Errorf("ldapdir: bad attr line %q", line)
-			}
-			cur.Attrs[name] = append(cur.Attrs[name], val)
-		default:
-			if err := checkOK(line); err != nil {
-				return nil, err
-			}
-			return entries, nil
+		line, err := c.line.Line()
+		if err != nil {
+			return nil, fmt.Errorf("ldapdir: read: %w", err)
 		}
-		if line, err = c.readLine(); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// Add creates an entry. attrs uses the wire "a=v|a=v" form semantics.
-func (c *Client) Add(dn string, attrs map[string][]string) error {
-	return c.exec("ADD %s %s", dn, encodeAttrList(attrs))
-}
-
-// Modify replaces attributes on an entry; nil slices delete.
-func (c *Client) Modify(dn string, attrs map[string][]string) error {
-	return c.exec("MODIFY %s %s", dn, encodeAttrList(attrs))
-}
-
-// Delete removes a leaf entry.
-func (c *Client) Delete(dn string) error { return c.exec("DEL %s", dn) }
-
-// Close ends the session.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	fmt.Fprintf(c.w, "QUIT\r\n")
-	c.w.Flush()
-	return c.conn.Close()
-}
-
-func encodeAttrList(attrs map[string][]string) string {
-	var parts []string
-	for name, vals := range attrs {
-		if len(vals) == 0 {
-			parts = append(parts, name+"=")
+		if dn, ok := strings.CutPrefix(line, "*ENTRY "); ok {
+			if entry {
+				out = append(out, '\n')
+			}
+			out = fmt.Appendf(out, "dn: %s\n", dn)
+			entry = true
 			continue
 		}
-		for _, v := range vals {
-			parts = append(parts, name+"="+v)
+		if attr, ok := strings.CutPrefix(line, "*ATTR "); ok {
+			name, val, ok := strings.Cut(attr, " ")
+			if !ok || !entry {
+				return nil, fmt.Errorf("ldapdir: bad attribute line %q", line)
+			}
+			out = fmt.Appendf(out, "%s: %s\n", name, val)
+			continue
 		}
+		if !strings.HasPrefix(line, "+OK") {
+			return nil, fmt.Errorf("%w: %s", ErrServer, strings.TrimPrefix(line, "-ERR "))
+		}
+		if verb != "SEARCH" {
+			return []byte("ok"), nil
+		}
+		if entry {
+			out = append(out, '\n')
+		}
+		return out, nil
 	}
-	return strings.Join(parts, "|")
 }
+
+// Close sends QUIT and closes the connection.
+func (c *Client) Close() error { return c.line.Close() }

@@ -8,6 +8,7 @@ package ldapdir
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -97,15 +98,6 @@ type Entry struct {
 	Attrs map[string][]string
 }
 
-// Get returns the first value of an attribute, or "".
-func (e *Entry) Get(attr string) string {
-	vs := e.Attrs[strings.ToLower(attr)]
-	if len(vs) == 0 {
-		return ""
-	}
-	return vs[0]
-}
-
 // clone deep-copies the entry so callers cannot mutate directory state.
 func (e *Entry) clone() *Entry {
 	c := &Entry{DN: append(DN(nil), e.DN...), Attrs: make(map[string][]string, len(e.Attrs))}
@@ -184,21 +176,12 @@ func (d *Directory) Add(dn DN, attrs map[string][]string) error {
 	// The RDN attribute is implicitly present.
 	if attr, val, ok := strings.Cut(dn[0], "="); ok {
 		name := strings.ToLower(attr)
-		if !contains(e.Attrs[name], val) {
+		if !slices.Contains(e.Attrs[name], val) {
 			e.Attrs[name] = append(e.Attrs[name], val)
 		}
 	}
 	d.entries[key] = e
 	return nil
-}
-
-func contains(vs []string, v string) bool {
-	for _, x := range vs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Delete removes a leaf entry.
@@ -251,9 +234,9 @@ func (d *Directory) Lookup(dn DN) (*Entry, error) {
 
 // Search returns copies of entries under base (per scope) matching the
 // filter, sorted by DN for deterministic output.
-func (d *Directory) Search(base DN, scope Scope, f Filter) ([]*Entry, error) {
+func (d *Directory) Search(base DN, scope Scope, f *Filter) ([]*Entry, error) {
 	if f == nil {
-		f = &Present{Attr: "objectclass"}
+		f = &Filter{op: '*', attr: "objectclass"}
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()

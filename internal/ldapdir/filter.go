@@ -8,22 +8,37 @@ import (
 // Filter matches directory entries, mirroring the LDAP string filter
 // language: (attr=value) with * wildcards, (attr=*) presence tests, and
 // (&...), (|...), (!...) combinators.
-type Filter interface {
-	Match(e *Entry) bool
-	String() string
+type Filter struct {
+	op    byte // '=' (value), '*' (presence), '&', '|' or '!'
+	attr  string
+	value string
+	subs  []*Filter // the combinator's operands; '!' has one
 }
 
-// Eq matches entries with an attribute value equal to (or, with wildcards,
-// matching) Value.
-type Eq struct {
-	Attr  string
-	Value string
-}
-
-// Match implements Filter.
-func (f *Eq) Match(e *Entry) bool {
-	for _, v := range e.Attrs[strings.ToLower(f.Attr)] {
-		if wildcardMatch(v, f.Value) {
+// Match reports whether e satisfies the filter.
+func (f *Filter) Match(e *Entry) bool {
+	switch f.op {
+	case '&':
+		for _, s := range f.subs {
+			if !s.Match(e) {
+				return false
+			}
+		}
+		return true
+	case '|':
+		for _, s := range f.subs {
+			if s.Match(e) {
+				return true
+			}
+		}
+		return false
+	case '!':
+		return !f.subs[0].Match(e)
+	case '*':
+		return len(e.Attrs[strings.ToLower(f.attr)]) > 0
+	}
+	for _, v := range e.Attrs[strings.ToLower(f.attr)] {
+		if wildcardMatch(v, f.value) {
 			return true
 		}
 	}
@@ -31,66 +46,18 @@ func (f *Eq) Match(e *Entry) bool {
 }
 
 // String renders the filter in LDAP syntax.
-func (f *Eq) String() string { return "(" + f.Attr + "=" + f.Value + ")" }
-
-// Present matches entries that carry the attribute at all.
-type Present struct{ Attr string }
-
-// Match implements Filter.
-func (f *Present) Match(e *Entry) bool {
-	return len(e.Attrs[strings.ToLower(f.Attr)]) > 0
-}
-
-// String renders the filter in LDAP syntax.
-func (f *Present) String() string { return "(" + f.Attr + "=*)" }
-
-// And matches entries satisfying every sub-filter.
-type And struct{ Subs []Filter }
-
-// Match implements Filter.
-func (f *And) Match(e *Entry) bool {
-	for _, s := range f.Subs {
-		if !s.Match(e) {
-			return false
-		}
+func (f *Filter) String() string {
+	switch f.op {
+	case '=':
+		return "(" + f.attr + "=" + f.value + ")"
+	case '*':
+		return "(" + f.attr + "=*)"
 	}
-	return true
-}
-
-// String renders the filter in LDAP syntax.
-func (f *And) String() string { return "(&" + joinFilters(f.Subs) + ")" }
-
-// Or matches entries satisfying any sub-filter.
-type Or struct{ Subs []Filter }
-
-// Match implements Filter.
-func (f *Or) Match(e *Entry) bool {
-	for _, s := range f.Subs {
-		if s.Match(e) {
-			return true
-		}
+	s := "(" + string(f.op)
+	for _, sub := range f.subs {
+		s += sub.String()
 	}
-	return false
-}
-
-// String renders the filter in LDAP syntax.
-func (f *Or) String() string { return "(|" + joinFilters(f.Subs) + ")" }
-
-// NotF negates a sub-filter.
-type NotF struct{ Sub Filter }
-
-// Match implements Filter.
-func (f *NotF) Match(e *Entry) bool { return !f.Sub.Match(e) }
-
-// String renders the filter in LDAP syntax.
-func (f *NotF) String() string { return "(!" + f.Sub.String() + ")" }
-
-func joinFilters(subs []Filter) string {
-	var b strings.Builder
-	for _, s := range subs {
-		b.WriteString(s.String())
-	}
-	return b.String()
+	return s + ")"
 }
 
 // wildcardMatch matches value against a pattern with * wildcards,
@@ -127,7 +94,7 @@ func wildcardMatch(value, pattern string) bool {
 }
 
 // ParseFilter parses an LDAP-style filter string.
-func ParseFilter(s string) (Filter, error) {
+func ParseFilter(s string) (*Filter, error) {
 	p := &filterParser{s: strings.TrimSpace(s)}
 	f, err := p.parse()
 	if err != nil {
@@ -144,7 +111,7 @@ type filterParser struct {
 	i int
 }
 
-func (p *filterParser) parse() (Filter, error) {
+func (p *filterParser) parse() (*Filter, error) {
 	if p.i >= len(p.s) || p.s[p.i] != '(' {
 		return nil, fmt.Errorf("%w: expected '(' at %d", ErrBadFilter, p.i)
 	}
@@ -156,7 +123,7 @@ func (p *filterParser) parse() (Filter, error) {
 	case '&', '|':
 		op := p.s[p.i]
 		p.i++
-		var subs []Filter
+		var subs []*Filter
 		for p.i < len(p.s) && p.s[p.i] == '(' {
 			sub, err := p.parse()
 			if err != nil {
@@ -170,10 +137,7 @@ func (p *filterParser) parse() (Filter, error) {
 		if len(subs) == 0 {
 			return nil, fmt.Errorf("%w: empty combinator", ErrBadFilter)
 		}
-		if op == '&' {
-			return &And{Subs: subs}, nil
-		}
-		return &Or{Subs: subs}, nil
+		return &Filter{op: op, subs: subs}, nil
 	case '!':
 		p.i++
 		sub, err := p.parse()
@@ -183,7 +147,7 @@ func (p *filterParser) parse() (Filter, error) {
 		if err := p.expect(')'); err != nil {
 			return nil, err
 		}
-		return &NotF{Sub: sub}, nil
+		return &Filter{op: '!', subs: []*Filter{sub}}, nil
 	default:
 		end := strings.IndexByte(p.s[p.i:], ')')
 		if end < 0 {
@@ -198,12 +162,12 @@ func (p *filterParser) parse() (Filter, error) {
 		attr = strings.TrimSpace(attr)
 		val = strings.TrimSpace(val)
 		if val == "*" {
-			return &Present{Attr: attr}, nil
+			return &Filter{op: '*', attr: attr}, nil
 		}
 		if val == "" {
 			return nil, fmt.Errorf("%w: empty value in %q", ErrBadFilter, body)
 		}
-		return &Eq{Attr: attr, Value: val}, nil
+		return &Filter{op: '=', attr: attr, value: val}, nil
 	}
 }
 

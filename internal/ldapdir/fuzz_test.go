@@ -2,12 +2,17 @@ package ldapdir
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"io"
 	"net"
+	"os"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"servicebroker/internal/netsvc"
 )
 
 // everything is a filter every entry matches; SEARCH without a filter only
@@ -106,6 +111,73 @@ func FuzzLDAPSession(f *testing.F) {
 			if want := added(dn, attrText); !slices.Equal(got, want) {
 				t.Fatalf("%q reads back as %q, want %q", cmd, got, want)
 			}
+		}
+	})
+}
+
+// scriptConn is the client end of a net.Pipe whose server end sends a script
+// and hangs up, whatever it is told; what the client writes is kept here
+// instead of sent.
+type scriptConn struct {
+	net.Conn
+	wrote bytes.Buffer
+}
+
+func (c *scriptConn) Write(p []byte) (int, error) { return c.wrote.Write(p) }
+
+// doScripted runs Do(payload) on a client of a server that sends script
+// after its greeting, and returns Do's result and what it wrote.
+func doScripted(t *testing.T, script []byte, payload string) ([]byte, string, error) {
+	t.Helper()
+	client, server := net.Pipe()
+	conn := &scriptConn{Conn: client}
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		server.Write(script)
+		server.Close()
+	}()
+	defer func() { client.Close(); <-done }()
+	line, err := netsvc.NewClient(conn, "+OK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Client{line: line}
+	out, err := c.Do([]byte(payload))
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Do(%q) hung", payload)
+	}
+	if err == nil && out == nil {
+		t.Fatalf("Do(%q) returned neither a reply nor an error", payload)
+	}
+	return out, conn.wrote.String(), err
+}
+
+// FuzzDirClient runs Do against a scripted server: the greeting, then the
+// fuzz bytes. Do must return a reply or an error and never hang; it writes
+// one command line at most, and none for a payload it refuses; and the same
+// payload answered first by a line over 64 KiB fails with
+// netsvc.ErrLineTooLong.
+func FuzzDirClient(f *testing.F) {
+	const hello = "+OK ldapdir/1 ready\r\n"
+	f.Fuzz(func(t *testing.T, payload string, reply []byte) {
+		if len(reply) > 4<<10 {
+			return
+		}
+		_, wrote, err := doScripted(t, append([]byte(hello), reply...), payload)
+		if strings.Count(wrote, "\n") > 1 {
+			t.Fatalf("Do(%q) wrote more than one line: %q", payload, wrote)
+		}
+		if errors.Is(err, netsvc.ErrRefused) {
+			if wrote != "" {
+				t.Fatalf("Do(%q) refused, but wrote %q", payload, wrote)
+			}
+			return
+		}
+		long := append([]byte(hello), bytes.Repeat([]byte("*"), 64<<10+1)...)
+		if _, _, err := doScripted(t, append(long, reply...), payload); !errors.Is(err, netsvc.ErrLineTooLong) {
+			t.Fatalf("Do(%q) under a 64 KiB line: err = %v, want ErrLineTooLong", payload, err)
 		}
 	})
 }

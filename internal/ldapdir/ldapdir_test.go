@@ -3,6 +3,7 @@ package ldapdir
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -99,8 +100,8 @@ func TestRDNImplicitAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Get("cn") != "alice" {
-		t.Fatalf("cn = %q, want alice", e.Get("cn"))
+	if cn := e.Attrs["cn"]; !slices.Equal(cn, []string{"alice"}) {
+		t.Fatalf("cn = %q, want alice", cn)
 	}
 }
 
@@ -110,7 +111,7 @@ func TestLookupReturnsCopy(t *testing.T) {
 	e, _ := d.Lookup(dn)
 	e.Attrs["mail"][0] = "corrupted"
 	e2, _ := d.Lookup(dn)
-	if e2.Get("mail") != "alice@example.com" {
+	if e2.Attrs["mail"][0] != "alice@example.com" {
 		t.Fatal("Lookup leaked internal state")
 	}
 }
@@ -141,11 +142,11 @@ func TestModify(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := d.Lookup(dn)
-	if e.Get("title") != "principal" {
-		t.Fatalf("title = %q", e.Get("title"))
+	if title := e.Attrs["title"]; !slices.Equal(title, []string{"principal"}) {
+		t.Fatalf("title = %q", title)
 	}
-	if e.Get("mail") != "" {
-		t.Fatalf("mail survived deletion: %q", e.Get("mail"))
+	if mail, ok := e.Attrs["mail"]; ok {
+		t.Fatalf("mail survived deletion: %q", mail)
 	}
 	missing, _ := ParseDN("cn=nobody,dc=example")
 	if err := d.Modify(missing, nil); !errors.Is(err, ErrNoSuchEntry) {
@@ -312,7 +313,7 @@ func startTestServer(t *testing.T) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	cli, err := Connect(srv.Addr().String(), 0)
+	cli, err := Connect(srv.Addr().String(), 0, "cn=web", "web")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,80 +321,92 @@ func startTestServer(t *testing.T) (*Server, *Client) {
 	return srv, cli
 }
 
+// do runs one request that must succeed and returns its reply.
+func do(t *testing.T, cli *Client, payload string) string {
+	t.Helper()
+	out, err := cli.Do([]byte(payload))
+	if err != nil {
+		t.Fatalf("%q: %v", payload, err)
+	}
+	return string(out)
+}
+
 func TestServerBindAndSearch(t *testing.T) {
 	_, cli := startTestServer(t)
-	if err := cli.Bind("cn=web", "web"); err != nil {
-		t.Fatal(err)
+	out := do(t, cli, "SEARCH dc=example sub (objectclass=person)")
+	if n := strings.Count(out, "dn: "); n != 2 {
+		t.Fatalf("entries = %d, want 2:\n%s", n, out)
 	}
-	entries, err := cli.Search("dc=example", ScopeSub, "(objectclass=person)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("entries = %d, want 2", len(entries))
-	}
-	if entries[0].Get("mail") == "" {
-		t.Fatalf("attributes missing: %+v", entries[0])
+	if !strings.Contains(out, "mail: alice@example.com\n") {
+		t.Fatalf("attributes missing:\n%s", out)
 	}
 }
 
 func TestServerRejectsUnboundOperations(t *testing.T) {
-	_, cli := startTestServer(t)
-	if _, err := cli.Search("dc=example", ScopeSub, ""); err == nil {
-		t.Fatal("unbound search succeeded")
-	}
-	if err := cli.Bind("cn=web", "wrong"); err == nil {
-		t.Fatal("bad bind succeeded")
-	}
+	srv, _ := startTestServer(t)
+	say, expect := rawLine(t, srv)
+	say("SEARCH dc=example sub")
+	expect("-ERR")
+	say("BIND cn=web wrong")
+	expect("-ERR")
 	// After a proper bind everything works.
-	if err := cli.Bind("cn=web", "web"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Search("dc=example", ScopeBase, ""); err != nil {
-		t.Fatal(err)
+	say("BIND cn=web web")
+	expect("+OK")
+	say("SEARCH dc=example base")
+	expect("*ENTRY")
+	if _, err := Connect(srv.Addr().String(), 0, "cn=web", "wrong"); !errors.Is(err, ErrServer) {
+		t.Fatalf("bad bind: err = %v, want ErrServer", err)
 	}
 }
 
 func TestServerAddModifyDelete(t *testing.T) {
 	_, cli := startTestServer(t)
-	if err := cli.Bind("cn=web", "web"); err != nil {
-		t.Fatal(err)
+	if out := do(t, cli, "ADD cn=carol,ou=users,dc=example objectclass=person|mail=carol@example.com"); out != "ok" {
+		t.Fatalf("ADD = %q", out)
 	}
-	if err := cli.Add("cn=carol,ou=users,dc=example", map[string][]string{
-		"objectclass": {"person"}, "mail": {"carol@example.com"},
-	}); err != nil {
-		t.Fatal(err)
+	do(t, cli, "MODIFY cn=carol,ou=users,dc=example title=director")
+	out := do(t, cli, "SEARCH cn=carol,ou=users,dc=example base")
+	if want := "dn: cn=carol,ou=users,dc=example\ncn: carol\nmail: carol@example.com\nobjectclass: person\ntitle: director\n\n"; out != want {
+		t.Fatalf("SEARCH = %q, want %q", out, want)
 	}
-	if err := cli.Modify("cn=carol,ou=users,dc=example", map[string][]string{
-		"title": {"director"},
-	}); err != nil {
-		t.Fatal(err)
+	do(t, cli, "DEL cn=carol,ou=users,dc=example")
+	if _, err := cli.Do([]byte("DEL cn=carol,ou=users,dc=example")); !errors.Is(err, ErrServer) {
+		t.Fatalf("double delete: err = %v, want ErrServer", err)
 	}
-	entries, err := cli.Search("cn=carol,ou=users,dc=example", ScopeBase, "")
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestAttrListReachesServerAsWritten: an ADD's attribute list goes to the
+// server as the payload wrote it, several values for one name in their order.
+func TestAttrListReachesServerAsWritten(t *testing.T) {
+	_, cli := startTestServer(t)
+	do(t, cli, "ADD cn=dora,ou=users,dc=example mail=2@x.com|b=|objectclass=person|mail=1@x.com")
+	out := do(t, cli, "SEARCH cn=dora,ou=users,dc=example base")
+	if want := "dn: cn=dora,ou=users,dc=example\ncn: dora\nmail: 2@x.com\nmail: 1@x.com\nobjectclass: person\n\n"; out != want {
+		t.Fatalf("SEARCH = %q, want %q", out, want)
 	}
-	if len(entries) != 1 || entries[0].Get("title") != "director" {
-		t.Fatalf("entries = %+v", entries)
+}
+
+// TestSearchReplyIsDeterministic: an entry's attributes come back in name
+// order, so identical searches give identical replies.
+func TestSearchReplyIsDeterministic(t *testing.T) {
+	_, cli := startTestServer(t)
+	do(t, cli, "ADD cn=erin,ou=users,dc=example objectclass=person|mail=e@x.com|title=cto|sn=e|uid=erin")
+	replies := make(map[string]bool)
+	for i := 0; i < 50; i++ {
+		replies[do(t, cli, "SEARCH cn=erin,ou=users,dc=example base")] = true
 	}
-	if err := cli.Delete("cn=carol,ou=users,dc=example"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Delete("cn=carol,ou=users,dc=example"); err == nil {
-		t.Fatal("double delete succeeded")
+	if len(replies) != 1 {
+		t.Fatalf("50 identical searches gave %d distinct replies: %v", len(replies), replies)
 	}
 }
 
 func TestServerErrorsKeepSessionAlive(t *testing.T) {
 	_, cli := startTestServer(t)
-	if err := cli.Bind("cn=web", "web"); err != nil {
-		t.Fatal(err)
+	if _, err := cli.Do([]byte("SEARCH dc=missing sub")); !errors.Is(err, ErrServer) {
+		t.Fatalf("search on missing base: err = %v, want ErrServer", err)
 	}
-	if _, err := cli.Search("dc=missing", ScopeSub, ""); err == nil {
-		t.Fatal("search on missing base succeeded")
-	}
-	if _, err := cli.Search("dc=example", ScopeBase, ""); err != nil {
-		t.Fatalf("session dead after error: %v", err)
+	if out := do(t, cli, "SEARCH dc=example base"); !strings.HasPrefix(out, "dn: dc=example\n") {
+		t.Fatalf("session out of step after an error: %q", out)
 	}
 }
 
@@ -404,18 +417,14 @@ func TestServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cli, err := Connect(srv.Addr().String(), 0)
+			cli, err := Connect(srv.Addr().String(), 0, "cn=web", "web")
 			if err != nil {
 				t.Errorf("connect: %v", err)
 				return
 			}
 			defer cli.Close()
-			if err := cli.Bind("cn=web", "web"); err != nil {
-				t.Errorf("bind: %v", err)
-				return
-			}
 			for j := 0; j < 10; j++ {
-				if _, err := cli.Search("dc=example", ScopeSub, "(objectclass=person)"); err != nil {
+				if _, err := cli.Do([]byte("SEARCH dc=example sub (objectclass=person)")); err != nil {
 					t.Errorf("client %d search %d: %v", i, j, err)
 					return
 				}
@@ -449,13 +458,6 @@ func TestDirectoryConcurrentMutations(t *testing.T) {
 	}
 	if len(got) != 202 { // alice, bob + 200 new
 		t.Fatalf("entries = %d, want 202", len(got))
-	}
-}
-
-func TestEncodeAttrList(t *testing.T) {
-	s := encodeAttrList(map[string][]string{"a": {"1", "2"}, "b": nil})
-	if !strings.Contains(s, "a=1") || !strings.Contains(s, "a=2") || !strings.Contains(s, "b=") {
-		t.Fatalf("encoded = %q", s)
 	}
 }
 

@@ -29,17 +29,14 @@ func TestCustomBindCredentials(t *testing.T) {
 	}
 	srv.user, srv.pass = "cn=admin", "hunter2"
 	defer srv.Close()
-	cli, err := Connect(srv.Addr().String(), 0)
+	if _, err := Connect(srv.Addr().String(), 0, "cn=web", "web"); !errors.Is(err, ErrServer) {
+		t.Fatalf("default credentials against a custom server: err = %v, want ErrServer", err)
+	}
+	cli, err := Connect(srv.Addr().String(), 0, "cn=admin", "hunter2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
-	if err := cli.Bind("cn=web", "web"); err == nil {
-		t.Fatal("default credentials accepted against custom server")
-	}
-	if err := cli.Bind("cn=admin", "hunter2"); err != nil {
-		t.Fatal(err)
-	}
+	cli.Close()
 }
 
 // rawLine dials and returns line-level helpers for protocol edge cases.
@@ -130,7 +127,7 @@ func TestParseAttrListDeletionMarker(t *testing.T) {
 }
 
 func TestConnectFailures(t *testing.T) {
-	if _, err := Connect("127.0.0.1:1", 100*time.Millisecond); err == nil {
+	if _, err := Connect("127.0.0.1:1", 100*time.Millisecond, "cn=web", "web"); err == nil {
 		t.Fatal("connect to closed port succeeded")
 	}
 	// A listener that sends a non-OK greeting.
@@ -146,30 +143,26 @@ func TestConnectFailures(t *testing.T) {
 			c.Close()
 		}
 	}()
-	if _, err := Connect(ln.Addr().String(), time.Second); err == nil {
+	if _, err := Connect(ln.Addr().String(), time.Second, "cn=web", "web"); err == nil {
 		t.Fatal("bad greeting accepted")
 	}
 }
 
+// TestClientClosed: Do forwards only the four directory requests; BIND, QUIT
+// and anything else is refused before a byte is written, and after Close
+// every request fails.
 func TestClientClosed(t *testing.T) {
-	d := newTestDir(t)
-	srv, err := NewServer(d, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	_, cli := startTestServer(t)
+	for _, payload := range []string{"BIND cn=web web", "QUIT", "FROB x", ""} {
+		if _, err := cli.Do([]byte(payload)); !errors.Is(err, netsvc.ErrRefused) {
+			t.Errorf("%q: err = %v, want ErrRefused", payload, err)
+		}
 	}
-	defer srv.Close()
-	cli, err := Connect(srv.Addr().String(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	do(t, cli, "SEARCH dc=example base")
 	cli.Close()
-	if err := cli.Bind("cn=web", "web"); err == nil {
-		t.Fatal("bind after close succeeded")
+	if _, err := cli.Do([]byte("SEARCH dc=example base")); err == nil {
+		t.Fatal("search after close succeeded")
 	}
-	if _, err := cli.Search("dc=example", Scope(99), ""); err == nil {
-		t.Fatal("invalid scope accepted")
-	}
-	cli.Close() // idempotent
 }
 
 // flood writes 16 MiB of chunk over conn and half-closes it, while reading
@@ -253,7 +246,7 @@ func TestClientRefusesLongLine(t *testing.T) {
 			}
 		}
 	}()
-	_, err = Connect(ln.Addr().String(), time.Second)
+	_, err = Connect(ln.Addr().String(), time.Second, "cn=web", "web")
 	runtime.ReadMemStats(&after)
 	<-served
 	if !errors.Is(err, netsvc.ErrLineTooLong) {

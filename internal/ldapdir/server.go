@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 
 	"servicebroker/internal/netsvc"
@@ -124,7 +125,7 @@ func (s *Server) command(w *bufio.Writer, bound *bool, cmd, rest string) (string
 		if err != nil {
 			return "", err
 		}
-		var filter Filter
+		var filter *Filter
 		if len(fields) == 3 && strings.TrimSpace(fields[2]) != "" {
 			if filter, err = ParseFilter(fields[2]); err != nil {
 				return "", err
@@ -136,8 +137,15 @@ func (s *Server) command(w *bufio.Writer, bound *bool, cmd, rest string) (string
 		}
 		for _, e := range entries {
 			fmt.Fprintf(w, "*ENTRY %s\r\n", e.DN)
-			for name, vals := range e.Attrs {
-				for _, v := range vals {
+			// Attributes go out in name order, so one entry always reads the
+			// same; a name's values keep their stored order.
+			names := make([]string, 0, len(e.Attrs))
+			for name := range e.Attrs {
+				names = append(names, name)
+			}
+			slices.Sort(names)
+			for _, name := range names {
+				for _, v := range e.Attrs[name] {
 					fmt.Fprintf(w, "*ATTR %s %s\r\n", name, v)
 				}
 			}

@@ -16,7 +16,6 @@ import (
 // Message is one stored mail message.
 type Message struct {
 	From string
-	To   string
 	Body string
 	// Seq is the 1-based position within the recipient's mailbox.
 	Seq int
@@ -65,7 +64,7 @@ func (s *Store) Deliver(from string, to []string, body string) (int, error) {
 	defer s.mu.Unlock()
 	for _, rcpt := range to {
 		key := strings.ToLower(rcpt)
-		msg := Message{From: from, To: rcpt, Body: body, Seq: len(s.boxes[key]) + 1}
+		msg := Message{From: from, Body: body, Seq: len(s.boxes[key]) + 1}
 		s.boxes[key] = append(s.boxes[key], msg)
 	}
 	return len(to), nil

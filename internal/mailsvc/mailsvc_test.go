@@ -132,55 +132,49 @@ func startMail(t *testing.T) (*Server, *Client) {
 	return srv, cli
 }
 
+// do runs one request that must succeed and returns its reply.
+func do(t *testing.T, cli *Client, payload string) string {
+	t.Helper()
+	out, err := cli.Do([]byte(payload))
+	if err != nil {
+		t.Fatalf("%q: %v", payload, err)
+	}
+	return string(out)
+}
+
 func TestProtocolSendListRetr(t *testing.T) {
 	_, cli := startMail(t)
 	body := "line one\nline two\n.leading dot"
-	if err := cli.Send("from@x.com", []string{"to@x.com"}, body); err != nil {
-		t.Fatal(err)
+	if out := do(t, cli, "SEND from@x.com to@x.com "+body); out != "sent" {
+		t.Fatalf("SEND = %q", out)
 	}
-	sums, err := cli.List("to@x.com")
-	if err != nil || len(sums) != 1 {
-		t.Fatalf("List = %v, %v", sums, err)
+	if out, want := do(t, cli, "LIST to@x.com"), fmt.Sprintf("1 from@x.com %d\n", len(body)); out != want {
+		t.Fatalf("LIST = %q, want %q", out, want)
 	}
-	if sums[0].From != "from@x.com" {
-		t.Fatalf("summary = %+v", sums[0])
-	}
-	got, err := cli.Retr("to@x.com", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != body {
-		t.Fatalf("Retr = %q, want %q (dot-stuffing round trip)", got, body)
+	if got := do(t, cli, "RETR to@x.com 1"); got != body {
+		t.Fatalf("RETR = %q, want %q (dot-stuffing round trip)", got, body)
 	}
 }
 
 func TestProtocolMultipleRecipients(t *testing.T) {
 	_, cli := startMail(t)
-	if err := cli.Send("a@x.com", []string{"b@x.com", "c@x.com", "d@x.com"}, "fanout"); err != nil {
-		t.Fatal(err)
-	}
+	do(t, cli, "SEND a@x.com b@x.com,c@x.com,d@x.com fanout")
 	for _, u := range []string{"b@x.com", "c@x.com", "d@x.com"} {
-		if sums, err := cli.List(u); err != nil || len(sums) != 1 {
-			t.Fatalf("List(%s) = %v, %v", u, sums, err)
+		if out := do(t, cli, "LIST "+u); out != "1 a@x.com 6\n" {
+			t.Fatalf("LIST %s = %q", u, out)
 		}
 	}
 }
 
 func TestProtocolErrors(t *testing.T) {
 	_, cli := startMail(t)
-	if err := cli.Send("nodomain", []string{"b@x.com"}, "x"); err == nil {
-		t.Fatal("bad sender accepted")
-	}
-	if _, err := cli.List("ghost@x.com"); err == nil {
-		t.Fatal("missing mailbox listed")
-	}
-	if _, err := cli.Retr("ghost@x.com", 1); err == nil {
-		t.Fatal("missing mailbox retrieved")
+	for _, payload := range []string{"SEND nodomain b@x.com x", "LIST ghost@x.com", "RETR ghost@x.com 1"} {
+		if _, err := cli.Do([]byte(payload)); !errors.Is(err, ErrServer) {
+			t.Errorf("%q: err = %v, want ErrServer", payload, err)
+		}
 	}
 	// The session survives all of the above.
-	if err := cli.Send("ok@x.com", []string{"b@x.com"}, "fine"); err != nil {
-		t.Fatalf("session dead: %v", err)
-	}
+	do(t, cli, "SEND ok@x.com b@x.com fine")
 }
 
 func TestConcurrentSenders(t *testing.T) {
@@ -201,7 +195,7 @@ func TestConcurrentSenders(t *testing.T) {
 			}
 			defer cli.Close()
 			for j := 0; j < 10; j++ {
-				if err := cli.Send(fmt.Sprintf("s%d@x.com", i), []string{"inbox@x.com"}, "msg"); err != nil {
+				if _, err := cli.Do([]byte(fmt.Sprintf("SEND s%d@x.com inbox@x.com msg", i))); err != nil {
 					t.Errorf("send: %v", err)
 					return
 				}
@@ -214,9 +208,8 @@ func TestConcurrentSenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	sums, err := cli.List("inbox@x.com")
-	if err != nil || len(sums) != 60 {
-		t.Fatalf("List = %d msgs, %v; want 60", len(sums), err)
+	if rows := strings.Count(do(t, cli, "LIST inbox@x.com"), "\n"); rows != 60 {
+		t.Fatalf("LIST = %d rows, want 60", rows)
 	}
 }
 
@@ -257,18 +250,9 @@ func TestServerCloseIdempotent(t *testing.T) {
 func TestBodyWithTrailingDotStuffing(t *testing.T) {
 	_, cli := startMail(t)
 	body := ".\n..\nplain"
-	if err := cli.Send("a@x.com", []string{"b@x.com"}, body); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cli.Retr("b@x.com", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != body {
+	do(t, cli, "SEND a@x.com b@x.com "+body)
+	if got := do(t, cli, "RETR b@x.com 1"); got != body {
 		t.Fatalf("body = %q, want %q", got, body)
-	}
-	if !strings.Contains(got, "plain") {
-		t.Fatal("body lost content")
 	}
 }
 

@@ -289,19 +289,19 @@ func TestClientRefusesLongLine(t *testing.T) {
 	}
 }
 
+// TestClientClosedOperations: Do forwards only SEND, LIST and RETR; HELO,
+// QUIT and anything else is refused before a byte is written, and after
+// Close every request fails.
 func TestClientClosedOperations(t *testing.T) {
-	srv, err := NewServer(NewStore(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	_, cli := startMail(t)
+	for _, payload := range []string{"HELO x", "QUIT", "DATA", "FROB x", "", "SEND a@x.com"} {
+		if _, err := cli.Do([]byte(payload)); !errors.Is(err, netsvc.ErrRefused) {
+			t.Errorf("%q: err = %v, want ErrRefused", payload, err)
+		}
 	}
-	defer srv.Close()
-	cli, err := Connect(srv.Addr().String(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	do(t, cli, "SEND a@x.com b@x.com x")
 	cli.Close()
-	if err := cli.Send("a@x.com", []string{"b@x.com"}, "x"); err == nil {
+	if _, err := cli.Do([]byte("SEND a@x.com b@x.com x")); err == nil {
 		t.Fatal("send after close succeeded")
 	}
-	cli.Close() // idempotent
 }

@@ -1,6 +1,7 @@
-// Package netsvc is the TCP serving skeleton the backend servers share: one
-// accept loop running a session per connection, Close and Drain over the set
-// of open connections, and the capped line reader of the line protocols.
+// Package netsvc is the TCP skeleton the backend servers and their clients
+// share: one accept loop running a session per connection, Close and Drain
+// over the set of open connections, the capped line reader of the line
+// protocols, and the client half of those protocols.
 package netsvc
 
 import (
@@ -9,7 +10,9 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,4 +156,82 @@ func ReadLine(r *bufio.Reader) (string, error) {
 		}
 		return string(bytes.TrimRight(frag, "\r\n")), nil
 	}
+}
+
+// ErrRefused marks a request a client refused before writing any of it.
+var ErrRefused = errors.New("netsvc: request refused")
+
+// Client is the client half of a line protocol: command lines go out
+// CRLF-terminated, and reply lines come back through ReadLine under its
+// 64 KiB cap. A Client is not safe for concurrent use.
+type Client struct {
+	conn net.Conn
+	r    *bufio.Reader
+	w    *bufio.Writer
+}
+
+// Dial connects to the line-protocol server at addr and reads its greeting,
+// which must begin with prefix. A zero timeout waits as long as the system
+// allows.
+func Dial(addr string, timeout time.Duration, prefix string) (*Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return NewClient(conn, prefix)
+}
+
+// NewClient reads the greeting on conn, which must begin with prefix, and
+// returns the client that speaks over conn. conn is closed if it fails.
+func NewClient(conn net.Conn, prefix string) (*Client, error) {
+	c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	greeting, err := c.Line()
+	if err == nil && !strings.HasPrefix(greeting, prefix) {
+		err = fmt.Errorf("netsvc: greeting %q, want %s", greeting, prefix)
+	}
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// CheckLines refuses, with ErrRefused, any line that holds CR or LF: the
+// server would read it as two commands.
+func CheckLines(lines ...string) error {
+	for _, l := range lines {
+		if strings.ContainsAny(l, "\r\n") {
+			return fmt.Errorf("%w: line break in %q", ErrRefused, l)
+		}
+	}
+	return nil
+}
+
+// Send writes lines, each CRLF-terminated, and flushes them. If any line
+// holds CR or LF it writes nothing and returns CheckLines' refusal.
+func (c *Client) Send(lines ...string) error {
+	if err := CheckLines(lines...); err != nil {
+		return err
+	}
+	for _, l := range lines {
+		c.w.WriteString(l)
+		c.w.WriteString("\r\n")
+	}
+	return c.w.Flush()
+}
+
+// Line reads one reply line; a line over 64 KiB is ErrLineTooLong.
+func (c *Client) Line() (string, error) { return ReadLine(c.r) }
+
+// Close sends QUIT and closes the connection without waiting for the reply.
+func (c *Client) Close() error {
+	c.Send("QUIT")
+	return c.conn.Close()
+}
+
+// SplitCommand splits a request payload of a line protocol into its
+// upper-cased verb and the rest, both trimmed.
+func SplitCommand(payload []byte) (verb, rest string) {
+	verb, rest, _ = strings.Cut(strings.TrimSpace(string(payload)), " ")
+	return strings.ToUpper(verb), strings.TrimSpace(rest)
 }

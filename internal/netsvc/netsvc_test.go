@@ -196,3 +196,42 @@ func TestReadLine(t *testing.T) {
 		}
 	}
 }
+
+// TestClientRefusesLineBreaks: a batch with a CR or LF in any line is
+// refused whole, before a byte is written; the session goes on in step.
+func TestClientRefusesLineBreaks(t *testing.T) {
+	s := listen(t, func(s *Server, c net.Conn) {
+		io.WriteString(c, "+OK hello\r\n")
+		echo(nil, nil)(s, c)
+	})
+	c, err := Dial(s.Addr().String(), time.Second, "+OK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, batch := range [][]string{{"a\r\nb"}, {"ok", "c\nd"}, {"e\rf"}} {
+		if err := c.Send(batch...); !errors.Is(err, ErrRefused) {
+			t.Errorf("Send(%q) = %v, want ErrRefused", batch, err)
+		}
+	}
+	if err := c.Send("next"); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := c.Line(); line != "next" || err != nil {
+		t.Fatalf("reply to the next line = %q, %v; want its echo", line, err)
+	}
+	if _, err := Dial(s.Addr().String(), time.Second, "220"); err == nil {
+		t.Fatal("a greeting without the wanted prefix was accepted")
+	}
+}
+
+func TestSplitCommand(t *testing.T) {
+	verb, rest := SplitCommand([]byte("  search dc=example sub "))
+	if verb != "SEARCH" || rest != "dc=example sub" {
+		t.Fatalf("SplitCommand = %q, %q", verb, rest)
+	}
+	verb, rest = SplitCommand([]byte("PING"))
+	if verb != "PING" || rest != "" {
+		t.Fatalf("SplitCommand = %q, %q", verb, rest)
+	}
+}

@@ -125,7 +125,6 @@ var rowPages = map[string]string{
 	"/loadz":    "live broker load reports (outstanding, threshold, queue, hot)",
 	"/poolz":    "broker-pool membership: lease state, health, and failover counters",
 	"/breakerz": "per-replica circuit-breaker states",
-	"/limitz":   "adaptive admission-limit snapshots",
 	"/hotz":     "hot keys: top-k frequency, hit ratio, latency, and workload skew",
 	"/txnz":     "active transactions with step/age/accesses, plus idempotency-table accounting",
 }

@@ -11,7 +11,6 @@ import (
 
 	"servicebroker/internal/broker"
 	"servicebroker/internal/fleet"
-	"servicebroker/internal/overload"
 	"servicebroker/internal/registry"
 	"servicebroker/internal/resilience"
 	"servicebroker/internal/sketch"
@@ -81,15 +80,6 @@ func TestRowPagesGolden(t *testing.T) {
 		}}},
 			"service=db replica=db#0 state=closed consecutive_failures=0 successes=12 failures=0 opens=0\n" +
 				"service=db replica=db#1 state=open consecutive_failures=3 successes=0 failures=3 opens=1 last_transition=2026-08-05T12:00:00Z\n"},
-		{"limitz", "/limitz", []source{
-			{"db", func(w io.Writer, _ int) {
-				overload.Snapshot{Limit: 12, Min: 2, Max: 64, Target: 8 * time.Millisecond,
-					Healthy: 40, Breaches: 5, Cuts: 2, LastCut: at}.WriteRow(w, "db")
-			}},
-			{"web", func(w io.Writer, _ int) { overload.Snapshot{Limit: 20, Min: 1, Max: 20}.WriteRow(w, "web") }},
-		},
-			"service=db limit=12 min=2 max=64 target=8ms healthy=40 breaches=5 cuts=2 last_cut=2026-08-05T12:00:00Z\n" +
-				"service=web limit=20 min=1 max=20 target=0s healthy=0 breaches=0 cuts=0\n"},
 		{"hotz", "/hotz", []source{{"db", func(w io.Writer, limit int) {
 			broker.CoalesceStats{Flights: 30, Coalesced: 10, Shared: 9, Inflight: 1}.WriteRow(w, "db")
 			hot.WriteRows(w, "db", limit)

@@ -17,7 +17,6 @@ package overload
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -177,7 +176,7 @@ func (l *Limiter) notifyLocked() {
 	}
 }
 
-// Snapshot is a point-in-time view of a limiter, rendered by /limitz.
+// Snapshot is a point-in-time view of a limiter.
 type Snapshot struct {
 	Limit    int
 	Min, Max int
@@ -189,16 +188,6 @@ type Snapshot struct {
 	Healthy, Breaches, Cuts int64
 	// LastCut is the time of the most recent cut (zero when none).
 	LastCut time.Time
-}
-
-// WriteRow renders the snapshot as one /limitz row for a service.
-func (sn Snapshot) WriteRow(w io.Writer, service string) {
-	fmt.Fprintf(w, "service=%s limit=%d min=%d max=%d target=%s healthy=%d breaches=%d cuts=%d",
-		service, sn.Limit, sn.Min, sn.Max, sn.Target, sn.Healthy, sn.Breaches, sn.Cuts)
-	if !sn.LastCut.IsZero() {
-		fmt.Fprintf(w, " last_cut=%s", sn.LastCut.Format(time.RFC3339Nano))
-	}
-	fmt.Fprintln(w)
 }
 
 // Snapshot returns the limiter's current state.

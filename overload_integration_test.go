@@ -22,8 +22,8 @@ import (
 // low-priority flood and checks the overload subsystem edge to edge: the
 // AIMD limiter walks the admission limit below the static threshold, shed
 // responses surface to HTTP clients with a positive x-retry-after-ms hint,
-// premium-class probes still complete at full fidelity, and the /limitz
-// admin page reports the live limit.
+// premium-class probes still complete at full fidelity, and the admin
+// plane's /metrics reports the live limit.
 func TestAdaptiveOverloadEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
@@ -68,11 +68,9 @@ func TestAdaptiveOverloadEndToEnd(t *testing.T) {
 	}
 	defer fe.Close()
 
-	// Admin plane with the live limiter wired in, as cmd/brokerd does it.
+	// Admin plane with the broker's registry mounted, as cmd/brokerd does it.
 	adminSrv := obs.New()
-	for page, render := range b.AdminPages("cgi") {
-		adminSrv.AddRows(page, "cgi", render)
-	}
+	adminSrv.MountRegistry("broker.cgi.", b.Metrics())
 	if err := adminSrv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +134,8 @@ func TestAdaptiveOverloadEndToEnd(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// Scrape /limitz while the flood is still on, then tear it down.
-	limitz := httpGet(t, "http://"+adminSrv.Addr().String()+"/limitz")
+	// Scrape /metrics while the flood is still on, then tear it down.
+	metrics := httpGet(t, "http://"+adminSrv.Addr().String()+"/metrics")
 	close(stop)
 	wg.Wait()
 
@@ -157,8 +155,8 @@ func TestAdaptiveOverloadEndToEnd(t *testing.T) {
 	if sn.Cuts == 0 {
 		t.Fatalf("limiter never cut under a %d-client flood: %+v", floodClients, sn)
 	}
-	if !strings.Contains(limitz, "service=cgi limit=") {
-		t.Fatalf("/limitz missing live limit line:\n%s", limitz)
+	if !strings.Contains(metrics, "\nbroker_cgi_limit_current ") {
+		t.Fatalf("/metrics has no live limit line:\n%s", metrics)
 	}
 	if shed := b.Metrics().Counter("shed_total").Value(); shed == 0 {
 		t.Fatal("broker shed_total = 0 under sustained overload")
