@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"servicebroker/internal/resilience"
 )
 
 // Session is an established, possibly stateful channel to one backend
@@ -239,19 +241,21 @@ func (p *Pool) Put(s Session) {
 }
 
 // Do borrows a session, performs one exchange, and returns the session on
-// success. On error the session is closed (it may be broken).
+// success or on a refusal (resilience.Permanent): the backend answered, so
+// the session is still in step. On any other error the session is closed
+// (it may be broken).
 func (p *Pool) Do(ctx context.Context, payload []byte) ([]byte, error) {
 	s, err := p.Get(ctx)
 	if err != nil {
 		return nil, err
 	}
 	out, err := s.Do(ctx, payload)
-	if err != nil {
+	if err != nil && !resilience.IsPermanent(err) {
 		s.Close()
 		return nil, err
 	}
 	p.Put(s)
-	return out, nil
+	return out, err
 }
 
 // Close closes all idle sessions and marks the pool closed.

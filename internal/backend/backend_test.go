@@ -194,6 +194,43 @@ func TestPoolClosesBrokenSessions(t *testing.T) {
 	}
 }
 
+// TestPoolKeepsSessionAfterRefusal: a backend's refusal of one request
+// (resilience.Permanent) leaves the session in step, so the pool keeps it:
+// ten refused requests through a 4-session pool dial once, not ten times.
+func TestPoolKeepsSessionAfterRefusal(t *testing.T) {
+	dir, err := ldapdir.NewServer(ldapdir.NewDirectory(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	db, err := sqldb.NewServer(sqldb.NewEngine(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, tc := range []struct {
+		c       Connector
+		refused string
+	}{
+		{&DirConnector{Addr: dir.Addr().String()}, "DEL cn=missing,dc=example"},
+		{&SQLConnector{Addr: db.Addr().String()}, "SELEC nothing FROM nowhere"},
+	} {
+		p, err := NewPool(tc.c, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if _, err := p.Do(context.Background(), []byte(tc.refused)); !resilience.IsPermanent(err) {
+				t.Fatalf("%s: %q = %v, want a permanent refusal", tc.c.Name(), tc.refused, err)
+			}
+		}
+		if got := p.Dials(); got != 1 {
+			t.Errorf("%s: %d dials for ten refused requests, want 1", tc.c.Name(), got)
+		}
+		p.Close()
+	}
+}
+
 func TestPoolClosed(t *testing.T) {
 	p, err := NewPool(&DelayConnector{ServiceName: "x"}, 1)
 	if err != nil {

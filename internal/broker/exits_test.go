@@ -355,8 +355,8 @@ func TestHandleAllocs(t *testing.T) {
 	for range reqs {
 		next() // fill the cache and the slab
 	}
-	if n := testing.AllocsPerRun(1000, next); n > 4 {
-		t.Errorf("cached miss that evicts allocates %.1f objects/op, want ≤ 4", n)
+	if n := testing.AllocsPerRun(1000, next); n > 3 {
+		t.Errorf("cached miss that evicts allocates %.1f objects/op, want ≤ 3", n)
 	}
 	if ev := evict.CacheStats().Evictions; ev < 1000 {
 		t.Fatalf("evictions = %d, want every measured miss to evict", ev)

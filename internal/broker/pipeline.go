@@ -37,8 +37,8 @@ type flow struct {
 	shareable bool
 	key       string // cache key; empty until the cache stage
 
-	ticket *txn.Ticket // owned idempotency slot, nil unless keyed
-	flight *txn.Ticket // owned coalesce flight, nil unless coalescing
+	ticket txn.Ticket // owned idempotency slot, zero unless keyed
+	flight txn.Ticket // owned coalesce flight, zero unless coalescing
 
 	queued, popped time.Time // zero until enqueued / dequeued by a worker
 }
@@ -128,11 +128,11 @@ func (b *Broker) escalate(r *flow) error {
 // real rather than inherit a failure that may have been the owner's alone.
 // waited reports that the request sat behind an owner at least once; each
 // wait counts in waits.
-func join(ctx context.Context, t *txn.IdemTable, key string, waits *metrics.Counter) (owner *txn.Ticket, resp *Response, replay, waited bool) {
+func join(ctx context.Context, t *txn.IdemTable, key string, waits *metrics.Counter) (owner txn.Ticket, resp *Response, replay, waited bool) {
 	for {
 		out, hit, tk := t.Acquire(key)
 		if hit {
-			return nil, answer(out), true, waited
+			return txn.Ticket{}, answer(out), true, waited
 		}
 		if tk.Owner() {
 			return tk, nil, false, waited
@@ -141,10 +141,10 @@ func join(ctx context.Context, t *txn.IdemTable, key string, waits *metrics.Coun
 		waited = true
 		out, ok, err := tk.Await(ctx)
 		if err != nil {
-			return nil, &Response{Status: StatusError, Err: err}, false, waited
+			return txn.Ticket{}, &Response{Status: StatusError, Err: err}, false, waited
 		}
 		if ok {
-			return nil, answer(out), false, waited
+			return txn.Ticket{}, answer(out), false, waited
 		}
 	}
 }
@@ -215,7 +215,7 @@ func (b *Broker) coalesce(r *flow) (resp *Response) {
 		span.EndNote("waited")
 	}
 	switch {
-	case r.flight != nil:
+	case r.flight.Owner():
 		b.m.coalesceFlights.Inc()
 	case resp.Err == nil:
 		r.tr.SetNote("coalesced")
@@ -291,8 +291,9 @@ func (b *Broker) enqueue(r *flow) *Response {
 		// the caller's retry replays it. That is also why the job is not
 		// recycled. Only the coalesce flight is let go now: its waiters must
 		// not sit out this caller's queue wait, and their retry will hit the
-		// cache the worker warms.
-		j.flight.Cancel()
+		// cache the worker warms. The worker's settle of the same ticket
+		// later is a no-op, even once the flight's slot holds another key.
+		r.flight.Cancel()
 		return &Response{Status: StatusError, Err: r.ctx.Err()}
 	}
 }

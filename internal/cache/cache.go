@@ -17,10 +17,10 @@
 // order; larger caches trade exact cross-shard eviction order for lock
 // spreading, which is the standard sharded-LRU compromise.
 //
-// Each shard keeps its entries in one slab and finds them through an
-// open-addressed table of slot numbers, not a Go map: a map under put/evict
-// churn grows to several times its live keys, while the table stays at
-// two to four int32 cells per entry whatever the traffic.
+// Each shard keeps its entries in one slab and finds them through a
+// slotindex.Index of slot numbers, not a Go map: a map under put/evict churn
+// grows to several times its live keys, while the index stays at two to four
+// int32 cells per entry whatever the traffic.
 package cache
 
 import (
@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"servicebroker/internal/clock"
+	"servicebroker/internal/slotindex"
 )
 
 // Stats summarizes cache effectiveness.
@@ -71,38 +72,39 @@ type Cache struct {
 }
 
 // shard is one lock domain: a slab of entries linked into an LRU list by
-// slot index, an open-addressed index of those slots, and the bytes its
-// values hold. The slab grows, never past maxEntries, until the shard is
-// full; after that a put that evicts reuses the evicted entry's slot, so a
-// miss that fills the cache allocates nothing but what the caller keeps.
-// Every slot in the slab holds a live entry. Mutating stats are atomics so
-// Stats can aggregate without a lock sweep on the counters (Entries/Bytes
-// still take the shard lock briefly).
+// slot number, an index of those slots, and the bytes its values hold. The
+// slab grows, never past maxEntries, until the shard is full; after that a
+// put that evicts reuses the evicted entry's slot, so a miss that fills the
+// cache allocates nothing but what the caller keeps. Every slot in the slab
+// holds a live entry. Mutating stats are atomics so Stats can aggregate
+// without a lock sweep on the counters (Entries/Bytes still take the shard
+// lock briefly).
 type shard struct {
 	mu         sync.Mutex
 	maxEntries int
+	// The slab is two slices of the same length, one slot per entry: slots
+	// holds the pointers, links the rest. links has no pointers, so the
+	// collector skips it and it takes no allocation header: 256 links fill
+	// the 4,096 B size class exactly.
 	slots      []entry // at most maxEntries
-	// index is a linear-probing table of slot+1 (0 is an empty cell) whose
-	// length is a power of two at least twice len(slots), so its load stays
-	// at ½ or below. A key's home cell is the top bits of its hash (shift
-	// is 32 − log2(len(index))); the low bits picked the shard.
-	index      []int32
-	shift      uint8
-	head, tail int32 // most / least recently used slot
+	links      []link
+	index      slotindex.Index // the hash's top bits; its low bits picked the shard
+	head, tail int32           // most / least recently used slot
 	bytes      int64
 
 	hits, misses, evictions, expired, staleHits atomic.Int64
 }
 
 // noSlot ends the LRU list.
-const noSlot int32 = -1
-
-// minIndexBits sizes a fresh shard's index: 1<<minIndexBits cells.
-const minIndexBits = 3
+const noSlot = slotindex.None
 
 type entry struct {
-	key        string
-	value      []byte
+	key   string
+	value []byte
+}
+
+// link is an entry's expiry and place in the LRU list.
+type link struct {
 	expires    int64 // Unix ns; 0 means never
 	prev, next int32 // LRU neighbours toward head / tail
 }
@@ -166,8 +168,6 @@ func New(maxEntries int, opts ...Option) *Cache {
 			// global entry invariant strict: Σ per-shard ≤ global.
 			// Slot indices are int32, which caps a shard there.
 			maxEntries: min(maxEntries/n, math.MaxInt32),
-			index:      make([]int32, 1<<minIndexBits),
-			shift:      32 - minIndexBits,
 			head:       noSlot,
 			tail:       noSlot,
 		}
@@ -175,34 +175,22 @@ func New(maxEntries int, opts ...Option) *Cache {
 	return c
 }
 
-// hash is FNV-1a over key, inline and allocation-free. Its low bits pick
-// the shard and its high bits the home cell in that shard's index.
-func hash(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // Get returns the cached value for key. The returned slice is shared with
 // the cache and must not be modified by the caller. Expired entries report
 // a miss but are retained (bounded by the LRU limits) so GetStale can still
 // serve them when the backend is unavailable.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	h := hash(key)
+	h := slotindex.Hash(key)
 	s := c.shards[h&c.mask]
 	s.mu.Lock()
-	i, _ := s.find(key, h)
+	i := s.find(key, h)
 	if i == noSlot {
 		s.mu.Unlock()
 		s.misses.Add(1)
 		c.access(key, false)
 		return nil, false
 	}
-	e := &s.slots[i]
-	if e.isExpired() {
+	if s.links[i].isExpired() {
 		s.mu.Unlock()
 		s.expired.Add(1)
 		s.misses.Add(1)
@@ -210,7 +198,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	s.moveToFront(i)
-	v := e.value
+	v := s.slots[i].value
 	s.mu.Unlock()
 	s.hits.Add(1)
 	c.access(key, true)
@@ -231,26 +219,24 @@ func (c *Cache) access(key string, hit bool) {
 // and keeps its LRU position. The returned slice is shared with the cache
 // and must not be modified.
 func (c *Cache) GetStale(key string) ([]byte, bool) {
-	h := hash(key)
+	h := slotindex.Hash(key)
 	s := c.shards[h&c.mask]
 	s.mu.Lock()
-	i, _ := s.find(key, h)
+	i := s.find(key, h)
 	if i == noSlot {
 		s.mu.Unlock()
 		s.misses.Add(1)
 		c.access(key, false)
 		return nil, false
 	}
-	e := &s.slots[i]
-	if e.isExpired() {
-		v := e.value
+	v := s.slots[i].value
+	if s.links[i].isExpired() {
 		s.mu.Unlock()
 		s.staleHits.Add(1)
 		c.access(key, false)
 		return v, true
 	}
 	s.moveToFront(i)
-	v := e.value
 	s.mu.Unlock()
 	s.hits.Add(1)
 	c.access(key, true)
@@ -269,20 +255,21 @@ func (c *Cache) PutTTL(key string, value []byte, ttl time.Duration) {
 	if ttl > 0 {
 		expires = clock.Now().Add(ttl).UnixNano()
 	}
-	h := hash(key)
+	h := slotindex.Hash(key)
 	s := c.shards[h&c.mask]
 	s.mu.Lock()
-	if i, _ := s.find(key, h); i != noSlot {
+	if i := s.find(key, h); i != noSlot {
 		e := &s.slots[i]
 		s.bytes += int64(len(value)) - int64(len(e.value))
 		e.value = value
-		e.expires = expires
+		s.links[i].expires = expires
 		s.moveToFront(i)
 	} else {
 		i := s.slot()
-		s.slots[i] = entry{key: key, value: value, expires: expires}
+		s.slots[i] = entry{key: key, value: value}
+		s.links[i].expires = expires
 		s.pushFront(i)
-		s.insert(i, h)
+		s.index.Insert(i, h, s.hashAt)
 		s.bytes += int64(len(value))
 	}
 	s.mu.Unlock()
@@ -329,70 +316,19 @@ func (s *shard) snapshot() Stats {
 	}
 }
 
-// isExpired reports whether e is past its TTL.
-func (e *entry) isExpired() bool {
-	return e.expires != 0 && clock.Now().UnixNano() > e.expires
+// isExpired reports whether l's entry is past its TTL.
+func (l *link) isExpired() bool {
+	return l.expires != 0 && clock.Now().UnixNano() > l.expires
 }
 
-// find returns the slot holding key, whose hash is h, and the index cell
-// that points at it; noSlot and the empty cell that ends key's probe run
-// when key is absent. Caller holds s.mu.
-func (s *shard) find(key string, h uint32) (int32, int) {
-	mask := len(s.index) - 1
-	for pos := int(h >> s.shift); ; pos = (pos + 1) & mask {
-		v := s.index[pos]
-		if v == 0 {
-			return noSlot, pos
-		}
-		if s.slots[v-1].key == key {
-			return v - 1, pos
-		}
-	}
-}
-
-// insert points the first empty cell of h's probe run at slot i, doubling
-// the index first when the slab has outgrown half of it. Caller holds s.mu.
-func (s *shard) insert(i int32, h uint32) {
-	if 2*len(s.slots) > len(s.index) {
-		s.index = make([]int32, 2*len(s.index))
-		s.shift--
-		for j := range s.slots {
-			if int32(j) != i {
-				s.place(int32(j), hash(s.slots[j].key))
-			}
-		}
-	}
-	s.place(i, h)
-}
-
-// place points the first empty cell of h's probe run at slot i. Caller
+// find returns the slot holding key, whose hash is h, or noSlot. Caller
 // holds s.mu.
-func (s *shard) place(i int32, h uint32) {
-	mask := len(s.index) - 1
-	pos := int(h >> s.shift)
-	for s.index[pos] != 0 {
-		pos = (pos + 1) & mask
-	}
-	s.index[pos] = i + 1
+func (s *shard) find(key string, h uint32) int32 {
+	return s.index.Find(h, func(i int32) bool { return s.slots[i].key == key })
 }
 
-// remove empties index cell pos by backward-shift deletion: each later
-// cell of the probe run that may sit at or before the hole moves into it,
-// so no lookup ever meets a gap inside its run and no tombstone is left.
-// Caller holds s.mu.
-func (s *shard) remove(pos int) {
-	mask := len(s.index) - 1
-	for j := (pos + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
-		home := int(hash(s.slots[s.index[j]-1].key) >> s.shift)
-		// The cell at j may move to the hole unless its home lies
-		// cyclically in (pos, j].
-		if (j-home)&mask >= (j-pos)&mask {
-			s.index[pos] = s.index[j]
-			pos = j
-		}
-	}
-	s.index[pos] = 0
-}
+// hashAt rehashes slot i's key for the index. Caller holds s.mu.
+func (s *shard) hashAt(i int32) uint32 { return slotindex.Hash(s.slots[i].key) }
 
 // slot returns a slot for a new entry: the least recently used entry's when
 // the shard is full (evicting it), else a new one at the end of the slab.
@@ -400,29 +336,28 @@ func (s *shard) remove(pos int) {
 func (s *shard) slot() int32 {
 	if len(s.slots) >= s.maxEntries {
 		i := s.tail
-		e := &s.slots[i]
-		_, pos := s.find(e.key, hash(e.key))
-		s.remove(pos)
+		s.index.Delete(i, s.hashAt(i), s.hashAt)
 		s.unlink(i)
-		s.bytes -= int64(len(e.value))
+		s.bytes -= int64(len(s.slots[i].value))
 		s.evictions.Add(1)
 		return i
 	}
-	if len(s.slots) == cap(s.slots) {
-		grown := make([]entry, len(s.slots), min(max(2*cap(s.slots), 4), s.maxEntries))
-		copy(grown, s.slots)
-		s.slots = grown
+	if n := len(s.slots); n == cap(s.slots) {
+		size := min(max(2*n, 4), s.maxEntries)
+		s.slots = append(make([]entry, 0, size), s.slots...)
+		s.links = append(make([]link, 0, size), s.links...)
 	}
 	s.slots = s.slots[:len(s.slots)+1]
+	s.links = s.links[:len(s.links)+1]
 	return int32(len(s.slots) - 1)
 }
 
 // pushFront links slot i in as the most recently used. Caller holds s.mu.
 func (s *shard) pushFront(i int32) {
-	e := &s.slots[i]
-	e.prev, e.next = noSlot, s.head
+	l := &s.links[i]
+	l.prev, l.next = noSlot, s.head
 	if s.head != noSlot {
-		s.slots[s.head].prev = i
+		s.links[s.head].prev = i
 	} else {
 		s.tail = i
 	}
@@ -431,16 +366,16 @@ func (s *shard) pushFront(i int32) {
 
 // unlink takes slot i out of the LRU list. Caller holds s.mu.
 func (s *shard) unlink(i int32) {
-	e := &s.slots[i]
-	if e.prev != noSlot {
-		s.slots[e.prev].next = e.next
+	l := &s.links[i]
+	if l.prev != noSlot {
+		s.links[l.prev].next = l.next
 	} else {
-		s.head = e.next
+		s.head = l.next
 	}
-	if e.next != noSlot {
-		s.slots[e.next].prev = e.prev
+	if l.next != noSlot {
+		s.links[l.next].prev = l.prev
 	} else {
-		s.tail = e.prev
+		s.tail = l.prev
 	}
 }
 

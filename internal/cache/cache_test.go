@@ -289,7 +289,7 @@ func lruKeys(t *testing.T, c *Cache) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var keys []string
-	for i := s.head; i != noSlot; i = s.slots[i].next {
+	for i := s.head; i != noSlot; i = s.links[i].next {
 		keys = append(keys, s.slots[i].key)
 	}
 	return keys

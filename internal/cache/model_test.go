@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"servicebroker/internal/clock"
+	"servicebroker/internal/slotindex"
 	"servicebroker/internal/testutil"
 )
 
@@ -162,7 +163,7 @@ func collidingKeys(want map[uint32]int) []string {
 	var keys []string
 	for i := 0; len(want) > 0; i++ {
 		k := fmt.Sprintf("p%d", i)
-		top := hash(k) >> 26
+		top := slotindex.Hash(k) >> 26
 		if want[top] > 0 {
 			keys = append(keys, k)
 			if want[top]--; want[top] == 0 {

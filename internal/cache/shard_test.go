@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -147,9 +146,10 @@ func TestCachePutAllocs(t *testing.T) {
 // beyond its keys' and values' own bytes — slot, index cells and any slack —
 // after churn: 10⁶ puts of distinct keys into 4,096 entries. A Go map key
 // index read about 203 B here: under put/evict churn a map grows to several
-// times its live keys.
+// times its live keys. One 56-byte slab entry read 72.5 to 73.9 B; split in
+// two slices it reads 67.2 to 68.5 B, the budget that plus 10 %.
 func TestCacheRetainedBytesPerEntry(t *testing.T) {
-	const entries, puts, budget = 4096, 1_000_000, 96
+	const entries, puts, budget = 4096, 1_000_000, 75
 	var before, after runtime.MemStats
 	// Twice: a sync.Pool keeps its contents through one collection.
 	runtime.GC()
@@ -173,35 +173,6 @@ func TestCacheRetainedBytesPerEntry(t *testing.T) {
 	t.Logf("%.1f B per entry beyond keys and values", perEntry)
 	if perEntry > budget {
 		t.Fatalf("%.1f B per entry beyond keys and values, budget %d", perEntry, budget)
-	}
-}
-
-// TestIndexProbeLength: the broker's point-read keys spread over each
-// shard's index well enough that a hit takes at most two probes on average.
-func TestIndexProbeLength(t *testing.T) {
-	const entries = 4096
-	c := New(entries)
-	key := func(n int) string { return "SELECT id, name FROM records WHERE id = " + strconv.Itoa(n) }
-	for n := 1; n <= entries; n++ {
-		c.Put(key(n), nil)
-	}
-	var found, probes int
-	for n := 1; n <= entries; n++ {
-		k := key(n)
-		h := hash(k)
-		s := c.shards[h&c.mask]
-		if i, pos := s.find(k, h); i != noSlot {
-			// Probes run from the home cell to the key's, wrapping.
-			found, probes = found+1, probes+(pos-int(h>>s.shift))&(len(s.index)-1)+1
-		}
-	}
-	if found != c.Stats().Entries {
-		t.Fatalf("probing found %d keys, cache holds %d", found, c.Stats().Entries)
-	}
-	mean := float64(probes) / float64(found)
-	t.Logf("%d keys held, %.3f probes per hit", found, mean)
-	if mean > 2 {
-		t.Fatalf("%.3f probes per hit, want at most 2", mean)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"servicebroker/internal/clock"
 	"servicebroker/internal/metrics"
 	"servicebroker/internal/qos"
+	"servicebroker/internal/slotindex"
 )
 
 // Outcome is the recorded first result of a mutating access: what the broker
@@ -29,30 +30,41 @@ func IdemKey(txnID string, step int, key string) string {
 	return txnID + "\x1f" + strconv.Itoa(step) + "\x1f" + key
 }
 
-// idemState is an entry's lifecycle phase.
+// idemState is a slot's lifecycle phase; a free slot's is zero.
 type idemState uint8
 
 const (
-	idemPending   idemState = iota + 1 // first execution in flight
-	idemDone                           // owner settled with an outcome
-	idemCancelled                      // owner settled without one
+	idemPending idemState = iota + 1 // first execution in flight
+	idemDone                         // outcome recorded
 )
 
-// idemEntry is one table slot. ready is made by the first coalesced
-// duplicate, under the table lock, and closed when the entry leaves the
-// pending state so the duplicates wake up; an entry nobody waited on never
-// has one. state and out are not written after that, so waiters read them
-// without the table lock. The two tickets every arrival is handed live in
-// the entry, so joining a flight allocates nothing.
+// idemEntry is one slot of the table's slab, held by value. gen tells the
+// slot's successive entries apart: it changes whenever the slot is freed, so
+// a stale ticket or FIFO reference is ignored however often the slot has
+// been reused since.
 type idemEntry struct {
-	t     *IdemTable
 	key   string
+	out   Outcome  // once done
+	at    int64    // record time in Unix ns, drives TTL expiry
+	w     *waiters // nil until a duplicate waits on the flight
+	gen   uint32
 	state idemState
-	out   Outcome
-	ready chan struct{} // nil until someone waits
-	at    time.Time     // record time, drives TTL expiry
+}
 
-	owner, waiter Ticket
+// waiters is what the coalesced duplicates of one flight wait on, made by
+// the first of them. The owner's settle writes out and ok, then closes
+// ready; the duplicates read both without the table lock, whatever the slot
+// holds by then.
+type waiters struct {
+	ready chan struct{}
+	out   Outcome
+	ok    bool
+}
+
+// slotRef names one entry: a slot and the generation it had.
+type slotRef struct {
+	slot int32
+	gen  uint32
 }
 
 // IdemStats is the table's point-in-time accounting for /txnz and tests.
@@ -92,13 +104,17 @@ type IdemStats struct {
 //
 // IdemTable is safe for concurrent use. Use NewIdemTable.
 type IdemTable struct {
-	mu      sync.Mutex
-	entries map[string]*idemEntry // pending flights and recorded outcomes
-	fifo    qos.FIFO[*idemEntry]  // records oldest first; see trimLocked, compactLocked
-	held    int                   // recorded outcomes in entries, ≤ cap
-	last    time.Time             // the newest record time pushed on fifo
-	cap     int
-	ttl     time.Duration
+	mu sync.Mutex
+	// slots holds pending flights and recorded outcomes by value; a settled
+	// flight's or forgotten outcome's slot goes on free for the next one.
+	slots []idemEntry
+	free  []int32
+	index slotindex.Index   // the live slots, by key
+	fifo  qos.FIFO[slotRef] // records oldest first; see trimLocked, compactLocked
+	held  int               // recorded outcomes in slots, ≤ cap
+	last  int64             // the newest record time pushed on fifo, Unix ns
+	cap   int
+	ttl   time.Duration
 
 	onRecord func(key string, out Outcome, at time.Time)
 
@@ -126,7 +142,6 @@ func NewIdemTable(capacity int, ttl time.Duration) *IdemTable {
 		capacity = DefaultIdemCapacity
 	}
 	return &IdemTable{
-		entries: make(map[string]*idemEntry),
 		cap:     capacity,
 		ttl:     ttl,
 		evicted: new(metrics.Counter),
@@ -153,120 +168,159 @@ func (t *IdemTable) CountEvictions(c *metrics.Counter) {
 
 // Ticket is the caller's handle on one Acquire that did not hit a recorded
 // outcome. The owner (first arrival) must settle with one of Complete, Share
-// or Cancel — the first call wins, later ones are no-ops; coalesced
-// duplicates call Await.
+// or Cancel — the first call wins, later ones are no-ops, and so is any call
+// once the slot has moved on to another entry; coalesced duplicates call
+// Await. The zero Ticket owns nothing and settles nothing.
 type Ticket struct {
-	e     *idemEntry
-	owner bool
+	t    *IdemTable
+	w    *waiters // a duplicate's wait; nil for the owner
+	slot int32
+	gen  uint32
 }
 
 // Owner reports whether this caller owns the first execution.
-func (tk *Ticket) Owner() bool { return tk.owner }
+func (tk Ticket) Owner() bool { return tk.t != nil && tk.w == nil }
 
 // Acquire looks up one access. Three outcomes:
 //
-//   - the access already has a recorded outcome → (outcome, true, nil):
-//     answer the caller with it, do not execute;
+//   - the access already has a recorded outcome → (outcome, true, zero
+//     ticket): answer the caller with it, do not execute;
 //   - first arrival → (zero, false, ticket) with ticket.Owner() true:
 //     execute, then settle the ticket;
 //   - duplicate of an in-flight access → (zero, false, ticket) with Owner()
 //     false: ticket.Await(ctx) blocks for the first execution's outcome.
-func (t *IdemTable) Acquire(key string) (Outcome, bool, *Ticket) {
+func (t *IdemTable) Acquire(key string) (Outcome, bool, Ticket) {
+	h := slotindex.Hash(key)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e, ok := t.entries[key]; ok {
+	if i := t.find(key, h); i != slotindex.None {
+		e := &t.slots[i]
 		if e.state == idemPending {
-			if e.ready == nil {
-				e.ready = make(chan struct{})
+			if e.w == nil {
+				e.w = &waiters{ready: make(chan struct{})}
 			}
 			t.coalesced++
-			return Outcome{}, false, &e.waiter
+			return Outcome{}, false, Ticket{t: t, w: e.w, slot: i, gen: e.gen}
 		}
 		if !t.expiredLocked(e.at, clock.Now()) {
 			t.hits++
-			return e.out, true, nil
+			return e.out, true, Ticket{}
 		}
-		// Recorded but expired: the window closed; treat as first arrival.
+		// Recorded but expired: the window closed; a first arrival again.
 		t.expired++
 		t.held--
+		t.release(i)
 	}
-	e := &idemEntry{t: t, key: key, state: idemPending}
-	e.owner = Ticket{e: e, owner: true}
-	e.waiter = Ticket{e: e}
-	t.entries[key] = e
+	i := t.alloc(key, h, idemPending)
 	t.flights++
-	return Outcome{}, false, &e.owner
+	return Outcome{}, false, Ticket{t: t, slot: i, gen: t.slots[i].gen}
 }
 
 // Await blocks a coalesced duplicate until the first execution settles or
 // ctx is done. ok is true when the owner produced an outcome — false means
 // it did not (it was shed or failed before the effect), and the caller
 // should execute normally.
-func (tk *Ticket) Await(ctx context.Context) (Outcome, bool, error) {
-	e := tk.e
+func (tk Ticket) Await(ctx context.Context) (Outcome, bool, error) {
+	w := tk.w
 	select {
-	case <-e.ready:
+	case <-w.ready:
 	case <-ctx.Done():
 		return Outcome{}, false, ctx.Err()
 	}
-	if e.state != idemDone {
+	if !w.ok {
 		return Outcome{}, false, nil
 	}
-	e.t.shared.Add(1)
-	return e.out, true, nil
+	tk.t.shared.Add(1)
+	return w.out, true, nil
 }
 
 // Complete records the first outcome for the ticket's access and wakes every
 // coalesced duplicate with it.
-func (tk *Ticket) Complete(out Outcome) { tk.settle(idemDone, out, true) }
+func (tk Ticket) Complete(out Outcome) { tk.settle(out, true, true) }
 
 // Share wakes every coalesced duplicate with out but records nothing: the
 // next arrival for the key is a first arrival again.
-func (tk *Ticket) Share(out Outcome) { tk.settle(idemDone, out, false) }
+func (tk Ticket) Share(out Outcome) { tk.settle(out, true, false) }
 
 // Cancel abandons the ticket without an outcome: the access did not execute
 // (shed, dropped, backend error before the effect), so a retry is allowed to
 // run for real. Coalesced duplicates wake with ok=false.
-func (tk *Ticket) Cancel() { tk.settle(idemCancelled, Outcome{}, false) }
+func (tk Ticket) Cancel() { tk.settle(Outcome{}, false, false) }
 
-// settle moves an owned pending entry to its final state. An entry that is
-// no longer pending — settled already, or overtaken by Restore — is left
-// alone, which is what makes settling idempotent; a nil ticket (nothing
-// owned) settles nothing.
-func (tk *Ticket) settle(state idemState, out Outcome, record bool) {
-	if tk == nil || !tk.owner {
+// settle ends the owner's flight: ok says the waiters get out, record that
+// the table keeps it. A flight that is no longer pending — settled already,
+// or overtaken by Restore — or whose slot has moved on is left alone, which
+// is what makes settling idempotent; a ticket that owns nothing settles
+// nothing.
+func (tk Ticket) settle(out Outcome, ok, record bool) {
+	if !tk.Owner() {
 		return
 	}
-	e := tk.e
-	t := e.t
+	t := tk.t
 	t.mu.Lock()
-	if e.state != idemPending {
+	e := &t.slots[tk.slot]
+	if e.gen != tk.gen || e.state != idemPending {
 		t.mu.Unlock()
 		return
 	}
-	e.state, e.out = state, out
+	key, w := e.key, e.w
 	var fn func(string, Outcome, time.Time)
+	var at int64
 	if record {
+		e.state, e.out, e.w = idemDone, out, nil
 		now := clock.Now()
-		t.recordLocked(e, now, now, false)
+		t.recordLocked(tk.slot, now.UnixNano(), now, false)
 		t.recorded++
-		fn = t.onRecord
+		fn, at = t.onRecord, e.at
 	} else {
-		delete(t.entries, e.key)
+		t.release(tk.slot)
 	}
-	at := e.at
-	e.wake()
+	w.wake(out, ok)
 	t.mu.Unlock()
 	if fn != nil {
-		fn(e.key, out, at)
+		fn(key, out, time.Unix(0, at))
 	}
 }
 
-// wake releases the entry's waiters, if it has any. Caller holds t.mu.
-func (e *idemEntry) wake() {
-	if e.ready != nil {
-		close(e.ready)
+// wake hands a flight's waiters, if it has any, what they get. Caller holds
+// t.mu.
+func (w *waiters) wake(out Outcome, ok bool) {
+	if w != nil {
+		w.out, w.ok = out, ok
+		close(w.ready)
 	}
+}
+
+// find returns the slot holding key, whose hash is h, or slotindex.None.
+func (t *IdemTable) find(key string, h uint32) int32 {
+	return t.index.Find(h, func(i int32) bool { return t.slots[i].key == key })
+}
+
+func (t *IdemTable) hashAt(i int32) uint32 { return slotindex.Hash(t.slots[i].key) }
+
+// alloc puts an entry for key, whose hash is h, in state into a free slot,
+// else into a new one at the end of the slab, and indexes it. Caller holds
+// t.mu.
+func (t *IdemTable) alloc(key string, h uint32, state idemState) int32 {
+	var i int32
+	if n := len(t.free); n > 0 {
+		i, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		t.slots = append(t.slots, idemEntry{})
+		i = int32(len(t.slots) - 1)
+	}
+	t.slots[i].key, t.slots[i].state = key, state
+	t.index.Insert(i, h, t.hashAt)
+	return i
+}
+
+// release takes slot i out of the index and frees it, dropping what it
+// held: tickets and FIFO references to its entry go stale. Caller holds
+// t.mu.
+func (t *IdemTable) release(i int32) {
+	t.index.Delete(i, t.hashAt(i), t.hashAt)
+	t.slots[i] = idemEntry{gen: t.slots[i].gen + 1}
+	t.free = append(t.free, i)
 }
 
 // Restore re-arms an outcome recorded at time at from a journal (brokerd
@@ -277,26 +331,29 @@ func (e *idemEntry) wake() {
 // not fire OnRecord. An in-flight first execution for the key is overtaken:
 // its waiters wake with the restored outcome.
 func (t *IdemTable) Restore(key string, out Outcome, at time.Time) bool {
+	h := slotindex.Hash(key)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := clock.Now()
 	if at.IsZero() {
 		at = now
-	} else if t.expiredLocked(at, now) {
+	} else if t.expiredLocked(at.UnixNano(), now) {
 		return false
 	}
-	if e, ok := t.entries[key]; ok && e.state == idemPending {
-		e.state, e.out = idemDone, out
-		e.wake()
-	} else if ok { // a recorded outcome, replaced: its FIFO slot goes stale
-		if t.expiredLocked(e.at, now) {
-			t.expired++
+	if i := t.find(key, h); i != slotindex.None {
+		if e := &t.slots[i]; e.state == idemPending {
+			e.w.wake(out, true)
+		} else { // a recorded outcome, replaced: its FIFO reference goes stale
+			if t.expiredLocked(e.at, now) {
+				t.expired++
+			}
+			t.held--
 		}
-		t.held--
+		t.release(i)
 	}
-	e := &idemEntry{t: t, key: key, state: idemDone, out: out}
-	t.entries[key] = e
-	t.recordLocked(e, at, now, true)
+	i := t.alloc(key, h, idemDone)
+	t.slots[i].out = out
+	t.recordLocked(i, at.UnixNano(), now, true)
 	t.restored++
 	return true
 }
@@ -305,7 +362,7 @@ func (t *IdemTable) Restore(key string, out Outcome, at time.Time) bool {
 func (t *IdemTable) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.entries)
+	return t.index.Len()
 }
 
 // Stats returns the table's accounting.
@@ -313,7 +370,7 @@ func (t *IdemTable) Stats() IdemStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return IdemStats{
-		Size:      len(t.entries),
+		Size:      t.index.Len(),
 		Capacity:  t.cap,
 		TTL:       t.ttl,
 		Hits:      t.hits,
@@ -329,22 +386,23 @@ func (t *IdemTable) Stats() IdemStats {
 	}
 }
 
-// expiredLocked reports whether an outcome recorded at time at has outlived
-// the TTL.
-func (t *IdemTable) expiredLocked(at, now time.Time) bool {
-	return t.ttl > 0 && now.Sub(at) > t.ttl
+// expiredLocked reports whether an outcome recorded at Unix ns at has
+// outlived the TTL.
+func (t *IdemTable) expiredLocked(at int64, now time.Time) bool {
+	return t.ttl > 0 && now.UnixNano()-at > int64(t.ttl)
 }
 
-// recordLocked stamps a done entry with at, raised to the newest record time
-// so that record times never decrease along the FIFO, then queues it, trims
-// as of now and compacts when due. replay says a Restore records it. Caller
-// holds t.mu.
-func (t *IdemTable) recordLocked(e *idemEntry, at, now time.Time, replay bool) {
-	if at.Before(t.last) {
-		at = t.last
-	}
-	e.at, t.last = at, at
-	t.fifo.Push(e)
+// live reports whether r still names the entry its slot holds.
+func (t *IdemTable) live(r slotRef) bool { return t.slots[r.slot].gen == r.gen }
+
+// recordLocked stamps slot i's done entry with at, raised to the newest
+// record time so that record times never decrease along the FIFO, then
+// queues it, trims as of now and compacts when due. replay says a Restore
+// records it. Caller holds t.mu.
+func (t *IdemTable) recordLocked(i int32, at int64, now time.Time, replay bool) {
+	at = max(at, t.last)
+	t.slots[i].at, t.last = at, at
+	t.fifo.Push(slotRef{i, t.slots[i].gen})
 	t.held++
 	t.trimLocked(now, replay)
 	if t.fifo.Len() > 2*t.held {
@@ -352,27 +410,28 @@ func (t *IdemTable) recordLocked(e *idemEntry, at, now time.Time, replay bool) {
 	}
 }
 
-// compactLocked drops every stale slot from the FIFO, keeping the live ones
-// in order. A replay that restores keys again behind a live head leaves
-// stale slots the trim never reaches; run once they outnumber the live
+// compactLocked drops every stale reference from the FIFO, keeping the live
+// ones in order. A replay that restores keys again behind a live head leaves
+// stale references the trim never reaches; run once they outnumber the live
 // ones, this keeps the FIFO within twice the capacity at O(1) per record
 // amortised. Caller holds t.mu.
 func (t *IdemTable) compactLocked() {
 	for n := t.fifo.Len(); n > 0; n-- {
-		if e := t.fifo.Pop(); t.entries[e.key] == e {
-			t.fifo.Push(e)
+		if r := t.fifo.Pop(); t.live(r) {
+			t.fifo.Push(r)
 		}
 	}
 }
 
 // trimLocked pops the FIFO's head until it is a live outcome within capacity;
 // expired outcomes are a prefix, as record times never decrease. A stale
-// slot, whose key moved on to another entry, was counted when it moved.
+// reference, whose slot moved on to another entry, was counted when it
+// moved.
 func (t *IdemTable) trimLocked(now time.Time, replay bool) {
 	for t.fifo.Len() > 0 {
-		if e := t.fifo.Peek(); t.entries[e.key] == e {
+		if r := t.fifo.Peek(); t.live(r) {
 			switch {
-			case t.expiredLocked(e.at, now):
+			case t.expiredLocked(t.slots[r.slot].at, now):
 				t.expired++
 			case t.held > t.cap && replay:
 				t.replayed++
@@ -381,7 +440,7 @@ func (t *IdemTable) trimLocked(now time.Time, replay bool) {
 			default:
 				return
 			}
-			delete(t.entries, e.key)
+			t.release(r.slot)
 			t.held--
 		}
 		t.fifo.Pop()

@@ -114,7 +114,7 @@ func runIdemSchedule(t *testing.T, seed int64) {
 		keys[i] = fmt.Sprintf("k%d", i)
 	}
 	type held struct {
-		tk *Ticket
+		tk Ticket
 		f  *mflight
 	}
 	var owners, waiters []held
@@ -155,7 +155,7 @@ func runIdemSchedule(t *testing.T, seed int64) {
 			out, hit, tk := tbl.Acquire(k)
 			if f, ok := m.pending[k]; ok {
 				m.st.Coalesced++
-				if hit || tk == nil || tk.Owner() {
+				if hit || tk == (Ticket{}) || tk.Owner() {
 					fail("Acquire(%s) during a flight: hit %v ticket %v", k, hit, tk)
 				}
 				waiters = append(waiters, held{tk, f})
@@ -170,7 +170,7 @@ func runIdemSchedule(t *testing.T, seed int64) {
 			}
 			m.drop(k, clock.Now())
 			m.st.Flights++
-			if hit || tk == nil || !tk.Owner() {
+			if hit || !tk.Owner() {
 				fail("Acquire(%s) on a free key: hit %v ticket %v", k, hit, tk)
 			}
 			f := &mflight{key: k}
