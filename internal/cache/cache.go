@@ -19,7 +19,7 @@
 //
 // Each shard keeps its entries in one slab and finds them through a
 // slotindex.Index of slot numbers, not a Go map: a map under put/evict churn
-// grows to several times its live keys, while the index stays at two to four
+// grows to several times its live keys, while the index stays at 1⅓ to 2⅔
 // int32 cells per entry whatever the traffic.
 package cache
 

@@ -32,9 +32,8 @@ type Client struct {
 
 type clientConn struct {
 	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-	head []byte // the buffer response heads are read into
+	r    *bufio.Reader // borrowed for an exchange; kept while it holds bytes
+	head []byte        // the buffer response heads are read into
 }
 
 // ClientOption configures a Client.
@@ -102,7 +101,7 @@ func (c *Client) get() (*clientConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("httpserver: dial %s: %w", c.addr, err)
 	}
-	return &clientConn{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
+	return &clientConn{conn: conn}, nil
 }
 
 // put returns a connection to the pool or closes it.
@@ -192,15 +191,27 @@ func (c *Client) exchange(cc *clientConn, req *Request) (*Response, bool, error)
 		cc.conn.SetDeadline(time.Now().Add(c.timeout))
 		defer cc.conn.SetDeadline(time.Time{})
 	}
-	if err := writeRequest(cc.w, req, !c.persistent); err != nil {
+	if err := writeRequest(cc.conn, req, !c.persistent); err != nil {
 		return nil, false, fmt.Errorf("httpserver: write: %w", err)
 	}
-	return readResponse(cc.r, &cc.head)
+	if cc.r == nil {
+		cc.r = readers.Get().(*bufio.Reader)
+		cc.r.Reset(cc.conn)
+	}
+	resp, reusable, err := readResponse(cc.r, &cc.head)
+	if cc.r.Buffered() == 0 { // else the next response's bytes stay with cc
+		cc.r.Reset(nil)
+		readers.Put(cc.r)
+		cc.r = nil
+	}
+	return resp, reusable, err
 }
 
-// writeRequest writes req and flushes: the request line (MGET's URI: list,
-// or the path and its escaped query), the headers and the body.
-func writeRequest(w *bufio.Writer, req *Request, close bool) error {
+// writeRequest writes req through a borrowed writer: the request line (MGET's
+// URI: list, or the path and its escaped query), the headers and the body.
+func writeRequest(conn io.Writer, req *Request, close bool) error {
+	w := getWriter(conn)
+	defer func() { w.Reset(nil); writers.Put(w) }()
 	b := append(w.AvailableBuffer(), req.Method...)
 	if req.Method == "MGET" {
 		for _, uri := range req.MGetTargets {

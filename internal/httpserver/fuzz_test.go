@@ -53,7 +53,7 @@ func FuzzReadRequest(f *testing.F) {
 
 		close := strings.EqualFold(req.Header["connection"], "close")
 		var buf bytes.Buffer
-		if err := writeRequest(bufio.NewWriter(&buf), req, close); err != nil {
+		if err := writeRequest(&buf, req, close); err != nil {
 			t.Fatal(err)
 		}
 		again, err := ReadRequest(bufio.NewReader(&buf))
@@ -88,7 +88,7 @@ func FuzzReadResponse(f *testing.F) {
 		checkFraming(t, raw, consumed, resp.Header, resp.Body)
 
 		var buf bytes.Buffer
-		if err := writeResponse(bufio.NewWriter(&buf), resp, !got.reusable); err != nil {
+		if err := writeResponse(&buf, resp, !got.reusable); err != nil {
 			t.Fatal(err)
 		}
 		again, reusable, err := readResponse(bufio.NewReader(&buf), new([]byte))

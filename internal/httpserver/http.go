@@ -26,9 +26,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Request is one parsed HTTP request.
@@ -101,6 +103,23 @@ const (
 )
 
 var errHeadTooLarge = errors.New("httpserver: message head over 64 KiB")
+
+// A server session's reader holds one request head: the front end's are
+// about 250 B, and a longer head or a body reads through it in several fills.
+const sessionReaderSize = 512
+
+// The 4 KiB buffers a connection borrows for one exchange, so an idle one
+// holds none. Each goes back Reset(nil), pinning no connection.
+var (
+	readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+	writers = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
+)
+
+func getWriter(w io.Writer) *bufio.Writer {
+	bw := writers.Get().(*bufio.Writer)
+	bw.Reset(w)
+	return bw
+}
 
 // readHead reads a message head, the start line and headers up to the blank
 // line, into *buf and returns it as one string, so that every field parsed

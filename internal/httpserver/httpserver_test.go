@@ -1,6 +1,7 @@
 package httpserver
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"strings"
@@ -273,9 +274,8 @@ func TestBadRequestLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cc.conn.Close()
-	fmt.Fprintf(cc.w, "WHAT\r\n\r\n")
-	cc.w.Flush()
-	resp, _, err := readResponse(cc.r, &cc.head)
+	fmt.Fprintf(cc.conn, "WHAT\r\n\r\n")
+	resp, _, err := readResponse(bufio.NewReader(cc.conn), &cc.head)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,8 +136,7 @@ func (s *Server) session(conn net.Conn) {
 	s.mu.Lock()
 	svc := s.svc
 	s.mu.Unlock()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	r := bufio.NewReaderSize(conn, sessionReaderSize)
 	req := &Request{Header: map[string]string{}, Query: map[string]string{}}
 	var head []byte
 	for {
@@ -148,14 +147,14 @@ func (s *Server) session(conn net.Conn) {
 		}
 		if err := readRequest(r, req, &head); err != nil {
 			if errors.Is(err, errBadRequest) || errors.Is(err, errHeadTooLarge) {
-				writeResponse(w, Error(400, err.Error()), true)
+				writeResponse(conn, Error(400, err.Error()), true)
 			}
 			return
 		}
 
 		resp, keepAlive := s.dispatch(req)
 		wantClose := strings.EqualFold(req.Header["connection"], "close") || !keepAlive
-		if err := writeResponse(w, resp, wantClose); err != nil || wantClose {
+		if err := writeResponse(conn, resp, wantClose); err != nil || wantClose {
 			return
 		}
 	}
@@ -270,8 +269,11 @@ func field(s string) (string, string) {
 	return f, rest
 }
 
-// writeResponse writes resp and flushes. close adds "connection: close".
-func writeResponse(w *bufio.Writer, resp *Response, close bool) error {
+// writeResponse writes resp to conn through a borrowed writer. close adds
+// "connection: close".
+func writeResponse(conn io.Writer, resp *Response, close bool) error {
+	w := getWriter(conn)
+	defer func() { w.Reset(nil); writers.Put(w) }()
 	b := strconv.AppendInt(append(w.AvailableBuffer(), "HTTP/1.1 "...), int64(resp.Status), 10)
 	w.Write(append(append(append(b, ' '), StatusText(resp.Status)...), "\r\n"...))
 	writeHeaders(w, resp.Header, len(resp.Body), close)

@@ -1,12 +1,12 @@
 // Package slotindex is an open-addressed hash index of slot numbers: the key
 // index of a slab whose entries live by value in one slice. A cell holds a
-// slot number, not a key, so the index costs two to four int32 cells per
+// slot number, not a key, so the index costs 1⅓ to 2⅔ int32 cells per
 // entry whatever the churn, where a Go map under insert/delete churn grows to
 // several times its live keys.
 //
 // The caller owns the keys. A lookup takes the key's hash and a compare; the
 // operations that move cells take a function that rehashes the key held in a
-// slot. Probing is linear, the table doubles when half full, and a removal
+// slot. Probing is linear, the table doubles when ¾ full, and a removal
 // shifts the rest of its probe run back, so no tombstone is ever left.
 package slotindex
 
@@ -34,7 +34,7 @@ func Hash(s string) uint32 {
 // empty index. It is not safe for concurrent use.
 type Index struct {
 	// cells holds slot+1 (0 is an empty cell). Its length is zero or a power
-	// of two at least twice n, so the load stays at ½ or below. A hash's home
+	// of two at least 4n/3, so the load stays at ¾ or below. A hash's home
 	// cell is its top bits, h >> shift, where shift = 32 − log2(len(cells)).
 	cells []int32
 	shift uint8
@@ -58,10 +58,10 @@ func (x *Index) Find(h uint32, match func(slot int32) bool) int32 {
 }
 
 // Insert indexes slot under h, doubling the table first when it would pass
-// half full; hashOf rehashes the slots already indexed. slot must not be
+// ¾ full; hashOf rehashes the slots already indexed. slot must not be
 // indexed already.
 func (x *Index) Insert(slot int32, h uint32, hashOf func(slot int32) uint32) {
-	if 2*(x.n+1) > len(x.cells) {
+	if 4*(x.n+1) > 3*len(x.cells) {
 		old := x.cells
 		x.cells = make([]int32, max(2*len(old), 1<<minBits))
 		x.shift = uint8(32 - bits.TrailingZeros(uint(len(x.cells))))

@@ -90,7 +90,7 @@ func TestIndexMatchesMap(t *testing.T) {
 					t.Fatalf("seed %d step %d: Find(%s) = %d, model %d", seed, step, k, got, want)
 				}
 			}
-			if s.x.Len() != len(model) || 2*s.x.Len() > len(s.x.cells) {
+			if s.x.Len() != len(model) || 4*s.x.Len() > 3*len(s.x.cells) {
 				t.Fatalf("seed %d step %d: Len %d over %d cells, model %d", seed, step, s.x.Len(), len(s.x.cells), len(model))
 			}
 		}

@@ -299,15 +299,18 @@ func (t *IdemTable) find(key string, h uint32) int32 {
 func (t *IdemTable) hashAt(i int32) uint32 { return slotindex.Hash(t.slots[i].key) }
 
 // alloc puts an entry for key, whose hash is h, in state into a free slot,
-// else into a new one at the end of the slab, and indexes it. Caller holds
-// t.mu.
+// else into a new one at the end of the slab, and indexes it. The slab doubles
+// to capacity, then grows by its overflow, at least 8. Caller holds t.mu.
 func (t *IdemTable) alloc(key string, h uint32, state idemState) int32 {
 	var i int32
 	if n := len(t.free); n > 0 {
 		i, t.free = t.free[n-1], t.free[:n-1]
 	} else {
-		t.slots = append(t.slots, idemEntry{})
-		i = int32(len(t.slots) - 1)
+		n := len(t.slots)
+		if n == cap(t.slots) {
+			t.slots = append(make([]idemEntry, 0, max(min(2*n, t.cap), n+max(8, n-t.cap))), t.slots...)
+		}
+		t.slots, i = t.slots[:n+1], int32(n)
 	}
 	t.slots[i].key, t.slots[i].state = key, state
 	t.index.Insert(i, h, t.hashAt)

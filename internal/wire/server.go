@@ -89,8 +89,9 @@ type Server struct {
 // about one per call in flight, one that does not up to all. maxFree bounds
 // the reply buffers kept for reuse, enough to refill after a stalled call.
 const (
-	maxKept = 4096
-	maxFree = 256
+	maxKept    = 4096
+	maxFree    = 256
+	minKeptCap = 16 // a client's calls in flight in steady state fit in it
 )
 
 // NewServer starts a datagram server on addr ("127.0.0.1:0" for an ephemeral
@@ -289,7 +290,8 @@ func (s *Server) keep(p *peer, id uint64, out []byte) {
 	}
 }
 
-// drop removes p.kept[i:j], keeping their reply buffers for reuse.
+// drop removes p.kept[i:j], keeping their reply buffers for reuse. A slice
+// at most a quarter full gives a burst's capacity back, down to minKeptCap.
 func (s *Server) drop(p *peer, i, j int) {
 	for _, e := range p.kept[i:j] {
 		if e.reply != nil && len(s.free) < maxFree {
@@ -298,6 +300,9 @@ func (s *Server) drop(p *peer, i, j int) {
 	}
 	p.kept = slices.Delete(p.kept, i, j)
 	s.nkept -= j - i
+	if c := cap(p.kept); c > minKeptCap && 4*len(p.kept) <= c {
+		p.kept = append(make([]kept, 0, max(minKeptCap, 2*len(p.kept))), p.kept...)
+	}
 }
 
 // evict makes room at the maxKept cap: the peer holding the most drops its

@@ -360,6 +360,32 @@ func TestServerKeepsOneReplyForSequentialCalls(t *testing.T) {
 	}
 }
 
+// TestServerKeptShrinksAfterBurst: a burst of calls that do not ack grows a
+// peer's kept slice; the ack that follows forgets them, and the slice does
+// not keep the burst's capacity.
+func TestServerKeptShrinksAfterBurst(t *testing.T) {
+	s := testServer(inPlace)
+	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}
+	inc := uint64(5) << 32
+	const burst = 1000
+	for id := inc + 1; id <= inc+burst; id++ {
+		if bp := s.processFrame(context.Background(), mustEncode(t, &Message{Type: TypeRequest, ID: id}), from); bp == nil {
+			t.Fatal("processFrame dropped a valid request")
+		}
+	}
+	p := s.peers[makePeerKey(from)]
+	if len(p.kept) != burst || cap(p.kept) < burst {
+		t.Fatalf("after the burst: %d kept in capacity %d, want %d", len(p.kept), cap(p.kept), burst)
+	}
+	last := inc + burst + 1
+	if bp := s.processFrame(context.Background(), mustEncode(t, &Message{Type: TypeRequest, ID: last, Ack: last}), from); bp == nil {
+		t.Fatal("processFrame dropped the acking request")
+	}
+	if len(p.kept) != 1 || cap(p.kept) > minKeptCap {
+		t.Fatalf("after the ack: %d kept in capacity %d, want 1 in at most %d", len(p.kept), cap(p.kept), minKeptCap)
+	}
+}
+
 // TestServerDropsLateDuplicateBelowAck: once a client acks past a request,
 // a late copy of it is neither run nor answered — the client has the reply.
 func TestServerDropsLateDuplicateBelowAck(t *testing.T) {
